@@ -19,7 +19,7 @@ exponential weight is what keeps the system well-scaled for T >> eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +37,8 @@ class DiscreteOperators:
     Ka: sp.csr_matrix         # weighted stiffness, SPSD, Ka @ const = 0
     trace_index: np.ndarray   # flat spatial indices of the y = 0 layer
     trace_mass: np.ndarray    # x-volumes attached to trace nodes
+    # sigma -> AxisEigenbasis of K + sigma D_tr, filled by axis_eigenbasis
+    bases: dict = field(default_factory=dict, repr=False)
 
     @property
     def Ma(self) -> sp.csr_matrix:
@@ -48,18 +50,23 @@ class DiscreteOperators:
         return out
 
 
-def build_operators(grid: WeightedGrid) -> DiscreteOperators:
+def _axis_stiffness(grid: WeightedGrid):
+    """1-D stiffness matrices (Kx1, Ky1): uniform x, weighted graded y."""
     spec = grid.spec
-    xv = grid.xvol
-    xmass = grid.xmass
-    mass = grid.node_mass
-
     Dy = sp.diags([-np.ones(spec.ny), np.ones(spec.ny)], [0, 1],
                   shape=(spec.ny, spec.ny + 1))
     Ky1 = Dy.T @ sp.diags(grid.face_trans_y) @ Dy
     Dx = sp.diags([-np.ones(spec.nx), np.ones(spec.nx)], [0, 1],
                   shape=(spec.nx, spec.nx + 1))
     Kx1 = Dx.T @ sp.diags(np.full(spec.nx, 1.0 / grid.hx)) @ Dx
+    return Kx1, Ky1
+
+
+def build_operators(grid: WeightedGrid) -> DiscreteOperators:
+    spec = grid.spec
+    xv = grid.xvol
+    xmass = grid.xmass
+    Kx1, Ky1 = _axis_stiffness(grid)
 
     if spec.d == 1:
         K = sp.kron(Ky1, sp.diags(xv)) + sp.kron(sp.diags(grid.yvol), Kx1)
@@ -68,8 +75,76 @@ def build_operators(grid: WeightedGrid) -> DiscreteOperators:
         K = sp.kron(Ky1, sp.diags(xmass)) + sp.kron(sp.diags(grid.yvol), Kxx)
 
     trace_index = np.arange(xmass.shape[0])  # y-major layout: y=0 block first
-    return DiscreteOperators(mass=mass, Ka=finalize_csr(K),
+    return DiscreteOperators(mass=grid.node_mass, Ka=finalize_csr(K),
                              trace_index=trace_index, trace_mass=xmass)
+
+
+def _mass_eigh(K: np.ndarray, vol: np.ndarray):
+    """Eigenpairs of K v = lam diag(vol) v, normalized so V' diag(vol) V = I."""
+    s = 1.0 / np.sqrt(vol)
+    lam, Q = np.linalg.eigh(s[:, None] * K * s[None, :])
+    return np.maximum(lam, 0.0), s[:, None] * Q
+
+
+@dataclass
+class AxisEigenbasis:
+    """Fast diagonalization of K + sigma D_tr against M, factored per axis.
+
+    K, M and the y = 0 trace mass D_tr are Kronecker sums and products of
+    1-D operators, K + sigma D_tr = (Ky1 + sigma e0 e0') (x) Mx + My (x) Kx
+    with Kx the Kronecker sum of Kx1 over the d x axes.  So with the 1-D
+    generalized eigenvectors
+
+        Vy' (Ky1 + sigma e0 e0') Vy = diag(lam_y),   Vy' diag(yvol) Vy = I,
+        Vx' Kx1 Vx = diag(lam_x),                     Vx' diag(xvol) Vx = I,
+
+    V = Vy (x) Vx [(x) Vx] satisfies V' M V = I and V' (K + sigma D_tr) V =
+    diag(lam), lam the Kronecker sum of the axis eigenvalues.  Hence
+    (alpha M + K + sigma D_tr)^{-1} = V diag(1 / (alpha + lam)) V'.
+    """
+
+    Vy: np.ndarray
+    Vx: np.ndarray
+    lam: np.ndarray   # (n_spatial,), flattened y-major like the nodes
+    d: int
+
+    def _apply(self, Ay: np.ndarray, Ax: np.ndarray,
+               r: np.ndarray) -> np.ndarray:
+        # (Ay (x) Ax [(x) Ax]) applied to each row of r, shape (..., S)
+        ny1, nx1 = Ay.shape[0], Ax.shape[0]
+        R = np.asarray(r, dtype=float).reshape((-1, ny1) + (nx1,) * self.d)
+        R = R @ Ax.T
+        if self.d == 2:
+            R = Ax @ R
+        R = Ay @ R.reshape(R.shape[0], ny1, -1)
+        return R.reshape(np.shape(r))
+
+    def to_modes(self, r: np.ndarray) -> np.ndarray:
+        """V' r for nodal vectors stacked along the last axis."""
+        return self._apply(self.Vy.T, self.Vx.T, r)
+
+    def from_modes(self, w: np.ndarray) -> np.ndarray:
+        """V w for modal vectors stacked along the last axis."""
+        return self._apply(self.Vy, self.Vx, w)
+
+
+def axis_eigenbasis(grid: WeightedGrid, ops: DiscreteOperators,
+                    sigma: float = 0.0) -> AxisEigenbasis:
+    """The AxisEigenbasis of K + sigma D_tr, cached on ops per sigma."""
+    sigma = float(sigma)
+    basis = ops.bases.get(sigma)
+    if basis is None:
+        Kx1, Ky1 = _axis_stiffness(grid)
+        Ky = Ky1.toarray()
+        Ky[0, 0] += sigma
+        lam_y, Vy = _mass_eigh(Ky, grid.yvol)
+        lam_x, Vx = _mass_eigh(Kx1.toarray(), grid.xvol)
+        lam = lam_y
+        for _ in range(grid.spec.d):
+            lam = np.add.outer(lam, lam_x)
+        basis = AxisEigenbasis(Vy=Vy, Vx=Vx, lam=lam.ravel(), d=grid.spec.d)
+        ops.bases[sigma] = basis
+    return basis
 
 
 def exp_time_weights(t: np.ndarray, eps: float) -> np.ndarray:
@@ -283,168 +358,97 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
                         A=finalize_csr(A), b_forcing=b.ravel())
 
 
+def _time_thomas(b: np.ndarray, low, up):
+    """Batched Thomas solve of the time-tridiagonal systems with diagonal
+    b (nt, S), subdiagonal -low and superdiagonal -up (scalars or (S,)).
+
+    The factorization is done once; the returned solve overwrites and
+    returns its (nt, S) argument.
+    """
+    nt, S = b.shape
+    cp = np.empty((nt, S))
+    emul = np.empty((nt, S))
+    emul[0] = 1.0 / b[0]
+    cp[0] = -up * emul[0]
+    for m in range(1, nt):
+        emul[m] = 1.0 / (b[m] + low * cp[m - 1])
+        cp[m] = -up * emul[m] if m < nt - 1 else 0.0
+
+    def solve(z: np.ndarray) -> np.ndarray:
+        z[0] *= emul[0]
+        for m in range(1, nt):
+            z[m] += low * z[m - 1]
+            z[m] *= emul[m]
+        for m in range(nt - 2, -1, -1):
+            z[m] -= cp[m] * z[m + 1]
+        return z
+
+    return solve
+
+
 def time_line_preconditioner(system: LinearSystem, A: sp.csr_matrix | None = None):
     """Exact per-spatial-node time-tridiagonal preconditioner.
 
     Dropping only the spatial off-diagonal couplings, the system
     decouples into one tridiagonal problem along the time line of every
-    spatial node (sub -c m_k, diag from A, super -c rho m_k).  The
-    Thomas factorization is precomputed, vectorized across nodes, and
-    each application costs about half a matvec.  Linear, deterministic,
-    and uniformly effective in eps: all time stiffness is inverted
-    exactly, the Krylov iteration only sees the spatial stencil.
+    spatial node (sub -c m_k, diag from A, super -c rho m_k), solved by
+    a batched Thomas factorization.  Not used by the solvers, which take
+    the exact spectral_preconditioner at every size.
     """
     Ause = system.A if A is None else A
     nt, S = system.grid.spec.nt, system.grid.n_spatial
     c = system.eps / system.grid.dt**2
-    low = c * system.ops.mass                    # -low on the subdiagonal
-    up = c * system.rho * system.ops.mass        # -up on the superdiagonal
     b = Ause.diagonal().reshape(nt, S).copy()
     b[b == 0.0] = 1.0
-
-    cp = np.empty((nt, S))
-    emul = np.empty((nt, S))
-    emul[0] = 1.0 / b[0]
-    cp[0] = -up * emul[0]
-    for m in range(1, nt):
-        emul[m] = 1.0 / (b[m] + low * cp[m - 1])
-        cp[m] = -up * emul[m] if m < nt - 1 else 0.0
+    solve = _time_thomas(b, c * system.ops.mass,
+                         c * system.rho * system.ops.mass)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        rl = np.asarray(r, dtype=float).reshape(nt, S)
-        z = np.empty((nt, S))
-        z[0] = rl[0] * emul[0]
-        for m in range(1, nt):
-            z[m] = (rl[m] + low * z[m - 1]) * emul[m]
-        for m in range(nt - 2, -1, -1):
-            z[m] -= cp[m] * z[m + 1]
-        return z.ravel()
+        return solve(np.array(r, dtype=float).reshape(nt, S)).ravel()
 
     return apply
 
 
-# name kept for the forward-only variant used in earlier experiments
-time_sweep_preconditioner = time_line_preconditioner
+def spectral_preconditioner(system: LinearSystem, sigma: float = 0.0):
+    """Exact inverse of A + diag(c_hat) (x) sigma D_tr, by fast
+    diagonalization in space and batched Thomas in time.
 
+    D_tr is the y = 0 trace mass.  In the per-axis eigenbasis V of
+    axis_eigenbasis (V' M V = I, V' (K + sigma D_tr) V = diag(lam)) the
+    matrix decouples into one tridiagonal time problem per spatial mode,
 
-def spectral_preconditioner(system: LinearSystem):
-    """Exact tensor-sum inverse of the base space-time operator.
+        (c T + lam_k diag(c_hat)) z_k = (V' r)_k,   c = eps/dt^2.
 
-    In the mass-scaled spatial eigenbasis (K~ = M^{-1/2} K M^{-1/2} =
-    Q Lam Q', computed once per grid) the system decouples into one
-    tridiagonal time problem per spatial mode,
-
-        (c T + lam_k diag(c_hat)) z_k = r_k,   c = eps/dt^2,
-
-    solved by a batched Thomas factorization.  This inverts A exactly,
-    so as a preconditioner it reduces bicgstab to a couple of
-    iterations; trace-source diagonal shifts (Picard stabilization,
-    Newton) are left to the Krylov loop.  Needs a dense spatial
-    eigendecomposition; callers should fall back to the time-line
-    preconditioner when n_spatial is large.
+    With sigma the model's Lipschitz constant this is the damped-Picard
+    (majorize-minimize) matrix itself, so a Picard solve converges in one
+    or two Krylov iterations (the second only absorbs roundoff); Newton
+    solves see only the trace diagonal c_hat D_tr (beta'(u) - sigma) as
+    the remaining difference.
+    Each apply costs two per-axis transforms and the Thomas sweeps, with
+    no bound on the grid size.
     """
     grid = system.grid
-    ops = system.ops
     nt, S = grid.spec.nt, grid.n_spatial
-
-    cache = getattr(ops, "_fastdiag", None)
-    if cache is None:
-        sq = np.sqrt(ops.mass)
-        Kt = (ops.Ka.multiply(1.0 / sq[:, None])).multiply(1.0 / sq[None, :])
-        lam, Q = np.linalg.eigh(Kt.toarray())
-        lam = np.maximum(lam, 0.0)
-        cache = {"sqrt_mass": sq, "lam": lam, "Q": Q}
-        ops._fastdiag = cache
-    sq, lam, Q = cache["sqrt_mass"], cache["lam"], cache["Q"]
-
+    basis = axis_eigenbasis(grid, system.ops, sigma)
     c = system.eps / grid.dt**2
-    rho = system.rho
-    main = np.full(nt, c * (1.0 + rho))
+    main = np.full(nt, c * (1.0 + system.rho))
     main[-1] = c
-    # Thomas factorization of (c T + lam_k C_hat), batched over modes k
-    b = main[:, None] + np.multiply.outer(system.c_hat, lam)
-    low, up = c, c * rho
-    cp = np.empty((nt, S))
-    emul = np.empty((nt, S))
-    emul[0] = 1.0 / b[0]
-    cp[0] = -up * emul[0]
-    for m in range(1, nt):
-        emul[m] = 1.0 / (b[m] + low * cp[m - 1])
-        cp[m] = -up * emul[m] if m < nt - 1 else 0.0
+    solve = _time_thomas(main[:, None] + np.multiply.outer(system.c_hat,
+                                                           basis.lam),
+                         c, c * system.rho)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        rl = np.asarray(r, dtype=float).reshape(nt, S) / sq
-        w = rl @ Q
-        z = np.empty((nt, S))
-        z[0] = w[0] * emul[0]
-        for m in range(1, nt):
-            z[m] = (w[m] + low * z[m - 1]) * emul[m]
-        for m in range(nt - 2, -1, -1):
-            z[m] -= cp[m] * z[m + 1]
-        out = z @ Q.T
-        out /= sq
-        return out.ravel()
+        w = basis.to_modes(np.asarray(r, dtype=float).reshape(nt, S))
+        return basis.from_modes(solve(w)).ravel()
 
     return apply
 
 
-def default_st_preconditioner(system: LinearSystem, A: sp.csr_matrix | None = None):
-    """Preconditioner choice for space-time solves: exact tensor-sum
-    inverse when the spatial problem is small enough to eigendecompose,
-    per-node time lines otherwise."""
-    if system.grid.n_spatial <= 6000:
-        return spectral_preconditioner(system)
-    return time_line_preconditioner(system, A)
-
-
-def _banded_cholesky(B: sp.csr_matrix, bw: int):
-    from scipy.linalg import cholesky_banded
-    n = B.shape[0]
-    ab = np.zeros((bw + 1, n))
-    for o in range(bw + 1):
-        diag = B.diagonal(o)
-        ab[bw - o, o:] = diag
-    return cholesky_banded(ab, lower=False)
-
-
-def marching_preconditioner(system: LinearSystem, A: sp.csr_matrix | None = None):
-    """Exact inverse of the block lower-triangular part of A.
-
-    One application is a forward march in time with exact spatial block
-    solves (banded Cholesky; the interior block is shared by every
-    layer).  The preconditioned iteration radius is bounded by
-    rho/(1+rho) <= 1/2 uniformly in eps and in the mesh, so the Krylov
-    solver needs O(10) iterations.  Falls back to the time-line
-    preconditioner when the spatial bandwidth is too large (d = 2 on
-    fine meshes).
-    """
-    from scipy.linalg import cho_solve_banded
-
-    grid = system.grid
-    nt, S = grid.spec.nt, grid.n_spatial
-    Ka = system.ops.Ka.tocoo()
-    bw = int(np.max(np.abs(Ka.row - Ka.col))) if Ka.nnz else 1
-    if bw * bw * S > 2e8:
-        return time_line_preconditioner(system, A)
-    Ause = (system.A if A is None else A).tocsr()
-    B_int = Ause[S:2 * S, S:2 * S] if nt >= 3 else Ause[:S, :S]
-    B_term = Ause[(nt - 1) * S:, (nt - 1) * S:]
-    cb_int = _banded_cholesky(B_int, bw)
-    cb_term = _banded_cholesky(B_term, bw)
-    low = (system.eps / grid.dt**2) * system.ops.mass
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        rl = np.asarray(r, dtype=float).reshape(nt, S)
-        z = np.empty((nt, S))
-        z[0] = cho_solve_banded((cb_int, False), rl[0])
-        for m in range(1, nt - 1):
-            z[m] = cho_solve_banded((cb_int, False), rl[m] + low * z[m - 1])
-        if nt > 1:
-            z[nt - 1] = cho_solve_banded((cb_term, False),
-                                         rl[nt - 1] + low * z[nt - 2])
-        return z.ravel()
-
-    return apply
+def default_st_preconditioner(system: LinearSystem, sigma: float = 0.0):
+    """Preconditioner for the space-time solves: the exact inverse of
+    A + diag(c_hat) (x) sigma D_tr (spectral_preconditioner), at every
+    grid size and dimension."""
+    return spectral_preconditioner(system, sigma)
 
 
 def weighted_trace_flux(grid: WeightedGrid, spatial_field: np.ndarray) -> np.ndarray:

@@ -145,7 +145,9 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
                [{"eps": lv.eps, "iterations": lv.iterations,
                  "el_residual": lv.el_residual,
                  "el_tol_abs": lv.stats.get("el_tol_abs"),
-                 "dist_to_ref": lv.dist_to_ref} for lv in levels])
+                 "dist_to_ref": lv.dist_to_ref,
+                 "inner_iterations": lv.stats.get("inner_iterations", []),
+                 "damping": lv.stats.get("damping", [])} for lv in levels])
 
     summary = []
     if failure is None:

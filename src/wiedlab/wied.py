@@ -17,9 +17,8 @@ import scipy.sparse as sp
 from .assembly import (ForcingSpec, LinearSystem, assemble_linear_system,
                        build_operators, default_st_preconditioner,
                        functional_value)
-from .linalg import finalize_csr
 from .grid import WeightedGrid
-from .linalg import bicgstab_solve
+from .linalg import bicgstab_solve, finalize_csr
 from .parabolic import ParabolicConfig, solve_parabolic
 
 
@@ -119,10 +118,10 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
     # Damped Picard runs in majorize-minimize form: the trace potential is
     # replaced by its quadratic surrogate with curvature sigma >= sup|beta'|,
-    # so a full step can never increase the functional and the stabilized
-    # matrix is assembled (and preconditioned) once per level.  outer
-    # "newton" switches to guarded Newton once Picard has pulled the
-    # residual down, and falls back to a Picard step on rejection.
+    # so a full step can never increase the functional.  The stabilized
+    # matrix is assembled once per level, and the preconditioner inverts it
+    # exactly.  outer "newton" switches to guarded Newton once Picard has
+    # pulled the residual down, and falls back to a Picard step on rejection.
     sigma = max(getattr(model, "lipschitz", 0.0) or 0.0, 0.0)
     if sigma > 0.0:
         stab = np.zeros((nt, S))
@@ -132,19 +131,17 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     else:
         stab = None
         A_pic = system.A
-    base_prec = default_st_preconditioner(system, A_pic)
+    prec = default_st_preconditioner(system, sigma)
 
     def try_step(kind, r, res):
         if kind == "newton":
             A = system.newton_matrix(model, U)
             rhs = A @ U[1:].ravel() - r
-            prec = base_prec
         else:
             A = A_pic
             rhs = b - system.beta_source(model, U)
             if stab is not None:
                 rhs = rhs + stab * U[1:].ravel()
-            prec = base_prec
         sol = bicgstab_solve(A, rhs, precond=prec, tol=cfg.inner_tol,
                              maxit=cfg.inner_maxit, x0=U[1:].ravel())
         stats["inner_iterations"].append(sol.iterations)

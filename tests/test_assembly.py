@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -192,14 +194,24 @@ def test_manufactured_weighted_flux_is_exact():
 
 
 def test_spectral_preconditioner_inverts_base_system():
-    g = small_grid(4, 4, 6, T=0.5)
-    for eps in (0.3, 0.02):
-        system = assemble_linear_system(g, eps)
-        prec = spectral_preconditioner(system)
-        rng = np.random.default_rng(5)
-        r = rng.standard_normal(system.n_unknowns)
-        z = prec(r)
-        assert np.max(np.abs(system.A @ z - r)) < 1e-10 * np.max(np.abs(r))
+    # exact inverse of the Picard matrix A + diag(c_hat) (x) sigma D_tr,
+    # for sigma = 0 (the base system) and sigma = the model's Lipschitz bound
+    for d, a in itertools.product((1, 2), (-0.5, 0.0, 0.5)):
+        g = build_grid(GridSpec(d=d, a=a, L=1.0, Y=1.0, T=0.5,
+                                nx=4, ny=5, nt=6))
+        nt, S = g.spec.nt, g.n_spatial
+        for eps, sigma in itertools.product((0.3, 0.02),
+                                            (0.0, BUMP.lipschitz)):
+            system = assemble_linear_system(g, eps)
+            stab = np.zeros((nt, S))
+            stab[:, system.ops.trace_index] = (
+                system.c_hat[:, None] * system.ops.trace_mass * sigma)
+            A = system.A + sp.diags(stab.ravel())
+            prec = spectral_preconditioner(system, sigma)
+            r = np.random.default_rng(5).standard_normal(system.n_unknowns)
+            z = prec(r)
+            assert np.max(np.abs(A @ z - r)) < 1e-10 * np.max(np.abs(r)), \
+                (d, a, eps, sigma)
 
 
 def test_eps_must_be_positive():

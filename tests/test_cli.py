@@ -102,6 +102,14 @@ def test_diagnose_on_stored_field(tmp_path):
     assert rc == 0
     assert (tmp_path / "diag" / "energy-eps-0.05.csv").exists()
     assert (tmp_path / "diag" / "level_sets.csv").exists()
+    # levels.json keeps each level's solver history: one inner solve per
+    # tried step, one damping factor per accepted step
+    levels = json.loads(
+        (tmp_path / "out" / "reports" / "levels.json").read_text())
+    for lv in levels:
+        assert len(lv["damping"]) == lv["iterations"] - 1
+        assert len(lv["inner_iterations"]) >= len(lv["damping"])
+        assert all(0.0 < lam <= 1.0 for lam in lv["damping"])
 
 
 def test_strict_support_flag(tmp_path, capsys):

@@ -126,3 +126,22 @@ def test_nonfinite_state_rejected():
     from wiedlab.parabolic import ParabolicError
     with pytest.raises(ParabolicError):
         step_implicit(g, None, ParabolicConfig(), bad)
+
+
+def test_refined_y_shipped_physics_converges():
+    # the shipped plateau (radius 3.6, height 1.0, nt = 960) with y refined
+    # to ny = 22: fixed-sigma Picard has to converge on every step, the
+    # first one included, and keep the trajectory in [0, 1]
+    import json
+    from pathlib import Path
+    from wiedlab.config import config_from_dict
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "combustion-1d.json").read_text())
+    data["grid"]["ny"] = 22
+    cfg = config_from_dict(data)
+    g = build_grid(cfg.grid)
+    traj = solve_parabolic(g, cfg.model, cfg.parabolic,
+                           cfg.initial.evaluate(g))
+    assert traj.shape == (961, g.n_spatial)
+    assert np.all(np.isfinite(traj))
+    assert traj.min() >= -1e-8 and traj.max() <= 1.0 + 1e-8

@@ -35,6 +35,16 @@ def test_maximum_principle_combustion():
     assert res.U.max() <= 1.0 + 1e-8
 
 
+def test_picard_solves_take_at_most_two_inner_iterations():
+    # the preconditioner inverts the majorize-minimize Picard matrix
+    # exactly, so BiCGStab only confirms the direct solve
+    g = grid_small()
+    res = solve_wied(g, BUMP, WiedConfig(eps=0.1, outer="picard",
+                                         outer_tol=1e-9), bump_data(g))
+    assert res.stats["inner_iterations"]
+    assert max(res.stats["inner_iterations"]) <= 2
+
+
 def test_initial_layer_exact_and_functional_below_extension():
     g = grid_small()
     U0 = bump_data(g)
