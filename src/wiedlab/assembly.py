@@ -251,6 +251,43 @@ def functional_gradient(grid: WeightedGrid, model, eps: float,
     return G
 
 
+def _row_coefficients(grid: WeightedGrid, eps: float):
+    """(c, rho, main, c_hat) of the weight-normalized rows: c = eps/dt^2,
+    rho = exp(-dt/eps), main = 1 + rho and c_hat = (1 + rho)/2 on the
+    interior rows, main = 1 and c_hat = 1/2 on the terminal row."""
+    nt = grid.spec.nt
+    c = eps / grid.dt**2
+    rho = float(np.exp(-grid.dt / eps))
+    main = np.full(nt, 1.0 + rho)
+    main[-1] = 1.0
+    c_hat = np.full(nt, 0.5 * (1.0 + rho))
+    c_hat[-1] = 0.5
+    return c, rho, main, c_hat
+
+
+def stencil_residual(grid: WeightedGrid, model, eps: float,
+                     Ulay: np.ndarray, KU: np.ndarray,
+                     ops: DiscreteOperators) -> np.ndarray:
+    """Unforced normalized EL residual on layers 1..nt, shape (nt, S).
+
+    The rows of LinearSystem.residual, formed layer by layer from the
+    stiffness products KU = (Ka U_m)_m of all nt + 1 layers instead of an
+    assembled space-time matrix:
+
+        c M ((1+rho) U_m - U_{m-1} - rho U_{m+1}) + c_hat (K U_m + D_tr beta(u_m))
+
+    with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2.
+    Equal to the assembled residual up to summation order.
+    """
+    c, rho, main, c_hat = _row_coefficients(grid, eps)
+    tstep = main[:, None] * Ulay[1:] - Ulay[:-1]
+    tstep[:-1] -= rho * Ulay[2:]
+    r = (c * ops.mass) * tstep + c_hat[:, None] * KU[1:]
+    r[:, ops.trace_index] += c_hat[:, None] * ops.trace_mass * beta_eval(
+        model, Ulay[1:, ops.trace_index])
+    return r
+
+
 @dataclass
 class LinearSystem:
     """Weight-normalized discrete system on layers 1..nt.
@@ -268,10 +305,34 @@ class LinearSystem:
     c_hat: np.ndarray
     A: sp.csr_matrix
     b_forcing: np.ndarray
+    # positions of A's diagonal entries in A.data, filled by plus_diagonal
+    _diag_pos: np.ndarray | None = field(default=None, init=False,
+                                         repr=False)
 
     @property
     def n_unknowns(self) -> int:
         return self.grid.spec.nt * self.grid.n_spatial
+
+    def plus_diagonal(self, d: np.ndarray) -> sp.csr_matrix:
+        """A + diag(d), built on A's own sparsity pattern.
+
+        A stores every diagonal entry (c main m_s + c_hat K_ss > 0), so the
+        sum is a copy of A with d added to those entries: the same
+        floating-point adds as finalize_csr(A + sp.diags(d)), without the
+        sparse merge.
+        """
+        A = self.A
+        if self._diag_pos is None:
+            rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+            pos = np.flatnonzero(A.indices == rows)
+            if pos.shape[0] != A.shape[0]:
+                raise ValueError("system matrix lacks a diagonal entry")
+            self._diag_pos = pos
+        out = A.copy()
+        out.data[self._diag_pos] += d
+        if not np.all(out.data[self._diag_pos]):
+            out.eliminate_zeros()   # as the sparse sum drops exact zeros
+        return out
 
     def rhs(self, U0: np.ndarray) -> np.ndarray:
         b = self.b_forcing.copy().reshape(self.grid.spec.nt, -1)
@@ -296,7 +357,7 @@ class LinearSystem:
         dd[:, self.ops.trace_index] = (
             self.c_hat[:, None] * self.ops.trace_mass * beta_prime_eval(model, u)
         )
-        return finalize_csr(self.A + sp.diags(dd.ravel()))
+        return self.plus_diagonal(dd.ravel())
 
     def residual(self, model, U: np.ndarray,
                  U0: np.ndarray | None = None) -> np.ndarray:
@@ -316,13 +377,7 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
     nt, S = grid.spec.nt, grid.n_spatial
-    dt = grid.dt
-    rho = float(np.exp(-dt / eps))
-
-    main = np.full(nt, 1.0 + rho)
-    main[-1] = 1.0
-    c_hat = np.full(nt, 0.5 * (1.0 + rho))
-    c_hat[-1] = 0.5
+    c, rho, main, c_hat = _row_coefficients(grid, eps)
 
     # eps enters only through scalar coefficients; the kron patterns are
     # grid data and get cached on the operators across schedule levels
@@ -336,7 +391,6 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
             "Kkron": sp.kron(sp.eye(nt), ops.Ka, format="csr"),
         }
         ops._st_kron = cache
-    c = eps / dt**2
     A = (sp.diags(c * np.outer(main, ops.mass).ravel())
          - c * cache["Msub"] - (c * rho) * cache["Msup"]
          + sp.diags(np.repeat(c_hat, S)) @ cache["Kkron"])
@@ -430,12 +484,10 @@ def spectral_preconditioner(system: LinearSystem, sigma: float = 0.0):
     grid = system.grid
     nt, S = grid.spec.nt, grid.n_spatial
     basis = axis_eigenbasis(grid, system.ops, sigma)
-    c = system.eps / grid.dt**2
-    main = np.full(nt, c * (1.0 + system.rho))
-    main[-1] = c
-    solve = _time_thomas(main[:, None] + np.multiply.outer(system.c_hat,
-                                                           basis.lam),
-                         c, c * system.rho)
+    c, rho, main, c_hat = _row_coefficients(grid, system.eps)
+    solve = _time_thomas((c * main)[:, None] + np.multiply.outer(c_hat,
+                                                                 basis.lam),
+                         c, c * rho)
 
     def apply(r: np.ndarray) -> np.ndarray:
         w = basis.to_modes(np.asarray(r, dtype=float).reshape(nt, S))

@@ -11,7 +11,7 @@ import numpy as np
 from .combustion import CombustionModel, ModelError, model_from_dict
 from .grid import Cylinder, GridError, GridSpec, WeightedGrid, build_grid
 from .parabolic import ParabolicConfig
-from .wied import EpsilonSchedule, WiedConfig
+from .wied import EpsilonSchedule, WiedConfig, check_horizon
 
 
 class ConfigError(ValueError):
@@ -50,6 +50,8 @@ class InitialData:
             else:
                 raise ConfigError(f"unknown plateau axis {axis!r}")
         elif self.kind == "from-file":
+            if "path" not in self.params:
+                raise ConfigError("initial data 'from-file' needs a 'path'")
             path = Path(self.params["path"])
             if not path.exists():
                 raise ConfigError(f"initial data file not found: {path}")
@@ -100,6 +102,17 @@ class ExperimentConfig:
     forcing_exponents: tuple = (3.0, 4.0)
 
     def validate(self) -> "ExperimentConfig":
+        from .runner import DIAGNOSTIC_NAMES   # runner imports this module
+        try:
+            check_horizon(self.schedule.eps0, self.grid.T)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        unknown = [req.name for req in self.diagnostics
+                   if req.name not in DIAGNOSTIC_NAMES]
+        if unknown:
+            raise ConfigError(
+                f"unknown diagnostic(s) {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(DIAGNOSTIC_NAMES)}")
         grid = build_grid(self.grid)
         if self.strict_support:
             self.initial.check_strict_support(grid)

@@ -79,10 +79,14 @@ def load_field(path: Path):
     side = json.loads(Path(path).with_suffix(".json").read_text())
     spec = GridSpec.from_dict(side["gridspec"])
     grid = build_grid(spec)
-    flat = np.frombuffer(Path(path).read_bytes(), dtype="<f8")
+    raw = Path(path).read_bytes()
     shape = tuple(spec.nx + 1 for _ in range(spec.d)) + (spec.ny + 1,
                                                          spec.nt + 1)
-    arr = flat.reshape(shape)
+    expected = 8 * int(np.prod(shape))
+    if len(raw) != expected:
+        raise OSError(f"field dump {path} holds {len(raw)} bytes; its "
+                      f"sidecar shape {shape} needs {expected}")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
     axes = (grid.d + 1, grid.d) + tuple(range(grid.d))
     return grid, np.ascontiguousarray(np.transpose(arr, axes)), side
 
@@ -93,9 +97,8 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _trace_forcing(grid, model, U):
+def _trace_forcing(grid, model, U, ops):
     """f = -beta(u) on the trace, the source the solved field carries."""
-    ops = build_operators(grid)
     lay = U.reshape(grid.spec.nt + 1, -1)
     tr = lay[:, ops.trace_index].reshape(
         (grid.spec.nt + 1,) + (grid.spec.nx + 1,) * grid.d)
@@ -151,8 +154,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
 
     summary = []
     if failure is None:
-        summary.extend(
-            _run_diagnostics(cfg, grid, levels, reference, outdir, threads))
+        summary.extend(_run_diagnostics(cfg, grid, build_operators(grid),
+                                        levels, outdir, threads))
 
     dists = [lv.dist_to_ref for lv in levels]
     if len(dists) >= 2:
@@ -215,14 +218,21 @@ def _config_fingerprint(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _run_diagnostics(cfg, grid, levels, reference, outdir, threads):
+# every name _run_diagnostics dispatches; load_config rejects any other
+DIAGNOSTIC_NAMES = ("energy", "uniform-bounds", "linf-l2", "no-spikes",
+                    "level-sets", "holder", "embedding", "cauchy",
+                    "isoperimetric")
+
+
+def _run_diagnostics(cfg, grid, ops, levels, outdir, threads):
     summary = []
     rep_dir = outdir / "reports"
     p_exp, q_exp = cfg.forcing_exponents
     finest = levels[-1]
 
     def energy_for(lv):
-        return dg.energy_decomposition(grid, cfg.model, lv.eps, lv.U)
+        return dg.energy_decomposition(grid, cfg.model, lv.eps, lv.U,
+                                       ops=ops)
 
     energy_reports = None
     for req in cfg.diagnostics:
@@ -260,7 +270,7 @@ def _run_diagnostics(cfg, grid, levels, reference, outdir, threads):
             rows = []
             for lv in levels:
                 forcing = ForcingSpec(
-                    F=None, f=_trace_forcing(grid, cfg.model, lv.U),
+                    F=None, f=_trace_forcing(grid, cfg.model, lv.U, ops),
                     p=p_exp, q=q_exp)
                 r = dg.linf_l2_ratio(grid, lv.U.reshape(grid.spacetime_shape),
                                      forcing,

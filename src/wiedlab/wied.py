@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (ForcingSpec, LinearSystem, assemble_linear_system,
                        build_operators, default_st_preconditioner,
                        functional_value)
 from .grid import WeightedGrid
-from .linalg import bicgstab_solve, finalize_csr
+from .linalg import bicgstab_solve
 from .parabolic import ParabolicConfig, solve_parabolic
 
 
@@ -75,6 +74,15 @@ class EpsilonSchedule:
         return [self.eps0 * self.ratio**k for k in range(self.count)]
 
 
+def check_horizon(eps0: float, T: float):
+    """Raise ValueError unless eps0 <= T/20, the bound that keeps the
+    truncated-tail weight exp(-T/eps0) negligible."""
+    if eps0 > T / 20.0 + 1e-12:
+        raise ValueError(
+            f"eps0 = {eps0} too large for horizon T = {T}: "
+            "need eps0 <= T/20 so the truncated-tail weight stays negligible")
+
+
 @dataclass
 class WiedResult:
     U: np.ndarray        # (nt+1, n_spatial)
@@ -127,7 +135,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         stab = np.zeros((nt, S))
         stab[:, ops.trace_index] = system.c_hat[:, None] * ops.trace_mass * sigma
         stab = stab.ravel()
-        A_pic = finalize_csr(system.A + sp.diags(stab))
+        A_pic = system.plus_diagonal(stab)
     else:
         stab = None
         A_pic = system.A
@@ -270,10 +278,7 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
 
     Raises SweepError carrying the completed levels if some level fails.
     """
-    if schedule.eps0 > grid.spec.T / 20.0 + 1e-12:
-        raise ValueError(
-            f"eps0 = {schedule.eps0} too large for horizon T = {grid.spec.T}: "
-            "need eps0 <= T/20 so the truncated-tail weight stays negligible")
+    check_horizon(schedule.eps0, grid.spec.T)
     cfg = cfg or WiedConfig(eps=schedule.eps0)
     if reference is None:
         reference = solve_parabolic(grid, model,

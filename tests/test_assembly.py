@@ -7,9 +7,12 @@ import scipy.sparse as sp
 from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               build_operators, exp_time_weights,
                               functional_gradient, functional_value,
-                              spectral_preconditioner, weighted_trace_flux)
-from wiedlab.combustion import CombustionModel, phi_eval, validate_model
+                              spectral_preconditioner, stencil_residual,
+                              weighted_trace_flux)
+from wiedlab.combustion import (CombustionModel, beta_prime_eval,
+                                model_from_dict, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
+from wiedlab.linalg import finalize_csr
 
 BUMP = validate_model(CombustionModel())
 
@@ -212,6 +215,54 @@ def test_spectral_preconditioner_inverts_base_system():
             z = prec(r)
             assert np.max(np.abs(A @ z - r)) < 1e-10 * np.max(np.abs(r)), \
                 (d, a, eps, sigma)
+
+
+def test_stencil_residual_matches_assembled_system():
+    # the energy reports' EL residual, formed layer by layer from Ka U,
+    # against the residual of the assembled space-time system
+    zero = model_from_dict({"kind": "zero"})
+    rng = np.random.default_rng(12)
+    for d, model, eps in itertools.product((1, 2), (zero, BUMP),
+                                           (0.3, 0.02)):
+        g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
+                                nx=4, ny=5, nt=6))
+        ops = build_operators(g)
+        U = rng.random((g.spec.nt + 1, g.n_spatial))
+        r = stencil_residual(g, model, eps, U, (ops.Ka @ U.T).T, ops)
+        ref = assemble_linear_system(g, eps, ops=ops).residual(model, U)
+        assert r.shape == ref.shape
+        assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+            (d, model.kind, eps)
+
+
+def test_diagonal_shifts_match_sparse_sum_exactly():
+    # the Newton and Picard matrices built on A's pattern are the very
+    # arrays finalize_csr(A + diags(d)) gives, an exact cancellation included
+    rng = np.random.default_rng(13)
+    for d in (1, 2):
+        g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
+                                nx=4, ny=5, nt=6))
+        system = assemble_linear_system(g, 0.1)
+        nt, S = g.spec.nt, g.n_spatial
+        tr = system.ops.trace_index
+        U = rng.random((nt + 1, S))
+        newton = np.zeros((nt, S))
+        newton[:, tr] = (system.c_hat[:, None] * system.ops.trace_mass
+                         * beta_prime_eval(BUMP, U[1:, tr]))
+        picard = np.zeros((nt, S))
+        picard[:, tr] = (system.c_hat[:, None] * system.ops.trace_mass
+                         * BUMP.lipschitz)
+        cancel = np.zeros(nt * S)
+        cancel[3] = -system.A.diagonal()[3]
+        cases = [(newton.ravel(), system.newton_matrix(BUMP, U)),
+                 (picard.ravel(), system.plus_diagonal(picard.ravel())),
+                 (cancel, system.plus_diagonal(cancel))]
+        for dvec, got in cases:
+            ref = finalize_csr(system.A + sp.diags(dvec))
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.data, ref.data)
+        assert cases[2][1].nnz == system.A.nnz - 1
 
 
 def test_eps_must_be_positive():

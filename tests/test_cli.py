@@ -127,3 +127,34 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv("WIEDLAB_THREADS", "2")
     cfgp = write_config(tmp_path / "cfg.json")
     assert main(["run", str(cfgp), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"initial": {"kind": "from-file"}}, "'path'"),
+    ({"diagnostics": [{"name": "energy"}, {"name": "energi"}]},
+     "'energi'"),
+    ({"schedule": {"eps0": 0.2, "ratio": 0.5, "count": 2}}, "T/20"),
+], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20"])
+def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
+    # exit 2 with a message and no traceback, before any compute writes
+    cfgp = write_config(tmp_path / "bad.json", **overrides)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_diagnose_truncated_field_is_io_error(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
+    field = tmp_path / "p" / "parabolic.f64"
+    raw = field.read_bytes()
+    field.write_bytes(raw[:-8])
+    with pytest.raises(OSError, match=f"{len(raw) - 8} bytes"):
+        load_field(field)
+    rc = main(["diagnose", str(cfgp), "--field", str(field),
+               "--which", "energy", "--out", str(tmp_path / "diag")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and str(field) in err
