@@ -44,11 +44,6 @@ class DiscreteOperators:
     def Ma(self) -> sp.csr_matrix:
         return sp.diags(self.mass).tocsr()
 
-    def inject_trace(self, tvals: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.mass.shape[0])
-        out[self.trace_index] = tvals
-        return out
-
 
 def _axis_stiffness(grid: WeightedGrid):
     """1-D stiffness matrices (Kx1, Ky1): uniform x, weighted graded y."""
@@ -108,15 +103,17 @@ class AxisEigenbasis:
     lam: np.ndarray   # (n_spatial,), flattened y-major like the nodes
     d: int
 
-    def _apply(self, Ay: np.ndarray, Ax: np.ndarray,
+    def _apply(self, Ay: np.ndarray | None, Ax: np.ndarray,
                r: np.ndarray) -> np.ndarray:
-        # (Ay (x) Ax [(x) Ax]) applied to each row of r, shape (..., S)
-        ny1, nx1 = Ay.shape[0], Ax.shape[0]
+        # (Ay (x) Ax [(x) Ax]) applied to each row of r, shape (..., S);
+        # Ay None: the x factor alone, on y = 0 trace vectors
+        ny1, nx1 = (1 if Ay is None else Ay.shape[0]), Ax.shape[0]
         R = np.asarray(r, dtype=float).reshape((-1, ny1) + (nx1,) * self.d)
         R = R @ Ax.T
         if self.d == 2:
             R = Ax @ R
-        R = Ay @ R.reshape(R.shape[0], ny1, -1)
+        if Ay is not None:
+            R = Ay @ R.reshape(R.shape[0], ny1, -1)
         return R.reshape(np.shape(r))
 
     def to_modes(self, r: np.ndarray) -> np.ndarray:
@@ -126,6 +123,28 @@ class AxisEigenbasis:
     def from_modes(self, w: np.ndarray) -> np.ndarray:
         """V w for modal vectors stacked along the last axis."""
         return self._apply(self.Vy, self.Vx, w)
+
+    def to_trace_modes(self, s: np.ndarray) -> np.ndarray:
+        """Vx' s [(x) Vx'] for y = 0 trace vectors stacked along the last
+        axis: with E the injection of trace values into the y = 0 layer,
+        V' E s = Vy[0, :] (x) to_trace_modes(s)."""
+        return self._apply(None, self.Vx.T, s)
+
+    def from_trace_modes(self, z: np.ndarray) -> np.ndarray:
+        """Vx z [(x) Vx] for trace-modal vectors stacked along the last
+        axis: E' V w = from_trace_modes(Vy[0, :] . w), the dot over y."""
+        return self._apply(None, self.Vx, z)
+
+    def trace_gain(self, inv: np.ndarray) -> np.ndarray:
+        """h with E' V diag(inv) V' E = Vx diag(h) Vx' [(x) Vx].
+
+        Only the y = 0 row of Vy meets the trace, so the trace block of
+        V diag(inv) V' is diagonal in the x modes, h_j = sum_k Vy[0,k]^2
+        inv_kj.  With inv = 1/(alpha + lam) it is the capacitance matrix
+        E' (alpha M + K + sigma D_tr)^{-1} E.
+        """
+        vy0 = self.Vy[0]
+        return (vy0 * vy0) @ np.reshape(inv, (vy0.shape[0], -1))
 
 
 def axis_eigenbasis(grid: WeightedGrid, ops: DiscreteOperators,

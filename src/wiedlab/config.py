@@ -62,7 +62,11 @@ class InitialData:
                     f"{grid.spatial_shape}")
         else:
             raise ConfigError(f"unknown initial data kind {self.kind!r}")
-        return np.asarray(U0, dtype=float).ravel()
+        U0 = np.asarray(U0, dtype=float).ravel()
+        if not np.all(np.isfinite(U0)):
+            raise ConfigError(
+                f"initial data {self.kind!r} has non-finite values")
+        return U0
 
     def check_strict_support(self, grid: WeightedGrid):
         """Initial trace must vanish near the lateral boundary (finite
@@ -121,13 +125,17 @@ class ExperimentConfig:
         for req in self.diagnostics:
             c = req.options.get("center")
             r = req.options.get("radius")
-            if c is not None and r is not None:
-                Cylinder(tuple(c), float(r)).require_fits(grid)
-            for c in req.options.get("centers", []):
-                if not Cylinder(tuple(c), 1.0).fits(grid):
-                    raise ConfigError(
-                        f"diagnostic {req.name!r}: probe {c} too close to "
-                        "the boundary for unit-radius cylinders")
+            try:
+                if c is not None and r is not None:
+                    Cylinder(tuple(c), float(r)).require_fits(grid)
+                near = [p for p in req.options.get("centers", [])
+                        if not Cylinder(tuple(p), 1.0).fits(grid)]
+            except (TypeError, ValueError) as exc:   # GridError included
+                raise ConfigError(f"diagnostic {req.name!r}: {exc}") from exc
+            if near:
+                raise ConfigError(
+                    f"diagnostic {req.name!r}: probe {near[0]} too close to "
+                    "the boundary for unit-radius cylinders")
         return self
 
 

@@ -3,11 +3,15 @@
 Shares the spatial operators with the space-time assembly, so the
 eps -> 0 comparison in the sweep is a pure time-structure comparison.
 The combustion trace term is handled by fixed-sigma Picard inside each
-step, in majorize-minimize form: every iteration is one exact direct
-solve with M/dt + K + sigma D_tr in the per-axis eigenbasis of the
-assembly (sigma the model's Lipschitz constant, D_tr the y = 0 trace
-mass).  The scheme matrix M/dt + K is an M-matrix, which gives the
-discrete maximum principle together with the sign of beta.
+step, in majorize-minimize form with the matrix M/dt + K + sigma D_tr
+(sigma the model's Lipschitz constant, D_tr the y = 0 trace mass).
+Because the reaction acts only on the y = 0 trace, the Picard map runs
+on the trace through the capacitance matrix of that matrix, which is
+diagonal in the x factor of the assembly's per-axis eigenbasis: a step
+costs one full transform pair and two full residuals, whatever the
+number of Picard iterations.  The scheme matrix M/dt + K is an
+M-matrix, which gives the discrete maximum principle together with the
+sign of beta.
 """
 
 from __future__ import annotations
@@ -53,19 +57,28 @@ def _step_matrix(grid, ops, dt):
 def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
                   Un: np.ndarray, ops: DiscreteOperators | None = None,
                   dt: float | None = None, A=None) -> np.ndarray:
-    """One implicit Euler step, (M/dt + K) u + D_tr beta(u) = M Un/dt.
+    """One implicit Euler step, (M/dt + K) u + E D_tr beta(E' u) = M Un/dt.
 
-    The trace term is majorized by its quadratic surrogate of curvature
-    sigma = lipschitz >= sup|beta'| (sigma = 0 without a reaction), which
-    gives the fixed-matrix Picard iteration
+    E injects trace values into the y = 0 layer.  The trace term is
+    majorized by its quadratic surrogate of curvature sigma = lipschitz
+    >= sup|beta'| (sigma = 0 without a reaction), which gives the
+    fixed-matrix Picard map, u_0 = Un,
 
-        (M/dt + K + sigma D_tr) (u_{k+1} - u_k) = -residual(u_k),   u_0 = Un,
+        u_{k+1} = B^{-1} (M Un/dt + E s_k),   B = M/dt + K + sigma E D_tr E',
+        s_k = D_tr (sigma E' u_k - beta(E' u_k)).
 
-    each correction one exact direct solve in the cached per-axis
-    eigenbasis.  It stops once the residual is at most the tolerance
-    relative to |M Un/dt| (picard_tol, or linear_tol without a reaction,
-    where one correction reaches roundoff), and raises ParabolicError
-    after picard_maxit (linear_maxit) corrections.
+    The reaction enters only through the trace, so the map runs there:
+    E' u_{k+1} = g + G s_k with g = E' B^{-1} M Un/dt and the capacitance
+    matrix G = E' B^{-1} E, which is diagonal in the x factor of the cached
+    per-axis eigenbasis (AxisEigenbasis.trace_gain).  The residual of
+    u_{k+1} is exactly E (s_k - s_{k+1}), so the trace iterations stop
+    once |s_k - s_{k+1}| is at most the tolerance relative to |M Un/dt|
+    (picard_tol, or linear_tol without a reaction, where s = 0), and one
+    transform pair recovers u from the last s.  The full residual is
+    checked at Un, which is returned unchanged if it passes, and at every
+    recovered u; should roundoff leave the recovered u above the
+    tolerance, the trace iterations go on.  ParabolicError is raised when
+    u_{picard_maxit} (u_{linear_maxit}) still misses the tolerance.
     """
     ops = ops or build_operators(grid)
     dt = dt if dt is not None else (cfg.dt if cfg.dt is not None else grid.dt)
@@ -82,32 +95,49 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     else:
         sigma = max(getattr(model, "lipschitz", 0.0), 0.0)
         tol, maxit = cfg.picard_tol, cfg.picard_maxit
+    bound = tol * scale
+
+    def residual_norm(u, beta_tr):
+        resid = A @ u - rhs0
+        resid[ops.trace_index] += ops.trace_mass * beta_tr
+        return np.sqrt(np.sum(resid * resid))
+
+    u_tr = un[ops.trace_index]
+    beta_tr = beta_eval(model, u_tr)
+    if residual_norm(un, beta_tr) <= bound:
+        return un.copy()
     basis = axis_eigenbasis(grid, ops, sigma)
     inv = 1.0 / (1.0 / dt + basis.lam)
-
-    u = un.copy()
-    for k in range(maxit + 1):
-        resid = A @ u - rhs0
-        if not linear:
-            resid += ops.inject_trace(
-                ops.trace_mass * beta_eval(model, u[ops.trace_index]))
-        if np.sqrt(np.sum(resid * resid)) <= tol * scale:
-            return u
-        if k < maxit:
-            u = u - basis.from_modes(inv * basis.to_modes(resid))
+    h = basis.trace_gain(inv)
+    vy0 = basis.Vy[0]
+    w = inv * basis.to_modes(rhs0)            # V' B^{-1} M Un/dt
+    g = vy0 @ w.reshape(vy0.shape[0], -1)     # trace modes of E' B^{-1} M Un/dt
+    s = ops.trace_mass * (sigma * u_tr - beta_tr)
+    for k in range(1, maxit + 1):
+        # u_k = B^{-1} (M Un/dt + E s_{k-1}): its trace, and s_k from it
+        z = basis.to_trace_modes(s)
+        u_tr = basis.from_trace_modes(g + h * z)
+        s_next = ops.trace_mass * (sigma * u_tr - beta_eval(model, u_tr))
+        ds = s_next - s
+        if np.sqrt(ds @ ds) <= bound or k == maxit:
+            u = basis.from_modes(w + inv * np.outer(vy0, z).ravel())
+            if residual_norm(u, beta_eval(model, u[ops.trace_index])) <= bound:
+                return u
+        s = s_next
     raise ParabolicError(
         f"{'linear solve' if linear else 'Picard'} did not converge in "
         f"step_implicit ({maxit} corrections)")
 
 
 def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
-                    U0: np.ndarray) -> np.ndarray:
+                    U0: np.ndarray,
+                    ops: DiscreteOperators | None = None) -> np.ndarray:
     """March the trajectory on the grid's time layers.
 
     Returns shape (nt+1, n_spatial).  On a step failure the completed
     prefix is attached to the raised ParabolicError.
     """
-    ops = build_operators(grid)
+    ops = ops or build_operators(grid)
     dt = cfg.dt if cfg.dt is not None else grid.dt
     if abs(dt - grid.dt) > 1e-12 * grid.dt:
         raise ValueError(

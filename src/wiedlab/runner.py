@@ -27,7 +27,7 @@ from .assembly import ForcingSpec, build_operators
 from .combustion import beta_eval, sup_bound
 from .config import ExperimentConfig
 from .grid import Cylinder, build_grid
-from .parabolic import solve_parabolic
+from .parabolic import ParabolicError, solve_parabolic
 from .wied import SweepError, sweep_epsilon, dist_C_L2a
 
 
@@ -116,24 +116,29 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
     outdir = Path(out or cfg.output)
     grid = build_grid(cfg.grid)
     U0 = cfg.initial.evaluate(grid)
+    ops = build_operators(grid)
 
     (outdir / "fields").mkdir(parents=True, exist_ok=True)
     (outdir / "reports").mkdir(parents=True, exist_ok=True)
 
-    reference = solve_parabolic(grid, cfg.model, cfg.parabolic, U0)
-    dump_field(outdir / "fields" / "parabolic.f64", grid, reference,
-               {"role": "parabolic-reference",
-                "s_exponent": (1.0 - cfg.grid.a) / 2.0})
-
-    failure = None
+    failure, levels, reference = None, [], None
     try:
-        sweep = sweep_epsilon(grid, cfg.model, cfg.schedule, U0,
-                              cfg=cfg.wied, parabolic_cfg=cfg.parabolic,
-                              reference=reference)
-        levels = sweep.levels
-    except SweepError as exc:
-        levels = exc.completed
-        failure = exc
+        reference = solve_parabolic(grid, cfg.model, cfg.parabolic, U0,
+                                    ops=ops)
+    except ParabolicError as exc:
+        failure = f"parabolic reference failed: {exc}"
+    else:
+        dump_field(outdir / "fields" / "parabolic.f64", grid, reference,
+                   {"role": "parabolic-reference",
+                    "s_exponent": (1.0 - cfg.grid.a) / 2.0})
+        try:
+            sweep = sweep_epsilon(grid, cfg.model, cfg.schedule, U0,
+                                  cfg=cfg.wied, parabolic_cfg=cfg.parabolic,
+                                  reference=reference, ops=ops)
+            levels = sweep.levels
+        except SweepError as exc:
+            levels = exc.completed
+            failure = f"sweep failed after {len(levels)} levels: {exc}"
 
     for lv in levels:
         dump_field(outdir / "fields" / f"eps-{lv.eps:g}.f64", grid, lv.U,
@@ -154,8 +159,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
 
     summary = []
     if failure is None:
-        summary.extend(_run_diagnostics(cfg, grid, build_operators(grid),
-                                        levels, outdir, threads))
+        summary.extend(_run_diagnostics(cfg, grid, ops, levels, outdir,
+                                        threads))
 
     dists = [lv.dist_to_ref for lv in levels]
     if len(dists) >= 2:
@@ -176,13 +181,15 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
             "threshold": 1e-8,
             "pass": bool(-1e-8 <= lv.U.min() and lv.U.max() <= 1.0 + 1e-8),
             "calibration-id": None})
-    summary.append({
-        "name": "max-principle-parabolic",
-        "value": float(max(reference.max() - 1.0, -reference.min(), 0.0)),
-        "threshold": 1e-8,
-        "pass": bool(-1e-8 <= reference.min()
-                     and reference.max() <= 1.0 + 1e-8),
-        "calibration-id": None})
+    if reference is not None:
+        summary.append({
+            "name": "max-principle-parabolic",
+            "value": float(max(reference.max() - 1.0, -reference.min(),
+                               0.0)),
+            "threshold": 1e-8,
+            "pass": bool(-1e-8 <= reference.min()
+                         and reference.max() <= 1.0 + 1e-8),
+            "calibration-id": None})
     write_json(outdir / "summary.json", summary)
 
     artifacts = {}
@@ -202,8 +209,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
     }
     write_json(outdir / "manifest.json", manifest)
     if failure is not None:
-        raise RunnerSolverError(
-            f"sweep failed after {len(levels)} levels: {failure}")
+        raise RunnerSolverError(failure)
     return manifest
 
 

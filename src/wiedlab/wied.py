@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import (ForcingSpec, LinearSystem, assemble_linear_system,
-                       build_operators, default_st_preconditioner,
-                       functional_value)
+from .assembly import (DiscreteOperators, ForcingSpec, LinearSystem,
+                       assemble_linear_system, build_operators,
+                       default_st_preconditioner, functional_value)
 from .grid import WeightedGrid
 from .linalg import bicgstab_solve
 from .parabolic import ParabolicConfig, solve_parabolic
@@ -273,17 +273,19 @@ class SweepResult:
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   U0: np.ndarray, cfg: WiedConfig | None = None,
                   parabolic_cfg: ParabolicConfig | None = None,
-                  reference: np.ndarray | None = None) -> SweepResult:
+                  reference: np.ndarray | None = None,
+                  ops: DiscreteOperators | None = None) -> SweepResult:
     """Solve each eps level (warm-started) and compare to the reference.
 
     Raises SweepError carrying the completed levels if some level fails.
     """
     check_horizon(schedule.eps0, grid.spec.T)
     cfg = cfg or WiedConfig(eps=schedule.eps0)
+    ops = ops or build_operators(grid)
     if reference is None:
         reference = solve_parabolic(grid, model,
-                                    parabolic_cfg or ParabolicConfig(), U0)
-    ops = build_operators(grid)
+                                    parabolic_cfg or ParabolicConfig(), U0,
+                                    ops=ops)
     levels: list[SweepLevel] = []
     warm = None
     for eps in schedule.values():

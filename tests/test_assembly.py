@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
-                              build_operators, exp_time_weights,
+                              axis_eigenbasis, build_operators,
+                              exp_time_weights,
                               functional_gradient, functional_value,
                               spectral_preconditioner, stencil_residual,
                               weighted_trace_flux)
@@ -215,6 +216,27 @@ def test_spectral_preconditioner_inverts_base_system():
             z = prec(r)
             assert np.max(np.abs(A @ z - r)) < 1e-10 * np.max(np.abs(r)), \
                 (d, a, eps, sigma)
+
+
+def test_trace_capacitance_matches_dense_inverse():
+    # G = E' (M/dt + K + sigma D_tr)^{-1} E, E the injection into the y = 0
+    # layer, against its factored form Vx diag(h) Vx' from the per-axis basis
+    for d, a in itertools.product((1, 2), (-0.5, 0.0, 0.5)):
+        g = build_grid(GridSpec(d=d, a=a, L=1.0, Y=1.0, T=0.5,
+                                nx=4, ny=5, nt=6))
+        ops = build_operators(g)
+        E = np.zeros((g.n_spatial, ops.trace_index.shape[0]))
+        E[ops.trace_index, np.arange(E.shape[1])] = 1.0
+        for sigma in (0.0, BUMP.lipschitz):
+            B = (np.diag(ops.mass / g.dt) + ops.Ka.toarray()
+                 + sigma * E @ np.diag(ops.trace_mass) @ E.T)
+            G_dense = E.T @ np.linalg.solve(B, E)
+            basis = axis_eigenbasis(g, ops, sigma)
+            h = basis.trace_gain(1.0 / (1.0 / g.dt + basis.lam))
+            I = np.eye(E.shape[1])
+            G = basis.from_trace_modes(h * basis.to_trace_modes(I))
+            assert np.max(np.abs(G - G_dense)) <= \
+                1e-12 * np.max(np.abs(G_dense)), (d, a, sigma)
 
 
 def test_stencil_residual_matches_assembled_system():

@@ -134,7 +134,10 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
     ({"diagnostics": [{"name": "energy"}, {"name": "energi"}]},
      "'energi'"),
     ({"schedule": {"eps0": 0.2, "ratio": 0.5, "count": 2}}, "T/20"),
-], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20"])
+    ({"diagnostics": [{"name": "no-spikes", "center": [0.0, 0.0, 0.5],
+                       "radius": 2.0}]}, "does not fit"),
+], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
+        "cylinder-does-not-fit"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)
@@ -158,3 +161,33 @@ def test_diagnose_truncated_field_is_io_error(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("io error:") and str(field) in err
+
+
+def test_nonfinite_initial_data_rejected_at_load(tmp_path, capsys):
+    np.save(tmp_path / "u0.npy", np.full((6, 7), np.nan))
+    cfgp = write_config(tmp_path / "bad.json",
+                        initial={"kind": "from-file",
+                                 "path": str(tmp_path / "u0.npy")})
+    out = tmp_path / "out"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "non-finite" in err
+    assert not out.exists()
+
+
+def test_parabolic_failure_is_solver_error_with_manifest(tmp_path, capsys):
+    # one Picard correction cannot finish the first step of a burning
+    # plateau: exit 3, no traceback, and a manifest over what was written
+    cfgp = write_config(tmp_path / "cfg.json",
+                        model={"kind": "polynomial-bump"},
+                        parabolic={"picard_maxit": 1})
+    out = tmp_path / "out"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: parabolic reference failed")
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not (out / "fields" / "parabolic.f64").exists()
+    assert set(manifest["artifacts"]) == {
+        str(p.relative_to(out)) for p in out.rglob("*")
+        if p.is_file() and p.name != "manifest.json"}

@@ -145,3 +145,49 @@ def test_refined_y_shipped_physics_converges():
     assert traj.shape == (961, g.n_spatial)
     assert np.all(np.isfinite(traj))
     assert traj.min() >= -1e-8 and traj.max() <= 1.0 + 1e-8
+
+
+def test_trace_picard_matches_full_space_iteration():
+    # shipped physics (config, grid and tolerances of combustion-1d): the
+    # trace-reduced step against the fixed-sigma MM iteration run on the
+    # whole grid, u <- u - B^{-1} residual(u), B = M/dt + K + sigma D_tr,
+    # with the same stopping rule, on the first step (the slowest) and a
+    # mid-trajectory one
+    import json
+    from pathlib import Path
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+    from wiedlab.assembly import build_operators
+    from wiedlab.combustion import beta_eval
+    from wiedlab.config import config_from_dict
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "combustion-1d.json").read_text())
+    cfg = config_from_dict(data)
+    g = build_grid(cfg.grid)
+    ops = build_operators(g)
+    model, pcfg = cfg.model, cfg.parabolic
+    dt = g.dt
+    A = sp.diags(ops.mass / dt) + ops.Ka
+    shift = np.zeros(g.n_spatial)
+    shift[ops.trace_index] = model.lipschitz * ops.trace_mass
+    lu = splu(sp.csc_matrix(A + sp.diags(shift)))
+
+    def full_space_step(un):
+        rhs0 = ops.mass * un / dt
+        bound = pcfg.picard_tol * np.linalg.norm(rhs0)
+        u = un.copy()
+        for _ in range(pcfg.picard_maxit + 1):
+            resid = A @ u - rhs0
+            resid[ops.trace_index] += ops.trace_mass * beta_eval(
+                model, u[ops.trace_index])
+            if np.linalg.norm(resid) <= bound:
+                return u
+            u = u - lu.solve(resid)
+        raise AssertionError("full-space iteration did not converge")
+
+    u0 = cfg.initial.evaluate(g)
+    mid = solve_parabolic(g, model, pcfg, u0, ops=ops)[g.spec.nt // 2]
+    for un in (u0, mid):
+        ref = full_space_step(un)
+        u = step_implicit(g, model, pcfg, un, ops=ops)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
