@@ -15,6 +15,12 @@ divided by 2 w_{m-1}: with rho = exp(-dt/eps) the interior rows read
 the terminal row carries the natural condition D_t U(T) = 0, and the
 initial layer is eliminated into the right-hand side.  Dividing out the
 exponential weight is what keeps the system well-scaled for T >> eps.
+
+eps enters the matrix only through the scalars c = eps/dt^2, rho and
+c_hat, so its CSR pattern is grid data: space_time_pattern builds it once
+per DiscreteOperators from the index arrays of Ka, and each eps level
+only fills the values.  The Picard and Newton matrices share that
+pattern and differ from A only on the y = 0 trace diagonal.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ class DiscreteOperators:
     trace_mass: np.ndarray    # x-volumes attached to trace nodes
     # sigma -> AxisEigenbasis of K + sigma D_tr, filled by axis_eigenbasis
     bases: dict = field(default_factory=dict, repr=False)
+    # CSR pattern of the space-time matrix, filled by space_time_pattern
+    st_pattern: "SpaceTimePattern | None" = field(default=None, repr=False)
 
     @property
     def Ma(self) -> sp.csr_matrix:
@@ -308,13 +316,91 @@ def stencil_residual(grid: WeightedGrid, model, eps: float,
 
 
 @dataclass
+class SpaceTimePattern:
+    """CSR pattern of the space-time matrix on the nt unknown layers.
+
+    Row (m, s) holds the column (m-1) S + s, layer m's copy of Ka row s,
+    then (m+1) S + s, so the rows come out sorted.  The remaining fields
+    locate entries of A.data: the Ka copies, the diagonal, and the time
+    couplings.
+    """
+
+    nt: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    stiff: np.ndarray   # bool mask of the Ka copies, layer by layer
+    diag: np.ndarray    # (nt, S) positions of the diagonal entries
+    sub: np.ndarray     # (nt-1, S): row (m, s), column (m-1, s), m >= 1
+    sup: np.ndarray     # (nt-1, S): row (m, s), column (m+1, s), m < nt-1
+
+
+def space_time_pattern(ops: DiscreteOperators, nt: int) -> SpaceTimePattern:
+    """The SpaceTimePattern of ops.Ka on nt layers, cached on ops."""
+    pat = ops.st_pattern
+    if pat is not None and pat.nt == nt:
+        return pat
+    Ka = ops.Ka
+    S = Ka.shape[0]
+    rowlen = np.diff(Ka.indptr)
+    krow = np.repeat(np.arange(S), rowlen)       # row of each Ka entry
+    kdiag = np.flatnonzero(Ka.indices == krow)
+    if kdiag.shape[0] != S:
+        raise ValueError("stiffness matrix lacks a diagonal entry")
+    has_sub = (np.arange(nt) > 0).astype(np.int64)
+    has_sup = (np.arange(nt) < nt - 1).astype(np.int64)
+    counts = rowlen[None, :] + (has_sub + has_sup)[:, None]
+    nnz = int(counts.sum())
+    idx = (np.int32 if max(nnz, nt * S) <= np.iinfo(np.int32).max
+           else np.int64)
+    indptr = np.zeros(nt * S + 1, dtype=idx)
+    np.cumsum(counts.ravel(), out=indptr[1:])
+    first = indptr[:-1].reshape(nt, S)
+    stiff = (first[:, krow] + has_sub[:, None]
+             + (np.arange(Ka.nnz) - Ka.indptr[krow]))
+    sub = first[1:]
+    sup = indptr[1:].reshape(nt, S)[:-1] - 1
+    layer = np.arange(nt, dtype=idx)[:, None] * S
+    indices = np.empty(nnz, dtype=idx)
+    indices[stiff] = layer + Ka.indices
+    indices[sub] = layer[:-1] + np.arange(S)
+    indices[sup] = layer[1:] + np.arange(S)
+    # a mask scatters the Ka copies faster than their positions would
+    is_stiff = np.zeros(nnz, dtype=bool)
+    is_stiff[stiff] = True
+    pat = SpaceTimePattern(nt=nt, indptr=indptr, indices=indices,
+                           stiff=is_stiff, diag=stiff[:, kdiag].astype(idx),
+                           sub=sub, sup=sup)
+    ops.st_pattern = pat
+    return pat
+
+
+def _on_pattern(data, indices, indptr, zeros: bool) -> sp.csr_matrix:
+    """Canonical square CSR matrix on the given arrays.  With zeros (data
+    holds an exact zero) the zeros are dropped, as the sparse sums and
+    finalize_csr drop them, from a copy of the index arrays; otherwise
+    the index arrays are shared."""
+    n = indptr.shape[0] - 1
+    if not zeros:
+        A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        A.has_canonical_format = True
+        return A
+    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    A.eliminate_zeros()
+    return A
+
+
+@dataclass
 class LinearSystem:
     """Weight-normalized discrete system on layers 1..nt.
 
     A acts on the flattened unknown (nt * n_spatial); rhs assembles the
     initial-layer elimination plus any forcing contribution.  c_hat is
     the per-row coefficient shared by the stiffness, the trace source
-    and the forcing (interior (1+rho)/2, terminal 1/2).
+    and the forcing (interior (1+rho)/2, terminal 1/2).  A is built on
+    the cached SpaceTimePattern; plus_diagonal gives the Picard and
+    Newton matrices as new values on A's own index arrays.  The trace
+    source beta enters residual and the solvers' right-hand sides on the
+    trace columns only.
     """
 
     grid: WeightedGrid
@@ -324,9 +410,9 @@ class LinearSystem:
     c_hat: np.ndarray
     A: sp.csr_matrix
     b_forcing: np.ndarray
-    # positions of A's diagonal entries in A.data, filled by plus_diagonal
-    _diag_pos: np.ndarray | None = field(default=None, init=False,
-                                         repr=False)
+    # (nt, S) positions of A's diagonal entries in A.data; None: found by
+    # a scan on first use
+    diag_pos: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_unknowns(self) -> int:
@@ -335,84 +421,90 @@ class LinearSystem:
     def plus_diagonal(self, d: np.ndarray) -> sp.csr_matrix:
         """A + diag(d), built on A's own sparsity pattern.
 
-        A stores every diagonal entry (c main m_s + c_hat K_ss > 0), so the
-        sum is a copy of A with d added to those entries: the same
-        floating-point adds as finalize_csr(A + sp.diags(d)), without the
-        sparse merge.
+        d is the full shift (nt * n_spatial,), or its trace block
+        (nt, n_trace) with zeros elsewhere.  A stores every diagonal
+        entry (c main m_s + c_hat K_ss > 0), so the sum is A's values with
+        d added at those positions: the same floating-point adds as
+        finalize_csr(A + sp.diags(d)), without the sparse merge.  The
+        result shares A.indices and A.indptr unless an entry cancels
+        exactly, which is dropped as the sparse sum drops it.
         """
         A = self.A
-        if self._diag_pos is None:
+        if self.diag_pos is None:
             rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
             pos = np.flatnonzero(A.indices == rows)
             if pos.shape[0] != A.shape[0]:
                 raise ValueError("system matrix lacks a diagonal entry")
-            self._diag_pos = pos
-        out = A.copy()
-        out.data[self._diag_pos] += d
-        if not np.all(out.data[self._diag_pos]):
-            out.eliminate_zeros()   # as the sparse sum drops exact zeros
-        return out
+            self.diag_pos = pos.reshape(self.grid.spec.nt, -1)
+        d = np.asarray(d, dtype=float)
+        pos = (self.diag_pos[:, self.ops.trace_index] if d.ndim == 2
+               else self.diag_pos.ravel())
+        data = A.data.copy()
+        data[pos] += d
+        return _on_pattern(data, A.indices, A.indptr,
+                           zeros=not np.all(data[pos]))
+
+    def _initial_term(self, U0f: np.ndarray) -> np.ndarray:
+        return (self.eps / self.grid.dt**2) * self.ops.mass * U0f
 
     def rhs(self, U0: np.ndarray) -> np.ndarray:
         b = self.b_forcing.copy().reshape(self.grid.spec.nt, -1)
-        U0f = np.asarray(U0, dtype=float).reshape(-1)
-        b[0] += (self.eps / self.grid.dt**2) * self.ops.mass * U0f
+        b[0] += self._initial_term(np.asarray(U0, dtype=float).reshape(-1))
         return b.ravel()
 
     def beta_source(self, model, Ulay: np.ndarray) -> np.ndarray:
-        """c_hat-scaled nodal trace source beta(u) on the unknown layers."""
-        nt, S = self.grid.spec.nt, self.grid.n_spatial
-        out = np.zeros((nt, S))
+        """c_hat-scaled nodal trace source beta(u) on the unknown layers,
+        shape (nt, n_trace); the source is zero off the trace."""
         u = Ulay[1:, self.ops.trace_index]
-        out[:, self.ops.trace_index] = (
-            self.c_hat[:, None] * self.ops.trace_mass * beta_eval(model, u)
-        )
-        return out.ravel()
+        return self.c_hat[:, None] * self.ops.trace_mass * beta_eval(model, u)
 
     def newton_matrix(self, model, Ulay: np.ndarray) -> sp.csr_matrix:
-        nt, S = self.grid.spec.nt, self.grid.n_spatial
-        dd = np.zeros((nt, S))
         u = Ulay[1:, self.ops.trace_index]
-        dd[:, self.ops.trace_index] = (
-            self.c_hat[:, None] * self.ops.trace_mass * beta_prime_eval(model, u)
-        )
-        return self.plus_diagonal(dd.ravel())
+        return self.plus_diagonal(
+            self.c_hat[:, None] * self.ops.trace_mass
+            * beta_prime_eval(model, u))
 
     def residual(self, model, U: np.ndarray,
                  U0: np.ndarray | None = None) -> np.ndarray:
-        """Normalized EL residual on layers 1..nt, shape (nt, n_spatial)."""
+        """Normalized EL residual on layers 1..nt, shape (nt, n_spatial):
+        A x + beta_source - rhs(U0), with the source added on the trace
+        columns and the initial-layer term on the first layer only."""
         Ulay = _layers(self.grid, U)
         U0f = _check_initial(self.grid, Ulay, U0)
-        r = (self.A @ Ulay[1:].ravel() + self.beta_source(model, Ulay)
-             - self.rhs(U0f))
-        return r.reshape(self.grid.spec.nt, -1)
+        r = (self.A @ Ulay[1:].ravel()).reshape(self.grid.spec.nt, -1)
+        r[:, self.ops.trace_index] += self.beta_source(model, Ulay)
+        b = self.b_forcing.reshape(r.shape)
+        r[0] -= b[0] + self._initial_term(U0f)
+        r[1:] -= b[1:]
+        return r
 
 
 def assemble_linear_system(grid: WeightedGrid, eps: float,
                            forcing: ForcingSpec | None = None,
                            ops: DiscreteOperators | None = None) -> LinearSystem:
-    """Assemble the weight-normalized space-time system for one eps."""
+    """Assemble the weight-normalized space-time system for one eps.
+
+    The values are filled into the cached SpaceTimePattern with the
+    products and sums of the sparse formula
+
+        diags(c main (x) m) - c Msub - c rho Msup + diags(c_hat) (x) Ka,
+
+    Msub and Msup the mass on the time sub- and superdiagonal blocks, so
+    the diagonal is fl(fl(c fl(main_m m_s)) + fl(c_hat_m K_ss)).
+    """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
     nt, S = grid.spec.nt, grid.n_spatial
     c, rho, main, c_hat = _row_coefficients(grid, eps)
-
-    # eps enters only through scalar coefficients; the kron patterns are
-    # grid data and get cached on the operators across schedule levels
-    cache = getattr(ops, "_st_kron", None)
-    if cache is None or cache["nt"] != nt:
-        shift = sp.diags([np.ones(nt - 1)], [-1], shape=(nt, nt))
-        cache = {
-            "nt": nt,
-            "Msub": sp.kron(shift, sp.diags(ops.mass), format="csr"),
-            "Msup": sp.kron(shift.T, sp.diags(ops.mass), format="csr"),
-            "Kkron": sp.kron(sp.eye(nt), ops.Ka, format="csr"),
-        }
-        ops._st_kron = cache
-    A = (sp.diags(c * np.outer(main, ops.mass).ravel())
-         - c * cache["Msub"] - (c * rho) * cache["Msup"]
-         + sp.diags(np.repeat(c_hat, S)) @ cache["Kkron"])
+    pat = space_time_pattern(ops, nt)
+    data = np.empty(pat.indices.shape[0])
+    data[pat.stiff] = (c_hat[:, None] * ops.Ka.data).ravel()
+    data[pat.diag] = (c * np.outer(main, ops.mass)
+                      + c_hat[:, None] * ops.Ka.diagonal())
+    data[pat.sub] = -(c * ops.mass)
+    data[pat.sup] = -((c * rho) * ops.mass)
+    A = _on_pattern(data, pat.indices, pat.indptr, zeros=not np.all(data))
 
     b = np.zeros((nt, S))
     if forcing is not None:
@@ -428,7 +520,9 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
             )
 
     return LinearSystem(grid=grid, ops=ops, eps=eps, rho=rho, c_hat=c_hat,
-                        A=finalize_csr(A), b_forcing=b.ravel())
+                        A=A, b_forcing=b.ravel(),
+                        diag_pos=pat.diag if A.indices is pat.indices
+                        else None)
 
 
 def _time_thomas(b: np.ndarray, low, up):

@@ -71,15 +71,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from .config import ConfigError, load_config
     try:
-        cfg = load_config(args.config)
-        if args.strict_support:
-            cfg = replace(cfg, strict_support=True)
-            cfg.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        try:
+            cfg = load_config(args.config)
+            if args.strict_support:
+                cfg = replace(cfg, strict_support=True)
+                cfg.validate()
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         return _dispatch(args, cfg)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
@@ -170,41 +169,49 @@ def _diagnose(args, cfg, out) -> int:
     summary = []
     for name in which:
         opt = by_name[name].options if name in by_name else {}
-        if name == "energy":
-            rep = dg.energy_decomposition(grid, cfg.model, eps, arr)
-            write_csv(out / f"energy-eps-{eps:g}.csv",
-                      ["n", "tau", "I", "R", "E"], rep.rows())
-            summary.append({"name": "energy-identity", "value": rep.identity_l1,
-                            "threshold": None, "pass": None,
-                            "calibration-id": None})
-        elif name == "no-spikes":
-            cyl = Cylinder(tuple(opt.get("center", default_cyl)),
-                           float(opt.get("radius", rad)))
-            rep = dg.no_spikes_iteration(grid, np.clip(arr, 0, None), cyl)
-            write_csv(out / "no_spikes.csv",
-                      ["j", "level", "radius", "energy"],
-                      [{"j": j, "level": rep.levels[j],
-                        "radius": rep.radii[j], "energy": rep.energies[j]}
-                       for j in range(rep.levels.shape[0])])
-        elif name == "holder":
-            centers = opt.get("centers", [default_cyl])
-            rows = []
-            for c in centers:
-                rep = dg.fit_holder(dg.oscillation_table(
-                    grid, arr, tuple(c), int(opt.get("levels", 3))))
-                rows.append({"x0": c[0], "t0": c[-1], "alpha": rep.alpha,
-                             "C": rep.constant, "residual": rep.fit_residual})
-            write_csv(out / "holder_fits.csv",
-                      ["x0", "t0", "alpha", "C", "residual"], rows)
-        elif name == "level-sets":
-            cyl = Cylinder(tuple(opt.get("center", default_cyl)),
-                           float(opt.get("radius", rad)))
-            ls = dg.level_set_measures(grid, arr, cyl)
-            write_csv(out / "level_sets.csv", ["A", "C", "D", "total"],
-                      [ls.measures])
-        else:
-            print(f"unknown diagnostic {name!r}", file=sys.stderr)
-            return 2
+        try:
+            if name == "energy":
+                rep = dg.energy_decomposition(grid, cfg.model, eps, arr)
+                write_csv(out / f"energy-eps-{eps:g}.csv",
+                          ["n", "tau", "I", "R", "E"], rep.rows())
+                summary.append({"name": "energy-identity",
+                                "value": rep.identity_l1,
+                                "threshold": None, "pass": None,
+                                "calibration-id": None})
+            elif name == "no-spikes":
+                cyl = Cylinder(tuple(opt.get("center", default_cyl)),
+                               float(opt.get("radius", rad)))
+                rep = dg.no_spikes_iteration(grid, np.clip(arr, 0, None), cyl)
+                write_csv(out / "no_spikes.csv",
+                          ["j", "level", "radius", "energy"],
+                          [{"j": j, "level": rep.levels[j],
+                            "radius": rep.radii[j], "energy": rep.energies[j]}
+                           for j in range(rep.levels.shape[0])])
+            elif name == "holder":
+                centers = opt.get("centers", [default_cyl])
+                rows = []
+                for c in centers:
+                    rep = dg.fit_holder(dg.oscillation_table(
+                        grid, arr, tuple(c), int(opt.get("levels", 3))))
+                    rows.append({"x0": c[0], "t0": c[-1],
+                                 "alpha": rep.alpha, "C": rep.constant,
+                                 "residual": rep.fit_residual})
+                write_csv(out / "holder_fits.csv",
+                          ["x0", "t0", "alpha", "C", "residual"], rows)
+            elif name == "level-sets":
+                cyl = Cylinder(tuple(opt.get("center", default_cyl)),
+                               float(opt.get("radius", rad)))
+                ls = dg.level_set_measures(grid, arr, cyl)
+                write_csv(out / "level_sets.csv", ["A", "C", "D", "total"],
+                          [ls.measures])
+            else:
+                print(f"unknown diagnostic {name!r}", file=sys.stderr)
+                return 2
+        except (ValueError, ArithmeticError) as exc:
+            # the field does not support this diagnostic (GridError included)
+            print(f"solver failure: diagnostic {name!r}: {exc}",
+                  file=sys.stderr)
+            return 3
     write_json(out / "diagnose_summary.json", summary)
     print(f"diagnostics {', '.join(which)} written to {out}")
     return 0

@@ -10,6 +10,7 @@ off (the linear problem) and is exempt from the normalization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,8 +44,10 @@ def _poly_exponents(model) -> tuple[float, float]:
     return m, n
 
 
+@functools.lru_cache(maxsize=32)
 def _poly_coef(m: float, n: float) -> float:
-    # c v^m (1-v)^n with int over [0,1] equal to 1/2
+    # c v^m (1-v)^n with int over [0,1] equal to 1/2; cached because every
+    # beta evaluation asks for it
     return 0.5 / special.beta(m + 1.0, n + 1.0)
 
 

@@ -8,14 +8,69 @@ from pathlib import Path
 
 import numpy as np
 
-from .combustion import CombustionModel, ModelError, model_from_dict
-from .grid import Cylinder, GridError, GridSpec, WeightedGrid, build_grid
-from .parabolic import ParabolicConfig
+from .assembly import ForcingSpec
+from .combustion import CombustionModel, model_from_dict
+from .grid import Cylinder, GridSpec, WeightedGrid, build_grid
+from .parabolic import ParabolicConfig, check_time_step
 from .wied import EpsilonSchedule, WiedConfig, check_horizon
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _number(where: str, value, *, integer: bool = False, low=None,
+            high=None, open_low: bool = False, open_high: bool = False):
+    """value if it is a finite JSON number (an integer when asked) inside
+    the given bounds, else ConfigError naming where it sits."""
+    kinds = (int, np.integer) if integer else (int, float, np.number)
+    ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if ok:
+        ok = bool(np.isfinite(value))
+    if ok and low is not None:
+        ok = value > low if open_low else value >= low
+    if ok and high is not None:
+        ok = value < high if open_high else value <= high
+    if not ok:
+        need = "integer" if integer else "number"
+        if high is not None:
+            need += (f" in {'(' if open_low else '['}{low}, "
+                     f"{high}{')' if open_high else ']'}")
+        elif low is not None:
+            need += f" {'>' if open_low else '>='} {low}"
+        raise ConfigError(f"{where} must be a finite {need}, got {value!r}")
+    return value
+
+
+# options that must be positive numbers, per diagnostic; the diagnostics
+# that take a cylinder need its center and radius
+_POSITIVE_OPTIONS = {"uniform-bounds": ("factor",),
+                     "linf-l2": ("radius",),
+                     "no-spikes": ("delta", "radius"),
+                     "level-sets": ("radius",),
+                     "embedding": ("radius",),
+                     "isoperimetric": ("radius",)}
+_CYLINDER_DIAGNOSTICS = ("linf-l2", "no-spikes", "level-sets")
+
+
+def _check_options(req, T: float):
+    opt = req.options
+    where = f"diagnostic {req.name!r} option"
+    for key in _POSITIVE_OPTIONS.get(req.name, ()):
+        if key in opt:
+            _number(f"{where} {key!r}", opt[key], low=0.0, open_low=True)
+    if req.name in _CYLINDER_DIAGNOSTICS:
+        missing = [k for k in ("center", "radius") if opt.get(k) is None]
+        if missing:
+            raise ConfigError(f"diagnostic {req.name!r} needs "
+                              f"{' and '.join(map(repr, missing))}")
+    if req.name == "holder" and "levels" in opt:
+        _number(f"{where} 'levels'", opt["levels"], integer=True, low=1)
+    if req.name == "isoperimetric" and "p" in opt:
+        _number(f"{where} 'p'", opt["p"], low=1.0, high=2.0,
+                open_low=True, open_high=True)
+    if req.name in ("embedding", "isoperimetric") and "layer_time" in opt:
+        _number(f"{where} 'layer_time'", opt["layer_time"], low=0.0, high=T)
 
 
 @dataclass
@@ -106,11 +161,25 @@ class ExperimentConfig:
     forcing_exponents: tuple = (3.0, 4.0)
 
     def validate(self) -> "ExperimentConfig":
-        from .runner import DIAGNOSTIC_NAMES   # runner imports this module
+        """Check everything that can be checked before any compute, and
+        raise ConfigError on the first problem."""
         try:
-            check_horizon(self.schedule.eps0, self.grid.T)
-        except ValueError as exc:
+            self._validate()
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:   # GridError included
             raise ConfigError(str(exc)) from exc
+        except ArithmeticError as exc:
+            raise ConfigError(f"a value is out of numeric range: {exc}") \
+                from exc
+        return self
+
+    def _validate(self):
+        from .runner import DIAGNOSTIC_NAMES   # runner imports this module
+        if not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path string, "
+                              f"got {self.output!r}")
+        check_horizon(self.schedule.eps0, self.grid.T)
         unknown = [req.name for req in self.diagnostics
                    if req.name not in DIAGNOSTIC_NAMES]
         if unknown:
@@ -118,11 +187,16 @@ class ExperimentConfig:
                 f"unknown diagnostic(s) {', '.join(map(repr, unknown))}; "
                 f"known: {', '.join(DIAGNOSTIC_NAMES)}")
         grid = build_grid(self.grid)
+        check_time_step(self.parabolic, grid)
         if self.strict_support:
             self.initial.check_strict_support(grid)
         else:
             self.initial.evaluate(grid)
+        if any(req.name == "linf-l2" for req in self.diagnostics):
+            p, q = self.forcing_exponents
+            ForcingSpec(p=p, q=q).validate_exponents(grid)
         for req in self.diagnostics:
+            _check_options(req, self.grid.T)
             c = req.options.get("center")
             r = req.options.get("radius")
             try:
@@ -136,32 +210,45 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"diagnostic {req.name!r}: probe {near[0]} too close to "
                     "the boundary for unit-radius cylinders")
-        return self
+
+
+def _no_constant(name):
+    raise ConfigError(f"config is not valid JSON: {name} is not a number")
 
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), parse_constant=_no_constant)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 
 
+def _section(data: dict, key: str, default) -> dict:
+    sec = data.get(key, default)
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object, "
+                          f"got {sec!r}")
+    return sec
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     try:
-        grid = GridSpec.from_dict(data["grid"])
-        model = model_from_dict(data.get("model", {"kind": "zero"}))
-        init = data.get("initial", {"kind": "plateau"})
+        grid = GridSpec.from_dict(_section(data, "grid", None))
+        model = model_from_dict(_section(data, "model", {"kind": "zero"}))
+        init = _section(data, "initial", {"kind": "plateau"})
         initial = InitialData(kind=init.get("kind", "plateau"),
                               params={k: v for k, v in init.items()
                                       if k != "kind"})
-        sched = data.get("schedule", {"eps0": 0.1, "ratio": 0.5, "count": 1})
-        schedule = EpsilonSchedule(**sched)
-        wied = WiedConfig(eps=schedule.eps0, **data.get("wied", {}))
-        parab = ParabolicConfig(**data.get("parabolic", {}))
+        schedule = EpsilonSchedule(**_section(
+            data, "schedule", {"eps0": 0.1, "ratio": 0.5, "count": 1}))
+        wied = WiedConfig(eps=schedule.eps0, **_section(data, "wied", {}))
+        parab = ParabolicConfig(**_section(data, "parabolic", {}))
         diags = [DiagnosticRequest(name=d["name"],
                                    options={k: v for k, v in d.items()
                                             if k != "name"})
@@ -175,8 +262,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             strict_support=bool(data.get("strict_support", False)),
             forcing_exponents=(float(fexp["p"]), float(fexp["q"])),
         )
-    except (KeyError, TypeError, GridError, ModelError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # GridError and ModelError are ValueErrors
         raise ConfigError(str(exc)) from exc
     return cfg.validate()

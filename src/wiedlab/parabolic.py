@@ -48,6 +48,27 @@ class ParabolicConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.picard_tol <= 0 or self.linear_tol <= 0:
             raise ValueError("tolerances must be positive")
+        check_counts(self, ("picard_maxit", "linear_maxit"))
+
+
+def check_counts(cfg, names):
+    """Raise ValueError unless each named field of cfg is an int >= 1."""
+    for name in names:
+        n = getattr(cfg, name)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+                or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+
+def check_time_step(cfg: ParabolicConfig, grid: WeightedGrid) -> float:
+    """The step of cfg (the grid's when cfg.dt is None); ValueError unless
+    it is the grid time step, so trajectories live on the WIED layers."""
+    dt = cfg.dt if cfg.dt is not None else grid.dt
+    if abs(dt - grid.dt) > 1e-12 * grid.dt:
+        raise ValueError(
+            "cfg.dt must match the grid time step so trajectories live on "
+            f"the WIED layers (got {dt}, grid {grid.dt})")
+    return dt
 
 
 def _step_matrix(grid, ops, dt):
@@ -138,11 +159,7 @@ def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
     prefix is attached to the raised ParabolicError.
     """
     ops = ops or build_operators(grid)
-    dt = cfg.dt if cfg.dt is not None else grid.dt
-    if abs(dt - grid.dt) > 1e-12 * grid.dt:
-        raise ValueError(
-            "cfg.dt must match the grid time step so trajectories live on "
-            f"the WIED layers (got {dt}, grid {grid.dt})")
+    dt = check_time_step(cfg, grid)
     A = _step_matrix(grid, ops, dt)
     traj = np.zeros((grid.spec.nt + 1, grid.n_spatial))
     traj[0] = np.asarray(U0, dtype=float).reshape(-1)

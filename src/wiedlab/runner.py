@@ -35,6 +35,20 @@ class RunnerSolverError(RuntimeError):
     """A solver failed; partial artifacts were kept."""
 
 
+class DiagnosticError(RuntimeError):
+    """A diagnostic could not be evaluated on the solved fields."""
+
+    def __init__(self, msg, completed: int):
+        super().__init__(msg)
+        self.completed = completed   # diagnostics finished before it
+
+
+# how RunnerSolverError introduces the message of each failure phase
+_FAILURE_PREFIX = {"parabolic": "parabolic reference failed: ",
+                   "sweep": "sweep failed: ",
+                   "diagnostics": "diagnostics failed: "}
+
+
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -121,12 +135,16 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
     (outdir / "fields").mkdir(parents=True, exist_ok=True)
     (outdir / "reports").mkdir(parents=True, exist_ok=True)
 
+    # failure: where the run stopped (phase), why, and how many steps,
+    # levels or diagnostics of that phase were completed
     failure, levels, reference = None, [], None
     try:
         reference = solve_parabolic(grid, cfg.model, cfg.parabolic, U0,
                                     ops=ops)
     except ParabolicError as exc:
-        failure = f"parabolic reference failed: {exc}"
+        steps = 0 if exc.trajectory is None else len(exc.trajectory) - 1
+        failure = {"phase": "parabolic", "message": str(exc),
+                   "completed": steps}
     else:
         dump_field(outdir / "fields" / "parabolic.f64", grid, reference,
                    {"role": "parabolic-reference",
@@ -138,7 +156,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
             levels = sweep.levels
         except SweepError as exc:
             levels = exc.completed
-            failure = f"sweep failed after {len(levels)} levels: {exc}"
+            failure = {"phase": "sweep", "message": str(exc),
+                       "completed": len(levels)}
 
     for lv in levels:
         dump_field(outdir / "fields" / f"eps-{lv.eps:g}.f64", grid, lv.U,
@@ -159,8 +178,12 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
 
     summary = []
     if failure is None:
-        summary.extend(_run_diagnostics(cfg, grid, ops, levels, outdir,
-                                        threads))
+        try:
+            _run_diagnostics(cfg, grid, ops, levels, outdir, threads,
+                             summary)
+        except DiagnosticError as exc:
+            failure = {"phase": "diagnostics", "message": str(exc),
+                       "completed": exc.completed}
 
     dists = [lv.dist_to_ref for lv in levels]
     if len(dists) >= 2:
@@ -207,9 +230,12 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
         "wallclock_s": time.time() - t_start,
         "artifacts": artifacts,
     }
+    if failure is not None:
+        manifest["failure"] = failure
     write_json(outdir / "manifest.json", manifest)
     if failure is not None:
-        raise RunnerSolverError(failure)
+        raise RunnerSolverError(_FAILURE_PREFIX[failure["phase"]]
+                                + failure["message"])
     return manifest
 
 
@@ -230,8 +256,11 @@ DIAGNOSTIC_NAMES = ("energy", "uniform-bounds", "linf-l2", "no-spikes",
                     "isoperimetric")
 
 
-def _run_diagnostics(cfg, grid, ops, levels, outdir, threads):
-    summary = []
+def _run_diagnostics(cfg, grid, ops, levels, outdir, threads, summary):
+    """Write each requested diagnostic's reports and append its summary
+    entries to summary.  A diagnostic that cannot be evaluated on these
+    fields (ValueError, GridError included, or ArithmeticError) stops the
+    loop with DiagnosticError."""
     rep_dir = outdir / "reports"
     p_exp, q_exp = cfg.forcing_exponents
     finest = levels[-1]
@@ -241,133 +270,140 @@ def _run_diagnostics(cfg, grid, ops, levels, outdir, threads):
                                        ops=ops)
 
     energy_reports = None
-    for req in cfg.diagnostics:
+    for done, req in enumerate(cfg.diagnostics):
         name, opt = req.name, req.options
-        if name == "energy":
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    energy_reports = list(ex.map(energy_for, levels))
-            else:
-                energy_reports = [energy_for(lv) for lv in levels]
-            for lv, rep in zip(levels, energy_reports):
-                write_csv(rep_dir / f"energy-eps-{lv.eps:g}.csv",
-                          ["n", "tau", "I", "R", "E"], rep.rows())
-                tol = 10.0 * lv.stats["el_tol_abs"]
+        try:
+            if name == "energy":
+                if threads > 1:
+                    with ThreadPoolExecutor(max_workers=threads) as ex:
+                        energy_reports = list(ex.map(energy_for, levels))
+                else:
+                    energy_reports = [energy_for(lv) for lv in levels]
+                for lv, rep in zip(levels, energy_reports):
+                    write_csv(rep_dir / f"energy-eps-{lv.eps:g}.csv",
+                              ["n", "tau", "I", "R", "E"], rep.rows())
+                    tol = 10.0 * lv.stats["el_tol_abs"]
+                    summary.append({
+                        "name": f"energy-identity-eps-{lv.eps:g}",
+                        "value": rep.identity_l1, "threshold": tol,
+                        "pass": bool(rep.identity_l1 <= tol),
+                        "calibration-id": None})
+            elif name == "uniform-bounds":
+                if energy_reports is None:
+                    energy_reports = [energy_for(lv) for lv in levels]
+                if len(energy_reports) < 2:
+                    continue  # uniformity is a cross-level statement
+                ub = dg.uniform_bounds_report(
+                    energy_reports, factor=float(opt.get("factor", 4.0)))
+                hdr = list(ub["rows"][0].keys())
+                write_csv(rep_dir / "uniform_bounds.csv", hdr, ub["rows"])
                 summary.append({
-                    "name": f"energy-identity-eps-{lv.eps:g}",
-                    "value": rep.identity_l1, "threshold": tol,
-                    "pass": bool(rep.identity_l1 <= tol),
-                    "calibration-id": None})
-        elif name == "uniform-bounds":
-            if energy_reports is None:
-                energy_reports = [energy_for(lv) for lv in levels]
-            if len(energy_reports) < 2:
-                continue  # uniformity is a cross-level statement
-            ub = dg.uniform_bounds_report(energy_reports,
-                                          factor=float(opt.get("factor", 4.0)))
-            hdr = list(ub["rows"][0].keys())
-            write_csv(rep_dir / "uniform_bounds.csv", hdr, ub["rows"])
-            summary.append({
-                "name": "uniform-bounds",
-                "value": max(ub["dt_energy_spread"], ub["windowed_spread"]),
-                "threshold": float(opt.get("factor", 4.0)),
-                "pass": ub["uniform"], "calibration-id": None})
-        elif name == "linf-l2":
-            rows = []
-            for lv in levels:
-                forcing = ForcingSpec(
-                    F=None, f=_trace_forcing(grid, cfg.model, lv.U, ops),
-                    p=p_exp, q=q_exp)
-                r = dg.linf_l2_ratio(grid, lv.U.reshape(grid.spacetime_shape),
-                                     forcing,
-                                     center=tuple(opt["center"]),
-                                     radius=float(opt["radius"]))
-                rows.append({"eps": lv.eps, **{k: r[k] for k in
-                                               ("ratio", "sup_inner",
-                                                "l2a_outer", "f_lqinf")}})
-            write_csv(rep_dir / "linf_l2.csv",
-                      ["eps", "ratio", "sup_inner", "l2a_outer", "f_lqinf"],
-                      rows)
-        elif name == "no-spikes":
-            delta = float(opt.get("delta", 0.5))
-            cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
-            fld = finest.U.reshape(grid.spacetime_shape)
-            upos = np.clip(fld, 0.0, None)
-            denom = dg.weighted_norm(grid, upos, "L2a", region=cyl)
-            lam = np.sqrt(delta) / denom if denom > 0 else 0.0
-            rep = dg.no_spikes_iteration(grid, lam * upos, cyl)
-            write_csv(rep_dir / "no_spikes.csv",
-                      ["j", "level", "radius", "energy"],
-                      [{"j": j, "level": rep.levels[j],
-                        "radius": rep.radii[j], "energy": rep.energies[j]}
-                       for j in range(rep.levels.shape[0])])
-            summary.append({
-                "name": "no-spikes-decay", "value": float(rep.energies[-1]),
-                "threshold": 1e-12, "pass": bool(rep.converged),
-                "calibration-id": f"delta={delta}"})
-        elif name == "level-sets":
-            cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
-            rows = []
-            for lv in levels:
-                ls = dg.level_set_measures(
-                    grid, lv.U.reshape(grid.spacetime_shape), cyl)
-                rows.append({"eps": lv.eps, **ls.measures})
-            write_csv(rep_dir / "level_sets.csv",
-                      ["eps", "A", "C", "D", "total"], rows)
-        elif name == "holder":
-            rows, srows = [], []
-            for c in opt.get("centers", []):
-                rep = dg.oscillation_table(
-                    grid, finest.U.reshape(grid.spacetime_shape),
-                    tuple(c), int(opt.get("levels", 3)))
-                rep = dg.fit_holder(rep)
-                for row in rep.table:
-                    rows.append({"x0": c[0], "t0": c[-1], **row})
-                srows.append({"x0": c[0], "t0": c[-1],
-                              "alpha": rep.alpha, "C": rep.constant,
-                              "residual": rep.fit_residual,
-                              "max_ratio": max(rep.ratios(), default=0.0)})
-            write_csv(rep_dir / "holder.csv",
-                      ["x0", "t0", "n", "radius", "osc"], rows)
-            write_csv(rep_dir / "holder_fits.csv",
-                      ["x0", "t0", "alpha", "C", "residual", "max_ratio"],
-                      srows)
-        elif name == "embedding":
-            tq = float(opt.get("layer_time", grid.spec.T / 2.0))
-            n = int(round(tq / grid.dt))
-            rows = []
-            for lv in levels:
-                sl = lv.U.reshape(grid.spacetime_shape)[n]
-                r = dg.embedding_ratio_check(grid, sl,
-                                             radius=float(opt.get("radius", 1.0)))
-                if r.get("applicable"):
-                    rows.append({"eps": lv.eps,
-                                 "trace_ratio": r["trace_ratio"],
-                                 "sobolev_ratio": r["sobolev_ratio"]})
-            if rows:
-                write_csv(rep_dir / "embedding.csv",
-                          ["eps", "trace_ratio", "sobolev_ratio"], rows)
-        elif name == "cauchy":
-            inc = dg.sweep_cauchy_increments(grid, [lv.U for lv in levels])
-            write_csv(rep_dir / "cauchy.csv", ["pair", "increment"],
-                      [{"pair": f"{levels[i].eps:g}->{levels[i+1].eps:g}",
-                        "increment": v} for i, v in enumerate(inc)])
-        elif name == "isoperimetric":
-            p = float(opt.get("p", 1.5))
-            tq = float(opt.get("layer_time", grid.spec.T / 2.0))
-            n = int(round(tq / grid.dt))
-            rows = []
-            for lv in levels:
-                sl = lv.U.reshape(grid.spacetime_shape)[n]
-                r = dg.isoperimetric_check(grid, sl, p,
-                                           radius=float(opt.get("radius", 1.0)))
-                rows.append({"eps": lv.eps, "lhs": r["lhs"],
-                             "rhs_factor": r["rhs_factor"],
-                             "ratio": r["ratio"],
-                             "gradient_energy": r["gradient_energy"]})
-            write_csv(rep_dir / "isoperimetric.csv",
-                      ["eps", "lhs", "rhs_factor", "ratio",
-                       "gradient_energy"], rows)
-        else:
-            raise ValueError(f"unknown diagnostic {name!r}")
-    return summary
+                    "name": "uniform-bounds",
+                    "value": max(ub["dt_energy_spread"],
+                                 ub["windowed_spread"]),
+                    "threshold": float(opt.get("factor", 4.0)),
+                    "pass": ub["uniform"], "calibration-id": None})
+            elif name == "linf-l2":
+                rows = []
+                for lv in levels:
+                    forcing = ForcingSpec(
+                        F=None, f=_trace_forcing(grid, cfg.model, lv.U, ops),
+                        p=p_exp, q=q_exp)
+                    r = dg.linf_l2_ratio(grid,
+                                         lv.U.reshape(grid.spacetime_shape),
+                                         forcing,
+                                         center=tuple(opt["center"]),
+                                         radius=float(opt["radius"]))
+                    rows.append({"eps": lv.eps, **{k: r[k] for k in
+                                                   ("ratio", "sup_inner",
+                                                    "l2a_outer", "f_lqinf")}})
+                write_csv(rep_dir / "linf_l2.csv",
+                          ["eps", "ratio", "sup_inner", "l2a_outer",
+                           "f_lqinf"],
+                          rows)
+            elif name == "no-spikes":
+                delta = float(opt.get("delta", 0.5))
+                cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
+                fld = finest.U.reshape(grid.spacetime_shape)
+                upos = np.clip(fld, 0.0, None)
+                denom = dg.weighted_norm(grid, upos, "L2a", region=cyl)
+                lam = np.sqrt(delta) / denom if denom > 0 else 0.0
+                rep = dg.no_spikes_iteration(grid, lam * upos, cyl)
+                write_csv(rep_dir / "no_spikes.csv",
+                          ["j", "level", "radius", "energy"],
+                          [{"j": j, "level": rep.levels[j],
+                            "radius": rep.radii[j], "energy": rep.energies[j]}
+                           for j in range(rep.levels.shape[0])])
+                summary.append({
+                    "name": "no-spikes-decay",
+                    "value": float(rep.energies[-1]),
+                    "threshold": 1e-12, "pass": bool(rep.converged),
+                    "calibration-id": f"delta={delta}"})
+            elif name == "level-sets":
+                cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
+                rows = []
+                for lv in levels:
+                    ls = dg.level_set_measures(
+                        grid, lv.U.reshape(grid.spacetime_shape), cyl)
+                    rows.append({"eps": lv.eps, **ls.measures})
+                write_csv(rep_dir / "level_sets.csv",
+                          ["eps", "A", "C", "D", "total"], rows)
+            elif name == "holder":
+                rows, srows = [], []
+                for c in opt.get("centers", []):
+                    rep = dg.oscillation_table(
+                        grid, finest.U.reshape(grid.spacetime_shape),
+                        tuple(c), int(opt.get("levels", 3)))
+                    rep = dg.fit_holder(rep)
+                    for row in rep.table:
+                        rows.append({"x0": c[0], "t0": c[-1], **row})
+                    srows.append({"x0": c[0], "t0": c[-1],
+                                  "alpha": rep.alpha, "C": rep.constant,
+                                  "residual": rep.fit_residual,
+                                  "max_ratio": max(rep.ratios(), default=0.0)})
+                write_csv(rep_dir / "holder.csv",
+                          ["x0", "t0", "n", "radius", "osc"], rows)
+                write_csv(rep_dir / "holder_fits.csv",
+                          ["x0", "t0", "alpha", "C", "residual", "max_ratio"],
+                          srows)
+            elif name == "embedding":
+                tq = float(opt.get("layer_time", grid.spec.T / 2.0))
+                n = int(round(tq / grid.dt))
+                rows = []
+                for lv in levels:
+                    sl = lv.U.reshape(grid.spacetime_shape)[n]
+                    r = dg.embedding_ratio_check(
+                        grid, sl, radius=float(opt.get("radius", 1.0)))
+                    if r.get("applicable"):
+                        rows.append({"eps": lv.eps,
+                                     "trace_ratio": r["trace_ratio"],
+                                     "sobolev_ratio": r["sobolev_ratio"]})
+                if rows:
+                    write_csv(rep_dir / "embedding.csv",
+                              ["eps", "trace_ratio", "sobolev_ratio"], rows)
+            elif name == "cauchy":
+                inc = dg.sweep_cauchy_increments(grid, [lv.U for lv in levels])
+                write_csv(rep_dir / "cauchy.csv", ["pair", "increment"],
+                          [{"pair": f"{levels[i].eps:g}->{levels[i+1].eps:g}",
+                            "increment": v} for i, v in enumerate(inc)])
+            elif name == "isoperimetric":
+                p = float(opt.get("p", 1.5))
+                tq = float(opt.get("layer_time", grid.spec.T / 2.0))
+                n = int(round(tq / grid.dt))
+                rows = []
+                for lv in levels:
+                    sl = lv.U.reshape(grid.spacetime_shape)[n]
+                    r = dg.isoperimetric_check(
+                        grid, sl, p, radius=float(opt.get("radius", 1.0)))
+                    rows.append({"eps": lv.eps, "lhs": r["lhs"],
+                                 "rhs_factor": r["rhs_factor"],
+                                 "ratio": r["ratio"],
+                                 "gradient_energy": r["gradient_energy"]})
+                write_csv(rep_dir / "isoperimetric.csv",
+                          ["eps", "lhs", "rhs_factor", "ratio",
+                           "gradient_energy"], rows)
+            else:
+                raise ValueError(f"unknown diagnostic {name!r}")
+        except (ValueError, ArithmeticError) as exc:
+            raise DiagnosticError(f"diagnostic {name!r}: {exc}",
+                                  completed=done) from exc

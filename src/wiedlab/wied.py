@@ -18,7 +18,7 @@ from .assembly import (DiscreteOperators, ForcingSpec, LinearSystem,
                        default_st_preconditioner, functional_value)
 from .grid import WeightedGrid
 from .linalg import bicgstab_solve
-from .parabolic import ParabolicConfig, solve_parabolic
+from .parabolic import ParabolicConfig, check_counts, solve_parabolic
 
 
 class WiedConvergenceError(RuntimeError):
@@ -53,6 +53,7 @@ class WiedConfig:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        check_counts(self, ("outer_maxit", "inner_maxit"))
 
 
 @dataclass
@@ -117,10 +118,18 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         U[0] = U0f
 
     b = system.rhs(U0f)
+    tr = ops.trace_index
+
+    def minus_source(U):
+        # b - beta_source(U), the source taken off the trace columns only
+        rhs = b.copy()
+        rhs.reshape(nt, S)[:, tr] -= system.beta_source(model, U)
+        return rhs
+
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
              "damping": [], "iterations": 0}
     fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops)
-    ref = max(_norm(b - system.beta_source(model, U)), 1e-300)
+    ref = max(_norm(minus_source(U)), 1e-300)
     tol_abs = cfg.outer_tol * ref
     stats["el_tol_abs"] = tol_abs
 
@@ -132,9 +141,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     # pulled the residual down, and falls back to a Picard step on rejection.
     sigma = max(getattr(model, "lipschitz", 0.0) or 0.0, 0.0)
     if sigma > 0.0:
-        stab = np.zeros((nt, S))
-        stab[:, ops.trace_index] = system.c_hat[:, None] * ops.trace_mass * sigma
-        stab = stab.ravel()
+        stab = system.c_hat[:, None] * ops.trace_mass * sigma   # (nt, n_trace)
         A_pic = system.plus_diagonal(stab)
     else:
         stab = None
@@ -147,9 +154,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             rhs = A @ U[1:].ravel() - r
         else:
             A = A_pic
-            rhs = b - system.beta_source(model, U)
+            rhs = minus_source(U)
             if stab is not None:
-                rhs = rhs + stab * U[1:].ravel()
+                rhs.reshape(nt, S)[:, tr] += stab * U[1:, tr]
         sol = bicgstab_solve(A, rhs, precond=prec, tol=cfg.inner_tol,
                              maxit=cfg.inner_maxit, x0=U[1:].ravel())
         stats["inner_iterations"].append(sol.iterations)

@@ -287,6 +287,113 @@ def test_diagonal_shifts_match_sparse_sum_exactly():
         assert cases[2][1].nnz == system.A.nnz - 1
 
 
+def _sparse_formula_system(g, ops, eps, forcing):
+    """The space-time matrix and rhs by the sparse-operator formula:
+    diags(c main (x) m) - c Msub - c rho Msup + diags(c_hat) Kkron."""
+    nt, S = g.spec.nt, g.n_spatial
+    c = eps / g.dt**2
+    rho = float(np.exp(-g.dt / eps))
+    main = np.full(nt, 1.0 + rho)
+    main[-1] = 1.0
+    c_hat = np.full(nt, 0.5 * (1.0 + rho))
+    c_hat[-1] = 0.5
+    shift = sp.diags([np.ones(nt - 1)], [-1], shape=(nt, nt))
+    Msub = sp.kron(shift, sp.diags(ops.mass), format="csr")
+    Msup = sp.kron(shift.T, sp.diags(ops.mass), format="csr")
+    Kkron = sp.kron(sp.eye(nt), ops.Ka, format="csr")
+    A = (sp.diags(c * np.outer(main, ops.mass).ravel())
+         - c * Msub - (c * rho) * Msup
+         + sp.diags(np.repeat(c_hat, S)) @ Kkron)
+    b = np.zeros((nt, S))
+    if forcing.F is not None:
+        b += c_hat[:, None] * (ops.mass * forcing.F.reshape(nt + 1, S)[1:])
+    if forcing.f is not None:
+        b[:, ops.trace_index] += (c_hat[:, None] * ops.trace_mass
+                                  * forcing.f.reshape(nt + 1, -1)[1:])
+    return finalize_csr(A), b
+
+
+def test_pattern_assembly_matches_sparse_formula():
+    # A filled into the cached CSR pattern is the very matrix the sparse
+    # formula gives, for every eps level on one set of operators; at
+    # eps = 1e-9 rho underflows and the zero time couplings are dropped
+    rng = np.random.default_rng(14)
+    for d, a in itertools.product((1, 2), (-0.5, 0.5)):
+        g = build_grid(GridSpec(d=d, a=a, L=1.0, Y=1.0, T=0.5,
+                                nx=4, ny=5, nt=6))
+        ops = build_operators(g)
+        nt, S = g.spec.nt, g.n_spatial
+        F = rng.standard_normal(g.spacetime_shape)
+        f = rng.standard_normal((nt + 1,) + (g.spec.nx + 1,) * d)
+        U0 = rng.standard_normal(S)
+        indices = []
+        for eps, (bulk, trace) in itertools.product(
+                (0.3, 0.02, 1e-9), itertools.product((None, F), (None, f))):
+            forcing = ForcingSpec(F=bulk, f=trace)
+            system = assemble_linear_system(g, eps, forcing=forcing, ops=ops)
+            A_ref, b_ref = _sparse_formula_system(g, ops, eps, forcing)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(system.A, name),
+                                      getattr(A_ref, name)), (d, a, eps, name)
+            b_ref[0] += (eps / g.dt**2) * ops.mass * U0
+            assert np.array_equal(system.rhs(U0), b_ref.ravel())
+            if eps > 1e-9:
+                indices.append(system.A.indices)
+            else:
+                assert system.A.nnz == A_ref.nnz < ops.Ka.nnz * nt + 2 * (
+                    nt - 1) * S
+        assert all(np.shares_memory(i, indices[0]) for i in indices)
+
+
+def test_picard_and_newton_matrices_share_the_pattern():
+    # the shifted matrices are new values on A's own index arrays, and
+    # differ from A only on the trace diagonal
+    rng = np.random.default_rng(15)
+    for d in (1, 2):
+        g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
+                                nx=4, ny=5, nt=6))
+        system = assemble_linear_system(g, 0.1)
+        nt, S = g.spec.nt, g.n_spatial
+        tr = system.ops.trace_index
+        A = system.A
+        stab = system.c_hat[:, None] * system.ops.trace_mass * BUMP.lipschitz
+        full = np.zeros((nt, S))
+        full[:, tr] = stab
+        picard = system.plus_diagonal(stab)
+        U = rng.random((nt + 1, S))
+        for M in (picard, system.newton_matrix(BUMP, U)):
+            assert np.shares_memory(M.indices, A.indices)
+            assert np.shares_memory(M.indptr, A.indptr)
+            assert not np.shares_memory(M.data, A.data)
+            moved = np.flatnonzero(M.data != A.data)
+            rows = np.searchsorted(A.indptr, moved, side="right") - 1
+            assert moved.size > 0
+            assert np.array_equal(A.indices[moved], rows)
+            assert set(rows % S) <= set(tr.tolist())
+        assert np.array_equal(picard.data,
+                              system.plus_diagonal(full.ravel()).data)
+
+
+def test_residual_is_matvec_plus_source_minus_rhs():
+    # the trace-only source and first-layer initial term give the same
+    # bits as the full-length vectors
+    rng = np.random.default_rng(16)
+    for d in (1, 2):
+        g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
+                                nx=4, ny=5, nt=6))
+        nt, S = g.spec.nt, g.n_spatial
+        forcing = ForcingSpec(
+            F=rng.standard_normal(g.spacetime_shape),
+            f=rng.standard_normal((nt + 1,) + (g.spec.nx + 1,) * d))
+        system = assemble_linear_system(g, 0.1, forcing=forcing)
+        U = rng.random((nt + 1, S))
+        source = np.zeros((nt, S))
+        source[:, system.ops.trace_index] = system.beta_source(BUMP, U)
+        ref = (system.A @ U[1:].ravel() + source.ravel()
+               - system.rhs(U[0])).reshape(nt, S)
+        assert np.array_equal(system.residual(BUMP, U), ref)
+
+
 def test_eps_must_be_positive():
     g = small_grid()
     U = np.zeros(g.spacetime_shape)

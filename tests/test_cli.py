@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wiedlab.cli import main
 from wiedlab.runner import load_field
@@ -136,8 +141,25 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
     ({"schedule": {"eps0": 0.2, "ratio": 0.5, "count": 2}}, "T/20"),
     ({"diagnostics": [{"name": "no-spikes", "center": [0.0, 0.0, 0.5],
                        "radius": 2.0}]}, "does not fit"),
+    ({"diagnostics": [{"name": "energy"}, {"name": "uniform-bounds",
+                                           "factor": "four"}]}, "'factor'"),
+    ({"diagnostics": [{"name": "no-spikes", "center": [0.0, 0.0, 0.5],
+                       "radius": 0.5, "delta": "half"}]}, "'delta'"),
+    ({"diagnostics": [{"name": "holder", "centers": [], "levels": "3"}]},
+     "'levels'"),
+    ({"diagnostics": [{"name": "embedding", "layer_time": "t/2"}]},
+     "'layer_time'"),
+    ({"diagnostics": [{"name": "isoperimetric", "p": "1.5"}]}, "'p'"),
+    ({"parabolic": {"picard_maxit": 0}}, "picard_maxit"),
+    ({"parabolic": {"linear_maxit": 0}}, "linear_maxit"),
+    ({"wied": {"outer_maxit": 0}}, "outer_maxit"),
+    ({"wied": {"inner_maxit": 0}}, "inner_maxit"),
 ], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
-        "cylinder-does-not-fit"])
+        "cylinder-does-not-fit", "uniform-bounds-factor-string",
+        "no-spikes-delta-string", "holder-levels-string",
+        "embedding-layer-time-string", "isoperimetric-p-string",
+        "picard-maxit-0", "linear-maxit-0", "outer-maxit-0",
+        "inner-maxit-0"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)
@@ -191,3 +213,137 @@ def test_parabolic_failure_is_solver_error_with_manifest(tmp_path, capsys):
     assert set(manifest["artifacts"]) == {
         str(p.relative_to(out)) for p in out.rglob("*")
         if p.is_file() and p.name != "manifest.json"}
+
+
+def test_diagnose_failure_is_solver_error(tmp_path, capsys):
+    # a Hoelder fit needs three positive oscillations, which a grid this
+    # coarse does not resolve: exit 3 with a message, no traceback
+    cfgp = write_config(tmp_path / "cfg.json",
+                        grid={"d": 1, "a": 0.5, "L": 2.0, "Y": 1.5,
+                              "T": 2.0, "nx": 8, "ny": 4, "nt": 16},
+                        diagnostics=[{"name": "holder",
+                                      "centers": [[0.0, 0.0, 1.0]]}])
+    assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
+    rc = main(["diagnose", str(cfgp),
+               "--field", str(tmp_path / "p" / "parabolic.f64"),
+               "--which", "holder", "--out", str(tmp_path / "diag")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: diagnostic 'holder'")
+
+
+@pytest.mark.parametrize("overrides, phase, completed", [
+    ({"model": {"kind": "polynomial-bump"},
+      "parabolic": {"picard_maxit": 1}}, "parabolic", 0),
+    ({"model": {"kind": "polynomial-bump"}, "wied": {"outer_maxit": 1}},
+     "sweep", 0),
+    ({"initial": {"kind": "plateau", "radius": 0.5, "height": 0.0},
+      "diagnostics": [{"name": "energy"}, {"name": "embedding"}]},
+     "diagnostics", 1),
+], ids=["parabolic", "sweep", "diagnostics"])
+def test_failed_run_records_failure_in_manifest(tmp_path, capsys, overrides,
+                                                phase, completed):
+    # the manifest of a failed run says where it stopped and why
+    cfgp = write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "out"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert failure["phase"] == phase
+    assert failure["completed"] == completed
+    assert failure["message"] and failure["message"] in err
+
+
+# a burning run on a tiny grid with every diagnostic and option, which
+# completes with exit 0; the holder probes are empty because a grid this
+# coarse resolves no oscillation decay
+MUTATION_BASE = {
+    "grid": {"d": 1, "a": 0.5, "L": 2.0, "Y": 1.5, "T": 2.0,
+             "nx": 8, "ny": 4, "nt": 16},
+    "model": {"kind": "polynomial-bump", "params": {"m": 1, "n": 1}},
+    "initial": {"kind": "plateau", "radius": 1.0, "height": 1.0,
+                "axis": "trace"},
+    "schedule": {"eps0": 0.1, "ratio": 0.5, "count": 2},
+    "wied": {"outer": "newton", "outer_tol": 1e-9, "outer_maxit": 40,
+             "inner_tol": 1e-11, "inner_maxit": 400},
+    "parabolic": {"picard_tol": 1e-11, "picard_maxit": 200,
+                  "linear_tol": 1e-12, "linear_maxit": 50},
+    "forcing_exponents": {"p": 3.0, "q": 4.0},
+    "diagnostics": [
+        {"name": "energy"},
+        {"name": "uniform-bounds", "factor": 4.0},
+        {"name": "linf-l2", "center": [0.0, 0.0, 1.0], "radius": 1.0},
+        {"name": "no-spikes", "center": [0.0, 0.0, 1.0], "radius": 1.0,
+         "delta": 0.5},
+        {"name": "level-sets", "center": [0.0, 0.0, 1.0], "radius": 1.0},
+        {"name": "holder", "centers": [], "levels": 3},
+        {"name": "embedding", "layer_time": 1.0, "radius": 1.0},
+        {"name": "isoperimetric", "p": 1.5, "layer_time": 1.0,
+         "radius": 1.0},
+        {"name": "cauchy"},
+    ],
+    "seed": 7,
+    "strict_support": True,
+}
+
+
+def _node_paths(obj, prefix=()):
+    """Key/index paths of every node below obj."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _node_paths(val, prefix + (key,))
+
+
+# JSON values, sizes kept small enough that any grid stays tiny
+MUTATION_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 24),
+    st.floats(-5.0, 50.0),
+    st.sampled_from([0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]),
+    st.text(max_size=4),
+    st.sampled_from(["picard", "newton", "zero", "piecewise-linear-hat",
+                     "custom-table", "gaussian", "from-file", "radial",
+                     "energy", "holder"]),
+    st.lists(st.floats(-3.0, 3.0), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 5), max_size=2),
+)
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(list(_node_paths(MUTATION_BASE))),
+              st.one_of(st.just("delete"), MUTATION_VALUES)),
+    min_size=1, max_size=2)
+
+
+def _mutated(mutations):
+    cfg = json.loads(json.dumps(MUTATION_BASE))
+    for path, value in mutations:
+        try:
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass   # an earlier mutation replaced this branch
+    return cfg
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(MUTATIONS)
+def test_mutated_config_exits_with_documented_code(mutations):
+    # every config, however broken, ends in 0, 2, 3 or 4 without a
+    # traceback, and an output directory always holds a manifest
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = Path(tmp) / "cfg.json"
+        cfgp.write_text(json.dumps(_mutated(mutations)))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", str(cfgp), "--out", str(out)])
+        assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if out.exists():
+            assert (out / "manifest.json").exists(), rc
