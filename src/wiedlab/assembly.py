@@ -19,12 +19,15 @@ exponential weight is what keeps the system well-scaled for T >> eps.
 eps enters the matrix only through the scalars c = eps/dt^2, rho and
 c_hat, so its CSR pattern is grid data: space_time_pattern builds it once
 per DiscreteOperators from the index arrays of Ka, and each eps level
-only fills the values.  The Picard and Newton matrices share that
-pattern and differ from A only on the y = 0 trace diagonal.
+only fills the values.  The Picard and Newton matrices differ from A
+only on the y = 0 trace diagonal, so the solvers apply the exact inverse
+of the Picard matrix (SpaceTimeInverse) and treat the Newton difference
+on the trace instead of assembling either.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +35,7 @@ import scipy.sparse as sp
 
 from .combustion import beta_eval, beta_prime_eval, phi_eval
 from .grid import WeightedGrid
-from .linalg import finalize_csr
+from .linalg import finalize_csr, gmres_solve
 
 
 @dataclass
@@ -397,10 +400,15 @@ class LinearSystem:
     initial-layer elimination plus any forcing contribution.  c_hat is
     the per-row coefficient shared by the stiffness, the trace source
     and the forcing (interior (1+rho)/2, terminal 1/2).  A is built on
-    the cached SpaceTimePattern; plus_diagonal gives the Picard and
-    Newton matrices as new values on A's own index arrays.  The trace
-    source beta enters residual and the solvers' right-hand sides on the
-    trace columns only.
+    the cached SpaceTimePattern.  The trace source beta enters residual
+    and the solvers' right-hand sides on the trace columns only.
+
+    The solvers never form a shifted matrix: they use the exact inverse
+    of A + diag(c_hat) (x) sigma D_tr (space_time_inverse, cached per
+    sigma in inverses) and handle any other trace diagonal on the trace.
+    newton_matrix (through plus_diagonal, new values on A's own index
+    arrays) is the assembled Newton matrix those trace solves are checked
+    against.
     """
 
     grid: WeightedGrid
@@ -413,6 +421,8 @@ class LinearSystem:
     # (nt, S) positions of A's diagonal entries in A.data; None: found by
     # a scan on first use
     diag_pos: np.ndarray | None = field(default=None, repr=False)
+    # sigma -> SpaceTimeInverse, filled by space_time_inverse
+    inverses: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_unknowns(self) -> int:
@@ -560,7 +570,8 @@ def time_line_preconditioner(system: LinearSystem, A: sp.csr_matrix | None = Non
     decouples into one tridiagonal problem along the time line of every
     spatial node (sub -c m_k, diag from A, super -c rho m_k), solved by
     a batched Thomas factorization.  Not used by the solvers, which take
-    the exact spectral_preconditioner at every size.
+    the exact space_time_inverse at every size; it stays importable
+    because perfbench/tracing.py patches it by name.
     """
     Ause = system.A if A is None else A
     nt, S = system.grid.spec.nt, system.grid.n_spatial
@@ -576,43 +587,117 @@ def time_line_preconditioner(system: LinearSystem, A: sp.csr_matrix | None = Non
     return apply
 
 
+@dataclass
+class SpaceTimeInverse:
+    """The exact inverse P of A_sigma = A + diag(c_hat) (x) sigma D_tr.
+
+    In the per-axis eigenbasis V of axis_eigenbasis (V' M V = I,
+    V' (K + sigma D_tr) V = diag(lam)) A_sigma decouples into one
+    tridiagonal time problem per spatial mode,
+
+        (c T + lam_k diag(c_hat)) z_k = (V' r)_k,   c = eps/dt^2,
+
+    which solve_modes answers with a batched Thomas sweep.  Calling the
+    object applies P to a flattened (nt * n_spatial) vector: two per-axis
+    transforms and one sweep.  E injects (nt, n_trace) trace blocks into
+    the y = 0 columns.  Only the y = 0 row of Vy meets the trace, so
+    lift (P E s) and capacitance (C s = E' P E s) transform s on the
+    trace alone, and capacitance also returns to the trace without a full
+    transform: beyond two elementwise passes, one Thomas sweep is its only
+    full-size work.
+    """
+
+    basis: AxisEigenbasis
+    # in-place batched Thomas solve on (nt, S) modal arrays
+    solve_modes: Callable[[np.ndarray], np.ndarray]
+    nt: int
+    trace_index: np.ndarray
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        w = self.basis.to_modes(np.asarray(r, dtype=float).reshape(self.nt,
+                                                                    -1))
+        return self.basis.from_modes(self.solve_modes(w)).ravel()
+
+    def _trace_modes_solve(self, s: np.ndarray) -> np.ndarray:
+        # the modes of P E s, shape (nt, n_y, n_trace_modes)
+        vy0 = self.basis.Vy[0]
+        z = self.basis.to_trace_modes(s)
+        w = vy0[None, :, None] * z[:, None, :]
+        return self.solve_modes(w.reshape(self.nt, -1)).reshape(w.shape)
+
+    def lift(self, s: np.ndarray) -> np.ndarray:
+        """P E s for a trace block s (nt, n_trace); shape (nt, n_spatial)."""
+        w = self._trace_modes_solve(s)
+        return self.basis.from_modes(w.reshape(self.nt, -1))
+
+    def capacitance(self, s: np.ndarray) -> np.ndarray:
+        """C s = E' P E s for a trace block s (nt, n_trace)."""
+        w = self._trace_modes_solve(s)
+        return self.basis.from_trace_modes(self.basis.Vy[0] @ w)
+
+    def shifted_solve(self, x0: np.ndarray, shift: np.ndarray, tol: float,
+                      maxit: int, y0: np.ndarray | None = None):
+        """(A_sigma + E diag(shift) E')^{-1} rhs from x0 = P rhs, shape
+        (nt, n_spatial), shift a trace block (nt, n_trace).
+
+        Woodbury on the trace: y solves (I + C diag(shift)) y = E' x0 by
+        GMRES to relative residual tol, from y0 when given, and
+        x = x0 - P E (shift y).  Then E' x - y is the GMRES residual g,
+        and the linear residual of x is exactly E (shift g), up to the
+        roundoff of P.  Returns x and the GMRES SolveResult (its x is y,
+        flattened).
+        """
+        x0 = np.asarray(x0, dtype=float).reshape(self.nt, -1)
+        shape = shift.shape
+
+        def apply(v):
+            return v + self.capacitance(shift * v.reshape(shape)).ravel()
+
+        sol = gmres_solve(apply, x0[:, self.trace_index].ravel(), tol=tol,
+                          maxit=maxit,
+                          x0=None if y0 is None else np.ravel(y0))
+        return x0 - self.lift(shift * sol.x.reshape(shape)), sol
+
+
+def space_time_inverse(system: LinearSystem,
+                       sigma: float = 0.0) -> SpaceTimeInverse:
+    """The SpaceTimeInverse of A + diag(c_hat) (x) sigma D_tr, built once
+    per sigma and cached on the system."""
+    sigma = float(sigma)
+    inv = system.inverses.get(sigma)
+    if inv is None:
+        grid = system.grid
+        nt = grid.spec.nt
+        basis = axis_eigenbasis(grid, system.ops, sigma)
+        c, rho, main, c_hat = _row_coefficients(grid, system.eps)
+        solve = _time_thomas(
+            (c * main)[:, None] + np.multiply.outer(c_hat, basis.lam),
+            c, c * rho)
+        inv = SpaceTimeInverse(basis=basis, solve_modes=solve, nt=nt,
+                               trace_index=system.ops.trace_index)
+        system.inverses[sigma] = inv
+    return inv
+
+
 def spectral_preconditioner(system: LinearSystem, sigma: float = 0.0):
-    """Exact inverse of A + diag(c_hat) (x) sigma D_tr, by fast
-    diagonalization in space and batched Thomas in time.
-
-    D_tr is the y = 0 trace mass.  In the per-axis eigenbasis V of
-    axis_eigenbasis (V' M V = I, V' (K + sigma D_tr) V = diag(lam)) the
-    matrix decouples into one tridiagonal time problem per spatial mode,
-
-        (c T + lam_k diag(c_hat)) z_k = (V' r)_k,   c = eps/dt^2.
+    """Exact inverse of A + diag(c_hat) (x) sigma D_tr by fast
+    diagonalization in space and batched Thomas in time: the cached
+    space_time_inverse, whose call is one apply.
 
     With sigma the model's Lipschitz constant this is the damped-Picard
-    (majorize-minimize) matrix itself, so a Picard solve converges in one
-    or two Krylov iterations (the second only absorbs roundoff); Newton
-    solves see only the trace diagonal c_hat D_tr (beta'(u) - sigma) as
-    the remaining difference.
-    Each apply costs two per-axis transforms and the Thomas sweeps, with
-    no bound on the grid size.
+    (majorize-minimize) matrix itself, so a Picard step is one apply;
+    a Newton matrix differs from it only by the trace diagonal
+    c_hat D_tr (beta'(u) - sigma), which SpaceTimeInverse.shifted_solve
+    handles on the trace.  Each apply costs two per-axis transforms and
+    the Thomas sweeps, with no bound on the grid size.
     """
-    grid = system.grid
-    nt, S = grid.spec.nt, grid.n_spatial
-    basis = axis_eigenbasis(grid, system.ops, sigma)
-    c, rho, main, c_hat = _row_coefficients(grid, system.eps)
-    solve = _time_thomas((c * main)[:, None] + np.multiply.outer(c_hat,
-                                                                 basis.lam),
-                         c, c * rho)
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        w = basis.to_modes(np.asarray(r, dtype=float).reshape(nt, S))
-        return basis.from_modes(solve(w)).ravel()
-
-    return apply
+    return space_time_inverse(system, sigma)
 
 
 def default_st_preconditioner(system: LinearSystem, sigma: float = 0.0):
-    """Preconditioner for the space-time solves: the exact inverse of
-    A + diag(c_hat) (x) sigma D_tr (spectral_preconditioner), at every
-    grid size and dimension."""
+    """The exact inverse of A + diag(c_hat) (x) sigma D_tr
+    (spectral_preconditioner) for the space-time solves, at every grid
+    size and dimension."""
     return spectral_preconditioner(system, sigma)
 
 

@@ -32,6 +32,13 @@ class CombustionModel:
                              "custom-table", "zero"):
             raise ModelError(f"unknown combustion kind {self.kind!r}")
 
+    @functools.cached_property
+    def poly(self) -> tuple[float, float, float]:
+        """(m, n, c) of the polynomial bump c v^m (1-v)^n, parsed once
+        per model rather than on every evaluation."""
+        m, n = _poly_exponents(self)
+        return m, n, _poly_coef(m, n)
+
 
 ZERO_MODEL = CombustionModel(kind="zero")
 
@@ -71,24 +78,33 @@ def _table(model) -> tuple[np.ndarray, np.ndarray]:
     return v, b
 
 
+def _clamp(v: np.ndarray) -> np.ndarray:
+    # np.clip(v, 0, 1) bit for bit (maximum(0, -0.0) keeps -0.0 as clip
+    # does), except that NaN goes to 0: every caller zeroes beta there
+    # anyway.  Three ufuncs cost less than np.clip's Python wrapper.
+    return np.minimum(1.0, np.maximum(0.0, np.fmax(v, -1.0)))
+
+
 def beta_eval(model: CombustionModel | None, v) -> np.ndarray | float:
     """beta(v); total on the reals, zero outside [0, 1]."""
     v = np.asarray(v, dtype=float)
     if model is None or model.kind == "zero":
         out = np.zeros_like(v)
         return out if out.ndim else float(out)
-    inside = (v >= 0.0) & (v <= 1.0)
-    vc = np.clip(v, 0.0, 1.0)
+    vc = _clamp(v)
     if model.kind == "polynomial-bump":
-        m, n = _poly_exponents(model)
-        out = _poly_coef(m, n) * vc**m * (1.0 - vc) ** n
+        m, n, c = model.poly
+        out = c * vc**m * (1.0 - vc) ** n
+        if m > 0.0 and n > 0.0:
+            # zero at both ends: the clamp alone zeroes it outside [0, 1]
+            return out if out.ndim else float(out)
     elif model.kind == "piecewise-linear-hat":
         c = _hat_peak(model)
         out = np.where(vc <= c, vc / c, (1.0 - vc) / (1.0 - c))
     else:
         tv, tb = _table(model)
         out = np.interp(vc, tv, tb, left=0.0, right=0.0)
-    out = np.where(inside, out, 0.0)
+    out = np.where((v >= 0.0) & (v <= 1.0), out, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -100,7 +116,7 @@ def phi_eval(model: CombustionModel | None, v) -> np.ndarray | float:
         return out if out.ndim else float(out)
     vc = np.clip(v, 0.0, 1.0)
     if model.kind == "polynomial-bump":
-        m, n = _poly_exponents(model)
+        m, n, _ = model.poly
         out = special.betainc(m + 1.0, n + 1.0, vc)
     elif model.kind == "piecewise-linear-hat":
         c = _hat_peak(model)
@@ -133,15 +149,12 @@ def beta_prime_eval(model: CombustionModel | None, v) -> np.ndarray | float:
     if model is None or model.kind == "zero":
         out = np.zeros_like(v)
         return out if out.ndim else float(out)
-    inside = (v > 0.0) & (v < 1.0)
-    vc = np.clip(v, 0.0, 1.0)
+    vc = _clamp(v)
     if model.kind == "polynomial-bump":
-        m, n = _poly_exponents(model)
-        c = _poly_coef(m, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = c * (m * vc ** max(m - 1.0, 0.0) * (1.0 - vc) ** n
-                       - n * vc**m * (1.0 - vc) ** max(n - 1.0, 0.0))
-        out = np.nan_to_num(out)
+        # the exponents are >= 0 and vc is finite, so every term is finite
+        m, n, c = model.poly
+        out = c * (m * vc ** max(m - 1.0, 0.0) * (1.0 - vc) ** n
+                   - n * vc**m * (1.0 - vc) ** max(n - 1.0, 0.0))
     elif model.kind == "piecewise-linear-hat":
         c = _hat_peak(model)
         out = np.where(vc <= c, 1.0 / c, -1.0 / (1.0 - c))
@@ -150,7 +163,7 @@ def beta_prime_eval(model: CombustionModel | None, v) -> np.ndarray | float:
         slopes = np.diff(tb) / np.diff(tv)
         idx = np.clip(np.searchsorted(tv, vc, side="right") - 1, 0, tv.size - 2)
         out = slopes[idx]
-    out = np.where(inside, out, 0.0)
+    out = np.where((v > 0.0) & (v < 1.0), out, 0.0)
     return out if out.ndim else float(out)
 
 

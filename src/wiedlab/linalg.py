@@ -216,3 +216,75 @@ def bicgstab_solve(A, b, precond="jacobi", tol=1e-10, maxit=2000,
         r = b - A @ x
         breakdown = None
     return SolveResult(x, k, res, converged=False, breakdown=breakdown)
+
+
+def gmres_solve(apply_a, b, tol=1e-10, maxit=2000, restart=60,
+                x0=None) -> SolveResult:
+    """Restarted GMRES(restart) for nonsingular systems given by the
+    callable apply_a: v -> A v.
+
+    Arnoldi runs with modified Gram-Schmidt and the least-squares problem
+    is updated with Givens rotations, so the residual estimate is known
+    after every iteration.  Each cycle ends with the true residual, which
+    starts the next cycle; success is claimed only when that true
+    relative residual is at most tol.  A cycle that does not lower the
+    true residual means roundoff has set a floor above tol: the solve
+    stops there as a breakdown rather than cycling on to maxit.
+    Iterations counts operator applies inside the cycles.
+    """
+    n = b.shape[0]
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    bnorm = _norm(b)
+    ref = bnorm if bnorm > 0 else 1.0
+    r = b - apply_a(x) if x0 is not None else b.copy()
+    beta = _norm(r)
+    res = [beta / ref]
+    k = 0
+    breakdown = None
+    while res[-1] > tol and k < maxit:
+        m = min(restart, maxit - k)
+        V = np.empty((m + 1, n))
+        H = np.zeros((m + 1, m))
+        cs, sn = np.zeros(m), np.zeros(m)
+        g = np.zeros(m + 1)
+        V[0] = r / beta
+        g[0] = beta
+        j = 0
+        while j < m:
+            w = apply_a(V[j])
+            k += 1
+            for i in range(j + 1):
+                H[i, j] = _dot(w, V[i])
+                w -= H[i, j] * V[i]
+            H[j + 1, j] = _norm(w)
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            hyp = float(np.hypot(H[j, j], H[j + 1, j]))
+            if hyp == 0.0:
+                return SolveResult(x, k, res, converged=False,
+                                   breakdown="singular Hessenberg matrix")
+            cs[j], sn[j] = H[j, j] / hyp, H[j + 1, j] / hyp
+            lucky = H[j + 1, j] == 0.0
+            if not lucky:
+                V[j + 1] = w / H[j + 1, j]
+            H[j, j], H[j + 1, j] = hyp, 0.0
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            j += 1
+            if lucky or abs(g[j]) / ref <= tol:
+                break
+        # back substitution, then x += V' y one basis vector at a time so
+        # the update is the same under any BLAS thread count
+        y = np.zeros(j)
+        for i in range(j - 1, -1, -1):
+            y[i] = (g[i] - _dot(H[i, i + 1:j], y[i + 1:])) / H[i, i]
+        for i in range(j):
+            x += y[i] * V[i]
+        r = b - apply_a(x)
+        beta = _norm(r)
+        res.append(beta / ref)
+        if res[-1] > tol and res[-1] >= res[-2]:
+            breakdown = "stagnation"
+            break
+    return SolveResult(x, k, res, converged=res[-1] <= tol,
+                       breakdown=breakdown)

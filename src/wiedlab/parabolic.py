@@ -44,11 +44,23 @@ class ParabolicConfig:
     linear_maxit: int = 5000
 
     def __post_init__(self):
+        check_numbers(self, ("picard_tol", "linear_tol")
+                      + (("dt",) if self.dt is not None else ()))
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.picard_tol <= 0 or self.linear_tol <= 0:
             raise ValueError("tolerances must be positive")
         check_counts(self, ("picard_maxit", "linear_maxit"))
+
+
+def check_numbers(cfg, names):
+    """Raise ValueError unless each named field of cfg is a finite real
+    number; a bool (a JSON true or false) is not one."""
+    for name in names:
+        v = getattr(cfg, name)
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.number)) \
+                or not np.isfinite(v):
+            raise ValueError(f"{name} must be a finite number, got {v!r}")
 
 
 def check_counts(cfg, names):

@@ -8,8 +8,8 @@ from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               axis_eigenbasis, build_operators,
                               exp_time_weights,
                               functional_gradient, functional_value,
-                              spectral_preconditioner, stencil_residual,
-                              weighted_trace_flux)
+                              space_time_inverse, spectral_preconditioner,
+                              stencil_residual, weighted_trace_flux)
 from wiedlab.combustion import (CombustionModel, beta_prime_eval,
                                 model_from_dict, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
@@ -216,6 +216,40 @@ def test_spectral_preconditioner_inverts_base_system():
             z = prec(r)
             assert np.max(np.abs(A @ z - r)) < 1e-10 * np.max(np.abs(r)), \
                 (d, a, eps, sigma)
+
+
+def test_trace_newton_step_matches_sparse_direct_solve():
+    # the Woodbury/trace Newton step (exact Picard inverse plus GMRES on the
+    # y = 0 trace) against a sparse direct solve with the assembled Newton
+    # matrix, at a Picard iterate of a burning plateau
+    from scipy.sparse.linalg import spsolve
+
+    from wiedlab.wied import WiedConfig, WiedConvergenceError, solve_wied
+    for d, eps in itertools.product((1, 2), (0.1, 0.03)):
+        g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0,
+                                nx=8, ny=4, nt=24))
+        U0 = g.eval_spatial(lambda *xy: np.clip(
+            1 - sum(v**2 for v in xy[:-1]) / 0.36, 0, None)**2
+            + 0.0 * xy[-1]).ravel()
+        system = assemble_linear_system(g, eps)
+        with pytest.raises(WiedConvergenceError) as exc:
+            solve_wied(g, BUMP, WiedConfig(eps=eps, outer_maxit=4), U0,
+                       system=system)
+        U = exc.value.U
+        nt, S = g.spec.nt, g.n_spatial
+        tr = system.ops.trace_index
+        ctm = system.c_hat[:, None] * system.ops.trace_mass
+        dbeta = ctm * beta_prime_eval(BUMP, U[1:, tr])
+        rhs = system.rhs(U0).reshape(nt, S)
+        rhs[:, tr] += dbeta * U[1:, tr] - system.beta_source(BUMP, U)
+        x_ref = spsolve(system.newton_matrix(BUMP, U).tocsc(), rhs.ravel())
+        inv = space_time_inverse(system, BUMP.lipschitz)
+        for tol in (1e-7, 1e-11):
+            x, sol = inv.shifted_solve(inv(rhs), dbeta - ctm * BUMP.lipschitz,
+                                       tol=tol, maxit=500, y0=U[1:, tr])
+            assert sol.converged, (d, eps, tol)
+            assert np.max(np.abs(x.ravel() - x_ref)) <= \
+                10.0 * tol * np.max(np.abs(x_ref)), (d, eps, tol)
 
 
 def test_trace_capacitance_matches_dense_inverse():

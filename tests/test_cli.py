@@ -154,12 +154,14 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
     ({"parabolic": {"linear_maxit": 0}}, "linear_maxit"),
     ({"wied": {"outer_maxit": 0}}, "outer_maxit"),
     ({"wied": {"inner_maxit": 0}}, "inner_maxit"),
+    ({"wied": {"inner_tol": True}}, "inner_tol"),
+    ({"schedule": {"eps0": 0.05, "ratio": 0.5, "count": True}}, "count"),
 ], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
         "cylinder-does-not-fit", "uniform-bounds-factor-string",
         "no-spikes-delta-string", "holder-levels-string",
         "embedding-layer-time-string", "isoperimetric-p-string",
         "picard-maxit-0", "linear-maxit-0", "outer-maxit-0",
-        "inner-maxit-0"])
+        "inner-maxit-0", "inner-tol-boolean", "schedule-count-boolean"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)

@@ -103,3 +103,68 @@ def test_beta_prime_matches_fd():
 def test_unknown_kind_rejected():
     with pytest.raises(ModelError):
         CombustionModel("frobnicator")
+
+
+def _beta_formulas(model, v):
+    # the clip/mask formulas beta_eval and beta_prime_eval evaluate,
+    # written out as the reference for the faster implementation
+    from scipy import special
+    v = np.asarray(v, dtype=float)
+    vc = np.clip(v, 0.0, 1.0)
+    if model.kind == "polynomial-bump":
+        m = float(model.params.get("m", 1.0))
+        n = float(model.params.get("n", 1.0))
+        c = 0.5 / special.beta(m + 1.0, n + 1.0)
+        beta = c * vc**m * (1.0 - vc) ** n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prime = c * (m * vc ** max(m - 1.0, 0.0) * (1.0 - vc) ** n
+                         - n * vc**m * (1.0 - vc) ** max(n - 1.0, 0.0))
+        prime = np.nan_to_num(prime)
+    elif model.kind == "piecewise-linear-hat":
+        c = float(model.params.get("peak", 0.5))
+        beta = np.where(vc <= c, vc / c, (1.0 - vc) / (1.0 - c))
+        prime = np.where(vc <= c, 1.0 / c, -1.0 / (1.0 - c))
+    else:
+        tv = np.asarray(model.params["v"], dtype=float)
+        tb = np.asarray(model.params["beta"], dtype=float)
+        beta = np.interp(vc, tv, tb, left=0.0, right=0.0)
+        slopes = np.diff(tb) / np.diff(tv)
+        idx = np.clip(np.searchsorted(tv, vc, side="right") - 1, 0,
+                      tv.size - 2)
+        prime = slopes[idx]
+    beta = np.where((v >= 0.0) & (v <= 1.0), beta, 0.0)
+    prime = np.where((v > 0.0) & (v < 1.0), prime, 0.0)
+    return beta, prime
+
+
+@pytest.mark.parametrize("model", [
+    BUMP, HAT,
+    validate_model(CombustionModel("polynomial-bump", {"m": 2, "n": 0.5})),
+    validate_model(CombustionModel("polynomial-bump", {"m": 0, "n": 3})),
+    validate_model(CombustionModel("polynomial-bump", {"m": 1.5, "n": 0})),
+    validate_model(CombustionModel("piecewise-linear-hat", {"peak": 0.3})),
+    validate_model(CombustionModel("custom-table",
+                                   {"v": [0.0, 0.2, 0.7, 1.0],
+                                    "beta": [0.0, 1.0, 0.4, 0.0]})),
+], ids=["bump", "hat", "bump-2-0.5", "bump-0-3", "bump-1.5-0", "hat-0.3",
+        "table"])
+def test_beta_bits_match_clip_and_mask_formulas(model):
+    # same bits as the clip/mask formulas, signed zeros, the interval ends,
+    # infinities and NaN included, on 0-d input and on array lengths that
+    # take the vector loops and their remainders
+    rng = np.random.default_rng(21)
+    special = [-0.0, 0.0, 1.0, -1e-300, 1e-300, 1.0 - 1e-16, 1.0 + 1e-15,
+               np.inf, -np.inf, np.nan]
+    cases = [np.array(s) for s in special]
+    for n in (1, 7, 9, 17, 81, 4000):
+        for s in special:
+            v = rng.uniform(-0.5, 1.5, n)
+            v[rng.integers(n)] = s
+            cases.append(v)
+    for v in cases:
+        beta, prime = _beta_formulas(model, v)
+        for got, ref in ((beta_eval(model, v), beta),
+                         (beta_prime_eval(model, v), prime)):
+            got = np.asarray(got)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from wiedlab.assembly import build_operators
 from wiedlab.grid import GridSpec, build_grid
 from wiedlab.linalg import (SolverError, bicgstab_solve, build_csr,
-                            finalize_csr, pcg_solve, spmv)
+                            finalize_csr, gmres_solve, pcg_solve, spmv)
 
 
 def test_spmv_identity_and_zero():
@@ -102,6 +102,29 @@ def test_bicgstab_vs_dense_on_drift_system():
     assert np.max(np.abs(res.x - x_dense)) < 1e-7 * np.max(np.abs(x_dense))
 
 
+def test_gmres_vs_dense_on_drift_system():
+    # the space-time matrix is nonsymmetric (the exponential weight
+    # couples the time layers one-sidedly); restarts and a warm start
+    # must reach the dense solution, and the true residual is reported
+    from wiedlab.assembly import assemble_linear_system
+    g = build_grid(GridSpec(d=1, a=0.2, L=1.0, Y=1.0, T=0.5,
+                            nx=4, ny=4, nt=8))
+    system = assemble_linear_system(g, 0.1)
+    A = system.A
+    assert abs(A - A.T).max() > 0.0
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal(A.shape[0])
+    x_dense = np.linalg.solve(A.toarray(), b)
+    for restart, x0 in ((30, None), (400, None),
+                        (30, x_dense + 1e-3 * rng.standard_normal(b.size))):
+        res = gmres_solve(lambda v: A @ v, b, tol=1e-12, maxit=20000,
+                          restart=restart, x0=x0)
+        assert res.converged, (restart, res.breakdown)
+        assert res.final_residual == pytest.approx(
+            np.linalg.norm(b - A @ res.x) / np.linalg.norm(b), rel=1e-6)
+        assert np.max(np.abs(res.x - x_dense)) < 1e-8 * np.max(np.abs(x_dense))
+
+
 def test_solver_determinism_bitwise():
     g = build_grid(GridSpec(d=1, a=0.3, L=1.0, Y=1.0, T=1.0,
                             nx=6, ny=6, nt=2))
@@ -116,6 +139,11 @@ def test_solver_determinism_bitwise():
     s1 = bicgstab_solve(A, b, tol=1e-12)
     s2 = bicgstab_solve(A, b, tol=1e-12)
     assert np.array_equal(s1.x, s2.x)
+    g1 = gmres_solve(lambda v: A @ v, b, tol=1e-12, restart=5)
+    g2 = gmres_solve(lambda v: A @ v, b, tol=1e-12, restart=5)
+    assert g1.converged and g1.iterations > 5   # restarted at least once
+    assert np.array_equal(g1.x, g2.x)
+    assert g1.residuals == g2.residuals
 
 
 def test_single_unknown_system_closed_form():

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wiedlab.assembly import ForcingSpec, functional_gradient, functional_value
 from wiedlab.combustion import CombustionModel, validate_model
 from wiedlab.grid import GridSpec, build_grid
-from wiedlab.wied import (EpsilonSchedule, WiedConfig, dist_C_L2a,
-                          solve_linear_wied, solve_wied, sweep_epsilon)
+from wiedlab.wied import (EpsilonSchedule, WiedConfig, WiedConvergenceError,
+                          dist_C_L2a, solve_linear_wied, solve_wied,
+                          sweep_epsilon)
 
 BUMP = validate_model(CombustionModel())
 
@@ -35,14 +38,44 @@ def test_maximum_principle_combustion():
     assert res.U.max() <= 1.0 + 1e-8
 
 
-def test_picard_solves_take_at_most_two_inner_iterations():
-    # the preconditioner inverts the majorize-minimize Picard matrix
-    # exactly, so BiCGStab only confirms the direct solve
-    g = grid_small()
-    res = solve_wied(g, BUMP, WiedConfig(eps=0.1, outer="picard",
-                                         outer_tol=1e-9), bump_data(g))
-    assert res.stats["inner_iterations"]
-    assert max(res.stats["inner_iterations"]) <= 2
+@pytest.mark.parametrize("d", [1, 2])
+def test_tracked_residual_matches_full_residual_at_every_step(d):
+    # Picard steps are one exact apply and Newton steps a trace solve, so
+    # the residual and the functional after each accepted step are tracked
+    # from trace data, not recomputed.  Stopping the solve after k steps
+    # makes it report the full LinearSystem.residual and functional_value
+    # at the same iterate.  The residuals must agree to 1e-10 relative,
+    # down to a floor of 1e-13 of the level's residual scale, where the
+    # full residual's own roundoff sits (observed: 1e-16 of the scale);
+    # the functionals to 1e-12 relative (observed: 5e-15)
+    spec = {1: dict(nx=16, ny=8, nt=80), 2: dict(nx=6, ny=4, nt=24)}[d]
+    g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0, **spec))
+    U0 = g.eval_spatial(lambda *xy: np.clip(
+        1 - sum(v**2 for v in xy) / 0.36, 0, None)**2).ravel()
+    # a loose inner_tol leaves Newton steps inexact, whose GMRES residual
+    # the tracked residual must carry too
+    for eps, inner_tol in ((0.1, 1e-11), (0.03, 1e-6)):
+        cfg = WiedConfig(eps=eps, outer="newton", outer_tol=1e-10,
+                         inner_tol=inner_tol)
+        res = solve_wied(g, BUMP, cfg, U0)
+        tracked = res.stats["residuals"]
+        f_tracked = res.stats["functional"]
+        scale = res.stats["el_tol_abs"] / cfg.outer_tol
+        inner = res.stats["inner_iterations"]
+        assert 0 in inner and max(inner) > 0     # Picard and Newton steps
+        steps = res.stats["iterations"] - 1
+        assert steps >= 4
+        for k in range(1, steps):
+            with pytest.raises(WiedConvergenceError) as exc:
+                solve_wied(g, BUMP, replace(cfg, outer_maxit=k), U0)
+            full = exc.value.stats["residuals"][-1]
+            assert abs(tracked[k] - full) <= 1e-10 * full + 1e-13 * scale, \
+                (eps, k)
+            f_full = exc.value.stats["functional"][-1]
+            assert f_full == functional_value(g, BUMP, eps, exc.value.U, U0)
+            assert abs(f_tracked[k] - f_full) <= 1e-12 * abs(f_full), (eps, k)
+        # the reported residual is the full one, below the tolerance
+        assert tracked[-1] <= res.stats["el_tol_abs"]
 
 
 def test_initial_layer_exact_and_functional_below_extension():
