@@ -1,63 +1,41 @@
 #!/usr/bin/env python3
 """Regenerate the frozen calibration constants for a benchmark config.
 
-Runs the benchmark, measures every calibrated diagnostic, and writes
-<config>.calibration.json next to the config.  The acceptance suite then
-enforces stability against these values (4x for the sup-ratio, exact
-family reproduction for the isoperimetric constant).
+Runs the benchmark, reads the calibrated diagnostics (L2 -> Linf ratios,
+embedding ratios) from the run's reports, measures the isoperimetric
+constant on its fixed slice family, and writes <config>.calibration.json
+next to the config.  The acceptance suite then enforces stability
+against these values (4x for the sup-ratio, exact family reproduction
+for the isoperimetric constant).
 
 Usage: python scripts/calibrate.py [configs/combustion-1d.json]
 """
 
 import json
 import sys
-import tempfile
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wiedlab import diagnostics as dg
-from wiedlab.acceptance import _slice_family, calibration_path
-from wiedlab.assembly import ForcingSpec
-from wiedlab.combustion import beta_eval
-from wiedlab.config import load_config
-from wiedlab.grid import Cylinder, GridSpec, build_grid, weighted_norm
-from wiedlab.runner import load_field, run_experiment
+from wiedlab.acceptance import (AcceptanceContext, _slice_family,
+                                calibration_path)
+from wiedlab.grid import GridSpec, build_grid
 
 
 def main(config_path="configs/combustion-1d.json"):
-    cfg = load_config(config_path)
-    workdir = Path(tempfile.mkdtemp(prefix="wiedlab-cal-"))
-    manifest = run_experiment(cfg, out=str(workdir / "run"))
-    grid = build_grid(cfg.grid)
-
-    p, q = cfg.forcing_exponents
-    ratios = []
-    for eps in cfg.schedule.values():
-        _, arr, _ = load_field(workdir / "run" / "fields" / f"eps-{eps:g}.f64")
-        fld = arr.reshape(grid.spacetime_shape)
-        forcing = ForcingSpec(f=-np.asarray(beta_eval(cfg.model, fld[:, 0, :])),
-                              p=p, q=q)
-        r = dg.linf_l2_ratio(grid, fld, forcing, center=(0.0, 0.0, 2.0),
-                             radius=1.0)
-        ratios.append(r["ratio"])
+    ctx = AcceptanceContext(config_path)
+    manifest = ctx.benchmark()["manifest"]
+    ratios = [float(r["ratio"]) for r in ctx.report("linf_l2.csv")]
 
     coarse = build_grid(GridSpec(d=1, a=0.5, L=1.2, Y=1.2, T=1.0,
                                  nx=40, ny=12, nt=2))
     iso = [dg.isoperimetric_check(coarse, coarse.eval_spatial(f), p=1.5)
-           ["ratio"] for f in _slice_family(10, seed=cfg.seed)]
+           ["ratio"] for f in _slice_family(10, seed=ctx.cfg.seed)]
 
-    emb_trace, emb_sob = [], []
-    n_layer = int(round(2.0 / grid.dt))
-    for eps in cfg.schedule.values():
-        _, arr, _ = load_field(workdir / "run" / "fields" / f"eps-{eps:g}.f64")
-        sl = arr.reshape(grid.spacetime_shape)[n_layer]
-        r = dg.embedding_ratio_check(grid, sl, radius=1.0)
-        if r.get("applicable"):
-            emb_trace.append(r["trace_ratio"])
-            emb_sob.append(r["sobolev_ratio"])
+    # no embedding.csv when the embedding ratios do not apply (d - 1 + a <= 0)
+    emb = (ctx.report("embedding.csv")
+           if "reports/embedding.csv" in manifest["artifacts"] else [])
 
     calibration = {
         "calibration_id": f"{Path(config_path).stem}"
@@ -67,8 +45,10 @@ def main(config_path="configs/combustion-1d.json"):
         "no_spikes_delta": 0.5,
         "isoperimetric_max": max(iso),
         "isoperimetric_per_slice": iso,
-        "embedding_trace_max": max(emb_trace) if emb_trace else None,
-        "embedding_sobolev_max": max(emb_sob) if emb_sob else None,
+        "embedding_trace_max": max(
+            (float(r["trace_ratio"]) for r in emb), default=None),
+        "embedding_sobolev_max": max(
+            (float(r["sobolev_ratio"]) for r in emb), default=None),
     }
     out = calibration_path(config_path)
     out.write_text(json.dumps(calibration, indent=1, sort_keys=True) + "\n")

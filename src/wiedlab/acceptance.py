@@ -2,13 +2,17 @@
 
 The benchmark artifacts are produced once per process (through the same
 runner the CLI uses) and shared across criteria; determinism re-runs the
-pipeline.  Calibrated thresholds come from the shipped calibration file
-next to the config.  `run_acceptance` powers both the CLI `verify`
-subcommand and tests/test_acceptance.py.
+pipeline.  The diagnostic criteria read the run's summary.json and
+reports, after checking that the run used the options and thresholds
+they enforce, so a config edit cannot loosen a criterion.  Calibrated
+thresholds come from the shipped calibration file next to the config.
+`run_acceptance` powers both the CLI `verify` subcommand and
+tests/test_acceptance.py.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import tempfile
 import time
@@ -17,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics as dg
-from .assembly import ForcingSpec, functional_gradient, functional_value
-from .combustion import beta_eval
+from . import diagnostics as dg, registry
+from .assembly import functional_gradient, functional_value
 from .config import load_config
 from .grid import Cylinder, GridSpec, build_grid, weighted_norm
 from .parabolic import ParabolicConfig, analytic_heat_oracle, solve_parabolic
@@ -67,11 +70,29 @@ class AcceptanceContext:
                 levels.append((eps, arr.reshape(grid.spec.nt + 1, -1)))
             _, ref, _ = load_field(out / "fields" / "parabolic.f64")
             stats = json.loads((out / "reports" / "levels.json").read_text())
+            summary = {e["name"]: e for e in json.loads(
+                (out / "summary.json").read_text())}
             self._run = {"manifest": manifest, "grid": grid,
                          "levels": levels,
                          "reference": ref.reshape(grid.spec.nt + 1, -1),
-                         "stats": stats, "out": out}
+                         "stats": stats, "summary": summary, "out": out}
         return self._run
+
+    def report(self, name: str) -> list[dict]:
+        """Rows of one of the run's reports/*.csv, values as strings."""
+        with open(self.benchmark()["out"] / "reports" / name) as f:
+            return list(csv.DictReader(f))
+
+    def pinned(self, name: str, **want) -> str | None:
+        """None when the config runs diagnostic name with these options
+        (defaults filled in), else what differs."""
+        given = [d.options for d in self.cfg.diagnostics if d.name == name]
+        if not given:
+            return f"the config does not run {name!r}"
+        opt = registry.options(name, given[0], self.cfg.grid)
+        bad = [f"{k}={opt.get(k)!r} (gate: {v!r})" for k, v in want.items()
+               if opt.get(k) != v]
+        return f"{name!r} runs with {', '.join(bad)}" if bad else None
 
 
 # ---------------------------------------------------------------------------
@@ -154,50 +175,50 @@ def criterion_max_principle(ctx) -> CriterionResult:
         f"worst excursion outside [0,1]: {worst:.2e} (tol 1e-8)")
 
 
+# the cylinder criteria 7 and 8 are stated on
+GATE_CYLINDER = {"center": [0.0, 0.0, 2.0], "radius": 1.0}
+
+
 def criterion_energy_identity(ctx) -> CriterionResult:
     run = ctx.benchmark()
-    grid = run["grid"]
-    worst_ratio, details = 0.0, []
-    for (eps, U), st in zip(run["levels"], run["stats"]):
-        rep = dg.energy_decomposition(grid, ctx.cfg.model, eps, U)
-        tol = 10.0 * st["el_tol_abs"]
-        worst_ratio = max(worst_ratio, rep.identity_l1 / tol)
-        details.append(f"{rep.identity_l1:.1e}/{tol:.1e}")
-    ok = worst_ratio <= 1.0
+    entries = [run["summary"].get(f"energy-identity-eps-{st['eps']:g}", {})
+               for st in run["stats"]]
+    if [e.get("threshold") for e in entries] != [
+            10.0 * st["el_tol_abs"] for st in run["stats"]]:
+        return CriterionResult("5 energy identity", False,
+                               "no energy-identity entry at 10x EL "
+                               "tolerance for some level")
+    ok = all(e["value"] <= e["threshold"] for e in entries)
     return CriterionResult(
         "5 energy identity", ok,
-        f"|E'+2I|_1 vs 10x EL tolerance per level: {', '.join(details)}")
+        "|E'+2I|_1 vs 10x EL tolerance per level: " + ", ".join(
+            f"{e['value']:.1e}/{e['threshold']:.1e}" for e in entries))
 
 
 def criterion_uniform_bounds(ctx) -> CriterionResult:
-    run = ctx.benchmark()
-    grid = run["grid"]
-    reports = [dg.energy_decomposition(grid, ctx.cfg.model, eps, U)
-               for eps, U in run["levels"]]
-    ub = dg.uniform_bounds_report(reports, factor=4.0)
+    entry = ctx.benchmark()["summary"].get("uniform-bounds", {})
+    bad = ctx.pinned("uniform-bounds", factor=4.0)
+    if bad or entry.get("threshold") != 4.0:
+        return CriterionResult("6 uniform energy bounds", False,
+                               bad or "no uniform-bounds entry at 4")
+    rows = ctx.report("uniform_bounds.csv")
+    dt = dg.spread([float(r["dt_energy"]) for r in rows])
+    win = dg.spread([float(v) for r in rows for k, v in r.items()
+                     if k.startswith("windowed_")])
     return CriterionResult(
-        "6 uniform energy bounds", ub["uniform"],
-        f"dt-energy spread {ub['dt_energy_spread']:.2f}, windowed spread "
-        f"{ub['windowed_spread']:.2f} (both <= 4)")
+        "6 uniform energy bounds", entry["pass"],
+        f"dt-energy spread {dt:.2f}, windowed spread {win:.2f} (both <= 4)")
 
 
 def criterion_linf_l2(ctx) -> CriterionResult:
-    run = ctx.benchmark()
-    grid = run["grid"]
     cal = ctx.calibration.get("linf_l2_max")
-    if cal is None:
-        return CriterionResult("7 L2->Linf uniformity", False,
-                               "no calibration file", skipped=False)
-    p, q = ctx.cfg.forcing_exponents
-    ratios = []
-    for eps, U in run["levels"]:
-        tr = U.reshape(grid.spacetime_shape)[:, 0, :]
-        forcing = ForcingSpec(f=-np.asarray(beta_eval(ctx.cfg.model, tr)),
-                              p=p, q=q)
-        r = dg.linf_l2_ratio(grid, U.reshape(grid.spacetime_shape), forcing,
-                             center=(0.0, 0.0, 2.0), radius=1.0)
-        ratios.append(r["ratio"])
-    ok = all(r <= 4.0 * cal for r in ratios)
+    bad = "no calibration file" if cal is None else ctx.pinned(
+        "linf-l2", **GATE_CYLINDER)
+    if bad:
+        return CriterionResult("7 L2->Linf uniformity", False, bad)
+    ratios = [float(r["ratio"]) for r in ctx.report("linf_l2.csv")]
+    ok = len(ratios) == len(ctx.cfg.schedule.values()) and all(
+        r <= 4.0 * cal for r in ratios)
     return CriterionResult(
         "7 L2->Linf uniformity", ok,
         f"ratios {['%.3f' % r for r in ratios]} <= 4 x frozen {cal:.3f}")
@@ -207,39 +228,38 @@ def criterion_no_spikes(ctx) -> CriterionResult:
     run = ctx.benchmark()
     grid = run["grid"]
     delta = ctx.calibration.get("no_spikes_delta", 0.5)
-    cyl = Cylinder((0.0, 0.0, 2.0), 1.0)
+    entry = run["summary"].get("no-spikes-decay")
+    bad = ctx.pinned("no-spikes", delta=delta, **GATE_CYLINDER)
+    if bad or entry is None:
+        return CriterionResult("8 no-spikes decay", False,
+                               bad or "no no-spikes-decay entry")
+    # the smallness hypothesis is checked here, independently of the run
+    cyl = Cylinder(tuple(GATE_CYLINDER["center"]), GATE_CYLINDER["radius"])
     fld = run["levels"][-1][1].reshape(grid.spacetime_shape)
     upos = np.clip(fld, 0.0, None)
     denom = weighted_norm(grid, upos, "L2a", region=cyl)
     lam = np.sqrt(delta) / denom
-    rep = dg.no_spikes_iteration(grid, lam * upos, cyl)
     smallness = float(np.sum(
         np.multiply.outer(grid.tvol,
                           grid.node_mass.reshape(grid.spatial_shape))
         * (lam * upos) ** 2 * cyl.mask(grid)))
-    ok = bool(rep.converged and smallness <= delta * (1 + 1e-12))
+    ok = bool(entry["pass"] and smallness <= delta * (1 + 1e-12))
     return CriterionResult(
         "8 no-spikes decay", ok,
         f"scaled smallness {smallness:.3f} <= delta {delta}, "
-        f"E_12 = {rep.energies[-1]:.1e} (<= 1e-12)")
+        f"E_12 = {entry['value']:.1e} (<= 1e-12)")
 
 
 def criterion_holder(ctx) -> CriterionResult:
-    run = ctx.benchmark()
-    grid = run["grid"]
-    fld = run["levels"][-1][1].reshape(grid.spacetime_shape)
-    probes = next(d.options["centers"] for d in ctx.cfg.diagnostics
-                  if d.name == "holder")
-    details, ok = [], True
-    for c in probes:
-        rep = dg.fit_holder(dg.oscillation_table(grid, fld, tuple(c), 3))
-        ratios = rep.ratios()
-        good = (0.05 < rep.alpha < 1.0 and rep.fit_residual <= 0.15
-                and all(r <= 0.95 for r in ratios))
-        ok = ok and good
-        details.append(f"x0={c[0]:g},t0={c[-1]:g}: alpha={rep.alpha:.3f} "
-                       f"resid={rep.fit_residual:.3f} "
-                       f"maxratio={max(ratios):.3f}")
+    bad = ctx.pinned("holder", levels=3)
+    rows = [] if bad else ctx.report("holder_fits.csv")
+    details, ok = [bad] if bad else [], bool(rows)
+    for row in rows:
+        x0, t0, alpha, resid, top = (float(row[k]) for k in (
+            "x0", "t0", "alpha", "residual", "max_ratio"))
+        ok = ok and 0.05 < alpha < 1.0 and resid <= 0.15 and top <= 0.95
+        details.append(f"x0={x0:g},t0={t0:g}: alpha={alpha:.3f} "
+                       f"resid={resid:.3f} maxratio={top:.3f}")
     return CriterionResult(
         "9 oscillation decay / Hoelder fit", ok, "; ".join(details))
 

@@ -705,9 +705,3 @@ def weighted_trace_flux(grid: WeightedGrid, spatial_field: np.ndarray) -> np.nda
     """Discrete partial_y^a U at y = 0 recovered from the first face."""
     U = np.asarray(spatial_field, dtype=float).reshape(grid.spatial_shape)
     return grid.face_trans_y[0] * (U[1] - U[0])
-
-
-def dump_operator(path, A: sp.spmatrix, comment: str = ""):
-    """Matrix-Market text dump of an assembled operator (debug aid)."""
-    from scipy.io import mmwrite
-    mmwrite(str(path), sp.coo_matrix(A), comment=comment)

@@ -7,27 +7,28 @@ Subcommands:
     diagnose <config> --field F --which a,b,...   diagnostics on a stored field
     verify <config>              acceptance suite, one pass/fail line each
 
+`run` and `diagnose` compute the diagnostics through one registry
+(wiedlab.registry).  `--which` takes exactly the names a config may
+list and rejects any other with exit 2 before anything is computed or
+written.  `diagnose` writes the reports `run` writes, with the same
+columns (`eps` reads None for a field without eps, such as the parabolic
+reference), plus diagnose_summary.json.  It uses the config's options
+for a listed diagnostic and a grid-centred cylinder for one the config
+does not list.  A diagnostic that measures nothing on the field (energy
+on a field without eps, uniform-bounds on one level) prints one line to
+stderr and writes nothing.
+
 Exit codes: 0 ok, 2 config/usage error, 3 solver failure (partial
-artifacts kept), 4 I/O error.  --threads (or WIEDLAB_THREADS) caps the
-diagnostic worker pool.
+artifacts kept), 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("WIEDLAB_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("config", help="experiment config JSON")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--strict-support", action="store_true",
                        help="require the initial trace to vanish near the "
@@ -86,15 +86,14 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, cfg) -> int:
-    from .runner import RunnerSolverError, dump_field, load_field, run_experiment
+    from .runner import RunnerSolverError, dump_field, run_experiment
     from .grid import build_grid
 
-    threads = _threads(args)
     out = Path(args.out or cfg.output)
 
     if args.command == "run":
         try:
-            manifest = run_experiment(cfg, out=str(out), threads=threads)
+            manifest = run_experiment(cfg, out=str(out))
         except RunnerSolverError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 3
@@ -153,65 +152,40 @@ def _dispatch(args, cfg) -> int:
 
 
 def _diagnose(args, cfg, out) -> int:
-    from . import diagnostics as dg
-    from .runner import load_field, write_csv, write_json
-    from .grid import Cylinder
+    from . import registry
+    from .assembly import build_operators
+    from .runner import DiagnosticError, load_field, write_diagnostics, \
+        write_json
 
+    which = [w.strip() for w in args.which.split(",") if w.strip()]
+    unknown = [w for w in which if w not in registry.DIAGNOSTICS]
+    if unknown:
+        print(f"unknown diagnostic(s) {', '.join(map(repr, unknown))}; "
+              f"known: {', '.join(registry.DIAGNOSTICS)}", file=sys.stderr)
+        return 2
     grid, arr, side = load_field(Path(args.field))
-    eps = side.get("eps", cfg.schedule.eps0)
+    # an unlisted diagnostic probes the widest cylinder at x = y = 0, T/2
     sp = grid.spec
     tc = sp.T / 2.0
-    rad = 0.999 * min(1.0, sp.L, sp.Y, np.sqrt(tc), np.sqrt(sp.T - tc))
-    default_cyl = (0.0,) * grid.d + (0.0, tc)
+    center = (0.0,) * grid.d + (0.0, tc)
+    probe = {"center": center, "centers": [center],
+             "radius": 0.999 * min(1.0, sp.L, sp.Y, math.sqrt(tc),
+                                   math.sqrt(sp.T - tc))}
+    listed = {d.name: d.options for d in cfg.diagnostics}
     out.mkdir(parents=True, exist_ok=True)
-    which = [w.strip() for w in args.which.split(",") if w.strip()]
-    by_name = {d.name: d for d in cfg.diagnostics}
     summary = []
-    for name in which:
-        opt = by_name[name].options if name in by_name else {}
-        try:
-            if name == "energy":
-                rep = dg.energy_decomposition(grid, cfg.model, eps, arr)
-                write_csv(out / f"energy-eps-{eps:g}.csv",
-                          ["n", "tau", "I", "R", "E"], rep.rows())
-                summary.append({"name": "energy-identity",
-                                "value": rep.identity_l1,
-                                "threshold": None, "pass": None,
-                                "calibration-id": None})
-            elif name == "no-spikes":
-                cyl = Cylinder(tuple(opt.get("center", default_cyl)),
-                               float(opt.get("radius", rad)))
-                rep = dg.no_spikes_iteration(grid, np.clip(arr, 0, None), cyl)
-                write_csv(out / "no_spikes.csv",
-                          ["j", "level", "radius", "energy"],
-                          [{"j": j, "level": rep.levels[j],
-                            "radius": rep.radii[j], "energy": rep.energies[j]}
-                           for j in range(rep.levels.shape[0])])
-            elif name == "holder":
-                centers = opt.get("centers", [default_cyl])
-                rows = []
-                for c in centers:
-                    rep = dg.fit_holder(dg.oscillation_table(
-                        grid, arr, tuple(c), int(opt.get("levels", 3))))
-                    rows.append({"x0": c[0], "t0": c[-1],
-                                 "alpha": rep.alpha, "C": rep.constant,
-                                 "residual": rep.fit_residual})
-                write_csv(out / "holder_fits.csv",
-                          ["x0", "t0", "alpha", "C", "residual"], rows)
-            elif name == "level-sets":
-                cyl = Cylinder(tuple(opt.get("center", default_cyl)),
-                               float(opt.get("radius", rad)))
-                ls = dg.level_set_measures(grid, arr, cyl)
-                write_csv(out / "level_sets.csv", ["A", "C", "D", "total"],
-                          [ls.measures])
-            else:
-                print(f"unknown diagnostic {name!r}", file=sys.stderr)
-                return 2
-        except (ValueError, ArithmeticError) as exc:
-            # the field does not support this diagnostic (GridError included)
-            print(f"solver failure: diagnostic {name!r}: {exc}",
-                  file=sys.stderr)
-            return 3
+    try:
+        skipped = write_diagnostics(
+            [(name, listed.get(name, probe)) for name in which],
+            registry.Context(grid, cfg.model, cfg.forcing_exponents,
+                             build_operators(grid)),
+            [registry.Level(side.get("eps"), arr, None)], out, summary)
+    except DiagnosticError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    for name, reason in skipped:
+        print(f"diagnostic {name!r} not applicable: {reason}",
+              file=sys.stderr)
     write_json(out / "diagnose_summary.json", summary)
     print(f"diagnostics {', '.join(which)} written to {out}")
     return 0

@@ -8,69 +8,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import ForcingSpec
+from . import registry
 from .combustion import CombustionModel, model_from_dict
-from .grid import Cylinder, GridSpec, WeightedGrid, build_grid
+from .grid import GridSpec, WeightedGrid, build_grid
 from .parabolic import ParabolicConfig, check_time_step
 from .wied import EpsilonSchedule, WiedConfig, check_horizon
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _number(where: str, value, *, integer: bool = False, low=None,
-            high=None, open_low: bool = False, open_high: bool = False):
-    """value if it is a finite JSON number (an integer when asked) inside
-    the given bounds, else ConfigError naming where it sits."""
-    kinds = (int, np.integer) if integer else (int, float, np.number)
-    ok = isinstance(value, kinds) and not isinstance(value, bool)
-    if ok:
-        ok = bool(np.isfinite(value))
-    if ok and low is not None:
-        ok = value > low if open_low else value >= low
-    if ok and high is not None:
-        ok = value < high if open_high else value <= high
-    if not ok:
-        need = "integer" if integer else "number"
-        if high is not None:
-            need += (f" in {'(' if open_low else '['}{low}, "
-                     f"{high}{')' if open_high else ']'}")
-        elif low is not None:
-            need += f" {'>' if open_low else '>='} {low}"
-        raise ConfigError(f"{where} must be a finite {need}, got {value!r}")
-    return value
-
-
-# options that must be positive numbers, per diagnostic; the diagnostics
-# that take a cylinder need its center and radius
-_POSITIVE_OPTIONS = {"uniform-bounds": ("factor",),
-                     "linf-l2": ("radius",),
-                     "no-spikes": ("delta", "radius"),
-                     "level-sets": ("radius",),
-                     "embedding": ("radius",),
-                     "isoperimetric": ("radius",)}
-_CYLINDER_DIAGNOSTICS = ("linf-l2", "no-spikes", "level-sets")
-
-
-def _check_options(req, T: float):
-    opt = req.options
-    where = f"diagnostic {req.name!r} option"
-    for key in _POSITIVE_OPTIONS.get(req.name, ()):
-        if key in opt:
-            _number(f"{where} {key!r}", opt[key], low=0.0, open_low=True)
-    if req.name in _CYLINDER_DIAGNOSTICS:
-        missing = [k for k in ("center", "radius") if opt.get(k) is None]
-        if missing:
-            raise ConfigError(f"diagnostic {req.name!r} needs "
-                              f"{' and '.join(map(repr, missing))}")
-    if req.name == "holder" and "levels" in opt:
-        _number(f"{where} 'levels'", opt["levels"], integer=True, low=1)
-    if req.name == "isoperimetric" and "p" in opt:
-        _number(f"{where} 'p'", opt["p"], low=1.0, high=2.0,
-                open_low=True, open_high=True)
-    if req.name in ("embedding", "isoperimetric") and "layer_time" in opt:
-        _number(f"{where} 'layer_time'", opt["layer_time"], low=0.0, high=T)
 
 
 @dataclass
@@ -175,41 +121,21 @@ class ExperimentConfig:
         return self
 
     def _validate(self):
-        from .runner import DIAGNOSTIC_NAMES   # runner imports this module
         if not isinstance(self.output, str):
             raise ConfigError(f"output must be a path string, "
                               f"got {self.output!r}")
         check_horizon(self.schedule.eps0, self.grid.T)
-        unknown = [req.name for req in self.diagnostics
-                   if req.name not in DIAGNOSTIC_NAMES]
-        if unknown:
-            raise ConfigError(
-                f"unknown diagnostic(s) {', '.join(map(repr, unknown))}; "
-                f"known: {', '.join(DIAGNOSTIC_NAMES)}")
         grid = build_grid(self.grid)
         check_time_step(self.parabolic, grid)
         if self.strict_support:
             self.initial.check_strict_support(grid)
         else:
             self.initial.evaluate(grid)
-        if any(req.name == "linf-l2" for req in self.diagnostics):
-            p, q = self.forcing_exponents
-            ForcingSpec(p=p, q=q).validate_exponents(grid)
         for req in self.diagnostics:
-            _check_options(req, self.grid.T)
-            c = req.options.get("center")
-            r = req.options.get("radius")
             try:
-                if c is not None and r is not None:
-                    Cylinder(tuple(c), float(r)).require_fits(grid)
-                near = [p for p in req.options.get("centers", [])
-                        if not Cylinder(tuple(p), 1.0).fits(grid)]
+                registry.check(req.name, req.options, grid, self)
             except (TypeError, ValueError) as exc:   # GridError included
                 raise ConfigError(f"diagnostic {req.name!r}: {exc}") from exc
-            if near:
-                raise ConfigError(
-                    f"diagnostic {req.name!r}: probe {near[0]} too close to "
-                    "the boundary for unit-radius cylinders")
 
 
 def _no_constant(name):

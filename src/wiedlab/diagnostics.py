@@ -119,6 +119,13 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
                         dt_energy_total=dt_energy_total, windowed=windowed)
 
 
+def spread(values) -> float:
+    """max / min over the nonzero values; 1 when all of them vanish."""
+    vals = np.asarray(values, dtype=float)
+    vals = vals[np.abs(vals) > 0]
+    return float(np.max(vals) / np.min(vals)) if vals.size else 1.0
+
+
 def uniform_bounds_report(reports: list, factor: float = 4.0) -> dict:
     """Cross-level uniformity of the global energy bounds.
 
@@ -134,17 +141,8 @@ def uniform_bounds_report(reports: list, factor: float = 4.0) -> dict:
         for (R, v) in rep.windowed:
             row[f"windowed_R={R:g}"] = v
         rows.append(row)
-    dt_vals = np.array([r.dt_energy_total for r in reports])
-    win_vals = np.array([[v for (_, v) in r.windowed] for r in reports])
-
-    def spread(vals):
-        vals = vals[np.abs(vals) > 0]
-        if vals.size == 0:
-            return 1.0
-        return float(np.max(vals) / np.min(vals))
-
-    dt_spread = spread(dt_vals)
-    win_spread = spread(win_vals.ravel())
+    dt_spread = spread([r.dt_energy_total for r in reports])
+    win_spread = spread([v for r in reports for (_, v) in r.windowed])
     return {"rows": rows, "dt_energy_spread": dt_spread,
             "windowed_spread": win_spread,
             "uniform": bool(dt_spread <= factor and win_spread <= factor)}
@@ -219,10 +217,8 @@ def no_spikes_iteration(grid: WeightedGrid, fld: np.ndarray,
                           sup_flag=bool(Ej[-1] > 1e-12))
 
 
-def linf_l2_ratio(grid: WeightedGrid, fld: np.ndarray,
-                  forcing: ForcingSpec | None = None,
-                  center: tuple | None = None,
-                  radius: float | None = None) -> dict:
+def linf_l2_ratio(grid: WeightedGrid, fld: np.ndarray, forcing: ForcingSpec,
+                  center: tuple, radius: float) -> dict:
     """sup-norm over the half cylinder against the L^{2,a} + forcing norms.
 
     Mirrors the uniform L^{2,a} -> L^infty estimate: the returned ratio
@@ -230,28 +226,18 @@ def linf_l2_ratio(grid: WeightedGrid, fld: np.ndarray,
     ||f||_{Lq_inf(Q_R)}).  Identically zero data gives ratio 0.
     """
     fld = np.asarray(fld, dtype=float)
-    sp = grid.spec
-    if center is None:
-        center = (0.0,) * sp.d + (0.0, sp.T / 2.0)
-    tc = center[-1]
-    if radius is None:
-        radius = min(1.0, sp.L - max(abs(c) for c in center[:sp.d]) if sp.d else sp.L,
-                     sp.Y, np.sqrt(max(tc, 1e-300)), np.sqrt(max(sp.T - tc, 1e-300)))
     outer = Cylinder(center, radius)
     inner = Cylinder(center, radius / 2.0)
     outer.require_fits(grid)
     sup_in = float(np.max(np.abs(fld[inner.mask(grid)])))
     l2 = weighted_norm(grid, fld, "L2a", region=outer)
-    p, q = 3.0, 4.0
+    forcing.validate_exponents(grid)
     nF = nf = 0.0
-    if forcing is not None:
-        p, q = forcing.p, forcing.q
-        forcing.validate_exponents(grid)
-        if forcing.F is not None:
-            nF = weighted_norm(grid, forcing.F, "Lpa", p=p, region=outer)
-        if forcing.f is not None:
-            nf = weighted_norm(grid, forcing.f, "LinfT_Lq_trace", q=q,
-                               region=outer)
+    if forcing.F is not None:
+        nF = weighted_norm(grid, forcing.F, "Lpa", p=forcing.p, region=outer)
+    if forcing.f is not None:
+        nf = weighted_norm(grid, forcing.f, "LinfT_Lq_trace", q=forcing.q,
+                           region=outer)
     denom = l2 + nF + nf
     ratio = 0.0 if denom == 0.0 else sup_in / denom
     return {"ratio": ratio, "sup_inner": sup_in, "l2a_outer": l2,

@@ -137,11 +137,6 @@ class WeightedGrid:
         """Spatial nodal |y|^a masses (one-sided in y), flattened y-major."""
         return np.multiply.outer(self.yvol, self.xmass).ravel()
 
-    @property
-    def node_mass_st(self) -> np.ndarray:
-        """Space-time nodal masses, shape (nt+1, n_spatial)."""
-        return np.multiply.outer(self.tvol, self.node_mass)
-
     def coords(self):
         """Open-mesh spatial coordinate arrays (y, x1[, x2])."""
         ax = [self.y] + [self.x] * self.spec.d

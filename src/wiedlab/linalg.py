@@ -19,26 +19,11 @@ class SolverError(RuntimeError):
     pass
 
 
-def build_csr(shape, rows, cols, vals) -> sp.csr_matrix:
-    """COO triplets -> canonical CSR (duplicates summed, zeros dropped)."""
-    A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
-
-
 def finalize_csr(A) -> sp.csr_matrix:
     A = sp.csr_matrix(A)
     A.eliminate_zeros()
     A.sort_indices()
     return A
-
-
-def spmv(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    if A.shape[1] != x.shape[0]:
-        raise SolverError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    return A @ x
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:

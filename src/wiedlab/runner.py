@@ -17,18 +17,19 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, diagnostics as dg
-from .assembly import ForcingSpec, build_operators
-from .combustion import beta_eval, sup_bound
+from . import __version__, registry
+from .assembly import build_operators
+# beta_eval is unused here; it stays importable because
+# perfbench/tracing.py patches it by name
+from .combustion import beta_eval, sup_bound  # noqa: F401
 from .config import ExperimentConfig
-from .grid import Cylinder, build_grid
+from .grid import build_grid
 from .parabolic import ParabolicError, solve_parabolic
-from .wied import SweepError, sweep_epsilon, dist_C_L2a
+from .wied import SweepError, sweep_epsilon
 
 
 class RunnerSolverError(RuntimeError):
@@ -111,16 +112,29 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _trace_forcing(grid, model, U, ops):
-    """f = -beta(u) on the trace, the source the solved field carries."""
-    lay = U.reshape(grid.spec.nt + 1, -1)
-    tr = lay[:, ops.trace_index].reshape(
-        (grid.spec.nt + 1,) + (grid.spec.nx + 1,) * grid.d)
-    return -np.asarray(beta_eval(model, tr))
+def write_diagnostics(requests, ctx, levels, outdir: Path,
+                      summary: list) -> list:
+    """Compute each (name, options) request, write its reports into outdir
+    and append its summary entries to summary; return the (name, reason)
+    of each one that measured nothing.  A diagnostic the fields do not
+    support stops the loop with DiagnosticError."""
+    skipped = []
+    for done, (name, opt) in enumerate(requests):
+        try:
+            reports, entries = registry.compute(name, ctx, levels, opt)
+        except registry.NotApplicable as exc:
+            skipped.append((name, str(exc)))
+            continue
+        except (ValueError, ArithmeticError) as exc:
+            raise DiagnosticError(f"diagnostic {name!r}: {exc}",
+                                  completed=done) from exc
+        for fname, header, rows in reports:
+            write_csv(outdir / fname, header, rows)
+        summary.extend(entries)
+    return skipped
 
 
-def run_experiment(cfg: ExperimentConfig, out: str | None = None,
-                   threads: int = 1) -> dict:
+def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     """Run the full pipeline; returns the manifest dict.
 
     Raises RunnerSolverError on solver failure (partial artifacts are
@@ -178,9 +192,12 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None,
 
     summary = []
     if failure is None:
+        ctx = registry.Context(grid, cfg.model, cfg.forcing_exponents, ops)
         try:
-            _run_diagnostics(cfg, grid, ops, levels, outdir, threads,
-                             summary)
+            write_diagnostics(
+                [(req.name, req.options) for req in cfg.diagnostics], ctx,
+                [registry.Level(lv.eps, lv.U, lv.stats["el_tol_abs"])
+                 for lv in levels], outdir / "reports", summary)
         except DiagnosticError as exc:
             failure = {"phase": "diagnostics", "message": str(exc),
                        "completed": exc.completed}
@@ -248,162 +265,3 @@ def _config_fingerprint(cfg: ExperimentConfig) -> dict:
                      "count": cfg.schedule.count},
         "seed": cfg.seed,
     }
-
-
-# every name _run_diagnostics dispatches; load_config rejects any other
-DIAGNOSTIC_NAMES = ("energy", "uniform-bounds", "linf-l2", "no-spikes",
-                    "level-sets", "holder", "embedding", "cauchy",
-                    "isoperimetric")
-
-
-def _run_diagnostics(cfg, grid, ops, levels, outdir, threads, summary):
-    """Write each requested diagnostic's reports and append its summary
-    entries to summary.  A diagnostic that cannot be evaluated on these
-    fields (ValueError, GridError included, or ArithmeticError) stops the
-    loop with DiagnosticError."""
-    rep_dir = outdir / "reports"
-    p_exp, q_exp = cfg.forcing_exponents
-    finest = levels[-1]
-
-    def energy_for(lv):
-        return dg.energy_decomposition(grid, cfg.model, lv.eps, lv.U,
-                                       ops=ops)
-
-    energy_reports = None
-    for done, req in enumerate(cfg.diagnostics):
-        name, opt = req.name, req.options
-        try:
-            if name == "energy":
-                if threads > 1:
-                    with ThreadPoolExecutor(max_workers=threads) as ex:
-                        energy_reports = list(ex.map(energy_for, levels))
-                else:
-                    energy_reports = [energy_for(lv) for lv in levels]
-                for lv, rep in zip(levels, energy_reports):
-                    write_csv(rep_dir / f"energy-eps-{lv.eps:g}.csv",
-                              ["n", "tau", "I", "R", "E"], rep.rows())
-                    tol = 10.0 * lv.stats["el_tol_abs"]
-                    summary.append({
-                        "name": f"energy-identity-eps-{lv.eps:g}",
-                        "value": rep.identity_l1, "threshold": tol,
-                        "pass": bool(rep.identity_l1 <= tol),
-                        "calibration-id": None})
-            elif name == "uniform-bounds":
-                if energy_reports is None:
-                    energy_reports = [energy_for(lv) for lv in levels]
-                if len(energy_reports) < 2:
-                    continue  # uniformity is a cross-level statement
-                ub = dg.uniform_bounds_report(
-                    energy_reports, factor=float(opt.get("factor", 4.0)))
-                hdr = list(ub["rows"][0].keys())
-                write_csv(rep_dir / "uniform_bounds.csv", hdr, ub["rows"])
-                summary.append({
-                    "name": "uniform-bounds",
-                    "value": max(ub["dt_energy_spread"],
-                                 ub["windowed_spread"]),
-                    "threshold": float(opt.get("factor", 4.0)),
-                    "pass": ub["uniform"], "calibration-id": None})
-            elif name == "linf-l2":
-                rows = []
-                for lv in levels:
-                    forcing = ForcingSpec(
-                        F=None, f=_trace_forcing(grid, cfg.model, lv.U, ops),
-                        p=p_exp, q=q_exp)
-                    r = dg.linf_l2_ratio(grid,
-                                         lv.U.reshape(grid.spacetime_shape),
-                                         forcing,
-                                         center=tuple(opt["center"]),
-                                         radius=float(opt["radius"]))
-                    rows.append({"eps": lv.eps, **{k: r[k] for k in
-                                                   ("ratio", "sup_inner",
-                                                    "l2a_outer", "f_lqinf")}})
-                write_csv(rep_dir / "linf_l2.csv",
-                          ["eps", "ratio", "sup_inner", "l2a_outer",
-                           "f_lqinf"],
-                          rows)
-            elif name == "no-spikes":
-                delta = float(opt.get("delta", 0.5))
-                cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
-                fld = finest.U.reshape(grid.spacetime_shape)
-                upos = np.clip(fld, 0.0, None)
-                denom = dg.weighted_norm(grid, upos, "L2a", region=cyl)
-                lam = np.sqrt(delta) / denom if denom > 0 else 0.0
-                rep = dg.no_spikes_iteration(grid, lam * upos, cyl)
-                write_csv(rep_dir / "no_spikes.csv",
-                          ["j", "level", "radius", "energy"],
-                          [{"j": j, "level": rep.levels[j],
-                            "radius": rep.radii[j], "energy": rep.energies[j]}
-                           for j in range(rep.levels.shape[0])])
-                summary.append({
-                    "name": "no-spikes-decay",
-                    "value": float(rep.energies[-1]),
-                    "threshold": 1e-12, "pass": bool(rep.converged),
-                    "calibration-id": f"delta={delta}"})
-            elif name == "level-sets":
-                cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
-                rows = []
-                for lv in levels:
-                    ls = dg.level_set_measures(
-                        grid, lv.U.reshape(grid.spacetime_shape), cyl)
-                    rows.append({"eps": lv.eps, **ls.measures})
-                write_csv(rep_dir / "level_sets.csv",
-                          ["eps", "A", "C", "D", "total"], rows)
-            elif name == "holder":
-                rows, srows = [], []
-                for c in opt.get("centers", []):
-                    rep = dg.oscillation_table(
-                        grid, finest.U.reshape(grid.spacetime_shape),
-                        tuple(c), int(opt.get("levels", 3)))
-                    rep = dg.fit_holder(rep)
-                    for row in rep.table:
-                        rows.append({"x0": c[0], "t0": c[-1], **row})
-                    srows.append({"x0": c[0], "t0": c[-1],
-                                  "alpha": rep.alpha, "C": rep.constant,
-                                  "residual": rep.fit_residual,
-                                  "max_ratio": max(rep.ratios(), default=0.0)})
-                write_csv(rep_dir / "holder.csv",
-                          ["x0", "t0", "n", "radius", "osc"], rows)
-                write_csv(rep_dir / "holder_fits.csv",
-                          ["x0", "t0", "alpha", "C", "residual", "max_ratio"],
-                          srows)
-            elif name == "embedding":
-                tq = float(opt.get("layer_time", grid.spec.T / 2.0))
-                n = int(round(tq / grid.dt))
-                rows = []
-                for lv in levels:
-                    sl = lv.U.reshape(grid.spacetime_shape)[n]
-                    r = dg.embedding_ratio_check(
-                        grid, sl, radius=float(opt.get("radius", 1.0)))
-                    if r.get("applicable"):
-                        rows.append({"eps": lv.eps,
-                                     "trace_ratio": r["trace_ratio"],
-                                     "sobolev_ratio": r["sobolev_ratio"]})
-                if rows:
-                    write_csv(rep_dir / "embedding.csv",
-                              ["eps", "trace_ratio", "sobolev_ratio"], rows)
-            elif name == "cauchy":
-                inc = dg.sweep_cauchy_increments(grid, [lv.U for lv in levels])
-                write_csv(rep_dir / "cauchy.csv", ["pair", "increment"],
-                          [{"pair": f"{levels[i].eps:g}->{levels[i+1].eps:g}",
-                            "increment": v} for i, v in enumerate(inc)])
-            elif name == "isoperimetric":
-                p = float(opt.get("p", 1.5))
-                tq = float(opt.get("layer_time", grid.spec.T / 2.0))
-                n = int(round(tq / grid.dt))
-                rows = []
-                for lv in levels:
-                    sl = lv.U.reshape(grid.spacetime_shape)[n]
-                    r = dg.isoperimetric_check(
-                        grid, sl, p, radius=float(opt.get("radius", 1.0)))
-                    rows.append({"eps": lv.eps, "lhs": r["lhs"],
-                                 "rhs_factor": r["rhs_factor"],
-                                 "ratio": r["ratio"],
-                                 "gradient_energy": r["gradient_energy"]})
-                write_csv(rep_dir / "isoperimetric.csv",
-                          ["eps", "lhs", "rhs_factor", "ratio",
-                           "gradient_energy"], rows)
-            else:
-                raise ValueError(f"unknown diagnostic {name!r}")
-        except (ValueError, ArithmeticError) as exc:
-            raise DiagnosticError(f"diagnostic {name!r}: {exc}",
-                                  completed=done) from exc

@@ -355,13 +355,6 @@ class SweepResult:
     def distances(self) -> list[float]:
         return [lv.dist_to_ref for lv in self.levels]
 
-    def report_rows(self) -> list[dict]:
-        return [
-            {"eps": lv.eps, "iters": lv.iterations,
-             "el_residual": lv.el_residual, "dist_to_ref": lv.dist_to_ref}
-            for lv in self.levels
-        ]
-
 
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   U0: np.ndarray, cfg: WiedConfig | None = None,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wiedlab import registry
 from wiedlab.cli import main
 from wiedlab.runner import load_field
 
@@ -128,12 +129,6 @@ def test_strict_support_flag(tmp_path, capsys):
     assert "strict-support" in capsys.readouterr().err
 
 
-def test_threads_env_accepted(tmp_path, monkeypatch):
-    monkeypatch.setenv("WIEDLAB_THREADS", "2")
-    cfgp = write_config(tmp_path / "cfg.json")
-    assert main(["run", str(cfgp), "--out", str(tmp_path / "out")]) == 0
-
-
 @pytest.mark.parametrize("overrides, message", [
     ({"initial": {"kind": "from-file"}}, "'path'"),
     ({"diagnostics": [{"name": "energy"}, {"name": "energi"}]},
@@ -156,12 +151,18 @@ def test_threads_env_accepted(tmp_path, monkeypatch):
     ({"wied": {"inner_maxit": 0}}, "inner_maxit"),
     ({"wied": {"inner_tol": True}}, "inner_tol"),
     ({"schedule": {"eps0": 0.05, "ratio": 0.5, "count": True}}, "count"),
+    # layers 1.5 apart: the half cylinder's window |t - 1| <= 1/4 is empty
+    ({"grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 24.0,
+               "nx": 6, "ny": 5, "nt": 16},
+      "diagnostics": [{"name": "linf-l2", "center": [0.0, 0.0, 1.0],
+                       "radius": 1.0}]}, "holds no grid node"),
 ], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
         "cylinder-does-not-fit", "uniform-bounds-factor-string",
         "no-spikes-delta-string", "holder-levels-string",
         "embedding-layer-time-string", "isoperimetric-p-string",
         "picard-maxit-0", "linear-maxit-0", "outer-maxit-0",
-        "inner-maxit-0", "inner-tol-boolean", "schedule-count-boolean"])
+        "inner-maxit-0", "inner-tol-boolean", "schedule-count-boolean",
+        "linf-l2-empty-inner-cylinder"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)
@@ -185,6 +186,103 @@ def test_diagnose_truncated_field_is_io_error(tmp_path, capsys):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("io error:") and str(field) in err
+
+
+def test_diagnose_energy_not_applicable_without_eps(tmp_path, capsys):
+    # the parabolic reference is no WIED level: energy says so on one
+    # line and writes nothing, and the other diagnostics still run
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
+    capsys.readouterr()
+    diag = tmp_path / "diag"
+    rc = main(["diagnose", str(cfgp),
+               "--field", str(tmp_path / "p" / "parabolic.f64"),
+               "--which", "energy,level-sets", "--out", str(diag)])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'energy' not applicable" in err
+    assert not list(diag.glob("energy-*"))
+    assert json.loads((diag / "diagnose_summary.json").read_text()) == []
+    assert (diag / "level_sets.csv").exists()
+
+
+def test_diagnose_unknown_name_rejected_before_compute(tmp_path, capsys,
+                                                       monkeypatch):
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
+
+    def no_compute(*args):
+        raise AssertionError("a diagnostic ran")
+    monkeypatch.setattr(registry, "compute", no_compute)
+    diag = tmp_path / "diag"
+    rc = main(["diagnose", str(cfgp),
+               "--field", str(tmp_path / "p" / "parabolic.f64"),
+               "--which", "energy,linf-l2x", "--out", str(diag)])
+    assert rc == 2
+    assert "'linf-l2x'" in capsys.readouterr().err
+    assert not diag.exists()
+
+
+# the reports each diagnostic writes on a one-level run
+ONE_LEVEL_REPORTS = {
+    "energy": ["energy-eps-0.05.csv"],
+    "uniform-bounds": [],            # a statement across two or more levels
+    "linf-l2": ["linf_l2.csv"],
+    "no-spikes": ["no_spikes.csv"],
+    "level-sets": ["level_sets.csv"],
+    "holder": ["holder.csv", "holder_fits.csv"],
+    "embedding": ["embedding.csv"],
+    "cauchy": ["cauchy.csv"],        # header only: no pair of levels
+    "isoperimetric": ["isoperimetric.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def one_level_run(tmp_path_factory):
+    """A one-level run with every registered diagnostic, on a grid fine
+    enough in x for a Hoelder fit."""
+    tmp = tmp_path_factory.mktemp("one-level")
+    cyl = {"center": [0.0, 0.0, 1.0], "radius": 1.0}
+    cfgp = write_config(
+        tmp / "cfg.json",
+        grid={"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 2.0,
+              "nx": 32, "ny": 4, "nt": 16},
+        model={"kind": "polynomial-bump"},
+        schedule={"eps0": 0.05, "ratio": 0.5, "count": 1},
+        diagnostics=[{"name": "energy"}, {"name": "uniform-bounds"},
+                     {"name": "linf-l2", **cyl}, {"name": "no-spikes", **cyl},
+                     {"name": "level-sets", **cyl},
+                     {"name": "holder", "centers": [cyl["center"]]},
+                     {"name": "embedding", "layer_time": 1.0},
+                     {"name": "isoperimetric", "layer_time": 1.0},
+                     {"name": "cauchy"}])
+    assert main(["run", str(cfgp), "--out", str(tmp / "run")]) == 0
+    return cfgp, tmp / "run"
+
+
+@pytest.mark.parametrize("name", list(registry.DIAGNOSTICS))
+def test_diagnose_writes_the_rows_run_writes(one_level_run, tmp_path,
+                                             capsys, name):
+    assert set(ONE_LEVEL_REPORTS) == set(registry.DIAGNOSTICS)
+    cfgp, run = one_level_run
+    diag = tmp_path / "diag"
+    assert main(["diagnose", str(cfgp),
+                 "--field", str(run / "fields" / "eps-0.05.f64"),
+                 "--which", name, "--out", str(diag)]) == 0
+    written = sorted(p.name for p in diag.iterdir()
+                     if p.name != "diagnose_summary.json")
+    assert written == ONE_LEVEL_REPORTS[name]
+    for fname in written:
+        text = (diag / fname).read_text()
+        assert text == (run / "reports" / fname).read_text()
+        assert fname == "cauchy.csv" or len(text.splitlines()) > 1
+    if not written:
+        assert f"{name!r} not applicable" in capsys.readouterr().err
+    # same summary values; diagnose knows no EL tolerance to compare with
+    ran = {e["name"]: e for e in json.loads(
+        (run / "summary.json").read_text())}
+    for entry in json.loads((diag / "diagnose_summary.json").read_text()):
+        assert entry["value"] == ran[entry["name"]]["value"]
 
 
 def test_nonfinite_initial_data_rejected_at_load(tmp_path, capsys):

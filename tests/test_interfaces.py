@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from wiedlab import diagnostics as dg
-from wiedlab.assembly import assemble_linear_system, build_operators, \
-    dump_operator
+from wiedlab.assembly import assemble_linear_system
 from wiedlab.combustion import CombustionModel, validate_model
 from wiedlab.grid import Cylinder, GridError, GridSpec, build_grid
 from wiedlab.parabolic import ParabolicConfig, solve_parabolic
@@ -41,17 +40,6 @@ def test_d2_mass_and_measure():
     # Lebesgue volume of [-1,1]^2 x [0,1] x [0,1]
     assert abs(weighted_measure(
         g, np.ones(g.spacetime_shape, dtype=bool)) - 4.0) < 1e-13
-
-
-def test_operator_matrix_market_dump(tmp_path):
-    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
-                            nx=4, ny=4, nt=4))
-    ops = build_operators(g)
-    path = tmp_path / "ka.mtx"
-    dump_operator(path, ops.Ka, comment="weighted stiffness")
-    from scipy.io import mmread
-    back = mmread(path)
-    assert abs(back - ops.Ka).max() < 1e-15
 
 
 def test_field_dump_byte_order_contract(tmp_path):

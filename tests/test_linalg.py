@@ -4,35 +4,14 @@ import scipy.sparse as sp
 
 from wiedlab.assembly import build_operators
 from wiedlab.grid import GridSpec, build_grid
-from wiedlab.linalg import (SolverError, bicgstab_solve, build_csr,
-                            finalize_csr, gmres_solve, pcg_solve, spmv)
-
-
-def test_spmv_identity_and_zero():
-    x = np.arange(5.0)
-    eye = finalize_csr(sp.eye(5))
-    assert np.array_equal(spmv(eye, x), x)
-    zero = build_csr((5, 5), [], [], [])
-    assert np.array_equal(spmv(zero, x), np.zeros(5))
-
-
-def test_spmv_against_dense():
-    rng = np.random.default_rng(0)
-    D = rng.standard_normal((5, 5))
-    D[np.abs(D) < 0.6] = 0.0
-    A = finalize_csr(sp.csr_matrix(D))
-    x = rng.standard_normal(5)
-    assert np.max(np.abs(spmv(A, x) - D @ x)) < 1e-14
-
-
-def test_spmv_dimension_mismatch():
-    A = finalize_csr(sp.eye(4))
-    with pytest.raises(SolverError):
-        spmv(A, np.ones(5))
+from wiedlab.linalg import (bicgstab_solve, finalize_csr, gmres_solve,
+                            pcg_solve)
 
 
 def test_csr_canonical_invariants():
-    A = build_csr((3, 3), [0, 0, 2, 1], [1, 1, 0, 2], [1.0, 2.0, 0.0, 5.0])
+    A = finalize_csr(sp.coo_matrix(([1.0, 2.0, 0.0, 5.0],
+                                    ([0, 0, 2, 1], [1, 1, 0, 2])),
+                                   shape=(3, 3)))
     assert A.has_sorted_indices
     assert A.nnz == 2  # duplicates summed, explicit zero dropped
     assert A[0, 1] == 3.0
@@ -148,7 +127,7 @@ def test_solver_determinism_bitwise():
 
 def test_single_unknown_system_closed_form():
     # degenerate 1x1 solve through the same code path
-    A = build_csr((1, 1), [0], [0], [2.5])
+    A = sp.csr_matrix(np.array([[2.5]]))
     res = bicgstab_solve(A, np.array([5.0]), tol=1e-15)
     assert res.converged
     assert abs(res.x[0] - 2.0) < 1e-14

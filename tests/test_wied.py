@@ -155,9 +155,10 @@ def test_sweep_single_level_report():
     g = grid_small(8, 6, 40, T=2.0)
     sw = sweep_epsilon(g, None, EpsilonSchedule(0.1, 0.5, 1), bump_data(g),
                        cfg=WiedConfig(eps=0.1, outer_tol=1e-9))
-    assert len(sw.report_rows()) == 1
-    row = sw.report_rows()[0]
-    assert set(row) == {"eps", "iters", "el_residual", "dist_to_ref"}
+    assert [lv.eps for lv in sw.levels] == [0.1]
+    lv = sw.levels[0]
+    assert lv.iterations >= 1 and lv.el_residual <= lv.stats["el_tol_abs"]
+    assert np.isfinite(lv.dist_to_ref)
 
 
 def test_sweep_eps0_horizon_guard():
