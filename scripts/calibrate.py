@@ -6,13 +6,15 @@ embedding ratios) from the run's reports, measures the isoperimetric
 constant on its fixed slice family, and writes <config>.calibration.json
 next to the config.  The acceptance suite then enforces stability
 against these values (4x for the sup-ratio, exact family reproduction
-for the isoperimetric constant).
+for the isoperimetric constant).  The run goes into a temporary
+directory that is removed afterwards.
 
 Usage: python scripts/calibrate.py [configs/combustion-1d.json]
 """
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -24,18 +26,19 @@ from wiedlab.grid import GridSpec, build_grid
 
 
 def main(config_path="configs/combustion-1d.json"):
-    ctx = AcceptanceContext(config_path)
-    manifest = ctx.benchmark()["manifest"]
-    ratios = [float(r["ratio"]) for r in ctx.report("linf_l2.csv")]
+    with tempfile.TemporaryDirectory(prefix="wiedlab-acc-") as tmp:
+        ctx = AcceptanceContext(config_path, tmp)
+        manifest = ctx.benchmark()["manifest"]
+        ratios = [float(r["ratio"]) for r in ctx.report("linf_l2.csv")]
+        # no embedding.csv when the embedding ratios do not apply
+        # (d - 1 + a <= 0)
+        emb = (ctx.report("embedding.csv")
+               if "reports/embedding.csv" in manifest["artifacts"] else [])
 
     coarse = build_grid(GridSpec(d=1, a=0.5, L=1.2, Y=1.2, T=1.0,
                                  nx=40, ny=12, nt=2))
     iso = [dg.isoperimetric_check(coarse, coarse.eval_spatial(f), p=1.5)
            ["ratio"] for f in _slice_family(10, seed=ctx.cfg.seed)]
-
-    # no embedding.csv when the embedding ratios do not apply (d - 1 + a <= 0)
-    emb = (ctx.report("embedding.csv")
-           if "reports/embedding.csv" in manifest["artifacts"] else [])
 
     calibration = {
         "calibration_id": f"{Path(config_path).stem}"

@@ -16,17 +16,17 @@ the terminal row carries the natural condition D_t U(T) = 0, and the
 initial layer is eliminated into the right-hand side.  Dividing out the
 exponential weight is what keeps the system well-scaled for T >> eps.
 
-eps enters the matrix only through the scalars c = eps/dt^2, rho and
-c_hat, so its CSR pattern is grid data: space_time_pattern builds it once
-per DiscreteOperators from the index arrays of Ka, and each eps level
-only fills the values.  The Picard and Newton matrices differ from A
-only on the y = 0 trace diagonal, so the solvers apply the exact inverse
-of the Picard matrix (SpaceTimeInverse) and treat the Newton difference
-on the trace instead of assembling either.
+The residual is formed layer by layer from the stiffness products
+Ka U_m (stencil_residual), so no space-time matrix is assembled on the
+solver path.  The Picard and Newton matrices differ from A only on the
+y = 0 trace diagonal, so the solvers apply the exact inverse of the
+Picard matrix (SpaceTimeInverse) and treat the Newton difference on the
+trace instead of assembling either.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -48,8 +48,6 @@ class DiscreteOperators:
     trace_mass: np.ndarray    # x-volumes attached to trace nodes
     # sigma -> AxisEigenbasis of K + sigma D_tr, filled by axis_eigenbasis
     bases: dict = field(default_factory=dict, repr=False)
-    # CSR pattern of the space-time matrix, filled by space_time_pattern
-    st_pattern: "SpaceTimePattern | None" = field(default=None, repr=False)
 
     @property
     def Ma(self) -> sp.csr_matrix:
@@ -300,14 +298,14 @@ def stencil_residual(grid: WeightedGrid, model, eps: float,
                      ops: DiscreteOperators) -> np.ndarray:
     """Unforced normalized EL residual on layers 1..nt, shape (nt, S).
 
-    The rows of LinearSystem.residual, formed layer by layer from the
-    stiffness products KU = (Ka U_m)_m of all nt + 1 layers instead of an
-    assembled space-time matrix:
+    Formed layer by layer from the stiffness products KU = (Ka U_m)_m of
+    all nt + 1 layers instead of an assembled space-time matrix:
 
         c M ((1+rho) U_m - U_{m-1} - rho U_{m+1}) + c_hat (K U_m + D_tr beta(u_m))
 
     with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2.
-    Equal to the assembled residual up to summation order.
+    Equal to A x + E bs - rhs(U_0) of the assembled system without
+    forcing, up to summation order.
     """
     c, rho, main, c_hat = _row_coefficients(grid, eps)
     tstep = main[:, None] * Ulay[1:] - Ulay[:-1]
@@ -319,96 +317,23 @@ def stencil_residual(grid: WeightedGrid, model, eps: float,
 
 
 @dataclass
-class SpaceTimePattern:
-    """CSR pattern of the space-time matrix on the nt unknown layers.
-
-    Row (m, s) holds the column (m-1) S + s, layer m's copy of Ka row s,
-    then (m+1) S + s, so the rows come out sorted.  The remaining fields
-    locate entries of A.data: the Ka copies, the diagonal, and the time
-    couplings.
-    """
-
-    nt: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    stiff: np.ndarray   # bool mask of the Ka copies, layer by layer
-    diag: np.ndarray    # (nt, S) positions of the diagonal entries
-    sub: np.ndarray     # (nt-1, S): row (m, s), column (m-1, s), m >= 1
-    sup: np.ndarray     # (nt-1, S): row (m, s), column (m+1, s), m < nt-1
-
-
-def space_time_pattern(ops: DiscreteOperators, nt: int) -> SpaceTimePattern:
-    """The SpaceTimePattern of ops.Ka on nt layers, cached on ops."""
-    pat = ops.st_pattern
-    if pat is not None and pat.nt == nt:
-        return pat
-    Ka = ops.Ka
-    S = Ka.shape[0]
-    rowlen = np.diff(Ka.indptr)
-    krow = np.repeat(np.arange(S), rowlen)       # row of each Ka entry
-    kdiag = np.flatnonzero(Ka.indices == krow)
-    if kdiag.shape[0] != S:
-        raise ValueError("stiffness matrix lacks a diagonal entry")
-    has_sub = (np.arange(nt) > 0).astype(np.int64)
-    has_sup = (np.arange(nt) < nt - 1).astype(np.int64)
-    counts = rowlen[None, :] + (has_sub + has_sup)[:, None]
-    nnz = int(counts.sum())
-    idx = (np.int32 if max(nnz, nt * S) <= np.iinfo(np.int32).max
-           else np.int64)
-    indptr = np.zeros(nt * S + 1, dtype=idx)
-    np.cumsum(counts.ravel(), out=indptr[1:])
-    first = indptr[:-1].reshape(nt, S)
-    stiff = (first[:, krow] + has_sub[:, None]
-             + (np.arange(Ka.nnz) - Ka.indptr[krow]))
-    sub = first[1:]
-    sup = indptr[1:].reshape(nt, S)[:-1] - 1
-    layer = np.arange(nt, dtype=idx)[:, None] * S
-    indices = np.empty(nnz, dtype=idx)
-    indices[stiff] = layer + Ka.indices
-    indices[sub] = layer[:-1] + np.arange(S)
-    indices[sup] = layer[1:] + np.arange(S)
-    # a mask scatters the Ka copies faster than their positions would
-    is_stiff = np.zeros(nnz, dtype=bool)
-    is_stiff[stiff] = True
-    pat = SpaceTimePattern(nt=nt, indptr=indptr, indices=indices,
-                           stiff=is_stiff, diag=stiff[:, kdiag].astype(idx),
-                           sub=sub, sup=sup)
-    ops.st_pattern = pat
-    return pat
-
-
-def _on_pattern(data, indices, indptr, zeros: bool) -> sp.csr_matrix:
-    """Canonical square CSR matrix on the given arrays.  With zeros (data
-    holds an exact zero) the zeros are dropped, as the sparse sums and
-    finalize_csr drop them, from a copy of the index arrays; otherwise
-    the index arrays are shared."""
-    n = indptr.shape[0] - 1
-    if not zeros:
-        A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        A.has_canonical_format = True
-        return A
-    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
-    A.eliminate_zeros()
-    return A
-
-
-@dataclass
 class LinearSystem:
     """Weight-normalized discrete system on layers 1..nt.
 
-    A acts on the flattened unknown (nt * n_spatial); rhs assembles the
-    initial-layer elimination plus any forcing contribution.  c_hat is
-    the per-row coefficient shared by the stiffness, the trace source
-    and the forcing (interior (1+rho)/2, terminal 1/2).  A is built on
-    the cached SpaceTimePattern.  The trace source beta enters residual
-    and the solvers' right-hand sides on the trace columns only.
+    residual is the stencil form (stencil_residual) of A x + E bs - rhs:
+    the stiffness products of all layers, the time stencil and the trace
+    source, minus b_forcing; the initial-layer term is the stencil's use
+    of U_0 in the first row.  rhs assembles that initial-layer term plus
+    the forcing.  c_hat is the per-row coefficient shared by the
+    stiffness, the trace source and the forcing (interior (1+rho)/2,
+    terminal 1/2).
 
-    The solvers never form a shifted matrix: they use the exact inverse
-    of A + diag(c_hat) (x) sigma D_tr (space_time_inverse, cached per
-    sigma in inverses) and handle any other trace diagonal on the trace.
-    newton_matrix (through plus_diagonal, new values on A's own index
-    arrays) is the assembled Newton matrix those trace solves are checked
-    against.
+    The solvers never read a space-time matrix: they use the exact
+    inverse of A + diag(c_hat) (x) sigma D_tr (space_time_inverse, cached
+    per sigma in inverses) and handle any other trace diagonal on the
+    trace.  A, built on first read by the sparse formula, and
+    newton_matrix are the assembled references the tests check those
+    solves against.
     """
 
     grid: WeightedGrid
@@ -416,11 +341,7 @@ class LinearSystem:
     eps: float
     rho: float
     c_hat: np.ndarray
-    A: sp.csr_matrix
     b_forcing: np.ndarray
-    # (nt, S) positions of A's diagonal entries in A.data; None: found by
-    # a scan on first use
-    diag_pos: np.ndarray | None = field(default=None, repr=False)
     # sigma -> SpaceTimeInverse, filled by space_time_inverse
     inverses: dict = field(default_factory=dict, repr=False)
 
@@ -428,31 +349,21 @@ class LinearSystem:
     def n_unknowns(self) -> int:
         return self.grid.spec.nt * self.grid.n_spatial
 
-    def plus_diagonal(self, d: np.ndarray) -> sp.csr_matrix:
-        """A + diag(d), built on A's own sparsity pattern.
+    @functools.cached_property
+    def A(self) -> sp.csr_matrix:
+        """The space-time matrix on the flattened unknown (nt * n_spatial):
 
-        d is the full shift (nt * n_spatial,), or its trace block
-        (nt, n_trace) with zeros elsewhere.  A stores every diagonal
-        entry (c main m_s + c_hat K_ss > 0), so the sum is A's values with
-        d added at those positions: the same floating-point adds as
-        finalize_csr(A + sp.diags(d)), without the sparse merge.  The
-        result shares A.indices and A.indptr unless an entry cancels
-        exactly, which is dropped as the sparse sum drops it.
-        """
-        A = self.A
-        if self.diag_pos is None:
-            rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-            pos = np.flatnonzero(A.indices == rows)
-            if pos.shape[0] != A.shape[0]:
-                raise ValueError("system matrix lacks a diagonal entry")
-            self.diag_pos = pos.reshape(self.grid.spec.nt, -1)
-        d = np.asarray(d, dtype=float)
-        pos = (self.diag_pos[:, self.ops.trace_index] if d.ndim == 2
-               else self.diag_pos.ravel())
-        data = A.data.copy()
-        data[pos] += d
-        return _on_pattern(data, A.indices, A.indptr,
-                           zeros=not np.all(data[pos]))
+            diags(c main (x) m) - c Msub - c rho Msup + diags(c_hat) (x) Ka,
+
+        Msub and Msup the mass on the time sub- and superdiagonal blocks."""
+        nt = self.grid.spec.nt
+        c, rho, main, c_hat = _row_coefficients(self.grid, self.eps)
+        M = sp.diags(self.ops.mass)
+        shift = sp.diags([np.ones(nt - 1)], [-1], shape=(nt, nt))
+        return finalize_csr(sp.diags(c * np.outer(main, self.ops.mass).ravel())
+                            - c * sp.kron(shift, M)
+                            - (c * rho) * sp.kron(shift.T, M)
+                            + sp.kron(sp.diags(c_hat), self.ops.Ka))
 
     def _initial_term(self, U0f: np.ndarray) -> np.ndarray:
         return (self.eps / self.grid.dt**2) * self.ops.mass * U0f
@@ -469,52 +380,35 @@ class LinearSystem:
         return self.c_hat[:, None] * self.ops.trace_mass * beta_eval(model, u)
 
     def newton_matrix(self, model, Ulay: np.ndarray) -> sp.csr_matrix:
+        """A + c_hat D_tr beta'(u) on the trace diagonal."""
+        d = np.zeros((self.grid.spec.nt, self.grid.n_spatial))
         u = Ulay[1:, self.ops.trace_index]
-        return self.plus_diagonal(
-            self.c_hat[:, None] * self.ops.trace_mass
-            * beta_prime_eval(model, u))
+        d[:, self.ops.trace_index] = (self.c_hat[:, None] * self.ops.trace_mass
+                                      * beta_prime_eval(model, u))
+        return finalize_csr(self.A + sp.diags(d.ravel()))
 
     def residual(self, model, U: np.ndarray,
                  U0: np.ndarray | None = None) -> np.ndarray:
         """Normalized EL residual on layers 1..nt, shape (nt, n_spatial):
-        A x + beta_source - rhs(U0), with the source added on the trace
-        columns and the initial-layer term on the first layer only."""
+        stencil_residual minus b_forcing."""
         Ulay = _layers(self.grid, U)
-        U0f = _check_initial(self.grid, Ulay, U0)
-        r = (self.A @ Ulay[1:].ravel()).reshape(self.grid.spec.nt, -1)
-        r[:, self.ops.trace_index] += self.beta_source(model, Ulay)
-        b = self.b_forcing.reshape(r.shape)
-        r[0] -= b[0] + self._initial_term(U0f)
-        r[1:] -= b[1:]
+        _check_initial(self.grid, Ulay, U0)
+        r = stencil_residual(self.grid, model, self.eps, Ulay,
+                             (self.ops.Ka @ Ulay.T).T, self.ops)
+        r -= self.b_forcing.reshape(r.shape)
         return r
 
 
 def assemble_linear_system(grid: WeightedGrid, eps: float,
                            forcing: ForcingSpec | None = None,
                            ops: DiscreteOperators | None = None) -> LinearSystem:
-    """Assemble the weight-normalized space-time system for one eps.
-
-    The values are filled into the cached SpaceTimePattern with the
-    products and sums of the sparse formula
-
-        diags(c main (x) m) - c Msub - c rho Msup + diags(c_hat) (x) Ka,
-
-    Msub and Msup the mass on the time sub- and superdiagonal blocks, so
-    the diagonal is fl(fl(c fl(main_m m_s)) + fl(c_hat_m K_ss)).
-    """
+    """The weight-normalized space-time system for one eps: its row
+    coefficients and the forcing part of the right-hand side."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
     nt, S = grid.spec.nt, grid.n_spatial
     c, rho, main, c_hat = _row_coefficients(grid, eps)
-    pat = space_time_pattern(ops, nt)
-    data = np.empty(pat.indices.shape[0])
-    data[pat.stiff] = (c_hat[:, None] * ops.Ka.data).ravel()
-    data[pat.diag] = (c * np.outer(main, ops.mass)
-                      + c_hat[:, None] * ops.Ka.diagonal())
-    data[pat.sub] = -(c * ops.mass)
-    data[pat.sup] = -((c * rho) * ops.mass)
-    A = _on_pattern(data, pat.indices, pat.indptr, zeros=not np.all(data))
 
     b = np.zeros((nt, S))
     if forcing is not None:
@@ -530,9 +424,7 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
             )
 
     return LinearSystem(grid=grid, ops=ops, eps=eps, rho=rho, c_hat=c_hat,
-                        A=A, b_forcing=b.ravel(),
-                        diag_pos=pat.diag if A.indices is pat.indices
-                        else None)
+                        b_forcing=b.ravel())
 
 
 def _time_thomas(b: np.ndarray, low, up):

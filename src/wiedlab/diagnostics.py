@@ -5,8 +5,8 @@ discrete fields: the rescaled inertia/dissipation/energy decomposition
 and its derivative identity, uniform bound tables across an eps
 schedule, De Giorgi truncation energies and level-set measures,
 isoperimetric ingredients, dyadic oscillation tables with Hoelder fits,
-parabolic Hoelder seminorms, field rescaling, and the weighted
-trace/Sobolev embedding ratios.
+the weighted trace/Sobolev embedding ratios, and the Cauchy increments
+of the sweep.
 
 Convention: weighted set measures are one-sided (y >= 0, matching the
 computational domain), while the energy quantities that mirror the
@@ -22,11 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (ForcingSpec, assemble_linear_system, build_operators,
-                       stencil_residual, _check_initial, _layers)
+from .assembly import (ForcingSpec, build_operators, stencil_residual,
+                       _check_initial, _layers)
 from .combustion import phi_eval
-from .grid import (Cylinder, GridError, GridSpec, WeightedGrid, build_grid,
-                   _grad_energy_spatial, weighted_measure, weighted_norm)
+from .grid import (Cylinder, GridError, WeightedGrid, _grad_energy_spatial,
+                   weighted_measure, weighted_norm)
+# assemble_linear_system and build_grid are unused here; they stay
+# importable because perfbench/tracing.py patches them by name
+from .assembly import assemble_linear_system  # noqa: F401
+from .grid import build_grid  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def isoperimetric_check(grid: WeightedGrid, slice_field: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# oscillation decay, Hoelder fits and seminorms
+# oscillation decay and Hoelder fits
 
 @dataclass
 class HolderReport:
@@ -290,7 +294,6 @@ class HolderReport:
     fit_residual: float | None = None
     in_range: bool | None = None
     exact_constant: bool = False
-    seminorm: float | None = None
 
     def ratios(self):
         osc = [row["osc"] for row in self.table]
@@ -350,93 +353,6 @@ def fit_holder(report_or_table) -> HolderReport:
     return report
 
 
-def holder_seminorm(grid: WeightedGrid, fld: np.ndarray, cylinder: Cylinder,
-                    alpha: float, exact_limit: int = 10**4,
-                    n_pairs: int = 10**6, seed: int = 0) -> float:
-    """Discrete parabolic Hoelder seminorm sup |dU| / ||(dX, dt)||^alpha.
-
-    The parabolic distance is max(|dX|, sqrt|dt|).  All node pairs are
-    used when the cylinder holds at most exact_limit nodes, otherwise a
-    fixed-seed random sample of n_pairs pairs.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    cylinder.require_fits(grid)
-    fld = np.asarray(fld, dtype=float)
-    if fld.shape != grid.spacetime_shape:
-        raise GridError("holder_seminorm expects a space-time field")
-    mask = cylinder.mask(grid)
-    idx = np.argwhere(mask)
-    if idx.shape[0] < 2:
-        raise GridError("degenerate cylinder: fewer than two nodes")
-    # node coordinates: (t, y, x...) index order
-    coords = [grid.t[idx[:, 0]], grid.y[idx[:, 1]]]
-    for k in range(grid.d):
-        coords.append(grid.x[idx[:, 2 + k]])
-    tC = coords[0]
-    Xc = np.stack(coords[1:], axis=1)
-    vals = fld[mask]
-    npts = vals.shape[0]
-
-    def ratio(i, j):
-        dX = np.sqrt(np.sum((Xc[i] - Xc[j]) ** 2, axis=-1))
-        dtm = np.sqrt(np.abs(tC[i] - tC[j]))
-        dist = np.maximum(dX, dtm)
-        du = np.abs(vals[i] - vals[j])
-        keep = dist > 0
-        if not np.any(keep):
-            return 0.0
-        return float(np.max(du[keep] / dist[keep] ** alpha))
-
-    if npts <= exact_limit:
-        best = 0.0
-        for i in range(npts - 1):
-            j = np.arange(i + 1, npts)
-            best = max(best, ratio(np.full(j.shape, i), j))
-        return best
-    rng = np.random.default_rng(seed)
-    ii = rng.integers(0, npts, size=n_pairs)
-    jj = rng.integers(0, npts, size=n_pairs)
-    return ratio(ii, jj)
-
-
-def rescale_field(grid: WeightedGrid, fld: np.ndarray, R: float,
-                  eps: float | None = None):
-    """V(X, t) = U(R X, R^2 t) sampled onto the reference-cylinder grid.
-
-    The target grid keeps the cell counts and grading of the source but
-    spans x in [-1, 1]^d, y in [0, 1], t in [0, T / R^2]; multilinear
-    interpolation in (t, y, x).  Returns (grid, field, metadata).
-    """
-    from scipy.interpolate import RegularGridInterpolator
-
-    sp = grid.spec
-    if R <= 0 or R > min(sp.L, sp.Y):
-        raise GridError(f"scale R={R} leaves the grid (L={sp.L}, Y={sp.Y})")
-    fld = np.asarray(fld, dtype=float)
-    if fld.shape != grid.spacetime_shape:
-        raise GridError("rescale_field expects a space-time field")
-    new_spec = GridSpec(d=sp.d, a=sp.a, L=1.0, Y=1.0, T=sp.T / R**2,
-                        nx=sp.nx, ny=sp.ny, nt=sp.nt, grading=sp.grading)
-    new_grid = build_grid(new_spec)
-    axes = (grid.t, grid.y) + (grid.x,) * sp.d
-    interp = RegularGridInterpolator(axes, fld, method="linear",
-                                     bounds_error=False, fill_value=None)
-    mesh = np.meshgrid(R**2 * new_grid.t, R * new_grid.y,
-                       *[R * new_grid.x] * sp.d, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    # clamp tiny float drift back onto the source domain
-    pts[:, 0] = np.clip(pts[:, 0], grid.t[0], grid.t[-1])
-    pts[:, 1] = np.clip(pts[:, 1], grid.y[0], grid.y[-1])
-    for k in range(sp.d):
-        pts[:, 2 + k] = np.clip(pts[:, 2 + k], grid.x[0], grid.x[-1])
-    out = interp(pts).reshape(new_grid.spacetime_shape)
-    meta = {"scale": R, "eps_scale_factor": 1.0 / R**2}
-    if eps is not None:
-        meta["eps_effective"] = eps / R**2
-    return new_grid, out, meta
-
-
 # ---------------------------------------------------------------------------
 # embedding ratios (trace and Sobolev exponents)
 
@@ -493,80 +409,8 @@ def embedding_ratio_check(grid: WeightedGrid, slice_field: np.ndarray,
                           "gamma": parabolic_sobolev_exponent(d, a)}}
 
 
-def parabolic_sobolev_ratio(grid: WeightedGrid, fld: np.ndarray,
-                            cylinder: Cylinder) -> dict:
-    """Space-time Sobolev ratio with exponent gamma on a cylinder."""
-    d, a = grid.spec.d, grid.spec.a
-    if d - 1.0 + a <= 0.0:
-        return {"applicable": False, "reason": "need d - 1 + a > 0"}
-    fld = np.asarray(fld, dtype=float)
-    if fld.shape != grid.spacetime_shape:
-        raise GridError("parabolic_sobolev_ratio expects a space-time field")
-    cylinder.require_fits(grid)
-    gam = parabolic_sobolev_exponent(d, a)
-    smask = cylinder.spatial_mask(grid)
-    tmask = cylinder.time_mask(grid)
-    wsp = grid.node_mass.reshape(grid.spatial_shape) * smask
-    layers = fld.reshape(grid.spec.nt + 1, -1)
-    wflat = wsp.ravel()
-    l2_t = layers * layers @ wflat
-    lhs = float(np.sum(grid.tvol * tmask
-                       * ((np.abs(layers) ** (2.0 * gam)) @ wflat)))
-    ge_t = np.array([_grad_energy_spatial(grid, lay, smask) for lay in layers])
-    bracket = float(np.sum(grid.tvol * tmask * (l2_t / cylinder.radius**2
-                                                + ge_t)))
-    sup_l2 = float(np.max(l2_t[tmask])) if np.any(tmask) else 0.0
-    rhs = bracket * sup_l2 ** (gam - 1.0)
-    return {"applicable": True, "lhs": lhs, "rhs_bracket": rhs,
-            "ratio": lhs / rhs if rhs > 0 else 0.0, "gamma": gam}
-
-
 # ---------------------------------------------------------------------------
-# structural checks on solutions of the linear problem
-
-def truncation_subsolution_check(grid: WeightedGrid, eps: float,
-                                 forcing: ForcingSpec | None,
-                                 U: np.ndarray, level: float,
-                                 n_tests: int = 10, seed: int = 0,
-                                 tol: float = 1e-8) -> dict:
-    """One-sided weak-subsolution check for the truncation (U - level)_+.
-
-    For the discrete operator (an M-matrix) and nonnegative forcings the
-    pairing of the truncated field's residual with nonnegative interior
-    test fields is nonpositive up to solver tolerance; the check reports
-    the largest normalized pairing over random nonnegative tests.
-    """
-    Ulay = _layers(grid, U)
-    if forcing is not None:
-        for arr in (forcing.F, forcing.f):
-            if arr is not None and np.any(np.asarray(arr) < 0):
-                raise ValueError("subsolution check needs F, f >= 0")
-    system = assemble_linear_system(grid, eps, forcing=forcing)
-    V = np.clip(Ulay - level, 0.0, None)
-    resid = (system.A @ V[1:].ravel() - system.rhs(V[0])).reshape(
-        grid.spec.nt, -1)
-    rng = np.random.default_rng(seed)
-    nt = grid.spec.nt
-    shape = grid.spatial_shape
-    pairs = []
-    for _ in range(n_tests):
-        eta = rng.random((nt,) + shape)
-        # vanish on the terminal layer and the lateral/top boundaries
-        eta[-1] = 0.0
-        eta[:, -1, ...] = 0.0
-        for k in range(grid.d):
-            sl = [slice(None)] * (grid.d + 2)
-            sl[2 + k] = 0
-            eta[tuple(sl)] = 0.0
-            sl[2 + k] = -1
-            eta[tuple(sl)] = 0.0
-        ef = eta.reshape(nt, -1)
-        pairing = float(np.sum(resid * ef))
-        pairs.append(pairing / max(float(np.sqrt(np.sum(ef * ef))), 1e-300))
-    worst = max(pairs)
-    return {"max_pairing": worst, "pairings": pairs,
-            "passes": bool(worst <= tol), "level": level}
-
+# Cauchy increments along the eps schedule
 
 def sweep_cauchy_increments(grid: WeightedGrid, fields: list) -> list:
     """Distances between consecutive schedule levels in C([0,T]:L^{2,a}).

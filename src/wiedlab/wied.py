@@ -310,21 +310,20 @@ def solve_linear_wied(grid: WeightedGrid, eps: float,
                       inner_tol: float = 1e-11) -> np.ndarray:
     """Single linear solve of the regularized problem with forcings F, f:
     one apply of the exact inverse of A, then a check that the relative
-    residual |A x - b| / |b| is at most inner_tol (WiedConvergenceError
-    otherwise)."""
+    residual |system.residual| / |b| is at most inner_tol
+    (WiedConvergenceError otherwise)."""
     system = assemble_linear_system(grid, eps, forcing=forcing)
     nt, S = grid.spec.nt, grid.n_spatial
     U0f = np.asarray(U0, dtype=float).reshape(-1)
     b = system.rhs(U0f)
-    x = default_st_preconditioner(system)(b)
-    rel = _norm(system.A @ x - b) / (_norm(b) or 1.0)
+    U = np.empty((nt + 1, S))
+    U[0] = U0f
+    U[1:] = default_st_preconditioner(system)(b).reshape(nt, S)
+    rel = _norm(system.residual(None, U)) / (_norm(b) or 1.0)
     if rel > inner_tol:
         raise WiedConvergenceError(
             f"linear solve failed: relative residual {rel:g} above "
             f"inner_tol {inner_tol:g}")
-    U = np.empty((nt + 1, S))
-    U[0] = U0f
-    U[1:] = x.reshape(nt, S)
     return U
 
 

@@ -274,8 +274,9 @@ def test_trace_capacitance_matches_dense_inverse():
 
 
 def test_stencil_residual_matches_assembled_system():
-    # the energy reports' EL residual, formed layer by layer from Ka U,
-    # against the residual of the assembled space-time system
+    # the stencil EL residual, formed layer by layer from Ka U, against
+    # the matvec of the assembled space-time matrix plus the trace source
+    # minus the initial-layer right-hand side
     zero = model_from_dict({"kind": "zero"})
     rng = np.random.default_rng(12)
     for d, model, eps in itertools.product((1, 2), (zero, BUMP),
@@ -285,40 +286,11 @@ def test_stencil_residual_matches_assembled_system():
         ops = build_operators(g)
         U = rng.random((g.spec.nt + 1, g.n_spatial))
         r = stencil_residual(g, model, eps, U, (ops.Ka @ U.T).T, ops)
-        ref = assemble_linear_system(g, eps, ops=ops).residual(model, U)
+        ref = _matvec_residual(assemble_linear_system(g, eps, ops=ops),
+                               model, U)
         assert r.shape == ref.shape
         assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref)), \
             (d, model.kind, eps)
-
-
-def test_diagonal_shifts_match_sparse_sum_exactly():
-    # the Newton and Picard matrices built on A's pattern are the very
-    # arrays finalize_csr(A + diags(d)) gives, an exact cancellation included
-    rng = np.random.default_rng(13)
-    for d in (1, 2):
-        g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
-                                nx=4, ny=5, nt=6))
-        system = assemble_linear_system(g, 0.1)
-        nt, S = g.spec.nt, g.n_spatial
-        tr = system.ops.trace_index
-        U = rng.random((nt + 1, S))
-        newton = np.zeros((nt, S))
-        newton[:, tr] = (system.c_hat[:, None] * system.ops.trace_mass
-                         * beta_prime_eval(BUMP, U[1:, tr]))
-        picard = np.zeros((nt, S))
-        picard[:, tr] = (system.c_hat[:, None] * system.ops.trace_mass
-                         * BUMP.lipschitz)
-        cancel = np.zeros(nt * S)
-        cancel[3] = -system.A.diagonal()[3]
-        cases = [(newton.ravel(), system.newton_matrix(BUMP, U)),
-                 (picard.ravel(), system.plus_diagonal(picard.ravel())),
-                 (cancel, system.plus_diagonal(cancel))]
-        for dvec, got in cases:
-            ref = finalize_csr(system.A + sp.diags(dvec))
-            assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
-            assert np.array_equal(got.data, ref.data)
-        assert cases[2][1].nnz == system.A.nnz - 1
 
 
 def _sparse_formula_system(g, ops, eps, forcing):
@@ -348,9 +320,9 @@ def _sparse_formula_system(g, ops, eps, forcing):
 
 
 def test_pattern_assembly_matches_sparse_formula():
-    # A filled into the cached CSR pattern is the very matrix the sparse
-    # formula gives, for every eps level on one set of operators; at
-    # eps = 1e-9 rho underflows and the zero time couplings are dropped
+    # the lazily built A is the very matrix the sparse formula gives, for
+    # every eps level on one set of operators; at eps = 1e-9 rho
+    # underflows and the zero time couplings are dropped
     rng = np.random.default_rng(14)
     for d, a in itertools.product((1, 2), (-0.5, 0.5)):
         g = build_grid(GridSpec(d=d, a=a, L=1.0, Y=1.0, T=0.5,
@@ -360,7 +332,6 @@ def test_pattern_assembly_matches_sparse_formula():
         F = rng.standard_normal(g.spacetime_shape)
         f = rng.standard_normal((nt + 1,) + (g.spec.nx + 1,) * d)
         U0 = rng.standard_normal(S)
-        indices = []
         for eps, (bulk, trace) in itertools.product(
                 (0.3, 0.02, 1e-9), itertools.product((None, F), (None, f))):
             forcing = ForcingSpec(F=bulk, f=trace)
@@ -371,61 +342,67 @@ def test_pattern_assembly_matches_sparse_formula():
                                       getattr(A_ref, name)), (d, a, eps, name)
             b_ref[0] += (eps / g.dt**2) * ops.mass * U0
             assert np.array_equal(system.rhs(U0), b_ref.ravel())
-            if eps > 1e-9:
-                indices.append(system.A.indices)
-            else:
+            if eps == 1e-9:
                 assert system.A.nnz == A_ref.nnz < ops.Ka.nnz * nt + 2 * (
                     nt - 1) * S
-        assert all(np.shares_memory(i, indices[0]) for i in indices)
 
 
-def test_picard_and_newton_matrices_share_the_pattern():
-    # the shifted matrices are new values on A's own index arrays, and
-    # differ from A only on the trace diagonal
-    rng = np.random.default_rng(15)
-    for d in (1, 2):
-        g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
-                                nx=4, ny=5, nt=6))
-        system = assemble_linear_system(g, 0.1)
-        nt, S = g.spec.nt, g.n_spatial
-        tr = system.ops.trace_index
-        A = system.A
-        stab = system.c_hat[:, None] * system.ops.trace_mass * BUMP.lipschitz
-        full = np.zeros((nt, S))
-        full[:, tr] = stab
-        picard = system.plus_diagonal(stab)
-        U = rng.random((nt + 1, S))
-        for M in (picard, system.newton_matrix(BUMP, U)):
-            assert np.shares_memory(M.indices, A.indices)
-            assert np.shares_memory(M.indptr, A.indptr)
-            assert not np.shares_memory(M.data, A.data)
-            moved = np.flatnonzero(M.data != A.data)
-            rows = np.searchsorted(A.indptr, moved, side="right") - 1
-            assert moved.size > 0
-            assert np.array_equal(A.indices[moved], rows)
-            assert set(rows % S) <= set(tr.tolist())
-        assert np.array_equal(picard.data,
-                              system.plus_diagonal(full.ravel()).data)
+def _matvec_residual(system, model, U):
+    """A x + E bs - rhs(U0) with the assembled matrix A."""
+    nt, S = system.grid.spec.nt, system.grid.n_spatial
+    source = np.zeros((nt, S))
+    source[:, system.ops.trace_index] = system.beta_source(model, U)
+    return (system.A @ U[1:].ravel() + source.ravel()
+            - system.rhs(U[0])).reshape(nt, S)
 
 
 def test_residual_is_matvec_plus_source_minus_rhs():
-    # the trace-only source and first-layer initial term give the same
-    # bits as the full-length vectors
+    # the stencil residual against the assembled system, with and without
+    # bulk and trace forcing
     rng = np.random.default_rng(16)
-    for d in (1, 2):
+    for d, eps in itertools.product((1, 2), (0.3, 0.02)):
         g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
                                 nx=4, ny=5, nt=6))
         nt, S = g.spec.nt, g.n_spatial
-        forcing = ForcingSpec(
-            F=rng.standard_normal(g.spacetime_shape),
-            f=rng.standard_normal((nt + 1,) + (g.spec.nx + 1,) * d))
-        system = assemble_linear_system(g, 0.1, forcing=forcing)
+        F = rng.standard_normal(g.spacetime_shape)
+        f = rng.standard_normal((nt + 1,) + (g.spec.nx + 1,) * d)
         U = rng.random((nt + 1, S))
-        source = np.zeros((nt, S))
-        source[:, system.ops.trace_index] = system.beta_source(BUMP, U)
-        ref = (system.A @ U[1:].ravel() + source.ravel()
-               - system.rhs(U[0])).reshape(nt, S)
-        assert np.array_equal(system.residual(BUMP, U), ref)
+        for bulk, trace in itertools.product((None, F), (None, f)):
+            system = assemble_linear_system(
+                g, eps, forcing=ForcingSpec(F=bulk, f=trace))
+            ref = _matvec_residual(system, BUMP, U)
+            r = system.residual(BUMP, U)
+            assert r.shape == ref.shape
+            assert np.max(np.abs(r - ref)) <= \
+                1e-12 * np.max(np.abs(ref)), (d, eps, bulk is F, trace is f)
+
+
+def test_sweep_never_builds_the_space_time_matrix(tmp_path, monkeypatch):
+    # the solver path, the energy reports and the checks read only the
+    # stencil residual; A is built on first read and never read there
+    from wiedlab import wied
+    from wiedlab.config import config_from_dict
+    from wiedlab.runner import run_experiment
+
+    systems = []
+
+    def recorded(*args, **kwargs):
+        systems.append(assemble_linear_system(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(wied, "assemble_linear_system", recorded)
+    cfg = config_from_dict({
+        "grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
+                 "nx": 6, "ny": 5, "nt": 20},
+        "model": {"kind": "polynomial-bump"},
+        "wied": {"outer": "newton"},
+        "initial": {"kind": "plateau", "radius": 0.5, "height": 0.8},
+        "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 2},
+        "diagnostics": [{"name": "energy"}],
+    })
+    run_experiment(cfg, out=str(tmp_path / "run"))
+    assert len(systems) == 2
+    assert all("A" not in system.__dict__ for system in systems)
 
 
 def test_eps_must_be_positive():

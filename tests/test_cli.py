@@ -285,6 +285,32 @@ def test_diagnose_writes_the_rows_run_writes(one_level_run, tmp_path,
         assert entry["value"] == ran[entry["name"]]["value"]
 
 
+def test_verify_removes_its_work_directory(tmp_path, capsys, monkeypatch):
+    # the benchmark run of `verify` goes into a temporary directory that is
+    # removed whether the criteria pass or raise
+    from wiedlab import acceptance
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [acceptance.criterion_max_principle])
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["verify", str(cfgp)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("4 maximum principle  PASS")
+    assert not list(tmp.glob("wiedlab-acc-*"))
+
+    def raising(ctx):
+        ctx.benchmark()
+        assert list(tmp.glob("wiedlab-acc-*/run-a/summary.json"))
+        raise RuntimeError("criterion failed")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [raising])
+    with pytest.raises(RuntimeError, match="criterion failed"):
+        main(["verify", str(cfgp)])
+    assert not list(tmp.glob("wiedlab-acc-*"))
+
+
 def test_nonfinite_initial_data_rejected_at_load(tmp_path, capsys):
     np.save(tmp_path / "u0.npy", np.full((6, 7), np.nan))
     cfgp = write_config(tmp_path / "bad.json",

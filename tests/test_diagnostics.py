@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wiedlab import diagnostics as dg
-from wiedlab.assembly import ForcingSpec
 from wiedlab.combustion import CombustionModel, validate_model
 from wiedlab.grid import Cylinder, GridError, GridSpec, build_grid, \
     weighted_measure
-from wiedlab.wied import WiedConfig, solve_linear_wied, solve_wied
+from wiedlab.wied import WiedConfig, solve_wied
 
 BUMP = validate_model(CombustionModel())
 
@@ -272,53 +271,6 @@ def test_fit_holder_noisy_recovery():
     assert abs(fit.alpha - 0.6) <= 0.05
 
 
-def test_holder_seminorm_cases():
-    g = build_grid(GridSpec(d=1, a=0.0, L=1.5, Y=1.1, T=3.0,
-                            nx=24, ny=4, nt=48, grading=1.0))
-    cyl = Cylinder((0.0, 0.0, 1.5), 1.0)
-    const = np.full(g.spacetime_shape, 1.0)
-    assert dg.holder_seminorm(g, const, cyl, 1.0) == 0.0
-    ym, xm = g.coords()
-    lin = np.array(np.broadcast_to(
-        np.broadcast_to(xm, g.spatial_shape)[None], g.spacetime_shape))
-    assert dg.holder_seminorm(g, lin, cyl, 1.0) == pytest.approx(1.0,
-                                                                 rel=1e-12)
-    t0 = 1.5
-    sq = np.array(np.broadcast_to(
-        np.sqrt(np.abs(g.t - t0))[:, None, None], g.spacetime_shape))
-    val = dg.holder_seminorm(g, sq, cyl, 1.0)
-    assert val == pytest.approx(1.0, rel=1e-10)
-
-
-def test_rescale_identity_and_linear():
-    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
-                            nx=8, ny=6, nt=10))
-    ym, xm = g.coords()
-    lin = np.array(np.broadcast_to(
-        np.broadcast_to(xm, g.spatial_shape)[None], g.spacetime_shape))
-    g1, out, meta = dg.rescale_field(g, lin, 1.0, eps=0.1)
-    assert meta["eps_effective"] == pytest.approx(0.1)
-    assert np.max(np.abs(out - lin)) < 1e-12
-    g2, half, meta2 = dg.rescale_field(g, lin, 0.5)
-    ym2, xm2 = g2.coords()
-    expect = np.broadcast_to(0.5 * xm2, g2.spatial_shape)
-    assert np.max(np.abs(half - expect[None])) < 1e-12
-    assert meta2["eps_scale_factor"] == 4.0
-
-
-def test_rescale_preserves_oscillation_linear():
-    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=4.0,
-                            nx=8, ny=6, nt=64))
-    ym, xm = g.coords()
-    lin = np.array(np.broadcast_to(
-        np.broadcast_to(xm, g.spatial_shape)[None], g.spacetime_shape))
-    R = 0.5
-    g2, V, _ = dg.rescale_field(g, lin, R)
-    # range of V over the full rescaled box equals range of U over the
-    # R-box (linear field, change of variables preserves the range)
-    assert np.ptp(V) == pytest.approx(2 * R, rel=1e-12)
-
-
 def test_embedding_exponent_formulas():
     assert dg.parabolic_sobolev_exponent(2, 0.0) == pytest.approx(5.0 / 3.0)
     assert dg.trace_exponent(2, 0.0) == pytest.approx(2.0)
@@ -337,21 +289,6 @@ def test_embedding_applicability_and_constant_slice():
     r2 = dg.embedding_ratio_check(g, np.full(g.spatial_shape, 0.7))
     assert r2["applicable"] and np.isfinite(r2["trace_ratio"])
     assert r2["trace_ratio"] > 0 and np.isfinite(r2["sobolev_ratio"])
-
-
-def test_truncation_subsolution_one_sided():
-    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=0.5,
-                            nx=8, ny=6, nt=20))
-    rng = np.random.default_rng(9)
-    F = np.abs(rng.standard_normal(g.spacetime_shape))
-    f = np.abs(rng.standard_normal((g.spec.nt + 1, g.spec.nx + 1)))
-    forcing = ForcingSpec(F=F, f=f)
-    U0 = np.abs(rng.standard_normal(g.n_spatial))
-    U = solve_linear_wied(g, 0.1, forcing, U0, inner_tol=1e-12)
-    for level in (0.0, 0.3, 1.0):
-        chk = dg.truncation_subsolution_check(g, 0.1, forcing, U, level,
-                                              n_tests=10, seed=3, tol=1e-8)
-        assert chk["passes"], chk["max_pairing"]
 
 
 def test_cauchy_increments(solved):

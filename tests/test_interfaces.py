@@ -1,15 +1,16 @@
-"""Cross-cutting interface checks: d = 2 support, dump formats,
-sampled seminorm path, space-time Sobolev ratio."""
+"""Cross-cutting interface checks: d = 2 support, dump formats, the
+Newton matrix's trace shift, and the names the benchmark's traced mode
+patches."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
-import pytest
 
-from wiedlab import diagnostics as dg
 from wiedlab.assembly import assemble_linear_system
 from wiedlab.combustion import CombustionModel, validate_model
-from wiedlab.grid import Cylinder, GridError, GridSpec, build_grid
+from wiedlab.grid import GridSpec, build_grid
 from wiedlab.parabolic import ParabolicConfig, solve_parabolic
 from wiedlab.runner import dump_field, load_field
 from wiedlab.wied import WiedConfig, solve_wied
@@ -61,42 +62,6 @@ def test_field_dump_byte_order_contract(tmp_path):
     assert json.loads((tmp_path / "f.json").read_text())["dtype"] == "<f8"
 
 
-def test_holder_seminorm_sampled_path_matches_exact_scale():
-    g = build_grid(GridSpec(d=1, a=0.0, L=1.5, Y=1.1, T=3.0,
-                            nx=24, ny=4, nt=48, grading=1.0))
-    cyl = Cylinder((0.0, 0.0, 1.5), 1.0)
-    ym, xm = g.coords()
-    lin = np.array(np.broadcast_to(
-        np.broadcast_to(xm, g.spatial_shape)[None], g.spacetime_shape))
-    exact = dg.holder_seminorm(g, lin, cyl, 1.0)
-    sampled = dg.holder_seminorm(g, lin, cyl, 1.0, exact_limit=10,
-                                 n_pairs=200_000, seed=1)
-    assert sampled <= exact + 1e-12
-    assert sampled >= 0.8 * exact
-    s2 = dg.holder_seminorm(g, lin, cyl, 1.0, exact_limit=10,
-                            n_pairs=200_000, seed=1)
-    assert s2 == sampled  # fixed seed -> reproducible
-
-
-def test_parabolic_sobolev_ratio_runs():
-    g = build_grid(GridSpec(d=1, a=0.5, L=1.6, Y=1.1, T=3.0,
-                            nx=12, ny=8, nt=48))
-    cyl = Cylinder((0.0, 0.0, 1.5), 1.0)
-    ym, xm = g.coords()
-    U = np.array(np.broadcast_to(
-        (np.cos(xm) * (1 + ym))[None], g.spacetime_shape))
-    r = dg.parabolic_sobolev_ratio(g, U, cyl)
-    assert r["applicable"] and r["ratio"] > 0
-    assert r["gamma"] == pytest.approx(1 + 2 / (1 + 1 + 0.5))
-
-
-def test_rescale_range_guard():
-    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
-                            nx=4, ny=4, nt=4))
-    with pytest.raises(GridError):
-        dg.rescale_field(g, np.zeros(g.spacetime_shape), 1.5)
-
-
 def test_newton_matrix_diag_shift_only_on_trace():
     g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
                             nx=4, ny=4, nt=4))
@@ -107,3 +72,19 @@ def test_newton_matrix_diag_shift_only_on_trace():
     assert np.all(diff.row == diff.col)
     S = g.n_spatial
     assert set(diff.row % S) <= set(system.ops.trace_index.tolist())
+
+
+def test_benchmark_tracing_hooks_install_and_restore():
+    # perfbench/tracing.py wraps wiedlab names by attribute; installing
+    # fails on any name that no longer exists, and leaving the block puts
+    # every original back
+    from wiedlab import assembly, wied
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = (wied.assemble_linear_system, assembly.LinearSystem.residual)
+    with tracing.installed(tracing.Tracer()):
+        assert wied.assemble_linear_system is not before[0]
+    assert (wied.assemble_linear_system,
+            assembly.LinearSystem.residual) == before
