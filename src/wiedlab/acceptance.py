@@ -24,7 +24,7 @@ import numpy as np
 from . import diagnostics as dg, registry
 from .assembly import functional_gradient, functional_value
 from .config import load_config
-from .grid import Cylinder, GridSpec, build_grid, weighted_norm
+from .grid import Cylinder, GridSpec, build_grid, restrict, weighted_norm
 from .parabolic import ParabolicConfig, analytic_heat_oracle, solve_parabolic
 from .runner import load_field, run_experiment
 
@@ -237,10 +237,8 @@ def criterion_no_spikes(ctx) -> CriterionResult:
     upos = np.clip(fld, 0.0, None)
     denom = weighted_norm(grid, upos, "L2a", region=cyl)
     lam = np.sqrt(delta) / denom
-    smallness = float(np.sum(
-        np.multiply.outer(grid.tvol,
-                          grid.node_mass.reshape(grid.spatial_shape))
-        * (lam * upos) ** 2 * cyl.mask(grid)))
+    ub, w = restrict(grid, upos, cyl)
+    smallness = float(np.sum(w * (lam * ub) ** 2))
     ok = bool(entry["pass"] and smallness <= delta * (1 + 1e-12))
     return CriterionResult(
         "8 no-spikes decay", ok,

@@ -49,10 +49,6 @@ class DiscreteOperators:
     # sigma -> AxisEigenbasis of K + sigma D_tr, filled by axis_eigenbasis
     bases: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def Ma(self) -> sp.csr_matrix:
-        return sp.diags(self.mass).tocsr()
-
 
 def _axis_stiffness(grid: WeightedGrid):
     """1-D stiffness matrices (Kx1, Ky1): uniform x, weighted graded y."""
@@ -372,12 +368,6 @@ class LinearSystem:
         b = self.b_forcing.copy().reshape(self.grid.spec.nt, -1)
         b[0] += self._initial_term(np.asarray(U0, dtype=float).reshape(-1))
         return b.ravel()
-
-    def beta_source(self, model, Ulay: np.ndarray) -> np.ndarray:
-        """c_hat-scaled nodal trace source beta(u) on the unknown layers,
-        shape (nt, n_trace); the source is zero off the trace."""
-        u = Ulay[1:, self.ops.trace_index]
-        return self.c_hat[:, None] * self.ops.trace_mass * beta_eval(model, u)
 
     def newton_matrix(self, model, Ulay: np.ndarray) -> sp.csr_matrix:
         """A + c_hat D_tr beta'(u) on the trace diagonal."""

@@ -26,7 +26,7 @@ from .assembly import (ForcingSpec, build_operators, stencil_residual,
                        _check_initial, _layers)
 from .combustion import phi_eval
 from .grid import (Cylinder, GridError, WeightedGrid, _grad_energy_spatial,
-                   weighted_measure, weighted_norm)
+                   restrict, weighted_norm)
 # assemble_linear_system and build_grid are unused here; they stay
 # importable because perfbench/tracing.py patches them by name
 from .assembly import assemble_linear_system  # noqa: F401
@@ -171,18 +171,13 @@ def level_set_measures(grid: WeightedGrid, fld: np.ndarray,
                        cylinder: Cylinder) -> LevelSetReport:
     """Weighted measures of {U >= 1/2}, {U <= 0} and {0 < U < 1/2}."""
     cylinder.require_fits(grid)
-    fld = np.asarray(fld, dtype=float)
-    A = fld >= 0.5
-    C = fld <= 0.0
+    U, w = restrict(grid, np.asarray(fld, dtype=float), cylinder)
+    A = U >= 0.5
+    C = U <= 0.0
     D = ~(A | C)
-    mA = weighted_measure(grid, A, region=cylinder)
-    mC = weighted_measure(grid, C, region=cylinder)
-    mD = weighted_measure(grid, D, region=cylinder)
-    ones = np.ones_like(fld, dtype=bool)
-    total = weighted_measure(grid, ones, region=cylinder)
-    return LevelSetReport(cylinder=cylinder,
-                          measures={"A": mA, "C": mC, "D": mD,
-                                    "total": total})
+    return LevelSetReport(cylinder=cylinder, measures={
+        "A": float(np.sum(w * A)), "C": float(np.sum(w * C)),
+        "D": float(np.sum(w * D)), "total": float(np.sum(w))})
 
 
 def no_spikes_iteration(grid: WeightedGrid, fld: np.ndarray,
@@ -198,17 +193,15 @@ def no_spikes_iteration(grid: WeightedGrid, fld: np.ndarray,
     fld = np.asarray(fld, dtype=float)
     if fld.shape != grid.spacetime_shape:
         raise GridError("no_spikes_iteration expects a space-time field")
-    w = np.multiply.outer(grid.tvol,
-                          grid.node_mass.reshape(grid.spatial_shape))
     js = np.arange(jmax + 1)
     Cj = 1.0 - 2.0 ** (-js.astype(float))
     rj = 0.5 + 2.0 ** (-js.astype(float) - 1.0)
     Ej = np.empty(jmax + 1)
     for j in js:
-        sub = Cylinder(cylinder.center, rj[j] * cylinder.radius)
-        mask = sub.mask(grid)
-        V = np.clip(fld - Cj[j], 0.0, None)
-        Ej[j] = float(np.sum(w * V * V * mask))
+        U, w = restrict(grid, fld, Cylinder(cylinder.center,
+                                            rj[j] * cylinder.radius))
+        V = np.clip(U - Cj[j], 0.0, None)
+        Ej[j] = float(np.sum(w * V * V))
     pos = Ej > 0
     rate = None
     if np.count_nonzero(pos) >= 2:
@@ -233,7 +226,7 @@ def linf_l2_ratio(grid: WeightedGrid, fld: np.ndarray, forcing: ForcingSpec,
     outer = Cylinder(center, radius)
     inner = Cylinder(center, radius / 2.0)
     outer.require_fits(grid)
-    sup_in = float(np.max(np.abs(fld[inner.mask(grid)])))
+    sup_in = float(np.max(np.abs(fld[inner.box(grid)])))
     l2 = weighted_norm(grid, fld, "L2a", region=outer)
     forcing.validate_exponents(grid)
     nF = nf = 0.0
@@ -266,12 +259,11 @@ def isoperimetric_check(grid: WeightedGrid, slice_field: np.ndarray,
     if center is None:
         center = (0.0,) * grid.spec.d + (0.0,)
     cyl = Cylinder(tuple(center) + (0.0,), radius)
-    mask = cyl.spatial_mask(grid)
-    w = grid.node_mass.reshape(grid.spatial_shape) * mask
-    mA = float(np.sum(w * (U >= 0.5)))
-    mC = float(np.sum(w * (U <= 0.0)))
-    mD = float(np.sum(w * ((U > 0.0) & (U < 0.5))))
-    grad_energy = _grad_energy_spatial(grid, U, mask)
+    Ub, w = restrict(grid, U, cyl)
+    mA = float(np.sum(w * (Ub >= 0.5)))
+    mC = float(np.sum(w * (Ub <= 0.0)))
+    mD = float(np.sum(w * ((Ub > 0.0) & (Ub < 0.5))))
+    grad_energy = _grad_energy_spatial(grid, U, cyl.box(grid)[1:])
     lhs = mA * mC
     expn = (2.0 - p) / (2.0 * p)
     rhs_factor = mD**expn
@@ -317,8 +309,7 @@ def oscillation_table(grid: WeightedGrid, fld: np.ndarray, center: tuple,
     rows = []
     for n in range(1, levels + 1):
         r = 4.0 ** (-n + 1)
-        mask = Cylinder(center, r).mask(grid)
-        vals = fld[mask]
+        vals = fld[Cylinder(center, r).box(grid)]
         osc = float(np.max(vals) - np.min(vals)) if vals.size else 0.0
         rows.append({"n": n, "radius": r, "osc": osc})
     return HolderReport(center=tuple(center), table=rows)
@@ -387,19 +378,19 @@ def embedding_ratio_check(grid: WeightedGrid, slice_field: np.ndarray,
     if np.all(U == 0.0):
         raise ValueError("slice is identically zero")
     cyl = Cylinder((0.0,) * d + (0.0, 0.0), radius)
-    mask = cyl.spatial_mask(grid)
-    w = grid.node_mass.reshape(grid.spatial_shape) * mask
-    # trace side: plain L^2 of u on the x-box
-    xmask = mask[0]
-    u = U[0]
-    tr_l2 = float(np.sum(grid.xmass.reshape(xmask.shape) * xmask * u * u))
-    l2 = float(np.sum(w * U * U))
-    ge = _grad_energy_spatial(grid, U, mask)
+    box = cyl.box(grid)[1:]
+    Ub, w = restrict(grid, U, cyl)
+    # trace side: plain L^2 of u on the x window; centred on y = 0, the
+    # box always holds the trace layer as its first row
+    xm = grid.xmass.reshape(grid.spatial_shape[1:])[box[1:]]
+    tr_l2 = float(np.sum(xm * Ub[0] * Ub[0]))
+    l2 = float(np.sum(w * Ub * Ub))
+    ge = _grad_energy_spatial(grid, U, box)
     A = 2.0
     trace_rhs = A ** ((1.0 + a) / 2.0) * l2 + A ** (-(1.0 - a) / 2.0) * ge
     trace_ratio = tr_l2 / trace_rhs if trace_rhs > 0 else 0.0
     sig = sobolev_exponent(d, a)
-    lhs = float(np.sum(w * np.abs(U) ** (2.0 * sig))) ** (1.0 / sig)
+    lhs = float(np.sum(w * np.abs(Ub) ** (2.0 * sig))) ** (1.0 / sig)
     rhs = l2 / radius**2 + ge
     sob_ratio = lhs / rhs if rhs > 0 else 0.0
     return {"applicable": True, "trace_ratio": trace_ratio,

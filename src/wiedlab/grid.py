@@ -12,6 +12,10 @@ and weighted fluxes from the harmonic face transmissibilities
 which are exact for steady weighted flux y^a dU/dy = const.  x and t are
 uniform.  Grids are immutable after construction and cheap enough to
 rebuild from their spec, which is the only thing ever serialized.
+
+A parabolic cylinder's nodes form an index box of the tensor grid, one
+slice per axis; every cylinder-restricted measure, norm and energy sums
+the nodal weights of that box (restrict).
 """
 
 from __future__ import annotations
@@ -200,6 +204,8 @@ class Cylinder:
         |t - ct| <= r^2.
 
     center is (*x, y, t); nodes inside the box belong to the cylinder.
+    The node coordinates are monotone on each axis, so these nodes form
+    an index box of the grid (see box).
     """
 
     center: tuple
@@ -233,27 +239,48 @@ class Cylinder:
                 "does not fit inside the grid"
             )
 
-    def spatial_mask(self, grid: WeightedGrid) -> np.ndarray:
-        cx, cy, _ = self._parts(grid.d)
+    def box(self, grid: WeightedGrid) -> tuple:
+        """Node index box, one slice per axis in the order (t, y, x[, x]).
+
+        Each slice runs from the first to the last node with
+        |coord - c| <= h + 1e-14 (h = r^2 in t, r otherwise); a window
+        that holds no node gives an empty slice.  The spatial box is
+        box[1:].
+        """
+        cx, cy, ct = self._parts(grid.d)
         r = self.radius
-        my = np.abs(grid.y - cy) <= r + 1e-14
-        mask = my.reshape((-1,) + (1,) * grid.d)
-        for k in range(grid.d):
-            mx = np.abs(grid.x - cx[k]) <= r + 1e-14
-            shape = [1] * (grid.d + 1)
-            shape[1 + k] = -1
-            mask = mask & mx.reshape(shape)
-        return np.broadcast_to(mask, grid.spatial_shape).copy()
+        windows = [(grid.t, ct, r**2), (grid.y, cy, r)]
+        windows += [(grid.x, c, r) for c in cx]
+        out = []
+        for coord, c, h in windows:
+            idx = np.flatnonzero(np.abs(coord - c) <= h + 1e-14)
+            out.append(slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0))
+        return tuple(out)
 
-    def time_mask(self, grid: WeightedGrid) -> np.ndarray:
-        _, _, ct = self._parts(grid.d)
-        return np.abs(grid.t - ct) <= self.radius**2 + 1e-14
 
-    def mask(self, grid: WeightedGrid) -> np.ndarray:
-        """Space-time node membership, shape grid.spacetime_shape."""
-        ms = self.spatial_mask(grid)
-        mt = self.time_mask(grid)
-        return mt.reshape((-1,) + (1,) * (grid.d + 1)) & ms[None, ...]
+def restrict(grid: WeightedGrid, field: np.ndarray,
+             region: Cylinder | None = None):
+    """(values, weights) of a spatial or space-time field on the index box
+    of region (every node without one).
+
+    The weights are the nodal |y|^a masses, times each node's dual time
+    length for a space-time field.  The caller checks that region fits.
+    """
+    if field.shape == grid.spatial_shape:
+        skip = 1
+    elif field.shape == grid.spacetime_shape:
+        skip = 0
+    else:
+        raise GridError(
+            f"field shape {field.shape} matches neither spatial "
+            f"{grid.spatial_shape} nor space-time {grid.spacetime_shape}"
+        )
+    box = (tuple(slice(0, n) for n in grid.spacetime_shape) if region is None
+           else region.box(grid))[skip:]
+    w = grid.node_mass.reshape(grid.spatial_shape)[box[-(grid.d + 1):]]
+    if skip == 0:
+        w = np.multiply.outer(grid.tvol[box[0]], w)
+    return field[box], w
 
 
 def weighted_measure(grid: WeightedGrid, flags: np.ndarray,
@@ -261,81 +288,60 @@ def weighted_measure(grid: WeightedGrid, flags: np.ndarray,
     """|A|_a of the flagged node set: sum of nodal dual masses.
 
     flags may be spatial (measure in d+1 space dims) or space-time
-    (then each node also carries its dual time length).
+    (then each node also carries its dual time length).  With a region,
+    the sum runs over the region's index box.
     """
-    flags = np.asarray(flags)
-    if flags.shape == grid.spatial_shape:
-        w = grid.node_mass.reshape(grid.spatial_shape)
-        if region is not None:
-            region.require_fits(grid)
-            flags = flags & region.spatial_mask(grid)
-        return float(np.sum(w * flags))
-    if flags.shape == grid.spacetime_shape:
-        w = np.multiply.outer(
-            grid.tvol, grid.node_mass.reshape(grid.spatial_shape)
-        )
-        if region is not None:
-            region.require_fits(grid)
-            flags = flags & region.mask(grid)
-        return float(np.sum(w * flags))
-    raise GridError(
-        f"flags shape {flags.shape} matches neither spatial {grid.spatial_shape} "
-        f"nor space-time {grid.spacetime_shape}"
-    )
+    if region is not None:
+        region.require_fits(grid)
+    f, w = restrict(grid, np.asarray(flags), region)
+    return float(np.sum(w * f))
 
 
 def _grad_energy_spatial(grid: WeightedGrid, U: np.ndarray,
-                         mask: np.ndarray | None = None) -> float:
-    """Discrete int |y|^a |grad U|^2 of a spatial slice by edge sums.
+                         box: tuple) -> float:
+    """Discrete int |y|^a |grad U|^2 over the edges inside a spatial box.
 
     Uses the same transmissibilities / dual volumes as the assembled
-    stiffness operator; with mask, only edges with both endpoints
-    flagged contribute.
+    stiffness operator; box is one slice per axis (y, x[, x]) with
+    explicit start and stop, and an edge counts when both of its
+    endpoints lie in the box.
     """
-    U = U.reshape(grid.spatial_shape)
-    tau = grid.face_trans_y
+    Ub = U.reshape(grid.spatial_shape)[box]
+    xsec = grid.xmass.reshape(grid.spatial_shape[1:])[box[1:]]
     total = 0.0
     # y edges: coefficient tau_j times the x cross-section volume
-    dy = np.diff(U, axis=0)
-    xsec = grid.xmass.reshape(grid.spatial_shape[1:])
-    coef = np.multiply.outer(tau, xsec)
-    act = 1.0 if mask is None else (mask[1:] & mask[:-1])
-    total += float(np.sum(coef * dy * dy * act))
+    dy = np.diff(Ub, axis=0)
+    j0 = box[0].start
+    coef = np.multiply.outer(grid.face_trans_y[j0:j0 + dy.shape[0]], xsec)
+    total += float(np.sum(coef * dy * dy))
     # x edges per axis: (yvol x cross)/hx
     for k in range(grid.d):
         ax = 1 + k
-        dx = np.diff(U, axis=ax)
+        dx = np.diff(Ub, axis=ax)
         shape = [1] * (grid.d + 1)
         shape[0] = -1
-        coef = grid.yvol.reshape(shape) / grid.hx
+        coef = grid.yvol[box[0]].reshape(shape) / grid.hx
         if grid.d == 2:
             other = 1 + (1 - k)
             oshape = [1] * (grid.d + 1)
             oshape[other] = -1
-            coef = coef * grid.xvol.reshape(oshape)
-        if mask is not None:
-            lo = [slice(None)] * (grid.d + 1)
-            hi = [slice(None)] * (grid.d + 1)
-            lo[ax] = slice(None, -1)
-            hi[ax] = slice(1, None)
-            act = mask[tuple(lo)] & mask[tuple(hi)]
-        else:
-            act = 1.0
-        total += float(np.sum(coef * dx * dx * act))
+            coef = coef * grid.xvol[box[other]].reshape(oshape)
+        total += float(np.sum(coef * dx * dx))
     return total
 
 
 def weighted_norm(grid: WeightedGrid, field: np.ndarray, norm: str,
                   p: float = 2.0, q: float = 2.0,
                   region: Cylinder | None = None) -> float:
-    """Discrete weighted norms.
+    """Discrete weighted norms, over the region's index box if given.
 
     norm is one of
       'L2a'            weighted L^2 over the (space-time or spatial) field
       'Lpa'            weighted L^p, exponent p
-      'H1a'            weighted H^1 (squared terms summed, then sqrt)
       'LinfT_Lq_trace' sup over time layers of the plain L^q norm of a
-                       trace field (shape (nt+1, trace...))
+                       trace field (shape (nt+1, trace...)); a region
+                       restricts t and x, and a region without a time
+                       node gives 0
     """
     field = np.asarray(field, dtype=float)
     if region is not None:
@@ -343,49 +349,8 @@ def weighted_norm(grid: WeightedGrid, field: np.ndarray, norm: str,
 
     if norm in ("L2a", "Lpa"):
         ex = 2.0 if norm == "L2a" else float(p)
-        if field.shape == grid.spatial_shape:
-            w = grid.node_mass.reshape(grid.spatial_shape)
-            if region is not None:
-                w = w * region.spatial_mask(grid)
-        elif field.shape == grid.spacetime_shape:
-            w = np.multiply.outer(grid.tvol,
-                                  grid.node_mass.reshape(grid.spatial_shape))
-            if region is not None:
-                w = w * region.mask(grid)
-        else:
-            raise GridError(f"field shape {field.shape} not on this grid")
-        return float(np.sum(w * np.abs(field) ** ex) ** (1.0 / ex))
-
-    if norm == "H1a":
-        sq = weighted_norm(grid, field, "L2a", region=region) ** 2
-        msk = None
-        if field.shape == grid.spatial_shape:
-            if region is not None:
-                msk = region.spatial_mask(grid)
-            sq += _grad_energy_spatial(grid, field, msk)
-        elif field.shape == grid.spacetime_shape:
-            if region is not None:
-                msk = region.spatial_mask(grid)
-                mt = region.time_mask(grid)
-            layers = field.reshape(grid.spec.nt + 1, -1)
-            ge = np.array([
-                _grad_energy_spatial(grid, lay, msk) for lay in layers
-            ])
-            tw = grid.tvol if region is None else grid.tvol * mt
-            sq += float(np.sum(tw * ge))
-            # time derivative term, cellwise
-            dU = np.diff(layers, axis=0) / grid.dt
-            w = grid.node_mass[None, :]
-            if msk is not None:
-                w = w * msk.ravel()[None, :]
-            icell = np.sum(dU * dU * w, axis=1)
-            ct = np.ones(grid.spec.nt)
-            if region is not None:
-                ct = (mt[:-1] & mt[1:]).astype(float)
-            sq += float(np.sum(grid.dt * ct * icell))
-        else:
-            raise GridError(f"field shape {field.shape} not on this grid")
-        return float(np.sqrt(sq))
+        f, w = restrict(grid, field, region)
+        return float(np.sum(w * np.abs(f) ** ex) ** (1.0 / ex))
 
     if norm == "LinfT_Lq_trace":
         trace_shape = (grid.spec.nt + 1,) + (grid.spec.nx + 1,) * grid.d
@@ -394,20 +359,15 @@ def weighted_norm(grid: WeightedGrid, field: np.ndarray, norm: str,
                 f"trace field shape {field.shape} != expected {trace_shape}"
             )
         qq = float(q)
-        lay = field.reshape(grid.spec.nt + 1, -1)
-        w = grid.xmass[None, :]
-        keep = np.ones(grid.spec.nt + 1, dtype=bool)
+        box = (slice(None),) * (grid.d + 1)
         if region is not None:
-            cx = region._parts(grid.d)[0]
-            mx = np.ones((grid.spec.nx + 1,) * grid.d, dtype=bool)
-            for k in range(grid.d):
-                m1 = np.abs(grid.x - cx[k]) <= region.radius + 1e-14
-                shape = [1] * grid.d
-                shape[k] = -1
-                mx = mx & m1.reshape(shape)
-            w = w * mx.ravel()[None, :]
-            keep = region.time_mask(grid)
+            tb, _, *xb = region.box(grid)
+            box = (tb, *xb)
+        w = grid.xmass.reshape(trace_shape[1:])[box[1:]].ravel()
+        # a C-ordered copy, so the row sums do not depend on memory order
+        lay = np.ascontiguousarray(field[box])
+        lay = lay.reshape(lay.shape[0], w.size)
         vals = np.sum(w * np.abs(lay) ** qq, axis=1) ** (1.0 / qq)
-        return float(np.max(vals[keep])) if np.any(keep) else 0.0
+        return float(np.max(vals)) if vals.size else 0.0
 
     raise GridError(f"unknown norm tag {norm!r}")

@@ -65,10 +65,6 @@ class SolveResult:
     converged: bool = False
     breakdown: str | None = None
 
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else np.inf
-
 
 def pcg_solve(A, b, precond="jacobi", tol=1e-10, maxit=1000,
               x0=None) -> SolveResult:

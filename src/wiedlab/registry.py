@@ -209,7 +209,8 @@ def _check_cylinder(opt, grid, cfg, *positive) -> Cylinder:
 
 def _check_linf_l2(opt, grid, cfg):
     cyl = _check_cylinder(opt, grid, cfg)
-    if not Cylinder(cyl.center, cyl.radius / 2.0).mask(grid).any():
+    if any(s.start == s.stop
+           for s in Cylinder(cyl.center, cyl.radius / 2.0).box(grid)):
         raise ValueError(f"the inner half cylinder (center={cyl.center}, "
                          f"r={cyl.radius / 2.0}) holds no grid node")
     p, q = cfg.forcing_exponents

@@ -10,7 +10,7 @@ from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               functional_gradient, functional_value,
                               space_time_inverse, spectral_preconditioner,
                               stencil_residual, weighted_trace_flux)
-from wiedlab.combustion import (CombustionModel, beta_prime_eval,
+from wiedlab.combustion import (CombustionModel, beta_eval, beta_prime_eval,
                                 model_from_dict, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
 from wiedlab.linalg import finalize_csr
@@ -241,7 +241,7 @@ def test_trace_newton_step_matches_sparse_direct_solve():
         ctm = system.c_hat[:, None] * system.ops.trace_mass
         dbeta = ctm * beta_prime_eval(BUMP, U[1:, tr])
         rhs = system.rhs(U0).reshape(nt, S)
-        rhs[:, tr] += dbeta * U[1:, tr] - system.beta_source(BUMP, U)
+        rhs[:, tr] += dbeta * U[1:, tr] - ctm * beta_eval(BUMP, U[1:, tr])
         x_ref = spsolve(system.newton_matrix(BUMP, U).tocsc(), rhs.ravel())
         inv = space_time_inverse(system, BUMP.lipschitz)
         for tol in (1e-7, 1e-11):
@@ -351,7 +351,9 @@ def _matvec_residual(system, model, U):
     """A x + E bs - rhs(U0) with the assembled matrix A."""
     nt, S = system.grid.spec.nt, system.grid.n_spatial
     source = np.zeros((nt, S))
-    source[:, system.ops.trace_index] = system.beta_source(model, U)
+    tr = system.ops.trace_index
+    source[:, tr] = (system.c_hat[:, None] * system.ops.trace_mass
+                     * beta_eval(model, U[1:, tr]))
     return (system.A @ U[1:].ravel() + source.ravel()
             - system.rhs(U[0])).reshape(nt, S)
 

@@ -3,7 +3,8 @@
 `wiedlab run` is started in fresh processes with the BLAS pools pinned
 to one and to two threads; the artifact hashes of the two manifests
 must agree.  A burning plateau exercises the trace-reduced parabolic
-step, the space-time sweep and the energy reports in d = 1 and d = 2.
+step, the space-time sweep, the energy reports and the cylinder sums
+(level sets, no-spikes, L^2 -> L^oo) in d = 1 and d = 2.
 """
 
 import json
@@ -43,6 +44,7 @@ def run_hashes(cfg_path: Path, out: Path, threads: int) -> dict:
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_artifact_hashes_match_across_blas_threads(tmp_path, grid):
+    cyl = {"center": [0.0] * (GRIDS[grid]["d"] + 1) + [0.5], "radius": 0.5}
     cfg = {
         "grid": GRIDS[grid],
         "model": {"kind": "polynomial-bump"},
@@ -50,7 +52,10 @@ def test_artifact_hashes_match_across_blas_threads(tmp_path, grid):
                     "axis": "trace"},
         "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 2},
         "wied": {"outer": "newton", "outer_tol": 1e-9},
-        "diagnostics": [{"name": "energy"}, {"name": "cauchy"}],
+        "diagnostics": [{"name": "energy"}, {"name": "cauchy"},
+                        {"name": "level-sets", **cyl},
+                        {"name": "no-spikes", **cyl},
+                        {"name": "linf-l2", **cyl}],
         "seed": 7,
     }
     cfg_path = tmp_path / "cfg.json"
@@ -58,4 +63,6 @@ def test_artifact_hashes_match_across_blas_threads(tmp_path, grid):
     one = run_hashes(cfg_path, tmp_path / "t1", 1)
     two = run_hashes(cfg_path, tmp_path / "t2", 2)
     assert "fields/parabolic.f64" in one
+    assert {"reports/level_sets.csv", "reports/no_spikes.csv",
+            "reports/linf_l2.csv"} <= set(one)
     assert one == two

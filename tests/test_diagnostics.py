@@ -8,6 +8,8 @@ from wiedlab.grid import Cylinder, GridError, GridSpec, build_grid, \
     weighted_measure
 from wiedlab.wied import WiedConfig, solve_wied
 
+from test_grid import axis_conditions, box_cases, outer_and
+
 BUMP = validate_model(CombustionModel())
 
 
@@ -183,6 +185,82 @@ def test_level_set_slab_geometry_hand_oracle():
     assert rep.measures["C"] == pytest.approx(
         g.yvol[0] * xt, rel=1e-12)  # only the y = 0 node
     assert rep.measures["D"] == pytest.approx(expect_D, rel=1e-12)
+
+
+def masked_grad_energy(g, U, mask):
+    """Edge sums of |y|^a |grad U|^2 over the edges whose two endpoints
+    are flagged in a full-size spatial mask."""
+    d = g.d
+    dy = np.diff(U, axis=0)
+    coef = np.multiply.outer(g.face_trans_y,
+                             g.xmass.reshape(g.spatial_shape[1:]))
+    total = np.sum(coef * dy * dy * (mask[1:] & mask[:-1]))
+    for k in range(d):
+        ax = 1 + k
+        dx = np.diff(U, axis=ax)
+        coef = g.yvol.reshape((-1,) + (1,) * d) / g.hx
+        if d == 2:
+            coef = coef * g.xvol.reshape((1, -1, 1) if k else (1, 1, -1))
+        both = np.delete(mask, -1, axis=ax) & np.delete(mask, 0, axis=ax)
+        total += np.sum(coef * dx * dx * both)
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cylinder_diagnostics_match_masked_reference(d):
+    g = build_grid(GridSpec(d=d, a=0.3, L=1.0, Y=1.0, T=1.0,
+                            nx=10, ny=7, nt=16))
+    rng = np.random.default_rng(20 + d)
+    nm = g.node_mass.reshape(g.spatial_shape)
+    wst = g.tvol.reshape((-1,) + (1,) * (d + 1)) * nm
+    U = 1.5 * rng.random(g.spacetime_shape) - 0.25
+    S = U[5]
+    for cyl in box_cases(g, d):
+        conds = axis_conditions(g, cyl)
+        ms = outer_and(conds[1:])
+        # the isoperimetric and embedding slices need not fit in time
+        assert dg.isoperimetric_check(
+            g, S, 1.5, center=cyl.center[:-1], radius=cyl.radius
+        )["gradient_energy"] == pytest.approx(
+            masked_grad_energy(g, S, ms), rel=1e-13, abs=0.0)
+        if not cyl.fits(g):
+            continue
+        m = outer_and(conds)
+        rep = dg.level_set_measures(g, U, cyl)
+        ref = {"A": U >= 0.5, "C": U <= 0.0, "D": (U > 0.0) & (U < 0.5),
+               "total": np.ones(U.shape, dtype=bool)}
+        for key, flags in ref.items():
+            assert rep.measures[key] == pytest.approx(
+                np.sum(wst * flags * m), rel=1e-13, abs=0.0)
+        rep = dg.no_spikes_iteration(g, 1.5 * U, cyl, jmax=4)
+        for j in range(5):
+            mj = outer_and(axis_conditions(
+                g, Cylinder(cyl.center, rep.radii[j] * cyl.radius)))
+            V = np.clip(1.5 * U - rep.levels[j], 0.0, None)
+            assert rep.energies[j] == pytest.approx(
+                np.sum(wst * V * V * mj), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_embedding_matches_masked_reference(d):
+    g = build_grid(GridSpec(d=d, a=0.3, L=1.0, Y=1.0, T=1.0,
+                            nx=10, ny=7, nt=2))
+    U = np.random.default_rng(d).standard_normal(g.spatial_shape)
+    nm = g.node_mass.reshape(g.spatial_shape)
+    a, sig = g.a, dg.sobolev_exponent(d, g.a)
+    for radius in (0.05, 0.3, 2 * g.hx, 0.75, 1.0):
+        ms = outer_and(axis_conditions(
+            g, Cylinder((0.0,) * d + (0.0, 0.0), radius))[1:])
+        tr = np.sum(g.xmass.reshape(U.shape[1:]) * ms[0] * U[0] * U[0])
+        l2 = np.sum(nm * ms * U * U)
+        ge = masked_grad_energy(g, U, ms)
+        lhs = np.sum(nm * ms * np.abs(U) ** (2 * sig)) ** (1 / sig)
+        rep = dg.embedding_ratio_check(g, U, radius=radius)
+        trace_rhs = 2.0 ** ((1 + a) / 2) * l2 + 2.0 ** (-(1 - a) / 2) * ge
+        assert rep["trace_ratio"] == pytest.approx(
+            tr / trace_rhs, rel=1e-13, abs=0.0)
+        assert rep["sobolev_ratio"] == pytest.approx(
+            lhs / (l2 / radius**2 + ge), rel=1e-13, abs=0.0)
 
 
 def test_isoperimetric_trivial_cases():

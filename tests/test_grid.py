@@ -109,15 +109,6 @@ def test_norm_constant_l2a():
     assert abs(weighted_norm(g, U, "L2a") - np.sqrt(2.0)) < 1e-13
 
 
-def test_norm_constant_has_zero_seminorm():
-    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
-                            nx=6, ny=6, nt=6))
-    U = np.full(g.spatial_shape, 3.7)
-    h1 = weighted_norm(g, U, "H1a")
-    l2 = weighted_norm(g, U, "L2a")
-    assert abs(h1 - l2) < 1e-13
-
-
 def test_norm_linear_in_y_converges():
     # ||y||^2_{L2a} = (x,t volume) * int_0^1 y^{2+a} dy = vol / (3 + a)
     a = 0.5
@@ -169,6 +160,110 @@ def test_spec_json_roundtrip():
     assert again == spec
     with pytest.raises(GridError):
         GridSpec.from_dict({**spec.to_dict(), "extra_field": 1})
+
+
+def axis_conditions(g, cyl):
+    """Node membership per axis (t, y, x[, x]) from the 1-D coordinate
+    conditions of the cylinder."""
+    *cx, cy, ct = (float(v) for v in cyl.center)
+    r = cyl.radius
+    conds = [np.abs(g.t - ct) <= r**2 + 1e-14, np.abs(g.y - cy) <= r + 1e-14]
+    return conds + [np.abs(g.x - c) <= r + 1e-14 for c in cx]
+
+
+def outer_and(conds):
+    mask = conds[0]
+    for c in conds[1:]:
+        mask = np.logical_and.outer(mask, c)
+    return mask
+
+
+def reference_mask(g, cyl):
+    """Space-time node membership, shape g.spacetime_shape."""
+    return outer_and(axis_conditions(g, cyl))
+
+
+def box_cases(g, seed):
+    """Random cylinders, windows whose edge lies within 1e-14 of a node or
+    of the grid boundary, and windows that hold no node."""
+    d, hx, dt = g.d, g.hx, g.dt
+    rng = np.random.default_rng(seed)
+    cyls = [Cylinder(tuple(rng.uniform(-1.2, 1.2, d))
+                     + (rng.uniform(0.0, 1.2), rng.uniform(-0.2, 1.2)),
+                     rng.uniform(0.01, 1.0)) for _ in range(40)]
+    for tiny in (-2e-14, -5e-15, 0.0, 5e-15, 2e-14):
+        cyls.append(Cylinder((0.0,) * d + (0.0, 0.5), 2 * hx + tiny))
+        cyls.append(Cylinder((1.0 - 0.3 + tiny,) * d + (0.7, 1.0 - 0.09),
+                             0.3))
+        cyls.append(Cylinder((0.0,) * d + (g.y[3], 0.5 + tiny),
+                             np.sqrt(4 * dt)))
+    cyls.append(Cylinder((hx / 2,) * d + (0.5, 0.5), hx / 4))
+    cyls.append(Cylinder((0.0,) * d + (0.5, 0.5 + dt / 2), np.sqrt(dt) / 2))
+    cyls.append(Cylinder((0.0,) * d + (-0.5, 0.5), 0.1))
+    return cyls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_cylinder_box_matches_coordinate_conditions(d):
+    g = build_grid(GridSpec(d=d, a=0.3, L=1.0, Y=1.0, T=1.0,
+                            nx=10, ny=7, nt=16))
+    empty = 0
+    for cyl in box_cases(g, d):
+        box = cyl.box(g)
+        assert len(box) == d + 2
+        got = np.zeros(g.spacetime_shape, dtype=bool)
+        got[box] = True
+        ref = reference_mask(g, cyl)
+        assert np.array_equal(got, ref), cyl
+        empty += not ref.any()
+    assert empty >= 3
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_restricted_sums_match_masked_reference(d):
+    g = build_grid(GridSpec(d=d, a=0.3, L=1.0, Y=1.0, T=1.0,
+                            nx=10, ny=7, nt=16))
+    rng = np.random.default_rng(10 + d)
+    nm = g.node_mass.reshape(g.spatial_shape)
+    wst = g.tvol.reshape((-1,) + (1,) * (d + 1)) * nm
+    U = rng.standard_normal(g.spacetime_shape)
+    flags = U > 0.3
+    f = rng.standard_normal((g.spec.nt + 1,) + (g.spec.nx + 1,) * d)
+    xm = g.xmass.reshape(f.shape[1:])
+    for cyl in box_cases(g, d):
+        if not cyl.fits(g):
+            continue
+        conds = axis_conditions(g, cyl)
+        m, ms, mx = outer_and(conds), outer_and(conds[1:]), outer_and(conds[2:])
+        rows = np.sum((xm * mx).ravel()
+                      * np.abs(f.reshape(g.spec.nt + 1, -1)) ** 4,
+                      axis=1) ** 0.25
+        cases = [
+            (weighted_measure(g, flags, cyl), np.sum(wst * flags * m)),
+            (weighted_measure(g, flags[5], cyl), np.sum(nm * flags[5] * ms)),
+            (weighted_norm(g, U, "L2a", region=cyl),
+             np.sum(wst * U * U * m) ** 0.5),
+            (weighted_norm(g, U[5], "Lpa", p=3.0, region=cyl),
+             np.sum(nm * np.abs(U[5]) ** 3 * ms) ** (1 / 3)),
+            (weighted_norm(g, f, "LinfT_Lq_trace", q=4.0, region=cyl),
+             np.max(rows[conds[0]]) if conds[0].any() else 0.0),
+        ]
+        for got, ref in cases:
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), cyl
+
+
+def test_trace_norm_independent_of_memory_order():
+    # shipped grid; at this seed a row sum over an F-ordered field used to
+    # round differently, with and without a region
+    g = build_grid(GridSpec(d=1, a=0.5, L=4.0, Y=2.5, T=4.0,
+                            nx=80, ny=17, nt=960))
+    f = np.random.default_rng(7).random((g.spec.nt + 1, g.spec.nx + 1))
+    for region in (None, Cylinder((0.0, 0.0, 2.0), 1.0)):
+        c = weighted_norm(g, np.ascontiguousarray(f), "LinfT_Lq_trace",
+                          q=4.0, region=region)
+        fo = weighted_norm(g, np.asfortranarray(f), "LinfT_Lq_trace",
+                           q=4.0, region=region)
+        assert c == fo
 
 
 def test_trace_norm_linf_lq():
