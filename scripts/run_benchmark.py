@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Run the shipped combustion benchmark and print the headline numbers.
+"""Run the shipped combustion benchmark and print the headline numbers:
+the convergence table, then per eps level the outer iterations and the
+GMRES iterations of its Newton trace solves (from levels.json).
 
 Usage: python scripts/run_benchmark.py [configs/combustion-1d.json] [outdir]
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -23,6 +26,11 @@ def main(config="configs/combustion-1d.json", out="runs/combustion-1d"):
     print(f"wall clock: {manifest['wallclock_s']:.1f}s")
     conv = Path(out) / "reports" / "convergence.csv"
     print(conv.read_text().strip())
+    levels = json.loads((Path(out) / "reports" / "levels.json").read_text())
+    print("eps,outer_iterations,gmres_iterations")
+    for lv in levels:
+        print(f"{lv['eps']:g},{lv['iterations']},"
+              f"{sum(lv['inner_iterations'])}")
 
 
 if __name__ == "__main__":

@@ -222,8 +222,12 @@ def _check_initial(grid, Ulay, U0):
 
 def functional_value(grid: WeightedGrid, model, eps: float,
                      U: np.ndarray, U0: np.ndarray | None = None,
-                     ops: DiscreteOperators | None = None) -> float:
-    """Discrete weighted inertia-energy-dissipation value of U."""
+                     ops: DiscreteOperators | None = None,
+                     KU: np.ndarray | None = None) -> float:
+    """Discrete weighted inertia-energy-dissipation value of U.
+
+    KU, when given, is the stiffness product (Ka @ U.T).T of the layers
+    of U, so a caller that also needs the residual forms it once."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
@@ -233,7 +237,8 @@ def functional_value(grid: WeightedGrid, model, eps: float,
 
     dU = np.diff(Ulay, axis=0) / grid.dt
     icell = (dU * dU) @ ops.mass
-    KU = (ops.Ka @ Ulay.T).T
+    if KU is None:
+        KU = (ops.Ka @ Ulay.T).T
     Sm = np.einsum("ns,ns->n", Ulay, KU)
     u = Ulay[:, ops.trace_index]
     Pm = phi_eval(model, u) @ ops.trace_mass
@@ -377,14 +382,16 @@ class LinearSystem:
                                       * beta_prime_eval(model, u))
         return finalize_csr(self.A + sp.diags(d.ravel()))
 
-    def residual(self, model, U: np.ndarray,
-                 U0: np.ndarray | None = None) -> np.ndarray:
+    def residual(self, model, U: np.ndarray, U0: np.ndarray | None = None,
+                 KU: np.ndarray | None = None) -> np.ndarray:
         """Normalized EL residual on layers 1..nt, shape (nt, n_spatial):
-        stencil_residual minus b_forcing."""
+        stencil_residual minus b_forcing.  KU, when given, is the
+        stiffness product (Ka @ U.T).T of the layers of U."""
         Ulay = _layers(self.grid, U)
         _check_initial(self.grid, Ulay, U0)
-        r = stencil_residual(self.grid, model, self.eps, Ulay,
-                             (self.ops.Ka @ Ulay.T).T, self.ops)
+        if KU is None:
+            KU = (self.ops.Ka @ Ulay.T).T
+        r = stencil_residual(self.grid, model, self.eps, Ulay, KU, self.ops)
         r -= self.b_forcing.reshape(r.shape)
         return r
 
@@ -422,7 +429,8 @@ def _time_thomas(b: np.ndarray, low, up):
     b (nt, S), subdiagonal -low and superdiagonal -up (scalars or (S,)).
 
     The factorization is done once; the returned solve overwrites and
-    returns its (nt, S) argument.
+    returns its (nt, S) argument.  It works on row views with one (S,)
+    scratch row and allocates nothing per layer.
     """
     nt, S = b.shape
     cp = np.empty((nt, S))
@@ -432,14 +440,21 @@ def _time_thomas(b: np.ndarray, low, up):
     for m in range(1, nt):
         emul[m] = 1.0 / (b[m] + low * cp[m - 1])
         cp[m] = -up * emul[m] if m < nt - 1 else 0.0
+    erows, cprows = list(emul), list(cp)
+    tmp = np.empty(S)
 
     def solve(z: np.ndarray) -> np.ndarray:
-        z[0] *= emul[0]
+        zr = list(z)
+        np.multiply(zr[0], erows[0], out=zr[0])
         for m in range(1, nt):
-            z[m] += low * z[m - 1]
-            z[m] *= emul[m]
+            # z[m] = (z[m] + low z[m-1]) emul[m]
+            np.multiply(low, zr[m - 1], out=tmp)
+            np.add(zr[m], tmp, out=zr[m])
+            np.multiply(zr[m], erows[m], out=zr[m])
         for m in range(nt - 2, -1, -1):
-            z[m] -= cp[m] * z[m + 1]
+            # z[m] -= cp[m] z[m+1]
+            np.multiply(cprows[m], zr[m + 1], out=tmp)
+            np.subtract(zr[m], tmp, out=zr[m])
         return z
 
     return solve
@@ -526,8 +541,10 @@ class SpaceTimeInverse:
         GMRES to relative residual tol, from y0 when given, and
         x = x0 - P E (shift y).  Then E' x - y is the GMRES residual g,
         and the linear residual of x is exactly E (shift g), up to the
-        roundoff of P.  Returns x and the GMRES SolveResult (its x is y,
-        flattened).
+        roundoff of P, so its norm is at most
+        tol max|shift| |E' x0|; solve_wied picks tol from the outer
+        residual that way.  Returns x and the GMRES SolveResult (its x is
+        y, flattened).
         """
         x0 = np.asarray(x0, dtype=float).reshape(self.nt, -1)
         shape = shift.shape

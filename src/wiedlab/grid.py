@@ -223,14 +223,16 @@ class Cylinder:
             )
         return c[:d], c[d], c[d + 1]
 
-    def fits(self, grid: WeightedGrid) -> bool:
+    def fits(self, grid: WeightedGrid, time: bool = True) -> bool:
+        """Whether the box lies in [-L, L]^d x [0, Y] x [0, T] (1e-12
+        slack); with time False only its spatial part is checked."""
         cx, cy, ct = self._parts(grid.d)
         r = self.radius
         sp = grid.spec
         ok_x = all(abs(v) + r <= sp.L + 1e-12 for v in cx)
         ok_y = (cy + r) <= sp.Y + 1e-12 and cy >= -1e-12
         ok_t = (ct - r * r) >= -1e-12 and (ct + r * r) <= sp.T + 1e-12
-        return ok_x and ok_y and ok_t
+        return ok_x and ok_y and (ok_t or not time)
 
     def require_fits(self, grid: WeightedGrid):
         if not self.fits(grid):

@@ -231,6 +231,14 @@ def _check_layer(opt, grid, cfg):
     _positive(opt, "radius")
     _option(opt, "layer_time", lambda v: 0 <= v <= grid.spec.T,
             f"number in [0, {grid.spec.T}]")
+    # the slice's cylinder is centred at x = 0, y = 0 and the ratios scale
+    # with its radius: clipped to the grid, it would no longer have it
+    r = float(opt["radius"])
+    if not Cylinder((0.0,) * (grid.d + 2), r).fits(grid, time=False):
+        raise ValueError(
+            f"option 'radius' = {r} leaves the grid: the cylinder at "
+            f"x = 0, y = 0 needs radius <= min(L, Y) = "
+            f"{min(grid.spec.L, grid.spec.Y)}")
 
 
 def _check_isoperimetric(opt, grid, cfg):

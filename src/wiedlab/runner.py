@@ -188,6 +188,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
                  "el_tol_abs": lv.stats.get("el_tol_abs"),
                  "dist_to_ref": lv.dist_to_ref,
                  "inner_iterations": lv.stats.get("inner_iterations", []),
+                 "newton_tols": lv.stats.get("newton_tols", []),
                  "damping": lv.stats.get("damping", [])} for lv in levels])
 
     summary = []

@@ -44,11 +44,18 @@ class SweepError(RuntimeError):
 
 @dataclass
 class WiedConfig:
+    """Settings of one WIED level solve.
+
+    inner_tol is the floor of the relative GMRES tolerance of a Newton
+    trace solve, whose tolerance otherwise follows the outer residual
+    (the forcing term in solve_wied); inner_maxit caps its iterations.
+    """
+
     eps: float = 0.1
     outer: str = "picard"          # or "newton"
     outer_tol: float = 1e-9        # relative EL residual
     outer_maxit: int = 40
-    inner_tol: float = 1e-11
+    inner_tol: float = 1e-11       # floor of the Newton GMRES tolerance
     inner_maxit: int = 40000
     damping: float = 1.0
 
@@ -99,6 +106,15 @@ class WiedResult:
     stats: dict
 
 
+# Eisenstat-Walker choice 2: a Newton step's GMRES solve is held to the
+# linear residual eta_k res_k, eta_k = min(FORCING_MAX,
+# FORCING_GAMMA (res_k / res_{k-1})^FORCING_ALPHA); FORCING_MAX also caps
+# the relative GMRES tolerance
+FORCING_GAMMA = 0.9
+FORCING_ALPHA = 2
+FORCING_MAX = 0.1
+
+
 def _norm(v) -> float:
     return float(np.sqrt(np.sum(v * v)))
 
@@ -109,8 +125,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     """Solve the discrete minimization for one eps.
 
     Returns the field with U[0] = U0 exactly, plus per-iteration stats
-    (residuals, functional values, inner iteration counts, and the
-    absolute residual threshold el_tol_abs actually enforced).
+    (residuals, functional values, inner iteration counts, the relative
+    GMRES tolerance of each Newton step, and the absolute residual
+    threshold el_tol_abs actually enforced).
 
     With X the unknown layers, the EL residual is r(X) = L(X) + E bs(X):
     L(X) = A X - b is affine, bs the c_hat-scaled trace source and E the
@@ -126,10 +143,17 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     Newton once Picard has pulled the residual below 5% of its start, and
     falls back to a Picard step on rejection.  The Newton matrix is
     A_sigma + E D E' with D = c_hat D_tr (beta'(U) - sigma), solved by
-    Woodbury on the trace (SpaceTimeInverse.shifted_solve, GMRES to
-    inner_tol, its solution y):
+    Woodbury on the trace (SpaceTimeInverse.shifted_solve, its solution
+    y):
 
         Newton:  x = (A_sigma + E D E')^{-1} (b + E (c_hat D_tr beta'(U) U_tr - bs(U))).
+
+    The GMRES solve is inexact Newton with the Eisenstat-Walker choice 2
+    forcing term eta_k = min(0.1, 0.9 (res_k / res_{k-1})^2) (0.1 at the
+    first iteration): its linear residual is held below
+    target = max(eta_k res_k, tol_abs / 2).  The GMRES residual g enters
+    L(x) as E (D g), so the relative tolerance is
+    target / (max|D| |E' P rhs|), clipped to [inner_tol, 0.1].
 
     Both steps leave a residual supported on the trace, known without a
     matvec:
@@ -188,16 +212,19 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
     def full_state(U):
         # residual and functional of U in full: |r|, r off the trace and
-        # its norm, the trace block of r, E(U) and the layer sums of Phi
-        r = system.residual(model, U, U0f)
+        # its norm, the trace block of r, E(U) and the layer sums of Phi;
+        # both share one stiffness product
+        KU = (ops.Ka @ U.T).T
+        r = system.residual(model, U, U0f, KU=KU)
         res = _norm(r)
         rtr = r[:, tr].copy()
         r[:, tr] = 0.0
-        fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops)
+        fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops,
+                                KU=KU)
         return res, r, _norm(r), rtr, fval, phi_eval(model, U[:, tr]) @ tm
 
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
-             "damping": [], "iterations": 0}
+             "newton_tols": [], "damping": [], "iterations": 0}
     bs = ctm * beta_eval(model, U[1:, tr])
     rhs0 = b.copy()
     rhs0[:, tr] -= bs
@@ -207,17 +234,26 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     res, r_off, off, rtr, fval, pm = full_state(U)
     mu, full = 1.0, True
 
-    def trial(kind):
-        """Trial point x and the trace block of L(x)."""
+    def trial(kind, target):
+        """Trial point x and the trace block of L(x); a Newton step's
+        linear residual is held below target, its relative GMRES
+        tolerance kept within [inner_tol, FORCING_MAX]."""
         U_tr = U[1:, tr]
         rhs = b.copy()
         if kind == "newton":
             dbeta = ctm * beta_prime_eval(model, U_tr)
             shift = dbeta - stab
             rhs[:, tr] += dbeta * U_tr - bs
+            x0 = P(rhs).reshape(nt, S)
+            # the GMRES residual g enters L(x) as E (shift g), so a
+            # relative tolerance tol keeps it below target
+            den = float(np.max(np.abs(shift))) * _norm(x0[:, tr])
+            tol = FORCING_MAX if den == 0.0 else min(
+                FORCING_MAX, max(cfg.inner_tol, target / den))
+            stats["newton_tols"].append(tol)
             # an unconverged GMRES still gives a usable inexact step: its
             # error enters lin exactly, and the line search judges it
-            x, sol = inv.shifted_solve(P(rhs), shift, tol=cfg.inner_tol,
+            x, sol = inv.shifted_solve(x0, shift, tol=tol,
                                        maxit=cfg.inner_maxit, y0=U_tr)
             stats["inner_iterations"].append(sol.iterations)
             x_tr = x[:, tr]
@@ -230,8 +266,8 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             lin = stab * (U_tr - x[:, tr]) - bs
         return x, lin
 
-    def line_search(kind):
-        x, lin_x = trial(kind)
+    def line_search(kind, target):
+        x, lin_x = trial(kind, target)
         d = x - U[1:]
         lin_U = rtr - bs
         d_tr = d[:, tr]
@@ -278,9 +314,15 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         kinds = ["picard"]
         if cfg.outer == "newton" and res <= 0.05 * stats["residuals"][0]:
             kinds = ["newton", "picard"]
+        # Eisenstat-Walker choice 2 forcing term for the Newton solve
+        eta = FORCING_MAX
+        if k > 1:
+            ratio = res / stats["residuals"][-2]
+            eta = min(FORCING_MAX, FORCING_GAMMA * ratio**FORCING_ALPHA)
+        target = max(eta * res, 0.5 * tol_abs)
         step = None
         for kind in kinds:
-            step = line_search(kind)
+            step = line_search(kind, target)
             if step is not None:
                 break
         if step is None:

@@ -8,8 +8,9 @@ from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               axis_eigenbasis, build_operators,
                               exp_time_weights,
                               functional_gradient, functional_value,
-                              space_time_inverse, spectral_preconditioner,
-                              stencil_residual, weighted_trace_flux)
+                              _time_thomas, space_time_inverse,
+                              spectral_preconditioner, stencil_residual,
+                              weighted_trace_flux)
 from wiedlab.combustion import (CombustionModel, beta_eval, beta_prime_eval,
                                 model_from_dict, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
@@ -405,6 +406,68 @@ def test_sweep_never_builds_the_space_time_matrix(tmp_path, monkeypatch):
     run_experiment(cfg, out=str(tmp_path / "run"))
     assert len(systems) == 2
     assert all("A" not in system.__dict__ for system in systems)
+
+
+def _allocating_time_thomas(b, low, up):
+    # the batched Thomas solve written with augmented assignments, which
+    # allocate a temporary per layer
+    nt, S = b.shape
+    cp = np.empty((nt, S))
+    emul = np.empty((nt, S))
+    emul[0] = 1.0 / b[0]
+    cp[0] = -up * emul[0]
+    for m in range(1, nt):
+        emul[m] = 1.0 / (b[m] + low * cp[m - 1])
+        cp[m] = -up * emul[m] if m < nt - 1 else 0.0
+
+    def solve(z):
+        z[0] *= emul[0]
+        for m in range(1, nt):
+            z[m] += low * z[m - 1]
+            z[m] *= emul[m]
+        for m in range(nt - 2, -1, -1):
+            z[m] -= cp[m] * z[m + 1]
+        return z
+
+    return solve
+
+
+@pytest.mark.parametrize("nt", [1, 2, 5, 240])
+@pytest.mark.parametrize("shaped", [False, True], ids=["scalar", "per-node"])
+def test_in_place_time_sweep_matches_allocating_loop(nt, shaped):
+    # the in-place sweep does the same arithmetic in the same order, so it
+    # agrees bit for bit; per-node low/up is the (S,) shape
+    # time_line_preconditioner passes
+    rng = np.random.default_rng(nt + 1000 * shaped)
+    S = 37
+    low = 0.2 + 0.5 * rng.random(S) if shaped else 0.6
+    up = 0.1 + 0.5 * rng.random(S) if shaped else 0.35
+    b = 1.5 + rng.random((nt, S))          # diagonally dominant
+    solve = _time_thomas(b, low, up)
+    ref = _allocating_time_thomas(b, low, up)
+    for _ in range(2):                      # the scratch row is reused
+        z = rng.standard_normal((nt, S))
+        x = solve(z.copy())
+        assert np.array_equal(x, ref(z.copy()))
+        lhs = b * x
+        lhs[1:] -= low * x[:-1]
+        lhs[:-1] -= up * x[1:]
+        assert np.max(np.abs(lhs - z)) <= 1e-13 * np.max(np.abs(z))
+
+
+def test_shared_stiffness_product_changes_no_bit():
+    # the WIED exit check forms Ka U once for the residual and the
+    # functional; both must equal the values that form it themselves
+    g = small_grid(6, 5, 8)
+    ops = build_operators(g)
+    system = assemble_linear_system(g, 0.1, ops=ops)
+    rng = np.random.default_rng(5)
+    U = rng.random((g.spec.nt + 1, g.n_spatial))
+    KU = (ops.Ka @ U.T).T
+    assert np.array_equal(system.residual(BUMP, U, U[0], KU=KU),
+                          system.residual(BUMP, U, U[0]))
+    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, KU=KU)
+            == functional_value(g, BUMP, 0.1, U, U[0], ops=ops))
 
 
 def test_eps_must_be_positive():

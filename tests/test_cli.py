@@ -145,6 +145,11 @@ def test_strict_support_flag(tmp_path, capsys):
     ({"diagnostics": [{"name": "embedding", "layer_time": "t/2"}]},
      "'layer_time'"),
     ({"diagnostics": [{"name": "isoperimetric", "p": "1.5"}]}, "'p'"),
+    # L = Y = 1: a radius past the grid would be clipped to the same nodes
+    ({"diagnostics": [{"name": "embedding", "radius": 1.5}]},
+     "leaves the grid"),
+    ({"diagnostics": [{"name": "isoperimetric", "radius": 100.0}]},
+     "leaves the grid"),
     ({"parabolic": {"picard_maxit": 0}}, "picard_maxit"),
     ({"parabolic": {"linear_maxit": 0}}, "linear_maxit"),
     ({"wied": {"outer_maxit": 0}}, "outer_maxit"),
@@ -160,6 +165,7 @@ def test_strict_support_flag(tmp_path, capsys):
         "cylinder-does-not-fit", "uniform-bounds-factor-string",
         "no-spikes-delta-string", "holder-levels-string",
         "embedding-layer-time-string", "isoperimetric-p-string",
+        "embedding-radius-past-grid", "isoperimetric-radius-past-grid",
         "picard-maxit-0", "linear-maxit-0", "outer-maxit-0",
         "inner-maxit-0", "inner-tol-boolean", "schedule-count-boolean",
         "linf-l2-empty-inner-cylinder"])

@@ -142,6 +142,29 @@ def test_optimality_along_random_variations():
         assert pairing <= 10.0 * tol * np.sqrt(np.sum(eta * eta))
 
 
+def test_newton_tolerance_follows_outer_residual():
+    # the shipped physics (config, plateau and tolerances of combustion-1d)
+    # on a coarse grid: each Newton trace solve is held only to the
+    # forcing-term tolerance, within [inner_tol, 0.1], looser than
+    # inner_tol on the first Newton step, and the level still meets the
+    # full-residual exit test
+    import json
+    from pathlib import Path
+    from wiedlab.config import config_from_dict
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "combustion-1d.json").read_text())
+    data["grid"].update(nx=16, ny=6, nt=80)
+    cfg = config_from_dict(data)
+    g = build_grid(cfg.grid)
+    wcfg = replace(cfg.wied, eps=cfg.schedule.eps0)
+    res = solve_wied(g, cfg.model, wcfg, cfg.initial.evaluate(g))
+    tols = res.stats["newton_tols"]
+    assert len(tols) >= 2
+    assert all(wcfg.inner_tol <= t <= 0.1 for t in tols)
+    assert tols[0] > wcfg.inner_tol
+    assert res.stats["residuals"][-1] <= res.stats["el_tol_abs"]
+
+
 def test_schedule_validation():
     sched = EpsilonSchedule(0.2, 0.5, 3)
     assert sched.values() == [0.2, 0.1, 0.05]
