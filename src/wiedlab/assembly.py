@@ -107,6 +107,8 @@ class AxisEigenbasis:
     Vx: np.ndarray
     lam: np.ndarray   # (n_spatial,), flattened y-major like the nodes
     d: int
+    # alpha -> (inv, h), filled by resolvent
+    resolvents: dict = field(default_factory=dict, repr=False)
 
     def _apply(self, Ay: np.ndarray | None, Ax: np.ndarray,
                r: np.ndarray) -> np.ndarray:
@@ -150,6 +152,16 @@ class AxisEigenbasis:
         """
         vy0 = self.Vy[0]
         return (vy0 * vy0) @ np.reshape(inv, (vy0.shape[0], -1))
+
+    def resolvent(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(inv, h) of alpha M + K + sigma D_tr, cached per alpha: inv =
+        1 / (alpha + lam), the modal diagonal of its inverse, and h =
+        trace_gain(inv), its capacitance matrix on the trace."""
+        pair = self.resolvents.get(alpha)
+        if pair is None:
+            inv = 1.0 / (alpha + self.lam)
+            pair = self.resolvents[alpha] = (inv, self.trace_gain(inv))
+        return pair
 
 
 def axis_eigenbasis(grid: WeightedGrid, ops: DiscreteOperators,
@@ -223,11 +235,15 @@ def _check_initial(grid, Ulay, U0):
 def functional_value(grid: WeightedGrid, model, eps: float,
                      U: np.ndarray, U0: np.ndarray | None = None,
                      ops: DiscreteOperators | None = None,
-                     KU: np.ndarray | None = None) -> float:
+                     KU: np.ndarray | None = None,
+                     Pm: np.ndarray | None = None) -> float:
     """Discrete weighted inertia-energy-dissipation value of U.
 
     KU, when given, is the stiffness product (Ka @ U.T).T of the layers
-    of U, so a caller that also needs the residual forms it once."""
+    of U, so a caller that also needs the residual forms it once; Pm,
+    when given, is the layer sums phi_eval(model, U[:, trace_index]) @
+    trace_mass of the trace potential, so a caller that also keeps them
+    evaluates Phi once."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
@@ -240,8 +256,8 @@ def functional_value(grid: WeightedGrid, model, eps: float,
     if KU is None:
         KU = (ops.Ka @ Ulay.T).T
     Sm = np.einsum("ns,ns->n", Ulay, KU)
-    u = Ulay[:, ops.trace_index]
-    Pm = phi_eval(model, u) @ ops.trace_mass
+    if Pm is None:
+        Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
     return float(np.sum(w * (eps * icell
                              + 0.5 * (Sm[:-1] + Sm[1:])
                              + 0.5 * (Pm[:-1] + Pm[1:]))))
@@ -494,68 +510,79 @@ class SpaceTimeInverse:
 
         (c T + lam_k diag(c_hat)) z_k = (V' r)_k,   c = eps/dt^2,
 
-    which solve_modes answers with a batched Thomas sweep.  Calling the
-    object applies P to a flattened (nt * n_spatial) vector: two per-axis
-    transforms and one sweep.  E injects (nt, n_trace) trace blocks into
-    the y = 0 columns.  Only the y = 0 row of Vy meets the trace, so
-    lift (P E s) and capacitance (C s = E' P E s) transform s on the
-    trace alone, and capacitance also returns to the trace without a full
-    transform: beyond two elementwise passes, one Thomas sweep is its only
-    full-size work.
+    which solve_modes answers with a batched Thomas sweep: P = V Tm^{-1} V'
+    with Tm these time problems.  Calling the object applies P to a
+    flattened (nt * n_spatial) vector: two per-axis transforms and one
+    sweep.  A solver that keeps its unknowns as modal coefficients
+    x_hat = V' M x (x = V x_hat) needs neither transform: P r has the
+    coefficients Tm^{-1} V' r.  E injects (nt, n_trace) trace blocks into
+    the y = 0 columns, and only the y = 0 row of Vy meets the trace, so
+    trace_solve (the coefficients of P E s) transforms s on the trace
+    alone and trace (E' V x_hat) reads the trace of modal coefficients
+    without a full transform.  One Thomas sweep is therefore the only
+    full-size work of trace_solve and of capacitance (C s = E' P E s),
+    beyond a few elementwise passes.
     """
 
     basis: AxisEigenbasis
     # in-place batched Thomas solve on (nt, S) modal arrays
     solve_modes: Callable[[np.ndarray], np.ndarray]
     nt: int
-    trace_index: np.ndarray
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         w = self.basis.to_modes(np.asarray(r, dtype=float).reshape(self.nt,
                                                                     -1))
         return self.basis.from_modes(self.solve_modes(w)).ravel()
 
-    def _trace_modes_solve(self, s: np.ndarray) -> np.ndarray:
-        # the modes of P E s, shape (nt, n_y, n_trace_modes)
+    def trace_solve(self, s: np.ndarray,
+                    r_hat: np.ndarray | None = None) -> np.ndarray:
+        """Tm^{-1} (r_hat + V' E s), the modal coefficients of P (r + E s),
+        for a trace block s (nt, n_trace) and r_hat = V' r (nt, n_spatial)
+        of a right-hand side r (zero when None); shape (nt, n_spatial)."""
         vy0 = self.basis.Vy[0]
         z = self.basis.to_trace_modes(s)
-        w = vy0[None, :, None] * z[:, None, :]
-        return self.solve_modes(w.reshape(self.nt, -1)).reshape(w.shape)
+        w = (vy0[None, :, None] * z[:, None, :]).reshape(self.nt, -1)
+        if r_hat is not None:
+            w += r_hat
+        return self.solve_modes(w)
 
-    def lift(self, s: np.ndarray) -> np.ndarray:
-        """P E s for a trace block s (nt, n_trace); shape (nt, n_spatial)."""
-        w = self._trace_modes_solve(s)
-        return self.basis.from_modes(w.reshape(self.nt, -1))
+    def trace(self, w: np.ndarray) -> np.ndarray:
+        """E' V w, the y = 0 trace block (nt, n_trace) of the field with
+        modal coefficients w (nt, n_spatial)."""
+        vy0 = self.basis.Vy[0]
+        return self.basis.from_trace_modes(
+            vy0 @ w.reshape(self.nt, vy0.shape[0], -1))
 
     def capacitance(self, s: np.ndarray) -> np.ndarray:
         """C s = E' P E s for a trace block s (nt, n_trace)."""
-        w = self._trace_modes_solve(s)
-        return self.basis.from_trace_modes(self.basis.Vy[0] @ w)
+        return self.trace(self.trace_solve(s))
 
-    def shifted_solve(self, x0: np.ndarray, shift: np.ndarray, tol: float,
-                      maxit: int, y0: np.ndarray | None = None):
-        """(A_sigma + E diag(shift) E')^{-1} rhs from x0 = P rhs, shape
-        (nt, n_spatial), shift a trace block (nt, n_trace).
+    def shifted_solve(self, w0: np.ndarray, x0_tr: np.ndarray,
+                      shift: np.ndarray, tol: float, maxit: int,
+                      y0: np.ndarray | None = None):
+        """The modal coefficients of (A_sigma + E diag(shift) E')^{-1} rhs
+        from those of x0 = P rhs, w0 (nt, n_spatial), and its trace
+        x0_tr = trace(w0); shift is a trace block (nt, n_trace).
 
-        Woodbury on the trace: y solves (I + C diag(shift)) y = E' x0 by
+        Woodbury on the trace: y solves (I + C diag(shift)) y = x0_tr by
         GMRES to relative residual tol, from y0 when given, and
         x = x0 - P E (shift y).  Then E' x - y is the GMRES residual g,
         and the linear residual of x is exactly E (shift g), up to the
         roundoff of P, so its norm is at most
-        tol max|shift| |E' x0|; solve_wied picks tol from the outer
-        residual that way.  Returns x and the GMRES SolveResult (its x is
-        y, flattened).
+        tol max|shift| |x0_tr|; solve_wied picks tol from the outer
+        residual that way.  Returns the coefficients of x, one Thomas
+        sweep after GMRES, and the GMRES SolveResult (its x is y,
+        flattened).
         """
-        x0 = np.asarray(x0, dtype=float).reshape(self.nt, -1)
         shape = shift.shape
 
         def apply(v):
             return v + self.capacitance(shift * v.reshape(shape)).ravel()
 
-        sol = gmres_solve(apply, x0[:, self.trace_index].ravel(), tol=tol,
-                          maxit=maxit,
+        sol = gmres_solve(apply, np.ravel(x0_tr), tol=tol, maxit=maxit,
                           x0=None if y0 is None else np.ravel(y0))
-        return x0 - self.lift(shift * sol.x.reshape(shape)), sol
+        w = self.trace_solve(shift * sol.x.reshape(shape))
+        return np.subtract(w0, w, out=w), sol
 
 
 def space_time_inverse(system: LinearSystem,
@@ -572,8 +599,7 @@ def space_time_inverse(system: LinearSystem,
         solve = _time_thomas(
             (c * main)[:, None] + np.multiply.outer(c_hat, basis.lam),
             c, c * rho)
-        inv = SpaceTimeInverse(basis=basis, solve_modes=solve, nt=nt,
-                               trace_index=system.ops.trace_index)
+        inv = SpaceTimeInverse(basis=basis, solve_modes=solve, nt=nt)
         system.inverses[sigma] = inv
     return inv
 
@@ -584,11 +610,11 @@ def spectral_preconditioner(system: LinearSystem, sigma: float = 0.0):
     space_time_inverse, whose call is one apply.
 
     With sigma the model's Lipschitz constant this is the damped-Picard
-    (majorize-minimize) matrix itself, so a Picard step is one apply;
-    a Newton matrix differs from it only by the trace diagonal
-    c_hat D_tr (beta'(u) - sigma), which SpaceTimeInverse.shifted_solve
-    handles on the trace.  Each apply costs two per-axis transforms and
-    the Thomas sweeps, with no bound on the grid size.
+    (majorize-minimize) matrix itself; a Newton matrix differs from it
+    only by the trace diagonal c_hat D_tr (beta'(u) - sigma), which
+    SpaceTimeInverse.shifted_solve handles on the trace.  Each apply
+    costs two per-axis transforms and the Thomas sweeps, with no bound on
+    the grid size; solve_wied works in the modes and makes none.
     """
     return space_time_inverse(system, sigma)
 

@@ -11,6 +11,7 @@ off (the linear problem) and is exempt from the normalization.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,8 +109,29 @@ def beta_eval(model: CombustionModel | None, v) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def _bernstein_tail(v: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The regularized incomplete beta function I_v(m + 1, n + 1) for
+    integer m, n >= 0 and v in [0, 1], as the Bernstein sum
+
+        sum_{j=m+1}^{N} C(N, j) v^j (1 - v)^(N - j),   N = m + n + 1,
+
+    whose terms are all nonnegative; 3 v^2 (1 - v) + v^3 for m = n = 1.
+    It is 0 at v = 0 and 1 at v = 1 exactly."""
+    N = m + n + 1
+    w = 1.0 - v
+    out = np.zeros_like(v)
+    for j in range(m + 1, N + 1):
+        out += math.comb(N, j) * v**j * w ** (N - j)
+    return out
+
+
 def phi_eval(model: CombustionModel | None, v) -> np.ndarray | float:
-    """Phi(v) = 2 int_0^{clamp(v, 0, 1)} beta; closed form for built-ins."""
+    """Phi(v) = 2 int_0^{clamp(v, 0, 1)} beta; closed form for built-ins.
+
+    The polynomial bump's Phi is the regularized incomplete beta function
+    I_v(m + 1, n + 1): a Bernstein sum when both exponents are integers
+    (the shipped m = n = 1 gives 3 v^2 - 2 v^3), scipy's betainc
+    otherwise."""
     v = np.asarray(v, dtype=float)
     if model is None or model.kind == "zero":
         out = np.zeros_like(v)
@@ -117,7 +139,10 @@ def phi_eval(model: CombustionModel | None, v) -> np.ndarray | float:
     vc = np.clip(v, 0.0, 1.0)
     if model.kind == "polynomial-bump":
         m, n, _ = model.poly
-        out = special.betainc(m + 1.0, n + 1.0, vc)
+        if m.is_integer() and n.is_integer():
+            out = _bernstein_tail(vc, int(m), int(n))
+        else:
+            out = special.betainc(m + 1.0, n + 1.0, vc)
     elif model.kind == "piecewise-linear-hat":
         c = _hat_peak(model)
         left = vc**2 / c

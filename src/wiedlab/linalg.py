@@ -206,12 +206,17 @@ def gmres_solve(apply_a, b, tol=1e-10, maxit=2000, restart=60,
 
     Arnoldi runs with modified Gram-Schmidt and the least-squares problem
     is updated with Givens rotations, so the residual estimate is known
-    after every iteration.  Each cycle ends with the true residual, which
-    starts the next cycle; success is claimed only when that true
-    relative residual is at most tol.  A cycle that does not lower the
-    true residual means roundoff has set a floor above tol: the solve
-    stops there as a breakdown rather than cycling on to maxit.
-    Iterations counts operator applies inside the cycles.
+    after every iteration.  The solve ends as soon as that estimate of
+    the relative residual is at most tol (success) or maxit iterations
+    are spent, and reports the estimate: it is the residual of x in
+    exact arithmetic, and no apply confirms it, so a caller that needs
+    the true residual forms it.  Only a cycle that ends above tol with
+    iterations left forms the true residual, which starts the next
+    cycle; a cycle that does not lower it means roundoff has set a floor
+    above tol, and the solve stops there as a breakdown rather than
+    cycling on to maxit.  Iterations counts operator applies inside the
+    cycles; beyond them a solve applies the operator once for a warm
+    start x0 and once per restart.
     """
     n = b.shape[0]
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -261,6 +266,10 @@ def gmres_solve(apply_a, b, tol=1e-10, maxit=2000, restart=60,
             y[i] = (g[i] - _dot(H[i, i + 1:j], y[i + 1:])) / H[i, i]
         for i in range(j):
             x += y[i] * V[i]
+        if abs(g[j]) / ref <= tol or k >= maxit:
+            # the estimate ends the solve without another apply
+            res.append(abs(g[j]) / ref)
+            break
         r = b - apply_a(x)
         beta = _norm(r)
         res.append(beta / ref)

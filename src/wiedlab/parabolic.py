@@ -103,7 +103,8 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     The reaction enters only through the trace, so the map runs there:
     E' u_{k+1} = g + G s_k with g = E' B^{-1} M Un/dt and the capacitance
     matrix G = E' B^{-1} E, which is diagonal in the x factor of the cached
-    per-axis eigenbasis (AxisEigenbasis.trace_gain).  The residual of
+    per-axis eigenbasis (AxisEigenbasis.trace_gain; the basis caches it
+    per time step with resolvent).  The residual of
     u_{k+1} is exactly E (s_k - s_{k+1}), so the trace iterations stop
     once |s_k - s_{k+1}| is at most the tolerance relative to |M Un/dt|
     (picard_tol, or linear_tol without a reaction, where s = 0), and one
@@ -140,8 +141,7 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     if residual_norm(un, beta_tr) <= bound:
         return un.copy()
     basis = axis_eigenbasis(grid, ops, sigma)
-    inv = 1.0 / (1.0 / dt + basis.lam)
-    h = basis.trace_gain(inv)
+    inv, h = basis.resolvent(1.0 / dt)
     vy0 = basis.Vy[0]
     w = inv * basis.to_modes(rhs0)            # V' B^{-1} M Un/dt
     g = vy0 @ w.reshape(vy0.shape[0], -1)     # trace modes of E' B^{-1} M Un/dt

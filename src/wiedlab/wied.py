@@ -2,9 +2,10 @@
 
 For fixed eps the weight-normalized Euler-Lagrange system is solved with
 damped Picard on the trace source (Newton optional); accepted steps never
-increase the functional.  Each Picard step is one apply of the exact
-inverse of its matrix, and each Newton step adds a GMRES solve on the
-y = 0 trace only; no Krylov method runs on the full space.  The sweep
+increase the functional.  The iterate lives in the spatial eigenbasis of
+the exact inverse of the Picard matrix, so each Picard step is one
+Thomas sweep, and each Newton step adds a GMRES solve on the y = 0 trace
+only; no Krylov method runs on the full space.  The sweep
 re-solves along a geometric eps schedule, warm-starting each level, and
 measures the distance to the implicit-Euler reference in the discrete
 C([0,T]: L^{2,a}) metric.
@@ -139,7 +140,14 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
         Picard:  x = P (b - E bs(U) + E stab U_tr),  P = A_sigma^{-1},
 
-    one apply, no Krylov iterations.  outer "newton" switches to guarded
+    with no Krylov iterations.  P = V Tm^{-1} V' in the per-axis
+    eigenbasis V (V' M V = I) with Tm one tridiagonal time problem per
+    spatial mode, and from the first step to the level's exit the
+    unknown layers are kept as their modal coefficients V' M U.  V' b is
+    formed once per level and V' E s transforms only the trace block s,
+    so a Picard step is one Thomas sweep and no full transform; the
+    trace of the new iterate is read from its coefficients
+    (SpaceTimeInverse.trace).  outer "newton" switches to guarded
     Newton once Picard has pulled the residual below 5% of its start, and
     falls back to a Picard step on rejection.  The Newton matrix is
     A_sigma + E D E' with D = c_hat D_tr (beta'(U) - sigma), solved by
@@ -147,6 +155,10 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     y):
 
         Newton:  x = (A_sigma + E D E')^{-1} (b + E (c_hat D_tr beta'(U) U_tr - bs(U))).
+
+    In the modes that is one sweep for P rhs, one per GMRES iteration
+    plus one for the warm start's residual, and one for the correction
+    P E (D y): GMRES iterations + 3 sweeps, and again no full transform.
 
     The GMRES solve is inexact Newton with the Eisenstat-Walker choice 2
     forcing term eta_k = min(0.1, 0.9 (res_k / res_{k-1})^2) (0.1 at the
@@ -176,9 +188,13 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         a1 = 2 <W L(U), d>,   a2 = <W (L(x) - L(U)), d>,
 
     and a line-search candidate costs only trace work (beta and Phi on
-    its trace).  LinearSystem.residual and functional_value run at entry
-    and whenever the tracked residual passes the tolerance; only that
-    full residual ends the solve.
+    its trace).  The off-trace pairing <W r_off, d> is taken in the modes
+    as <W V' r_off, V' M d>, with V' r_off formed once per full residual.
+    LinearSystem.residual and functional_value run at entry, on the
+    nodal input itself (so a level that has converged there returns its
+    input bit for bit), and whenever the tracked residual passes the
+    tolerance, on the field transformed back from the modes; only that
+    full residual ends the solve, and the field it checked is returned.
     """
     system = system or assemble_linear_system(grid, cfg.eps)
     ops = system.ops
@@ -201,82 +217,91 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     wgt = exp_time_weights(grid.t, cfg.eps)[:, None]  # w_{m-1} of row m
     sigma = max(getattr(model, "lipschitz", 0.0) or 0.0, 0.0)
     stab = ctm * sigma
-    # full applies go through default_st_preconditioner, the trace solves
-    # of the Newton step through the same cached inverse
-    P = default_st_preconditioner(system, sigma)
     inv = space_time_inverse(system, sigma)
+    basis = inv.basis
 
     def potential(pm):
         # the trace-potential part of E from the layer sums Phi(u_m) . D_tr
         return float(np.sum(wgt[:, 0] * (0.5 * (pm[:-1] + pm[1:]))))
 
     def full_state(U):
-        # residual and functional of U in full: |r|, r off the trace and
-        # its norm, the trace block of r, E(U) and the layer sums of Phi;
-        # both share one stiffness product
+        # residual and functional of the nodal U in full: |r|, r off the
+        # trace and its norm, the trace block of r, E(U) and the layer
+        # sums of Phi; both share one stiffness product and one Phi
         KU = (ops.Ka @ U.T).T
         r = system.residual(model, U, U0f, KU=KU)
         res = _norm(r)
         rtr = r[:, tr].copy()
         r[:, tr] = 0.0
+        pm = phi_eval(model, U[:, tr]) @ tm
         fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops,
-                                KU=KU)
-        return res, r, _norm(r), rtr, fval, phi_eval(model, U[:, tr]) @ tm
+                                KU=KU, Pm=pm)
+        return res, r, _norm(r), rtr, fval, pm
+
+    def nodal(Uh):
+        # the nodal field of modal unknown layers Uh: one full transform
+        U = np.empty((nt + 1, S))
+        U[0] = U0f
+        U[1:] = basis.from_modes(Uh)
+        return U
 
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
              "newton_tols": [], "damping": [], "iterations": 0}
-    bs = ctm * beta_eval(model, U[1:, tr])
+    U_tr = U[1:, tr]
+    bs = ctm * beta_eval(model, U_tr)
     rhs0 = b.copy()
     rhs0[:, tr] -= bs
     tol_abs = cfg.outer_tol * max(_norm(rhs0), 1e-300)
     stats["el_tol_abs"] = tol_abs
     # the off-trace part of the current residual is mu r_off, its norm off
     res, r_off, off, rtr, fval, pm = full_state(U)
-    mu, full = 1.0, True
+    mu = 1.0
+    # the iterate's modal unknown layers and V' b, set when the first step
+    # is needed; U is the nodal iterate only while it is the one the last
+    # full_state checked, and None after a step
+    Uh = bh = None
 
     def trial(kind, target):
-        """Trial point x and the trace block of L(x); a Newton step's
-        linear residual is held below target, its relative GMRES
-        tolerance kept within [inner_tol, FORCING_MAX]."""
-        U_tr = U[1:, tr]
-        rhs = b.copy()
+        """Modal trial point x, its trace and the trace block of L(x); a
+        Newton step's linear residual is held below target, its relative
+        GMRES tolerance kept within [inner_tol, FORCING_MAX]."""
         if kind == "newton":
             dbeta = ctm * beta_prime_eval(model, U_tr)
             shift = dbeta - stab
-            rhs[:, tr] += dbeta * U_tr - bs
-            x0 = P(rhs).reshape(nt, S)
+            x0 = inv.trace_solve(dbeta * U_tr - bs, bh)
+            x0_tr = inv.trace(x0)
             # the GMRES residual g enters L(x) as E (shift g), so a
             # relative tolerance tol keeps it below target
-            den = float(np.max(np.abs(shift))) * _norm(x0[:, tr])
+            den = float(np.max(np.abs(shift))) * _norm(x0_tr)
             tol = FORCING_MAX if den == 0.0 else min(
                 FORCING_MAX, max(cfg.inner_tol, target / den))
             stats["newton_tols"].append(tol)
             # an unconverged GMRES still gives a usable inexact step: its
             # error enters lin exactly, and the line search judges it
-            x, sol = inv.shifted_solve(x0, shift, tol=tol,
+            x, sol = inv.shifted_solve(x0, x0_tr, shift, tol=tol,
                                        maxit=cfg.inner_maxit, y0=U_tr)
             stats["inner_iterations"].append(sol.iterations)
-            x_tr = x[:, tr]
+            x_tr = inv.trace(x)
             lin = (shift * (x_tr - sol.x.reshape(x_tr.shape)) - bs
                    - dbeta * (x_tr - U_tr))
         else:
-            rhs[:, tr] += stab * U_tr - bs
-            x = P(rhs).reshape(nt, S)
+            x = inv.trace_solve(stab * U_tr - bs, bh)
+            x_tr = inv.trace(x)
             stats["inner_iterations"].append(0)
-            lin = stab * (U_tr - x[:, tr]) - bs
-        return x, lin
+            lin = stab * (U_tr - x_tr) - bs
+        return x, x_tr, lin
 
     def line_search(kind, target):
-        x, lin_x = trial(kind, target)
-        d = x - U[1:]
+        x, x_tr, lin_x = trial(kind, target)
         lin_U = rtr - bs
-        d_tr = d[:, tr]
+        d_tr = x_tr - U_tr
         s_U = float(np.sum(wgt * lin_U * d_tr))
-        s_off = mu * float(np.sum(wgt * r_off * d)) if mu else 0.0
+        # r_off holds V' r_off here, so its pairing with the modal step
+        # is the nodal one
+        s_off = mu * float(np.sum(wgt * r_off * (x - Uh))) if mu else 0.0
         a1 = 2.0 * (s_U + s_off)
         a2 = float(np.sum(wgt * lin_x * d_tr)) - s_U - s_off
         pot = potential(pm)
-        U_tr, x_tr = U[1:, tr], x[:, tr]
         pm_c = pm.copy()
         lam = cfg.damping
         for _ in range(12):
@@ -294,22 +319,32 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             else:
                 res_ok = rcand <= 2.0 * res + tol_abs
             if fcand <= fval * (1.0 + 1e-12) + 1e-300 and res_ok:
-                cand = np.empty_like(U)
-                cand[0] = U[0]
-                cand[1:] = x if lam == 1.0 else (1.0 - lam) * U[1:] + lam * x
-                return cand, lam, fcand, pm_c, rcand, off_c, rtr_c, bs_c
+                cand = x if lam == 1.0 else (1.0 - lam) * Uh + lam * x
+                return (cand, c_tr, lam, fcand, pm_c, rcand, off_c, rtr_c,
+                        bs_c)
             lam *= 0.5
         return None
 
     for k in range(1, cfg.outer_maxit + 1):
         stats["iterations"] = k
-        if res <= tol_abs and not full:
+        if res <= tol_abs and U is None:
+            U = nodal(Uh)
             res, r_off, off, rtr, fval, pm = full_state(U)
-            mu, full = 1.0, True
+            U_tr = U[1:, tr]
+            bs = ctm * beta_eval(model, U_tr)
+            mu = 1.0
         stats["residuals"].append(res)
         stats["functional"].append(fval)
         if res <= tol_abs:
             return WiedResult(U=U, stats=stats)
+        if Uh is None:
+            # enter the eigenbasis: V' M U of the unknown layers and V' b,
+            # once per level
+            Uh = basis.to_modes(ops.mass * U[1:])
+            bh = basis.to_modes(b)
+        if U is not None:
+            # V' r_off, once per full_state
+            r_off = basis.to_modes(r_off)
 
         kinds = ["picard"]
         if cfg.outer == "newton" and res <= 0.05 * stats["residuals"][0]:
@@ -327,16 +362,17 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                 break
         if step is None:
             raise WiedConvergenceError(
-                "damped step could not decrease the functional", U=U,
-                stats=stats)
-        U, lam, fval, pm, res, off, rtr, bs = step
+                "damped step could not decrease the functional",
+                U=nodal(Uh) if U is None else U, stats=stats)
+        Uh, U_tr, lam, fval, pm, res, off, rtr, bs = step
+        U = None
         mu *= 1.0 - lam
         if mu == 0.0:
             r_off = None
-        full = False
         stats["damping"].append(lam)
 
-    if not full:
+    if U is None:
+        U = nodal(Uh)
         res, r_off, off, rtr, fval, pm = full_state(U)
     stats["residuals"].append(res)
     stats["functional"].append(fval)

@@ -245,9 +245,13 @@ def test_trace_newton_step_matches_sparse_direct_solve():
         rhs[:, tr] += dbeta * U[1:, tr] - ctm * beta_eval(BUMP, U[1:, tr])
         x_ref = spsolve(system.newton_matrix(BUMP, U).tocsc(), rhs.ravel())
         inv = space_time_inverse(system, BUMP.lipschitz)
+        # the coefficients of P rhs in the per-axis eigenbasis
+        w0 = inv.solve_modes(inv.basis.to_modes(rhs))
         for tol in (1e-7, 1e-11):
-            x, sol = inv.shifted_solve(inv(rhs), dbeta - ctm * BUMP.lipschitz,
+            w, sol = inv.shifted_solve(w0, inv.trace(w0),
+                                       dbeta - ctm * BUMP.lipschitz,
                                        tol=tol, maxit=500, y0=U[1:, tr])
+            x = inv.basis.from_modes(w)
             assert sol.converged, (d, eps, tol)
             assert np.max(np.abs(x.ravel() - x_ref)) <= \
                 10.0 * tol * np.max(np.abs(x_ref)), (d, eps, tol)
@@ -456,8 +460,9 @@ def test_in_place_time_sweep_matches_allocating_loop(nt, shaped):
 
 
 def test_shared_stiffness_product_changes_no_bit():
-    # the WIED exit check forms Ka U once for the residual and the
-    # functional; both must equal the values that form it themselves
+    # the WIED exit check forms Ka U and the layer sums of Phi once for the
+    # residual and the functional; both must equal the values that form
+    # them themselves
     g = small_grid(6, 5, 8)
     ops = build_operators(g)
     system = assemble_linear_system(g, 0.1, ops=ops)
@@ -467,6 +472,10 @@ def test_shared_stiffness_product_changes_no_bit():
     assert np.array_equal(system.residual(BUMP, U, U[0], KU=KU),
                           system.residual(BUMP, U, U[0]))
     assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, KU=KU)
+            == functional_value(g, BUMP, 0.1, U, U[0], ops=ops))
+    # so does the functional given the layer sums of Phi it would form
+    Pm = phi_eval(BUMP, U[:, ops.trace_index]) @ ops.trace_mass
+    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, KU=KU, Pm=Pm)
             == functional_value(g, BUMP, 0.1, U, U[0], ops=ops))
 
 

@@ -38,6 +38,37 @@ def test_phi_closed_form_vs_quadrature():
         assert abs(phi_eval(BUMP, v) - ref) < 1e-10
 
 
+@pytest.mark.parametrize("m, n, bound", [(1, 1, 4.4e-16), (0, 0, 4.4e-16),
+                                         (2, 3, 1.1e-15), (4, 4, 1.1e-15)])
+def test_phi_integer_bump_matches_betainc(m, n, bound):
+    # integer exponents take the Bernstein sum, which must agree with
+    # scipy's regularized incomplete beta function (observed: 2.2e-16 for
+    # the shipped m = n = 1, 6.7e-16 for m = 2, n = 3) and hit 0 and 1
+    # exactly
+    from scipy import special
+    model = validate_model(CombustionModel("polynomial-bump",
+                                           {"m": m, "n": n}))
+    v = np.concatenate([
+        np.linspace(0.0, 1.0, 100001),
+        np.random.default_rng(4).random(100000),
+        [0.0, -0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+         np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -3.0, 2.5,
+         -1e-300, 1.0 + 1e-12]])
+    ref = special.betainc(m + 1.0, n + 1.0, np.clip(v, 0.0, 1.0))
+    assert np.max(np.abs(phi_eval(model, v) - ref)) <= bound
+    assert phi_eval(model, 0.0) == 0.0 and phi_eval(model, 1.0) == 1.0
+    assert phi_eval(model, -0.5) == 0.0 and phi_eval(model, 1.5) == 1.0
+
+
+def test_phi_non_integer_bump_is_betainc():
+    from scipy import special
+    model = validate_model(CombustionModel("polynomial-bump",
+                                           {"m": 1.5, "n": 2.0}))
+    v = np.linspace(-0.5, 1.5, 2001)
+    assert np.array_equal(phi_eval(model, v),
+                          special.betainc(2.5, 3.0, np.clip(v, 0.0, 1.0)))
+
+
 def test_phi_prime_is_two_beta():
     vs = np.linspace(0.05, 0.95, 37)
     h = 1e-7  # small enough that the hat kink's curvature jump stays below tol

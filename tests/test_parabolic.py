@@ -191,3 +191,21 @@ def test_trace_picard_matches_full_space_iteration():
         ref = full_space_step(un)
         u = step_implicit(g, model, pcfg, un, ops=ops)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_step_constants_built_once_per_time_step():
+    # the modal inverse 1/(1/dt + lam) and its trace gain depend only on
+    # (dt, sigma): a trajectory builds them once on the cached basis,
+    # with the bits of the per-step formula
+    from wiedlab.assembly import axis_eigenbasis, build_operators
+    g = grid_small()
+    ops = build_operators(g)
+    U0 = g.eval_spatial(lambda x, y: np.clip(
+        1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
+    solve_parabolic(g, BUMP, ParabolicConfig(), U0, ops=ops)
+    basis = axis_eigenbasis(g, ops, BUMP.lipschitz)
+    assert list(basis.resolvents) == [1.0 / g.dt]
+    inv, h = basis.resolvents[1.0 / g.dt]
+    expect = 1.0 / (1.0 / g.dt + basis.lam)
+    assert np.array_equal(inv, expect)
+    assert np.array_equal(h, basis.trace_gain(expect))

@@ -165,6 +165,75 @@ def test_newton_tolerance_follows_outer_residual():
     assert res.stats["residuals"][-1] <= res.stats["el_tol_abs"]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_step_cost_in_the_eigenbasis(d, monkeypatch):
+    # a level keeps its unknown layers as modal coefficients: the shipped
+    # physics with outer "newton" on a small grid, with every per-axis
+    # transform, Thomas sweep, full_state (its functional_value) and
+    # Newton step (its beta_prime_eval) recorded in order.  Entering the
+    # basis costs two transforms, each full_state is
+    # preceded by one transform back (except at entry) and followed by
+    # one of r_off when a step follows; in between only sweeps run: one
+    # per Picard step and GMRES iterations + 3 per Newton step
+    import json
+    from pathlib import Path
+
+    from wiedlab import wied
+    from wiedlab.assembly import assemble_linear_system, space_time_inverse
+    from wiedlab.config import config_from_dict
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "combustion-1d.json").read_text())
+    data["grid"].update(d=d, **{1: dict(nx=16, ny=6, nt=80),
+                                2: dict(nx=6, ny=4, nt=24)}[d])
+    data["diagnostics"] = []   # their cylinders are d = 1 points
+    cfg = config_from_dict(data)
+    g = build_grid(cfg.grid)
+    wcfg = replace(cfg.wied, eps=cfg.schedule.eps0)
+    system = assemble_linear_system(g, wcfg.eps)
+    inv = space_time_inverse(system, cfg.model.lipschitz)
+    events = []
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(inv.basis, "to_modes",
+                        record("to", inv.basis.to_modes))
+    monkeypatch.setattr(inv.basis, "from_modes",
+                        record("from", inv.basis.from_modes))
+    monkeypatch.setattr(inv, "solve_modes", record("sweep", inv.solve_modes))
+    monkeypatch.setattr(wied, "functional_value",
+                        record("full", wied.functional_value))
+    monkeypatch.setattr(wied, "beta_prime_eval",
+                        record("newton", wied.beta_prime_eval))
+    res = solve_wied(g, cfg.model, wcfg, cfg.initial.evaluate(g),
+                     system=system)
+
+    inner = res.stats["inner_iterations"]
+    assert events[:4] == ["full", "to", "to", "to"]
+    pos, kinds = 4, []
+    for k in inner:
+        if events[pos] == "newton":
+            kinds.append("newton")
+            assert events[pos + 1:pos + k + 4] == ["sweep"] * (k + 3)
+            pos += k + 4
+        else:
+            kinds.append("picard")
+            assert k == 0 and events[pos] == "sweep"
+            pos += 1
+        if events[pos:pos + 2] == ["from", "full"]:
+            pos += 2
+            if pos < len(events):
+                assert events[pos] == "to"
+                pos += 1
+    assert pos == len(events)
+    assert {"picard", "newton"} <= set(kinds)
+    assert events.count("full") >= 2    # entry and exit
+    assert res.stats["residuals"][-1] <= res.stats["el_tol_abs"]
+
+
 def test_schedule_validation():
     sched = EpsilonSchedule(0.2, 0.5, 3)
     assert sched.values() == [0.2, 0.1, 0.05]
