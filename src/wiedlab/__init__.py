@@ -8,8 +8,8 @@ from .combustion import (CombustionModel, ZERO_MODEL, beta_eval, phi_eval,
 from .assembly import (DiscreteOperators, ForcingSpec, build_operators,
                        functional_value, functional_gradient,
                        assemble_linear_system, exp_time_weights)
-from .wied import (WiedConfig, EpsilonSchedule, solve_wied, solve_linear_wied,
-                   sweep_epsilon, dist_C_L2a)
+from .wied import (WiedConfig, EpsilonSchedule, solve_wied, sweep_epsilon,
+                   dist_C_L2a)
 from .parabolic import (ParabolicConfig, step_implicit, solve_parabolic,
                         analytic_heat_oracle)
 

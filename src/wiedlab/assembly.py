@@ -268,31 +268,22 @@ def functional_gradient(grid: WeightedGrid, model, eps: float,
                         ops: DiscreteOperators | None = None) -> np.ndarray:
     """Exact gradient of functional_value w.r.t. nodal values.
 
-    Layer 0 is returned as zeros by convention (the initial layer is
-    constrained, variations vanish there).  Shape (nt+1, n_spatial).
+    Row m (m = 1..nt) is 2 w_{m-1} times row m of the unforced EL
+    residual stencil_residual, the weight that residual divides out, so
+    the gradient and the residual the solvers drive to zero are one
+    formula.  Layer 0 is returned as zeros by convention (the initial
+    layer is constrained, variations vanish there).  Shape
+    (nt+1, n_spatial).
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)
     _check_initial(grid, Ulay, U0)
-    nt, S = grid.spec.nt, grid.n_spatial
-    w = exp_time_weights(grid.t, eps)
-
-    dU = np.diff(Ulay, axis=0)                       # (nt, S), unscaled by dt
-    dU_next = np.vstack([dU[1:], np.zeros((1, S))])  # dU[m] with dU[nt] = 0
-    wm1 = w                                          # w_{m-1}, m = 1..nt
-    wm = np.append(w[1:], 0.0)                       # w_m with w_nt = 0
-
     KU = (ops.Ka @ Ulay.T).T
-    src = np.zeros((nt + 1, S))
-    src[:, ops.trace_index] = ops.trace_mass * beta_eval(
-        model, Ulay[:, ops.trace_index])
-
-    G = np.zeros((nt + 1, S))
-    G[1:] = (2.0 * eps / grid.dt**2) * ops.mass * (
-        wm1[:, None] * dU - wm[:, None] * dU_next
-    ) + (wm1 + wm)[:, None] * (KU[1:] + src[1:])
+    G = np.zeros_like(Ulay)
+    G[1:] = 2.0 * exp_time_weights(grid.t, eps)[:, None] * stencil_residual(
+        grid, model, eps, Ulay, KU, ops)
     return G
 
 
@@ -617,13 +608,6 @@ def spectral_preconditioner(system: LinearSystem, sigma: float = 0.0):
     the grid size; solve_wied works in the modes and makes none.
     """
     return space_time_inverse(system, sigma)
-
-
-def default_st_preconditioner(system: LinearSystem, sigma: float = 0.0):
-    """The exact inverse of A + diag(c_hat) (x) sigma D_tr
-    (spectral_preconditioner) for the space-time solves, at every grid
-    size and dimension."""
-    return spectral_preconditioner(system, sigma)
 
 
 def weighted_trace_flux(grid: WeightedGrid, spatial_field: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ class EnergyReport:
     inertia: np.ndarray      # I per rescaled time cell
     dissipation: np.ndarray  # R per rescaled time cell
     energy: np.ndarray       # E per cell, truncated tail
-    tail_bound: float
     identity_l1: float       # discrete |E' + 2I| along inner variations
     e_monotone_defect: float
     dt_energy_total: float   # int int |y|^a |d_t U|^2 over (0, T)
@@ -98,7 +97,6 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     for n in range(nt - 1, -1, -1):
         acc = (1.0 - q) * total[n] + q * acc
         energy[n] = acc
-    tail_bound = float(np.exp(-grid.spec.T / eps) * total[-1])
 
     r = stencil_residual(grid, model, eps, Ulay, KU, ops)
     dtauV = eps * (Ulay[2:] - Ulay[:-2]) / (2.0 * dt)
@@ -118,8 +116,7 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
 
     return EnergyReport(eps=eps, tau=tau, inertia=inertia,
                         dissipation=dissipation, energy=energy,
-                        tail_bound=tail_bound, identity_l1=identity_l1,
-                        e_monotone_defect=defect,
+                        identity_l1=identity_l1, e_monotone_defect=defect,
                         dt_energy_total=dt_energy_total, windowed=windowed)
 
 
@@ -162,7 +159,6 @@ class LevelSetReport:
     levels: np.ndarray | None = None      # C_j
     radii: np.ndarray | None = None       # r_j (in units of cylinder radius)
     energies: np.ndarray | None = None    # E_j
-    decay_rate: float | None = None
     converged: bool | None = None
     sup_flag: bool | None = None
 
@@ -186,8 +182,7 @@ def no_spikes_iteration(grid: WeightedGrid, fld: np.ndarray,
 
     E_j integrates |y|^a (U - C_j)_+^2 over the cylinder of radius
     (1/2 + 2^{-j-1}) x cylinder.radius; levels C_j = 1 - 2^{-j}.
-    Reports the fitted geometric decay and whether E_j collapses below
-    1e-12 by j = jmax.
+    Reports whether E_j collapses below 1e-12 by j = jmax.
     """
     cylinder.require_fits(grid)
     fld = np.asarray(fld, dtype=float)
@@ -202,14 +197,7 @@ def no_spikes_iteration(grid: WeightedGrid, fld: np.ndarray,
                                             rj[j] * cylinder.radius))
         V = np.clip(U - Cj[j], 0.0, None)
         Ej[j] = float(np.sum(w * V * V))
-    pos = Ej > 0
-    rate = None
-    if np.count_nonzero(pos) >= 2:
-        idx = np.flatnonzero(pos)
-        fitted = np.polyfit(idx.astype(float), np.log(Ej[idx]), 1)
-        rate = float(np.exp(fitted[0]))
     return LevelSetReport(cylinder=cylinder, levels=Cj, radii=rj, energies=Ej,
-                          decay_rate=rate,
                           converged=bool(Ej[-1] <= 1e-12),
                           sup_flag=bool(Ej[-1] > 1e-12))
 

@@ -37,6 +37,15 @@ class ParabolicError(RuntimeError):
 
 @dataclass
 class ParabolicConfig:
+    """Settings of the implicit-Euler reference (step_implicit).
+
+    picard_tol and picard_maxit bound the trace Picard map of a reaction
+    step; linear_tol and linear_maxit are their counterparts without a
+    reaction, where the map is exact after one correction, so
+    linear_maxit only caps a loop that ends at its first failed recovery.
+    It stays accepted so that configs which set it keep loading.
+    """
+
     dt: float | None = None      # None: step on the grid's time layers
     picard_tol: float = 1e-11
     picard_maxit: int = 200
@@ -111,8 +120,10 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     transform pair recovers u from the last s.  The full residual is
     checked at Un, which is returned unchanged if it passes, and at every
     recovered u; should roundoff leave the recovered u above the
-    tolerance, the trace iterations go on.  ParabolicError is raised when
-    u_{picard_maxit} (u_{linear_maxit}) still misses the tolerance.
+    tolerance, the trace iterations go on, unless s did not change, when
+    they would recover the same u again.  ParabolicError is raised then,
+    and when u_{picard_maxit} (u_{linear_maxit}) still misses the
+    tolerance.
     """
     ops = ops or build_operators(grid)
     dt = dt if dt is not None else (cfg.dt if cfg.dt is not None else grid.dt)
@@ -156,6 +167,9 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
             u = basis.from_modes(w + inv * np.outer(vy0, z).ravel())
             if residual_norm(u, beta_eval(model, u[ops.trace_index])) <= bound:
                 return u
+            if np.array_equal(s_next, s):
+                # a fixed point: every later correction recovers this u
+                break
         s = s_next
     raise ParabolicError(
         f"{'linear solve' if linear else 'Picard'} did not converge in "

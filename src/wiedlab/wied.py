@@ -2,10 +2,13 @@
 
 For fixed eps the weight-normalized Euler-Lagrange system is solved with
 damped Picard on the trace source (Newton optional); accepted steps never
-increase the functional.  The iterate lives in the spatial eigenbasis of
-the exact inverse of the Picard matrix, so each Picard step is one
-Thomas sweep, and each Newton step adds a GMRES solve on the y = 0 trace
-only; no Krylov method runs on the full space.  The sweep
+increase the functional, forcing term included.  The linear problem with
+forcings F, f is the zero model on a forced system
+(assemble_linear_system(grid, eps, forcing=...)), whose one Picard step
+is one exact apply of the inverse.  The iterate lives in the spatial
+eigenbasis of the exact inverse of the Picard matrix, so each Picard
+step is one Thomas sweep, and each Newton step adds a GMRES solve on the
+y = 0 trace only; no Krylov method runs on the full space.  The sweep
 re-solves along a geometric eps schedule, warm-starting each level, and
 measures the distance to the implicit-Euler reference in the discrete
 C([0,T]: L^{2,a}) metric.
@@ -17,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import (DiscreteOperators, ForcingSpec, LinearSystem,
+from .assembly import (DiscreteOperators, LinearSystem,
                        assemble_linear_system, build_operators,
-                       default_st_preconditioner, exp_time_weights,
-                       functional_value, space_time_inverse)
+                       exp_time_weights, functional_value,
+                       space_time_inverse)
 from .combustion import beta_eval, beta_prime_eval, phi_eval
 from .grid import WeightedGrid
 # bicgstab_solve is unused here; it stays importable because
@@ -129,6 +132,15 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     (residuals, functional values, inner iteration counts, the relative
     GMRES tolerance of each Newton step, and the absolute residual
     threshold el_tol_abs actually enforced).
+
+    system defaults to the unforced system of cfg.eps.  The linear
+    problem with forcings F, f is model None (the zero model) on
+    system = assemble_linear_system(grid, eps, forcing=...): sigma = 0,
+    so the first Picard step is the exact solve x = P b, and the level
+    ends after that one accepted step and the exit check.  The reported
+    functional values are functional_value, which has no forcing term,
+    so on a forced system they need not decrease; the line search still
+    decreases the forced quadratic it tracks.
 
     With X the unknown layers, the EL residual is r(X) = L(X) + E bs(X):
     L(X) = A X - b is affine, bs the c_hat-scaled trace source and E the
@@ -381,28 +393,6 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     raise WiedConvergenceError(
         f"no convergence after {cfg.outer_maxit} outer iterations "
         f"(residual {res:g}, tol {tol_abs:g})", U=U, stats=stats)
-
-
-def solve_linear_wied(grid: WeightedGrid, eps: float,
-                      forcing: ForcingSpec | None, U0: np.ndarray,
-                      inner_tol: float = 1e-11) -> np.ndarray:
-    """Single linear solve of the regularized problem with forcings F, f:
-    one apply of the exact inverse of A, then a check that the relative
-    residual |system.residual| / |b| is at most inner_tol
-    (WiedConvergenceError otherwise)."""
-    system = assemble_linear_system(grid, eps, forcing=forcing)
-    nt, S = grid.spec.nt, grid.n_spatial
-    U0f = np.asarray(U0, dtype=float).reshape(-1)
-    b = system.rhs(U0f)
-    U = np.empty((nt + 1, S))
-    U[0] = U0f
-    U[1:] = default_st_preconditioner(system)(b).reshape(nt, S)
-    rel = _norm(system.residual(None, U)) / (_norm(b) or 1.0)
-    if rel > inner_tol:
-        raise WiedConvergenceError(
-            f"linear solve failed: relative residual {rel:g} above "
-            f"inner_tol {inner_tol:g}")
-    return U
 
 
 def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:

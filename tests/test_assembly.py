@@ -98,8 +98,12 @@ def test_functional_matches_brute_force():
     assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_gradient_matches_central_differences():
-    g = small_grid(5, 4, 5)
+@pytest.mark.parametrize("d", [1, 2])
+def test_gradient_matches_central_differences(d):
+    # d = 2 checks the trace term of stencil_residual on a 2-D trace
+    g = (small_grid(5, 4, 5) if d == 1 else
+         build_grid(GridSpec(d=2, a=0.5, L=1.0, Y=1.0, T=1.0,
+                             nx=4, ny=3, nt=5)))
     rng = np.random.default_rng(1)
     U = 0.5 + 0.3 * rng.standard_normal(g.spacetime_shape)
     G = functional_gradient(g, BUMP, 0.25, U)
@@ -156,10 +160,11 @@ def test_adjoint_consistency_gradient_vs_system():
 
 
 def test_constants_solve_homogeneous_system():
-    from wiedlab.wied import solve_linear_wied
+    from wiedlab.wied import WiedConfig, solve_wied
     g = small_grid()
     c = 1.3
-    U = solve_linear_wied(g, 0.2, None, np.full(g.n_spatial, c))
+    U = solve_wied(g, None, WiedConfig(eps=0.2, outer_tol=1e-11),
+                   np.full(g.n_spatial, c)).U
     assert np.max(np.abs(U - c)) < 1e-10
 
 

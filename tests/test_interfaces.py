@@ -1,7 +1,8 @@
 """Cross-cutting interface checks: d = 2 support, dump formats, the
 Newton matrix's trace shift, and the names the benchmark's traced mode
-patches."""
+patches or reads."""
 
+import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -88,3 +89,8 @@ def test_benchmark_tracing_hooks_install_and_restore():
         assert wied.assemble_linear_system is not before[0]
     assert (wied.assemble_linear_system,
             assembly.LinearSystem.residual) == before
+    # perfbench/micro.py reads these names directly, without a wrapper
+    assert callable(assembly.assemble_linear_system)
+    assert callable(assembly.spectral_preconditioner)
+    assert isinstance(assembly.LinearSystem.A, functools.cached_property)
+    assert isinstance(assembly.LinearSystem.n_unknowns, property)

@@ -209,3 +209,27 @@ def test_step_constants_built_once_per_time_step():
     expect = 1.0 / (1.0 / g.dt + basis.lam)
     assert np.array_equal(inv, expect)
     assert np.array_equal(h, basis.trace_gain(expect))
+
+
+def test_failing_linear_step_stops_after_one_recovery(monkeypatch):
+    # without a reaction s stays 0, so once the recovered u misses the
+    # tolerance every later correction would recover the same u: the
+    # step fails after one recovery (three beta_eval calls: at u_n, for
+    # s_1 and at the recovered u) instead of spending linear_maxit
+    from wiedlab import parabolic
+    from wiedlab.combustion import beta_eval
+    g = grid_small()
+    U0 = g.eval_spatial(lambda x, y: np.clip(
+        1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
+    calls = []
+
+    def counted(model, v):
+        calls.append(1)
+        return beta_eval(model, v)
+
+    monkeypatch.setattr(parabolic, "beta_eval", counted)
+    cfg = ParabolicConfig(linear_tol=1e-18, linear_maxit=1000)
+    with pytest.raises(parabolic.ParabolicError,
+                       match="linear solve did not converge"):
+        step_implicit(g, None, cfg, U0)
+    assert len(calls) == 3

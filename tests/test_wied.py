@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wiedlab.assembly import ForcingSpec, functional_gradient, functional_value
+from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
+                              functional_gradient, functional_value)
 from wiedlab.combustion import CombustionModel, validate_model
 from wiedlab.grid import GridSpec, build_grid
 from wiedlab.wied import (EpsilonSchedule, WiedConfig, WiedConvergenceError,
-                          dist_C_L2a, solve_linear_wied, solve_wied,
-                          sweep_epsilon)
+                          dist_C_L2a, solve_wied, sweep_epsilon)
 
 BUMP = validate_model(CombustionModel())
 
@@ -92,18 +92,38 @@ def test_initial_layer_exact_and_functional_below_extension():
     assert all(b <= a * (1 + 1e-12) + 1e-300 for a, b in zip(fs, fs[1:]))
 
 
+def solve_linear(g, eps, forcing, U0, tol=1e-11):
+    # the linear problem: the zero model on the forced system
+    system = assemble_linear_system(g, eps, forcing=forcing)
+    return solve_wied(g, None, WiedConfig(eps=eps, outer_tol=tol), U0,
+                      system=system)
+
+
 def test_linear_zero_data():
     g = grid_small(8, 6, 20)
-    U = solve_linear_wied(g, 0.1, None, np.zeros(g.n_spatial))
+    U = solve_linear(g, 0.1, None, np.zeros(g.n_spatial)).U
     assert np.max(np.abs(U)) < 1e-12
 
 
-def test_linear_agrees_with_zero_reaction_solve():
-    g = grid_small(8, 6, 20)
-    U0 = bump_data(g)
-    Ulin = solve_linear_wied(g, 0.1, None, U0)
-    res = solve_wied(g, None, WiedConfig(eps=0.1, outer_tol=1e-10), U0)
-    assert np.max(np.abs(Ulin - res.U)) < 1e-12
+@pytest.mark.parametrize("d", [1, 2])
+def test_linear_problem_is_one_exact_picard_step(d):
+    # with the zero model sigma = 0, so the first Picard step is the
+    # exact solve P b: one accepted step, then the exit check, and the
+    # field is the dense solve of the assembled system
+    spec = {1: dict(nx=6, ny=4, nt=8), 2: dict(nx=4, ny=3, nt=6)}[d]
+    g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0, **spec))
+    rng = np.random.default_rng(5)
+    forcing = ForcingSpec(F=rng.standard_normal(g.spacetime_shape),
+                          f=rng.standard_normal((g.spec.nt + 1,
+                                                 (g.spec.nx + 1) ** d)))
+    U0 = rng.standard_normal(g.n_spatial)
+    res = solve_linear(g, 0.1, forcing, U0)
+    assert len(res.stats["damping"]) == 1
+    assert res.stats["iterations"] == 2
+    system = assemble_linear_system(g, 0.1, forcing=forcing)
+    x = np.linalg.solve(system.A.toarray(), system.rhs(U0))
+    assert np.array_equal(res.U[0], U0)
+    assert np.max(np.abs(res.U[1:].ravel() - x)) <= 1e-10 * np.max(np.abs(x))
 
 
 def test_linear_manufactured_weighted_influx():
@@ -119,7 +139,7 @@ def test_linear_manufactured_weighted_influx():
         V0 = np.broadcast_to(V, g.spatial_shape).ravel()
         f = np.ones((g.spec.nt + 1, g.spec.nx + 1))
         eps = 0.02
-        U = solve_linear_wied(g, eps, ForcingSpec(f=f), V0)
+        U = solve_linear(g, eps, ForcingSpec(f=f), V0).U
         exact = V0[None, :] + alpha * g.t[:, None]
         half = g.spec.nt // 2  # stay clear of the terminal layer
         errs.append(np.max(np.abs(U[:half] - exact[:half])))
