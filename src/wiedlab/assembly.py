@@ -1,4 +1,4 @@
-"""Discrete functional, Euler-Lagrange residual and sparse operators.
+"""Discrete functional, Euler-Lagrange residual and the spatial operators.
 
 The minimized quantity is, per time cell n with exact exponential weight
 w_n = exp(-t_n/eps) - exp(-t_{n+1}/eps),
@@ -18,10 +18,12 @@ exponential weight is what keeps the system well-scaled for T >> eps.
 
 The residual is formed layer by layer from the stiffness products
 Ka U_m (stencil_residual), so no space-time matrix is assembled on the
-solver path.  The Picard and Newton matrices differ from A only on the
-y = 0 trace diagonal, so the solvers apply the exact inverse of the
-Picard matrix (SpaceTimeInverse) and treat the Newton difference on the
-trace instead of assembling either.
+solver path, and Ka itself is a numpy stencil (KroneckerStencil) rather
+than a stored sparse matrix: scipy is imported only for the CSR
+references the tests check against.  The Picard and Newton matrices
+differ from A only on the y = 0 trace diagonal, so the solvers apply the
+exact inverse of the Picard matrix (SpaceTimeInverse) and treat the
+Newton difference on the trace instead of assembling either.
 """
 
 from __future__ import annotations
@@ -31,51 +33,177 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .combustion import beta_eval, beta_prime_eval, phi_eval
 from .grid import WeightedGrid
 from .linalg import finalize_csr, gmres_solve
 
 
+class KroneckerStencil:
+    """A Kronecker sum of symmetric 1-D tridiagonals as a nearest-neighbour
+    stencil on the y-major node grid (ny+1, nx+1[, nx+1]).
+
+    Each row couples a node to itself (diag, node-grid shaped) and to its
+    two neighbours along each axis k; links[k] is the coupling of a node
+    with its upper neighbour along k (the node grid with axis k one
+    shorter), and by symmetry also that of the neighbour with the node.
+
+    K @ X, for X of shape (S,) or (S, k), adds each row's neighbour
+    products in increasing column order, starting from +0.0, as a sorted
+    CSR matvec does, so every product equals the CSR one bit for bit, and
+    returns a C-ordered array, so (K @ U.T).T is F-ordered as with CSR.
+    A product with coefficient 0 (no such neighbour; a CSR matrix stores
+    no zero) is +0.0, which adds nothing to a sum started at +0.0
+    whatever X holds.  A vector is one gather of each row's neighbours,
+    with an appended 0 for those it lacks, one product and one sum over
+    the neighbours in order.  The columns of a block are taken about
+    CHUNK entries at a time, laid end to end, so a neighbour's products
+    are one contiguous pass over that flat index shifted by the
+    neighbour's stride, and those that leave their grid line or vector
+    are set to +0.0.
+    """
+
+    CHUNK = 1 << 15
+
+    def __init__(self, diag: np.ndarray, links: tuple):
+        self.diag, self.links = diag, tuple(links)
+        nodes, S = diag.shape, diag.size
+        self.shape = (S, S)
+        # (flat offset, coefficient per row, 0 without that neighbour) of
+        # each neighbour in column order: lower neighbours from the
+        # outermost axis in, the node, upper neighbours from the innermost
+        # axis out
+        lower, upper = [], []
+        for k, link in enumerate(self.links):
+            stride = int(np.prod(nodes[k + 1:], dtype=int))
+            for side, rows, terms in ((-1, slice(1, None), lower),
+                                      (1, slice(None, -1), upper)):
+                c = np.zeros(nodes)
+                c[(slice(None),) * k + (rows,)] = link
+                terms.append((side * stride, c.ravel()))
+        self._terms = lower + [(0, diag.ravel())] + upper[::-1]
+        self._plans = {}   # vectors per chunk -> _plan
+        # per term and row: the coefficient, and the neighbour (S, an
+        # appended 0, where the coefficient is 0) a vector product reads
+        self._coef = np.array([c for _, c in self._terms])
+        self._gather = np.where(
+            self._coef != 0.0,
+            np.arange(S) + np.array([off for off, _ in self._terms])[:, None],
+            S)
+
+    def shifted(self, d: np.ndarray) -> KroneckerStencil:
+        """K + diag(d), d a flat nodal vector."""
+        return KroneckerStencil(self.diag + np.reshape(d, self.diag.shape),
+                                self.links)
+
+    def _plan(self, n: int) -> list:
+        # per neighbour on n vectors laid end to end: its coefficients on
+        # the shifted rows, those rows, the rows they read, and the rows
+        # with coefficient 0 (None if there are none)
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans[n] = []
+            N = n * self.shape[0]
+            for off, c in self._terms:
+                dst = slice(max(-off, 0), N - max(off, 0))
+                c = np.tile(c, n)[dst]
+                zero = dst.start + np.flatnonzero(c == 0.0)
+                plan.append((c, dst, slice(max(off, 0), N + min(off, 0)),
+                             zero if zero.size else None))
+        return plan
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        S = self.shape[0]
+        x = np.asarray(x, dtype=float)
+        if x.shape == (S,):
+            xp = np.empty(S + 1)
+            xp[:S] = x
+            xp[S] = 0.0
+            G = xp[self._gather]
+            G *= self._coef
+            return np.add.reduce(G, axis=0, initial=0.0)
+        xt = np.ascontiguousarray(x.reshape(S, -1).T)   # (k, S)
+        k = xt.shape[0]
+        kb = max(1, min(k, self.CHUNK // S))
+        Y = np.zeros((k, S))
+        T = np.empty(kb * S)
+        for k0 in range(0, k, kb):
+            n = min(kb, k - k0)
+            X, Yc = xt[k0:k0 + n].reshape(-1), Y[k0:k0 + n].reshape(-1)
+            for c, dst, src, zero in self._plan(n):
+                t, y = T[dst], Yc[dst]
+                np.multiply(c, X[src], out=t)
+                if zero is not None:
+                    T[zero] = 0.0
+                np.add(y, t, out=y)
+        return np.ascontiguousarray(Y.T).reshape(x.shape)
+
+    def tocsr(self):
+        """The same matrix as a sorted scipy CSR matrix, as a reference."""
+        import scipy.sparse as sp
+        rows, cols, vals = [], [], []
+        for off, c in self._terms:
+            r = np.flatnonzero(c)
+            rows.append(r)
+            cols.append(r + off)
+            vals.append(c[r])
+        return finalize_csr(sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows),
+                                    np.concatenate(cols))),
+            shape=self.shape))
+
+
 @dataclass
 class DiscreteOperators:
-    """Weighted mass/stiffness and the y=0 trace maps, all half-space."""
+    """Weighted mass/stiffness and the y=0 trace maps, all half-space.
+
+    Ka is a KroneckerStencil, applied as Ka @ X like a matrix; its tocsr()
+    is the sparse matrix the tests check it against."""
 
     mass: np.ndarray          # spatial nodal |y|^a masses, flattened
-    Ka: sp.csr_matrix         # weighted stiffness, SPSD, Ka @ const = 0
+    Ka: KroneckerStencil      # weighted stiffness, SPSD, Ka @ const = 0
     trace_index: np.ndarray   # flat spatial indices of the y = 0 layer
     trace_mass: np.ndarray    # x-volumes attached to trace nodes
     # sigma -> AxisEigenbasis of K + sigma D_tr, filled by axis_eigenbasis
     bases: dict = field(default_factory=dict, repr=False)
 
 
+def _tridiagonal(edge: np.ndarray) -> np.ndarray:
+    """D' diag(edge) D for the 1-D difference D: the dense symmetric
+    tridiagonal with -edge off the diagonal and the sums of the adjacent
+    edges on it."""
+    n = edge.shape[0]
+    K = np.zeros((n + 1, n + 1))
+    i = np.arange(n)
+    K[i, i + 1] = K[i + 1, i] = -edge
+    K[i, i] += edge
+    K[i + 1, i + 1] += edge
+    return K
+
+
 def _axis_stiffness(grid: WeightedGrid):
-    """1-D stiffness matrices (Kx1, Ky1): uniform x, weighted graded y."""
-    spec = grid.spec
-    Dy = sp.diags([-np.ones(spec.ny), np.ones(spec.ny)], [0, 1],
-                  shape=(spec.ny, spec.ny + 1))
-    Ky1 = Dy.T @ sp.diags(grid.face_trans_y) @ Dy
-    Dx = sp.diags([-np.ones(spec.nx), np.ones(spec.nx)], [0, 1],
-                  shape=(spec.nx, spec.nx + 1))
-    Kx1 = Dx.T @ sp.diags(np.full(spec.nx, 1.0 / grid.hx)) @ Dx
-    return Kx1, Ky1
+    """Dense 1-D stiffness matrices (Kx1, Ky1): uniform x, weighted graded
+    y."""
+    return (_tridiagonal(np.full(grid.spec.nx, 1.0 / grid.hx)),
+            _tridiagonal(grid.face_trans_y))
 
 
 def build_operators(grid: WeightedGrid) -> DiscreteOperators:
-    spec = grid.spec
-    xv = grid.xvol
-    xmass = grid.xmass
     Kx1, Ky1 = _axis_stiffness(grid)
+    # K (x) over the axes, innermost first: a 1-D tridiagonal K1 with
+    # masses m1 in front of a block (Kb, Mb) gives K1 (x) Mb + m1 (x) Kb
+    diag, links, mass = np.diag(Kx1), (np.diag(Kx1, 1),), grid.xvol
+    for K1, m1 in [(Kx1, grid.xvol)] * (grid.spec.d - 1) + [(Ky1, grid.yvol)]:
+        diag = (np.multiply.outer(np.diag(K1), mass)
+                + np.multiply.outer(m1, diag))
+        links = ((np.multiply.outer(np.diag(K1, 1), mass),)
+                 + tuple(np.multiply.outer(m1, link) for link in links))
+        mass = np.multiply.outer(m1, mass)
 
-    if spec.d == 1:
-        K = sp.kron(Ky1, sp.diags(xv)) + sp.kron(sp.diags(grid.yvol), Kx1)
-    else:
-        Kxx = sp.kron(Kx1, sp.diags(xv)) + sp.kron(sp.diags(xv), Kx1)
-        K = sp.kron(Ky1, sp.diags(xmass)) + sp.kron(sp.diags(grid.yvol), Kxx)
-
+    xmass = grid.xmass
     trace_index = np.arange(xmass.shape[0])  # y-major layout: y=0 block first
-    return DiscreteOperators(mass=grid.node_mass, Ka=finalize_csr(K),
+    return DiscreteOperators(mass=grid.node_mass,
+                             Ka=KroneckerStencil(diag, links),
                              trace_index=trace_index, trace_mass=xmass)
 
 
@@ -170,11 +298,10 @@ def axis_eigenbasis(grid: WeightedGrid, ops: DiscreteOperators,
     sigma = float(sigma)
     basis = ops.bases.get(sigma)
     if basis is None:
-        Kx1, Ky1 = _axis_stiffness(grid)
-        Ky = Ky1.toarray()
+        Kx1, Ky = _axis_stiffness(grid)
         Ky[0, 0] += sigma
         lam_y, Vy = _mass_eigh(Ky, grid.yvol)
-        lam_x, Vx = _mass_eigh(Kx1.toarray(), grid.xvol)
+        lam_x, Vx = _mass_eigh(Kx1, grid.xvol)
         lam = lam_y
         for _ in range(grid.spec.d):
             lam = np.add.outer(lam, lam_x)
@@ -340,8 +467,8 @@ class LinearSystem:
     inverse of A + diag(c_hat) (x) sigma D_tr (space_time_inverse, cached
     per sigma in inverses) and handle any other trace diagonal on the
     trace.  A, built on first read by the sparse formula, and
-    newton_matrix are the assembled references the tests check those
-    solves against.
+    newton_matrix are the assembled scipy CSR references the tests check
+    those solves against.
     """
 
     grid: WeightedGrid
@@ -358,12 +485,13 @@ class LinearSystem:
         return self.grid.spec.nt * self.grid.n_spatial
 
     @functools.cached_property
-    def A(self) -> sp.csr_matrix:
-        """The space-time matrix on the flattened unknown (nt * n_spatial):
+    def A(self):
+        """The space-time CSR matrix on the flattened unknown (nt * n_spatial):
 
             diags(c main (x) m) - c Msub - c rho Msup + diags(c_hat) (x) Ka,
 
         Msub and Msup the mass on the time sub- and superdiagonal blocks."""
+        import scipy.sparse as sp
         nt = self.grid.spec.nt
         c, rho, main, c_hat = _row_coefficients(self.grid, self.eps)
         M = sp.diags(self.ops.mass)
@@ -371,7 +499,7 @@ class LinearSystem:
         return finalize_csr(sp.diags(c * np.outer(main, self.ops.mass).ravel())
                             - c * sp.kron(shift, M)
                             - (c * rho) * sp.kron(shift.T, M)
-                            + sp.kron(sp.diags(c_hat), self.ops.Ka))
+                            + sp.kron(sp.diags(c_hat), self.ops.Ka.tocsr()))
 
     def _initial_term(self, U0f: np.ndarray) -> np.ndarray:
         return (self.eps / self.grid.dt**2) * self.ops.mass * U0f
@@ -381,8 +509,9 @@ class LinearSystem:
         b[0] += self._initial_term(np.asarray(U0, dtype=float).reshape(-1))
         return b.ravel()
 
-    def newton_matrix(self, model, Ulay: np.ndarray) -> sp.csr_matrix:
-        """A + c_hat D_tr beta'(u) on the trace diagonal."""
+    def newton_matrix(self, model, Ulay: np.ndarray):
+        """A + c_hat D_tr beta'(u) on the trace diagonal, as CSR."""
+        import scipy.sparse as sp
         d = np.zeros((self.grid.spec.nt, self.grid.n_spatial))
         u = Ulay[1:, self.ops.trace_index]
         d[:, self.ops.trace_index] = (self.c_hat[:, None] * self.ops.trace_mass
@@ -467,7 +596,7 @@ def _time_thomas(b: np.ndarray, low, up):
     return solve
 
 
-def time_line_preconditioner(system: LinearSystem, A: sp.csr_matrix | None = None):
+def time_line_preconditioner(system: LinearSystem, A=None):
     """Exact per-spatial-node time-tridiagonal preconditioner.
 
     Dropping only the spatial off-diagonal couplings, the system

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 
 class ModelError(ValueError):
@@ -54,8 +53,17 @@ def _poly_exponents(model) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=32)
 def _poly_coef(m: float, n: float) -> float:
-    # c v^m (1-v)^n with int over [0,1] equal to 1/2; cached because every
-    # beta evaluation asks for it
+    # c v^m (1-v)^n with int over [0,1] equal to 1/2, c = 1 / (2 B(m+1, n+1));
+    # for integer exponents 1/B = (m+n+1)!/(m! n!) is an integer and the
+    # quotient by 2 is correctly rounded, or inf past the float range (as
+    # 0.5 / beta is; validate_model then rejects the model).  Cached
+    # because every beta evaluation asks for it
+    if m.is_integer() and n.is_integer():
+        try:
+            return (int(m + n) + 1) * math.comb(int(m + n), int(m)) / 2
+        except OverflowError:
+            return math.inf
+    from scipy import special
     return 0.5 / special.beta(m + 1.0, n + 1.0)
 
 
@@ -142,6 +150,7 @@ def phi_eval(model: CombustionModel | None, v) -> np.ndarray | float:
         if m.is_integer() and n.is_integer():
             out = _bernstein_tail(vc, int(m), int(n))
         else:
+            from scipy import special
             out = special.betainc(m + 1.0, n + 1.0, vc)
     elif model.kind == "piecewise-linear-hat":
         c = _hat_peak(model)

@@ -1,10 +1,12 @@
-"""Sparse storage and iterative solvers.
+"""Iterative solvers, and the CSR helper of the sparse references.
 
-Matrices are scipy CSR (row offsets / column indices / values); builders
-here guarantee sorted indices and no explicit zeros.  The Krylov solvers
-are written out so that iterates are bitwise reproducible: all
-reductions go through numpy's fixed-order pairwise sums, never a
-threaded BLAS path.
+The Krylov solvers are written out so that iterates are bitwise
+reproducible: all reductions go through numpy's fixed-order pairwise
+sums, never a threaded BLAS path.  No solver needs a stored matrix: the
+run path applies operators as callables or as assembly.KroneckerStencil.
+Scipy CSR matrices (row offsets / column indices / values) are only the
+assembled references the tests check against; finalize_csr gives them
+sorted indices and no explicit zeros, and imports scipy on first use.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class SolverError(RuntimeError):
     pass
 
 
-def finalize_csr(A) -> sp.csr_matrix:
+def finalize_csr(A):
+    import scipy.sparse as sp
     A = sp.csr_matrix(A)
     A.eliminate_zeros()
     A.sort_indices()
@@ -35,7 +37,7 @@ def _norm(x: np.ndarray) -> float:
     return np.sqrt(_dot(x, x))
 
 
-def jacobi(A: sp.csr_matrix) -> np.ndarray:
+def jacobi(A) -> np.ndarray:
     d = A.diagonal().copy()
     d[d == 0.0] = 1.0
     return 1.0 / d

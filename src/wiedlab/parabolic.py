@@ -8,10 +8,12 @@ step, in majorize-minimize form with the matrix M/dt + K + sigma D_tr
 Because the reaction acts only on the y = 0 trace, the Picard map runs
 on the trace through the capacitance matrix of that matrix, which is
 diagonal in the x factor of the assembly's per-axis eigenbasis: a step
-costs one full transform pair and two full residuals, whatever the
-number of Picard iterations.  The scheme matrix M/dt + K is an
-M-matrix, which gives the discrete maximum principle together with the
-sign of beta.
+costs one full transform pair and one full residual, whatever the
+number of Picard iterations, because a trajectory hands each step's exit
+check to the next step's entry check.  The step matrix M/dt + K is the
+assembly's stiffness stencil with a shifted diagonal; it is an M-matrix,
+which gives the discrete maximum principle together with the sign of
+beta.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import DiscreteOperators, axis_eigenbasis, build_operators
-# beta_prime_eval and pcg_solve are unused here; they stay importable
-# because perfbench/tracing.py patches them by name
+# beta_prime_eval, finalize_csr and pcg_solve are unused here; they stay
+# importable because perfbench/tracing.py patches them by name
 from .combustion import beta_eval, beta_prime_eval  # noqa: F401
 from .grid import WeightedGrid
 from .linalg import finalize_csr, pcg_solve  # noqa: F401
@@ -93,12 +94,13 @@ def check_time_step(cfg: ParabolicConfig, grid: WeightedGrid) -> float:
 
 
 def _step_matrix(grid, ops, dt):
-    return finalize_csr(sp.diags(ops.mass / dt) + ops.Ka)
+    return ops.Ka.shifted(ops.mass / dt)
 
 
 def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
                   Un: np.ndarray, ops: DiscreteOperators | None = None,
-                  dt: float | None = None, A=None) -> np.ndarray:
+                  dt: float | None = None, A=None,
+                  carry: dict | None = None) -> np.ndarray:
     """One implicit Euler step, (M/dt + K) u + E D_tr beta(E' u) = M Un/dt.
 
     E injects trace values into the y = 0 layer.  The trace term is
@@ -123,7 +125,12 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     tolerance, the trace iterations go on, unless s did not change, when
     they would recover the same u again.  ParabolicError is raised then,
     and when u_{picard_maxit} (u_{linear_maxit}) still misses the
-    tolerance.
+    tolerance; its message gives the number of corrections made.
+
+    carry, when given, is a dict that hands the last check's products on:
+    the entry check reads "Au" = A @ Un and "beta_tr" = beta(E' Un) from
+    it when they are there (a trajectory's previous step left them for
+    the Un it returned), and the step leaves those of the returned field.
     """
     ops = ops or build_operators(grid)
     dt = dt if dt is not None else (cfg.dt if cfg.dt is not None else grid.dt)
@@ -142,15 +149,20 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
         tol, maxit = cfg.picard_tol, cfg.picard_maxit
     bound = tol * scale
 
-    def residual_norm(u, beta_tr):
-        resid = A @ u - rhs0
+    def passes(u, Au=None, beta_tr=None):
+        # the residual check of u; its products are kept in carry
+        if Au is None:
+            Au, beta_tr = A @ u, beta_eval(model, u[ops.trace_index])
+        carry.update(Au=Au, beta_tr=beta_tr)
+        resid = Au - rhs0
         resid[ops.trace_index] += ops.trace_mass * beta_tr
-        return np.sqrt(np.sum(resid * resid))
+        return np.sqrt(np.sum(resid * resid)) <= bound
 
-    u_tr = un[ops.trace_index]
-    beta_tr = beta_eval(model, u_tr)
-    if residual_norm(un, beta_tr) <= bound:
+    carry = {} if carry is None else carry
+    if passes(un, carry.get("Au"), carry.get("beta_tr")):
         return un.copy()
+    u_tr = un[ops.trace_index]
+    beta_tr = carry["beta_tr"]
     basis = axis_eigenbasis(grid, ops, sigma)
     inv, h = basis.resolvent(1.0 / dt)
     vy0 = basis.Vy[0]
@@ -165,7 +177,7 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
         ds = s_next - s
         if np.sqrt(ds @ ds) <= bound or k == maxit:
             u = basis.from_modes(w + inv * np.outer(vy0, z).ravel())
-            if residual_norm(u, beta_eval(model, u[ops.trace_index])) <= bound:
+            if passes(u):
                 return u
             if np.array_equal(s_next, s):
                 # a fixed point: every later correction recovers this u
@@ -173,7 +185,7 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
         s = s_next
     raise ParabolicError(
         f"{'linear solve' if linear else 'Picard'} did not converge in "
-        f"step_implicit ({maxit} corrections)")
+        f"step_implicit ({k} correction{'s' if k > 1 else ''})")
 
 
 def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
@@ -189,10 +201,11 @@ def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
     A = _step_matrix(grid, ops, dt)
     traj = np.zeros((grid.spec.nt + 1, grid.n_spatial))
     traj[0] = np.asarray(U0, dtype=float).reshape(-1)
+    carry = {}
     for n in range(grid.spec.nt):
         try:
             traj[n + 1] = step_implicit(grid, model, cfg, traj[n],
-                                        ops=ops, dt=dt, A=A)
+                                        ops=ops, dt=dt, A=A, carry=carry)
         except ParabolicError as exc:
             raise ParabolicError(
                 f"step {n + 1} failed: {exc}", trajectory=traj[: n + 1]

@@ -27,13 +27,82 @@ def small_grid(nx=4, ny=4, nt=4, a=0.5, T=1.0):
 def test_operator_invariants():
     g = small_grid(6, 5, 3)
     ops = build_operators(g)
-    K = ops.Ka
+    K = ops.Ka.tocsr()
     assert (K - K.T).nnz == 0 or np.max(np.abs((K - K.T).data)) == 0.0
     const = np.ones(g.n_spatial)
-    assert np.max(np.abs(K @ const)) <= 1e-14 * np.max(np.abs(K.data))
+    assert np.max(np.abs(ops.Ka @ const)) <= 1e-14 * np.max(np.abs(K.data))
     assert np.all(ops.mass > 0)
     eigs = np.linalg.eigvalsh(K.toarray())
     assert eigs.min() > -1e-12
+
+
+def _kron_stiffness(g):
+    """The weighted stiffness by its sparse Kronecker formula, and the 1-D
+    axis matrices (Kx1, Ky1) it is built from."""
+    spec = g.spec
+    Dy = sp.diags([-np.ones(spec.ny), np.ones(spec.ny)], [0, 1],
+                  shape=(spec.ny, spec.ny + 1))
+    Ky1 = Dy.T @ sp.diags(g.face_trans_y) @ Dy
+    Dx = sp.diags([-np.ones(spec.nx), np.ones(spec.nx)], [0, 1],
+                  shape=(spec.nx, spec.nx + 1))
+    Kx1 = Dx.T @ sp.diags(np.full(spec.nx, 1.0 / g.hx)) @ Dx
+    xv = g.xvol
+    if spec.d == 1:
+        K = sp.kron(Ky1, sp.diags(xv)) + sp.kron(sp.diags(g.yvol), Kx1)
+    else:
+        Kxx = sp.kron(Kx1, sp.diags(xv)) + sp.kron(sp.diags(xv), Kx1)
+        K = (sp.kron(Ky1, sp.diags(g.xmass))
+             + sp.kron(sp.diags(g.yvol), Kxx))
+    return finalize_csr(K), Kx1.toarray(), Ky1.toarray()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("chunk", ["default", "small"])
+@pytest.mark.parametrize("d,nx,ny", [(1, 7, 5), (2, 5, 3)])
+@pytest.mark.parametrize("a", [-0.5, 0.5])
+def test_stencil_products_equal_csr_bitwise(monkeypatch, a, d, nx, ny,
+                                            chunk):
+    # every product of the stencil stiffness, of a vector or of the layers
+    # of a field, has the bits of the CSR matrix of the Kronecker formula,
+    # signed zeros and non-finite entries included; so does the shifted
+    # parabolic step matrix, and the layer product keeps the CSR layout
+    from wiedlab.assembly import KroneckerStencil, _axis_stiffness
+    g = build_grid(GridSpec(d=d, a=a, L=1.0, Y=1.0, T=1.0,
+                            nx=nx, ny=ny, nt=4))
+    S = g.n_spatial
+    if chunk == "small":   # several chunks of 2 vectors and a remainder
+        monkeypatch.setattr(KroneckerStencil, "CHUNK", 2 * S + 1)
+    ops = build_operators(g)
+    K, Kx1, Ky1 = _kron_stiffness(g)
+    assert all(np.array_equal(_bits(p), _bits(q)) for p, q in
+               zip(_axis_stiffness(g), (Kx1, Ky1)))
+    C = ops.Ka.tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(C, name), getattr(K, name)), name
+    rng = np.random.default_rng(nx + 10 * d)
+    for k in (None, 1, 7):
+        U = rng.standard_normal((S,) if k is None else (k, S))
+        U[np.abs(U) < 0.4] = 0.0
+        U[np.abs(U) > 1.6] = -0.0
+        if k is None:
+            assert np.array_equal(_bits(ops.Ka @ U), _bits(K @ U))
+        else:
+            KU = (ops.Ka @ U.T).T
+            assert KU.flags.f_contiguous
+            assert np.array_equal(_bits(KU), _bits((K @ U.T).T))
+    V = rng.standard_normal((5, S))
+    V[1, 3], V[2, -1], V[4, 0] = np.inf, -np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_bits(ops.Ka @ V.T), _bits(K @ V.T))
+        for v in V:
+            assert np.array_equal(_bits(ops.Ka @ v), _bits(K @ v))
+    shift = ops.mass / 0.01
+    B = finalize_csr(sp.diags(shift) + K)
+    for u in (U[0], rng.standard_normal(S)):
+        assert np.array_equal(_bits(ops.Ka.shifted(shift) @ u), _bits(B @ u))
 
 
 def test_exp_weights_telescope():
@@ -272,7 +341,7 @@ def test_trace_capacitance_matches_dense_inverse():
         E = np.zeros((g.n_spatial, ops.trace_index.shape[0]))
         E[ops.trace_index, np.arange(E.shape[1])] = 1.0
         for sigma in (0.0, BUMP.lipschitz):
-            B = (np.diag(ops.mass / g.dt) + ops.Ka.toarray()
+            B = (np.diag(ops.mass / g.dt) + ops.Ka.tocsr().toarray()
                  + sigma * E @ np.diag(ops.trace_mass) @ E.T)
             G_dense = E.T @ np.linalg.solve(B, E)
             basis = axis_eigenbasis(g, ops, sigma)
@@ -316,7 +385,7 @@ def _sparse_formula_system(g, ops, eps, forcing):
     shift = sp.diags([np.ones(nt - 1)], [-1], shape=(nt, nt))
     Msub = sp.kron(shift, sp.diags(ops.mass), format="csr")
     Msup = sp.kron(shift.T, sp.diags(ops.mass), format="csr")
-    Kkron = sp.kron(sp.eye(nt), ops.Ka, format="csr")
+    Kkron = sp.kron(sp.eye(nt), ops.Ka.tocsr(), format="csr")
     A = (sp.diags(c * np.outer(main, ops.mass).ravel())
          - c * Msub - (c * rho) * Msup
          + sp.diags(np.repeat(c_hat, S)) @ Kkron)
@@ -353,8 +422,8 @@ def test_pattern_assembly_matches_sparse_formula():
             b_ref[0] += (eps / g.dt**2) * ops.mass * U0
             assert np.array_equal(system.rhs(U0), b_ref.ravel())
             if eps == 1e-9:
-                assert system.A.nnz == A_ref.nnz < ops.Ka.nnz * nt + 2 * (
-                    nt - 1) * S
+                assert system.A.nnz == A_ref.nnz < (
+                    ops.Ka.tocsr().nnz * nt + 2 * (nt - 1) * S)
 
 
 def _matvec_residual(system, model, U):

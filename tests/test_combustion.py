@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +139,31 @@ def test_unknown_kind_rejected():
         CombustionModel("frobnicator")
 
 
+def _exact_bump_constant(m: int, n: int) -> Fraction:
+    # c with int_0^1 c v^m (1-v)^n = 1/2: c = 1 / (2 B(m+1, n+1))
+    return Fraction(math.factorial(m + n + 1),
+                    2 * math.factorial(m) * math.factorial(n))
+
+
+def test_bump_constant_is_exact_for_integer_exponents():
+    # correctly rounded for every integer pair (scipy's beta is off by up
+    # to 2 ulp on some of them), the shipped (1, 1) is 3; non-integer
+    # exponents still go through scipy's beta
+    from scipy import special
+    from wiedlab.combustion import _poly_coef
+    for m in range(13):
+        for n in range(13):
+            assert _poly_coef(float(m), float(n)) == float(
+                _exact_bump_constant(m, n)), (m, n)
+    assert _poly_coef(1.0, 1.0) == 3.0
+    assert _poly_coef(1.5, 1.0) == 0.5 / special.beta(2.5, 2.0)
+    # past the float range the constant is inf and the model is rejected
+    assert _poly_coef(600.0, 600.0) == math.inf
+    with pytest.raises(ModelError), np.errstate(invalid="ignore"):
+        validate_model(CombustionModel("polynomial-bump",
+                                       {"m": 600, "n": 600}))
+
+
 def _beta_formulas(model, v):
     # the clip/mask formulas beta_eval and beta_prime_eval evaluate,
     # written out as the reference for the faster implementation
@@ -145,7 +173,9 @@ def _beta_formulas(model, v):
     if model.kind == "polynomial-bump":
         m = float(model.params.get("m", 1.0))
         n = float(model.params.get("n", 1.0))
-        c = 0.5 / special.beta(m + 1.0, n + 1.0)
+        c = (float(_exact_bump_constant(int(m), int(n)))
+             if m.is_integer() and n.is_integer()
+             else 0.5 / special.beta(m + 1.0, n + 1.0))
         beta = c * vc**m * (1.0 - vc) ** n
         with np.errstate(divide="ignore", invalid="ignore"):
             prime = c * (m * vc ** max(m - 1.0, 0.0) * (1.0 - vc) ** n

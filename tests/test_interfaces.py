@@ -1,13 +1,17 @@
 """Cross-cutting interface checks: d = 2 support, dump formats, the
-Newton matrix's trace shift, and the names the benchmark's traced mode
-patches or reads."""
+Newton matrix's trace shift, the names the benchmark's traced mode
+patches or reads, and a start and run that import no scipy."""
 
 import functools
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wiedlab.assembly import assemble_linear_system
 from wiedlab.combustion import CombustionModel, validate_model
@@ -94,3 +98,58 @@ def test_benchmark_tracing_hooks_install_and_restore():
     assert callable(assembly.spectral_preconditioner)
     assert isinstance(assembly.LinearSystem.A, functools.cached_property)
     assert isinstance(assembly.LinearSystem.n_unknowns, property)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# imports what a job imports, then runs `wiedlab run`, `parabolic` and
+# `diagnose` on the config argv[1]; prints the exit codes and the scipy
+# modules loaded after the imports and after the runs
+_SCIPY_PROBE = """
+import json, sys
+from wiedlab import cli, runner  # noqa: F401
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = scipy_modules()
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [cli.main(["run", cfg, "--out", out + "/run"]),
+         cli.main(["parabolic", cfg, "--out", out + "/ref"]),
+         cli.main(["diagnose", cfg, "--field", out + "/ref/parabolic.f64",
+                   "--which", "no-spikes,level-sets", "--out",
+                   out + "/diag"])]
+print(json.dumps({"codes": codes, "after_import": after_import,
+                  "after_run": scipy_modules()}))
+"""
+
+
+@pytest.mark.parametrize("m", [1, 1.5])
+def test_runs_import_scipy_only_for_non_integer_bumps(tmp_path, m):
+    # the shipped config on a tiny one-level grid, in a fresh process: the
+    # start and every run path stay scipy-free with integer bump
+    # exponents; m = 1.5 still runs and loads scipy.special on first use
+    cfg = json.loads((ROOT / "configs" / "combustion-1d.json").read_text())
+    cfg["grid"].update(nx=8, ny=3, nt=24)
+    cfg["schedule"]["count"] = 1
+    cfg["model"]["params"]["m"] = m
+    cfg["diagnostics"] = [d for d in cfg["diagnostics"]
+                          if d["name"] in ("energy", "uniform-bounds",
+                                           "no-spikes", "level-sets")]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(
+            os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(path), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["codes"] == [0, 0, 0], proc.stderr
+    assert seen["after_import"] == []
+    if m == 1:
+        assert seen["after_run"] == []
+    else:
+        assert "scipy.special" in seen["after_run"]

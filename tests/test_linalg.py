@@ -35,7 +35,7 @@ def test_pcg_assembled_operator_vs_dense():
     g = build_grid(GridSpec(d=1, a=0.4, L=1.0, Y=1.0, T=1.0,
                             nx=8, ny=8, nt=2))
     ops = build_operators(g)
-    A = finalize_csr(sp.diags(ops.mass) + ops.Ka)
+    A = finalize_csr(sp.diags(ops.mass) + ops.Ka.tocsr())
     rng = np.random.default_rng(1)
     b = rng.standard_normal(A.shape[0])
     res = pcg_solve(A, b, tol=1e-12, maxit=500)
@@ -136,7 +136,7 @@ def test_solver_determinism_bitwise():
     g = build_grid(GridSpec(d=1, a=0.3, L=1.0, Y=1.0, T=1.0,
                             nx=6, ny=6, nt=2))
     ops = build_operators(g)
-    A = finalize_csr(sp.diags(ops.mass) + ops.Ka)
+    A = finalize_csr(sp.diags(ops.mass) + ops.Ka.tocsr())
     rng = np.random.default_rng(5)
     b = rng.standard_normal(A.shape[0])
     r1 = pcg_solve(A, b, tol=1e-12)

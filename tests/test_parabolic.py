@@ -167,7 +167,7 @@ def test_trace_picard_matches_full_space_iteration():
     ops = build_operators(g)
     model, pcfg = cfg.model, cfg.parabolic
     dt = g.dt
-    A = sp.diags(ops.mass / dt) + ops.Ka
+    A = sp.diags(ops.mass / dt) + ops.Ka.tocsr()
     shift = np.zeros(g.n_spatial)
     shift[ops.trace_index] = model.lipschitz * ops.trace_mass
     lu = splu(sp.csc_matrix(A + sp.diags(shift)))
@@ -211,11 +211,38 @@ def test_step_constants_built_once_per_time_step():
     assert np.array_equal(h, basis.trace_gain(expect))
 
 
+def test_trajectory_hands_each_check_to_the_next_step(monkeypatch):
+    # solve_parabolic carries each step's exit-check stiffness product and
+    # beta to the next step's entry check: one product per step plus the
+    # first entry, and the bits of steps that form both themselves
+    from wiedlab.assembly import KroneckerStencil, build_operators
+    g = grid_small()
+    ops = build_operators(g)
+    cfg = ParabolicConfig()
+    U0 = g.eval_spatial(lambda x, y: np.clip(
+        1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
+    ref = [U0]
+    for _ in range(g.spec.nt):
+        ref.append(step_implicit(g, BUMP, cfg, ref[-1], ops=ops))
+    products = []
+    matmul = KroneckerStencil.__matmul__
+
+    def counted(self, x):
+        products.append(1)
+        return matmul(self, x)
+
+    monkeypatch.setattr(KroneckerStencil, "__matmul__", counted)
+    traj = solve_parabolic(g, BUMP, cfg, U0, ops=ops)
+    assert np.array_equal(traj, np.array(ref))
+    assert len(products) == g.spec.nt + 1
+
+
 def test_failing_linear_step_stops_after_one_recovery(monkeypatch):
     # without a reaction s stays 0, so once the recovered u misses the
     # tolerance every later correction would recover the same u: the
     # step fails after one recovery (three beta_eval calls: at u_n, for
-    # s_1 and at the recovered u) instead of spending linear_maxit
+    # s_1 and at the recovered u) instead of spending linear_maxit, and
+    # its message counts the one correction it made
     from wiedlab import parabolic
     from wiedlab.combustion import beta_eval
     g = grid_small()
@@ -230,6 +257,7 @@ def test_failing_linear_step_stops_after_one_recovery(monkeypatch):
     monkeypatch.setattr(parabolic, "beta_eval", counted)
     cfg = ParabolicConfig(linear_tol=1e-18, linear_maxit=1000)
     with pytest.raises(parabolic.ParabolicError,
-                       match="linear solve did not converge"):
+                       match="linear solve did not converge") as exc:
         step_implicit(g, None, cfg, U0)
+    assert str(exc.value).endswith("(1 correction)")
     assert len(calls) == 3
