@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the shipped combustion benchmark and print the headline numbers:
-the convergence table, then per eps level the outer iterations and the
-GMRES iterations of its Newton trace solves (from levels.json).
+the convergence table, then per eps level the outer iterations, the
+accepted Newton and Picard steps and the GMRES iterations of its Newton
+trace solves (from levels.json).
 
 Usage: python scripts/run_benchmark.py [configs/combustion-1d.json] [outdir]
 """
@@ -27,9 +28,10 @@ def main(config="configs/combustion-1d.json", out="runs/combustion-1d"):
     conv = Path(out) / "reports" / "convergence.csv"
     print(conv.read_text().strip())
     levels = json.loads((Path(out) / "reports" / "levels.json").read_text())
-    print("eps,outer_iterations,gmres_iterations")
+    print("eps,outer_iterations,newton_steps,picard_steps,gmres_iterations")
     for lv in levels:
         print(f"{lv['eps']:g},{lv['iterations']},"
+              f"{lv['steps'].count('newton')},{lv['steps'].count('picard')},"
               f"{sum(lv['inner_iterations'])}")
 
 

@@ -237,27 +237,62 @@ class AxisEigenbasis:
     d: int
     # alpha -> (inv, h), filled by resolvent
     resolvents: dict = field(default_factory=dict, repr=False)
+    # (stage, shape) -> scratch array of an inner stage of _apply
+    scratch: dict = field(default_factory=dict, repr=False)
 
     def _apply(self, Ay: np.ndarray | None, Ax: np.ndarray,
-               r: np.ndarray) -> np.ndarray:
-        # (Ay (x) Ax [(x) Ax]) applied to each row of r, shape (..., S);
-        # Ay None: the x factor alone, on y = 0 trace vectors
+               r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # (Ay (x) Ax [(x) Ax]) applied to each row of r, shape (..., S),
+        # into out when given; Ay None: the x factor alone, on y = 0
+        # trace vectors.  Each stage is a stack of small products, one per
+        # grid line
         ny1, nx1 = (1 if Ay is None else Ay.shape[0]), Ax.shape[0]
-        R = np.asarray(r, dtype=float).reshape((-1, ny1) + (nx1,) * self.d)
-        R = R @ Ax.T
+        r = np.asarray(r, dtype=float)
+        R = r.reshape((-1, ny1) + (nx1,) * self.d)
+        if r.ndim == 1 and out is None:
+            # one vector, as the parabolic steps transform: nothing to keep
+            R = R @ Ax.T
+            if self.d == 2:
+                R = Ax @ R
+            if Ay is not None:
+                R = Ay @ R.reshape(1, ny1, -1)
+            return R.reshape(r.shape)
+        # a block: the stages before the last write into scratch kept per
+        # shape, since a fresh full-size temporary costs the allocator
+        # more than its products; the first stage reads all of r, so out
+        # may be r
+        if out is not None and not (out.flags.c_contiguous
+                                    and out.shape == r.shape):
+            raise ValueError("out must be C-contiguous and shaped like r")
+        last = self.d - (Ay is None)
+
+        def dst(k, shape):
+            if k == last:
+                return None if out is None else out.reshape(shape)
+            buf = self.scratch.get((k, shape))
+            if buf is None:
+                buf = self.scratch[k, shape] = np.empty(shape)
+            return buf
+
+        R = np.matmul(R, Ax.T, out=dst(0, R.shape))
         if self.d == 2:
-            R = Ax @ R
+            R = np.matmul(Ax, R, out=dst(1, R.shape))
         if Ay is not None:
-            R = Ay @ R.reshape(R.shape[0], ny1, -1)
-        return R.reshape(np.shape(r))
+            R = R.reshape(R.shape[0], ny1, -1)
+            R = np.matmul(Ay, R, out=dst(self.d, R.shape))
+        return R.reshape(r.shape)
 
-    def to_modes(self, r: np.ndarray) -> np.ndarray:
-        """V' r for nodal vectors stacked along the last axis."""
-        return self._apply(self.Vy.T, self.Vx.T, r)
+    def to_modes(self, r: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """V' r for nodal vectors stacked along the last axis, written
+        into out when given (which may be r itself)."""
+        return self._apply(self.Vy.T, self.Vx.T, r, out)
 
-    def from_modes(self, w: np.ndarray) -> np.ndarray:
-        """V w for modal vectors stacked along the last axis."""
-        return self._apply(self.Vy, self.Vx, w)
+    def from_modes(self, w: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+        """V w for modal vectors stacked along the last axis, written
+        into out when given (which may be w itself)."""
+        return self._apply(self.Vy, self.Vx, w, out)
 
     def to_trace_modes(self, s: np.ndarray) -> np.ndarray:
         """Vx' s [(x) Vx'] for y = 0 trace vectors stacked along the last
@@ -440,12 +475,17 @@ def stencil_residual(grid: WeightedGrid, model, eps: float,
 
     with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2.
     Equal to A x + E bs - rhs(U_0) of the assembled system without
-    forcing, up to summation order.
+    forcing, up to summation order.  Each full-size pass writes into one
+    of two arrays, r and the time stencil, rather than a new temporary.
     """
     c, rho, main, c_hat = _row_coefficients(grid, eps)
-    tstep = main[:, None] * Ulay[1:] - Ulay[:-1]
-    tstep[:-1] -= rho * Ulay[2:]
-    r = (c * ops.mass) * tstep + c_hat[:, None] * KU[1:]
+    r = np.empty(Ulay[1:].shape)
+    tstep = np.multiply(main[:, None], Ulay[1:])
+    tstep -= Ulay[:-1]
+    tstep[:-1] -= np.multiply(rho, Ulay[2:], out=r[:-1])
+    tstep *= c * ops.mass
+    np.multiply(c_hat[:, None], KU[1:], out=r)
+    r += tstep
     r[:, ops.trace_index] += c_hat[:, None] * ops.trace_mass * beta_eval(
         model, Ulay[1:, ops.trace_index])
     return r
@@ -648,20 +688,26 @@ class SpaceTimeInverse:
     # in-place batched Thomas solve on (nt, S) modal arrays
     solve_modes: Callable[[np.ndarray], np.ndarray]
     nt: int
+    # (nt, S) scratch of capacitance, whose sweep is read only on the trace
+    work: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         w = self.basis.to_modes(np.asarray(r, dtype=float).reshape(self.nt,
                                                                     -1))
         return self.basis.from_modes(self.solve_modes(w)).ravel()
 
-    def trace_solve(self, s: np.ndarray,
-                    r_hat: np.ndarray | None = None) -> np.ndarray:
+    def trace_solve(self, s: np.ndarray, r_hat: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """Tm^{-1} (r_hat + V' E s), the modal coefficients of P (r + E s),
         for a trace block s (nt, n_trace) and r_hat = V' r (nt, n_spatial)
-        of a right-hand side r (zero when None); shape (nt, n_spatial)."""
+        of a right-hand side r (zero when None); shape (nt, n_spatial),
+        written into out when given."""
         vy0 = self.basis.Vy[0]
         z = self.basis.to_trace_modes(s)
-        w = (vy0[None, :, None] * z[:, None, :]).reshape(self.nt, -1)
+        w = np.multiply(vy0[None, :, None], z[:, None, :],
+                        out=None if out is None
+                        else out.reshape(self.nt, vy0.shape[0], -1))
+        w = w.reshape(self.nt, -1)
         if r_hat is not None:
             w += r_hat
         return self.solve_modes(w)
@@ -675,32 +721,34 @@ class SpaceTimeInverse:
 
     def capacitance(self, s: np.ndarray) -> np.ndarray:
         """C s = E' P E s for a trace block s (nt, n_trace)."""
-        return self.trace(self.trace_solve(s))
+        if self.work is None:
+            self.work = np.empty((self.nt, self.basis.lam.size))
+        return self.trace(self.trace_solve(s, out=self.work))
 
-    def shifted_solve(self, w0: np.ndarray, x0_tr: np.ndarray,
-                      shift: np.ndarray, tol: float, maxit: int,
-                      y0: np.ndarray | None = None):
-        """The modal coefficients of (A_sigma + E diag(shift) E')^{-1} rhs
-        from those of x0 = P rhs, w0 (nt, n_spatial), and its trace
-        x0_tr = trace(w0); shift is a trace block (nt, n_trace).
+    def shifted_solve(self, w0: np.ndarray, r0: np.ndarray,
+                      shift: np.ndarray, tol: float, maxit: int):
+        """The modal coefficients of x = (A_sigma + E diag(shift) E')^{-1}
+        rhs from those of w0 = P (rhs - E (shift y0)), (nt, n_spatial),
+        and r0 = trace(w0) - y0, for a trace block y0 (nt, n_trace) near
+        the trace of x; shift is a trace block like y0.
 
-        Woodbury on the trace: y solves (I + C diag(shift)) y = x0_tr by
-        GMRES to relative residual tol, from y0 when given, and
-        x = x0 - P E (shift y).  Then E' x - y is the GMRES residual g,
-        and the linear residual of x is exactly E (shift g), up to the
-        roundoff of P, so its norm is at most
-        tol max|shift| |x0_tr|; solve_wied picks tol from the outer
-        residual that way.  Returns the coefficients of x, one Thomas
-        sweep after GMRES, and the GMRES SolveResult (its x is y,
-        flattened).
+        Woodbury on the trace: the trace y of x solves
+        (I + C diag(shift)) y = E' P rhs, whose residual at y0 is r0.  The
+        correction delta = y - y0 solves (I + C diag(shift)) delta = r0
+        by GMRES from 0 to relative residual tol, and
+        x = w0 - P E (shift delta).  Then E' x - y0 - delta is the GMRES
+        residual g, and the linear residual of x is exactly E (shift g),
+        up to the roundoff of P, so its norm is at most
+        tol max|shift| |r0|; solve_wied picks tol from the outer residual
+        that way.  Returns the coefficients of x, one Thomas sweep after
+        GMRES, and the GMRES SolveResult (its x is delta, flattened).
         """
         shape = shift.shape
 
         def apply(v):
             return v + self.capacitance(shift * v.reshape(shape)).ravel()
 
-        sol = gmres_solve(apply, np.ravel(x0_tr), tol=tol, maxit=maxit,
-                          x0=None if y0 is None else np.ravel(y0))
+        sol = gmres_solve(apply, np.ravel(r0), tol=tol, maxit=maxit)
         w = self.trace_solve(shift * sol.x.reshape(shape))
         return np.subtract(w0, w, out=w), sol
 

@@ -2,7 +2,7 @@
 
 Subcommands:
     run <config>                 full pipeline (sweep + reference + diagnostics)
-    wied <config> --eps V        single-level solve, dump the field
+    wied <config> --eps V        one level from the reference, dump the field
     parabolic <config>           reference trajectory only
     diagnose <config> --field F --which a,b,...   diagnostics on a stored field
     verify <config>              acceptance suite, one pass/fail line each
@@ -101,13 +101,17 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "wied":
+        from .parabolic import ParabolicError, solve_parabolic
         from .wied import WiedConvergenceError, solve_wied
         grid = build_grid(cfg.grid)
         U0 = cfg.initial.evaluate(grid)
         wcfg = replace(cfg.wied, eps=args.eps)
+        # the level starts from the parabolic reference, as a run's first
+        # level does, so both give the same field
         try:
-            res = solve_wied(grid, cfg.model, wcfg, U0)
-        except WiedConvergenceError as exc:
+            reference = solve_parabolic(grid, cfg.model, cfg.parabolic, U0)
+            res = solve_wied(grid, cfg.model, wcfg, U0, U_init=reference)
+        except (ParabolicError, WiedConvergenceError) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 3
         out.mkdir(parents=True, exist_ok=True)

@@ -201,8 +201,8 @@ def bicgstab_solve(A, b, precond="jacobi", tol=1e-10, maxit=2000,
     return SolveResult(x, k, res, converged=False, breakdown=breakdown)
 
 
-def gmres_solve(apply_a, b, tol=1e-10, maxit=2000, restart=60,
-                x0=None) -> SolveResult:
+def gmres_solve(apply_a, b, tol=1e-10, maxit=2000,
+                restart=60) -> SolveResult:
     """Restarted GMRES(restart) for nonsingular systems given by the
     callable apply_a: v -> A v.
 
@@ -216,15 +216,15 @@ def gmres_solve(apply_a, b, tol=1e-10, maxit=2000, restart=60,
     iterations left forms the true residual, which starts the next
     cycle; a cycle that does not lower it means roundoff has set a floor
     above tol, and the solve stops there as a breakdown rather than
-    cycling on to maxit.  Iterations counts operator applies inside the
-    cycles; beyond them a solve applies the operator once for a warm
-    start x0 and once per restart.
+    cycling on to maxit.  The solve starts from 0.  Iterations counts
+    operator applies inside the cycles; beyond them a solve applies the
+    operator once per restart.
     """
     n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     bnorm = _norm(b)
     ref = bnorm if bnorm > 0 else 1.0
-    r = b - apply_a(x) if x0 is not None else b.copy()
+    r = b.copy()
     beta = _norm(r)
     res = [beta / ref]
     k = 0

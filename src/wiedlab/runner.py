@@ -187,8 +187,10 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
                  "el_residual": lv.el_residual,
                  "el_tol_abs": lv.stats.get("el_tol_abs"),
                  "dist_to_ref": lv.dist_to_ref,
+                 "residuals": lv.stats.get("residuals", []),
                  "inner_iterations": lv.stats.get("inner_iterations", []),
                  "newton_tols": lv.stats.get("newton_tols", []),
+                 "steps": lv.stats.get("steps", []),
                  "damping": lv.stats.get("damping", [])} for lv in levels])
 
     summary = []

@@ -1,17 +1,19 @@
 """Space-time solves of the regularized problem and the eps sweep.
 
 For fixed eps the weight-normalized Euler-Lagrange system is solved with
-damped Picard on the trace source (Newton optional); accepted steps never
-increase the functional, forcing term included.  The linear problem with
+damped Picard on the trace source, or guarded Newton with a Picard
+fallback; accepted steps never increase the functional, forcing term
+included.  The linear problem with
 forcings F, f is the zero model on a forced system
 (assemble_linear_system(grid, eps, forcing=...)), whose one Picard step
 is one exact apply of the inverse.  The iterate lives in the spatial
 eigenbasis of the exact inverse of the Picard matrix, so each Picard
 step is one Thomas sweep, and each Newton step adds a GMRES solve on the
 y = 0 trace only; no Krylov method runs on the full space.  The sweep
-re-solves along a geometric eps schedule, warm-starting each level, and
-measures the distance to the implicit-Euler reference in the discrete
-C([0,T]: L^{2,a}) metric.
+re-solves along a geometric eps schedule, starting its first level from
+the implicit-Euler reference (the eps -> 0 limit) and each later level
+from the previous one, and measures the distance to that reference in
+the discrete C([0,T]: L^{2,a}) metric.
 """
 
 from __future__ import annotations
@@ -52,7 +54,11 @@ class WiedConfig:
 
     inner_tol is the floor of the relative GMRES tolerance of a Newton
     trace solve, whose tolerance otherwise follows the outer residual
-    (the forcing term in solve_wied); inner_maxit caps its iterations.
+    (the forcing term in solve_wied).  inner_maxit is the budget of one
+    Newton try: its GMRES iterations, each one Thomas sweep like a
+    Picard step.  A try that spends it still yields an inexact step the
+    line search judges.  Started next to the minimizer, as the sweep
+    starts every level, no try on the shipped config needs more than 5.
     """
 
     eps: float = 0.1
@@ -60,7 +66,7 @@ class WiedConfig:
     outer_tol: float = 1e-9        # relative EL residual
     outer_maxit: int = 40
     inner_tol: float = 1e-11       # floor of the Newton GMRES tolerance
-    inner_maxit: int = 40000
+    inner_maxit: int = 10          # GMRES budget of one Newton try
     damping: float = 1.0
 
     def __post_init__(self):
@@ -108,6 +114,7 @@ def check_horizon(eps0: float, T: float):
 class WiedResult:
     U: np.ndarray        # (nt+1, n_spatial)
     stats: dict
+    KU: np.ndarray | None = None   # (Ka @ U.T).T, from the exit check
 
 
 # Eisenstat-Walker choice 2: a Newton step's GMRES solve is held to the
@@ -117,21 +124,36 @@ class WiedResult:
 FORCING_GAMMA = 0.9
 FORCING_ALPHA = 2
 FORCING_MAX = 0.1
+# after the k-th failed Newton try in a row, Picard runs until the
+# residual is at most NEWTON_REARM times its value at that try, or for
+# 2^k steps, whichever comes first; a cold start (no U_init) runs Picard
+# until the residual is at most NEWTON_REARM times its start value
+NEWTON_REARM = 0.05
 
 
 def _norm(v) -> float:
-    return float(np.sqrt(np.sum(v * v)))
+    # one pass with no full-size temporary, in a fixed order
+    x = np.ravel(v)
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
 
 
 def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                U_init: np.ndarray | None = None,
-               system: LinearSystem | None = None) -> WiedResult:
+               system: LinearSystem | None = None,
+               KU_init: np.ndarray | None = None) -> WiedResult:
     """Solve the discrete minimization for one eps.
 
     Returns the field with U[0] = U0 exactly, plus per-iteration stats
-    (residuals, functional values, inner iteration counts, the relative
-    GMRES tolerance of each Newton step, and the absolute residual
-    threshold el_tol_abs actually enforced).
+    (residuals, functional values, the GMRES iterations of each tried
+    step, 0 for Picard, the relative GMRES tolerance of each Newton try,
+    the kind and damping of each accepted step, and the absolute
+    residual threshold el_tol_abs actually enforced).
+
+    The result also carries KU = (Ka @ U.T).T, the stiffness products
+    of the layers of the returned field, which its exit check formed.
+    KU_init, given with U_init, must be that product of U_init, whose
+    first layer must be U0 (as for the U and KU of a WiedResult); the
+    entry check then uses it instead of forming it again.
 
     system defaults to the unforced system of cfg.eps.  The linear
     problem with forcings F, f is model None (the zero model) on
@@ -159,31 +181,47 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     formed once per level and V' E s transforms only the trace block s,
     so a Picard step is one Thomas sweep and no full transform; the
     trace of the new iterate is read from its coefficients
-    (SpaceTimeInverse.trace).  outer "newton" switches to guarded
-    Newton once Picard has pulled the residual below 5% of its start, and
-    falls back to a Picard step on rejection.  The Newton matrix is
+    (SpaceTimeInverse.trace).  outer "newton" tries a guarded Newton
+    step and falls back to a Picard step in the same iteration when the
+    line search rejects it.  Far from the minimizer the trace Newton
+    system can be indefinite, so Newton is tried only where the start
+    or the last tries suggest it pays.  A level started from U_init (as
+    the sweep starts every level, next to its minimizer) tries Newton
+    from the first iteration on; a cold start, U0 held in time, takes
+    Picard steps until the tracked residual is at most NEWTON_REARM
+    (5%) of its start value.  A Newton try that is rejected, or accepted
+    only with lam < damping, puts the level back on Picard: after the
+    k-th such try in a row Newton is tried again once the tracked
+    residual is at most NEWTON_REARM of its value at that try, or after
+    2^k Picard steps, so it is never kept off for good.  The Newton
+    matrix is
     A_sigma + E D E' with D = c_hat D_tr (beta'(U) - sigma), solved by
-    Woodbury on the trace (SpaceTimeInverse.shifted_solve, its solution
-    y):
+    Woodbury on the trace (SpaceTimeInverse.shifted_solve) as a
+    correction of the Picard point x_p:
 
-        Newton:  x = (A_sigma + E D E')^{-1} (b + E (c_hat D_tr beta'(U) U_tr - bs(U))).
+        Newton:  x = (A_sigma + E D E')^{-1} (b + E (c_hat D_tr beta'(U) U_tr - bs(U)))
+                   = x_p - P E (D delta),
 
-    In the modes that is one sweep for P rhs, one per GMRES iteration
-    plus one for the warm start's residual, and one for the correction
-    P E (D y): GMRES iterations + 3 sweeps, and again no full transform.
+    where delta, the change of the trace from U_tr, solves
+    (I + C D) delta = r0 with r0 = E' x_p - U_tr.  The Picard point
+    starts every iteration, and it is the fallback step too; a Newton
+    step adds one sweep per GMRES iteration and one for the correction:
+    GMRES iterations + 2 sweeps in all, and again no full transform.
 
     The GMRES solve is inexact Newton with the Eisenstat-Walker choice 2
     forcing term eta_k = min(0.1, 0.9 (res_k / res_{k-1})^2) (0.1 at the
     first iteration): its linear residual is held below
     target = max(eta_k res_k, tol_abs / 2).  The GMRES residual g enters
     L(x) as E (D g), so the relative tolerance is
-    target / (max|D| |E' P rhs|), clipped to [inner_tol, 0.1].
+    target / (max|D| |r0|), clipped to [inner_tol, 0.1].  GMRES
+    stops after inner_maxit iterations in any case, and the line search
+    judges the inexact step that leaves.
 
     Both steps leave a residual supported on the trace, known without a
     matvec:
 
         Picard:  L(x) = E (stab (U_tr - x_tr) - bs(U)),
-        Newton:  L(x) = E (D (x_tr - y) - bs(U) - c_hat D_tr beta'(U) (x_tr - U_tr)),
+        Newton:  L(x) = E (stab (U_tr - x_tr) - bs(U) - D delta),
 
     and L is affine, so a damped candidate (1 - lam) U + lam x has
     residual (1 - lam) L(U) + lam L(x) + E bs(cand).  The residual is
@@ -220,7 +258,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         U[:] = U0f[None, :]
     else:
         U[:] = np.asarray(U_init, dtype=float).reshape(nt + 1, S)
+        if KU_init is not None and not np.array_equal(U[0], U0f):
+            raise ValueError("KU_init needs U_init with first layer U0")
         U[0] = U0f
+    if KU_init is not None and (U_init is None
+                                or np.shape(KU_init) != U.shape):
+        raise ValueError("KU_init needs U_init and its (nt+1, S) shape")
 
     b = system.rhs(U0f).reshape(nt, S)
     tr = ops.trace_index
@@ -236,11 +279,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         # the trace-potential part of E from the layer sums Phi(u_m) . D_tr
         return float(np.sum(wgt[:, 0] * (0.5 * (pm[:-1] + pm[1:]))))
 
-    def full_state(U):
+    def full_state(U, KU=None):
         # residual and functional of the nodal U in full: |r|, r off the
-        # trace and its norm, the trace block of r, E(U) and the layer
-        # sums of Phi; both share one stiffness product and one Phi
-        KU = (ops.Ka @ U.T).T
+        # trace and its norm, the trace block of r, E(U), the layer sums
+        # of Phi and the stiffness product KU both share, with one Phi
+        if KU is None:
+            KU = (ops.Ka @ U.T).T
         r = system.residual(model, U, U0f, KU=KU)
         res = _norm(r)
         rtr = r[:, tr].copy()
@@ -248,63 +292,71 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         pm = phi_eval(model, U[:, tr]) @ tm
         fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops,
                                 KU=KU, Pm=pm)
-        return res, r, _norm(r), rtr, fval, pm
+        return res, r, _norm(r), rtr, fval, pm, KU
 
     def nodal(Uh):
         # the nodal field of modal unknown layers Uh: one full transform
         U = np.empty((nt + 1, S))
         U[0] = U0f
-        U[1:] = basis.from_modes(Uh)
+        basis.from_modes(Uh, out=U[1:])
         return U
 
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
-             "newton_tols": [], "damping": [], "iterations": 0}
+             "newton_tols": [], "steps": [], "damping": [], "iterations": 0}
     U_tr = U[1:, tr]
     bs = ctm * beta_eval(model, U_tr)
     rhs0 = b.copy()
     rhs0[:, tr] -= bs
     tol_abs = cfg.outer_tol * max(_norm(rhs0), 1e-300)
+    del rhs0
     stats["el_tol_abs"] = tol_abs
     # the off-trace part of the current residual is mu r_off, its norm off
-    res, r_off, off, rtr, fval, pm = full_state(U)
+    res, r_off, off, rtr, fval, pm, KU = full_state(U, KU_init)
     mu = 1.0
     # the iterate's modal unknown layers and V' b, set when the first step
-    # is needed; U is the nodal iterate only while it is the one the last
-    # full_state checked, and None after a step
+    # is needed; U (and its stiffness product KU) is the nodal iterate only
+    # while it is the one the last full_state checked, and None after a step
     Uh = bh = None
+    # the residual at the last failed Newton try, or at a cold start
+    # (None while Newton is armed), the failed tries in a row and the
+    # Picard steps since the last
+    failed_at = None if U_init is not None else res
+    failures = waited = 0
 
-    def trial(kind, target):
-        """Modal trial point x, its trace and the trace block of L(x); a
-        Newton step's linear residual is held below target, its relative
-        GMRES tolerance kept within [inner_tol, FORCING_MAX]."""
-        if kind == "newton":
-            dbeta = ctm * beta_prime_eval(model, U_tr)
-            shift = dbeta - stab
-            x0 = inv.trace_solve(dbeta * U_tr - bs, bh)
-            x0_tr = inv.trace(x0)
-            # the GMRES residual g enters L(x) as E (shift g), so a
-            # relative tolerance tol keeps it below target
-            den = float(np.max(np.abs(shift))) * _norm(x0_tr)
-            tol = FORCING_MAX if den == 0.0 else min(
-                FORCING_MAX, max(cfg.inner_tol, target / den))
-            stats["newton_tols"].append(tol)
-            # an unconverged GMRES still gives a usable inexact step: its
-            # error enters lin exactly, and the line search judges it
-            x, sol = inv.shifted_solve(x0, x0_tr, shift, tol=tol,
-                                       maxit=cfg.inner_maxit, y0=U_tr)
-            stats["inner_iterations"].append(sol.iterations)
-            x_tr = inv.trace(x)
-            lin = (shift * (x_tr - sol.x.reshape(x_tr.shape)) - bs
-                   - dbeta * (x_tr - U_tr))
-        else:
-            x = inv.trace_solve(stab * U_tr - bs, bh)
-            x_tr = inv.trace(x)
-            stats["inner_iterations"].append(0)
-            lin = stab * (U_tr - x_tr) - bs
+    def picard_point():
+        # the Picard trial point P (b - E bs + E stab U_tr) in the modes,
+        # its trace and the trace block of L(x)
+        x = inv.trace_solve(stab * U_tr - bs, bh)
+        x_tr = inv.trace(x)
+        return x, x_tr, stab * (U_tr - x_tr) - bs
+
+    def newton_point(xp, xp_tr, target):
+        """Newton trial point from the Picard point xp, its trace and the
+        trace block of L(x); its linear residual is held below target,
+        the relative GMRES tolerance kept within [inner_tol,
+        FORCING_MAX]."""
+        dbeta = ctm * beta_prime_eval(model, U_tr)
+        shift = dbeta - stab
+        # xp = P (rhs - E (shift U_tr)) for the Newton right-hand side
+        # rhs = b + E (dbeta U_tr - bs), so the trace system's residual
+        # at U_tr is r0 = xp_tr - U_tr
+        r0 = xp_tr - U_tr
+        # the GMRES residual g enters L(x) as E (shift g), so a relative
+        # tolerance tol keeps it below target
+        den = float(np.max(np.abs(shift))) * _norm(r0)
+        tol = FORCING_MAX if den == 0.0 else min(
+            FORCING_MAX, max(cfg.inner_tol, target / den))
+        stats["newton_tols"].append(tol)
+        # an unconverged GMRES still gives a usable inexact step: its
+        # error enters lin exactly, and the line search judges it
+        x, sol = inv.shifted_solve(xp, r0, shift, tol=tol,
+                                   maxit=cfg.inner_maxit)
+        stats["inner_iterations"].append(sol.iterations)
+        x_tr = inv.trace(x)
+        lin = stab * (U_tr - x_tr) - bs - shift * sol.x.reshape(shift.shape)
         return x, x_tr, lin
 
-    def line_search(kind, target):
-        x, x_tr, lin_x = trial(kind, target)
+    def line_search(kind, x, x_tr, lin_x):
         lin_U = rtr - bs
         d_tr = x_tr - U_tr
         s_U = float(np.sum(wgt * lin_U * d_tr))
@@ -341,25 +393,31 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         stats["iterations"] = k
         if res <= tol_abs and U is None:
             U = nodal(Uh)
-            res, r_off, off, rtr, fval, pm = full_state(U)
+            res, r_off, off, rtr, fval, pm, KU = full_state(U)
             U_tr = U[1:, tr]
             bs = ctm * beta_eval(model, U_tr)
             mu = 1.0
         stats["residuals"].append(res)
         stats["functional"].append(fval)
         if res <= tol_abs:
-            return WiedResult(U=U, stats=stats)
+            return WiedResult(U=U, stats=stats, KU=KU)
         if Uh is None:
             # enter the eigenbasis: V' M U of the unknown layers and V' b,
-            # once per level
-            Uh = basis.to_modes(ops.mass * U[1:])
-            bh = basis.to_modes(b)
+            # once per level; b vanishes off its first row unless the
+            # system is forced, and a zero row has zero coefficients
+            Uh = np.multiply(ops.mass, U[1:])
+            basis.to_modes(Uh, out=Uh)
+            rows = np.flatnonzero(np.any(b, axis=1))
+            b[rows] = basis.to_modes(b[rows])
+            bh = b
         if U is not None:
             # V' r_off, once per full_state
-            r_off = basis.to_modes(r_off)
+            basis.to_modes(r_off, out=r_off)
 
         kinds = ["picard"]
-        if cfg.outer == "newton" and res <= 0.05 * stats["residuals"][0]:
+        if cfg.outer == "newton" and (
+                failed_at is None or res <= NEWTON_REARM * failed_at
+                or (failures and waited >= 2**failures)):
             kinds = ["newton", "picard"]
         # Eisenstat-Walker choice 2 forcing term for the Newton solve
         eta = FORCING_MAX
@@ -367,29 +425,43 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             ratio = res / stats["residuals"][-2]
             eta = min(FORCING_MAX, FORCING_GAMMA * ratio**FORCING_ALPHA)
         target = max(eta * res, 0.5 * tol_abs)
+        picard = picard_point()
         step = None
         for kind in kinds:
-            step = line_search(kind, target)
+            if kind == "newton":
+                step = line_search(kind, *newton_point(*picard[:2], target))
+            else:
+                stats["inner_iterations"].append(0)
+                step = line_search(kind, *picard)
             if step is not None:
                 break
         if step is None:
             raise WiedConvergenceError(
                 "damped step could not decrease the functional",
                 U=nodal(Uh) if U is None else U, stats=stats)
+        if kinds[0] == "newton":
+            # a rejected or damped Newton try puts the level on Picard
+            if kind == "newton" and step[2] >= cfg.damping:
+                failed_at, failures = None, 0
+            else:
+                failed_at, failures, waited = res, failures + 1, 0
+        else:
+            waited += 1
         Uh, U_tr, lam, fval, pm, res, off, rtr, bs = step
-        U = None
+        U = KU = None
         mu *= 1.0 - lam
         if mu == 0.0:
             r_off = None
+        stats["steps"].append(kind)
         stats["damping"].append(lam)
 
     if U is None:
         U = nodal(Uh)
-        res, r_off, off, rtr, fval, pm = full_state(U)
+        res, r_off, off, rtr, fval, pm, KU = full_state(U)
     stats["residuals"].append(res)
     stats["functional"].append(fval)
     if res <= tol_abs:
-        return WiedResult(U=U, stats=stats)
+        return WiedResult(U=U, stats=stats, KU=KU)
     raise WiedConvergenceError(
         f"no convergence after {cfg.outer_maxit} outer iterations "
         f"(residual {res:g}, tol {tol_abs:g})", U=U, stats=stats)
@@ -428,9 +500,12 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   parabolic_cfg: ParabolicConfig | None = None,
                   reference: np.ndarray | None = None,
                   ops: DiscreteOperators | None = None) -> SweepResult:
-    """Solve each eps level (warm-started) and compare to the reference.
+    """Solve each eps level and compare to the reference.
 
-    Raises SweepError carrying the completed levels if some level fails.
+    The first level starts from the reference, the eps -> 0 limit of the
+    levels, and each later level from the one before, whose exit check
+    also hands its stiffness product on.  Raises SweepError carrying the
+    completed levels if some level fails.
     """
     check_horizon(schedule.eps0, grid.spec.T)
     cfg = cfg or WiedConfig(eps=schedule.eps0)
@@ -440,17 +515,17 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                                     parabolic_cfg or ParabolicConfig(), U0,
                                     ops=ops)
     levels: list[SweepLevel] = []
-    warm = None
+    warm, KU = reference, None
     for eps in schedule.values():
         lcfg = replace(cfg, eps=eps)
         system = assemble_linear_system(grid, eps, ops=ops)
         try:
             result = solve_wied(grid, model, lcfg, U0, U_init=warm,
-                                system=system)
+                                system=system, KU_init=KU)
         except WiedConvergenceError as exc:
             raise SweepError(f"level eps = {eps} failed: {exc}",
                              completed=levels) from exc
-        warm = result.U
+        warm, KU = result.U, result.KU
         levels.append(SweepLevel(
             eps=eps, U=result.U,
             iterations=result.stats["iterations"],

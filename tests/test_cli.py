@@ -75,14 +75,23 @@ def test_unknown_subcommand_usage_exit_2(tmp_path):
 
 
 def test_wied_single_level_matches_run(tmp_path):
-    cfgp = write_config(tmp_path / "cfg.json",
-                        schedule={"eps0": 0.05, "ratio": 0.5, "count": 1})
-    assert main(["run", str(cfgp), "--out", str(tmp_path / "a")]) == 0
-    assert main(["wied", str(cfgp), "--eps", "0.05",
-                 "--out", str(tmp_path / "b")]) == 0
-    fa = (tmp_path / "a" / "fields" / "eps-0.05.f64").read_bytes()
-    fb = (tmp_path / "b" / "eps-0.05.f64").read_bytes()
-    assert fa == fb  # determinism: fused and single-level paths agree
+    # both start the level from the parabolic reference, so the fused and
+    # single-level paths agree bit for bit with a reaction too
+    for name, model, wied in (
+            ("zero", {"kind": "zero"}, {"outer_tol": 1e-9}),
+            ("bump", {"kind": "polynomial-bump"},
+             {"outer": "newton", "outer_tol": 1e-9})):
+        cfgp = write_config(tmp_path / f"{name}.json", model=model,
+                            wied=wied,
+                            schedule={"eps0": 0.05, "ratio": 0.5,
+                                      "count": 1})
+        a, b = tmp_path / f"{name}-run", tmp_path / f"{name}-wied"
+        assert main(["run", str(cfgp), "--out", str(a)]) == 0
+        assert main(["wied", str(cfgp), "--eps", "0.05",
+                     "--out", str(b)]) == 0
+        fa = (a / "fields" / "eps-0.05.f64").read_bytes()
+        fb = (b / "eps-0.05.f64").read_bytes()
+        assert fa == fb, name
 
 
 def test_parabolic_subcommand_and_field_roundtrip(tmp_path):
@@ -108,12 +117,17 @@ def test_diagnose_on_stored_field(tmp_path):
     assert rc == 0
     assert (tmp_path / "diag" / "energy-eps-0.05.csv").exists()
     assert (tmp_path / "diag" / "level_sets.csv").exists()
-    # levels.json keeps each level's solver history: one inner solve per
-    # tried step, one damping factor per accepted step
+    # levels.json keeps each level's solver history: one residual per
+    # iteration, the last the reported full one, one inner solve per
+    # tried step, one kind and damping factor per accepted step
     levels = json.loads(
         (tmp_path / "out" / "reports" / "levels.json").read_text())
     for lv in levels:
+        assert len(lv["residuals"]) == lv["iterations"]
+        assert lv["residuals"][-1] == lv["el_residual"] <= lv["el_tol_abs"]
         assert len(lv["damping"]) == lv["iterations"] - 1
+        assert len(lv["steps"]) == len(lv["damping"])
+        assert set(lv["steps"]) <= {"picard", "newton"}
         assert len(lv["inner_iterations"]) >= len(lv["damping"])
         assert all(0.0 < lam <= 1.0 for lam in lv["damping"])
 

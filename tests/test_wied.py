@@ -39,15 +39,18 @@ def test_maximum_principle_combustion():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_tracked_residual_matches_full_residual_at_every_step(d):
+@pytest.mark.parametrize("outer", ["picard", "newton"])
+def test_tracked_residual_matches_full_residual_at_every_step(outer, d):
     # Picard steps are one exact apply and Newton steps a trace solve, so
     # the residual and the functional after each accepted step are tracked
-    # from trace data, not recomputed.  Stopping the solve after k steps
-    # makes it report the full LinearSystem.residual and functional_value
-    # at the same iterate.  The residuals must agree to 1e-10 relative,
-    # down to a floor of 1e-13 of the level's residual scale, where the
-    # full residual's own roundoff sits (observed: 1e-16 of the scale);
-    # the functionals to 1e-12 relative (observed: 5e-15)
+    # from trace data, not recomputed; outer "picard" takes only Picard
+    # steps, outer "newton" from this cold start Picard steps, then Newton
+    # steps.  Stopping the solve after
+    # k steps makes it report the full LinearSystem.residual and
+    # functional_value at the same iterate.  The residuals must agree to
+    # 1e-10 relative, down to a floor of 1e-13 of the level's residual
+    # scale, where the full residual's own roundoff sits (observed: 1e-16
+    # of the scale); the functionals to 1e-12 relative (observed: 5e-15)
     spec = {1: dict(nx=16, ny=8, nt=80), 2: dict(nx=6, ny=4, nt=24)}[d]
     g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0, **spec))
     U0 = g.eval_spatial(lambda *xy: np.clip(
@@ -55,14 +58,17 @@ def test_tracked_residual_matches_full_residual_at_every_step(d):
     # a loose inner_tol leaves Newton steps inexact, whose GMRES residual
     # the tracked residual must carry too
     for eps, inner_tol in ((0.1, 1e-11), (0.03, 1e-6)):
-        cfg = WiedConfig(eps=eps, outer="newton", outer_tol=1e-10,
+        cfg = WiedConfig(eps=eps, outer=outer, outer_tol=1e-10,
                          inner_tol=inner_tol)
         res = solve_wied(g, BUMP, cfg, U0)
         tracked = res.stats["residuals"]
         f_tracked = res.stats["functional"]
         scale = res.stats["el_tol_abs"] / cfg.outer_tol
         inner = res.stats["inner_iterations"]
-        assert 0 in inner and max(inner) > 0     # Picard and Newton steps
+        if outer == "picard":
+            assert max(inner) == 0
+        else:
+            assert 0 in inner and max(inner) > 0
         steps = res.stats["iterations"] - 1
         assert steps >= 4
         for k in range(1, steps):
@@ -162,19 +168,25 @@ def test_optimality_along_random_variations():
         assert pairing <= 10.0 * tol * np.sqrt(np.sum(eta * eta))
 
 
+def _shipped_config(**grid):
+    # the shipped config on another grid, without diagnostics
+    import json
+    from pathlib import Path
+    from wiedlab.config import config_from_dict
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "combustion-1d.json").read_text())
+    data["grid"].update(grid)
+    data["diagnostics"] = []
+    return config_from_dict(data)
+
+
 def test_newton_tolerance_follows_outer_residual():
     # the shipped physics (config, plateau and tolerances of combustion-1d)
     # on a coarse grid: each Newton trace solve is held only to the
     # forcing-term tolerance, within [inner_tol, 0.1], looser than
     # inner_tol on the first Newton step, and the level still meets the
     # full-residual exit test
-    import json
-    from pathlib import Path
-    from wiedlab.config import config_from_dict
-    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                       / "combustion-1d.json").read_text())
-    data["grid"].update(nx=16, ny=6, nt=80)
-    cfg = config_from_dict(data)
+    cfg = _shipped_config(nx=16, ny=6, nt=80)
     g = build_grid(cfg.grid)
     wcfg = replace(cfg.wied, eps=cfg.schedule.eps0)
     res = solve_wied(g, cfg.model, wcfg, cfg.initial.evaluate(g))
@@ -194,19 +206,14 @@ def test_step_cost_in_the_eigenbasis(d, monkeypatch):
     # basis costs two transforms, each full_state is
     # preceded by one transform back (except at entry) and followed by
     # one of r_off when a step follows; in between only sweeps run: one
-    # per Picard step and GMRES iterations + 3 per Newton step
-    import json
-    from pathlib import Path
-
+    # per iteration for the Picard point, which a Newton try corrects
+    # with GMRES iterations + 1 more, and which is also the fallback
+    # after a rejected try, at no further sweep
     from wiedlab import wied
     from wiedlab.assembly import assemble_linear_system, space_time_inverse
-    from wiedlab.config import config_from_dict
-    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                       / "combustion-1d.json").read_text())
-    data["grid"].update(d=d, **{1: dict(nx=16, ny=6, nt=80),
-                                2: dict(nx=6, ny=4, nt=24)}[d])
-    data["diagnostics"] = []   # their cylinders are d = 1 points
-    cfg = config_from_dict(data)
+    # without diagnostics, whose cylinders are d = 1 points
+    cfg = _shipped_config(d=d, **{1: dict(nx=16, ny=6, nt=80),
+                                  2: dict(nx=6, ny=4, nt=24)}[d])
     g = build_grid(cfg.grid)
     wcfg = replace(cfg.wied, eps=cfg.schedule.eps0)
     system = assemble_linear_system(g, wcfg.eps)
@@ -231,27 +238,123 @@ def test_step_cost_in_the_eigenbasis(d, monkeypatch):
     res = solve_wied(g, cfg.model, wcfg, cfg.initial.evaluate(g),
                      system=system)
 
-    inner = res.stats["inner_iterations"]
+    inner = iter(res.stats["inner_iterations"])
     assert events[:4] == ["full", "to", "to", "to"]
     pos, kinds = 4, []
-    for k in inner:
+    for kind in res.stats["steps"]:
+        assert events[pos] == "sweep"     # the Picard point
+        pos += 1
         if events[pos] == "newton":
             kinds.append("newton")
-            assert events[pos + 1:pos + k + 4] == ["sweep"] * (k + 3)
-            pos += k + 4
-        else:
+            k = next(inner)
+            assert events[pos + 1:pos + k + 2] == ["sweep"] * (k + 1)
+            pos += k + 2
+        if kind == "picard":
             kinds.append("picard")
-            assert k == 0 and events[pos] == "sweep"
-            pos += 1
+            assert next(inner) == 0
         if events[pos:pos + 2] == ["from", "full"]:
             pos += 2
             if pos < len(events):
                 assert events[pos] == "to"
                 pos += 1
-    assert pos == len(events)
+    assert pos == len(events) and next(inner, None) is None
     assert {"picard", "newton"} <= set(kinds)
     assert events.count("full") >= 2    # entry and exit
     assert res.stats["residuals"][-1] <= res.stats["el_tol_abs"]
+
+
+@pytest.mark.parametrize("start", ["cold", "held"])
+@pytest.mark.parametrize("grid, eps", [
+    (dict(nx=16, ny=6, nt=80), 0.05),
+    # Picard contracts slowly here after the first damped try, so waiting
+    # for NEWTON_REARM alone would keep Newton off past outer_maxit
+    (dict(d=2, nx=4, ny=5, nt=12), 0.02)])
+def test_failed_newton_try_rearms_picard(grid, eps, start):
+    # the shipped physics from U0 held in time on coarse grids.  Passed as
+    # U_init ("held") Newton is tried from the first iteration, and tries
+    # are rejected or damped; without U_init ("cold") the level first
+    # takes Picard steps down to NEWTON_REARM of its start residual.
+    # Replaying the rule on the residual history: after the k-th failed
+    # try in a row, every step is Picard, with no Newton try, until the
+    # residual is at most NEWTON_REARM of its value at that try or 2^k
+    # Picard steps have run; no try spends more than the GMRES budget,
+    # and the level converges
+    from wiedlab.wied import NEWTON_REARM
+    cfg = _shipped_config(**grid)
+    g = build_grid(cfg.grid)
+    wcfg = replace(cfg.wied, eps=eps)
+    U0 = cfg.initial.evaluate(g)
+    held = np.repeat(U0[None, :], g.spec.nt + 1, axis=0)
+    st = solve_wied(g, cfg.model, wcfg, U0,
+                    U_init=held if start == "held" else None).stats
+    inner = st["inner_iterations"]
+    assert max(inner) <= wcfg.inner_maxit
+    failed_at = st["residuals"][0] if start == "cold" else None
+    failures = waited = tries = failed = waits = 0
+    trials = []
+    for res, kind, lam in zip(st["residuals"], st["steps"], st["damping"]):
+        if (failed_at is not None and res > NEWTON_REARM * failed_at
+                and not (failures and waited >= 2**failures)):
+            assert kind == "picard"
+            waits += 1
+            waited += 1
+            trials.append("picard")
+            continue
+        tries += 1
+        if kind == "newton" and lam >= wcfg.damping:
+            failed_at, failures = None, 0
+        else:
+            failed_at, failures, waited = res, failures + 1, 0
+            failed += 1
+        trials += ["newton"] if kind == "newton" else ["newton", "picard"]
+    assert tries == len(st["newton_tols"])
+    assert len(trials) == len(inner)
+    assert all(n == 0 for t, n in zip(trials, inner) if t == "picard")
+    if start == "held":
+        assert trials[0] == "newton" and inner[0] > 0
+        assert failed >= 1
+    else:
+        assert trials[0] == "picard"
+    assert waits >= 2
+    assert st["residuals"][-1] <= st["el_tol_abs"]
+
+
+def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
+    # a level's entry check reuses the stiffness product of the previous
+    # level's exit check (WiedResult.KU, passed on as KU_init): one
+    # product fewer per level transition, and the same bits as a level
+    # solved from the same start without it
+    from wiedlab.assembly import KroneckerStencil, build_operators
+    from wiedlab.parabolic import ParabolicConfig, solve_parabolic
+    g = grid_small(8, 6, 40, T=2.0)
+    ops = build_operators(g)
+    U0 = bump_data(g)
+    cfg = WiedConfig(eps=0.1, outer="newton", outer_tol=1e-9)
+    ref = solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+    calls = [0]
+    matmul = KroneckerStencil.__matmul__
+
+    def counted(self, x):
+        calls[0] += 1
+        return matmul(self, x)
+
+    monkeypatch.setattr(KroneckerStencil, "__matmul__", counted)
+    sw = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), U0, cfg=cfg,
+                       reference=ref)
+    swept = calls[0]
+    calls[0] = 0
+    start = ref
+    for lv in sw.levels:
+        alone = solve_wied(g, BUMP, replace(cfg, eps=lv.eps), U0,
+                           U_init=start)
+        assert np.array_equal(alone.U, lv.U)
+        assert alone.stats["residuals"] == lv.stats["residuals"]
+        start = lv.U
+    assert swept == calls[0] - 2
+    assert np.array_equal(alone.KU, (ops.Ka @ alone.U.T).T)
+    # a carried product needs the start it belongs to
+    with pytest.raises(ValueError):
+        solve_wied(g, BUMP, cfg, U0, KU_init=alone.KU)
 
 
 def test_schedule_validation():
