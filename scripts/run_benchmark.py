@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the shipped combustion benchmark and print the headline numbers:
-the convergence table, then per eps level the outer iterations, the
-accepted Newton and Picard steps and the GMRES iterations of its Newton
-trace solves (from levels.json).
+the parabolic reference's trace corrections (from manifest.json), the
+convergence table, then per eps level the outer iterations, the accepted
+Newton and Picard steps and the GMRES iterations of its Newton trace
+solves (from levels.json).
 
 Usage: python scripts/run_benchmark.py [configs/combustion-1d.json] [outdir]
 """
@@ -25,6 +26,9 @@ def main(config="configs/combustion-1d.json", out="runs/combustion-1d"):
     print(f"s exponent: {manifest['s_exponent']}, "
           f"tail weight: {manifest['tail_weight']:.2e}")
     print(f"wall clock: {manifest['wallclock_s']:.1f}s")
+    par = manifest["parabolic"]
+    print(f"parabolic trace corrections: {par['corrections']} in total, "
+          f"at most {par['max_corrections']} (step {par['max_step']})")
     conv = Path(out) / "reports" / "convergence.csv"
     print(conv.read_text().strip())
     levels = json.loads((Path(out) / "reports" / "levels.json").read_text())

@@ -102,8 +102,11 @@ def beta_eval(model: CombustionModel | None, v) -> np.ndarray | float:
         return out if out.ndim else float(out)
     vc = _clamp(v)
     if model.kind == "polynomial-bump":
+        # x**1.0 is x for every x, NaN and -0.0 included, so an exponent
+        # of 1 (the shipped bump's) skips its power with the same bits
         m, n, c = model.poly
-        out = c * vc**m * (1.0 - vc) ** n
+        out = c * (vc if m == 1.0 else vc**m)
+        out = out * (1.0 - vc if n == 1.0 else (1.0 - vc) ** n)
         if m > 0.0 and n > 0.0:
             # zero at both ends: the clamp alone zeroes it outside [0, 1]
             return out if out.ndim else float(out)

@@ -60,7 +60,8 @@ class EnergyReport:
 
 def energy_decomposition(grid: WeightedGrid, model, eps: float,
                          U: np.ndarray, U0: np.ndarray | None = None,
-                         ops=None) -> EnergyReport:
+                         ops=None, KU: np.ndarray | None = None
+                         ) -> EnergyReport:
     """Per-cell I, R and tail energy E of the rescaled field V(X,t)=U(X,eps t).
 
     E is accumulated backwards with exact exponential cell weights, so it
@@ -70,7 +71,9 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     variations, which is the quantity that vanishes at exact discrete
     minimizers.  Its EL residual is the stencil form (stencil_residual)
     on the stiffness products the Dirichlet energy already needs, so no
-    space-time system is assembled.
+    space-time system is assembled.  KU, when given, must be those
+    products, (Ka @ U.T).T of the (nt+1, S) layers, as a solved level's
+    exit check leaves them (WiedResult.KU); otherwise they are formed.
     """
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)
@@ -82,7 +85,8 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
 
     dU = np.diff(Ulay, axis=0) / dt
     icell = (dU * dU) @ ops.mass
-    KU = (ops.Ka @ Ulay.T).T
+    if KU is None:
+        KU = (ops.Ka @ Ulay.T).T
     Sm = np.einsum("ns,ns->n", Ulay, KU)
     Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
 

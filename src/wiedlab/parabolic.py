@@ -7,17 +7,23 @@ step, in majorize-minimize form with the matrix M/dt + K + sigma D_tr
 (sigma the model's Lipschitz constant, D_tr the y = 0 trace mass).
 Because the reaction acts only on the y = 0 trace, the Picard map runs
 on the trace through the capacitance matrix of that matrix, which is
-diagonal in the x factor of the assembly's per-axis eigenbasis: a step
-costs one full transform pair and one full residual, whatever the
-number of Picard iterations, because a trajectory hands each step's exit
-check to the next step's entry check.  The step matrix M/dt + K is the
-assembly's stiffness stencil with a shifted diagonal; it is an M-matrix,
-which gives the discrete maximum principle together with the sign of
-beta.
+diagonal in the x factor of the assembly's per-axis eigenbasis, with
+direct products on that factor.  A trajectory marches in the eigenbasis:
+each step hands the next its field's modal coefficients (so only the
+first step transforms M u_n/dt), its exit check's stiffness product and
+beta (the next entry check), and its start's trace source, from which
+the next map starts at the linear extrapolation of the last two sources.
+So a step costs one back transform, one stiffness product and one beta
+at the result, plus trace work per Picard correction; every step keeps
+its full nodal residual checks at u_n and at the result.  The step
+matrix M/dt + K is the assembly's stiffness stencil with a shifted
+diagonal; it is an M-matrix, which gives the discrete maximum principle
+together with the sign of beta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,40 +112,57 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     E injects trace values into the y = 0 layer.  The trace term is
     majorized by its quadratic surrogate of curvature sigma = lipschitz
     >= sup|beta'| (sigma = 0 without a reaction), which gives the
-    fixed-matrix Picard map, u_0 = Un,
+    fixed-matrix Picard map
 
         u_{k+1} = B^{-1} (M Un/dt + E s_k),   B = M/dt + K + sigma E D_tr E',
-        s_k = D_tr (sigma E' u_k - beta(E' u_k)).
+        s_k = D_tr (sigma E' u_k - beta(E' u_k))   (k >= 1).
 
     The reaction enters only through the trace, so the map runs there:
     E' u_{k+1} = g + G s_k with g = E' B^{-1} M Un/dt and the capacitance
     matrix G = E' B^{-1} E, which is diagonal in the x factor of the cached
     per-axis eigenbasis (AxisEigenbasis.trace_gain; the basis caches it
-    per time step with resolvent).  The residual of
-    u_{k+1} is exactly E (s_k - s_{k+1}), so the trace iterations stop
-    once |s_k - s_{k+1}| is at most the tolerance relative to |M Un/dt|
-    (picard_tol, or linear_tol without a reaction, where s = 0), and one
-    transform pair recovers u from the last s.  The full residual is
-    checked at Un, which is returned unchanged if it passes, and at every
-    recovered u; should roundoff leave the recovered u above the
-    tolerance, the trace iterations go on, unless s did not change, when
-    they would recover the same u again.  ParabolicError is raised then,
-    and when u_{picard_maxit} (u_{linear_maxit}) still misses the
-    tolerance; its message gives the number of corrections made.
+    per time step with resolvent).  The trace products are taken directly
+    with Vx: Vx' s and Vx z in d = 1, Vx' S Vx and Vx Z Vx' in d = 2.
+    The residual of u_{k+1} is exactly E (s_k - s_{k+1}), whatever s_0
+    is, so the trace iterations stop once |s_k - s_{k+1}| is at most the
+    tolerance relative to |M Un/dt| (picard_tol, or linear_tol without a
+    reaction, where s = 0), and the modal coefficients c = V' M u of u
+    recover it with one from_modes.  The full residual is checked at Un,
+    which is returned unchanged if it passes, and at every recovered u;
+    should roundoff leave the recovered u above the tolerance, the trace
+    iterations go on, unless s did not change, when they would recover
+    the same u again.  ParabolicError is raised then, and when
+    u_{picard_maxit} (u_{linear_maxit}) still misses the tolerance; its
+    message gives the number of corrections made.
 
-    carry, when given, is a dict that hands the last check's products on:
-    the entry check reads "Au" = A @ Un and "beta_tr" = beta(E' Un) from
-    it when they are there (a trajectory's previous step left them for
-    the Un it returned), and the step leaves those of the returned field.
+    carry, when given, is a dict that hands one step's state to the next
+    step of the same trajectory (same grid, operators, model and dt):
+
+      "Au", "beta_tr"  A @ Un and beta(E' Un), read by the entry check
+                       when there, and left for the returned field;
+      "modes"          c = V' M Un, which gives the modes of M Un/dt as
+                       c/dt with no to_modes; left as the c of the
+                       returned field;
+      "s"              the source at the previous step's start; with it
+                       the map starts from s_0 = 2 s(Un) - s(U_{n-1}), a
+                       linear extrapolation that costs no beta, otherwise
+                       from s_0 = s(Un); left as s(Un);
+      "corrections"    left as the number of trace corrections made.
+
+    So a step of a trajectory costs one from_modes, one stiffness product
+    and one beta at the result, and per trace correction two products
+    with Vx (four in d = 2) and one beta on the trace.  Without a carry
+    it also makes the entry products and one to_modes.
     """
     ops = ops or build_operators(grid)
     dt = dt if dt is not None else (cfg.dt if cfg.dt is not None else grid.dt)
     A = A if A is not None else _step_matrix(grid, ops, dt)
     un = np.asarray(Un, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(un)):
+    if not np.isfinite(un).all():
         raise ParabolicError("non-finite state entering step_implicit")
     rhs0 = ops.mass * un / dt
-    scale = float(np.sqrt(np.sum(rhs0 * rhs0))) or 1.0
+    # np.add.reduce is np.sum's reduction without its Python wrapper
+    scale = math.sqrt(np.add.reduce(rhs0 * rhs0)) or 1.0
 
     linear = model is None or getattr(model, "kind", "zero") == "zero"
     if linear:
@@ -148,6 +171,7 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
         sigma = max(getattr(model, "lipschitz", 0.0), 0.0)
         tol, maxit = cfg.picard_tol, cfg.picard_maxit
     bound = tol * scale
+    tm = ops.trace_mass
 
     def passes(u, Au=None, beta_tr=None):
         # the residual check of u; its products are kept in carry
@@ -155,29 +179,37 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
             Au, beta_tr = A @ u, beta_eval(model, u[ops.trace_index])
         carry.update(Au=Au, beta_tr=beta_tr)
         resid = Au - rhs0
-        resid[ops.trace_index] += ops.trace_mass * beta_tr
-        return np.sqrt(np.sum(resid * resid)) <= bound
+        resid[ops.trace_index] += tm * beta_tr
+        return math.sqrt(np.add.reduce(resid * resid)) <= bound
 
     carry = {} if carry is None else carry
-    if passes(un, carry.get("Au"), carry.get("beta_tr")):
+    done = passes(un, carry.get("Au"), carry.get("beta_tr"))
+    s = tm * (sigma * un[ops.trace_index] - carry["beta_tr"])
+    s_prev, carry["s"] = carry.get("s"), s
+    if done:
+        carry["corrections"] = 0
         return un.copy()
-    u_tr = un[ops.trace_index]
-    beta_tr = carry["beta_tr"]
     basis = axis_eigenbasis(grid, ops, sigma)
     inv, h = basis.resolvent(1.0 / dt)
-    vy0 = basis.Vy[0]
-    w = inv * basis.to_modes(rhs0)            # V' B^{-1} M Un/dt
+    vy0, Vx = basis.Vy[0], basis.Vx
+    VxT, n, flat = Vx.T, Vx.shape[0], basis.d == 1
+    c = carry.get("modes")
+    w = inv * (basis.to_modes(rhs0) if c is None else c / dt)
     g = vy0 @ w.reshape(vy0.shape[0], -1)     # trace modes of E' B^{-1} M Un/dt
-    s = ops.trace_mass * (sigma * u_tr - beta_tr)
+    if s_prev is not None:
+        s = 2.0 * s - s_prev
     for k in range(1, maxit + 1):
         # u_k = B^{-1} (M Un/dt + E s_{k-1}): its trace, and s_k from it
-        z = basis.to_trace_modes(s)
-        u_tr = basis.from_trace_modes(g + h * z)
-        s_next = ops.trace_mass * (sigma * u_tr - beta_eval(model, u_tr))
+        z = VxT @ s if flat else (VxT @ s.reshape(n, n) @ Vx).ravel()
+        v = g + h * z
+        u_tr = Vx @ v if flat else (Vx @ v.reshape(n, n) @ VxT).ravel()
+        s_next = tm * (sigma * u_tr - beta_eval(model, u_tr))
         ds = s_next - s
-        if np.sqrt(ds @ ds) <= bound or k == maxit:
-            u = basis.from_modes(w + inv * np.outer(vy0, z).ravel())
+        if math.sqrt(ds @ ds) <= bound or k == maxit:
+            c = w + inv * (vy0[:, None] * z).ravel()
+            u = basis.from_modes(c)
             if passes(u):
+                carry.update(modes=c, corrections=k)
                 return u
             if np.array_equal(s_next, s):
                 # a fixed point: every later correction recovers this u
@@ -189,12 +221,16 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
 
 
 def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
-                    U0: np.ndarray,
-                    ops: DiscreteOperators | None = None) -> np.ndarray:
-    """March the trajectory on the grid's time layers.
+                    U0: np.ndarray, ops: DiscreteOperators | None = None,
+                    stats: dict | None = None) -> np.ndarray:
+    """March the trajectory on the grid's time layers, one step_implicit
+    call per step, each handing its carry to the next.
 
-    Returns shape (nt+1, n_spatial).  On a step failure the completed
-    prefix is attached to the raised ParabolicError.
+    Returns shape (nt+1, n_spatial).  stats, when given, receives the
+    trace corrections of the march: "corrections" (the total),
+    "max_corrections" and "max_step", the first step that made the most
+    (0 if no step made any).  On a step failure the completed prefix is
+    attached to the raised ParabolicError.
     """
     ops = ops or build_operators(grid)
     dt = check_time_step(cfg, grid)
@@ -202,6 +238,7 @@ def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
     traj = np.zeros((grid.spec.nt + 1, grid.n_spatial))
     traj[0] = np.asarray(U0, dtype=float).reshape(-1)
     carry = {}
+    total = most = at = 0
     for n in range(grid.spec.nt):
         try:
             traj[n + 1] = step_implicit(grid, model, cfg, traj[n],
@@ -210,6 +247,12 @@ def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
             raise ParabolicError(
                 f"step {n + 1} failed: {exc}", trajectory=traj[: n + 1]
             ) from exc
+        k = carry["corrections"]
+        total += k
+        if k > most:
+            most, at = k, n + 1
+    if stats is not None:
+        stats.update(corrections=total, max_corrections=most, max_step=at)
     return traj
 
 

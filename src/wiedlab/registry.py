@@ -26,6 +26,9 @@ class Level:
     eps: float | None         # None for a field that is not a WIED level
     U: np.ndarray             # space-time field, any shape of the grid's size
     el_tol: float | None      # the level's absolute EL tolerance, if known
+    # (Ka @ U.T).T of the (nt+1, S) layers when known, such as a solved
+    # level's WiedResult.KU; the energy report then forms no product
+    KU: np.ndarray | None = None
 
 
 @dataclass
@@ -43,7 +46,7 @@ class Context:
                                 "minimizer the energy identity applies to")
         if lv not in self._energy:
             self._energy[lv] = dg.energy_decomposition(
-                self.grid, self.model, lv.eps, lv.U, ops=self.ops)
+                self.grid, self.model, lv.eps, lv.U, ops=self.ops, KU=lv.KU)
         return self._energy[lv]
 
 

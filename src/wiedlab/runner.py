@@ -5,7 +5,8 @@ diagnostics, written as a deterministic artifact tree:
 
     fields/eps-*.f64 (+ .json sidecars), fields/parabolic.f64
     reports/*.csv, summary.json
-    manifest.json  (config hash, versions, wall clock, artifact hashes)
+    manifest.json  (config hash, versions, wall clock, artifact hashes,
+                    the parabolic reference's trace corrections)
 
 Field dumps are raw little-endian float64 in row-major (x, y, t) node
 order; everything numeric is reproduced bit-exactly by a re-run with the
@@ -151,10 +152,10 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
 
     # failure: where the run stopped (phase), why, and how many steps,
     # levels or diagnostics of that phase were completed
-    failure, levels, reference = None, [], None
+    failure, levels, reference, corrections = None, [], None, {}
     try:
         reference = solve_parabolic(grid, cfg.model, cfg.parabolic, U0,
-                                    ops=ops)
+                                    ops=ops, stats=corrections)
     except ParabolicError as exc:
         steps = 0 if exc.trajectory is None else len(exc.trajectory) - 1
         failure = {"phase": "parabolic", "message": str(exc),
@@ -199,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         try:
             write_diagnostics(
                 [(req.name, req.options) for req in cfg.diagnostics], ctx,
-                [registry.Level(lv.eps, lv.U, lv.stats["el_tol_abs"])
+                [registry.Level(lv.eps, lv.U, lv.stats["el_tol_abs"], lv.KU)
                  for lv in levels], outdir / "reports", summary)
         except DiagnosticError as exc:
             failure = {"phase": "diagnostics", "message": str(exc),
@@ -250,6 +251,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         "wallclock_s": time.time() - t_start,
         "artifacts": artifacts,
     }
+    if corrections:
+        manifest["parabolic"] = corrections
     if failure is not None:
         manifest["failure"] = failure
     write_json(outdir / "manifest.json", manifest)

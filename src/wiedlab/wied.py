@@ -483,6 +483,7 @@ class SweepLevel:
     el_residual: float
     dist_to_ref: float
     stats: dict = field(default_factory=dict)
+    KU: np.ndarray | None = field(default=None, repr=False)  # WiedResult.KU
 
 
 @dataclass
@@ -531,7 +532,7 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
             iterations=result.stats["iterations"],
             el_residual=result.stats["residuals"][-1],
             dist_to_ref=dist_C_L2a(grid, result.U, reference),
-            stats=result.stats))
+            stats=result.stats, KU=result.KU))
     dists = [lv.dist_to_ref for lv in levels]
     monotone = all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
     return SweepResult(levels=levels, reference=reference, monotone=monotone)

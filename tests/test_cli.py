@@ -132,6 +132,31 @@ def test_diagnose_on_stored_field(tmp_path):
         assert all(0.0 < lam <= 1.0 for lam in lv["damping"])
 
 
+def test_manifest_records_parabolic_corrections(tmp_path):
+    # the unhashed manifest reports the reference's trace corrections as
+    # solve_parabolic counts them, and no hashed artifact carries them
+    from wiedlab.config import load_config
+    from wiedlab.grid import build_grid
+    from wiedlab.parabolic import solve_parabolic
+    cfgp = write_config(tmp_path / "cfg.json",
+                        model={"kind": "polynomial-bump"},
+                        initial={"kind": "plateau", "radius": 0.5,
+                                 "height": 1.0})
+    out = tmp_path / "out"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    cfg = load_config(cfgp)
+    grid = build_grid(cfg.grid)
+    stats = {}
+    solve_parabolic(grid, cfg.model, cfg.parabolic,
+                    cfg.initial.evaluate(grid), stats=stats)
+    assert manifest["parabolic"] == stats
+    assert stats["corrections"] >= stats["max_corrections"] >= 1
+    assert 1 <= stats["max_step"] <= grid.spec.nt
+    for name in manifest["artifacts"]:
+        assert b"corrections" not in (out / name).read_bytes()
+
+
 def test_strict_support_flag(tmp_path, capsys):
     cfgp = write_config(tmp_path / "cfg.json",
                         initial={"kind": "gaussian", "width": 0.2,

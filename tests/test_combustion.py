@@ -229,3 +229,38 @@ def test_beta_bits_match_clip_and_mask_formulas(model):
             got = np.asarray(got)
             assert got.shape == ref.shape
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("mn", [(1, 1), (1, 2), (2, 1), (1, 0), (0, 1),
+                                (1.5, 1), (1, 0.5), (3, 3)])
+def test_bump_skips_unit_powers_with_the_same_bits(mn):
+    # beta_eval skips the power of an exponent 1; its output stays, bit
+    # for bit, the power formula c vc^m (1 - vc)^n on the clamped vc with
+    # the support mask where an exponent is 0, on random values in and
+    # out of [0, 1], signed zeros, infinities and NaN, 0-d and 1-d
+    m, n = mn
+    model = validate_model(CombustionModel("polynomial-bump",
+                                           {"m": m, "n": n}))
+    c = model.poly[2]
+
+    def power_formula(v):
+        vc = np.minimum(1.0, np.maximum(0.0, np.fmax(v, -1.0)))
+        out = c * vc ** float(m) * (1.0 - vc) ** float(n)
+        if not (m > 0 and n > 0):
+            out = np.where((v >= 0.0) & (v <= 1.0), out, 0.0)
+        return np.asarray(out)
+
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, 1.0, -1.0, 2.0, 1e-300, 1.0 - 1e-16,
+               np.inf, -np.inf, np.nan]
+    cases = [np.array(s) for s in special]
+    for size in (1, 81, 1000):
+        v = rng.uniform(-1.0, 2.0, size)
+        v[rng.integers(size, size=min(size, len(special)))] = \
+            special[:min(size, len(special))]
+        cases.append(v)
+    for v in cases:
+        got = np.asarray(beta_eval(model, v))
+        ref = power_formula(v)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))

@@ -41,6 +41,33 @@ def test_energy_identity_at_converged_solution(solved):
     assert rep.e_monotone_defect <= 1e-10 * rep.energy[0]
 
 
+def test_energy_reuses_the_level_stiffness_product(solved, monkeypatch):
+    # a solved level's exit-check product KU serves its energy report:
+    # the registry's energy forms no stiffness product, and the report
+    # has the bits of one that forms its own
+    from wiedlab import registry
+    from wiedlab.assembly import KroneckerStencil, build_operators
+    g, res = solved
+    ops = build_operators(g)
+    ref = dg.energy_decomposition(g, BUMP, 0.1, res.U, ops=ops)
+    products = []
+    matmul = KroneckerStencil.__matmul__
+
+    def counted(self, x):
+        products.append(1)
+        return matmul(self, x)
+
+    monkeypatch.setattr(KroneckerStencil, "__matmul__", counted)
+    ctx = registry.Context(g, BUMP, (4.0, 4.0), ops)
+    rep = ctx.energy(registry.Level(0.1, res.U, res.stats["el_tol_abs"],
+                                    res.KU))
+    assert products == []
+    assert rep.rows() == ref.rows()
+    for name in ("inertia", "dissipation", "energy", "identity_l1",
+                 "e_monotone_defect", "dt_energy_total", "windowed"):
+        assert np.array_equal(getattr(rep, name), getattr(ref, name)), name
+
+
 def test_energy_tail_monotone_and_E0_bounded(solved):
     g, res = solved
     rep = dg.energy_decomposition(g, BUMP, 0.1, res.U)

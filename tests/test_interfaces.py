@@ -21,6 +21,7 @@ from wiedlab.runner import dump_field, load_field
 from wiedlab.wied import WiedConfig, solve_wied
 
 BUMP = validate_model(CombustionModel())
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_d2_solver_smoke():
@@ -79,15 +80,21 @@ def test_newton_matrix_diag_shift_only_on_trace():
     assert set(diff.row % S) <= set(system.ops.trace_index.tolist())
 
 
+def _load_tracing():
+    # perfbench/tracing.py, loaded from its file (perfbench is no package)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_tracing_hooks_install_and_restore():
     # perfbench/tracing.py wraps wiedlab names by attribute; installing
     # fails on any name that no longer exists, and leaving the block puts
     # every original back
     from wiedlab import assembly, wied
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     before = (wied.assemble_linear_system, assembly.LinearSystem.residual)
     with tracing.installed(tracing.Tracer()):
         assert wied.assemble_linear_system is not before[0]
@@ -100,7 +107,20 @@ def test_benchmark_tracing_hooks_install_and_restore():
     assert isinstance(assembly.LinearSystem.n_unknowns, property)
 
 
-ROOT = Path(__file__).resolve().parent.parent
+def test_traced_parabolic_steps_equal_nt():
+    # perfbench's parabolic.steps counts the spans of step_implicit, so
+    # solve_parabolic must call it once per time step
+    from wiedlab import parabolic
+    tracing = _load_tracing()
+    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=0.5,
+                            nx=8, ny=4, nt=12))
+    U0 = g.eval_spatial(
+        lambda x, y: np.clip(1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
+    with tracing.installed(tracing.Tracer()) as tracer:
+        parabolic.solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+    table = tracing.layer_table(tracer, 1)
+    assert table["parabolic.steps"] == (g.spec.nt, "count")
+
 
 # imports what a job imports, then runs `wiedlab run`, `parabolic` and
 # `diagnose` on the config argv[1]; prints the exit codes and the scipy

@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wiedlab.combustion import CombustionModel, phi_eval, validate_model
+from wiedlab.config import config_from_dict
 from wiedlab.grid import GridSpec, build_grid
 from wiedlab.parabolic import (ParabolicConfig, analytic_heat_oracle,
                                solve_parabolic, step_implicit)
@@ -12,6 +16,25 @@ BUMP = validate_model(CombustionModel())
 def grid_small(nx=12, ny=8, nt=20, a=0.5, L=1.0, Y=1.0, T=0.5, grading=None):
     return build_grid(GridSpec(d=1, a=a, L=L, Y=Y, T=T,
                                nx=nx, ny=ny, nt=nt, grading=grading))
+
+
+def _shipped(**grid):
+    # the shipped config (physics, grid and tolerances of combustion-1d),
+    # with grid overrides and no diagnostics
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "combustion-1d.json").read_text())
+    data["grid"].update(grid)
+    data["diagnostics"] = []
+    return config_from_dict(data)
+
+
+def _drift_bound(ops, cfg, traj):
+    # two trajectories whose steps each leave a residual of at most
+    # picard_tol |M u_n/dt| differ at a step by at most twice that through
+    # (M/dt + K)^{-1}, whose norm is at most dt / min(mass); summed over
+    # the steps
+    return float(np.sum(2.0 * cfg.picard_tol * np.linalg.norm(
+        traj[:-1] * ops.mass, axis=1)) / ops.mass.min())
 
 
 def test_constant_state_is_fixed_point():
@@ -132,13 +155,7 @@ def test_refined_y_shipped_physics_converges():
     # the shipped plateau (radius 3.6, height 1.0, nt = 960) with y refined
     # to ny = 22: fixed-sigma Picard has to converge on every step, the
     # first one included, and keep the trajectory in [0, 1]
-    import json
-    from pathlib import Path
-    from wiedlab.config import config_from_dict
-    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                       / "combustion-1d.json").read_text())
-    data["grid"]["ny"] = 22
-    cfg = config_from_dict(data)
+    cfg = _shipped(ny=22)
     g = build_grid(cfg.grid)
     traj = solve_parabolic(g, cfg.model, cfg.parabolic,
                            cfg.initial.evaluate(g))
@@ -153,16 +170,11 @@ def test_trace_picard_matches_full_space_iteration():
     # whole grid, u <- u - B^{-1} residual(u), B = M/dt + K + sigma D_tr,
     # with the same stopping rule, on the first step (the slowest) and a
     # mid-trajectory one
-    import json
-    from pathlib import Path
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
     from wiedlab.assembly import build_operators
     from wiedlab.combustion import beta_eval
-    from wiedlab.config import config_from_dict
-    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
-                       / "combustion-1d.json").read_text())
-    cfg = config_from_dict(data)
+    cfg = _shipped()
     g = build_grid(cfg.grid)
     ops = build_operators(g)
     model, pcfg = cfg.model, cfg.parabolic
@@ -213,9 +225,13 @@ def test_step_constants_built_once_per_time_step():
 
 def test_trajectory_hands_each_check_to_the_next_step(monkeypatch):
     # solve_parabolic carries each step's exit-check stiffness product and
-    # beta to the next step's entry check: one product per step plus the
-    # first entry, and the bits of steps that form both themselves
-    from wiedlab.assembly import KroneckerStencil, build_operators
+    # beta to the next step's entry check (one product per step plus the
+    # first entry) and its modal coefficients to the next step's map (one
+    # to_modes, at the first step).  Against carry-less steps it lands
+    # within the drift the tolerance allows, not on the same bits: the
+    # carried modes and the extrapolated start stop the map elsewhere
+    from wiedlab.assembly import (AxisEigenbasis, KroneckerStencil,
+                                  build_operators)
     g = grid_small()
     ops = build_operators(g)
     cfg = ParabolicConfig()
@@ -224,17 +240,80 @@ def test_trajectory_hands_each_check_to_the_next_step(monkeypatch):
     ref = [U0]
     for _ in range(g.spec.nt):
         ref.append(step_implicit(g, BUMP, cfg, ref[-1], ops=ops))
-    products = []
-    matmul = KroneckerStencil.__matmul__
+    ref = np.array(ref)
+    calls = {"products": 0, "to_modes": 0}
 
-    def counted(self, x):
-        products.append(1)
-        return matmul(self, x)
+    def counted(name, fn):
+        def wrapped(self, *args, **kwargs):
+            calls[name] += 1
+            return fn(self, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(KroneckerStencil, "__matmul__", counted)
+    monkeypatch.setattr(KroneckerStencil, "__matmul__",
+                        counted("products", KroneckerStencil.__matmul__))
+    monkeypatch.setattr(AxisEigenbasis, "to_modes",
+                        counted("to_modes", AxisEigenbasis.to_modes))
     traj = solve_parabolic(g, BUMP, cfg, U0, ops=ops)
-    assert np.array_equal(traj, np.array(ref))
-    assert len(products) == g.spec.nt + 1
+    assert calls == {"products": g.spec.nt + 1, "to_modes": 1}
+    assert np.max(np.abs(traj - ref)) <= _drift_bound(ops, cfg, ref)
+
+
+@pytest.mark.parametrize("case", ["shipped", "d2"])
+def test_every_layer_passes_the_exit_check(case):
+    # each layer of the trajectory solves its step from the layer before
+    # to the step's own nodal test: |(M/dt + K) u_{n+1} - M u_n/dt
+    # + E D_tr beta(E' u_{n+1})| <= picard_tol |M u_n/dt|
+    from wiedlab.assembly import build_operators
+    from wiedlab.combustion import beta_eval
+    if case == "shipped":
+        cfg = _shipped()
+    else:
+        cfg = _shipped(d=2, nx=12, ny=6, nt=40, L=8.0, Y=5.0)
+    g = build_grid(cfg.grid)
+    ops = build_operators(g)
+    traj = solve_parabolic(g, cfg.model, cfg.parabolic,
+                           cfg.initial.evaluate(g), ops=ops)
+    A = ops.Ka.shifted(ops.mass / g.dt)
+    tr = ops.trace_index
+    for n in range(g.spec.nt):
+        rhs = ops.mass * traj[n] / g.dt
+        resid = A @ traj[n + 1] - rhs
+        resid[tr] += ops.trace_mass * beta_eval(cfg.model, traj[n + 1][tr])
+        assert np.linalg.norm(resid) <= (cfg.parabolic.picard_tol
+                                         * np.linalg.norm(rhs)), n
+
+
+def test_extrapolated_start_lowers_the_corrections():
+    # on the shipped config: stepping with the carry reproduces
+    # solve_parabolic bit for bit, with the trace corrections it reports;
+    # dropping the carried source before each step (so every map starts
+    # from s(u_n) instead of 2 s(u_n) - s(u_{n-1})) costs more of them
+    from wiedlab.assembly import build_operators
+    cfg = _shipped()
+    g = build_grid(cfg.grid)
+    ops = build_operators(g)
+    U0 = cfg.initial.evaluate(g)
+    stats = {}
+    traj = solve_parabolic(g, cfg.model, cfg.parabolic, U0, ops=ops,
+                           stats=stats)
+    totals = []
+    for extrapolate in (True, False):
+        carry, u, counts = {}, U0, []
+        for n in range(g.spec.nt):
+            if not extrapolate:
+                carry.pop("s", None)
+            u = step_implicit(g, cfg.model, cfg.parabolic, u, ops=ops,
+                              carry=carry)
+            counts.append(carry["corrections"])
+            if extrapolate:
+                assert np.array_equal(u, traj[n + 1])
+        totals.append(sum(counts))
+        if extrapolate:
+            most = max(counts)
+            assert stats == {"corrections": sum(counts),
+                             "max_corrections": most,
+                             "max_step": counts.index(most) + 1}
+    assert totals[0] < totals[1]
 
 
 def test_failing_linear_step_stops_after_one_recovery(monkeypatch):
