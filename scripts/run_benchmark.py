@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the shipped combustion benchmark and print the headline numbers:
-the parabolic reference's trace corrections (from manifest.json), the
+the wall clock and the process's peak resident set size, the parabolic
+reference's trace corrections (from manifest.json), the
 convergence table, then per eps level the outer iterations, the accepted
 Newton and Picard steps and the GMRES iterations of its Newton trace
 solves (from levels.json).
@@ -9,6 +10,7 @@ Usage: python scripts/run_benchmark.py [configs/combustion-1d.json] [outdir]
 """
 
 import json
+import resource
 import sys
 from pathlib import Path
 
@@ -25,7 +27,10 @@ def main(config="configs/combustion-1d.json", out="runs/combustion-1d"):
     print(f"config hash: {manifest['config_hash'][:12]}")
     print(f"s exponent: {manifest['s_exponent']}, "
           f"tail weight: {manifest['tail_weight']:.2e}")
-    print(f"wall clock: {manifest['wallclock_s']:.1f}s")
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"wall clock: {manifest['wallclock_s']:.1f}s, "
+          f"peak RSS: {peak:.1f} MB")
     par = manifest["parabolic"]
     print(f"parabolic trace corrections: {par['corrections']} in total, "
           f"at most {par['max_corrections']} (step {par['max_step']})")

@@ -181,26 +181,39 @@ def level_set_measures(grid: WeightedGrid, fld: np.ndarray,
 
 
 def no_spikes_iteration(grid: WeightedGrid, fld: np.ndarray,
-                        cylinder: Cylinder, jmax: int = 12) -> LevelSetReport:
+                        cylinder: Cylinder, jmax: int = 12,
+                        delta: float | None = None) -> LevelSetReport:
     """De Giorgi truncation energies E_j on shrinking cylinders.
 
     E_j integrates |y|^a (U - C_j)_+^2 over the cylinder of radius
     (1/2 + 2^{-j-1}) x cylinder.radius; levels C_j = 1 - 2^{-j}.
-    Reports whether E_j collapses below 1e-12 by j = jmax.
+    Reports whether E_j collapses below 1e-12 by j = jmax.  With delta,
+    U is first the positive part of fld scaled to L^{2,a} norm
+    sqrt(delta) on the cylinder (zero if that part vanishes there).
+    Only the cylinder's index box is read or copied: every shrunken
+    cylinder's box lies inside it.
     """
     cylinder.require_fits(grid)
     fld = np.asarray(fld, dtype=float)
     if fld.shape != grid.spacetime_shape:
         raise GridError("no_spikes_iteration expects a space-time field")
+    U, w = restrict(grid, fld, cylinder)
+    if delta is not None:
+        U = np.clip(U, 0.0, None)
+        # weighted_norm's L2a over the cylinder
+        denom = float(np.sum(w * np.abs(U) ** 2.0) ** 0.5)
+        U *= np.sqrt(delta) / denom if denom > 0 else 0.0
+    outer = cylinder.box(grid)
     js = np.arange(jmax + 1)
     Cj = 1.0 - 2.0 ** (-js.astype(float))
     rj = 0.5 + 2.0 ** (-js.astype(float) - 1.0)
     Ej = np.empty(jmax + 1)
     for j in js:
-        U, w = restrict(grid, fld, Cylinder(cylinder.center,
-                                            rj[j] * cylinder.radius))
-        V = np.clip(U - Cj[j], 0.0, None)
-        Ej[j] = float(np.sum(w * V * V))
+        box = Cylinder(cylinder.center, rj[j] * cylinder.radius).box(grid)
+        sub = tuple(slice(b.start - o.start, b.stop - o.start)
+                    for b, o in zip(box, outer))
+        V = np.clip(U[sub] - Cj[j], 0.0, None)
+        Ej[j] = float(np.sum(w[sub] * V * V))
     return LevelSetReport(cylinder=cylinder, levels=Cj, radii=rj, energies=Ej,
                           converged=bool(Ej[-1] <= 1e-12),
                           sup_flag=bool(Ej[-1] > 1e-12))

@@ -15,7 +15,10 @@ beta (the next entry check), and its start's trace source, from which
 the next map starts at the linear extrapolation of the last two sources.
 So a step costs one back transform, one stiffness product and one beta
 at the result, plus trace work per Picard correction; every step keeps
-its full nodal residual checks at u_n and at the result.  The step
+its full nodal residual checks at u_n and at the result.  Subnormal
+modal coefficients are flushed to 0 where a step forms them.
+march_parabolic yields the layers one at a time; solve_parabolic stores
+them.  The step
 matrix M/dt + K is the assembly's stiffness stencil with a shifted
 diagonal; it is an M-matrix, which gives the discrete maximum principle
 together with the sign of beta.
@@ -34,6 +37,9 @@ from .assembly import DiscreteOperators, axis_eigenbasis, build_operators
 from .combustion import beta_eval, beta_prime_eval  # noqa: F401
 from .grid import WeightedGrid
 from .linalg import finalize_csr, pcg_solve  # noqa: F401
+
+
+_TINY = np.finfo(float).tiny    # the smallest normal float64
 
 
 class ParabolicError(RuntimeError):
@@ -127,7 +133,8 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     is, so the trace iterations stop once |s_k - s_{k+1}| is at most the
     tolerance relative to |M Un/dt| (picard_tol, or linear_tol without a
     reaction, where s = 0), and the modal coefficients c = V' M u of u
-    recover it with one from_modes.  The full residual is checked at Un,
+    recover it with one from_modes; entries of c below the smallest
+    normal float64 are set to 0 first.  The full residual is checked at Un,
     which is returned unchanged if it passes, and at every recovered u;
     should roundoff leave the recovered u above the tolerance, the trace
     iterations go on, unless s did not change, when they would recover
@@ -207,6 +214,10 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
         ds = s_next - s
         if math.sqrt(ds @ ds) <= bound or k == maxit:
             c = w + inv * (vy0[:, None] * z).ravel()
+            # flush subnormal modes: without a reaction high modes decay
+            # by 1/(1 + dt lam) a step into the subnormal range, where
+            # arithmetic is slow; this moves no value above _TINY
+            c[np.abs(c) < _TINY] = 0.0
             u = basis.from_modes(c)
             if passes(u):
                 carry.update(modes=c, corrections=k)
@@ -220,39 +231,57 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
         f"step_implicit ({k} correction{'s' if k > 1 else ''})")
 
 
-def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
+def march_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
                     U0: np.ndarray, ops: DiscreteOperators | None = None,
-                    stats: dict | None = None) -> np.ndarray:
-    """March the trajectory on the grid's time layers, one step_implicit
-    call per step, each handing its carry to the next.
+                    stats: dict | None = None):
+    """Yield the layers u_1, ..., u_nt of the trajectory from U0 on the
+    grid's time layers, one step_implicit call per step, each handing
+    its carry to the next; only the current layer is held.
 
-    Returns shape (nt+1, n_spatial).  stats, when given, receives the
-    trace corrections of the march: "corrections" (the total),
+    stats, when given, receives the trace corrections of the march once
+    its last layer is yielded: "corrections" (the total),
     "max_corrections" and "max_step", the first step that made the most
-    (0 if no step made any).  On a step failure the completed prefix is
-    attached to the raised ParabolicError.
+    (0 if no step made any).  A failed step raises ParabolicError, whose
+    message names the step.
     """
     ops = ops or build_operators(grid)
     dt = check_time_step(cfg, grid)
     A = _step_matrix(grid, ops, dt)
-    traj = np.zeros((grid.spec.nt + 1, grid.n_spatial))
-    traj[0] = np.asarray(U0, dtype=float).reshape(-1)
+    u = np.asarray(U0, dtype=float).reshape(-1)
     carry = {}
     total = most = at = 0
-    for n in range(grid.spec.nt):
+    for n in range(1, grid.spec.nt + 1):
         try:
-            traj[n + 1] = step_implicit(grid, model, cfg, traj[n],
-                                        ops=ops, dt=dt, A=A, carry=carry)
+            u = step_implicit(grid, model, cfg, u, ops=ops, dt=dt, A=A,
+                              carry=carry)
         except ParabolicError as exc:
-            raise ParabolicError(
-                f"step {n + 1} failed: {exc}", trajectory=traj[: n + 1]
-            ) from exc
+            raise ParabolicError(f"step {n} failed: {exc}") from exc
         k = carry["corrections"]
         total += k
         if k > most:
-            most, at = k, n + 1
+            most, at = k, n
+        yield u
     if stats is not None:
         stats.update(corrections=total, max_corrections=most, max_step=at)
+
+
+def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
+                    U0: np.ndarray, ops: DiscreteOperators | None = None,
+                    stats: dict | None = None) -> np.ndarray:
+    """The trajectory of march_parabolic (same stats), with U0 as its
+    first layer: shape (nt+1, n_spatial).  On a step failure the
+    completed prefix is attached to the raised ParabolicError.
+    """
+    traj = np.zeros((grid.spec.nt + 1, grid.n_spatial))
+    traj[0] = np.asarray(U0, dtype=float).reshape(-1)
+    n = 0
+    try:
+        for n, u in enumerate(march_parabolic(grid, model, cfg, traj[0],
+                                              ops=ops, stats=stats), 1):
+            traj[n] = u
+    except ParabolicError as exc:
+        exc.trajectory = traj[: n + 1]
+        raise
     return traj
 
 

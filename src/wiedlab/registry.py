@@ -124,11 +124,9 @@ def _linf_l2(ctx, levels, opt):
 
 def _no_spikes(ctx, levels, opt):
     delta = float(opt["delta"])
-    cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
-    upos = np.clip(_field(ctx, levels[-1]), 0.0, None)
-    denom = dg.weighted_norm(ctx.grid, upos, "L2a", region=cyl)
-    upos *= np.sqrt(delta) / denom if denom > 0 else 0.0
-    rep = dg.no_spikes_iteration(ctx.grid, upos, cyl)
+    rep = dg.no_spikes_iteration(
+        ctx.grid, _field(ctx, levels[-1]),
+        Cylinder(tuple(opt["center"]), float(opt["radius"])), delta=delta)
     rows = [{"j": j, "level": rep.levels[j], "radius": rep.radii[j],
              "energy": rep.energies[j]} for j in range(rep.levels.shape[0])]
     return ([("no_spikes.csv", ["j", "level", "radius", "energy"], rows)],

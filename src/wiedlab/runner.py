@@ -10,13 +10,17 @@ diagnostics, written as a deterministic artifact tree:
 
 Field dumps are raw little-endian float64 in row-major (x, y, t) node
 order; everything numeric is reproduced bit-exactly by a re-run with the
-same config.
+same config.  Dumps, loads and artifact hashes stream through one block
+of at most FIELD_BLOCK_BYTES, so no field is copied whole on its way to
+or from disk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import time
 from pathlib import Path
 
@@ -77,39 +81,115 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+# Field dumps, loads and hashes stream through one block of at most this
+# many bytes (a whole number of x-planes, at least one, never more than
+# the field), so a field is never copied whole on its way to or from disk
+FIELD_BLOCK_BYTES = 2 << 20
+
+_FIELD_ORDER = "row-major (x, y, t)"
+
+
+def _planes(grid, arr: np.ndarray) -> np.ndarray:
+    """The (x..., y, t) view of a (t, y, x...) field, its x axes merged
+    into one plane index (the view the dump's byte order walks)."""
+    sp = grid.spec
+    return arr.reshape(sp.nt + 1, sp.ny + 1, -1).T
+
+
+def _block(planes: np.ndarray) -> np.ndarray:
+    """The reusable block buffer for a (planes, y, t) view."""
+    k = max(1, min(planes.shape[0], FIELD_BLOCK_BYTES
+                   // (8 * planes.shape[1] * planes.shape[2])))
+    return np.empty((k,) + planes.shape[1:], dtype="<f8")
+
+
 def dump_field(path: Path, grid, arr: np.ndarray, meta: dict):
-    """Raw float64 dump in row-major (x, y, t) order plus JSON sidecar."""
+    """Raw float64 dump in row-major (x, y, t) order plus JSON sidecar.
+
+    The transpose is streamed: a few x-planes at a time are copied into
+    one block buffer (FIELD_BLOCK_BYTES) and written from it.
+    """
     arr = np.asarray(arr, dtype="<f8").reshape(grid.spacetime_shape)
-    axes = tuple(range(2, 2 + grid.d)) + (1, 0)   # (x..., y, t)
-    path.write_bytes(np.ascontiguousarray(np.transpose(arr, axes)).tobytes())
-    side = {"gridspec": grid.spec.to_dict(),
-            "order": "row-major (x, y, t)", "dtype": "<f8"}
+    planes = _planes(grid, arr)
+    buf = _block(planes)
+    k = buf.shape[0]
+    with open(path, "wb") as f:
+        for i in range(0, planes.shape[0], k):
+            blk = buf[: min(k, planes.shape[0] - i)]
+            np.copyto(blk, planes[i:i + blk.shape[0]])
+            f.write(memoryview(blk))
+    side = {"gridspec": grid.spec.to_dict(), "order": _FIELD_ORDER,
+            "dtype": "<f8"}
     side.update(meta)
     write_json(path.with_suffix(".json"), side)
 
 
 def load_field(path: Path):
-    """Read back a field dump; returns (GridSpec dict, array in internal
-    (t, y, x) layout)."""
+    """Read back a field dump; returns (grid, array in internal (t, y, x)
+    layout, sidecar dict).
+
+    The sidecar is checked before the dump is read: a dtype other than
+    "<f8", another order, a gridspec that builds no grid, or a file size
+    that the grid does not give raise OSError.  The result is allocated
+    once; the dump is read into one block buffer (FIELD_BLOCK_BYTES) at
+    a time and scattered into the result's transposed view.
+    """
+    path = Path(path)
+    side, grid = _read_sidecar(path)
+    sp = grid.spec
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        shape = (sp.nx + 1,) * sp.d + (sp.ny + 1, sp.nt + 1)
+        expected = 8 * math.prod(shape)
+        if size != expected:
+            raise OSError(f"field dump {path} holds {size} bytes; its "
+                          f"sidecar shape {shape} needs {expected}")
+        arr = np.empty(grid.spacetime_shape)
+        planes = _planes(grid, arr)
+        buf = _block(planes)
+        k = buf.shape[0]
+        for i in range(0, planes.shape[0], k):
+            blk = buf[: min(k, planes.shape[0] - i)]
+            if f.readinto(memoryview(blk).cast("B")) != blk.nbytes:
+                raise OSError(f"field dump {path} ended before byte "
+                              f"{expected}")
+            np.copyto(planes[i:i + blk.shape[0]], blk)
+    return grid, arr, side
+
+
+def _read_sidecar(path: Path):
+    """(sidecar dict, grid) of a dump; OSError unless the sidecar is a
+    JSON object with the dump's dtype and order and a gridspec that
+    builds a grid."""
     from .grid import GridSpec
-    side = json.loads(Path(path).with_suffix(".json").read_text())
-    spec = GridSpec.from_dict(side["gridspec"])
-    grid = build_grid(spec)
-    raw = Path(path).read_bytes()
-    shape = tuple(spec.nx + 1 for _ in range(spec.d)) + (spec.ny + 1,
-                                                         spec.nt + 1)
-    expected = 8 * int(np.prod(shape))
-    if len(raw) != expected:
-        raise OSError(f"field dump {path} holds {len(raw)} bytes; its "
-                      f"sidecar shape {shape} needs {expected}")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    axes = (grid.d + 1, grid.d) + tuple(range(grid.d))
-    return grid, np.ascontiguousarray(np.transpose(arr, axes)), side
+    try:
+        side = json.loads(path.with_suffix(".json").read_text())
+    except ValueError as exc:
+        raise OSError(f"sidecar of field dump {path} is no JSON: "
+                      f"{exc}") from exc
+    if not isinstance(side, dict):
+        raise OSError(f"sidecar of field dump {path} is no JSON object")
+    for key, want in (("dtype", "<f8"), ("order", _FIELD_ORDER)):
+        if side.get(key) != want:
+            raise OSError(f"sidecar of field dump {path} gives {key} "
+                          f"{side.get(key)!r}; dumps are {want!r}")
+    try:
+        grid = build_grid(GridSpec.from_dict(side["gridspec"]))
+    except (KeyError, TypeError, ValueError) as exc:  # GridError included
+        raise OSError(f"sidecar of field dump {path} has no valid "
+                      f"gridspec: {exc!r}") from exc
+    return side, grid
 
 
 def _sha256(path: Path) -> str:
+    """sha256 of a file, read in chunks of FIELD_BLOCK_BYTES at most
+    (a smaller file in one chunk of its own size)."""
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = memoryview(bytearray(min(FIELD_BLOCK_BYTES, size)))
+        while n := f.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
 
 

@@ -233,6 +233,27 @@ def test_diagnose_truncated_field_is_io_error(tmp_path, capsys):
     assert err.startswith("io error:") and str(field) in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dtype", "<f4"), ("order", "row-major (t, y, x)"),
+    ("gridspec", {"d": 3})], ids=["dtype", "order", "gridspec"])
+def test_diagnose_bad_sidecar_is_io_error(tmp_path, capsys, key, value):
+    # a sidecar the dump cannot be read by ends with exit 4 before any
+    # diagnostic runs
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
+    side_path = tmp_path / "p" / "parabolic.json"
+    side = json.loads(side_path.read_text())
+    side[key] = value
+    side_path.write_text(json.dumps(side))
+    rc = main(["diagnose", str(cfgp), "--field",
+               str(tmp_path / "p" / "parabolic.f64"),
+               "--which", "level-sets", "--out", str(tmp_path / "diag")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and key in err
+    assert not (tmp_path / "diag").exists()
+
+
 def test_diagnose_energy_not_applicable_without_eps(tmp_path, capsys):
     # the parabolic reference is no WIED level: energy says so on one
     # line and writes nothing, and the other diagnostics still run

@@ -3,11 +3,14 @@ Newton matrix's trace shift, the names the benchmark's traced mode
 patches or reads, and a start and run that import no scipy."""
 
 import functools
+import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +69,122 @@ def test_field_dump_byte_order_contract(tmp_path):
     assert np.array_equal(back, arr)
     assert side["eps"] == 0.1
     assert json.loads((tmp_path / "f.json").read_text())["dtype"] == "<f8"
+
+
+def test_field_dump_byte_order_contract_d2(tmp_path):
+    # row-major (x1, x2, y, t): t fastest, then y, then x2, then x1
+    g = build_grid(GridSpec(d=2, a=0.5, L=1.0, Y=1.0, T=1.0,
+                            nx=3, ny=2, nt=4))
+    arr = np.random.default_rng(1).standard_normal(g.spacetime_shape)
+    dump_field(tmp_path / "f.f64", g, arr, {"eps": 0.1})
+    raw = np.frombuffer((tmp_path / "f.f64").read_bytes(), dtype="<f8")
+    nt1, ny1, nx1 = g.spec.nt + 1, g.spec.ny + 1, g.spec.nx + 1
+    assert raw.size == arr.size
+    assert raw[0] == arr[0, 0, 0, 0]
+    assert raw[1] == arr[1, 0, 0, 0]                   # t fastest
+    assert raw[nt1] == arr[0, 1, 0, 0]                 # then y
+    assert raw[nt1 * ny1] == arr[0, 0, 0, 1]           # then x2
+    assert raw[nt1 * ny1 * nx1] == arr[0, 0, 1, 0]     # then x1
+    assert np.array_equal(raw, np.transpose(arr, (2, 3, 1, 0)).ravel())
+    g2, back, side = load_field(tmp_path / "f.f64")
+    assert g2.spec == g.spec and np.array_equal(back, arr)
+    assert side["eps"] == 0.1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_field_round_trip_over_several_blocks(tmp_path, monkeypatch, d):
+    # a block of 3 x-planes: the 11 (d = 1) or 121 (d = 2) planes take
+    # several blocks and a short last one; the bytes are those of one
+    # transpose, and the load gives the field back bit for bit
+    from wiedlab import runner
+    g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0,
+                            nx=10, ny=3, nt=6))
+    plane = 8 * (g.spec.ny + 1) * (g.spec.nt + 1)
+    monkeypatch.setattr(runner, "FIELD_BLOCK_BYTES", 3 * plane + 7)
+    arr = np.random.default_rng(2).standard_normal(g.spacetime_shape)
+    arr.reshape(-1)[:5 * 7:7] = [np.nan, np.inf, -0.0, 5e-324, -np.inf]
+    path = tmp_path / "f.f64"
+    dump_field(path, g, arr, {})
+    axes = tuple(range(2, 2 + d)) + (1, 0)
+    assert path.read_bytes() == np.ascontiguousarray(
+        np.transpose(arr, axes)).astype("<f8").tobytes()
+    _, back, _ = load_field(path)
+    assert back.view(np.int64).tobytes() == arr.view(np.int64).tobytes()
+    assert runner._sha256(path) == hashlib.sha256(
+        path.read_bytes()).hexdigest()
+
+
+def test_field_io_allocates_one_block_beyond_the_field(tmp_path,
+                                                       monkeypatch):
+    # dump_field and load_field stream through one block buffer: the
+    # dump allocates at most a block beyond the field it is given, the
+    # load at most the field it returns and a block (plus a small slack
+    # for the sidecar and the grid)
+    from wiedlab import runner
+    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
+                            nx=40, ny=15, nt=400))
+    arr = np.random.default_rng(3).standard_normal(g.spacetime_shape)
+    block = 256 << 10
+    monkeypatch.setattr(runner, "FIELD_BLOCK_BYTES", block)
+    assert arr.nbytes > 8 * block
+    slack = 64 << 10
+    path = tmp_path / "f.f64"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dump_field(path, g, arr, {"eps": 0.1})
+        dump_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, back, _ = load_field(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, arr)
+    assert dump_peak <= block + slack
+    assert load_peak <= arr.nbytes + block + slack
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda path, side: path.write_bytes(path.read_bytes()[:-8]),
+     "holds 472 bytes; its sidecar shape (4, 3, 5) needs 480"),
+    (lambda path, side: path.write_bytes(path.read_bytes() + bytes(8)),
+     "holds 488 bytes; its sidecar shape (4, 3, 5) needs 480"),
+    (lambda path, side: side.update(dtype=">f8"), "dtype '>f8'"),
+    (lambda path, side: side.update(dtype="<f4"), "dtype '<f4'"),
+    (lambda path, side: side.pop("dtype"), "dtype None"),
+    (lambda path, side: side.update(order="row-major (t, y, x)"),
+     "order 'row-major (t, y, x)'"),
+    (lambda path, side: side["gridspec"].update(nx=1), "gridspec"),
+    (lambda path, side: side["gridspec"].update(bogus=1), "gridspec"),
+    (lambda path, side: side.pop("gridspec"), "gridspec"),
+    (lambda path, side: side.update(gridspec=[1, 2]), "gridspec"),
+], ids=["truncated", "oversized", "big-endian", "float32", "no-dtype",
+        "wrong-order", "bad-nx", "unknown-field", "no-gridspec",
+        "gridspec-list"])
+def test_load_field_rejects_a_bad_dump(tmp_path, damage, message):
+    # the sidecar is checked before the dump is read, and every fault is
+    # an OSError (exit 4 from the CLI)
+    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
+                            nx=3, ny=2, nt=4))
+    path = tmp_path / "f.f64"
+    dump_field(path, g, np.zeros(g.spacetime_shape), {})
+    side = json.loads(path.with_suffix(".json").read_text())
+    damage(path, side)
+    path.with_suffix(".json").write_text(json.dumps(side))
+    with pytest.raises(OSError, match=re.escape(message)):
+        load_field(path)
+
+
+def test_load_field_rejects_a_sidecar_that_is_no_json_object(tmp_path):
+    g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
+                            nx=3, ny=2, nt=4))
+    path = tmp_path / "f.f64"
+    dump_field(path, g, np.zeros(g.spacetime_shape), {})
+    for text, message in (("{", "is no JSON"), ("[1]", "no JSON object")):
+        path.with_suffix(".json").write_text(text)
+        with pytest.raises(OSError, match=message):
+            load_field(path)
 
 
 def test_newton_matrix_diag_shift_only_on_trace():

@@ -340,3 +340,59 @@ def test_failing_linear_step_stops_after_one_recovery(monkeypatch):
         step_implicit(g, None, cfg, U0)
     assert str(exc.value).endswith("(1 correction)")
     assert len(calls) == 3
+
+
+def test_reaction_free_march_flushes_subnormal_modes():
+    # without a reaction each mode decays by 1/(1 + dt lam) a step, so on
+    # this grid the high modes reach the subnormal range from about step
+    # 275; step_implicit sets them to 0 where it forms them, so no mode
+    # it carries is subnormal
+    g = grid_small(nx=40, ny=20, nt=300, a=0.0, L=2.5, Y=2.5, T=6.0,
+                   grading=1.0)
+    ym, xm = g.coords()
+    u = analytic_heat_oracle(
+        np.stack(np.broadcast_arrays(xm, ym), axis=-1), 0.0, 0.08).ravel()
+    cfg, carry = ParabolicConfig(linear_tol=1e-10), {}
+    tiny = np.finfo(float).tiny
+    for _ in range(g.spec.nt):
+        u = step_implicit(g, None, cfg, u, carry=carry)
+        c = carry["modes"]
+        assert not np.any((c != 0.0) & (np.abs(c) < tiny))
+    assert np.count_nonzero(c == 0.0) > 0      # the march got there
+
+
+def test_march_yields_the_layers_solve_parabolic_stores(monkeypatch):
+    # solve_parabolic stores the layers of march_parabolic, bit for bit
+    # and with the same stats; a failed step names itself, and only
+    # solve_parabolic attaches the completed prefix
+    from wiedlab import parabolic
+    g = grid_small()
+    U0 = g.eval_spatial(lambda x, y: 0.9 * np.exp(-4.0 * (x**2 + y**2)))
+    s_march, s_solve = {}, {}
+    layers = list(parabolic.march_parabolic(g, BUMP, ParabolicConfig(), U0,
+                                            stats=s_march))
+    traj = solve_parabolic(g, BUMP, ParabolicConfig(), U0, stats=s_solve)
+    assert len(layers) == g.spec.nt
+    assert np.array_equal(traj[0], U0.ravel())
+    assert np.array_equal(np.array(layers), traj[1:])
+    assert s_march == s_solve and s_march["corrections"] > 0
+
+    real, calls = parabolic.step_implicit, []
+
+    def fails_at_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise parabolic.ParabolicError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parabolic, "step_implicit", fails_at_third)
+    with pytest.raises(parabolic.ParabolicError, match="step 3 failed: boom"
+                       ) as exc:
+        for _ in parabolic.march_parabolic(g, BUMP, ParabolicConfig(), U0):
+            pass
+    assert exc.value.trajectory is None
+    calls.clear()
+    with pytest.raises(parabolic.ParabolicError, match="step 3 failed: boom"
+                       ) as exc:
+        solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+    assert np.array_equal(exc.value.trajectory, traj[:3])
