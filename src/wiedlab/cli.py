@@ -76,6 +76,8 @@ def main(argv=None) -> int:
             if args.strict_support:
                 cfg = replace(cfg, strict_support=True)
                 cfg.validate()
+            if args.command == "wied":
+                cfg = _one_level(cfg, args.eps)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
@@ -83,6 +85,20 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 4
+
+
+def _one_level(cfg, eps):
+    """cfg with the one-level schedule of `wied --eps`, whose eps is
+    checked as a schedule's eps0 is: WiedConfig's range and the
+    horizon bound."""
+    from .config import ConfigError
+    from .wied import EpsilonSchedule, check_horizon
+    try:
+        wied = replace(cfg.wied, eps=eps)
+        check_horizon(eps, cfg.grid.T)
+    except ValueError as exc:
+        raise ConfigError(f"--eps: {exc}") from exc
+    return replace(cfg, wied=wied, schedule=EpsilonSchedule(eps, count=1))
 
 
 def _dispatch(args, cfg) -> int:
@@ -101,25 +117,24 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "wied":
-        from .parabolic import ParabolicError, solve_parabolic
-        from .wied import WiedConvergenceError, solve_wied
+        from .parabolic import ParabolicError
+        from .wied import SweepError, sweep_epsilon
         grid = build_grid(cfg.grid)
-        U0 = cfg.initial.evaluate(grid)
-        wcfg = replace(cfg.wied, eps=args.eps)
-        # the level starts from the parabolic reference, as a run's first
-        # level does, so both give the same field
+        # the one-level sweep starts from the parabolic reference, as a
+        # run's first level does, so both give the same field
         try:
-            reference = solve_parabolic(grid, cfg.model, cfg.parabolic, U0)
-            res = solve_wied(grid, cfg.model, wcfg, U0, U_init=reference)
-        except (ParabolicError, WiedConvergenceError) as exc:
+            level, = sweep_epsilon(grid, cfg.model, cfg.schedule,
+                                   cfg.initial.evaluate(grid), cfg=cfg.wied,
+                                   parabolic_cfg=cfg.parabolic)
+        except (ParabolicError, SweepError) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 3
         out.mkdir(parents=True, exist_ok=True)
-        dump_field(out / f"eps-{args.eps:g}.f64", grid, res.U,
-                   {"eps": args.eps, "role": "wied-level",
+        dump_field(out / f"eps-{level.eps:g}.f64", grid, level.U,
+                   {"eps": level.eps, "role": "wied-level",
                     "s_exponent": (1.0 - cfg.grid.a) / 2.0})
-        print(f"wied level eps={args.eps:g} written to {out} "
-              f"({res.stats['iterations']} outer iterations)")
+        print(f"wied level eps={level.eps:g} written to {out} "
+              f"({level.iterations} outer iterations)")
         return 0
 
     if args.command == "parabolic":

@@ -11,7 +11,7 @@ import numpy as np
 from . import registry
 from .combustion import CombustionModel, model_from_dict
 from .grid import GridSpec, WeightedGrid, build_grid
-from .parabolic import ParabolicConfig, check_time_step
+from .parabolic import ParabolicConfig
 from .wied import EpsilonSchedule, WiedConfig, check_horizon
 
 
@@ -126,7 +126,6 @@ class ExperimentConfig:
                               f"got {self.output!r}")
         check_horizon(self.schedule.eps0, self.grid.T)
         grid = build_grid(self.grid)
-        check_time_step(self.parabolic, grid)
         if self.strict_support:
             self.initial.check_strict_support(grid)
         else:

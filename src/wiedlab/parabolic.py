@@ -50,29 +50,24 @@ class ParabolicError(RuntimeError):
 
 @dataclass
 class ParabolicConfig:
-    """Settings of the implicit-Euler reference (step_implicit).
+    """Settings of the implicit-Euler reference (step_implicit), which
+    steps on the grid's time layers, so its trajectories live on the
+    WIED layers.
 
     picard_tol and picard_maxit bound the trace Picard map of a reaction
-    step; linear_tol and linear_maxit are their counterparts without a
-    reaction, where the map is exact after one correction, so
-    linear_maxit only caps a loop that ends at its first failed recovery.
-    It stays accepted so that configs which set it keep loading.
+    step.  linear_tol is the tolerance without a reaction, where the map
+    is exact after one correction, so such a step makes only that one.
     """
 
-    dt: float | None = None      # None: step on the grid's time layers
     picard_tol: float = 1e-11
     picard_maxit: int = 200
     linear_tol: float = 1e-12
-    linear_maxit: int = 5000
 
     def __post_init__(self):
-        check_numbers(self, ("picard_tol", "linear_tol")
-                      + (("dt",) if self.dt is not None else ()))
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        check_numbers(self, ("picard_tol", "linear_tol"))
         if self.picard_tol <= 0 or self.linear_tol <= 0:
             raise ValueError("tolerances must be positive")
-        check_counts(self, ("picard_maxit", "linear_maxit"))
+        check_counts(self, ("picard_maxit",))
 
 
 def check_numbers(cfg, names):
@@ -94,26 +89,15 @@ def check_counts(cfg, names):
             raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
-def check_time_step(cfg: ParabolicConfig, grid: WeightedGrid) -> float:
-    """The step of cfg (the grid's when cfg.dt is None); ValueError unless
-    it is the grid time step, so trajectories live on the WIED layers."""
-    dt = cfg.dt if cfg.dt is not None else grid.dt
-    if abs(dt - grid.dt) > 1e-12 * grid.dt:
-        raise ValueError(
-            "cfg.dt must match the grid time step so trajectories live on "
-            f"the WIED layers (got {dt}, grid {grid.dt})")
-    return dt
-
-
-def _step_matrix(grid, ops, dt):
-    return ops.Ka.shifted(ops.mass / dt)
+def _step_matrix(grid, ops):
+    return ops.Ka.shifted(ops.mass / grid.dt)
 
 
 def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
                   Un: np.ndarray, ops: DiscreteOperators | None = None,
-                  dt: float | None = None, A=None,
-                  carry: dict | None = None) -> np.ndarray:
-    """One implicit Euler step, (M/dt + K) u + E D_tr beta(E' u) = M Un/dt.
+                  A=None, carry: dict | None = None) -> np.ndarray:
+    """One implicit Euler step, (M/dt + K) u + E D_tr beta(E' u) = M Un/dt,
+    with dt the grid's time step.
 
     E injects trace values into the y = 0 layer.  The trace term is
     majorized by its quadratic surrogate of curvature sigma = lipschitz
@@ -138,12 +122,12 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     which is returned unchanged if it passes, and at every recovered u;
     should roundoff leave the recovered u above the tolerance, the trace
     iterations go on, unless s did not change, when they would recover
-    the same u again.  ParabolicError is raised then, and when
-    u_{picard_maxit} (u_{linear_maxit}) still misses the tolerance; its
-    message gives the number of corrections made.
+    the same u again (always so without a reaction).  ParabolicError is
+    raised then, and when u_{picard_maxit} still misses the tolerance;
+    its message gives the number of corrections made.
 
     carry, when given, is a dict that hands one step's state to the next
-    step of the same trajectory (same grid, operators, model and dt):
+    step of the same trajectory (same grid, operators and model):
 
       "Au", "beta_tr"  A @ Un and beta(E' Un), read by the entry check
                        when there, and left for the returned field;
@@ -162,8 +146,8 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     it also makes the entry products and one to_modes.
     """
     ops = ops or build_operators(grid)
-    dt = dt if dt is not None else (cfg.dt if cfg.dt is not None else grid.dt)
-    A = A if A is not None else _step_matrix(grid, ops, dt)
+    dt = grid.dt
+    A = A if A is not None else _step_matrix(grid, ops)
     un = np.asarray(Un, dtype=float).reshape(-1)
     if not np.isfinite(un).all():
         raise ParabolicError("non-finite state entering step_implicit")
@@ -173,7 +157,8 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
 
     linear = model is None or getattr(model, "kind", "zero") == "zero"
     if linear:
-        sigma, tol, maxit = 0.0, cfg.linear_tol, cfg.linear_maxit
+        # s stays 0, so the first correction recovers the solution or fails
+        sigma, tol, maxit = 0.0, cfg.linear_tol, 1
     else:
         sigma = max(getattr(model, "lipschitz", 0.0), 0.0)
         tol, maxit = cfg.picard_tol, cfg.picard_maxit
@@ -245,14 +230,13 @@ def march_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
     message names the step.
     """
     ops = ops or build_operators(grid)
-    dt = check_time_step(cfg, grid)
-    A = _step_matrix(grid, ops, dt)
+    A = _step_matrix(grid, ops)
     u = np.asarray(U0, dtype=float).reshape(-1)
     carry = {}
     total = most = at = 0
     for n in range(1, grid.spec.nt + 1):
         try:
-            u = step_implicit(grid, model, cfg, u, ops=ops, dt=dt, A=A,
+            u = step_implicit(grid, model, cfg, u, ops=ops, A=A,
                               carry=carry)
         except ParabolicError as exc:
             raise ParabolicError(f"step {n} failed: {exc}") from exc

@@ -245,10 +245,9 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
                    {"role": "parabolic-reference",
                     "s_exponent": (1.0 - cfg.grid.a) / 2.0})
         try:
-            sweep = sweep_epsilon(grid, cfg.model, cfg.schedule, U0,
-                                  cfg=cfg.wied, parabolic_cfg=cfg.parabolic,
-                                  reference=reference, ops=ops)
-            levels = sweep.levels
+            levels = sweep_epsilon(grid, cfg.model, cfg.schedule, U0,
+                                   cfg=cfg.wied, parabolic_cfg=cfg.parabolic,
+                                   reference=reference, ops=ops)
         except SweepError as exc:
             levels = exc.completed
             failure = {"phase": "sweep", "message": str(exc),

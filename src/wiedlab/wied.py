@@ -1,9 +1,10 @@
 """Space-time solves of the regularized problem and the eps sweep.
 
 For fixed eps the weight-normalized Euler-Lagrange system is solved with
-damped Picard on the trace source, or guarded Newton with a Picard
-fallback; accepted steps never increase the functional, forcing term
-included.  The linear problem with
+guarded Newton and a Picard fallback wherever the model has a reaction,
+and with Picard alone on the zero model, where a Newton step is the
+Picard step at a higher cost; accepted steps never increase the
+functional, forcing term included.  The linear problem with
 forcings F, f is the zero model on a forced system
 (assemble_linear_system(grid, eps, forcing=...)), whose one Picard step
 is one exact apply of the inverse.  The iterate lives in the spatial
@@ -52,34 +53,28 @@ class SweepError(RuntimeError):
 class WiedConfig:
     """Settings of one WIED level solve.
 
+    A level ends once its full EL residual is at most outer_tol times
+    |b - E bs| at its start (el_tol_abs in solve_wied), and fails after
+    outer_maxit iterations.
     inner_tol is the floor of the relative GMRES tolerance of a Newton
     trace solve, whose tolerance otherwise follows the outer residual
-    (the forcing term in solve_wied).  inner_maxit is the budget of one
-    Newton try: its GMRES iterations, each one Thomas sweep like a
-    Picard step.  A try that spends it still yields an inexact step the
-    line search judges.  Started next to the minimizer, as the sweep
-    starts every level, no try on the shipped config needs more than 5.
+    (the forcing term in solve_wied).  The scheme itself is fixed (see
+    solve_wied): full steps with a backtracking line search, and at
+    most INNER_MAXIT GMRES iterations per Newton try.
     """
 
     eps: float = 0.1
-    outer: str = "picard"          # or "newton"
     outer_tol: float = 1e-9        # relative EL residual
     outer_maxit: int = 40
     inner_tol: float = 1e-11       # floor of the Newton GMRES tolerance
-    inner_maxit: int = 10          # GMRES budget of one Newton try
-    damping: float = 1.0
 
     def __post_init__(self):
-        check_numbers(self, ("eps", "outer_tol", "inner_tol", "damping"))
+        check_numbers(self, ("eps", "outer_tol", "inner_tol"))
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.outer not in ("picard", "newton"):
-            raise ValueError(f"unknown outer scheme {self.outer!r}")
         if self.outer_tol <= 0 or self.inner_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        check_counts(self, ("outer_maxit", "inner_maxit"))
+        check_counts(self, ("outer_maxit",))
 
 
 @dataclass
@@ -124,6 +119,11 @@ class WiedResult:
 FORCING_GAMMA = 0.9
 FORCING_ALPHA = 2
 FORCING_MAX = 0.1
+# the GMRES budget of one Newton try, each iteration one Thomas sweep like
+# a Picard step; a try that spends it still yields an inexact step the
+# line search judges.  Started next to the minimizer, as the sweep starts
+# every level, no try on the shipped config needs more than 5
+INNER_MAXIT = 10
 # after the k-th failed Newton try in a row, Picard runs until the
 # residual is at most NEWTON_REARM times its value at that try, or for
 # 2^k steps, whichever comes first; a cold start (no U_init) runs Picard
@@ -181,16 +181,20 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     formed once per level and V' E s transforms only the trace block s,
     so a Picard step is one Thomas sweep and no full transform; the
     trace of the new iterate is read from its coefficients
-    (SpaceTimeInverse.trace).  outer "newton" tries a guarded Newton
-    step and falls back to a Picard step in the same iteration when the
-    line search rejects it.  Far from the minimizer the trace Newton
+    (SpaceTimeInverse.trace).  Where the model has a reaction
+    (sigma > 0), an iteration tries a guarded Newton step and falls back
+    to a Picard step in the same iteration when the line search rejects
+    it.  With sigma = 0, beta' = 0 and the Newton step is the Picard
+    step at GMRES iterations + 2 sweeps, so only Picard runs.  Every step
+    starts at the full step lam = 1 and halves lam until the line search
+    accepts.  Far from the minimizer the trace Newton
     system can be indefinite, so Newton is tried only where the start
     or the last tries suggest it pays.  A level started from U_init (as
     the sweep starts every level, next to its minimizer) tries Newton
     from the first iteration on; a cold start, U0 held in time, takes
     Picard steps until the tracked residual is at most NEWTON_REARM
     (5%) of its start value.  A Newton try that is rejected, or accepted
-    only with lam < damping, puts the level back on Picard: after the
+    only with lam < 1, puts the level back on Picard: after the
     k-th such try in a row Newton is tried again once the tracked
     residual is at most NEWTON_REARM of its value at that try, or after
     2^k Picard steps, so it is never kept off for good.  The Newton
@@ -214,7 +218,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     target = max(eta_k res_k, tol_abs / 2).  The GMRES residual g enters
     L(x) as E (D g), so the relative tolerance is
     target / (max|D| |r0|), clipped to [inner_tol, 0.1].  GMRES
-    stops after inner_maxit iterations in any case, and the line search
+    stops after INNER_MAXIT iterations in any case, and the line search
     judges the inexact step that leaves.
 
     Both steps leave a residual supported on the trace, known without a
@@ -350,7 +354,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         # an unconverged GMRES still gives a usable inexact step: its
         # error enters lin exactly, and the line search judges it
         x, sol = inv.shifted_solve(xp, r0, shift, tol=tol,
-                                   maxit=cfg.inner_maxit)
+                                   maxit=INNER_MAXIT)
         stats["inner_iterations"].append(sol.iterations)
         x_tr = inv.trace(x)
         lin = stab * (U_tr - x_tr) - bs - shift * sol.x.reshape(shift.shape)
@@ -367,7 +371,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         a2 = float(np.sum(wgt * lin_x * d_tr)) - s_U - s_off
         pot = potential(pm)
         pm_c = pm.copy()
-        lam = cfg.damping
+        lam = 1.0
         for _ in range(12):
             c_tr = (1.0 - lam) * U_tr + lam * x_tr
             pm_c[1:] = phi_eval(model, c_tr) @ tm
@@ -415,7 +419,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             basis.to_modes(r_off, out=r_off)
 
         kinds = ["picard"]
-        if cfg.outer == "newton" and (
+        if sigma > 0.0 and (
                 failed_at is None or res <= NEWTON_REARM * failed_at
                 or (failures and waited >= 2**failures)):
             kinds = ["newton", "picard"]
@@ -441,7 +445,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                 U=nodal(Uh) if U is None else U, stats=stats)
         if kinds[0] == "newton":
             # a rejected or damped Newton try puts the level on Picard
-            if kind == "newton" and step[2] >= cfg.damping:
+            if kind == "newton" and step[2] == 1.0:
                 failed_at, failures = None, 0
             else:
                 failed_at, failures, waited = res, failures + 1, 0
@@ -486,22 +490,13 @@ class SweepLevel:
     KU: np.ndarray | None = field(default=None, repr=False)  # WiedResult.KU
 
 
-@dataclass
-class SweepResult:
-    levels: list
-    reference: np.ndarray     # parabolic trajectory on the same layers
-    monotone: bool            # distances decreased at every level
-
-    def distances(self) -> list[float]:
-        return [lv.dist_to_ref for lv in self.levels]
-
-
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   U0: np.ndarray, cfg: WiedConfig | None = None,
                   parabolic_cfg: ParabolicConfig | None = None,
                   reference: np.ndarray | None = None,
-                  ops: DiscreteOperators | None = None) -> SweepResult:
-    """Solve each eps level and compare to the reference.
+                  ops: DiscreteOperators | None = None) -> list[SweepLevel]:
+    """Solve each eps level and compare to the reference; returns the
+    levels in schedule order.
 
     The first level starts from the reference, the eps -> 0 limit of the
     levels, and each later level from the one before, whose exit check
@@ -533,6 +528,4 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
             el_residual=result.stats["residuals"][-1],
             dist_to_ref=dist_C_L2a(grid, result.U, reference),
             stats=result.stats, KU=result.KU))
-    dists = [lv.dist_to_ref for lv in levels]
-    monotone = all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
-    return SweepResult(levels=levels, reference=reference, monotone=monotone)
+    return levels

@@ -482,7 +482,6 @@ def test_sweep_never_builds_the_space_time_matrix(tmp_path, monkeypatch):
         "grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
                  "nx": 6, "ny": 5, "nt": 20},
         "model": {"kind": "polynomial-bump"},
-        "wied": {"outer": "newton"},
         "initial": {"kind": "plateau", "radius": 0.5, "height": 0.8},
         "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 2},
         "diagnostics": [{"name": "energy"}],

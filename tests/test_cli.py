@@ -79,8 +79,7 @@ def test_wied_single_level_matches_run(tmp_path):
     # single-level paths agree bit for bit with a reaction too
     for name, model, wied in (
             ("zero", {"kind": "zero"}, {"outer_tol": 1e-9}),
-            ("bump", {"kind": "polynomial-bump"},
-             {"outer": "newton", "outer_tol": 1e-9})):
+            ("bump", {"kind": "polynomial-bump"}, {"outer_tol": 1e-9})):
         cfgp = write_config(tmp_path / f"{name}.json", model=model,
                             wied=wied,
                             schedule={"eps0": 0.05, "ratio": 0.5,
@@ -190,9 +189,7 @@ def test_strict_support_flag(tmp_path, capsys):
     ({"diagnostics": [{"name": "isoperimetric", "radius": 100.0}]},
      "leaves the grid"),
     ({"parabolic": {"picard_maxit": 0}}, "picard_maxit"),
-    ({"parabolic": {"linear_maxit": 0}}, "linear_maxit"),
     ({"wied": {"outer_maxit": 0}}, "outer_maxit"),
-    ({"wied": {"inner_maxit": 0}}, "inner_maxit"),
     ({"wied": {"inner_tol": True}}, "inner_tol"),
     ({"schedule": {"eps0": 0.05, "ratio": 0.5, "count": True}}, "count"),
     # layers 1.5 apart: the half cylinder's window |t - 1| <= 1/4 is empty
@@ -205,8 +202,8 @@ def test_strict_support_flag(tmp_path, capsys):
         "no-spikes-delta-string", "holder-levels-string",
         "embedding-layer-time-string", "isoperimetric-p-string",
         "embedding-radius-past-grid", "isoperimetric-radius-past-grid",
-        "picard-maxit-0", "linear-maxit-0", "outer-maxit-0",
-        "inner-maxit-0", "inner-tol-boolean", "schedule-count-boolean",
+        "picard-maxit-0", "outer-maxit-0", "inner-tol-boolean",
+        "schedule-count-boolean",
         "linf-l2-empty-inner-cylinder"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
@@ -216,6 +213,74 @@ def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not out.exists()
+
+
+# solver settings that are fixed in the code and are no config keys, each
+# with the value the code uses
+DELETED_KEYS = {"outer": ("wied", "newton"), "damping": ("wied", 1.0),
+                "inner_maxit": ("wied", 10), "dt": ("parabolic", 0.05),
+                "linear_maxit": ("parabolic", 5000)}
+
+
+@pytest.mark.parametrize("key", sorted(DELETED_KEYS))
+@pytest.mark.parametrize("command", ["run", "wied", "parabolic"])
+def test_deleted_key_rejected_at_load(tmp_path, capsys, command, key):
+    # a config that still sets a deleted key ends with exit 2, names the
+    # key and writes nothing
+    section, value = DELETED_KEYS[key]
+    cfgp = write_config(tmp_path / "old.json", **{section: {key: value}})
+    out = tmp_path / "out"
+    eps = ["--eps", "0.05"] if command == "wied" else []
+    assert main([command, str(cfgp), *eps, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps, message", [
+    ("2", "(0, 1)"), ("-0.1", "(0, 1)"), ("nan", "finite"),
+    # T = 2: a run rejects eps0 = 0.5 > T/20 too
+    ("0.5", "T/20")], ids=["above-1", "negative", "nan", "past-horizon"])
+def test_wied_bad_eps_rejected_before_compute(tmp_path, capsys,
+                                              monkeypatch, eps, message):
+    from wiedlab import wied
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a level was solved")
+    monkeypatch.setattr(wied, "sweep_epsilon", no_compute)
+    cfgp = write_config(tmp_path / "cfg.json",
+                        grid={"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0,
+                              "T": 2.0, "nx": 6, "ny": 5, "nt": 20})
+    out = tmp_path / "out"
+    assert main(["wied", str(cfgp), "--eps", eps, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --eps") and message in err
+    assert not out.exists()
+
+
+def test_wied_builds_the_operators_once(tmp_path, monkeypatch):
+    # `wied` is a one-level sweep: one DiscreteOperators for the reference
+    # and the level, and one eigenbasis (two axis eigenproblems), as in
+    # a run
+    from wiedlab import assembly
+    counts = {"ops": 0, "eigh": 0}
+    init, eigh = assembly.DiscreteOperators.__init__, assembly._mass_eigh
+
+    def counted_init(self, *args, **kwargs):
+        counts["ops"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_eigh(*args):
+        counts["eigh"] += 1
+        return eigh(*args)
+
+    monkeypatch.setattr(assembly.DiscreteOperators, "__init__", counted_init)
+    monkeypatch.setattr(assembly, "_mass_eigh", counted_eigh)
+    cfgp = write_config(tmp_path / "cfg.json",
+                        model={"kind": "polynomial-bump"})
+    assert main(["wied", str(cfgp), "--eps", "0.05",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"ops": 1, "eigh": 2}
 
 
 def test_diagnose_truncated_field_is_io_error(tmp_path, capsys):
@@ -456,10 +521,9 @@ MUTATION_BASE = {
     "initial": {"kind": "plateau", "radius": 1.0, "height": 1.0,
                 "axis": "trace"},
     "schedule": {"eps0": 0.1, "ratio": 0.5, "count": 2},
-    "wied": {"outer": "newton", "outer_tol": 1e-9, "outer_maxit": 40,
-             "inner_tol": 1e-11, "inner_maxit": 400},
+    "wied": {"outer_tol": 1e-9, "outer_maxit": 40, "inner_tol": 1e-11},
     "parabolic": {"picard_tol": 1e-11, "picard_maxit": 200,
-                  "linear_tol": 1e-12, "linear_maxit": 50},
+                  "linear_tol": 1e-12},
     "forcing_exponents": {"p": 3.0, "q": 4.0},
     "diagnostics": [
         {"name": "energy"},

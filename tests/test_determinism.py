@@ -51,7 +51,7 @@ def test_artifact_hashes_match_across_blas_threads(tmp_path, grid):
         "initial": {"kind": "plateau", "radius": 0.6, "height": 1.0,
                     "axis": "trace"},
         "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 2},
-        "wied": {"outer": "newton", "outer_tol": 1e-9},
+        "wied": {"outer_tol": 1e-9},
         "diagnostics": [{"name": "energy"}, {"name": "cauchy"},
                         {"name": "level-sets", **cyl},
                         {"name": "no-spikes", **cyl},

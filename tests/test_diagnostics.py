@@ -19,8 +19,7 @@ def solved():
                             nx=16, ny=8, nt=100))
     U0 = g.eval_spatial(
         lambda x, y: np.clip(1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
-    res = solve_wied(g, BUMP, WiedConfig(eps=0.1, outer="newton",
-                                         outer_tol=1e-9), U0)
+    res = solve_wied(g, BUMP, WiedConfig(eps=0.1, outer_tol=1e-9), U0)
     return g, res
 
 

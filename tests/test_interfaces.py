@@ -34,8 +34,7 @@ def test_d2_solver_smoke():
     U0 = g.eval_spatial(
         lambda x1, x2, y: np.clip(1 - (x1**2 + x2**2 + y**2) / 0.36,
                                   0, None)**2).ravel()
-    res = solve_wied(g, BUMP, WiedConfig(eps=0.05, outer="newton",
-                                         outer_tol=1e-8), U0)
+    res = solve_wied(g, BUMP, WiedConfig(eps=0.05, outer_tol=1e-8), U0)
     assert res.U.min() >= -1e-8 and res.U.max() <= 1.0 + 1e-8
     traj = solve_parabolic(g, BUMP, ParabolicConfig(), U0)
     assert traj.min() >= -1e-8 and traj.max() <= 1.0 + 1e-8

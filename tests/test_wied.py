@@ -32,20 +32,18 @@ def test_constant_data_is_exact_minimizer():
 
 def test_maximum_principle_combustion():
     g = grid_small()
-    res = solve_wied(g, BUMP, WiedConfig(eps=0.1, outer="newton",
-                                         outer_tol=1e-9), bump_data(g))
+    res = solve_wied(g, BUMP, WiedConfig(eps=0.1, outer_tol=1e-9),
+                     bump_data(g))
     assert res.U.min() >= -1e-8
     assert res.U.max() <= 1.0 + 1e-8
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("outer", ["picard", "newton"])
-def test_tracked_residual_matches_full_residual_at_every_step(outer, d):
+def test_tracked_residual_matches_full_residual_at_every_step(d):
     # Picard steps are one exact apply and Newton steps a trace solve, so
     # the residual and the functional after each accepted step are tracked
-    # from trace data, not recomputed; outer "picard" takes only Picard
-    # steps, outer "newton" from this cold start Picard steps, then Newton
-    # steps.  Stopping the solve after
+    # from trace data, not recomputed; from this cold start the level
+    # takes Picard steps, then Newton steps.  Stopping the solve after
     # k steps makes it report the full LinearSystem.residual and
     # functional_value at the same iterate.  The residuals must agree to
     # 1e-10 relative, down to a floor of 1e-13 of the level's residual
@@ -58,17 +56,13 @@ def test_tracked_residual_matches_full_residual_at_every_step(outer, d):
     # a loose inner_tol leaves Newton steps inexact, whose GMRES residual
     # the tracked residual must carry too
     for eps, inner_tol in ((0.1, 1e-11), (0.03, 1e-6)):
-        cfg = WiedConfig(eps=eps, outer=outer, outer_tol=1e-10,
-                         inner_tol=inner_tol)
+        cfg = WiedConfig(eps=eps, outer_tol=1e-10, inner_tol=inner_tol)
         res = solve_wied(g, BUMP, cfg, U0)
         tracked = res.stats["residuals"]
         f_tracked = res.stats["functional"]
         scale = res.stats["el_tol_abs"] / cfg.outer_tol
         inner = res.stats["inner_iterations"]
-        if outer == "picard":
-            assert max(inner) == 0
-        else:
-            assert 0 in inner and max(inner) > 0
+        assert 0 in inner and max(inner) > 0
         steps = res.stats["iterations"] - 1
         assert steps >= 4
         for k in range(1, steps):
@@ -84,10 +78,32 @@ def test_tracked_residual_matches_full_residual_at_every_step(outer, d):
         assert tracked[-1] <= res.stats["el_tol_abs"]
 
 
+@pytest.mark.parametrize("forced", [False, True],
+                         ids=["unforced", "forced"])
+def test_zero_model_level_takes_only_picard_steps(forced):
+    # without a reaction sigma = 0, so a Newton step would be the Picard
+    # step at a higher cost: a level started from a field (where a
+    # reaction level tries Newton first) runs no GMRES iteration
+    g = grid_small(8, 6, 20)
+    rng = np.random.default_rng(3)
+    U0 = bump_data(g)
+    start = U0 + 0.1 * rng.standard_normal((g.spec.nt + 1, g.n_spatial))
+    start[0] = U0
+    forcing = ForcingSpec(F=rng.standard_normal(g.spacetime_shape)) \
+        if forced else None
+    system = assemble_linear_system(g, 0.1, forcing=forcing)
+    res = solve_wied(g, None, WiedConfig(eps=0.1, outer_tol=1e-10), U0,
+                     U_init=start, system=system)
+    st = res.stats
+    assert st["inner_iterations"] and set(st["inner_iterations"]) == {0}
+    assert st["newton_tols"] == [] and set(st["steps"]) == {"picard"}
+    assert st["residuals"][-1] <= st["el_tol_abs"]
+
+
 def test_initial_layer_exact_and_functional_below_extension():
     g = grid_small()
     U0 = bump_data(g)
-    cfg = WiedConfig(eps=0.08, outer="newton", outer_tol=1e-9)
+    cfg = WiedConfig(eps=0.08, outer_tol=1e-9)
     res = solve_wied(g, BUMP, cfg, U0)
     assert np.array_equal(res.U[0], U0)
     f_sol = functional_value(g, BUMP, cfg.eps, res.U, U0)
@@ -156,7 +172,7 @@ def test_linear_manufactured_weighted_influx():
 def test_optimality_along_random_variations():
     g = grid_small(10, 6, 40)
     U0 = bump_data(g)
-    cfg = WiedConfig(eps=0.1, outer="newton", outer_tol=1e-10)
+    cfg = WiedConfig(eps=0.1, outer_tol=1e-10)
     res = solve_wied(g, BUMP, cfg, U0)
     G = functional_gradient(g, BUMP, cfg.eps, res.U, U0)
     rng = np.random.default_rng(11)
@@ -279,7 +295,7 @@ def test_failed_newton_try_rearms_picard(grid, eps, start):
     # residual is at most NEWTON_REARM of its value at that try or 2^k
     # Picard steps have run; no try spends more than the GMRES budget,
     # and the level converges
-    from wiedlab.wied import NEWTON_REARM
+    from wiedlab.wied import INNER_MAXIT, NEWTON_REARM
     cfg = _shipped_config(**grid)
     g = build_grid(cfg.grid)
     wcfg = replace(cfg.wied, eps=eps)
@@ -288,7 +304,7 @@ def test_failed_newton_try_rearms_picard(grid, eps, start):
     st = solve_wied(g, cfg.model, wcfg, U0,
                     U_init=held if start == "held" else None).stats
     inner = st["inner_iterations"]
-    assert max(inner) <= wcfg.inner_maxit
+    assert max(inner) <= INNER_MAXIT
     failed_at = st["residuals"][0] if start == "cold" else None
     failures = waited = tries = failed = waits = 0
     trials = []
@@ -301,7 +317,7 @@ def test_failed_newton_try_rearms_picard(grid, eps, start):
             trials.append("picard")
             continue
         tries += 1
-        if kind == "newton" and lam >= wcfg.damping:
+        if kind == "newton" and lam == 1.0:
             failed_at, failures = None, 0
         else:
             failed_at, failures, waited = res, failures + 1, 0
@@ -329,7 +345,7 @@ def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
     g = grid_small(8, 6, 40, T=2.0)
     ops = build_operators(g)
     U0 = bump_data(g)
-    cfg = WiedConfig(eps=0.1, outer="newton", outer_tol=1e-9)
+    cfg = WiedConfig(eps=0.1, outer_tol=1e-9)
     ref = solve_parabolic(g, BUMP, ParabolicConfig(), U0)
     calls = [0]
     matmul = KroneckerStencil.__matmul__
@@ -339,12 +355,12 @@ def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
         return matmul(self, x)
 
     monkeypatch.setattr(KroneckerStencil, "__matmul__", counted)
-    sw = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), U0, cfg=cfg,
-                       reference=ref)
+    levels = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), U0,
+                           cfg=cfg, reference=ref)
     swept = calls[0]
     calls[0] = 0
     start = ref
-    for lv in sw.levels:
+    for lv in levels:
         alone = solve_wied(g, BUMP, replace(cfg, eps=lv.eps), U0,
                            U_init=start)
         assert np.array_equal(alone.U, lv.U)
@@ -368,10 +384,11 @@ def test_schedule_validation():
 
 def test_sweep_single_level_report():
     g = grid_small(8, 6, 40, T=2.0)
-    sw = sweep_epsilon(g, None, EpsilonSchedule(0.1, 0.5, 1), bump_data(g),
-                       cfg=WiedConfig(eps=0.1, outer_tol=1e-9))
-    assert [lv.eps for lv in sw.levels] == [0.1]
-    lv = sw.levels[0]
+    levels = sweep_epsilon(g, None, EpsilonSchedule(0.1, 0.5, 1),
+                           bump_data(g),
+                           cfg=WiedConfig(eps=0.1, outer_tol=1e-9))
+    assert [lv.eps for lv in levels] == [0.1]
+    lv = levels[0]
     assert lv.iterations >= 1 and lv.el_residual <= lv.stats["el_tol_abs"]
     assert np.isfinite(lv.dist_to_ref)
 
@@ -384,24 +401,24 @@ def test_sweep_eps0_horizon_guard():
 
 def test_sweep_combustion_bounds_and_monotone_distance():
     g = grid_small(16, 8, 160, T=2.0)
-    sw = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), bump_data(g),
-                       cfg=WiedConfig(eps=0.1, outer="newton",
-                                      outer_tol=1e-9))
-    for lv in sw.levels:
+    levels = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3),
+                           bump_data(g),
+                           cfg=WiedConfig(eps=0.1, outer_tol=1e-9))
+    for lv in levels:
         assert lv.U.min() >= -1e-8 and lv.U.max() <= 1.0 + 1e-8
-    d = sw.distances()
-    assert sw.monotone and d[-1] < d[0]
+    d = [lv.dist_to_ref for lv in levels]
+    assert all(b < a for a, b in zip(d, d[1:])) and d[-1] < d[0]
 
 
 def test_dt_energy_bounded_across_schedule():
     # numerical shadow of the uniform inertia bound: the time-derivative
     # energy stays within one constant across levels
     g = grid_small(12, 6, 120, T=2.0)
-    sw = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), bump_data(g),
-                       cfg=WiedConfig(eps=0.1, outer="newton",
-                                      outer_tol=1e-9))
+    levels = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3),
+                           bump_data(g),
+                           cfg=WiedConfig(eps=0.1, outer_tol=1e-9))
     vals = []
-    for lv in sw.levels:
+    for lv in levels:
         dU = np.diff(lv.U, axis=0) / g.dt
         vals.append(2.0 * g.dt * float(np.sum((dU * dU) @ g.node_mass)))
     assert max(vals) <= 4.0 * min(vals)
