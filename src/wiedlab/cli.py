@@ -131,8 +131,7 @@ def _dispatch(args, cfg) -> int:
             return 3
         out.mkdir(parents=True, exist_ok=True)
         dump_field(out / f"eps-{level.eps:g}.f64", grid, level.U,
-                   {"eps": level.eps, "role": "wied-level",
-                    "s_exponent": (1.0 - cfg.grid.a) / 2.0})
+                   {"eps": level.eps, "role": "wied-level"})
         print(f"wied level eps={level.eps:g} written to {out} "
               f"({level.iterations} outer iterations)")
         return 0
@@ -148,8 +147,7 @@ def _dispatch(args, cfg) -> int:
             return 3
         out.mkdir(parents=True, exist_ok=True)
         dump_field(out / "parabolic.f64", grid, traj,
-                   {"role": "parabolic-reference",
-                    "s_exponent": (1.0 - cfg.grid.a) / 2.0})
+                   {"role": "parabolic-reference"})
         print(f"parabolic reference written to {out}")
         return 0
 
@@ -175,6 +173,7 @@ def _diagnose(args, cfg, out) -> int:
     from .assembly import build_operators
     from .runner import DiagnosticError, load_field, write_diagnostics, \
         write_json
+    from .wied import Level
 
     which = [w.strip() for w in args.which.split(",") if w.strip()]
     unknown = [w for w in which if w not in registry.DIAGNOSTICS]
@@ -198,7 +197,7 @@ def _diagnose(args, cfg, out) -> int:
             [(name, listed.get(name, probe)) for name in which],
             registry.Context(grid, cfg.model, cfg.forcing_exponents,
                              build_operators(grid)),
-            [registry.Level(side.get("eps"), arr, None)], out, summary)
+            [Level(side.get("eps"), arr)], out, summary)
     except DiagnosticError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

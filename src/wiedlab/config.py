@@ -10,7 +10,7 @@ import numpy as np
 
 from . import registry
 from .combustion import CombustionModel, model_from_dict
-from .grid import GridSpec, WeightedGrid, build_grid
+from .grid import GridSpec, WeightedGrid, build_grid, check_value
 from .parabolic import ParabolicConfig
 from .wied import EpsilonSchedule, WiedConfig, check_horizon
 
@@ -178,14 +178,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                                    options={k: v for k, v in d.items()
                                             if k != "name"})
                  for d in data.get("diagnostics", [])]
-        fexp = data.get("forcing_exponents", {"p": 3.0, "q": 4.0})
+        fexp = _section(data, "forcing_exponents", {"p": 3.0, "q": 4.0})
         cfg = ExperimentConfig(
             grid=grid, model=model, initial=initial, schedule=schedule,
             wied=wied, parabolic=parab, diagnostics=diags,
             output=data.get("output", "runs/out"),
-            seed=int(data.get("seed", 0)),
-            strict_support=bool(data.get("strict_support", False)),
-            forcing_exponents=(float(fexp["p"]), float(fexp["q"])),
+            seed=check_value("seed", data.get("seed", 0), "an integer",
+                             kind=int),
+            strict_support=check_value(
+                "strict_support", data.get("strict_support", False),
+                "true or false", kind=bool),
+            forcing_exponents=tuple(
+                float(check_value(f"forcing_exponents {k!r}", fexp[k]))
+                for k in ("p", "q")),
         )
     except ConfigError:
         raise

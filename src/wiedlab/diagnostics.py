@@ -73,7 +73,7 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     on the stiffness products the Dirichlet energy already needs, so no
     space-time system is assembled.  KU, when given, must be those
     products, (Ka @ U.T).T of the (nt+1, S) layers, as a solved level's
-    exit check leaves them (WiedResult.KU); otherwise they are formed.
+    exit check leaves them (wied.Level.KU); otherwise they are formed.
     """
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)

@@ -20,6 +20,7 @@ the nodal weights of that box (restrict).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -27,6 +28,22 @@ import numpy as np
 
 class GridError(ValueError):
     """Invalid grid specification or region."""
+
+
+def check_value(name: str, v, need: str = "a finite number", test=None,
+                kind: type = float):
+    """v if it is of kind (float: any finite real number) and passes
+    test, else ValueError "<name> must be <need>, got <v>".  A bool is
+    of kind bool only: a JSON true or false is no number."""
+    if kind is bool or isinstance(v, bool):
+        ok = kind is bool and isinstance(v, bool)
+    else:
+        ok = isinstance(v, (int, np.integer)) or (
+            kind is float and isinstance(v, (float, np.floating))
+            and math.isfinite(v))
+    if not ok or (test is not None and not test(v)):
+        raise ValueError(f"{name} must be {need}, got {v!r}")
+    return v
 
 
 def default_grading(a: float) -> float:
@@ -61,21 +78,23 @@ class GridSpec:
     grading: float | None = None
 
     def __post_init__(self):
-        if self.d not in (1, 2):
-            raise GridError(f"spatial dimension d must be 1 or 2, got {self.d}")
-        if not -1.0 < self.a < 1.0:
-            raise GridError(
-                f"weight exponent a must lie strictly in (-1, 1), got {self.a}"
-            )
-        for name in ("L", "Y", "T"):
-            if not getattr(self, name) > 0.0:
-                raise GridError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("nx", "ny", "nt"):
-            n = getattr(self, name)
-            if not (isinstance(n, (int, np.integer)) and n >= 2):
-                raise GridError(f"{name} must be an integer >= 2, got {n}")
-        if self.grading is not None and not self.grading >= 1.0:
-            raise GridError(f"grading must be >= 1, got {self.grading}")
+        try:
+            check_value("spatial dimension d", self.d, "1 or 2",
+                        lambda v: v in (1, 2), int)
+            check_value("weight exponent a", self.a,
+                        "a finite number strictly in (-1, 1)",
+                        lambda v: -1.0 < v < 1.0)
+            for name in ("L", "Y", "T"):
+                check_value(name, getattr(self, name), "a finite number > 0",
+                            lambda v: v > 0.0)
+            for name in ("nx", "ny", "nt"):
+                check_value(name, getattr(self, name), "an integer >= 2",
+                            lambda v: v >= 2, int)
+            if self.grading is not None:
+                check_value("grading", self.grading, "a finite number >= 1",
+                            lambda v: v >= 1.0)
+        except ValueError as exc:
+            raise GridError(str(exc)) from None
 
     @property
     def g(self) -> float:

@@ -35,7 +35,7 @@ from .assembly import DiscreteOperators, axis_eigenbasis, build_operators
 # beta_prime_eval, finalize_csr and pcg_solve are unused here; they stay
 # importable because perfbench/tracing.py patches them by name
 from .combustion import beta_eval, beta_prime_eval  # noqa: F401
-from .grid import WeightedGrid
+from .grid import WeightedGrid, check_value
 from .linalg import finalize_csr, pcg_solve  # noqa: F401
 
 
@@ -64,29 +64,11 @@ class ParabolicConfig:
     linear_tol: float = 1e-12
 
     def __post_init__(self):
-        check_numbers(self, ("picard_tol", "linear_tol"))
-        if self.picard_tol <= 0 or self.linear_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        check_counts(self, ("picard_maxit",))
-
-
-def check_numbers(cfg, names):
-    """Raise ValueError unless each named field of cfg is a finite real
-    number; a bool (a JSON true or false) is not one."""
-    for name in names:
-        v = getattr(cfg, name)
-        if isinstance(v, bool) or not isinstance(v, (int, float, np.number)) \
-                or not np.isfinite(v):
-            raise ValueError(f"{name} must be a finite number, got {v!r}")
-
-
-def check_counts(cfg, names):
-    """Raise ValueError unless each named field of cfg is an int >= 1."""
-    for name in names:
-        n = getattr(cfg, name)
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
-                or n < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        for name in ("picard_tol", "linear_tol"):
+            check_value(name, getattr(self, name), "a finite number > 0",
+                        lambda v: v > 0.0)
+        check_value("picard_maxit", self.picard_maxit, "an integer >= 1",
+                    lambda v: v >= 1, int)
 
 
 def _step_matrix(grid, ops):

@@ -6,6 +6,7 @@ replaced there (by a profiler, say) is the one called."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -14,21 +15,12 @@ import numpy as np
 from . import diagnostics as dg
 from .assembly import ForcingSpec
 from .combustion import beta_eval
-from .grid import Cylinder
+from .grid import Cylinder, check_value
+from .wied import Level
 
 
 class NotApplicable(Exception):
     """The diagnostic measures nothing on these levels."""
-
-
-@dataclass(frozen=True, eq=False)
-class Level:
-    eps: float | None         # None for a field that is not a WIED level
-    U: np.ndarray             # space-time field, any shape of the grid's size
-    el_tol: float | None      # the level's absolute EL tolerance, if known
-    # (Ka @ U.T).T of the (nt+1, S) layers when known, such as a solved
-    # level's WiedResult.KU; the energy report then forms no product
-    KU: np.ndarray | None = None
 
 
 @dataclass
@@ -50,7 +42,8 @@ class Context:
         return self._energy[lv]
 
 
-def _entry(name, value, threshold, passed, calibration=None) -> dict:
+def entry(name, value, threshold, passed, calibration=None) -> dict:
+    """One summary.json entry."""
     return {"name": name, "value": value, "threshold": threshold,
             "pass": passed, "calibration-id": calibration}
 
@@ -85,7 +78,7 @@ def _energy(ctx, levels, opt):
         reports.append((f"energy-eps-{lv.eps:g}.csv",
                         ["n", "tau", "I", "R", "E"], rep.rows()))
         tol = None if lv.el_tol is None else 10.0 * lv.el_tol
-        summary.append(_entry(
+        summary.append(entry(
             f"energy-identity-eps-{lv.eps:g}", rep.identity_l1, tol,
             None if tol is None else bool(rep.identity_l1 <= tol)))
     return reports, summary
@@ -99,7 +92,7 @@ def _uniform_bounds(ctx, levels, opt):
     ub = dg.uniform_bounds_report([ctx.energy(lv) for lv in levels],
                                   factor=factor)
     return ([("uniform_bounds.csv", list(ub["rows"][0]), ub["rows"])],
-            [_entry("uniform-bounds",
+            [entry("uniform-bounds",
                     max(ub["dt_energy_spread"], ub["windowed_spread"]),
                     factor, ub["uniform"])])
 
@@ -130,7 +123,7 @@ def _no_spikes(ctx, levels, opt):
     rows = [{"j": j, "level": rep.levels[j], "radius": rep.radii[j],
              "energy": rep.energies[j]} for j in range(rep.levels.shape[0])]
     return ([("no_spikes.csv", ["j", "level", "radius", "energy"], rows)],
-            [_entry("no-spikes-decay", float(rep.energies[-1]), 1e-12,
+            [entry("no-spikes-decay", float(rep.energies[-1]), 1e-12,
                     bool(rep.converged), f"delta={delta}")])
 
 
@@ -181,28 +174,15 @@ def _cauchy(ctx, levels, opt):
 
 # -- load-time checks: (options, grid, config); ValueError on a bad one
 
-def _option(opt, key, test, need, kinds=(int, float, np.number)):
-    """ValueError unless opt[key] is a finite JSON number of the given
-    kinds that passes test; need says what it must be."""
-    v = opt[key]
-    if (isinstance(v, bool) or not isinstance(v, kinds)
-            or not np.isfinite(v) or not test(v)):
-        raise ValueError(f"option {key!r} must be a finite {need}, "
-                         f"got {v!r}")
-
-
-def _positive(opt, *keys):
-    for key in keys:
-        _option(opt, key, lambda v: v > 0, "number > 0")
-
-
 def _check_cylinder(opt, grid, cfg, *positive) -> Cylinder:
     """center and radius given, the named options positive, and the
     cylinder inside the grid."""
     missing = [k for k in ("center", "radius") if opt.get(k) is None]
     if missing:
         raise ValueError(f"needs {' and '.join(map(repr, missing))}")
-    _positive(opt, "radius", *positive)
+    for key in ("radius", *positive):
+        check_value(f"option {key!r}", opt[key], "a finite number > 0",
+                    lambda v: v > 0)
     cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
     cyl.require_fits(grid)
     return cyl
@@ -219,19 +199,28 @@ def _check_linf_l2(opt, grid, cfg):
 
 
 def _check_holder(opt, grid, cfg):
-    _option(opt, "levels", lambda v: v >= 1, "integer >= 1",
-            (int, np.integer))
-    near = [c for c in opt["centers"]
-            if not Cylinder(tuple(c), 1.0).fits(grid)]
-    if near:
-        raise ValueError(f"probe {near[0]} too close to the boundary for "
-                         "unit-radius cylinders")
+    """Each probe's unit cylinder inside the grid, and its third cylinder
+    (radius 1/16) two nodes at least: the fit needs three positive
+    oscillations."""
+    check_value("option 'levels'", opt["levels"], "an integer >= 3",
+                lambda v: v >= 3, int)
+    for c in opt["centers"]:
+        if not Cylinder(tuple(c), 1.0).fits(grid):
+            raise ValueError(f"probe {c} too close to the boundary for "
+                             "unit-radius cylinders")
+        nodes = math.prod(s.stop - s.start
+                          for s in Cylinder(tuple(c), 1.0 / 16.0).box(grid))
+        if nodes < 2:
+            raise ValueError(f"probe {c}: its cylinder of radius 1/16 holds "
+                             f"{nodes} grid node(s), too few for a fit")
 
 
 def _check_layer(opt, grid, cfg):
-    _positive(opt, "radius")
-    _option(opt, "layer_time", lambda v: 0 <= v <= grid.spec.T,
-            f"number in [0, {grid.spec.T}]")
+    check_value("option 'radius'", opt["radius"], "a finite number > 0",
+                lambda v: v > 0)
+    check_value("option 'layer_time'", opt["layer_time"],
+                f"a finite number in [0, {grid.spec.T}]",
+                lambda v: 0 <= v <= grid.spec.T)
     # the slice's cylinder is centred at x = 0, y = 0 and the ratios scale
     # with its radius: clipped to the grid, it would no longer have it
     r = float(opt["radius"])
@@ -243,7 +232,8 @@ def _check_layer(opt, grid, cfg):
 
 
 def _check_isoperimetric(opt, grid, cfg):
-    _option(opt, "p", lambda v: 1 < v < 2, "number in (1, 2)")
+    check_value("option 'p'", opt["p"], "a finite number in (1, 2)",
+                lambda v: 1 < v < 2)
     _check_layer(opt, grid, cfg)
 
 
@@ -260,7 +250,9 @@ DIAGNOSTICS = {
     "energy": Diagnostic(_energy),
     "uniform-bounds": Diagnostic(
         _uniform_bounds, lambda spec: {"factor": 4.0},
-        lambda opt, grid, cfg: _positive(opt, "factor")),
+        lambda opt, grid, cfg: check_value(
+            "option 'factor'", opt["factor"], "a finite number > 0",
+            lambda v: v > 0)),
     "linf-l2": Diagnostic(_linf_l2, check=_check_linf_l2),
     "no-spikes": Diagnostic(
         _no_spikes, lambda spec: {"delta": 0.5},

@@ -106,6 +106,8 @@ def _block(planes: np.ndarray) -> np.ndarray:
 def dump_field(path: Path, grid, arr: np.ndarray, meta: dict):
     """Raw float64 dump in row-major (x, y, t) order plus JSON sidecar.
 
+    The sidecar holds the grid spec, the dump's order and dtype, the
+    space-time exponent s = (1 - a)/2 of the grid's weight and meta.
     The transpose is streamed: a few x-planes at a time are copied into
     one block buffer (FIELD_BLOCK_BYTES) and written from it.
     """
@@ -119,7 +121,7 @@ def dump_field(path: Path, grid, arr: np.ndarray, meta: dict):
             np.copyto(blk, planes[i:i + blk.shape[0]])
             f.write(memoryview(blk))
     side = {"gridspec": grid.spec.to_dict(), "order": _FIELD_ORDER,
-            "dtype": "<f8"}
+            "dtype": "<f8", "s_exponent": (1.0 - grid.spec.a) / 2.0}
     side.update(meta)
     write_json(path.with_suffix(".json"), side)
 
@@ -242,8 +244,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
                    "completed": steps}
     else:
         dump_field(outdir / "fields" / "parabolic.f64", grid, reference,
-                   {"role": "parabolic-reference",
-                    "s_exponent": (1.0 - cfg.grid.a) / 2.0})
+                   {"role": "parabolic-reference"})
         try:
             levels = sweep_epsilon(grid, cfg.model, cfg.schedule, U0,
                                    cfg=cfg.wied, parabolic_cfg=cfg.parabolic,
@@ -255,8 +256,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
 
     for lv in levels:
         dump_field(outdir / "fields" / f"eps-{lv.eps:g}.f64", grid, lv.U,
-                   {"eps": lv.eps, "role": "wied-level",
-                    "s_exponent": (1.0 - cfg.grid.a) / 2.0})
+                   {"eps": lv.eps, "role": "wied-level"})
     write_csv(outdir / "reports" / "convergence.csv",
               ["eps", "iters", "el_residual", "dist_to_ref"],
               [{"eps": lv.eps, "iters": lv.iterations,
@@ -264,14 +264,12 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
                 "dist_to_ref": lv.dist_to_ref} for lv in levels])
     write_json(outdir / "reports" / "levels.json",
                [{"eps": lv.eps, "iterations": lv.iterations,
-                 "el_residual": lv.el_residual,
-                 "el_tol_abs": lv.stats.get("el_tol_abs"),
+                 "el_residual": lv.el_residual, "el_tol_abs": lv.el_tol,
                  "dist_to_ref": lv.dist_to_ref,
-                 "residuals": lv.stats.get("residuals", []),
-                 "inner_iterations": lv.stats.get("inner_iterations", []),
-                 "newton_tols": lv.stats.get("newton_tols", []),
-                 "steps": lv.stats.get("steps", []),
-                 "damping": lv.stats.get("damping", [])} for lv in levels])
+                 **{k: lv.stats[k] for k in ("residuals", "inner_iterations",
+                                             "newton_tols", "steps",
+                                             "damping")}}
+                for lv in levels])
 
     summary = []
     if failure is None:
@@ -279,8 +277,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         try:
             write_diagnostics(
                 [(req.name, req.options) for req in cfg.diagnostics], ctx,
-                [registry.Level(lv.eps, lv.U, lv.stats["el_tol_abs"], lv.KU)
-                 for lv in levels], outdir / "reports", summary)
+                levels, outdir / "reports", summary)
         except DiagnosticError as exc:
             failure = {"phase": "diagnostics", "message": str(exc),
                        "completed": exc.completed}
@@ -293,26 +290,16 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
             ratio = dists[-1] / dists[0]
             monotone = (all(b < a for a, b in zip(dists, dists[1:]))
                         and dists[-1] <= dists[0] / 3.0)
-        summary.append({
-            "name": "eps-limit-monotone", "value": ratio,
-            "threshold": 1.0 / 3.0, "pass": bool(monotone),
-            "calibration-id": None})
-    for lv in levels:
-        summary.append({
-            "name": f"max-principle-eps-{lv.eps:g}",
-            "value": float(max(lv.U.max() - 1.0, -lv.U.min(), 0.0)),
-            "threshold": 1e-8,
-            "pass": bool(-1e-8 <= lv.U.min() and lv.U.max() <= 1.0 + 1e-8),
-            "calibration-id": None})
+        summary.append(registry.entry("eps-limit-monotone", ratio,
+                                      1.0 / 3.0, bool(monotone)))
+    fields = [(f"eps-{lv.eps:g}", lv.U) for lv in levels]
     if reference is not None:
-        summary.append({
-            "name": "max-principle-parabolic",
-            "value": float(max(reference.max() - 1.0, -reference.min(),
-                               0.0)),
-            "threshold": 1e-8,
-            "pass": bool(-1e-8 <= reference.min()
-                         and reference.max() <= 1.0 + 1e-8),
-            "calibration-id": None})
+        fields.append(("parabolic", reference))
+    for name, U in fields:
+        lo, hi = U.min(), U.max()
+        summary.append(registry.entry(
+            f"max-principle-{name}", float(max(hi - 1.0, -lo, 0.0)), 1e-8,
+            bool(-1e-8 <= lo and hi <= 1.0 + 1e-8)))
     write_json(outdir / "summary.json", summary)
 
     artifacts = {}

@@ -28,25 +28,51 @@ from .assembly import (DiscreteOperators, LinearSystem,
                        exp_time_weights, functional_value,
                        space_time_inverse)
 from .combustion import beta_eval, beta_prime_eval, phi_eval
-from .grid import WeightedGrid
+from .grid import WeightedGrid, check_value
 # bicgstab_solve is unused here; it stays importable because
 # perfbench/tracing.py patches it by name
 from .linalg import bicgstab_solve  # noqa: F401
-from .parabolic import (ParabolicConfig, check_counts, check_numbers,
-                        solve_parabolic)
+from .parabolic import ParabolicConfig, solve_parabolic
+
+
+@dataclass(eq=False)
+class Level:
+    """One eps level from its solve to its reports: the field, the stats
+    of solve_wied (empty for a field not solved here, such as a stored
+    dump), the stiffness product KU = (Ka @ U.T).T of its (nt+1, S)
+    layers where known, so a level started from it and its energy report
+    form none, and, in a sweep, its distance to the reference.  Levels
+    compare by identity, so a level can key what is computed for it."""
+
+    eps: float | None          # None for a field that is no WIED level
+    U: np.ndarray              # space-time field, any shape of the grid's size
+    stats: dict = field(default_factory=dict)
+    KU: np.ndarray | None = field(default=None, repr=False)
+    dist_to_ref: float | None = None
+
+    @property
+    def iterations(self) -> int:
+        return self.stats["iterations"]
+
+    @property
+    def el_residual(self) -> float:
+        return self.stats["residuals"][-1]
+
+    @property
+    def el_tol(self) -> float | None:     # the enforced EL tolerance
+        return self.stats.get("el_tol_abs")
 
 
 class WiedConvergenceError(RuntimeError):
-    def __init__(self, msg, U=None, stats=None):
+    def __init__(self, msg, level: Level):
         super().__init__(msg)
-        self.U = U
-        self.stats = stats
+        self.level = level      # the unfinished level
 
 
 class SweepError(RuntimeError):
-    def __init__(self, msg, completed=None):
+    def __init__(self, msg, completed: list[Level]):
         super().__init__(msg)
-        self.completed = completed or []
+        self.completed = completed
 
 
 @dataclass
@@ -69,12 +95,13 @@ class WiedConfig:
     inner_tol: float = 1e-11       # floor of the Newton GMRES tolerance
 
     def __post_init__(self):
-        check_numbers(self, ("eps", "outer_tol", "inner_tol"))
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.outer_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        check_counts(self, ("outer_maxit",))
+        check_value("eps", self.eps, "a finite number in (0, 1)",
+                    lambda v: 0.0 < v < 1.0)
+        for name in ("outer_tol", "inner_tol"):
+            check_value(name, getattr(self, name), "a finite number > 0",
+                        lambda v: v > 0.0)
+        check_value("outer_maxit", self.outer_maxit, "an integer >= 1",
+                    lambda v: v >= 1, int)
 
 
 @dataclass
@@ -84,10 +111,11 @@ class EpsilonSchedule:
     count: int = 1
 
     def __post_init__(self):
-        check_numbers(self, ("eps0", "ratio"))
-        check_counts(self, ("count",))
-        if not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"ratio must lie in (0, 1), got {self.ratio}")
+        check_value("eps0", self.eps0)
+        check_value("ratio", self.ratio, "a finite number in (0, 1)",
+                    lambda v: 0.0 < v < 1.0)
+        check_value("count", self.count, "an integer >= 1",
+                    lambda v: v >= 1, int)
         for e in self.values():
             if not 0.0 < e < 1.0:
                 raise ValueError(f"schedule leaves (0, 1): eps = {e}")
@@ -105,13 +133,6 @@ def check_horizon(eps0: float, T: float):
             "need eps0 <= T/20 so the truncated-tail weight stays negligible")
 
 
-@dataclass
-class WiedResult:
-    U: np.ndarray        # (nt+1, n_spatial)
-    stats: dict
-    KU: np.ndarray | None = None   # (Ka @ U.T).T, from the exit check
-
-
 # Eisenstat-Walker choice 2: a Newton step's GMRES solve is held to the
 # linear residual eta_k res_k, eta_k = min(FORCING_MAX,
 # FORCING_GAMMA (res_k / res_{k-1})^FORCING_ALPHA); FORCING_MAX also caps
@@ -126,7 +147,7 @@ FORCING_MAX = 0.1
 INNER_MAXIT = 10
 # after the k-th failed Newton try in a row, Picard runs until the
 # residual is at most NEWTON_REARM times its value at that try, or for
-# 2^k steps, whichever comes first; a cold start (no U_init) runs Picard
+# 2^k steps, whichever comes first; a cold start (no start) runs Picard
 # until the residual is at most NEWTON_REARM times its start value
 NEWTON_REARM = 0.05
 
@@ -138,22 +159,22 @@ def _norm(v) -> float:
 
 
 def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
-               U_init: np.ndarray | None = None,
-               system: LinearSystem | None = None,
-               KU_init: np.ndarray | None = None) -> WiedResult:
+               start: Level | None = None,
+               system: LinearSystem | None = None) -> Level:
     """Solve the discrete minimization for one eps.
 
-    Returns the field with U[0] = U0 exactly, plus per-iteration stats
-    (residuals, functional values, the GMRES iterations of each tried
-    step, 0 for Picard, the relative GMRES tolerance of each Newton try,
-    the kind and damping of each accepted step, and the absolute
-    residual threshold el_tol_abs actually enforced).
+    Returns the Level of cfg.eps: its field with U[0] = U0 exactly,
+    per-iteration stats (residuals, functional values, the GMRES
+    iterations of each tried step, 0 for Picard, the relative GMRES
+    tolerance of each Newton try, the kind and damping of each accepted
+    step, and the absolute residual threshold el_tol_abs actually
+    enforced) and KU, the stiffness product its exit check formed.
 
-    The result also carries KU = (Ka @ U.T).T, the stiffness products
-    of the layers of the returned field, which its exit check formed.
-    KU_init, given with U_init, must be that product of U_init, whose
-    first layer must be U0 (as for the U and KU of a WiedResult); the
-    entry check then uses it instead of forming it again.
+    The solve starts from start.U, its first layer replaced by U0, or
+    from U0 held in time without a start.  A start's KU, if any, is the
+    product of its own field, and the entry check uses it instead of
+    forming it again; it needs a field whose first layer is U0 already,
+    as a level of the same U0 has.
 
     system defaults to the unforced system of cfg.eps.  The linear
     problem with forcings F, f is model None (the zero model) on
@@ -189,7 +210,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     starts at the full step lam = 1 and halves lam until the line search
     accepts.  Far from the minimizer the trace Newton
     system can be indefinite, so Newton is tried only where the start
-    or the last tries suggest it pays.  A level started from U_init (as
+    or the last tries suggest it pays.  A level given a start (as
     the sweep starts every level, next to its minimizer) tries Newton
     from the first iteration on; a cold start, U0 held in time, takes
     Picard steps until the tracked residual is at most NEWTON_REARM
@@ -258,16 +279,14 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         raise ValueError("initial data must be finite")
 
     U = np.empty((nt + 1, S))
-    if U_init is None:
+    if start is None:
         U[:] = U0f[None, :]
     else:
-        U[:] = np.asarray(U_init, dtype=float).reshape(nt + 1, S)
-        if KU_init is not None and not np.array_equal(U[0], U0f):
-            raise ValueError("KU_init needs U_init with first layer U0")
+        U[:] = np.asarray(start.U, dtype=float).reshape(nt + 1, S)
+        if start.KU is not None and not np.array_equal(U[0], U0f):
+            raise ValueError("a start with a stiffness product needs "
+                             "first layer U0")
         U[0] = U0f
-    if KU_init is not None and (U_init is None
-                                or np.shape(KU_init) != U.shape):
-        raise ValueError("KU_init needs U_init and its (nt+1, S) shape")
 
     b = system.rhs(U0f).reshape(nt, S)
     tr = ops.trace_index
@@ -315,7 +334,8 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     del rhs0
     stats["el_tol_abs"] = tol_abs
     # the off-trace part of the current residual is mu r_off, its norm off
-    res, r_off, off, rtr, fval, pm, KU = full_state(U, KU_init)
+    res, r_off, off, rtr, fval, pm, KU = full_state(
+        U, None if start is None else start.KU)
     mu = 1.0
     # the iterate's modal unknown layers and V' b, set when the first step
     # is needed; U (and its stiffness product KU) is the nodal iterate only
@@ -324,7 +344,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     # the residual at the last failed Newton try, or at a cold start
     # (None while Newton is armed), the failed tries in a row and the
     # Picard steps since the last
-    failed_at = None if U_init is not None else res
+    failed_at = None if start is not None else res
     failures = waited = 0
 
     def picard_point():
@@ -404,7 +424,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         stats["residuals"].append(res)
         stats["functional"].append(fval)
         if res <= tol_abs:
-            return WiedResult(U=U, stats=stats, KU=KU)
+            return Level(cfg.eps, U, stats, KU)
         if Uh is None:
             # enter the eigenbasis: V' M U of the unknown layers and V' b,
             # once per level; b vanishes off its first row unless the
@@ -442,7 +462,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         if step is None:
             raise WiedConvergenceError(
                 "damped step could not decrease the functional",
-                U=nodal(Uh) if U is None else U, stats=stats)
+                Level(cfg.eps, nodal(Uh) if U is None else U, stats, KU))
         if kinds[0] == "newton":
             # a rejected or damped Newton try puts the level on Picard
             if kind == "newton" and step[2] == 1.0:
@@ -465,10 +485,10 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     stats["residuals"].append(res)
     stats["functional"].append(fval)
     if res <= tol_abs:
-        return WiedResult(U=U, stats=stats, KU=KU)
+        return Level(cfg.eps, U, stats, KU)
     raise WiedConvergenceError(
         f"no convergence after {cfg.outer_maxit} outer iterations "
-        f"(residual {res:g}, tol {tol_abs:g})", U=U, stats=stats)
+        f"(residual {res:g}, tol {tol_abs:g})", Level(cfg.eps, U, stats, KU))
 
 
 def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:
@@ -479,24 +499,13 @@ def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:
     return float(np.sqrt(np.max(d2)))
 
 
-@dataclass
-class SweepLevel:
-    eps: float
-    U: np.ndarray
-    iterations: int
-    el_residual: float
-    dist_to_ref: float
-    stats: dict = field(default_factory=dict)
-    KU: np.ndarray | None = field(default=None, repr=False)  # WiedResult.KU
-
-
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   U0: np.ndarray, cfg: WiedConfig | None = None,
                   parabolic_cfg: ParabolicConfig | None = None,
                   reference: np.ndarray | None = None,
-                  ops: DiscreteOperators | None = None) -> list[SweepLevel]:
+                  ops: DiscreteOperators | None = None) -> list[Level]:
     """Solve each eps level and compare to the reference; returns the
-    levels in schedule order.
+    levels in schedule order, each with its dist_to_ref.
 
     The first level starts from the reference, the eps -> 0 limit of the
     levels, and each later level from the one before, whose exit check
@@ -510,22 +519,17 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
         reference = solve_parabolic(grid, model,
                                     parabolic_cfg or ParabolicConfig(), U0,
                                     ops=ops)
-    levels: list[SweepLevel] = []
-    warm, KU = reference, None
+    levels: list[Level] = []
+    start = Level(None, reference)
     for eps in schedule.values():
-        lcfg = replace(cfg, eps=eps)
         system = assemble_linear_system(grid, eps, ops=ops)
         try:
-            result = solve_wied(grid, model, lcfg, U0, U_init=warm,
-                                system=system, KU_init=KU)
+            level = solve_wied(grid, model, replace(cfg, eps=eps), U0,
+                               start=start, system=system)
         except WiedConvergenceError as exc:
             raise SweepError(f"level eps = {eps} failed: {exc}",
                              completed=levels) from exc
-        warm, KU = result.U, result.KU
-        levels.append(SweepLevel(
-            eps=eps, U=result.U,
-            iterations=result.stats["iterations"],
-            el_residual=result.stats["residuals"][-1],
-            dist_to_ref=dist_C_L2a(grid, result.U, reference),
-            stats=result.stats, KU=result.KU))
+        level.dist_to_ref = dist_C_L2a(grid, level.U, reference)
+        levels.append(level)
+        start = level
     return levels

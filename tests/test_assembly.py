@@ -312,7 +312,7 @@ def test_trace_newton_step_matches_sparse_direct_solve():
         with pytest.raises(WiedConvergenceError) as exc:
             solve_wied(g, BUMP, WiedConfig(eps=eps, outer_maxit=4), U0,
                        system=system)
-        U = exc.value.U
+        U = exc.value.level.U
         nt, S = g.spec.nt, g.n_spatial
         tr = system.ops.trace_index
         ctm = system.c_hat[:, None] * system.ops.trace_mass

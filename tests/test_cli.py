@@ -197,6 +197,24 @@ def test_strict_support_flag(tmp_path, capsys):
                "nx": 6, "ny": 5, "nt": 16},
       "diagnostics": [{"name": "linf-l2", "center": [0.0, 0.0, 1.0],
                        "radius": 1.0}]}, "holds no grid node"),
+    # values of the wrong JSON type, which no conversion may turn into
+    # valid ones
+    ({"strict_support": "false"}, "strict_support"),
+    ({"seed": 1.7}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": "12"}, "seed"),
+    ({"grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
+               "nx": 6, "ny": 5, "nt": 20, "grading": True}}, "grading"),
+    ({"forcing_exponents": {"p": True, "q": "4"}}, "forcing_exponents"),
+    # a Hoelder fit needs three positive oscillations: three cylinders,
+    # the third (radius 1/16) holding two nodes; here it holds one node
+    # (hx = 0.5, y_1 = 0.24, dt = 0.125)
+    ({"diagnostics": [{"name": "holder", "centers": [], "levels": 2}]},
+     "'levels'"),
+    ({"grid": {"d": 1, "a": 0.5, "L": 2.0, "Y": 1.5, "T": 2.0,
+               "nx": 8, "ny": 4, "nt": 16},
+      "diagnostics": [{"name": "holder", "centers": [[0.0, 0.0, 1.0]]}]},
+     "radius 1/16 holds 1 grid node"),
 ], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
         "cylinder-does-not-fit", "uniform-bounds-factor-string",
         "no-spikes-delta-string", "holder-levels-string",
@@ -204,7 +222,10 @@ def test_strict_support_flag(tmp_path, capsys):
         "embedding-radius-past-grid", "isoperimetric-radius-past-grid",
         "picard-maxit-0", "outer-maxit-0", "inner-tol-boolean",
         "schedule-count-boolean",
-        "linf-l2-empty-inner-cylinder"])
+        "linf-l2-empty-inner-cylinder", "strict-support-string",
+        "seed-float", "seed-boolean", "seed-string", "grading-boolean",
+        "forcing-exponents-boolean-and-string", "holder-levels-2",
+        "holder-probe-unresolved"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)
@@ -473,16 +494,23 @@ def test_parabolic_failure_is_solver_error_with_manifest(tmp_path, capsys):
 
 
 def test_diagnose_failure_is_solver_error(tmp_path, capsys):
-    # a Hoelder fit needs three positive oscillations, which a grid this
-    # coarse does not resolve: exit 3 with a message, no traceback
+    # a Hoelder fit needs three positive oscillations.  The grid resolves
+    # them (hx = 1/16: the third cylinder holds three x nodes), but the
+    # stored field is flat for |x| <= 0.1, so the third oscillation is 0:
+    # exit 3 with a message, no traceback
+    from wiedlab.config import load_config
+    from wiedlab.grid import build_grid
+    from wiedlab.runner import dump_field
     cfgp = write_config(tmp_path / "cfg.json",
-                        grid={"d": 1, "a": 0.5, "L": 2.0, "Y": 1.5,
-                              "T": 2.0, "nx": 8, "ny": 4, "nt": 16},
+                        grid={"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0,
+                              "T": 2.0, "nx": 32, "ny": 4, "nt": 16},
                         diagnostics=[{"name": "holder",
                                       "centers": [[0.0, 0.0, 1.0]]}])
-    assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
-    rc = main(["diagnose", str(cfgp),
-               "--field", str(tmp_path / "p" / "parabolic.f64"),
+    grid = build_grid(load_config(cfgp).grid)
+    flat = np.broadcast_to(np.clip(np.abs(grid.x) - 0.1, 0.0, None),
+                           grid.spacetime_shape)
+    dump_field(tmp_path / "flat.f64", grid, flat, {})
+    rc = main(["diagnose", str(cfgp), "--field", str(tmp_path / "flat.f64"),
                "--which", "holder", "--out", str(tmp_path / "diag")])
     assert rc == 3
     err = capsys.readouterr().err

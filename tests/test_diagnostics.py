@@ -41,9 +41,10 @@ def test_energy_identity_at_converged_solution(solved):
 
 
 def test_energy_reuses_the_level_stiffness_product(solved, monkeypatch):
-    # a solved level's exit-check product KU serves its energy report:
-    # the registry's energy forms no stiffness product, and the report
-    # has the bits of one that forms its own
+    # the Level solve_wied returns goes to the registry as it is, and its
+    # exit-check product KU serves its energy report: the registry's
+    # energy forms no stiffness product, and the report has the bits of
+    # one that forms its own
     from wiedlab import registry
     from wiedlab.assembly import KroneckerStencil, build_operators
     g, res = solved
@@ -58,8 +59,7 @@ def test_energy_reuses_the_level_stiffness_product(solved, monkeypatch):
 
     monkeypatch.setattr(KroneckerStencil, "__matmul__", counted)
     ctx = registry.Context(g, BUMP, (4.0, 4.0), ops)
-    rep = ctx.energy(registry.Level(0.1, res.U, res.stats["el_tol_abs"],
-                                    res.KU))
+    rep = ctx.energy(res)
     assert products == []
     assert rep.rows() == ref.rows()
     for name in ("inertia", "dissipation", "energy", "identity_l1",

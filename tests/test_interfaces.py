@@ -240,6 +240,29 @@ def test_traced_parabolic_steps_equal_nt():
     assert table["parabolic.steps"] == (g.spec.nt, "count")
 
 
+def test_traced_run_sees_the_sweep(tmp_path):
+    # perfbench reads the sweep from its wrappers of solve_wied and
+    # energy_decomposition, which the sweep and the registry must call by
+    # module name: a two-level run shows both levels, their outer steps
+    # and one energy report per level, which uniform-bounds reuses
+    from wiedlab.config import config_from_dict
+    from wiedlab.runner import run_experiment
+    tracing = _load_tracing()
+    cfg = config_from_dict({
+        "grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
+                 "nx": 6, "ny": 5, "nt": 20},
+        "model": {"kind": "polynomial-bump"},
+        "initial": {"kind": "plateau", "radius": 0.5, "height": 0.8},
+        "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 2},
+        "diagnostics": [{"name": "energy"}, {"name": "uniform-bounds"}]})
+    with tracing.installed(tracing.Tracer()) as tracer:
+        run_experiment(cfg, out=str(tmp_path / "out"))
+    table = tracing.layer_table(tracer, 1)
+    assert table["wied.levels"] == (2, "count")
+    assert table["wied.outer_steps"][0] > 0
+    assert table["diagnostics.energy_calls"] == (2, "count")
+
+
 # imports what a job imports, then runs `wiedlab run`, `parabolic` and
 # `diagnose` on the config argv[1]; prints the exit codes and the scipy
 # modules loaded after the imports and after the runs

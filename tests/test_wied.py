@@ -7,8 +7,9 @@ from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               functional_gradient, functional_value)
 from wiedlab.combustion import CombustionModel, validate_model
 from wiedlab.grid import GridSpec, build_grid
-from wiedlab.wied import (EpsilonSchedule, WiedConfig, WiedConvergenceError,
-                          dist_C_L2a, solve_wied, sweep_epsilon)
+from wiedlab.wied import (EpsilonSchedule, Level, WiedConfig,
+                          WiedConvergenceError, dist_C_L2a, solve_wied,
+                          sweep_epsilon)
 
 BUMP = validate_model(CombustionModel())
 
@@ -68,11 +69,12 @@ def test_tracked_residual_matches_full_residual_at_every_step(d):
         for k in range(1, steps):
             with pytest.raises(WiedConvergenceError) as exc:
                 solve_wied(g, BUMP, replace(cfg, outer_maxit=k), U0)
-            full = exc.value.stats["residuals"][-1]
+            full = exc.value.level.stats["residuals"][-1]
             assert abs(tracked[k] - full) <= 1e-10 * full + 1e-13 * scale, \
                 (eps, k)
-            f_full = exc.value.stats["functional"][-1]
-            assert f_full == functional_value(g, BUMP, eps, exc.value.U, U0)
+            f_full = exc.value.level.stats["functional"][-1]
+            assert f_full == functional_value(g, BUMP, eps,
+                                              exc.value.level.U, U0)
             assert abs(f_tracked[k] - f_full) <= 1e-12 * abs(f_full), (eps, k)
         # the reported residual is the full one, below the tolerance
         assert tracked[-1] <= res.stats["el_tol_abs"]
@@ -93,7 +95,7 @@ def test_zero_model_level_takes_only_picard_steps(forced):
         if forced else None
     system = assemble_linear_system(g, 0.1, forcing=forcing)
     res = solve_wied(g, None, WiedConfig(eps=0.1, outer_tol=1e-10), U0,
-                     U_init=start, system=system)
+                     start=Level(None, start), system=system)
     st = res.stats
     assert st["inner_iterations"] and set(st["inner_iterations"]) == {0}
     assert st["newton_tols"] == [] and set(st["steps"]) == {"picard"}
@@ -287,8 +289,8 @@ def test_step_cost_in_the_eigenbasis(d, monkeypatch):
     (dict(d=2, nx=4, ny=5, nt=12), 0.02)])
 def test_failed_newton_try_rearms_picard(grid, eps, start):
     # the shipped physics from U0 held in time on coarse grids.  Passed as
-    # U_init ("held") Newton is tried from the first iteration, and tries
-    # are rejected or damped; without U_init ("cold") the level first
+    # a start ("held") Newton is tried from the first iteration, and tries
+    # are rejected or damped; without a start ("cold") the level first
     # takes Picard steps down to NEWTON_REARM of its start residual.
     # Replaying the rule on the residual history: after the k-th failed
     # try in a row, every step is Picard, with no Newton try, until the
@@ -302,7 +304,8 @@ def test_failed_newton_try_rearms_picard(grid, eps, start):
     U0 = cfg.initial.evaluate(g)
     held = np.repeat(U0[None, :], g.spec.nt + 1, axis=0)
     st = solve_wied(g, cfg.model, wcfg, U0,
-                    U_init=held if start == "held" else None).stats
+                    start=Level(None, held) if start == "held" else None
+                    ).stats
     inner = st["inner_iterations"]
     assert max(inner) <= INNER_MAXIT
     failed_at = st["residuals"][0] if start == "cold" else None
@@ -337,9 +340,9 @@ def test_failed_newton_try_rearms_picard(grid, eps, start):
 
 def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
     # a level's entry check reuses the stiffness product of the previous
-    # level's exit check (WiedResult.KU, passed on as KU_init): one
+    # level's exit check (the KU of the Level it starts from): one
     # product fewer per level transition, and the same bits as a level
-    # solved from the same start without it
+    # solved from the same field without it
     from wiedlab.assembly import KroneckerStencil, build_operators
     from wiedlab.parabolic import ParabolicConfig, solve_parabolic
     g = grid_small(8, 6, 40, T=2.0)
@@ -362,15 +365,15 @@ def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
     start = ref
     for lv in levels:
         alone = solve_wied(g, BUMP, replace(cfg, eps=lv.eps), U0,
-                           U_init=start)
+                           start=Level(None, start))
         assert np.array_equal(alone.U, lv.U)
         assert alone.stats["residuals"] == lv.stats["residuals"]
         start = lv.U
     assert swept == calls[0] - 2
     assert np.array_equal(alone.KU, (ops.Ka @ alone.U.T).T)
-    # a carried product needs the start it belongs to
-    with pytest.raises(ValueError):
-        solve_wied(g, BUMP, cfg, U0, KU_init=alone.KU)
+    # a carried product belongs to a field of another initial layer
+    with pytest.raises(ValueError, match="first layer U0"):
+        solve_wied(g, BUMP, cfg, 0.5 * U0, start=alone)
 
 
 def test_schedule_validation():
