@@ -48,19 +48,19 @@ class KroneckerStencil:
     with its upper neighbour along k (the node grid with axis k one
     shorter), and by symmetry also that of the neighbour with the node.
 
-    K @ X, for X of shape (S,) or (S, k), adds each row's neighbour
-    products in increasing column order, starting from +0.0, as a sorted
-    CSR matvec does, so every product equals the CSR one bit for bit, and
-    returns a C-ordered array, so (K @ U.T).T is F-ordered as with CSR.
-    A product with coefficient 0 (no such neighbour; a CSR matrix stores
-    no zero) is +0.0, which adds nothing to a sum started at +0.0
-    whatever X holds.  A vector is one gather of each row's neighbours,
-    with an appended 0 for those it lacks, one product and one sum over
-    the neighbours in order.  The columns of a block are taken about
-    CHUNK entries at a time, laid end to end, so a neighbour's products
-    are one contiguous pass over that flat index shifted by the
-    neighbour's stride, and those that leave their grid line or vector
-    are set to +0.0.
+    K @ x for one vector x (S,), and K.rows(X) for the rows of X (k, S),
+    such as the time layers of a field, add each row's neighbour products
+    in increasing column order, starting from +0.0, as a sorted CSR
+    matvec does, so every product equals the CSR one bit for bit:
+    K.rows(X) is (K.tocsr() @ X.T).T, C-ordered.  A product with
+    coefficient 0 (no such neighbour; a CSR matrix stores no zero) is
+    +0.0, which adds nothing to a sum started at +0.0 whatever X holds.
+    A vector is one gather of each row's neighbours, with an appended 0
+    for those it lacks, one product and one sum over the neighbours in
+    order.  rows takes about CHUNK entries of X at a time, copied end to
+    end into a zero-padded block, so a neighbour's products are one
+    (n, S) product of the coefficients, broadcast over the n rows, with
+    the block shifted by the neighbour's stride.
     """
 
     CHUNK = 1 << 15
@@ -82,7 +82,11 @@ class KroneckerStencil:
                 c[(slice(None),) * k + (rows,)] = link
                 terms.append((side * stride, c.ravel()))
         self._terms = lower + [(0, diag.ravel())] + upper[::-1]
-        self._plans = {}   # vectors per chunk -> _plan
+        # per term, the rows with coefficient 0 (None if there are none),
+        # and the largest offset, the zero padding of a block of rows
+        self._zeros = [z if z.size else None for z in
+                       (np.flatnonzero(c == 0.0) for _, c in self._terms)]
+        self._pad = max(abs(off) for off, _ in self._terms)
         # per term and row: the coefficient, and the neighbour (S, an
         # appended 0, where the coefficient is 0) a vector product reads
         self._coef = np.array([c for _, c in self._terms])
@@ -96,47 +100,48 @@ class KroneckerStencil:
         return KroneckerStencil(self.diag + np.reshape(d, self.diag.shape),
                                 self.links)
 
-    def _plan(self, n: int) -> list:
-        # per neighbour on n vectors laid end to end: its coefficients on
-        # the shifted rows, those rows, the rows they read, and the rows
-        # with coefficient 0 (None if there are none)
-        plan = self._plans.get(n)
-        if plan is None:
-            plan = self._plans[n] = []
-            N = n * self.shape[0]
-            for off, c in self._terms:
-                dst = slice(max(-off, 0), N - max(off, 0))
-                c = np.tile(c, n)[dst]
-                zero = dst.start + np.flatnonzero(c == 0.0)
-                plan.append((c, dst, slice(max(off, 0), N + min(off, 0)),
-                             zero if zero.size else None))
-        return plan
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         S = self.shape[0]
         x = np.asarray(x, dtype=float)
-        if x.shape == (S,):
-            xp = np.empty(S + 1)
-            xp[:S] = x
-            xp[S] = 0.0
-            G = xp[self._gather]
-            G *= self._coef
-            return np.add.reduce(G, axis=0, initial=0.0)
-        xt = np.ascontiguousarray(x.reshape(S, -1).T)   # (k, S)
-        k = xt.shape[0]
+        if x.shape != (S,):
+            raise ValueError(f"K @ x takes one vector of shape ({S},), got "
+                             f"{x.shape}; rows(X) takes the rows of X")
+        xp = np.empty(S + 1)
+        xp[:S] = x
+        xp[S] = 0.0
+        G = xp[self._gather]
+        G *= self._coef
+        return np.add.reduce(G, axis=0, initial=0.0)
+
+    def rows(self, X: np.ndarray, out: np.ndarray | None = None
+             ) -> np.ndarray:
+        """K applied to each row of X (k, S): (K @ X.T).T as a C-ordered
+        (k, S) array, written into out when given."""
+        S = self.shape[0]
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != S:
+            raise ValueError(f"rows takes (k, {S}) rows, got {X.shape}")
+        k = X.shape[0]
+        Y = np.empty((k, S)) if out is None else out
         kb = max(1, min(k, self.CHUNK // S))
-        Y = np.zeros((k, S))
-        T = np.empty(kb * S)
+        # the rows of a block laid end to end between pad zeros on either
+        # side, so each shifted view stays inside P
+        pad = self._pad
+        P = np.zeros(kb * S + 2 * pad)
+        T = np.empty((kb, S))
         for k0 in range(0, k, kb):
             n = min(kb, k - k0)
-            X, Yc = xt[k0:k0 + n].reshape(-1), Y[k0:k0 + n].reshape(-1)
-            for c, dst, src, zero in self._plan(n):
-                t, y = T[dst], Yc[dst]
-                np.multiply(c, X[src], out=t)
+            P[pad:pad + n * S].reshape(n, S)[...] = X[k0:k0 + n]
+            P[pad + n * S:2 * pad + n * S] = 0.0
+            y, t = Y[k0:k0 + n], T[:n]
+            y.fill(0.0)
+            for (off, c), zero in zip(self._terms, self._zeros):
+                np.multiply(c, P[pad + off:pad + off + n * S].reshape(n, S),
+                            out=t)
                 if zero is not None:
-                    T[zero] = 0.0
+                    t[:, zero] = 0.0
                 np.add(y, t, out=y)
-        return np.ascontiguousarray(Y.T).reshape(x.shape)
+        return Y
 
     def tocsr(self):
         """The same matrix as a sorted scipy CSR matrix, as a reference."""
@@ -157,8 +162,9 @@ class KroneckerStencil:
 class DiscreteOperators:
     """Weighted mass/stiffness and the y=0 trace maps, all half-space.
 
-    Ka is a KroneckerStencil, applied as Ka @ X like a matrix; its tocsr()
-    is the sparse matrix the tests check it against."""
+    Ka is a KroneckerStencil, applied as Ka @ x to a vector and as
+    Ka.rows(X) to the rows of X, such as the layers of a field; its
+    tocsr() is the sparse matrix the tests check it against."""
 
     mass: np.ndarray          # spatial nodal |y|^a masses, flattened
     Ka: KroneckerStencil      # weighted stiffness, SPSD, Ka @ const = 0
@@ -237,7 +243,7 @@ class AxisEigenbasis:
     d: int
     # alpha -> (inv, h), filled by resolvent
     resolvents: dict = field(default_factory=dict, repr=False)
-    # (stage, shape) -> scratch array of an inner stage of _apply
+    # block shape -> the one scratch array the stages of _apply share
     scratch: dict = field(default_factory=dict, repr=False)
 
     def _apply(self, Ay: np.ndarray | None, Ax: np.ndarray,
@@ -257,30 +263,35 @@ class AxisEigenbasis:
             if Ay is not None:
                 R = Ay @ R.reshape(1, ny1, -1)
             return R.reshape(r.shape)
-        # a block: the stages before the last write into scratch kept per
-        # shape, since a fresh full-size temporary costs the allocator
-        # more than its products; the first stage reads all of r, so out
-        # may be r
-        if out is not None and not (out.flags.c_contiguous
-                                    and out.shape == r.shape):
+        # a block: the stages alternate between out and one scratch array
+        # kept per shape, since a fresh full-size temporary costs the
+        # allocator more than its products, so that the last stage lands
+        # in out.  out may be r, which only the first stage reads: then
+        # the first stage goes to the scratch, and the result is copied
+        # into out if the last one does not land there
+        if out is None:
+            out = np.empty(r.shape)
+        elif not (out.flags.c_contiguous and out.shape == r.shape):
             raise ValueError("out must be C-contiguous and shaped like r")
-        last = self.d - (Ay is None)
-
-        def dst(k, shape):
-            if k == last:
-                return None if out is None else out.reshape(shape)
-            buf = self.scratch.get((k, shape))
-            if buf is None:
-                buf = self.scratch[k, shape] = np.empty(shape)
-            return buf
-
-        R = np.matmul(R, Ax.T, out=dst(0, R.shape))
+        n = R.shape[0]
+        stages = [lambda R, o: np.matmul(R, Ax.T, out=o)]
         if self.d == 2:
-            R = np.matmul(Ax, R, out=dst(1, R.shape))
+            stages.append(lambda R, o: np.matmul(Ax, R, out=o))
         if Ay is not None:
-            R = R.reshape(R.shape[0], ny1, -1)
-            R = np.matmul(Ay, R, out=dst(self.d, R.shape))
-        return R.reshape(r.shape)
+            stages.append(lambda R, o: np.matmul(
+                Ay, R.reshape(n, ny1, -1), out=o.reshape(n, ny1, -1)))
+        in_place = np.may_share_memory(out, r)
+        if len(stages) == 1 and not in_place:
+            return stages[0](R, out.reshape(R.shape)).reshape(r.shape)
+        buf = self.scratch.get(r.shape)
+        if buf is None:
+            buf = self.scratch[r.shape] = np.empty(r.shape)
+        dst = (buf, out) if len(stages) % 2 == 0 or in_place else (out, buf)
+        for k, stage in enumerate(stages):
+            R = stage(R, dst[k % 2].reshape(R.shape)).reshape(R.shape)
+        if dst[(len(stages) - 1) % 2] is buf:
+            out[...] = buf
+        return out
 
     def to_modes(self, r: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
@@ -398,14 +409,16 @@ def functional_value(grid: WeightedGrid, model, eps: float,
                      U: np.ndarray, U0: np.ndarray | None = None,
                      ops: DiscreteOperators | None = None,
                      KU: np.ndarray | None = None,
-                     Pm: np.ndarray | None = None) -> float:
+                     Pm: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> float:
     """Discrete weighted inertia-energy-dissipation value of U.
 
-    KU, when given, is the stiffness product (Ka @ U.T).T of the layers
-    of U, so a caller that also needs the residual forms it once; Pm,
-    when given, is the layer sums phi_eval(model, U[:, trace_index]) @
+    KU, when given, is the stiffness product Ka.rows(U) of the layers of
+    U, so a caller that also needs the residual forms it once; Pm, when
+    given, is the layer sums phi_eval(model, U[:, trace_index]) @
     trace_mass of the trace potential, so a caller that also keeps them
-    evaluates Phi once."""
+    evaluates Phi once.  work, an (nt, n_spatial) array when given,
+    holds the time differences instead of a new array."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
@@ -413,16 +426,26 @@ def functional_value(grid: WeightedGrid, model, eps: float,
     _check_initial(grid, Ulay, U0)
     w = exp_time_weights(grid.t, eps)
 
-    dU = np.diff(Ulay, axis=0) / grid.dt
-    icell = (dU * dU) @ ops.mass
+    icell = _inertia_cells(Ulay, grid.dt, ops.mass, work)
     if KU is None:
-        KU = (ops.Ka @ Ulay.T).T
+        KU = ops.Ka.rows(Ulay)
     Sm = np.einsum("ns,ns->n", Ulay, KU)
     if Pm is None:
         Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
     return float(np.sum(w * (eps * icell
                              + 0.5 * (Sm[:-1] + Sm[1:])
                              + 0.5 * (Pm[:-1] + Pm[1:]))))
+
+
+def _inertia_cells(Ulay: np.ndarray, dt: float, mass: np.ndarray,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """|D_t U|_M^2 per time cell, the differences formed in work (or a
+    new array): (np.diff(Ulay, axis=0) / dt)**2 @ mass, the same
+    operations in place."""
+    dU = np.subtract(Ulay[1:], Ulay[:-1], out=work)
+    dU /= dt
+    dU *= dU
+    return dU @ mass
 
 
 def functional_gradient(grid: WeightedGrid, model, eps: float,
@@ -442,7 +465,7 @@ def functional_gradient(grid: WeightedGrid, model, eps: float,
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)
     _check_initial(grid, Ulay, U0)
-    KU = (ops.Ka @ Ulay.T).T
+    KU = ops.Ka.rows(Ulay)
     G = np.zeros_like(Ulay)
     G[1:] = 2.0 * exp_time_weights(grid.t, eps)[:, None] * stencil_residual(
         grid, model, eps, Ulay, KU, ops)
@@ -465,7 +488,8 @@ def _row_coefficients(grid: WeightedGrid, eps: float):
 
 def stencil_residual(grid: WeightedGrid, model, eps: float,
                      Ulay: np.ndarray, KU: np.ndarray,
-                     ops: DiscreteOperators) -> np.ndarray:
+                     ops: DiscreteOperators, out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Unforced normalized EL residual on layers 1..nt, shape (nt, S).
 
     Formed layer by layer from the stiffness products KU = (Ka U_m)_m of
@@ -476,11 +500,12 @@ def stencil_residual(grid: WeightedGrid, model, eps: float,
     with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2.
     Equal to A x + E bs - rhs(U_0) of the assembled system without
     forcing, up to summation order.  Each full-size pass writes into one
-    of two arrays, r and the time stencil, rather than a new temporary.
+    of two (nt, S) arrays, r (out when given) and the time stencil (work
+    when given), rather than a new temporary.
     """
     c, rho, main, c_hat = _row_coefficients(grid, eps)
-    r = np.empty(Ulay[1:].shape)
-    tstep = np.multiply(main[:, None], Ulay[1:])
+    r = np.empty(Ulay[1:].shape) if out is None else out
+    tstep = np.multiply(main[:, None], Ulay[1:], out=work)
     tstep -= Ulay[:-1]
     tstep[:-1] -= np.multiply(rho, Ulay[2:], out=r[:-1])
     tstep *= c * ops.mass
@@ -498,10 +523,13 @@ class LinearSystem:
     residual is the stencil form (stencil_residual) of A x + E bs - rhs:
     the stiffness products of all layers, the time stencil and the trace
     source, minus b_forcing; the initial-layer term is the stencil's use
-    of U_0 in the first row.  rhs assembles that initial-layer term plus
-    the forcing.  c_hat is the per-row coefficient shared by the
-    stiffness, the trace source and the forcing (interior (1+rho)/2,
-    terminal 1/2).
+    of U_0 in the first row.  b_forcing is the (nt, n_spatial) forcing
+    part of rhs, or None on an unforced system, which stores no zeros.
+    rhs_rows gives the rows of rhs that can be nonzero, the initial-layer
+    term in row 0 plus the forcing; rhs assembles all of it as one
+    vector.  c_hat is the per-row coefficient shared by the stiffness,
+    the trace source and the forcing (interior (1+rho)/2, terminal
+    1/2).
 
     The solvers never read a space-time matrix: they use the exact
     inverse of A + diag(c_hat) (x) sigma D_tr (space_time_inverse, cached
@@ -516,7 +544,7 @@ class LinearSystem:
     eps: float
     rho: float
     c_hat: np.ndarray
-    b_forcing: np.ndarray
+    b_forcing: np.ndarray | None
     # sigma -> SpaceTimeInverse, filled by space_time_inverse
     inverses: dict = field(default_factory=dict, repr=False)
 
@@ -544,9 +572,25 @@ class LinearSystem:
     def _initial_term(self, U0f: np.ndarray) -> np.ndarray:
         return (self.eps / self.grid.dt**2) * self.ops.mass * U0f
 
+    def rhs_rows(self, U0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, b[rows]) of the right-hand side b (nt, n_spatial): row 0,
+        which holds the initial-layer term, and the rows the forcing
+        reaches; b is zero in every other row."""
+        init = self._initial_term(np.asarray(U0, dtype=float).reshape(-1))
+        if self.b_forcing is None:
+            rows, b = np.zeros(1, dtype=int), np.zeros((1, init.shape[0]))
+        else:
+            rows = np.union1d(0, np.flatnonzero(np.any(self.b_forcing,
+                                                       axis=1)))
+            b = self.b_forcing[rows]
+        b[0] += init
+        return rows, b
+
     def rhs(self, U0: np.ndarray) -> np.ndarray:
-        b = self.b_forcing.copy().reshape(self.grid.spec.nt, -1)
-        b[0] += self._initial_term(np.asarray(U0, dtype=float).reshape(-1))
+        """b as one flattened (nt * n_spatial) vector."""
+        rows, b_rows = self.rhs_rows(U0)
+        b = np.zeros((self.grid.spec.nt, self.grid.n_spatial))
+        b[rows] = b_rows
         return b.ravel()
 
     def newton_matrix(self, model, Ulay: np.ndarray):
@@ -559,16 +603,20 @@ class LinearSystem:
         return finalize_csr(self.A + sp.diags(d.ravel()))
 
     def residual(self, model, U: np.ndarray, U0: np.ndarray | None = None,
-                 KU: np.ndarray | None = None) -> np.ndarray:
+                 KU: np.ndarray | None = None, out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
         """Normalized EL residual on layers 1..nt, shape (nt, n_spatial):
-        stencil_residual minus b_forcing.  KU, when given, is the
-        stiffness product (Ka @ U.T).T of the layers of U."""
+        stencil_residual minus b_forcing, written into out when given,
+        with work as the stencil's scratch.  KU, when given, is the
+        stiffness product Ka.rows(U) of the layers of U."""
         Ulay = _layers(self.grid, U)
         _check_initial(self.grid, Ulay, U0)
         if KU is None:
-            KU = (self.ops.Ka @ Ulay.T).T
-        r = stencil_residual(self.grid, model, self.eps, Ulay, KU, self.ops)
-        r -= self.b_forcing.reshape(r.shape)
+            KU = self.ops.Ka.rows(Ulay)
+        r = stencil_residual(self.grid, model, self.eps, Ulay, KU, self.ops,
+                             out=out, work=work)
+        if self.b_forcing is not None:
+            r -= self.b_forcing
         return r
 
 
@@ -583,8 +631,10 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
     nt, S = grid.spec.nt, grid.n_spatial
     c, rho, main, c_hat = _row_coefficients(grid, eps)
 
-    b = np.zeros((nt, S))
-    if forcing is not None:
+    b = None
+    if forcing is not None and (forcing.F is not None
+                                or forcing.f is not None):
+        b = np.zeros((nt, S))
         if forcing.F is not None:
             Flay = _layers(grid, forcing.F)
             b += c_hat[:, None] * (ops.mass * Flay[1:])
@@ -597,7 +647,7 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
             )
 
     return LinearSystem(grid=grid, ops=ops, eps=eps, rho=rho, c_hat=c_hat,
-                        b_forcing=b.ravel())
+                        b_forcing=b)
 
 
 def _time_thomas(b: np.ndarray, low, up):
@@ -688,20 +738,18 @@ class SpaceTimeInverse:
     # in-place batched Thomas solve on (nt, S) modal arrays
     solve_modes: Callable[[np.ndarray], np.ndarray]
     nt: int
-    # (nt, S) scratch of capacitance, whose sweep is read only on the trace
-    work: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         w = self.basis.to_modes(np.asarray(r, dtype=float).reshape(self.nt,
                                                                     -1))
         return self.basis.from_modes(self.solve_modes(w)).ravel()
 
-    def trace_solve(self, s: np.ndarray, r_hat: np.ndarray | None = None,
+    def trace_solve(self, s: np.ndarray, r_hat: tuple | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
         """Tm^{-1} (r_hat + V' E s), the modal coefficients of P (r + E s),
-        for a trace block s (nt, n_trace) and r_hat = V' r (nt, n_spatial)
-        of a right-hand side r (zero when None); shape (nt, n_spatial),
-        written into out when given."""
+        for a trace block s (nt, n_trace) and a right-hand side r given by
+        its nonzero rows, r_hat = (rows, (V' r)[rows]) (r zero when None);
+        shape (nt, n_spatial), written into out when given."""
         vy0 = self.basis.Vy[0]
         z = self.basis.to_trace_modes(s)
         w = np.multiply(vy0[None, :, None], z[:, None, :],
@@ -709,7 +757,8 @@ class SpaceTimeInverse:
                         else out.reshape(self.nt, vy0.shape[0], -1))
         w = w.reshape(self.nt, -1)
         if r_hat is not None:
-            w += r_hat
+            rows, vals = r_hat
+            w[rows] += vals
         return self.solve_modes(w)
 
     def trace(self, w: np.ndarray) -> np.ndarray:
@@ -719,14 +768,15 @@ class SpaceTimeInverse:
         return self.basis.from_trace_modes(
             vy0 @ w.reshape(self.nt, vy0.shape[0], -1))
 
-    def capacitance(self, s: np.ndarray) -> np.ndarray:
-        """C s = E' P E s for a trace block s (nt, n_trace)."""
-        if self.work is None:
-            self.work = np.empty((self.nt, self.basis.lam.size))
-        return self.trace(self.trace_solve(s, out=self.work))
+    def capacitance(self, s: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """C s = E' P E s for a trace block s (nt, n_trace); the sweep,
+        read only on the trace, runs in work (nt, n_spatial)."""
+        return self.trace(self.trace_solve(s, out=work))
 
     def shifted_solve(self, w0: np.ndarray, r0: np.ndarray,
-                      shift: np.ndarray, tol: float, maxit: int):
+                      shift: np.ndarray, tol: float, maxit: int,
+                      out: np.ndarray | None = None,
+                      work: np.ndarray | None = None):
         """The modal coefficients of x = (A_sigma + E diag(shift) E')^{-1}
         rhs from those of w0 = P (rhs - E (shift y0)), (nt, n_spatial),
         and r0 = trace(w0) - y0, for a trace block y0 (nt, n_trace) near
@@ -741,15 +791,20 @@ class SpaceTimeInverse:
         up to the roundoff of P, so its norm is at most
         tol max|shift| |r0|; solve_wied picks tol from the outer residual
         that way.  Returns the coefficients of x, one Thomas sweep after
-        GMRES, and the GMRES SolveResult (its x is delta, flattened).
+        GMRES, written into out when given, and the GMRES SolveResult (its
+        x is delta, flattened).  The capacitance sweeps run in work when
+        given, or in one array allocated here.
         """
         shape = shift.shape
+        if work is None:
+            work = np.empty(w0.shape)
 
         def apply(v):
-            return v + self.capacitance(shift * v.reshape(shape)).ravel()
+            return v + self.capacitance(shift * v.reshape(shape),
+                                        work).ravel()
 
         sol = gmres_solve(apply, np.ravel(r0), tol=tol, maxit=maxit)
-        w = self.trace_solve(shift * sol.x.reshape(shape))
+        w = self.trace_solve(shift * sol.x.reshape(shape), out=out)
         return np.subtract(w0, w, out=w), sol
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .grid import check_value
+
 
 class ModelError(ValueError):
     """Invalid combustion model."""
@@ -43,12 +45,19 @@ class CombustionModel:
 ZERO_MODEL = CombustionModel(kind="zero")
 
 
+def _param(model, key: str, default: float, need: str, test) -> float:
+    """A number of model.params, checked as grid.check_value checks a
+    config value; ModelError if it is no such number."""
+    try:
+        return float(check_value(f"{model.kind} param {key!r}",
+                                 model.params.get(key, default), need, test))
+    except ValueError as exc:
+        raise ModelError(str(exc)) from None
+
+
 def _poly_exponents(model) -> tuple[float, float]:
-    m = float(model.params.get("m", 1.0))
-    n = float(model.params.get("n", 1.0))
-    if m < 0 or n < 0:
-        raise ModelError("polynomial-bump exponents must be nonnegative")
-    return m, n
+    return tuple(_param(model, key, 1.0, "a finite number >= 0",
+                        lambda v: v >= 0) for key in ("m", "n"))
 
 
 @functools.lru_cache(maxsize=32)
@@ -68,10 +77,8 @@ def _poly_coef(m: float, n: float) -> float:
 
 
 def _hat_peak(model) -> float:
-    c = float(model.params.get("peak", 0.5))
-    if not 0.0 < c < 1.0:
-        raise ModelError("hat peak must lie in (0, 1)")
-    return c
+    return _param(model, "peak", 0.5, "a finite number in (0, 1)",
+                  lambda v: 0.0 < v < 1.0)
 
 
 def _table(model) -> tuple[np.ndarray, np.ndarray]:

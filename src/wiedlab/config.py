@@ -24,20 +24,23 @@ class InitialData:
     kind: str                 # gaussian | plateau | from-file
     params: dict = field(default_factory=dict)
 
+    def _number(self, key: str, default: float, positive: bool = False
+                ) -> float:
+        need, test = (("a finite number > 0", lambda v: v > 0) if positive
+                      else ("a finite number", None))
+        return float(check_value(f"{self.kind} initial data {key!r}",
+                                 self.params.get(key, default), need, test))
+
     def evaluate(self, grid: WeightedGrid) -> np.ndarray:
         if self.kind == "gaussian":
-            w = float(self.params.get("width", 0.1))
-            h = float(self.params.get("height", 1.0))
-            if w <= 0:
-                raise ConfigError("gaussian width must be positive")
+            w = self._number("width", 0.1, positive=True)
+            h = self._number("height", 1.0)
             U0 = grid.eval_spatial(
                 lambda *xy: h * np.exp(-(sum(v**2 for v in xy)) / (4.0 * w)))
         elif self.kind == "plateau":
-            r0 = float(self.params.get("radius", 0.5))
-            h = float(self.params.get("height", 1.0))
+            r0 = self._number("radius", 0.5, positive=True)
+            h = self._number("height", 1.0)
             axis = self.params.get("axis", "radial")
-            if r0 <= 0:
-                raise ConfigError("plateau radius must be positive")
             if axis == "radial":
                 U0 = grid.eval_spatial(
                     lambda *xy: h * np.clip(

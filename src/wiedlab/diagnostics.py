@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (ForcingSpec, build_operators, stencil_residual,
-                       _check_initial, _layers)
+                       _check_initial, _inertia_cells, _layers)
 from .combustion import phi_eval
 from .grid import (Cylinder, GridError, WeightedGrid, _grad_energy_spatial,
                    restrict, weighted_norm)
@@ -72,8 +72,11 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     minimizers.  Its EL residual is the stencil form (stencil_residual)
     on the stiffness products the Dirichlet energy already needs, so no
     space-time system is assembled.  KU, when given, must be those
-    products, (Ka @ U.T).T of the (nt+1, S) layers, as a solved level's
-    exit check leaves them (wied.Level.KU); otherwise they are formed.
+    products, Ka.rows of the (nt+1, S) layers, as a solved level's exit
+    check leaves them (wied.Level.KU); otherwise they are formed.  The
+    time differences, the residual's time stencil and the centred
+    differences share one (nt, S) array, and the residual takes one
+    more.
     """
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)
@@ -83,10 +86,10 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     dtau = dt / eps
     tau = grid.t[:-1] / eps
 
-    dU = np.diff(Ulay, axis=0) / dt
-    icell = (dU * dU) @ ops.mass
+    work = np.empty((nt, Ulay.shape[1]))
+    icell = _inertia_cells(Ulay, dt, ops.mass, work)
     if KU is None:
-        KU = (ops.Ka @ Ulay.T).T
+        KU = ops.Ka.rows(Ulay)
     Sm = np.einsum("ns,ns->n", Ulay, KU)
     Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
 
@@ -102,8 +105,11 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
         acc = (1.0 - q) * total[n] + q * acc
         energy[n] = acc
 
-    r = stencil_residual(grid, model, eps, Ulay, KU, ops)
-    dtauV = eps * (Ulay[2:] - Ulay[:-2]) / (2.0 * dt)
+    r = stencil_residual(grid, model, eps, Ulay, KU, ops, work=work)
+    # eps (U_{m+1} - U_{m-1}) / (2 dt), the same operations in place
+    dtauV = np.subtract(Ulay[2:], Ulay[:-2], out=work[:-1])
+    np.multiply(eps, dtauV, out=dtauV)
+    dtauV /= 2.0 * dt
     pair = np.abs(np.einsum("ms,ms->m", r[:-1], dtauV))
     identity_l1 = float(4.0 * eps * np.expm1(dtau) * np.sum(pair))
 

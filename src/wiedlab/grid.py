@@ -235,7 +235,8 @@ class Cylinder:
             raise GridError(f"cylinder radius must be positive, got {self.radius}")
 
     def _parts(self, d: int):
-        c = tuple(float(v) for v in self.center)
+        c = tuple(float(check_value("cylinder center entry", v))
+                  for v in self.center)
         if len(c) != d + 2:
             raise GridError(
                 f"cylinder center must have {d + 2} entries (*x, y, t), got {len(c)}"

@@ -39,8 +39,8 @@ from .parabolic import ParabolicConfig, solve_parabolic
 class Level:
     """One eps level from its solve to its reports: the field, the stats
     of solve_wied (empty for a field not solved here, such as a stored
-    dump), the stiffness product KU = (Ka @ U.T).T of its (nt+1, S)
-    layers where known, so a level started from it and its energy report
+    dump), the stiffness product KU = Ka.rows(U) of its (nt+1, S) layers
+    where known, so a level started from it and its energy report
     form none, and, in a sweep, its distance to the reference.  Levels
     compare by identity, so a level can key what is computed for it."""
 
@@ -199,7 +199,8 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     eigenbasis V (V' M V = I) with Tm one tridiagonal time problem per
     spatial mode, and from the first step to the level's exit the
     unknown layers are kept as their modal coefficients V' M U.  V' b is
-    formed once per level and V' E s transforms only the trace block s,
+    formed once per level, on the rows of b that can be nonzero (row 0
+    alone without forcing), and V' E s transforms only the trace block s,
     so a Picard step is one Thomas sweep and no full transform; the
     trace of the new iterate is read from its coefficients
     (SpaceTimeInverse.trace).  Where the model has a reaction
@@ -270,6 +271,16 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     input bit for bit), and whenever the tracked residual passes the
     tolerance, on the field transformed back from the modes; only that
     full residual ends the solve, and the field it checked is returned.
+
+    A level allocates its full-size arrays once: the nodal field and its
+    stiffness product (both returned), three slots that the modal
+    iterate, the Picard point and the Newton point rotate through, the
+    full residual, and one scratch array for the residual's time
+    stencil, the functional's time differences, the line search's
+    off-trace pairing and the capacitance sweeps of GMRES.  A damped
+    candidate is formed in the iterate's slot, and an accepted full step
+    takes over the trial point's.  Beyond these, the inverse holds its
+    two Thomas factor arrays and the basis one transform scratch.
     """
     system = system or assemble_linear_system(grid, cfg.eps)
     ops = system.ops
@@ -287,8 +298,16 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             raise ValueError("a start with a stiffness product needs "
                              "first layer U0")
         U[0] = U0f
+    # the level's full-size buffers: the nodal field (U, then every field
+    # nodal() forms), the full residual r (then W V' r_off), one scratch,
+    # and, allocated on first use, the level's own stiffness product and
+    # the three modal slots
+    Ubuf = U
+    rbuf = np.empty((nt, S))
+    work = np.empty((nt, S))
+    KUbuf = slots = None
 
-    b = system.rhs(U0f).reshape(nt, S)
+    rows, b_rows = system.rhs_rows(U0f)
     tr = ops.trace_index
     tm = ops.trace_mass
     ctm = system.c_hat[:, None] * tm                  # (nt, n_trace)
@@ -304,42 +323,52 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
     def full_state(U, KU=None):
         # residual and functional of the nodal U in full: |r|, r off the
-        # trace and its norm, the trace block of r, E(U), the layer sums
-        # of Phi and the stiffness product KU both share, with one Phi
+        # trace (in rbuf) and its norm, the trace block of r, E(U), the
+        # layer sums of Phi and the stiffness product KU both share, with
+        # one Phi
+        nonlocal KUbuf
         if KU is None:
-            KU = (ops.Ka @ U.T).T
-        r = system.residual(model, U, U0f, KU=KU)
+            if KUbuf is None:
+                KUbuf = np.empty((nt + 1, S))
+            KU = ops.Ka.rows(U, out=KUbuf)
+        r = system.residual(model, U, U0f, KU=KU, out=rbuf, work=work)
         res = _norm(r)
         rtr = r[:, tr].copy()
         r[:, tr] = 0.0
         pm = phi_eval(model, U[:, tr]) @ tm
         fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops,
-                                KU=KU, Pm=pm)
+                                KU=KU, Pm=pm, work=work)
         return res, r, _norm(r), rtr, fval, pm, KU
 
     def nodal(Uh):
         # the nodal field of modal unknown layers Uh: one full transform
-        U = np.empty((nt + 1, S))
-        U[0] = U0f
-        basis.from_modes(Uh, out=U[1:])
-        return U
+        Ubuf[0] = U0f
+        basis.from_modes(Uh, out=Ubuf[1:])
+        return Ubuf
+
+    def free_slot(*taken):
+        # a slot that holds none of taken (views of slots)
+        return next(slot for slot in slots
+                    if not any(np.may_share_memory(slot, t) for t in taken))
 
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
              "newton_tols": [], "steps": [], "damping": [], "iterations": 0}
     U_tr = U[1:, tr]
     bs = ctm * beta_eval(model, U_tr)
-    rhs0 = b.copy()
-    rhs0[:, tr] -= bs
-    tol_abs = cfg.outer_tol * max(_norm(rhs0), 1e-300)
-    del rhs0
+    # |b - E bs| at the start, with b assembled in rbuf
+    rbuf.fill(0.0)
+    rbuf[rows] = b_rows
+    rbuf[:, tr] -= bs
+    tol_abs = cfg.outer_tol * max(_norm(rbuf), 1e-300)
     stats["el_tol_abs"] = tol_abs
     # the off-trace part of the current residual is mu r_off, its norm off
     res, r_off, off, rtr, fval, pm, KU = full_state(
         U, None if start is None else start.KU)
     mu = 1.0
-    # the iterate's modal unknown layers and V' b, set when the first step
-    # is needed; U (and its stiffness product KU) is the nodal iterate only
-    # while it is the one the last full_state checked, and None after a step
+    # the iterate's modal unknown layers and V' b on the rows of b that
+    # can be nonzero, set when the first step is needed; U (and its
+    # stiffness product KU) is the nodal iterate only while it is the one
+    # the last full_state checked, and None after a step
     Uh = bh = None
     # the residual at the last failed Newton try, or at a cold start
     # (None while Newton is armed), the failed tries in a row and the
@@ -350,7 +379,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     def picard_point():
         # the Picard trial point P (b - E bs + E stab U_tr) in the modes,
         # its trace and the trace block of L(x)
-        x = inv.trace_solve(stab * U_tr - bs, bh)
+        x = inv.trace_solve(stab * U_tr - bs, bh, out=free_slot(Uh))
         x_tr = inv.trace(x)
         return x, x_tr, stab * (U_tr - x_tr) - bs
 
@@ -374,7 +403,8 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         # an unconverged GMRES still gives a usable inexact step: its
         # error enters lin exactly, and the line search judges it
         x, sol = inv.shifted_solve(xp, r0, shift, tol=tol,
-                                   maxit=INNER_MAXIT)
+                                   maxit=INNER_MAXIT,
+                                   out=free_slot(Uh, xp), work=work)
         stats["inner_iterations"].append(sol.iterations)
         x_tr = inv.trace(x)
         lin = stab * (U_tr - x_tr) - bs - shift * sol.x.reshape(shift.shape)
@@ -384,9 +414,13 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         lin_U = rtr - bs
         d_tr = x_tr - U_tr
         s_U = float(np.sum(wgt * lin_U * d_tr))
-        # r_off holds V' r_off here, so its pairing with the modal step
-        # is the nodal one
-        s_off = mu * float(np.sum(wgt * r_off * (x - Uh))) if mu else 0.0
+        # r_off holds W V' r_off here, so its pairing with the modal step
+        # is the nodal <W r_off, x - U>
+        s_off = 0.0
+        if mu:
+            pair = np.subtract(x, Uh, out=work)
+            pair *= r_off
+            s_off = mu * float(np.sum(pair))
         a1 = 2.0 * (s_U + s_off)
         a2 = float(np.sum(wgt * lin_x * d_tr)) - s_U - s_off
         pot = potential(pm)
@@ -407,7 +441,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             else:
                 res_ok = rcand <= 2.0 * res + tol_abs
             if fcand <= fval * (1.0 + 1e-12) + 1e-300 and res_ok:
-                cand = x if lam == 1.0 else (1.0 - lam) * Uh + lam * x
+                cand = x
+                if lam != 1.0:
+                    # (1 - lam) Uh + lam x, in Uh's slot: after the step
+                    # neither Uh nor x is read again
+                    cand = np.multiply(1.0 - lam, Uh, out=Uh)
+                    cand += np.multiply(lam, x, out=x)
                 return (cand, c_tr, lam, fcand, pm_c, rcand, off_c, rtr_c,
                         bs_c)
             lam *= 0.5
@@ -426,17 +465,16 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         if res <= tol_abs:
             return Level(cfg.eps, U, stats, KU)
         if Uh is None:
-            # enter the eigenbasis: V' M U of the unknown layers and V' b,
-            # once per level; b vanishes off its first row unless the
-            # system is forced, and a zero row has zero coefficients
-            Uh = np.multiply(ops.mass, U[1:])
+            # enter the eigenbasis: V' M U of the unknown layers and V' b
+            # on its rows that can be nonzero, once per level
+            slots = [np.empty((nt, S)) for _ in range(3)]
+            Uh = np.multiply(ops.mass, U[1:], out=slots[0])
             basis.to_modes(Uh, out=Uh)
-            rows = np.flatnonzero(np.any(b, axis=1))
-            b[rows] = basis.to_modes(b[rows])
-            bh = b
+            bh = rows, basis.to_modes(b_rows)
         if U is not None:
-            # V' r_off, once per full_state
+            # W V' r_off, once per full_state
             basis.to_modes(r_off, out=r_off)
+            np.multiply(wgt, r_off, out=r_off)
 
         kinds = ["picard"]
         if sigma > 0.0 and (

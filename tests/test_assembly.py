@@ -65,15 +65,16 @@ def _bits(a):
 @pytest.mark.parametrize("a", [-0.5, 0.5])
 def test_stencil_products_equal_csr_bitwise(monkeypatch, a, d, nx, ny,
                                             chunk):
-    # every product of the stencil stiffness, of a vector or of the layers
+    # every product of the stencil stiffness, of a vector or of the rows
     # of a field, has the bits of the CSR matrix of the Kronecker formula,
     # signed zeros and non-finite entries included; so does the shifted
-    # parabolic step matrix, and the layer product keeps the CSR layout
+    # parabolic step matrix.  The row product is C-ordered, whatever the
+    # layout of its input, and fills out when given
     from wiedlab.assembly import KroneckerStencil, _axis_stiffness
     g = build_grid(GridSpec(d=d, a=a, L=1.0, Y=1.0, T=1.0,
                             nx=nx, ny=ny, nt=4))
     S = g.n_spatial
-    if chunk == "small":   # several chunks of 2 vectors and a remainder
+    if chunk == "small":   # blocks of 2 rows: 7 rows are 3 and a remainder
         monkeypatch.setattr(KroneckerStencil, "CHUNK", 2 * S + 1)
     ops = build_operators(g)
     K, Kx1, Ky1 = _kron_stiffness(g)
@@ -83,22 +84,29 @@ def test_stencil_products_equal_csr_bitwise(monkeypatch, a, d, nx, ny,
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(C, name), getattr(K, name)), name
     rng = np.random.default_rng(nx + 10 * d)
-    for k in (None, 1, 7):
+    for k in (None, 1, 2, 7):
         U = rng.standard_normal((S,) if k is None else (k, S))
         U[np.abs(U) < 0.4] = 0.0
         U[np.abs(U) > 1.6] = -0.0
         if k is None:
             assert np.array_equal(_bits(ops.Ka @ U), _bits(K @ U))
-        else:
-            KU = (ops.Ka @ U.T).T
-            assert KU.flags.f_contiguous
-            assert np.array_equal(_bits(KU), _bits((K @ U.T).T))
+            continue
+        ref = _bits((K @ U.T).T)
+        KU = ops.Ka.rows(U)
+        assert KU.flags.c_contiguous
+        assert np.array_equal(_bits(KU), ref)
+        assert np.array_equal(_bits(ops.Ka.rows(np.asfortranarray(U))), ref)
+        out = np.full_like(U, np.nan)
+        assert ops.Ka.rows(U, out=out) is out
+        assert np.array_equal(_bits(out), ref)
     V = rng.standard_normal((5, S))
     V[1, 3], V[2, -1], V[4, 0] = np.inf, -np.inf, np.nan
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(_bits(ops.Ka @ V.T), _bits(K @ V.T))
+        assert np.array_equal(_bits(ops.Ka.rows(V)), _bits((K @ V.T).T))
         for v in V:
             assert np.array_equal(_bits(ops.Ka @ v), _bits(K @ v))
+    with pytest.raises(ValueError, match="rows"):
+        ops.Ka @ V.T
     shift = ops.mass / 0.01
     B = finalize_csr(sp.diags(shift) + K)
     for u in (U[0], rng.standard_normal(S)):
@@ -370,7 +378,7 @@ def test_stencil_residual_matches_assembled_system():
                                 nx=4, ny=5, nt=6))
         ops = build_operators(g)
         U = rng.random((g.spec.nt + 1, g.n_spatial))
-        r = stencil_residual(g, model, eps, U, (ops.Ka @ U.T).T, ops)
+        r = stencil_residual(g, model, eps, U, ops.Ka.rows(U), ops)
         ref = _matvec_residual(assemble_linear_system(g, eps, ops=ops),
                                model, U)
         assert r.shape == ref.shape
@@ -547,7 +555,7 @@ def test_shared_stiffness_product_changes_no_bit():
     system = assemble_linear_system(g, 0.1, ops=ops)
     rng = np.random.default_rng(5)
     U = rng.random((g.spec.nt + 1, g.n_spatial))
-    KU = (ops.Ka @ U.T).T
+    KU = ops.Ka.rows(U)
     assert np.array_equal(system.residual(BUMP, U, U[0], KU=KU),
                           system.residual(BUMP, U, U[0]))
     assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, KU=KU)

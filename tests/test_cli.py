@@ -215,6 +215,17 @@ def test_strict_support_flag(tmp_path, capsys):
                "nx": 8, "ny": 4, "nt": 16},
       "diagnostics": [{"name": "holder", "centers": [[0.0, 0.0, 1.0]]}]},
      "radius 1/16 holds 1 grid node"),
+    # numbers of the initial data, the model and a cylinder center are
+    # checked like every other config value
+    ({"initial": {"kind": "plateau", "radius": 0.5, "height": "0.8"}},
+     "'height'"),
+    ({"initial": {"kind": "plateau", "radius": 0.5, "height": True}},
+     "'height'"),
+    ({"model": {"kind": "polynomial-bump", "params": {"m": "1"}}}, "'m'"),
+    ({"model": {"kind": "piecewise-linear-hat", "params": {"peak": "0.5"}}},
+     "'peak'"),
+    ({"diagnostics": [{"name": "level-sets", "center": ["0", "0", "0.5"],
+                       "radius": 0.25}]}, "cylinder center"),
 ], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
         "cylinder-does-not-fit", "uniform-bounds-factor-string",
         "no-spikes-delta-string", "holder-levels-string",
@@ -225,7 +236,9 @@ def test_strict_support_flag(tmp_path, capsys):
         "linf-l2-empty-inner-cylinder", "strict-support-string",
         "seed-float", "seed-boolean", "seed-string", "grading-boolean",
         "forcing-exponents-boolean-and-string", "holder-levels-2",
-        "holder-probe-unresolved"])
+        "holder-probe-unresolved", "initial-height-string",
+        "initial-height-boolean", "bump-exponent-string",
+        "hat-peak-string", "level-sets-center-strings"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)

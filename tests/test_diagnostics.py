@@ -51,13 +51,13 @@ def test_energy_reuses_the_level_stiffness_product(solved, monkeypatch):
     ops = build_operators(g)
     ref = dg.energy_decomposition(g, BUMP, 0.1, res.U, ops=ops)
     products = []
-    matmul = KroneckerStencil.__matmul__
+    rows = KroneckerStencil.rows
 
-    def counted(self, x):
+    def counted(self, X, out=None):
         products.append(1)
-        return matmul(self, x)
+        return rows(self, X, out)
 
-    monkeypatch.setattr(KroneckerStencil, "__matmul__", counted)
+    monkeypatch.setattr(KroneckerStencil, "rows", counted)
     ctx = registry.Context(g, BUMP, (4.0, 4.0), ops)
     rep = ctx.energy(res)
     assert products == []

@@ -144,6 +144,36 @@ def test_field_io_allocates_one_block_beyond_the_field(tmp_path,
     assert load_peak <= arr.nbytes + block + slack
 
 
+def test_warm_level_allocates_its_working_set_once():
+    # a warm level (a start, and the operators and system of its sweep)
+    # peaks at K = 9 full-size (nt, S) arrays beyond its inputs: its
+    # field and stiffness product, three modal slots, the residual, one
+    # scratch and the two Thomas factor arrays.  The row product's two
+    # blocks and the trace-sized GMRES vectors stay below one more such
+    # array on this grid, so nothing allocates a full-size temporary
+    from wiedlab.assembly import build_operators
+    g = build_grid(GridSpec(d=2, a=0.3, L=1.0, Y=1.0, T=0.5,
+                            nx=4, ny=40, nt=200))
+    U0 = g.eval_spatial(lambda x1, x2, y: np.clip(
+        1 - (x1**2 + x2**2 + y**2) / 0.36, 0, None)**2).ravel()
+    ops = build_operators(g)
+    start = solve_wied(g, BUMP, WiedConfig(eps=0.05, outer_tol=1e-8), U0,
+                       system=assemble_linear_system(g, 0.05, ops=ops))
+    system = assemble_linear_system(g, 0.025, ops=ops)
+    full = 8 * g.spec.nt * g.n_spatial
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        level = solve_wied(g, BUMP, WiedConfig(eps=0.025, outer_tol=1e-8),
+                           U0, start=start, system=system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert "newton" in level.stats["steps"]
+    assert level.el_residual <= level.el_tol
+    assert peak <= (9 + 1) * full
+
+
 @pytest.mark.parametrize("damage, message", [
     (lambda path, side: path.write_bytes(path.read_bytes()[:-8]),
      "holds 472 bytes; its sidecar shape (4, 3, 5) needs 480"),
