@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics as dg, registry
+from . import diagnostics as dg
 from .assembly import functional_gradient, functional_value
 from .config import load_config
 from .grid import Cylinder, GridSpec, build_grid, restrict, weighted_norm
@@ -81,13 +81,12 @@ class AcceptanceContext:
 
     def pinned(self, name: str, **want) -> str | None:
         """None when the config runs diagnostic name with these options
-        (defaults filled in), else what differs."""
+        (defaults filled in at load), else what differs."""
         given = [d.options for d in self.cfg.diagnostics if d.name == name]
         if not given:
             return f"the config does not run {name!r}"
-        opt = registry.options(name, given[0], self.cfg.grid)
-        bad = [f"{k}={opt.get(k)!r} (gate: {v!r})" for k, v in want.items()
-               if opt.get(k) != v]
+        bad = [f"{k}={given[0].get(k)!r} (gate: {v!r})"
+               for k, v in want.items() if given[0].get(k) != v]
         return f"{name!r} runs with {', '.join(bad)}" if bad else None
 
 

@@ -88,17 +88,17 @@ def main(argv=None) -> int:
 
 
 def _one_level(cfg, eps):
-    """cfg with the one-level schedule of `wied --eps`, whose eps is
-    checked as a schedule's eps0 is: WiedConfig's range and the
-    horizon bound."""
-    from .config import ConfigError
+    """cfg with the one-level schedule of `wied --eps`, its eps checked
+    as a schedule's eps0 is: by its schema row and the horizon bound."""
+    from .config import SECTIONS, ConfigError
     from .wied import EpsilonSchedule, check_horizon
+    SECTIONS["schedule"]["eps0"].check(eps, "--eps")
     try:
-        wied = replace(cfg.wied, eps=eps)
         check_horizon(eps, cfg.grid.T)
     except ValueError as exc:
         raise ConfigError(f"--eps: {exc}") from exc
-    return replace(cfg, wied=wied, schedule=EpsilonSchedule(eps, count=1))
+    return replace(cfg, wied=replace(cfg.wied, eps=eps),
+                   schedule=EpsilonSchedule(eps, count=1))
 
 
 def _dispatch(args, cfg) -> int:
@@ -171,6 +171,7 @@ def _dispatch(args, cfg) -> int:
 def _diagnose(args, cfg, out) -> int:
     from . import registry
     from .assembly import build_operators
+    from .config import defaults
     from .runner import DiagnosticError, load_field, write_diagnostics, \
         write_json
     from .wied import Level
@@ -194,7 +195,9 @@ def _diagnose(args, cfg, out) -> int:
     summary = []
     try:
         skipped = write_diagnostics(
-            [(name, listed.get(name, probe)) for name in which],
+            [(name, listed[name] if name in listed else
+              {**defaults(f"diagnostics ({name})", sp.T), **probe})
+             for name in which],
             registry.Context(grid, cfg.model, cfg.forcing_exponents,
                              build_operators(grid)),
             [Level(side.get("eps"), arr)], out, summary)

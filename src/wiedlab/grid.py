@@ -20,7 +20,6 @@ the nodal weights of that box (restrict).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -28,22 +27,6 @@ import numpy as np
 
 class GridError(ValueError):
     """Invalid grid specification or region."""
-
-
-def check_value(name: str, v, need: str = "a finite number", test=None,
-                kind: type = float):
-    """v if it is of kind (float: any finite real number) and passes
-    test, else ValueError "<name> must be <need>, got <v>".  A bool is
-    of kind bool only: a JSON true or false is no number."""
-    if kind is bool or isinstance(v, bool):
-        ok = kind is bool and isinstance(v, bool)
-    else:
-        ok = isinstance(v, (int, np.integer)) or (
-            kind is float and isinstance(v, (float, np.floating))
-            and math.isfinite(v))
-    if not ok or (test is not None and not test(v)):
-        raise ValueError(f"{name} must be {need}, got {v!r}")
-    return v
 
 
 def default_grading(a: float) -> float:
@@ -77,39 +60,12 @@ class GridSpec:
     nt: int
     grading: float | None = None
 
-    def __post_init__(self):
-        try:
-            check_value("spatial dimension d", self.d, "1 or 2",
-                        lambda v: v in (1, 2), int)
-            check_value("weight exponent a", self.a,
-                        "a finite number strictly in (-1, 1)",
-                        lambda v: -1.0 < v < 1.0)
-            for name in ("L", "Y", "T"):
-                check_value(name, getattr(self, name), "a finite number > 0",
-                            lambda v: v > 0.0)
-            for name in ("nx", "ny", "nt"):
-                check_value(name, getattr(self, name), "an integer >= 2",
-                            lambda v: v >= 2, int)
-            if self.grading is not None:
-                check_value("grading", self.grading, "a finite number >= 1",
-                            lambda v: v >= 1.0)
-        except ValueError as exc:
-            raise GridError(str(exc)) from None
-
     @property
     def g(self) -> float:
         return default_grading(self.a) if self.grading is None else float(self.grading)
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "GridSpec":
-        known = {f: data[f] for f in GridSpec.__dataclass_fields__ if f in data}
-        extra = set(data) - set(known)
-        if extra:
-            raise GridError(f"unknown GridSpec fields: {sorted(extra)}")
-        return GridSpec(**known)
 
 
 @dataclass
@@ -230,13 +186,8 @@ class Cylinder:
     center: tuple
     radius: float
 
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise GridError(f"cylinder radius must be positive, got {self.radius}")
-
     def _parts(self, d: int):
-        c = tuple(float(check_value("cylinder center entry", v))
-                  for v in self.center)
+        c = tuple(float(v) for v in self.center)
         if len(c) != d + 2:
             raise GridError(
                 f"cylinder center must have {d + 2} entries (*x, y, t), got {len(c)}"

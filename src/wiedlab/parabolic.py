@@ -35,7 +35,7 @@ from .assembly import DiscreteOperators, axis_eigenbasis, build_operators
 # beta_prime_eval, finalize_csr and pcg_solve are unused here; they stay
 # importable because perfbench/tracing.py patches them by name
 from .combustion import beta_eval, beta_prime_eval  # noqa: F401
-from .grid import WeightedGrid, check_value
+from .grid import WeightedGrid
 from .linalg import finalize_csr, pcg_solve  # noqa: F401
 
 
@@ -62,13 +62,6 @@ class ParabolicConfig:
     picard_tol: float = 1e-11
     picard_maxit: int = 200
     linear_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("picard_tol", "linear_tol"):
-            check_value(name, getattr(self, name), "a finite number > 0",
-                        lambda v: v > 0.0)
-        check_value("picard_maxit", self.picard_maxit, "an integer >= 1",
-                    lambda v: v >= 1, int)
 
 
 def _step_matrix(grid, ops):

@@ -1,8 +1,9 @@
-"""The diagnostics registry: each name's option defaults, load-time check
-and compute step.  Compute steps return report rows and summary entries
-and touch no file; `run` and `diagnose` write them.  They look measuring
-functions up on the `diagnostics` module at call time, so a function
-replaced there (by a profiler, say) is the one called."""
+"""The diagnostics registry: each name's load-time check of what depends
+on the grid, and its compute step; its options are rows of config.SCHEMA.
+Compute steps return report rows and summary entries and touch no file;
+`run` and `diagnose` write them.  They look measuring functions up on
+the `diagnostics` module at call time, so a function replaced there (by
+a profiler, say) is the one called."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from . import diagnostics as dg
 from .assembly import ForcingSpec
 from .combustion import beta_eval
-from .grid import Cylinder, check_value
+from .grid import Cylinder
 from .wied import Level
 
 
@@ -53,6 +54,7 @@ def _field(ctx, lv: Level) -> np.ndarray:
 
 
 def _layer(ctx, lv: Level, opt) -> np.ndarray:
+    _check_layer(opt, ctx.grid, None)     # a stored field's grid may differ
     return _field(ctx, lv)[int(round(float(opt["layer_time"])
                                      / ctx.grid.dt))]
 
@@ -172,17 +174,12 @@ def _cauchy(ctx, levels, opt):
                "increment": v} for i, v in enumerate(inc)])], []
 
 
-# -- load-time checks: (options, grid, config); ValueError on a bad one
+# -- load-time checks of what depends on the grid: (options, grid,
+#    config); ValueError on a bad one.  config.SCHEMA checks each
+#    option's type and range first.
 
-def _check_cylinder(opt, grid, cfg, *positive) -> Cylinder:
-    """center and radius given, the named options positive, and the
-    cylinder inside the grid."""
-    missing = [k for k in ("center", "radius") if opt.get(k) is None]
-    if missing:
-        raise ValueError(f"needs {' and '.join(map(repr, missing))}")
-    for key in ("radius", *positive):
-        check_value(f"option {key!r}", opt[key], "a finite number > 0",
-                    lambda v: v > 0)
+def _check_cylinder(opt, grid, cfg) -> Cylinder:
+    """The cylinder inside the grid."""
     cyl = Cylinder(tuple(opt["center"]), float(opt["radius"]))
     cyl.require_fits(grid)
     return cyl
@@ -202,8 +199,6 @@ def _check_holder(opt, grid, cfg):
     """Each probe's unit cylinder inside the grid, and its third cylinder
     (radius 1/16) two nodes at least: the fit needs three positive
     oscillations."""
-    check_value("option 'levels'", opt["levels"], "an integer >= 3",
-                lambda v: v >= 3, int)
     for c in opt["centers"]:
         if not Cylinder(tuple(c), 1.0).fits(grid):
             raise ValueError(f"probe {c} too close to the boundary for "
@@ -216,11 +211,9 @@ def _check_holder(opt, grid, cfg):
 
 
 def _check_layer(opt, grid, cfg):
-    check_value("option 'radius'", opt["radius"], "a finite number > 0",
-                lambda v: v > 0)
-    check_value("option 'layer_time'", opt["layer_time"],
-                f"a finite number in [0, {grid.spec.T}]",
-                lambda v: 0 <= v <= grid.spec.T)
+    if opt["layer_time"] > grid.spec.T:
+        raise ValueError(f"option 'layer_time' = {opt['layer_time']} is "
+                         f"past the horizon T = {grid.spec.T}")
     # the slice's cylinder is centred at x = 0, y = 0 and the ratios scale
     # with its radius: clipped to the grid, it would no longer have it
     r = float(opt["radius"])
@@ -231,60 +224,29 @@ def _check_layer(opt, grid, cfg):
             f"{min(grid.spec.L, grid.spec.Y)}")
 
 
-def _check_isoperimetric(opt, grid, cfg):
-    check_value("option 'p'", opt["p"], "a finite number in (1, 2)",
-                lambda v: 1 < v < 2)
-    _check_layer(opt, grid, cfg)
-
-
 # -- the table
 
 @dataclass(frozen=True)
 class Diagnostic:
     compute: Callable
-    defaults: Callable = lambda spec: {}          # GridSpec -> options
     check: Callable = lambda opt, grid, cfg: None
 
 
 DIAGNOSTICS = {
     "energy": Diagnostic(_energy),
-    "uniform-bounds": Diagnostic(
-        _uniform_bounds, lambda spec: {"factor": 4.0},
-        lambda opt, grid, cfg: check_value(
-            "option 'factor'", opt["factor"], "a finite number > 0",
-            lambda v: v > 0)),
-    "linf-l2": Diagnostic(_linf_l2, check=_check_linf_l2),
-    "no-spikes": Diagnostic(
-        _no_spikes, lambda spec: {"delta": 0.5},
-        lambda opt, grid, cfg: _check_cylinder(opt, grid, cfg, "delta")),
-    "level-sets": Diagnostic(_level_sets, check=_check_cylinder),
-    "holder": Diagnostic(_holder, lambda spec: {"centers": [], "levels": 3},
-                         _check_holder),
-    "embedding": Diagnostic(
-        _embedding, lambda spec: {"layer_time": spec.T / 2.0, "radius": 1.0},
-        _check_layer),
+    "uniform-bounds": Diagnostic(_uniform_bounds),
+    "linf-l2": Diagnostic(_linf_l2, _check_linf_l2),
+    "no-spikes": Diagnostic(_no_spikes, _check_cylinder),
+    "level-sets": Diagnostic(_level_sets, _check_cylinder),
+    "holder": Diagnostic(_holder, _check_holder),
+    "embedding": Diagnostic(_embedding, _check_layer),
     "cauchy": Diagnostic(_cauchy),
-    "isoperimetric": Diagnostic(
-        _isoperimetric,
-        lambda spec: {"layer_time": spec.T / 2.0, "radius": 1.0, "p": 1.5},
-        _check_isoperimetric),
+    "isoperimetric": Diagnostic(_isoperimetric, _check_layer),
 }
 
 
-def options(name: str, given: dict, spec) -> dict:
-    """The entry's defaults for this grid, overridden by the given ones."""
-    return {**DIAGNOSTICS[name].defaults(spec), **given}
-
-
-def check(name: str, given: dict, grid, cfg) -> None:
-    """ValueError unless the name is known and its options fit the grid."""
-    if name not in DIAGNOSTICS:
-        raise ValueError(f"no such diagnostic; known: {', '.join(DIAGNOSTICS)}")
-    DIAGNOSTICS[name].check(options(name, given, grid.spec), grid, cfg)
-
-
-def compute(name: str, ctx: Context, levels: list, given: dict):
-    """(reports, summary entries) of one diagnostic on the levels; raises
-    NotApplicable, or ValueError/ArithmeticError if the fields fail it."""
-    return DIAGNOSTICS[name].compute(ctx, levels,
-                                     options(name, given, ctx.grid.spec))
+def compute(name: str, ctx: Context, levels: list, opt: dict):
+    """(reports, summary entries) of one diagnostic on the levels, given
+    every option; raises NotApplicable, or ValueError/ArithmeticError if
+    the fields fail it."""
+    return DIAGNOSTICS[name].compute(ctx, levels, opt)

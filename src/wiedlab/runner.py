@@ -31,8 +31,8 @@ from .assembly import build_operators
 # beta_eval is unused here; it stays importable because
 # perfbench/tracing.py patches it by name
 from .combustion import beta_eval, sup_bound  # noqa: F401
-from .config import ExperimentConfig
-from .grid import build_grid
+from .config import ExperimentConfig, walk
+from .grid import GridSpec, build_grid
 from .parabolic import ParabolicError, solve_parabolic
 from .wied import SweepError, sweep_epsilon
 
@@ -163,7 +163,6 @@ def _read_sidecar(path: Path):
     """(sidecar dict, grid) of a dump; OSError unless the sidecar is a
     JSON object with the dump's dtype and order and a gridspec that
     builds a grid."""
-    from .grid import GridSpec
     try:
         side = json.loads(path.with_suffix(".json").read_text())
     except ValueError as exc:
@@ -176,8 +175,9 @@ def _read_sidecar(path: Path):
             raise OSError(f"sidecar of field dump {path} gives {key} "
                           f"{side.get(key)!r}; dumps are {want!r}")
     try:
-        grid = build_grid(GridSpec.from_dict(side["gridspec"]))
-    except (KeyError, TypeError, ValueError) as exc:  # GridError included
+        grid = build_grid(GridSpec(**walk(side["gridspec"], "gridspec",
+                                          "grid")))
+    except (KeyError, ValueError) as exc:  # ConfigError, GridError included
         raise OSError(f"sidecar of field dump {path} has no valid "
                       f"gridspec: {exc!r}") from exc
     return side, grid
@@ -302,6 +302,11 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
             bool(-1e-8 <= lo and hi <= 1.0 + 1e-8)))
     write_json(outdir / "summary.json", summary)
 
+    try:    # the BLAS numpy was built with, null where numpy cannot say
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):   # numpy < 1.26 takes no mode
+        blas = None
     artifacts = {}
     for p in sorted(outdir.rglob("*")):
         if p.is_file() and p.name != "manifest.json":
@@ -311,6 +316,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
             json.dumps(_config_fingerprint(cfg), sort_keys=True).encode()
         ).hexdigest(),
         "package_version": __version__,
+        "numpy_version": np.__version__,
+        "blas": blas,
         "s_exponent": (1.0 - cfg.grid.a) / 2.0,
         "beta_sup": sup_bound(cfg.model),
         "tail_weight": float(np.exp(-cfg.grid.T / cfg.schedule.eps0)),

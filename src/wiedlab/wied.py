@@ -28,7 +28,7 @@ from .assembly import (DiscreteOperators, LinearSystem,
                        exp_time_weights, functional_value,
                        space_time_inverse)
 from .combustion import beta_eval, beta_prime_eval, phi_eval
-from .grid import WeightedGrid, check_value
+from .grid import WeightedGrid
 # bicgstab_solve is unused here; it stays importable because
 # perfbench/tracing.py patches it by name
 from .linalg import bicgstab_solve  # noqa: F401
@@ -94,15 +94,6 @@ class WiedConfig:
     outer_maxit: int = 40
     inner_tol: float = 1e-11       # floor of the Newton GMRES tolerance
 
-    def __post_init__(self):
-        check_value("eps", self.eps, "a finite number in (0, 1)",
-                    lambda v: 0.0 < v < 1.0)
-        for name in ("outer_tol", "inner_tol"):
-            check_value(name, getattr(self, name), "a finite number > 0",
-                        lambda v: v > 0.0)
-        check_value("outer_maxit", self.outer_maxit, "an integer >= 1",
-                    lambda v: v >= 1, int)
-
 
 @dataclass
 class EpsilonSchedule:
@@ -111,11 +102,6 @@ class EpsilonSchedule:
     count: int = 1
 
     def __post_init__(self):
-        check_value("eps0", self.eps0)
-        check_value("ratio", self.ratio, "a finite number in (0, 1)",
-                    lambda v: 0.0 < v < 1.0)
-        check_value("count", self.count, "an integer >= 1",
-                    lambda v: v >= 1, int)
         for e in self.values():
             if not 0.0 < e < 1.0:
                 raise ValueError(f"schedule leaves (0, 1): eps = {e}")

@@ -11,8 +11,8 @@ from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               _time_thomas, space_time_inverse,
                               spectral_preconditioner, stencil_residual,
                               weighted_trace_flux)
-from wiedlab.combustion import (CombustionModel, beta_eval, beta_prime_eval,
-                                model_from_dict, phi_eval, validate_model)
+from wiedlab.combustion import (ZERO_MODEL, CombustionModel, beta_eval,
+                                beta_prime_eval, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
 from wiedlab.linalg import finalize_csr
 
@@ -370,9 +370,8 @@ def test_stencil_residual_matches_assembled_system():
     # the stencil EL residual, formed layer by layer from Ka U, against
     # the matvec of the assembled space-time matrix plus the trace source
     # minus the initial-layer right-hand side
-    zero = model_from_dict({"kind": "zero"})
     rng = np.random.default_rng(12)
-    for d, model, eps in itertools.product((1, 2), (zero, BUMP),
+    for d, model, eps in itertools.product((1, 2), (ZERO_MODEL, BUMP),
                                            (0.3, 0.02)):
         g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
                                 nx=4, ny=5, nt=6))

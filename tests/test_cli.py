@@ -14,10 +14,13 @@ from wiedlab.cli import main
 from wiedlab.runner import load_field
 
 
+GRID = {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
+        "nx": 6, "ny": 5, "nt": 20}
+
+
 def write_config(path, **overrides):
     cfg = {
-        "grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
-                 "nx": 6, "ny": 5, "nt": 20},
+        "grid": dict(GRID),
         "model": {"kind": "zero"},
         "initial": {"kind": "plateau", "radius": 0.5, "height": 0.8},
         "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 2},
@@ -156,6 +159,25 @@ def test_manifest_records_parabolic_corrections(tmp_path):
         assert b"corrections" not in (out / name).read_bytes()
 
 
+def test_manifest_records_numpy_and_blas(tmp_path, monkeypatch):
+    # the unhashed manifest names the numpy and BLAS builds, or null where
+    # numpy cannot say, and neither record enters a hashed artifact
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["run", str(cfgp), "--out", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["numpy_version"] == np.__version__
+    blas = manifest["blas"]
+    assert blas is None or set(blas) == {"name", "version"}
+    def no_mode():      # the show_config of numpy < 1.26
+        return None
+    monkeypatch.setattr(np, "show_config", no_mode)
+    monkeypatch.setattr(np, "__version__", "0.0")
+    assert main(["run", str(cfgp), "--out", str(tmp_path / "b")]) == 0
+    other = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert (other["numpy_version"], other["blas"]) == ("0.0", None)
+    assert other["artifacts"] == manifest["artifacts"]
+
+
 def test_strict_support_flag(tmp_path, capsys):
     cfgp = write_config(tmp_path / "cfg.json",
                         initial={"kind": "gaussian", "width": 0.2,
@@ -226,6 +248,35 @@ def test_strict_support_flag(tmp_path, capsys):
      "'peak'"),
     ({"diagnostics": [{"name": "level-sets", "center": ["0", "0", "0.5"],
                        "radius": 0.25}]}, "cylinder center"),
+    # keys that nothing reads, and sections of the wrong shape: each is
+    # named by its path
+    ({"foo": 1}, "config 'foo': unknown key"),
+    ({"initial": {"kind": "plateau", "hieght": 0.5}},
+     "initial 'hieght': unknown key"),
+    ({"model": {"kind": "polynomial-bump", "params": {"m": 1, "k": 2}}},
+     "model.params 'k': unknown key"),
+    ({"model": {"kind": "zero", "lipschitz": 1.0}},
+     "model 'lipschitz': unknown key"),
+    ({"forcing_exponents": {"p": 3.0, "r": 2.0}},
+     "forcing_exponents 'r': unknown key"),
+    ({"diagnostics": [{"name": "energy"}, {"name": "uniform-bounds"},
+                      {"name": "level-sets", "center": [0.0, 0.0, 0.5],
+                       "radiuss": 0.25}]},
+     "diagnostics[2] 'radiuss': unknown key"),
+    ({"diagnostics": [{"name": "energy", "radius": 1.0}]},
+     "diagnostics[0] 'radius': unknown key"),
+    ({"diagnostics": [{"name": "cauchy", "eps": 0.1}]},
+     "diagnostics[0] 'eps': unknown key"),
+    ({"schedule": {"eps0": 0.05, "foo": 1}}, "schedule 'foo': unknown key"),
+    ({"wied": {"foo": 1}}, "wied 'foo': unknown key"),
+    ({"diagnostics": {"name": "energy"}},
+     "config 'diagnostics' must be a list of JSON objects"),
+    ({"diagnostics": ["energy"]}, "diagnostics[0] must be a JSON object"),
+    ({"diagnostics": [None]}, "diagnostics[0] must be a JSON object"),
+    ({"diagnostics": [{"center": [0.0, 0.0, 0.5]}]},
+     "diagnostics[0] 'name': missing"),
+    ({"model": {"kind": "polynomial-bump", "params": [1, 1]}},
+     "model 'params' must be a JSON object"),
 ], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
         "cylinder-does-not-fit", "uniform-bounds-factor-string",
         "no-spikes-delta-string", "holder-levels-string",
@@ -238,7 +289,12 @@ def test_strict_support_flag(tmp_path, capsys):
         "forcing-exponents-boolean-and-string", "holder-levels-2",
         "holder-probe-unresolved", "initial-height-string",
         "initial-height-boolean", "bump-exponent-string",
-        "hat-peak-string", "level-sets-center-strings"])
+        "hat-peak-string", "level-sets-center-strings", "unknown-top-level",
+        "initial-hieght", "bump-param-k", "model-lipschitz",
+        "forcing-exponent-r", "option-radiuss", "energy-option",
+        "cauchy-option", "schedule-unknown", "wied-unknown",
+        "diagnostics-object", "diagnostics-strings", "diagnostics-null",
+        "diagnostic-without-name", "params-list"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)
@@ -267,7 +323,8 @@ def test_deleted_key_rejected_at_load(tmp_path, capsys, command, key):
     eps = ["--eps", "0.05"] if command == "wied" else []
     assert main([command, str(cfgp), *eps, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and f"'{key}'" in err
+    assert err.startswith("config error:")
+    assert f"{section} '{key}': unknown key" in err
     assert not out.exists()
 
 
@@ -334,10 +391,14 @@ def test_diagnose_truncated_field_is_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("dtype", "<f4"), ("order", "row-major (t, y, x)"),
-    ("gridspec", {"d": 3})], ids=["dtype", "order", "gridspec"])
+    ("gridspec", {"d": 3}), ("gridspec", {**GRID, "nx": 1.5}),
+    ("gridspec", {**GRID, "grading": None, "nz": 4})],
+    ids=["dtype", "order", "gridspec", "gridspec-nx-fraction",
+         "gridspec-unknown-key"])
 def test_diagnose_bad_sidecar_is_io_error(tmp_path, capsys, key, value):
     # a sidecar the dump cannot be read by ends with exit 4 before any
-    # diagnostic runs
+    # diagnostic runs; its gridspec is checked against the config
+    # schema's grid rows
     cfgp = write_config(tmp_path / "cfg.json")
     assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
     side_path = tmp_path / "p" / "parabolic.json"
@@ -386,6 +447,24 @@ def test_diagnose_unknown_name_rejected_before_compute(tmp_path, capsys,
     assert rc == 2
     assert "'linf-l2x'" in capsys.readouterr().err
     assert not diag.exists()
+
+
+def test_diagnose_layer_past_the_field_horizon(tmp_path, capsys):
+    # a config's layer_time fits its own grid (T = 8) but not the stored
+    # field's (T = 1): exit 3 with a message, not an index error
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["parabolic", str(cfgp), "--out", str(tmp_path / "p")]) == 0
+    other = write_config(tmp_path / "other.json", grid={**GRID, "T": 8.0},
+                         diagnostics=[{"name": "embedding",
+                                       "layer_time": 6.0}])
+    diag = tmp_path / "diag"
+    rc = main(["diagnose", str(other),
+               "--field", str(tmp_path / "p" / "parabolic.f64"),
+               "--which", "embedding", "--out", str(diag)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: diagnostic 'embedding'")
+    assert "'layer_time' = 6.0 is past the horizon T = 1.0" in err
 
 
 # the reports each diagnostic writes on a one-level run
@@ -627,20 +706,43 @@ def _mutated(mutations):
     return cfg
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(MUTATIONS)
-def test_mutated_config_exits_with_documented_code(mutations):
+# examples drawn per command; the commands other than run are bounded
+# so that together they add a few seconds
+MUTATION_EXAMPLES = {"run": 200, "wied": 100, "parabolic": 100,
+                     "diagnose": 100}
+
+
+@pytest.fixture(scope="module")
+def mutation_field(tmp_path_factory):
+    """The parabolic reference of MUTATION_BASE, which `diagnose` reads."""
+    out = tmp_path_factory.mktemp("mutation-field")
+    (out / "cfg.json").write_text(json.dumps(MUTATION_BASE))
+    assert main(["parabolic", str(out / "cfg.json"), "--out", str(out)]) == 0
+    return out / "parabolic.f64"
+
+
+@pytest.mark.parametrize("command", list(MUTATION_EXAMPLES))
+def test_mutated_config_exits_with_documented_code(command, mutation_field):
     # every config, however broken, ends in 0, 2, 3 or 4 without a
-    # traceback, and an output directory always holds a manifest
-    with tempfile.TemporaryDirectory() as tmp:
-        cfgp = Path(tmp) / "cfg.json"
-        cfgp.write_text(json.dumps(_mutated(mutations)))
-        out = Path(tmp) / "out"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = main(["run", str(cfgp), "--out", str(out)])
-        assert rc in (0, 2, 3, 4), (rc, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if out.exists():
-            assert (out / "manifest.json").exists(), rc
+    # traceback, and an output directory of `run` always holds a manifest
+    extra = {"wied": ["--eps", "0.05"],
+             "diagnose": ["--field", str(mutation_field),
+                          "--which", ",".join(registry.DIAGNOSTICS)]}
+
+    @settings(max_examples=MUTATION_EXAMPLES[command], deadline=None,
+              derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(MUTATIONS)
+    def check(mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfgp = Path(tmp) / "cfg.json"
+            cfgp.write_text(json.dumps(_mutated(mutations)))
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([command, str(cfgp), *extra.get(command, []),
+                           "--out", str(out)])
+            assert rc in (0, 2, 3, 4), (rc, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if command == "run" and out.exists():
+                assert (out / "manifest.json").exists(), rc
+    check()

@@ -135,8 +135,12 @@ def test_beta_prime_matches_fd():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ModelError):
-        CombustionModel("frobnicator")
+    # a kind is checked where a model enters the program: the config
+    from wiedlab.config import ConfigError, config_from_dict
+    with pytest.raises(ConfigError, match="model 'kind' must be"):
+        config_from_dict({"grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0,
+                                   "T": 1.0, "nx": 4, "ny": 4, "nt": 4},
+                          "model": {"kind": "frobnicator"}})
 
 
 def _exact_bump_constant(m: int, n: int) -> Fraction:

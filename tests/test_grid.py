@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from wiedlab.config import ConfigError, config_from_dict, walk
 from wiedlab.grid import (Cylinder, GridError, GridSpec, build_grid,
                           default_grading, weighted_measure, weighted_norm)
+from wiedlab.runner import dump_field, load_field
 
 
 def test_unweighted_uniform_cell_masses():
@@ -34,11 +38,22 @@ def test_weighted_mass_against_quadrature_oracle():
     dict(a=1.5), dict(a=-1.0), dict(a=1.0), dict(nx=1), dict(ny=0),
     dict(L=0.0), dict(T=-1.0), dict(grading=0.5), dict(d=3),
 ])
-def test_spec_rejections(bad):
+def test_spec_rejections(tmp_path, bad):
+    # a spec is checked where it enters the program: a config's grid
+    # section and a field dump's sidecar
     base = dict(d=1, a=0.5, L=1.0, Y=1.0, T=1.0, nx=4, ny=4, nt=4)
+    g = build_grid(GridSpec(**base))
     base.update(bad)
-    with pytest.raises(GridError):
-        build_grid(GridSpec(**base))
+    key, = bad
+    with pytest.raises(ConfigError, match=f"grid '{key}' must be"):
+        config_from_dict({"grid": base})
+    path = tmp_path / "f.f64"
+    dump_field(path, g, np.zeros(g.spacetime_shape), {})
+    side = json.loads(path.with_suffix(".json").read_text())
+    side["gridspec"] = base
+    path.with_suffix(".json").write_text(json.dumps(side))
+    with pytest.raises(OSError, match=f"gridspec '{key}' must be"):
+        load_field(path)
 
 
 def test_node_placement_exact():
@@ -156,10 +171,11 @@ def test_region_outside_grid_rejected():
 def test_spec_json_roundtrip():
     spec = GridSpec(d=1, a=-0.25, L=1.0, Y=2.0, T=3.0, nx=4, ny=6, nt=8,
                     grading=1.5)
-    again = GridSpec.from_dict(spec.to_dict())
+    again = GridSpec(**walk(json.loads(json.dumps(spec.to_dict())),
+                            "gridspec", "grid"))
     assert again == spec
-    with pytest.raises(GridError):
-        GridSpec.from_dict({**spec.to_dict(), "extra_field": 1})
+    with pytest.raises(ConfigError, match="'extra_field': unknown key"):
+        walk({**spec.to_dict(), "extra_field": 1}, "gridspec", "grid")
 
 
 def axis_conditions(g, cyl):

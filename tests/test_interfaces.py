@@ -240,14 +240,17 @@ def _load_tracing():
 def test_benchmark_tracing_hooks_install_and_restore():
     # perfbench/tracing.py wraps wiedlab names by attribute; installing
     # fails on any name that no longer exists, and leaving the block puts
-    # every original back
-    from wiedlab import assembly, wied
+    # every original back, so a rename that would break the benchmark's
+    # traced mode fails here
+    from wiedlab import assembly, config, runner, wied
     tracing = _load_tracing()
-    before = (wied.assemble_linear_system, assembly.LinearSystem.residual)
+    before = (wied.assemble_linear_system, assembly.LinearSystem.residual,
+              config.load_config, config.build_grid, runner.build_grid)
     with tracing.installed(tracing.Tracer()):
         assert wied.assemble_linear_system is not before[0]
-    assert (wied.assemble_linear_system,
-            assembly.LinearSystem.residual) == before
+        assert config.load_config is not before[2]
+    assert (wied.assemble_linear_system, assembly.LinearSystem.residual,
+            config.load_config, config.build_grid, runner.build_grid) == before
     # perfbench/micro.py reads these names directly, without a wrapper
     assert callable(assembly.assemble_linear_system)
     assert callable(assembly.spectral_preconditioner)

@@ -381,8 +381,13 @@ def test_schedule_validation():
     assert sched.values() == [0.2, 0.1, 0.05]
     with pytest.raises(ValueError):
         EpsilonSchedule(1.2, 0.5, 2)
-    with pytest.raises(ValueError):
-        EpsilonSchedule(0.2, 1.1, 2)
+    # a ratio out of (0, 1) is rejected where a schedule enters the program
+    from wiedlab.config import ConfigError, config_from_dict
+    with pytest.raises(ConfigError, match="schedule 'ratio' must be"):
+        config_from_dict({"grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0,
+                                   "T": 8.0, "nx": 4, "ny": 4, "nt": 4},
+                          "schedule": {"eps0": 0.2, "ratio": 1.1,
+                                       "count": 2}})
 
 
 def test_sweep_single_level_report():
