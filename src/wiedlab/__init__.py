@@ -10,7 +10,7 @@ from .assembly import (DiscreteOperators, ForcingSpec, build_operators,
                        assemble_linear_system, exp_time_weights)
 from .wied import (WiedConfig, EpsilonSchedule, solve_wied, sweep_epsilon,
                    dist_C_L2a)
-from .parabolic import (ParabolicConfig, step_implicit, march_parabolic,
-                        solve_parabolic, analytic_heat_oracle)
+from .parabolic import (step_implicit, march_parabolic, solve_parabolic,
+                        analytic_heat_oracle)
 
 __version__ = "0.1.0"

@@ -840,9 +840,3 @@ def spectral_preconditioner(system: LinearSystem, sigma: float = 0.0):
     the grid size; solve_wied works in the modes and makes none.
     """
     return space_time_inverse(system, sigma)
-
-
-def weighted_trace_flux(grid: WeightedGrid, spatial_field: np.ndarray) -> np.ndarray:
-    """Discrete partial_y^a U at y = 0 recovered from the first face."""
-    U = np.asarray(spatial_field, dtype=float).reshape(grid.spatial_shape)
-    return grid.face_trans_y[0] * (U[1] - U[0])

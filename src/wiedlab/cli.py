@@ -40,9 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--strict-support", action="store_true",
-                       help="require the initial trace to vanish near the "
-                            "lateral boundary")
 
     p_run = sub.add_parser("run", help="full pipeline")
     common(p_run)
@@ -73,9 +70,6 @@ def main(argv=None) -> int:
     try:
         try:
             cfg = load_config(args.config)
-            if args.strict_support:
-                cfg = replace(cfg, strict_support=True)
-                cfg.validate()
             if args.command == "wied":
                 cfg = _one_level(cfg, args.eps)
         except ConfigError as exc:
@@ -124,8 +118,7 @@ def _dispatch(args, cfg) -> int:
         # run's first level does, so both give the same field
         try:
             level, = sweep_epsilon(grid, cfg.model, cfg.schedule,
-                                   cfg.initial.evaluate(grid), cfg=cfg.wied,
-                                   parabolic_cfg=cfg.parabolic)
+                                   cfg.initial.evaluate(grid), cfg=cfg.wied)
         except (ParabolicError, SweepError) as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 3
@@ -141,7 +134,7 @@ def _dispatch(args, cfg) -> int:
         grid = build_grid(cfg.grid)
         U0 = cfg.initial.evaluate(grid)
         try:
-            traj = solve_parabolic(grid, cfg.model, cfg.parabolic, U0)
+            traj = solve_parabolic(grid, cfg.model, U0)
         except ParabolicError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 3

@@ -18,7 +18,6 @@ import numpy as np
 from . import registry
 from .combustion import CombustionModel, validate_model
 from .grid import GridSpec, WeightedGrid, build_grid
-from .parabolic import ParabolicConfig
 from .wied import EpsilonSchedule, WiedConfig, check_horizon
 
 
@@ -93,7 +92,6 @@ SCHEMA = tuple(Key(*row) for row in (
     ("", "initial", "object", None, {}),
     ("", "schedule", "object", None, {}),
     ("", "wied", "object", None, {}),
-    ("", "parabolic", "object", None, {}),
     ("", "forcing_exponents", "object", None, {}),
     ("", "diagnostics", "list of objects", None, []),
     ("", "output", "string", None, "runs/out"),
@@ -112,11 +110,7 @@ SCHEMA = tuple(Key(*row) for row in (
     ("schedule", "ratio", "number", _UNIT, 0.5),
     ("schedule", "count", "integer", _ge(1), 1),
     ("wied", "outer_tol", "number", _POS, 1e-9),
-    ("wied", "outer_maxit", "integer", _ge(1), 40),
     ("wied", "inner_tol", "number", _POS, 1e-11),
-    ("parabolic", "picard_tol", "number", _POS, 1e-11),
-    ("parabolic", "picard_maxit", "integer", _ge(1), 200),
-    ("parabolic", "linear_tol", "number", _POS, 1e-12),
     ("forcing_exponents", "p", "number", None, 3.0),
     ("forcing_exponents", "q", "number", None, 4.0),
     ("model", "kind", "string", _one_of("zero", "polynomial-bump",
@@ -249,7 +243,6 @@ class ExperimentConfig:
     initial: InitialData
     schedule: EpsilonSchedule
     wied: WiedConfig
-    parabolic: ParabolicConfig
     diagnostics: list
     output: str
     seed: int
@@ -306,8 +299,8 @@ def config_from_dict(data) -> ExperimentConfig:
     model = walk(top["model"], "model", "model")
     walk(model["params"], "model.params", f"model.params ({model['kind']})")
     init = walk(top["initial"], "initial", "initial")
-    sched, wcfg, pcfg, fexp = (walk(top[s], s, s) for s in (
-        "schedule", "wied", "parabolic", "forcing_exponents"))
+    sched, wcfg, fexp = (walk(top[s], s, s) for s in (
+        "schedule", "wied", "forcing_exponents"))
     diags = [walk(d, f"diagnostics[{i}]", "diagnostics", grid.T)
              for i, d in enumerate(top["diagnostics"])]
     try:
@@ -319,7 +312,6 @@ def config_from_dict(data) -> ExperimentConfig:
                 k: v for k, v in top["initial"].items() if k != "kind"}),
             schedule=EpsilonSchedule(**sched),
             wied=WiedConfig(eps=sched["eps0"], **wcfg),
-            parabolic=ParabolicConfig(**pcfg),
             diagnostics=[DiagnosticRequest(d.pop("name"), d) for d in diags],
             output=top["output"], seed=top["seed"],
             strict_support=top["strict_support"],

@@ -20,6 +20,8 @@ the nodal weights of that box (restrict).
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -130,7 +132,18 @@ class WeightedGrid:
 
 
 def build_grid(spec: GridSpec) -> WeightedGrid:
-    """Build the weighted mesh; node coordinates are bit-exact from spec."""
+    """Build the weighted mesh; node coordinates are bit-exact from spec.
+
+    Raises GridError before allocating anything when one space-time field
+    of the grid, 8 (nt+1)(ny+1)(nx+1)^d bytes, exceeds physical memory.
+    """
+    field_bytes = 8 * math.prod(
+        (spec.nt + 1, spec.ny + 1) + (spec.nx + 1,) * spec.d)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if field_bytes > memory:
+        raise GridError(
+            f"one space-time field of this grid takes {field_bytes} bytes, "
+            f"more than the {memory} bytes of physical memory")
     a, g = spec.a, spec.g
     x = np.linspace(-spec.L, spec.L, spec.nx + 1)
     j = np.arange(spec.ny + 1, dtype=float)

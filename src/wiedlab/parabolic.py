@@ -27,7 +27,6 @@ together with the sign of beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,28 +47,19 @@ class ParabolicError(RuntimeError):
         self.trajectory = trajectory  # completed prefix, if any
 
 
-@dataclass
-class ParabolicConfig:
-    """Settings of the implicit-Euler reference (step_implicit), which
-    steps on the grid's time layers, so its trajectories live on the
-    WIED layers.
-
-    picard_tol and picard_maxit bound the trace Picard map of a reaction
-    step.  linear_tol is the tolerance without a reaction, where the map
-    is exact after one correction, so such a step makes only that one.
-    """
-
-    picard_tol: float = 1e-11
-    picard_maxit: int = 200
-    linear_tol: float = 1e-12
+# the trace map of a step stops once |s_k - s_{k+1}| is at most STEP_TOL
+# |M u_n/dt|, and fails after STEP_MAXIT corrections; the reference only
+# stands in for the eps -> 0 limit, so no experiment sets how its map stops
+STEP_TOL = 1e-11
+STEP_MAXIT = 200
 
 
 def _step_matrix(grid, ops):
     return ops.Ka.shifted(ops.mass / grid.dt)
 
 
-def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
-                  Un: np.ndarray, ops: DiscreteOperators | None = None,
+def step_implicit(grid: WeightedGrid, model, Un: np.ndarray,
+                  ops: DiscreteOperators | None = None,
                   A=None, carry: dict | None = None) -> np.ndarray:
     """One implicit Euler step, (M/dt + K) u + E D_tr beta(E' u) = M Un/dt,
     with dt the grid's time step.
@@ -89,17 +79,17 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     per time step with resolvent).  The trace products are taken directly
     with Vx: Vx' s and Vx z in d = 1, Vx' S Vx and Vx Z Vx' in d = 2.
     The residual of u_{k+1} is exactly E (s_k - s_{k+1}), whatever s_0
-    is, so the trace iterations stop once |s_k - s_{k+1}| is at most the
-    tolerance relative to |M Un/dt| (picard_tol, or linear_tol without a
-    reaction, where s = 0), and the modal coefficients c = V' M u of u
+    is, so the trace iterations stop once |s_k - s_{k+1}| is at most
+    STEP_TOL |M Un/dt|, and the modal coefficients c = V' M u of u
     recover it with one from_modes; entries of c below the smallest
-    normal float64 are set to 0 first.  The full residual is checked at Un,
-    which is returned unchanged if it passes, and at every recovered u;
-    should roundoff leave the recovered u above the tolerance, the trace
-    iterations go on, unless s did not change, when they would recover
-    the same u again (always so without a reaction).  ParabolicError is
-    raised then, and when u_{picard_maxit} still misses the tolerance;
-    its message gives the number of corrections made.
+    normal float64 are set to 0 first.  Without a reaction s stays 0, so
+    the first correction stops the map.  The full residual is checked at
+    Un, which is returned unchanged if it passes, and at every recovered
+    u; should roundoff leave the recovered u above the tolerance, the
+    trace iterations go on, unless s did not change, when they would
+    recover the same u again (always so without a reaction).
+    ParabolicError is raised then, and when u_{STEP_MAXIT} still misses
+    the tolerance; its message gives the number of corrections made.
 
     carry, when given, is a dict that hands one step's state to the next
     step of the same trajectory (same grid, operators and model):
@@ -130,14 +120,8 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     # np.add.reduce is np.sum's reduction without its Python wrapper
     scale = math.sqrt(np.add.reduce(rhs0 * rhs0)) or 1.0
 
-    linear = model is None or getattr(model, "kind", "zero") == "zero"
-    if linear:
-        # s stays 0, so the first correction recovers the solution or fails
-        sigma, tol, maxit = 0.0, cfg.linear_tol, 1
-    else:
-        sigma = max(getattr(model, "lipschitz", 0.0), 0.0)
-        tol, maxit = cfg.picard_tol, cfg.picard_maxit
-    bound = tol * scale
+    sigma = max(getattr(model, "lipschitz", 0.0), 0.0)
+    bound = STEP_TOL * scale
     tm = ops.trace_mass
 
     def passes(u, Au=None, beta_tr=None):
@@ -165,14 +149,14 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
     g = vy0 @ w.reshape(vy0.shape[0], -1)     # trace modes of E' B^{-1} M Un/dt
     if s_prev is not None:
         s = 2.0 * s - s_prev
-    for k in range(1, maxit + 1):
+    for k in range(1, STEP_MAXIT + 1):
         # u_k = B^{-1} (M Un/dt + E s_{k-1}): its trace, and s_k from it
         z = VxT @ s if flat else (VxT @ s.reshape(n, n) @ Vx).ravel()
         v = g + h * z
         u_tr = Vx @ v if flat else (Vx @ v.reshape(n, n) @ VxT).ravel()
         s_next = tm * (sigma * u_tr - beta_eval(model, u_tr))
         ds = s_next - s
-        if math.sqrt(ds @ ds) <= bound or k == maxit:
+        if math.sqrt(ds @ ds) <= bound or k == STEP_MAXIT:
             c = w + inv * (vy0[:, None] * z).ravel()
             # flush subnormal modes: without a reaction high modes decay
             # by 1/(1 + dt lam) a step into the subnormal range, where
@@ -187,12 +171,12 @@ def step_implicit(grid: WeightedGrid, model, cfg: ParabolicConfig,
                 break
         s = s_next
     raise ParabolicError(
-        f"{'linear solve' if linear else 'Picard'} did not converge in "
-        f"step_implicit ({k} correction{'s' if k > 1 else ''})")
+        "Picard did not converge in step_implicit "
+        f"({k} correction{'s' if k > 1 else ''})")
 
 
-def march_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
-                    U0: np.ndarray, ops: DiscreteOperators | None = None,
+def march_parabolic(grid: WeightedGrid, model, U0: np.ndarray,
+                    ops: DiscreteOperators | None = None,
                     stats: dict | None = None):
     """Yield the layers u_1, ..., u_nt of the trajectory from U0 on the
     grid's time layers, one step_implicit call per step, each handing
@@ -200,8 +184,9 @@ def march_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
 
     stats, when given, receives the trace corrections of the march once
     its last layer is yielded: "corrections" (the total),
-    "max_corrections" and "max_step", the first step that made the most
-    (0 if no step made any).  A failed step raises ParabolicError, whose
+    "max_corrections" (at most STEP_MAXIT, so it shows the budget's
+    margin) and "max_step", the first step that made the most (0 if no
+    step made any).  A failed step raises ParabolicError, whose
     message names the step.
     """
     ops = ops or build_operators(grid)
@@ -211,8 +196,7 @@ def march_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
     total = most = at = 0
     for n in range(1, grid.spec.nt + 1):
         try:
-            u = step_implicit(grid, model, cfg, u, ops=ops, A=A,
-                              carry=carry)
+            u = step_implicit(grid, model, u, ops=ops, A=A, carry=carry)
         except ParabolicError as exc:
             raise ParabolicError(f"step {n} failed: {exc}") from exc
         k = carry["corrections"]
@@ -224,8 +208,8 @@ def march_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
         stats.update(corrections=total, max_corrections=most, max_step=at)
 
 
-def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
-                    U0: np.ndarray, ops: DiscreteOperators | None = None,
+def solve_parabolic(grid: WeightedGrid, model, U0: np.ndarray,
+                    ops: DiscreteOperators | None = None,
                     stats: dict | None = None) -> np.ndarray:
     """The trajectory of march_parabolic (same stats), with U0 as its
     first layer: shape (nt+1, n_spatial).  On a step failure the
@@ -235,7 +219,7 @@ def solve_parabolic(grid: WeightedGrid, model, cfg: ParabolicConfig,
     traj[0] = np.asarray(U0, dtype=float).reshape(-1)
     n = 0
     try:
-        for n, u in enumerate(march_parabolic(grid, model, cfg, traj[0],
+        for n, u in enumerate(march_parabolic(grid, model, traj[0],
                                               ops=ops, stats=stats), 1):
             traj[n] = u
     except ParabolicError as exc:

@@ -236,8 +236,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     # levels or diagnostics of that phase were completed
     failure, levels, reference, corrections = None, [], None, {}
     try:
-        reference = solve_parabolic(grid, cfg.model, cfg.parabolic, U0,
-                                    ops=ops, stats=corrections)
+        reference = solve_parabolic(grid, cfg.model, U0, ops=ops,
+                                    stats=corrections)
     except ParabolicError as exc:
         steps = 0 if exc.trajectory is None else len(exc.trajectory) - 1
         failure = {"phase": "parabolic", "message": str(exc),
@@ -247,8 +247,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
                    {"role": "parabolic-reference"})
         try:
             levels = sweep_epsilon(grid, cfg.model, cfg.schedule, U0,
-                                   cfg=cfg.wied, parabolic_cfg=cfg.parabolic,
-                                   reference=reference, ops=ops)
+                                   cfg=cfg.wied, reference=reference,
+                                   ops=ops)
         except SweepError as exc:
             levels = exc.completed
             failure = {"phase": "sweep", "message": str(exc),

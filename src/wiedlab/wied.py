@@ -32,7 +32,7 @@ from .grid import WeightedGrid
 # bicgstab_solve is unused here; it stays importable because
 # perfbench/tracing.py patches it by name
 from .linalg import bicgstab_solve  # noqa: F401
-from .parabolic import ParabolicConfig, solve_parabolic
+from .parabolic import solve_parabolic
 
 
 @dataclass(eq=False)
@@ -80,18 +80,17 @@ class WiedConfig:
     """Settings of one WIED level solve.
 
     A level ends once its full EL residual is at most outer_tol times
-    |b - E bs| at its start (el_tol_abs in solve_wied), and fails after
-    outer_maxit iterations.
+    |b - E bs| at its start (el_tol_abs in solve_wied).
     inner_tol is the floor of the relative GMRES tolerance of a Newton
     trace solve, whose tolerance otherwise follows the outer residual
     (the forcing term in solve_wied).  The scheme itself is fixed (see
-    solve_wied): full steps with a backtracking line search, and at
-    most INNER_MAXIT GMRES iterations per Newton try.
+    solve_wied): full steps with a backtracking line search, at most
+    INNER_MAXIT GMRES iterations per Newton try, and failure after
+    OUTER_MAXIT iterations.
     """
 
     eps: float = 0.1
     outer_tol: float = 1e-9        # relative EL residual
-    outer_maxit: int = 40
     inner_tol: float = 1e-11       # floor of the Newton GMRES tolerance
 
 
@@ -131,6 +130,8 @@ FORCING_MAX = 0.1
 # line search judges.  Started next to the minimizer, as the sweep starts
 # every level, no try on the shipped config needs more than 5
 INNER_MAXIT = 10
+# a level that misses its tolerance after this many outer iterations fails
+OUTER_MAXIT = 40
 # after the k-th failed Newton try in a row, Picard runs until the
 # residual is at most NEWTON_REARM times its value at that try, or for
 # 2^k steps, whichever comes first; a cold start (no start) runs Picard
@@ -438,7 +439,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             lam *= 0.5
         return None
 
-    for k in range(1, cfg.outer_maxit + 1):
+    for k in range(1, OUTER_MAXIT + 1):
         stats["iterations"] = k
         if res <= tol_abs and U is None:
             U = nodal(Uh)
@@ -511,7 +512,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     if res <= tol_abs:
         return Level(cfg.eps, U, stats, KU)
     raise WiedConvergenceError(
-        f"no convergence after {cfg.outer_maxit} outer iterations "
+        f"no convergence after {OUTER_MAXIT} outer iterations "
         f"(residual {res:g}, tol {tol_abs:g})", Level(cfg.eps, U, stats, KU))
 
 
@@ -525,7 +526,6 @@ def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:
 
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   U0: np.ndarray, cfg: WiedConfig | None = None,
-                  parabolic_cfg: ParabolicConfig | None = None,
                   reference: np.ndarray | None = None,
                   ops: DiscreteOperators | None = None) -> list[Level]:
     """Solve each eps level and compare to the reference; returns the
@@ -540,9 +540,7 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
     cfg = cfg or WiedConfig(eps=schedule.eps0)
     ops = ops or build_operators(grid)
     if reference is None:
-        reference = solve_parabolic(grid, model,
-                                    parabolic_cfg or ParabolicConfig(), U0,
-                                    ops=ops)
+        reference = solve_parabolic(grid, model, U0, ops=ops)
     levels: list[Level] = []
     start = Level(None, reference)
     for eps in schedule.values():

@@ -9,8 +9,7 @@ from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               exp_time_weights,
                               functional_gradient, functional_value,
                               _time_thomas, space_time_inverse,
-                              spectral_preconditioner, stencil_residual,
-                              weighted_trace_flux)
+                              spectral_preconditioner, stencil_residual)
 from wiedlab.combustion import (ZERO_MODEL, CombustionModel, beta_eval,
                                 beta_prime_eval, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
@@ -275,10 +274,12 @@ def test_drift_is_the_only_skew_part():
 
 
 def test_manufactured_weighted_flux_is_exact():
+    # the first face's transmissibility recovers y^a dU/dy at y = 0 exactly
+    # for a profile of constant weighted flux
     for a in (-0.5, 0.0, 0.5):
         g = small_grid(4, 6, 4, a=a)
-        prof = g.eval_spatial(lambda x, y: 1.0 + y**(1 - a) / (1 - a))
-        flux = weighted_trace_flux(g, prof)
+        U = g.eval_spatial(lambda x, y: 1.0 + y**(1 - a) / (1 - a))
+        flux = g.face_trans_y[0] * (U[1] - U[0])
         assert np.max(np.abs(flux - 1.0)) < 1e-10
 
 
@@ -303,13 +304,16 @@ def test_spectral_preconditioner_inverts_base_system():
                 (d, a, eps, sigma)
 
 
-def test_trace_newton_step_matches_sparse_direct_solve():
+def test_trace_newton_step_matches_sparse_direct_solve(monkeypatch):
     # the Woodbury/trace Newton step (exact Picard inverse plus GMRES on the
     # y = 0 trace) against a sparse direct solve with the assembled Newton
-    # matrix, at a Picard iterate of a burning plateau
+    # matrix, at a Picard iterate of a burning plateau (the level stopped
+    # after OUTER_MAXIT = 4 steps)
     from scipy.sparse.linalg import spsolve
 
+    from wiedlab import wied
     from wiedlab.wied import WiedConfig, WiedConvergenceError, solve_wied
+    monkeypatch.setattr(wied, "OUTER_MAXIT", 4)
     for d, eps in itertools.product((1, 2), (0.1, 0.03)):
         g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0,
                                 nx=8, ny=4, nt=24))
@@ -318,7 +322,7 @@ def test_trace_newton_step_matches_sparse_direct_solve():
             + 0.0 * xy[-1]).ravel()
         system = assemble_linear_system(g, eps)
         with pytest.raises(WiedConvergenceError) as exc:
-            solve_wied(g, BUMP, WiedConfig(eps=eps, outer_maxit=4), U0,
+            solve_wied(g, BUMP, WiedConfig(eps=eps), U0,
                        system=system)
         U = exc.value.level.U
         nt, S = g.spec.nt, g.n_spatial

@@ -150,8 +150,8 @@ def test_manifest_records_parabolic_corrections(tmp_path):
     cfg = load_config(cfgp)
     grid = build_grid(cfg.grid)
     stats = {}
-    solve_parabolic(grid, cfg.model, cfg.parabolic,
-                    cfg.initial.evaluate(grid), stats=stats)
+    solve_parabolic(grid, cfg.model, cfg.initial.evaluate(grid),
+                    stats=stats)
     assert manifest["parabolic"] == stats
     assert stats["corrections"] >= stats["max_corrections"] >= 1
     assert 1 <= stats["max_step"] <= grid.spec.nt
@@ -179,14 +179,22 @@ def test_manifest_records_numpy_and_blas(tmp_path, monkeypatch):
 
 
 def test_strict_support_flag(tmp_path, capsys):
-    cfgp = write_config(tmp_path / "cfg.json",
-                        initial={"kind": "gaussian", "width": 0.2,
-                                 "height": 0.5})
+    # strict support is the config key alone: with it a gaussian, positive
+    # on the lateral boundary, exits 2 at load, and no CLI flag sets it
+    gaussian = {"kind": "gaussian", "width": 0.2, "height": 0.5}
+    cfgp = write_config(tmp_path / "cfg.json", initial=gaussian)
     assert main(["run", str(cfgp), "--out", str(tmp_path / "o1")]) == 0
-    rc = main(["run", str(cfgp), "--strict-support",
-               "--out", str(tmp_path / "o2")])
-    assert rc == 2
-    assert "strict-support" in capsys.readouterr().err
+    strict = write_config(tmp_path / "strict.json", initial=gaussian,
+                          strict_support=True)
+    assert main(["run", str(strict), "--out", str(tmp_path / "o2")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "strict-support" in err
+    assert not (tmp_path / "o2").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfgp), "--strict-support",
+              "--out", str(tmp_path / "o3")])
+    assert exc.value.code == 2
+    assert "--strict-support" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -210,8 +218,8 @@ def test_strict_support_flag(tmp_path, capsys):
      "leaves the grid"),
     ({"diagnostics": [{"name": "isoperimetric", "radius": 100.0}]},
      "leaves the grid"),
-    ({"parabolic": {"picard_maxit": 0}}, "picard_maxit"),
-    ({"wied": {"outer_maxit": 0}}, "outer_maxit"),
+    ({"parabolic": {"picard_maxit": 0}}, "config 'parabolic': unknown key"),
+    ({"wied": {"outer_maxit": 0}}, "wied 'outer_maxit': unknown key"),
     ({"wied": {"inner_tol": True}}, "inner_tol"),
     ({"schedule": {"eps0": 0.05, "ratio": 0.5, "count": True}}, "count"),
     # layers 1.5 apart: the half cylinder's window |t - 1| <= 1/4 is empty
@@ -277,6 +285,9 @@ def test_strict_support_flag(tmp_path, capsys):
      "diagnostics[0] 'name': missing"),
     ({"model": {"kind": "polynomial-bump", "params": [1, 1]}},
      "model 'params' must be a JSON object"),
+    # a grid whose one space-time field exceeds physical memory is
+    # rejected before anything is allocated
+    ({"grid": dict(GRID, nx=10**13)}, "physical memory"),
 ], ids=["from-file-without-path", "unknown-diagnostic", "eps0-beyond-T/20",
         "cylinder-does-not-fit", "uniform-bounds-factor-string",
         "no-spikes-delta-string", "holder-levels-string",
@@ -294,7 +305,7 @@ def test_strict_support_flag(tmp_path, capsys):
         "forcing-exponent-r", "option-radiuss", "energy-option",
         "cauchy-option", "schedule-unknown", "wied-unknown",
         "diagnostics-object", "diagnostics-strings", "diagnostics-null",
-        "diagnostic-without-name", "params-list"])
+        "diagnostic-without-name", "params-list", "grid-past-memory"])
 def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
     # exit 2 with a message and no traceback, before any compute writes
     cfgp = write_config(tmp_path / "bad.json", **overrides)
@@ -306,10 +317,14 @@ def test_config_rejected_at_load(tmp_path, capsys, overrides, message):
 
 
 # solver settings that are fixed in the code and are no config keys, each
-# with the value the code uses
+# with the value the code uses; the parabolic reference has no section
+# left, so a key of it is named by the section
 DELETED_KEYS = {"outer": ("wied", "newton"), "damping": ("wied", 1.0),
-                "inner_maxit": ("wied", 10), "dt": ("parabolic", 0.05),
-                "linear_maxit": ("parabolic", 5000)}
+                "inner_maxit": ("wied", 10), "outer_maxit": ("wied", 40),
+                "dt": ("parabolic", 0.05),
+                "linear_maxit": ("parabolic", 5000),
+                "parabolic": ("", {"picard_tol": 1e-11, "picard_maxit": 200,
+                                   "linear_tol": 1e-12})}
 
 
 @pytest.mark.parametrize("key", sorted(DELETED_KEYS))
@@ -318,13 +333,17 @@ def test_deleted_key_rejected_at_load(tmp_path, capsys, command, key):
     # a config that still sets a deleted key ends with exit 2, names the
     # key and writes nothing
     section, value = DELETED_KEYS[key]
-    cfgp = write_config(tmp_path / "old.json", **{section: {key: value}})
+    cfgp = write_config(tmp_path / "old.json",
+                        **({section: {key: value}} if section else
+                           {key: value}))
     out = tmp_path / "out"
     eps = ["--eps", "0.05"] if command == "wied" else []
     assert main([command, str(cfgp), *eps, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert f"{section} '{key}': unknown key" in err
+    named = (f"{section} '{key}'" if section == "wied"
+             else "config 'parabolic'")
+    assert f"{named}: unknown key" in err
     assert not out.exists()
 
 
@@ -567,12 +586,14 @@ def test_nonfinite_initial_data_rejected_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_parabolic_failure_is_solver_error_with_manifest(tmp_path, capsys):
+def test_parabolic_failure_is_solver_error_with_manifest(tmp_path, capsys,
+                                                         monkeypatch):
     # one Picard correction cannot finish the first step of a burning
     # plateau: exit 3, no traceback, and a manifest over what was written
+    from wiedlab import parabolic
+    monkeypatch.setattr(parabolic, "STEP_MAXIT", 1)
     cfgp = write_config(tmp_path / "cfg.json",
-                        model={"kind": "polynomial-bump"},
-                        parabolic={"picard_maxit": 1})
+                        model={"kind": "polynomial-bump"})
     out = tmp_path / "out"
     assert main(["run", str(cfgp), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -609,18 +630,21 @@ def test_diagnose_failure_is_solver_error(tmp_path, capsys):
     assert err.startswith("solver failure: diagnostic 'holder'")
 
 
-@pytest.mark.parametrize("overrides, phase, completed", [
-    ({"model": {"kind": "polynomial-bump"},
-      "parabolic": {"picard_maxit": 1}}, "parabolic", 0),
-    ({"model": {"kind": "polynomial-bump"}, "wied": {"outer_maxit": 1}},
-     "sweep", 0),
-    ({"initial": {"kind": "plateau", "radius": 0.5, "height": 0.0},
-      "diagnostics": [{"name": "energy"}, {"name": "embedding"}]},
+@pytest.mark.parametrize("budget, overrides, phase, completed", [
+    ("parabolic.STEP_MAXIT", {"model": {"kind": "polynomial-bump"}},
+     "parabolic", 0),
+    ("wied.OUTER_MAXIT", {"model": {"kind": "polynomial-bump"}}, "sweep", 0),
+    (None, {"initial": {"kind": "plateau", "radius": 0.5, "height": 0.0},
+            "diagnostics": [{"name": "energy"}, {"name": "embedding"}]},
      "diagnostics", 1),
 ], ids=["parabolic", "sweep", "diagnostics"])
-def test_failed_run_records_failure_in_manifest(tmp_path, capsys, overrides,
-                                                phase, completed):
-    # the manifest of a failed run says where it stopped and why
+def test_failed_run_records_failure_in_manifest(tmp_path, capsys, monkeypatch,
+                                                budget, overrides, phase,
+                                                completed):
+    # the manifest of a failed run says where it stopped and why; a solver
+    # phase fails on an iteration budget of 1
+    if budget:
+        monkeypatch.setattr(f"wiedlab.{budget}", 1)
     cfgp = write_config(tmp_path / "cfg.json", **overrides)
     out = tmp_path / "out"
     assert main(["run", str(cfgp), "--out", str(out)]) == 3
@@ -641,9 +665,7 @@ MUTATION_BASE = {
     "initial": {"kind": "plateau", "radius": 1.0, "height": 1.0,
                 "axis": "trace"},
     "schedule": {"eps0": 0.1, "ratio": 0.5, "count": 2},
-    "wied": {"outer_tol": 1e-9, "outer_maxit": 40, "inner_tol": 1e-11},
-    "parabolic": {"picard_tol": 1e-11, "picard_maxit": 200,
-                  "linear_tol": 1e-12},
+    "wied": {"outer_tol": 1e-9, "inner_tol": 1e-11},
     "forcing_exponents": {"p": 3.0, "q": 4.0},
     "diagnostics": [
         {"name": "energy"},

@@ -16,7 +16,6 @@ from wiedlab.combustion import CombustionModel, beta_eval, validate_model
 from wiedlab.config import (HALF_T, REQUIRED, SCHEMA, SECTIONS, ConfigError,
                             config_from_dict)
 from wiedlab.grid import GridSpec
-from wiedlab.parabolic import ParabolicConfig
 from wiedlab.wied import EpsilonSchedule, WiedConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,9 +28,7 @@ BASE = {
     "initial": {"kind": "plateau", "radius": 1.0, "height": 1.0,
                 "axis": "trace"},
     "schedule": {"eps0": 0.1, "ratio": 0.5, "count": 2},
-    "wied": {"outer_tol": 1e-9, "outer_maxit": 40, "inner_tol": 1e-11},
-    "parabolic": {"picard_tol": 1e-11, "picard_maxit": 200,
-                  "linear_tol": 1e-12},
+    "wied": {"outer_tol": 1e-9, "inner_tol": 1e-11},
     "forcing_exponents": {"p": 3.0, "q": 4.0},
     "diagnostics": [
         {"name": "energy"},
@@ -97,8 +94,7 @@ def placed(section, key, value):
 
 
 # every object a config holds: the top level, each section, each kind
-LEVELS = ("", "grid", "model", "schedule", "wied", "parabolic",
-          "forcing_exponents",
+LEVELS = ("", "grid", "model", "schedule", "wied", "forcing_exponents",
           *(f"{base} ({k})" for base, kinds in KINDS.items() for k in kinds),
           *(f"diagnostics ({n})" for n in DIAG_INDEX))
 
@@ -192,7 +188,7 @@ def test_library_defaults_equal_the_schema_defaults():
     # the dataclasses and the combustion kinds keep defaults of their
     # own for callers that build them directly; they equal the table's
     for section, cls in (("grid", GridSpec), ("schedule", EpsilonSchedule),
-                         ("wied", WiedConfig), ("parabolic", ParabolicConfig)):
+                         ("wied", WiedConfig)):
         for f in dataclasses.fields(cls):
             # WiedConfig.eps is no key: a level takes the schedule's eps
             if f.default is not dataclasses.MISSING and f.name != "eps":

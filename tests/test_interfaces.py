@@ -19,7 +19,7 @@ import pytest
 from wiedlab.assembly import assemble_linear_system
 from wiedlab.combustion import CombustionModel, validate_model
 from wiedlab.grid import GridSpec, build_grid
-from wiedlab.parabolic import ParabolicConfig, solve_parabolic
+from wiedlab.parabolic import solve_parabolic
 from wiedlab.runner import dump_field, load_field
 from wiedlab.wied import WiedConfig, solve_wied
 
@@ -36,7 +36,7 @@ def test_d2_solver_smoke():
                                   0, None)**2).ravel()
     res = solve_wied(g, BUMP, WiedConfig(eps=0.05, outer_tol=1e-8), U0)
     assert res.U.min() >= -1e-8 and res.U.max() <= 1.0 + 1e-8
-    traj = solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+    traj = solve_parabolic(g, BUMP, U0)
     assert traj.min() >= -1e-8 and traj.max() <= 1.0 + 1e-8
     masses = traj @ g.node_mass
     assert np.all(np.diff(masses) <= 1e-12)
@@ -188,9 +188,12 @@ def test_warm_level_allocates_its_working_set_once():
     (lambda path, side: side["gridspec"].update(bogus=1), "gridspec"),
     (lambda path, side: side.pop("gridspec"), "gridspec"),
     (lambda path, side: side.update(gridspec=[1, 2]), "gridspec"),
+    # a grid too large to allocate is refused before any allocation
+    (lambda path, side: side["gridspec"].update(nx=10**13),
+     "physical memory"),
 ], ids=["truncated", "oversized", "big-endian", "float32", "no-dtype",
         "wrong-order", "bad-nx", "unknown-field", "no-gridspec",
-        "gridspec-list"])
+        "gridspec-list", "grid-past-memory"])
 def test_load_field_rejects_a_bad_dump(tmp_path, damage, message):
     # the sidecar is checked before the dump is read, and every fault is
     # an OSError (exit 4 from the CLI)
@@ -228,13 +231,25 @@ def test_newton_matrix_diag_shift_only_on_trace():
     assert set(diff.row % S) <= set(system.ops.trace_index.tolist())
 
 
-def _load_tracing():
-    # perfbench/tracing.py, loaded from its file (perfbench is no package)
+def _load_perfbench(name):
+    # perfbench/<name>.py, loaded from its file (perfbench is no package)
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_configs_load():
+    # every workload config of the benchmark, which copies the shipped
+    # config and sets keys of its own, passes the config walk: a key the
+    # benchmark still sets cannot be deleted from the schema unnoticed
+    from wiedlab.config import config_from_dict
+    workloads = _load_perfbench("workloads")
+    for name in workloads.WORKLOADS:
+        for smoke in (False, True):
+            for seed in (1, 7):
+                config_from_dict(workloads.make_config(name, seed, smoke))
 
 
 def test_benchmark_tracing_hooks_install_and_restore():
@@ -243,7 +258,7 @@ def test_benchmark_tracing_hooks_install_and_restore():
     # every original back, so a rename that would break the benchmark's
     # traced mode fails here
     from wiedlab import assembly, config, runner, wied
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     before = (wied.assemble_linear_system, assembly.LinearSystem.residual,
               config.load_config, config.build_grid, runner.build_grid)
     with tracing.installed(tracing.Tracer()):
@@ -262,13 +277,13 @@ def test_traced_parabolic_steps_equal_nt():
     # perfbench's parabolic.steps counts the spans of step_implicit, so
     # solve_parabolic must call it once per time step
     from wiedlab import parabolic
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=0.5,
                             nx=8, ny=4, nt=12))
     U0 = g.eval_spatial(
         lambda x, y: np.clip(1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
     with tracing.installed(tracing.Tracer()) as tracer:
-        parabolic.solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+        parabolic.solve_parabolic(g, BUMP, U0)
     table = tracing.layer_table(tracer, 1)
     assert table["parabolic.steps"] == (g.spec.nt, "count")
 
@@ -280,7 +295,7 @@ def test_traced_run_sees_the_sweep(tmp_path):
     # and one energy report per level, which uniform-bounds reuses
     from wiedlab.config import config_from_dict
     from wiedlab.runner import run_experiment
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     cfg = config_from_dict({
         "grid": {"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
                  "nx": 6, "ny": 5, "nt": 20},

@@ -7,8 +7,9 @@ import pytest
 from wiedlab.combustion import CombustionModel, phi_eval, validate_model
 from wiedlab.config import config_from_dict
 from wiedlab.grid import GridSpec, build_grid
-from wiedlab.parabolic import (ParabolicConfig, analytic_heat_oracle,
-                               solve_parabolic, step_implicit)
+from wiedlab.parabolic import (STEP_MAXIT, STEP_TOL,
+                               analytic_heat_oracle, solve_parabolic,
+                               step_implicit)
 
 BUMP = validate_model(CombustionModel())
 
@@ -19,7 +20,7 @@ def grid_small(nx=12, ny=8, nt=20, a=0.5, L=1.0, Y=1.0, T=0.5, grading=None):
 
 
 def _shipped(**grid):
-    # the shipped config (physics, grid and tolerances of combustion-1d),
+    # the shipped config (physics and grid of combustion-1d),
     # with grid overrides and no diagnostics
     data = json.loads((Path(__file__).resolve().parent.parent / "configs"
                        / "combustion-1d.json").read_text())
@@ -28,21 +29,20 @@ def _shipped(**grid):
     return config_from_dict(data)
 
 
-def _drift_bound(ops, cfg, traj):
+def _drift_bound(ops, traj):
     # two trajectories whose steps each leave a residual of at most
-    # picard_tol |M u_n/dt| differ at a step by at most twice that through
+    # STEP_TOL |M u_n/dt| differ at a step by at most twice that through
     # (M/dt + K)^{-1}, whose norm is at most dt / min(mass); summed over
     # the steps
-    return float(np.sum(2.0 * cfg.picard_tol * np.linalg.norm(
+    return float(np.sum(2.0 * STEP_TOL * np.linalg.norm(
         traj[:-1] * ops.mass, axis=1)) / ops.mass.min())
 
 
 def test_constant_state_is_fixed_point():
     g = grid_small()
-    cfg = ParabolicConfig()
-    u = step_implicit(g, None, cfg, np.full(g.n_spatial, 0.3))
+    u = step_implicit(g, None, np.full(g.n_spatial, 0.3))
     assert np.max(np.abs(u - 0.3)) < 1e-12
-    traj = solve_parabolic(g, BUMP, cfg, np.zeros(g.n_spatial))
+    traj = solve_parabolic(g, BUMP, np.zeros(g.n_spatial))
     assert np.max(np.abs(traj)) < 1e-12
 
 
@@ -50,7 +50,7 @@ def test_mass_conservation_without_reaction():
     g = grid_small()
     rng = np.random.default_rng(0)
     U0 = rng.random(g.n_spatial)
-    traj = solve_parabolic(g, None, ParabolicConfig(), U0)
+    traj = solve_parabolic(g, None, U0)
     masses = traj @ g.node_mass
     assert np.max(np.abs(masses - masses[0])) < 1e-10
 
@@ -59,7 +59,7 @@ def test_combustion_sink_removes_mass():
     g = grid_small()
     U0 = g.eval_spatial(
         lambda x, y: np.clip(1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
-    traj = solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+    traj = solve_parabolic(g, BUMP, U0)
     masses = traj @ g.node_mass
     assert np.all(np.diff(masses) <= 1e-12)
     assert traj.min() >= -1e-8 and traj.max() <= 1.0 + 1e-8
@@ -70,7 +70,7 @@ def test_l2a_norm_nonincreasing_any_dt():
         g = grid_small(nt=nt, T=2.0)
         rng = np.random.default_rng(1)
         U0 = rng.random(g.n_spatial)
-        traj = solve_parabolic(g, None, ParabolicConfig(), U0)
+        traj = solve_parabolic(g, None, U0)
         norms = np.sqrt((traj * traj) @ g.node_mass)
         assert np.all(np.diff(norms) <= 1e-12)
 
@@ -80,9 +80,8 @@ def test_comparison_principle():
     rng = np.random.default_rng(2)
     U0 = rng.random(g.n_spatial)
     V0 = U0 + 0.3 * rng.random(g.n_spatial)
-    cfg = ParabolicConfig()
-    trU = solve_parabolic(g, None, cfg, U0)
-    trV = solve_parabolic(g, None, cfg, V0)
+    trU = solve_parabolic(g, None, U0)
+    trV = solve_parabolic(g, None, V0)
     assert np.all(trV - trU >= -1e-10)
 
 
@@ -114,7 +113,7 @@ def test_matches_heat_oracle_under_refinement():
         ym, xm = g.coords()
         X = np.stack(np.broadcast_arrays(xm, ym), axis=-1)
         U0 = analytic_heat_oracle(X, 0.0, w).ravel()
-        traj = solve_parabolic(g, None, ParabolicConfig(), U0)
+        traj = solve_parabolic(g, None, U0)
         errs.append(np.max(np.abs(
             traj[-1] - analytic_heat_oracle(X, T, w).ravel())))
     assert errs[1] <= 0.4 * errs[0]  # roughly second order in space
@@ -124,7 +123,7 @@ def test_phi_dissipation_grows_at_most_linearly():
     g = grid_small(nx=24, ny=8, nt=80, T=2.0)
     U0 = g.eval_spatial(
         lambda x, y: np.clip(1 - (x**2 + y**2) / 0.49, 0, None)**2).ravel()
-    traj = solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+    traj = solve_parabolic(g, BUMP, U0)
     from wiedlab.assembly import build_operators
     ops = build_operators(g)
     P = phi_eval(BUMP, traj[:, ops.trace_index]) @ ops.trace_mass
@@ -141,7 +140,7 @@ def test_nonfinite_state_rejected():
     bad = np.full(g.n_spatial, np.nan)
     from wiedlab.parabolic import ParabolicError
     with pytest.raises(ParabolicError):
-        step_implicit(g, None, ParabolicConfig(), bad)
+        step_implicit(g, None, bad)
 
 
 def test_refined_y_shipped_physics_converges():
@@ -150,15 +149,14 @@ def test_refined_y_shipped_physics_converges():
     # first one included, and keep the trajectory in [0, 1]
     cfg = _shipped(ny=22)
     g = build_grid(cfg.grid)
-    traj = solve_parabolic(g, cfg.model, cfg.parabolic,
-                           cfg.initial.evaluate(g))
+    traj = solve_parabolic(g, cfg.model, cfg.initial.evaluate(g))
     assert traj.shape == (961, g.n_spatial)
     assert np.all(np.isfinite(traj))
     assert traj.min() >= -1e-8 and traj.max() <= 1.0 + 1e-8
 
 
 def test_trace_picard_matches_full_space_iteration():
-    # shipped physics (config, grid and tolerances of combustion-1d): the
+    # shipped physics (config and grid of combustion-1d): the
     # trace-reduced step against the fixed-sigma MM iteration run on the
     # whole grid, u <- u - B^{-1} residual(u), B = M/dt + K + sigma D_tr,
     # with the same stopping rule, on the first step (the slowest) and a
@@ -170,7 +168,7 @@ def test_trace_picard_matches_full_space_iteration():
     cfg = _shipped()
     g = build_grid(cfg.grid)
     ops = build_operators(g)
-    model, pcfg = cfg.model, cfg.parabolic
+    model = cfg.model
     dt = g.dt
     A = sp.diags(ops.mass / dt) + ops.Ka.tocsr()
     shift = np.zeros(g.n_spatial)
@@ -179,9 +177,9 @@ def test_trace_picard_matches_full_space_iteration():
 
     def full_space_step(un):
         rhs0 = ops.mass * un / dt
-        bound = pcfg.picard_tol * np.linalg.norm(rhs0)
+        bound = STEP_TOL * np.linalg.norm(rhs0)
         u = un.copy()
-        for _ in range(pcfg.picard_maxit + 1):
+        for _ in range(STEP_MAXIT + 1):
             resid = A @ u - rhs0
             resid[ops.trace_index] += ops.trace_mass * beta_eval(
                 model, u[ops.trace_index])
@@ -191,10 +189,10 @@ def test_trace_picard_matches_full_space_iteration():
         raise AssertionError("full-space iteration did not converge")
 
     u0 = cfg.initial.evaluate(g)
-    mid = solve_parabolic(g, model, pcfg, u0, ops=ops)[g.spec.nt // 2]
+    mid = solve_parabolic(g, model, u0, ops=ops)[g.spec.nt // 2]
     for un in (u0, mid):
         ref = full_space_step(un)
-        u = step_implicit(g, model, pcfg, un, ops=ops)
+        u = step_implicit(g, model, un, ops=ops)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -207,7 +205,7 @@ def test_step_constants_built_once_per_time_step():
     ops = build_operators(g)
     U0 = g.eval_spatial(lambda x, y: np.clip(
         1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
-    solve_parabolic(g, BUMP, ParabolicConfig(), U0, ops=ops)
+    solve_parabolic(g, BUMP, U0, ops=ops)
     basis = axis_eigenbasis(g, ops, BUMP.lipschitz)
     assert list(basis.resolvents) == [1.0 / g.dt]
     inv, h = basis.resolvents[1.0 / g.dt]
@@ -227,12 +225,11 @@ def test_trajectory_hands_each_check_to_the_next_step(monkeypatch):
                                   build_operators)
     g = grid_small()
     ops = build_operators(g)
-    cfg = ParabolicConfig()
     U0 = g.eval_spatial(lambda x, y: np.clip(
         1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
     ref = [U0]
     for _ in range(g.spec.nt):
-        ref.append(step_implicit(g, BUMP, cfg, ref[-1], ops=ops))
+        ref.append(step_implicit(g, BUMP, ref[-1], ops=ops))
     ref = np.array(ref)
     calls = {"products": 0, "to_modes": 0}
 
@@ -246,16 +243,16 @@ def test_trajectory_hands_each_check_to_the_next_step(monkeypatch):
                         counted("products", KroneckerStencil.__matmul__))
     monkeypatch.setattr(AxisEigenbasis, "to_modes",
                         counted("to_modes", AxisEigenbasis.to_modes))
-    traj = solve_parabolic(g, BUMP, cfg, U0, ops=ops)
+    traj = solve_parabolic(g, BUMP, U0, ops=ops)
     assert calls == {"products": g.spec.nt + 1, "to_modes": 1}
-    assert np.max(np.abs(traj - ref)) <= _drift_bound(ops, cfg, ref)
+    assert np.max(np.abs(traj - ref)) <= _drift_bound(ops, ref)
 
 
 @pytest.mark.parametrize("case", ["shipped", "d2"])
 def test_every_layer_passes_the_exit_check(case):
     # each layer of the trajectory solves its step from the layer before
     # to the step's own nodal test: |(M/dt + K) u_{n+1} - M u_n/dt
-    # + E D_tr beta(E' u_{n+1})| <= picard_tol |M u_n/dt|
+    # + E D_tr beta(E' u_{n+1})| <= STEP_TOL |M u_n/dt|
     from wiedlab.assembly import build_operators
     from wiedlab.combustion import beta_eval
     if case == "shipped":
@@ -264,15 +261,14 @@ def test_every_layer_passes_the_exit_check(case):
         cfg = _shipped(d=2, nx=12, ny=6, nt=40, L=8.0, Y=5.0)
     g = build_grid(cfg.grid)
     ops = build_operators(g)
-    traj = solve_parabolic(g, cfg.model, cfg.parabolic,
-                           cfg.initial.evaluate(g), ops=ops)
+    traj = solve_parabolic(g, cfg.model, cfg.initial.evaluate(g), ops=ops)
     A = ops.Ka.shifted(ops.mass / g.dt)
     tr = ops.trace_index
     for n in range(g.spec.nt):
         rhs = ops.mass * traj[n] / g.dt
         resid = A @ traj[n + 1] - rhs
         resid[tr] += ops.trace_mass * beta_eval(cfg.model, traj[n + 1][tr])
-        assert np.linalg.norm(resid) <= (cfg.parabolic.picard_tol
+        assert np.linalg.norm(resid) <= (STEP_TOL
                                          * np.linalg.norm(rhs)), n
 
 
@@ -287,16 +283,14 @@ def test_extrapolated_start_lowers_the_corrections():
     ops = build_operators(g)
     U0 = cfg.initial.evaluate(g)
     stats = {}
-    traj = solve_parabolic(g, cfg.model, cfg.parabolic, U0, ops=ops,
-                           stats=stats)
+    traj = solve_parabolic(g, cfg.model, U0, ops=ops, stats=stats)
     totals = []
     for extrapolate in (True, False):
         carry, u, counts = {}, U0, []
         for n in range(g.spec.nt):
             if not extrapolate:
                 carry.pop("s", None)
-            u = step_implicit(g, cfg.model, cfg.parabolic, u, ops=ops,
-                              carry=carry)
+            u = step_implicit(g, cfg.model, u, ops=ops, carry=carry)
             counts.append(carry["corrections"])
             if extrapolate:
                 assert np.array_equal(u, traj[n + 1])
@@ -310,16 +304,20 @@ def test_extrapolated_start_lowers_the_corrections():
 
 
 def test_failing_linear_step_stops_after_one_recovery(monkeypatch):
-    # without a reaction s stays 0, so once the recovered u misses the
-    # tolerance every later correction would recover the same u: the
-    # step fails after one recovery (three beta_eval calls: at u_n, for
-    # s_1 and at the recovered u), and its message counts the one
-    # correction it made
+    # without a reaction s stays 0, so the map stops at its first
+    # correction: a step that passes makes that one, and once the
+    # recovered u misses the tolerance every later correction would
+    # recover the same u, so the step fails after one recovery (three
+    # beta_eval calls: at u_n, for s_1 and at the recovered u), and its
+    # message counts the one correction it made
     from wiedlab import parabolic
     from wiedlab.combustion import beta_eval
     g = grid_small()
     U0 = g.eval_spatial(lambda x, y: np.clip(
         1 - (x**2 + y**2) / 0.36, 0, None)**2).ravel()
+    carry = {}
+    step_implicit(g, None, U0, carry=carry)
+    assert carry["corrections"] == 1
     calls = []
 
     def counted(model, v):
@@ -327,10 +325,10 @@ def test_failing_linear_step_stops_after_one_recovery(monkeypatch):
         return beta_eval(model, v)
 
     monkeypatch.setattr(parabolic, "beta_eval", counted)
-    cfg = ParabolicConfig(linear_tol=1e-18)
+    monkeypatch.setattr(parabolic, "STEP_TOL", 1e-18)
     with pytest.raises(parabolic.ParabolicError,
-                       match="linear solve did not converge") as exc:
-        step_implicit(g, None, cfg, U0)
+                       match="Picard did not converge") as exc:
+        step_implicit(g, None, U0)
     assert str(exc.value).endswith("(1 correction)")
     assert len(calls) == 3
 
@@ -345,10 +343,10 @@ def test_reaction_free_march_flushes_subnormal_modes():
     ym, xm = g.coords()
     u = analytic_heat_oracle(
         np.stack(np.broadcast_arrays(xm, ym), axis=-1), 0.0, 0.08).ravel()
-    cfg, carry = ParabolicConfig(linear_tol=1e-10), {}
+    carry = {}
     tiny = np.finfo(float).tiny
     for _ in range(g.spec.nt):
-        u = step_implicit(g, None, cfg, u, carry=carry)
+        u = step_implicit(g, None, u, carry=carry)
         c = carry["modes"]
         assert not np.any((c != 0.0) & (np.abs(c) < tiny))
     assert np.count_nonzero(c == 0.0) > 0      # the march got there
@@ -362,9 +360,8 @@ def test_march_yields_the_layers_solve_parabolic_stores(monkeypatch):
     g = grid_small()
     U0 = g.eval_spatial(lambda x, y: 0.9 * np.exp(-4.0 * (x**2 + y**2)))
     s_march, s_solve = {}, {}
-    layers = list(parabolic.march_parabolic(g, BUMP, ParabolicConfig(), U0,
-                                            stats=s_march))
-    traj = solve_parabolic(g, BUMP, ParabolicConfig(), U0, stats=s_solve)
+    layers = list(parabolic.march_parabolic(g, BUMP, U0, stats=s_march))
+    traj = solve_parabolic(g, BUMP, U0, stats=s_solve)
     assert len(layers) == g.spec.nt
     assert np.array_equal(traj[0], U0.ravel())
     assert np.array_equal(np.array(layers), traj[1:])
@@ -381,11 +378,11 @@ def test_march_yields_the_layers_solve_parabolic_stores(monkeypatch):
     monkeypatch.setattr(parabolic, "step_implicit", fails_at_third)
     with pytest.raises(parabolic.ParabolicError, match="step 3 failed: boom"
                        ) as exc:
-        for _ in parabolic.march_parabolic(g, BUMP, ParabolicConfig(), U0):
+        for _ in parabolic.march_parabolic(g, BUMP, U0):
             pass
     assert exc.value.trajectory is None
     calls.clear()
     with pytest.raises(parabolic.ParabolicError, match="step 3 failed: boom"
                        ) as exc:
-        solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+        solve_parabolic(g, BUMP, U0)
     assert np.array_equal(exc.value.trajectory, traj[:3])

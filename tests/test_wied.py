@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wiedlab import wied
 from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
                               functional_gradient, functional_value)
 from wiedlab.combustion import CombustionModel, validate_model
@@ -40,16 +41,17 @@ def test_maximum_principle_combustion():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_tracked_residual_matches_full_residual_at_every_step(d):
+def test_tracked_residual_matches_full_residual_at_every_step(d, monkeypatch):
     # Picard steps are one exact apply and Newton steps a trace solve, so
     # the residual and the functional after each accepted step are tracked
     # from trace data, not recomputed; from this cold start the level
     # takes Picard steps, then Newton steps.  Stopping the solve after
-    # k steps makes it report the full LinearSystem.residual and
-    # functional_value at the same iterate.  The residuals must agree to
-    # 1e-10 relative, down to a floor of 1e-13 of the level's residual
-    # scale, where the full residual's own roundoff sits (observed: 1e-16
-    # of the scale); the functionals to 1e-12 relative (observed: 5e-15)
+    # k steps (OUTER_MAXIT = k) makes it report the full
+    # LinearSystem.residual and functional_value at the same iterate.  The
+    # residuals must agree to 1e-10 relative, down to a floor of 1e-13 of
+    # the level's residual scale, where the full residual's own roundoff
+    # sits (observed: 1e-16 of the scale); the functionals to 1e-12
+    # relative (observed: 5e-15)
     spec = {1: dict(nx=16, ny=8, nt=80), 2: dict(nx=6, ny=4, nt=24)}[d]
     g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0, **spec))
     U0 = g.eval_spatial(lambda *xy: np.clip(
@@ -67,8 +69,9 @@ def test_tracked_residual_matches_full_residual_at_every_step(d):
         steps = res.stats["iterations"] - 1
         assert steps >= 4
         for k in range(1, steps):
+            monkeypatch.setattr(wied, "OUTER_MAXIT", k)
             with pytest.raises(WiedConvergenceError) as exc:
-                solve_wied(g, BUMP, replace(cfg, outer_maxit=k), U0)
+                solve_wied(g, BUMP, cfg, U0)
             full = exc.value.level.stats["residuals"][-1]
             assert abs(tracked[k] - full) <= 1e-10 * full + 1e-13 * scale, \
                 (eps, k)
@@ -76,6 +79,7 @@ def test_tracked_residual_matches_full_residual_at_every_step(d):
             assert f_full == functional_value(g, BUMP, eps,
                                               exc.value.level.U, U0)
             assert abs(f_tracked[k] - f_full) <= 1e-12 * abs(f_full), (eps, k)
+        monkeypatch.undo()
         # the reported residual is the full one, below the tolerance
         assert tracked[-1] <= res.stats["el_tol_abs"]
 
@@ -285,7 +289,7 @@ def test_step_cost_in_the_eigenbasis(d, monkeypatch):
 @pytest.mark.parametrize("grid, eps", [
     (dict(nx=16, ny=6, nt=80), 0.05),
     # Picard contracts slowly here after the first damped try, so waiting
-    # for NEWTON_REARM alone would keep Newton off past outer_maxit
+    # for NEWTON_REARM alone would keep Newton off past OUTER_MAXIT
     (dict(d=2, nx=4, ny=5, nt=12), 0.02)])
 def test_failed_newton_try_rearms_picard(grid, eps, start):
     # the shipped physics from U0 held in time on coarse grids.  Passed as
@@ -344,12 +348,12 @@ def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
     # product fewer per level transition, and the same bits as a level
     # solved from the same field without it
     from wiedlab.assembly import KroneckerStencil, build_operators
-    from wiedlab.parabolic import ParabolicConfig, solve_parabolic
+    from wiedlab.parabolic import solve_parabolic
     g = grid_small(8, 6, 40, T=2.0)
     ops = build_operators(g)
     U0 = bump_data(g)
     cfg = WiedConfig(eps=0.1, outer_tol=1e-9)
-    ref = solve_parabolic(g, BUMP, ParabolicConfig(), U0)
+    ref = solve_parabolic(g, BUMP, U0)
     calls = [0]
     rows = KroneckerStencil.rows
 
