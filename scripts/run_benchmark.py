@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the shipped combustion benchmark and print the headline numbers:
-the wall clock and the process's peak resident set size, the parabolic
+the wall clock, the process's peak resident set size and the BLAS
+kernel it ran on (from manifest.json), the parabolic
 reference's trace corrections (from manifest.json), the
 convergence table, then per eps level the outer iterations, the accepted
 Newton and Picard steps and the GMRES iterations of its Newton trace
@@ -30,7 +31,8 @@ def main(config="configs/combustion-1d.json", out="runs/combustion-1d"):
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"wall clock: {manifest['wallclock_s']:.1f}s, "
-          f"peak RSS: {peak:.1f} MB")
+          f"peak RSS: {peak:.1f} MB, "
+          f"BLAS kernel: {manifest['blas_kernel']}")
     par = manifest["parabolic"]
     print(f"parabolic trace corrections: {par['corrections']} in total, "
           f"at most {par['max_corrections']} (step {par['max_step']})")

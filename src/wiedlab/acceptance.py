@@ -148,14 +148,14 @@ def criterion_eps_limit(ctx) -> CriterionResult:
     eps = [s["eps"] for s in run["stats"]]
     strict = all(b < a for a, b in zip(dists, dists[1:]))
     third = dists[-1] <= dists[0] / 3.0
+    ratio = f"{dists[-1] / dists[0]:.3f}" if dists[0] else "n/a"
     wall = run["manifest"]["wallclock_s"]
     ok = (strict and third and len(dists) == 5
           and abs(eps[0] - 0.2) < 1e-12 and wall < 600.0)
     return CriterionResult(
         "3 eps-limit consistency", ok,
         f"distances {['%.4f' % d for d in dists]}, strict decrease "
-        f"{strict}, last/first {dists[-1] / dists[0]:.3f} (<= 1/3), "
-        f"{wall:.0f}s (< 600s)")
+        f"{strict}, last/first {ratio} (<= 1/3), {wall:.0f}s (< 600s)")
 
 
 def criterion_max_principle(ctx) -> CriterionResult:

@@ -785,15 +785,16 @@ class SpaceTimeInverse:
         Woodbury on the trace: the trace y of x solves
         (I + C diag(shift)) y = E' P rhs, whose residual at y0 is r0.  The
         correction delta = y - y0 solves (I + C diag(shift)) delta = r0
-        by GMRES from 0 to relative residual tol, and
+        by one GMRES cycle from 0 of at most maxit iterations (one C
+        apply each) to relative residual tol, and
         x = w0 - P E (shift delta).  Then E' x - y0 - delta is the GMRES
         residual g, and the linear residual of x is exactly E (shift g),
         up to the roundoff of P, so its norm is at most
-        tol max|shift| |r0|; solve_wied picks tol from the outer residual
-        that way.  Returns the coefficients of x, one Thomas sweep after
-        GMRES, written into out when given, and the GMRES SolveResult (its
-        x is delta, flattened).  The capacitance sweeps run in work when
-        given, or in one array allocated here.
+        tol max|shift| |r0| once GMRES converges; solve_wied picks tol
+        from the outer residual that way.  Returns the coefficients of x,
+        one Thomas sweep after GMRES, written into out when given, and the
+        GMRES SolveResult (its x is delta, flattened).  The capacitance
+        sweeps run in work when given, or in one array allocated here.
         """
         shape = shift.shape
         if work is None:

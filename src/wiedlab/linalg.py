@@ -2,8 +2,8 @@
 
 The Krylov solvers are written out so that iterates are bitwise
 reproducible: all reductions go through numpy's fixed-order pairwise
-sums, never a threaded BLAS path.  No solver needs a stored matrix: the
-run path applies operators as callables or as assembly.KroneckerStencil.
+sums, never a threaded BLAS path.  No solver needs a stored matrix, and
+the run path calls only gmres_solve, one Arnoldi cycle on a callable.
 Scipy CSR matrices (row offsets / column indices / values) are only the
 assembled references the tests check against; finalize_csr gives them
 sorted indices and no explicit zeros, and imports scipy on first use.
@@ -201,82 +201,63 @@ def bicgstab_solve(A, b, precond="jacobi", tol=1e-10, maxit=2000,
     return SolveResult(x, k, res, converged=False, breakdown=breakdown)
 
 
-def gmres_solve(apply_a, b, tol=1e-10, maxit=2000,
-                restart=60) -> SolveResult:
-    """Restarted GMRES(restart) for nonsingular systems given by the
-    callable apply_a: v -> A v.
+def gmres_solve(apply_a, b, tol=1e-10, maxit=2000) -> SolveResult:
+    """One GMRES cycle from 0, of at most min(maxit, n) iterations, for
+    nonsingular systems given by the callable apply_a: v -> A v.
 
     Arnoldi runs with modified Gram-Schmidt and the least-squares problem
     is updated with Givens rotations, so the residual estimate is known
-    after every iteration.  The solve ends as soon as that estimate of
-    the relative residual is at most tol (success) or maxit iterations
-    are spent, and reports the estimate: it is the residual of x in
-    exact arithmetic, and no apply confirms it, so a caller that needs
-    the true residual forms it.  Only a cycle that ends above tol with
-    iterations left forms the true residual, which starts the next
-    cycle; a cycle that does not lower it means roundoff has set a floor
-    above tol, and the solve stops there as a breakdown rather than
-    cycling on to maxit.  The solve starts from 0.  Iterations counts
-    operator applies inside the cycles; beyond them a solve applies the
-    operator once per restart.
+    after every iteration.  The solve stops once that estimate of the
+    relative residual is at most tol (success) or the cycle is spent, and
+    reports it: no apply confirms it, so a caller that needs the true
+    residual forms it.  Each iteration keeps the fresh array apply_a
+    returns as the next basis vector, so a solve that stops after k
+    iterations holds at most k + 1; the Hessenberg matrix and the
+    rotations are sized by min(maxit, n).
     """
     n = b.shape[0]
+    m = min(maxit, n)
     x = np.zeros(n)
     bnorm = _norm(b)
     ref = bnorm if bnorm > 0 else 1.0
-    r = b.copy()
-    beta = _norm(r)
-    res = [beta / ref]
-    k = 0
-    breakdown = None
-    while res[-1] > tol and k < maxit:
-        m = min(restart, maxit - k)
-        V = np.empty((m + 1, n))
-        H = np.zeros((m + 1, m))
-        cs, sn = np.zeros(m), np.zeros(m)
-        g = np.zeros(m + 1)
-        V[0] = r / beta
-        g[0] = beta
-        j = 0
-        while j < m:
-            w = apply_a(V[j])
-            k += 1
-            for i in range(j + 1):
-                H[i, j] = _dot(w, V[i])
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = _norm(w)
-            for i in range(j):
-                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            hyp = float(np.hypot(H[j, j], H[j + 1, j]))
-            if hyp == 0.0:
-                return SolveResult(x, k, res, converged=False,
-                                   breakdown="singular Hessenberg matrix")
-            cs[j], sn[j] = H[j, j] / hyp, H[j + 1, j] / hyp
-            lucky = H[j + 1, j] == 0.0
-            if not lucky:
-                V[j + 1] = w / H[j + 1, j]
-            H[j, j], H[j + 1, j] = hyp, 0.0
-            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
-            j += 1
-            if lucky or abs(g[j]) / ref <= tol:
-                break
-        # back substitution, then x += V' y one basis vector at a time so
-        # the update is the same under any BLAS thread count
-        y = np.zeros(j)
-        for i in range(j - 1, -1, -1):
-            y[i] = (g[i] - _dot(H[i, i + 1:j], y[i + 1:])) / H[i, i]
+    res = [bnorm / ref]
+    if res[0] <= tol:
+        return SolveResult(x, 0, res, converged=True)
+    V = [b / bnorm]
+    H = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = bnorm
+    j = 0
+    while j < m:
+        w = apply_a(V[j])
+        for i in range(j + 1):
+            H[i, j] = _dot(w, V[i])
+            w -= H[i, j] * V[i]
+        H[j + 1, j] = _norm(w)
         for i in range(j):
-            x += y[i] * V[i]
-        if abs(g[j]) / ref <= tol or k >= maxit:
-            # the estimate ends the solve without another apply
-            res.append(abs(g[j]) / ref)
+            H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                    cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+        hyp = float(np.hypot(H[j, j], H[j + 1, j]))
+        if hyp == 0.0:
+            return SolveResult(x, j + 1, res, converged=False,
+                               breakdown="singular Hessenberg matrix")
+        cs[j], sn[j] = H[j, j] / hyp, H[j + 1, j] / hyp
+        lucky = H[j + 1, j] == 0.0
+        if not lucky:
+            w /= H[j + 1, j]
+            V.append(w)
+        H[j, j], H[j + 1, j] = hyp, 0.0
+        g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+        j += 1
+        if lucky or abs(g[j]) / ref <= tol:
             break
-        r = b - apply_a(x)
-        beta = _norm(r)
-        res.append(beta / ref)
-        if res[-1] > tol and res[-1] >= res[-2]:
-            breakdown = "stagnation"
-            break
-    return SolveResult(x, k, res, converged=res[-1] <= tol,
-                       breakdown=breakdown)
+    # back substitution, then x += V' y one basis vector at a time so
+    # the update is the same under any BLAS thread count
+    y = np.zeros(j)
+    for i in range(j - 1, -1, -1):
+        y[i] = (g[i] - _dot(H[i, i + 1:j], y[i + 1:])) / H[i, i]
+    for i in range(j):
+        x += y[i] * V[i]
+    res.append(abs(g[j]) / ref)
+    return SolveResult(x, j, res, converged=res[-1] <= tol)

@@ -5,8 +5,8 @@ diagnostics, written as a deterministic artifact tree:
 
     fields/eps-*.f64 (+ .json sidecars), fields/parabolic.f64
     reports/*.csv, summary.json
-    manifest.json  (config hash, versions, wall clock, artifact hashes,
-                    the parabolic reference's trace corrections)
+    manifest.json  (config hash, versions, BLAS kernel, wall clock, artifact
+                    hashes, the parabolic reference's trace corrections)
 
 Field dumps are raw little-endian float64 in row-major (x, y, t) node
 order; everything numeric is reproduced bit-exactly by a re-run with the
@@ -17,6 +17,7 @@ or from disk.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -195,6 +196,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def blas_kernel() -> str | None:
+    """The core numpy's OpenBLAS runs on, such as "SkylakeX", which
+    OPENBLAS_CORETYPE can set; None where it cannot be read."""
+    try:    # the scipy-openblas numpy ships, among the mapped libraries
+        with open("/proc/self/maps") as f:
+            lib = next(ln.split()[-1] for ln in f if "scipy_openblas64_" in ln)
+        get = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
 def write_diagnostics(requests, ctx, levels, outdir: Path,
                       summary: list) -> list:
     """Compute each (name, options) request, write its reports into outdir
@@ -284,8 +298,10 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
 
     dists = [lv.dist_to_ref for lv in levels]
     if len(dists) >= 2:
-        if dists[0] == 0.0 and dists[-1] == 0.0:
+        if not any(dists):
             ratio, monotone = 0.0, True  # already at the limit problem
+        elif dists[0] == 0.0:
+            ratio, monotone = None, False  # moved away from the limit
         else:
             ratio = dists[-1] / dists[0]
             monotone = (all(b < a for a, b in zip(dists, dists[1:]))
@@ -318,6 +334,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "blas": blas,
+        "blas_kernel": blas_kernel(),
         "s_exponent": (1.0 - cfg.grid.a) / 2.0,
         "beta_sup": sup_bound(cfg.model),
         "tail_weight": float(np.exp(-cfg.grid.T / cfg.schedule.eps0)),

@@ -156,6 +156,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     tolerance of each Newton try, the kind and damping of each accepted
     step, and the absolute residual threshold el_tol_abs actually
     enforced) and KU, the stiffness product its exit check formed.
+    Check k follows step k - 1: a level that passes it reports k
+    iterations and k residuals; one that fails the check after step
+    OUTER_MAXIT raises with OUTER_MAXIT iterations and one more residual.
 
     The solve starts from start.U, its first layer replaced by U0, or
     from U0 held in time without a start.  A start's KU, if any, is the
@@ -226,9 +229,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     first iteration): its linear residual is held below
     target = max(eta_k res_k, tol_abs / 2).  The GMRES residual g enters
     L(x) as E (D g), so the relative tolerance is
-    target / (max|D| |r0|), clipped to [inner_tol, 0.1].  GMRES
-    stops after INNER_MAXIT iterations in any case, and the line search
-    judges the inexact step that leaves.
+    target / (max|D| |r0|), clipped to [inner_tol, 0.1].  GMRES runs
+    one cycle of at most INNER_MAXIT iterations in any case, and the
+    line search judges the inexact step that leaves.
 
     Both steps leave a residual supported on the trace, known without a
     matvec:
@@ -439,9 +442,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             lam *= 0.5
         return None
 
-    for k in range(1, OUTER_MAXIT + 1):
+    for k in range(1, OUTER_MAXIT + 2):
         stats["iterations"] = k
-        if res <= tol_abs and U is None:
+        if U is None and (res <= tol_abs or k > OUTER_MAXIT):
             U = nodal(Uh)
             res, r_off, off, rtr, fval, pm, KU = full_state(U)
             U_tr = U[1:, tr]
@@ -451,6 +454,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         stats["functional"].append(fval)
         if res <= tol_abs:
             return Level(cfg.eps, U, stats, KU)
+        if k > OUTER_MAXIT:
+            stats["iterations"] = OUTER_MAXIT
+            raise WiedConvergenceError(
+                f"no convergence after {OUTER_MAXIT} outer iterations "
+                f"(residual {res:g}, tol {tol_abs:g})",
+                Level(cfg.eps, U, stats, KU))
         if Uh is None:
             # enter the eigenbasis: V' M U of the unknown layers and V' b
             # on its rows that can be nonzero, once per level
@@ -503,17 +512,6 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             r_off = None
         stats["steps"].append(kind)
         stats["damping"].append(lam)
-
-    if U is None:
-        U = nodal(Uh)
-        res, r_off, off, rtr, fval, pm, KU = full_state(U)
-    stats["residuals"].append(res)
-    stats["functional"].append(fval)
-    if res <= tol_abs:
-        return Level(cfg.eps, U, stats, KU)
-    raise WiedConvergenceError(
-        f"no convergence after {OUTER_MAXIT} outer iterations "
-        f"(residual {res:g}, tol {tol_abs:g})", Level(cfg.eps, U, stats, KU))
 
 
 def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:

@@ -655,6 +655,38 @@ def test_failed_run_records_failure_in_manifest(tmp_path, capsys, monkeypatch,
     assert failure["message"] and failure["message"] in err
 
 
+@pytest.mark.parametrize("outer_tol", [0.1, 0.05])
+def test_eps_limit_fails_when_a_level_leaves_the_reference(tmp_path,
+                                                           outer_tol):
+    # with a loose outer_tol the first two levels pass their entry check
+    # at the reference (distance 0) and the third does not: the entry
+    # fails with a null ratio instead of dividing by the first distance,
+    # and the run still writes its summary and manifest, in strict JSON
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "combustion-1d.json").read_text())
+    cfg["grid"].update(nx=8, ny=3, nt=24)
+    cfg["schedule"]["count"] = 3
+    cfg["diagnostics"] = []
+    cfg["wied"] = {"outer_tol": outer_tol}
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 0
+    levels = json.loads((out / "reports" / "levels.json").read_text())
+    dists = [lv["dist_to_ref"] for lv in levels]
+    assert dists[0] == 0.0 and dists[-1] > 0.0
+
+    def no_constant(name):
+        raise AssertionError(f"non-strict JSON constant {name}")
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=no_constant)
+    entry = next(e for e in summary if e["name"] == "eps-limit-monotone")
+    assert entry["value"] is None and entry["pass"] is False
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "failure" not in manifest
+    assert "summary.json" in manifest["artifacts"]
+
+
 # a burning run on a tiny grid with every diagnostic and option, which
 # completes with exit 0; the holder probes are empty because a grid this
 # coarse resolves no oscillation decay

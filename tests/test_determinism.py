@@ -4,7 +4,8 @@
 to one and to two threads; the artifact hashes of the two manifests
 must agree.  A burning plateau exercises the trace-reduced parabolic
 step, the space-time sweep, the energy reports and the cylinder sums
-(level sets, no-spikes, L^2 -> L^oo) in d = 1 and d = 2.
+(level sets, no-spikes, L^2 -> L^oo) in d = 1 and d = 2.  A fresh
+process under OPENBLAS_CORETYPE records that kernel in its manifest.
 """
 
 import json
@@ -28,9 +29,11 @@ GRIDS = {
 }
 
 
-def run_hashes(cfg_path: Path, out: Path, threads: int) -> dict:
+def run_manifest(cfg_path: Path, out: Path, **env_vars) -> dict:
+    """The manifest of `wiedlab run` in a fresh process, with env_vars
+    added to its environment."""
     env = dict(os.environ)
-    env.update({key: str(threads) for key in BLAS_ENV})
+    env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                       if p])
@@ -39,7 +42,12 @@ def run_hashes(cfg_path: Path, out: Path, threads: int) -> dict:
          "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads((out / "manifest.json").read_text())["artifacts"]
+    return json.loads((out / "manifest.json").read_text())
+
+
+def run_hashes(cfg_path: Path, out: Path, threads: int) -> dict:
+    return run_manifest(cfg_path, out, **{key: str(threads)
+                                          for key in BLAS_ENV})["artifacts"]
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -66,3 +74,19 @@ def test_artifact_hashes_match_across_blas_threads(tmp_path, grid):
     assert {"reports/level_sets.csv", "reports/no_spikes.csv",
             "reports/linf_l2.csv"} <= set(one)
     assert one == two
+
+
+def test_manifest_records_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE picks the kernel OpenBLAS runs on; the unhashed
+    # manifest names the one in use, or null where it cannot be read
+    cfg = {"grid": GRIDS["d1"], "model": {"kind": "zero"},
+           "initial": {"kind": "plateau", "radius": 0.6, "height": 1.0},
+           "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 1},
+           "diagnostics": [], "seed": 7}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    manifest = run_manifest(cfg_path, tmp_path / "out",
+                            OPENBLAS_CORETYPE="Haswell")
+    if manifest["blas_kernel"] is None:
+        pytest.skip("no OpenBLAS kernel can be read in this process")
+    assert manifest["blas_kernel"] == "Haswell"

@@ -84,6 +84,34 @@ def test_tracked_residual_matches_full_residual_at_every_step(d, monkeypatch):
         assert tracked[-1] <= res.stats["el_tol_abs"]
 
 
+def test_one_exit_check_counts_iterations(monkeypatch):
+    # a level checks its residual before each step and after its last
+    # allowed one: one that converges at check k reports k iterations and
+    # k residuals, even where k - 1 = OUTER_MAXIT steps were all it had,
+    # and one that is still above tolerance after OUTER_MAXIT steps fails
+    # with OUTER_MAXIT iterations and one more residual
+    g = grid_small(8, 6, 20)
+    U0 = bump_data(g)
+    cfg = WiedConfig(eps=0.1, outer_tol=1e-10)
+    free = solve_wied(g, BUMP, cfg, U0)
+    steps = len(free.stats["steps"])
+    assert steps >= 2
+    assert len(free.stats["residuals"]) == free.iterations == steps + 1
+    monkeypatch.setattr(wied, "OUTER_MAXIT", steps)
+    last = solve_wied(g, BUMP, cfg, U0)
+    assert np.array_equal(last.U, free.U)
+    assert last.stats["residuals"] == free.stats["residuals"]
+    assert last.iterations == steps + 1
+    monkeypatch.setattr(wied, "OUTER_MAXIT", steps - 1)
+    with pytest.raises(WiedConvergenceError) as exc:
+        solve_wied(g, BUMP, cfg, U0)
+    failed = exc.value.level
+    assert failed.iterations == steps - 1
+    assert len(failed.stats["residuals"]) == steps
+    assert len(failed.stats["steps"]) == steps - 1
+    assert failed.el_residual > failed.el_tol
+
+
 @pytest.mark.parametrize("forced", [False, True],
                          ids=["unforced", "forced"])
 def test_zero_model_level_takes_only_picard_steps(forced):
