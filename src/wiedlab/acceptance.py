@@ -2,7 +2,8 @@
 
 The benchmark artifacts are produced once per process (through the same
 runner the CLI uses) and shared across criteria; determinism re-runs the
-pipeline.  The maximum-principle and diagnostic criteria read the run's
+pipeline through the CLI in a fresh process under another BLAS thread
+count.  The maximum-principle and diagnostic criteria read the run's
 summary.json and reports, after checking that the run used the options
 and thresholds they enforce, so a config edit cannot loosen a criterion.
 Calibrated thresholds come from the shipped calibration file next to
@@ -14,6 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .assembly import functional_gradient, functional_value
+from .combustion import ZERO_MODEL
 from .config import load_config
 from .grid import Cylinder, GridSpec, build_grid, restrict, weighted_norm
 from .parabolic import analytic_heat_oracle, march_parabolic
@@ -129,7 +134,7 @@ def criterion_linear_oracle(ctx) -> CriterionResult:
         X = np.stack(np.broadcast_arrays(xm, ym), axis=-1)
         U0 = analytic_heat_oracle(X, 0.0, w).ravel()
         # march without holding the trajectory: only its last layer counts
-        for u in march_parabolic(grid, None, U0):
+        for u in march_parabolic(grid, ZERO_MODEL, U0):
             pass
         errs.append(float(np.max(np.abs(
             u - analytic_heat_oracle(X, T, w).ravel()))))
@@ -304,16 +309,39 @@ def criterion_isoperimetric(ctx) -> CriterionResult:
         f"drift {worst_drift:.2%} (<= 20%)")
 
 
+# the BLAS thread pools; criterion 11 pins all three in its fresh process
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+
+
 def criterion_determinism(ctx) -> CriterionResult:
+    """The benchmark once more through `wiedlab run` in a fresh process,
+    its BLAS pools pinned to one thread, or to two where this process
+    is pinned to one; all artifact hashes must equal this process's."""
     run = ctx.benchmark()
     out_b = ctx.workdir / "run-b"
-    manifest_b = run_experiment(ctx.cfg, out=str(out_b))
-    same = run["manifest"]["artifacts"] == manifest_b["artifacts"]
-    n = len(manifest_b["artifacts"])
+    own = next((os.environ[k] for k in BLAS_THREAD_ENV if k in os.environ),
+               "unpinned")
+    threads = "2" if own == "1" else "1"
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_ENV, threads)}
+    src = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wiedlab.cli", "run", ctx.config_path,
+         "--out", str(out_b)], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return CriterionResult(
+            "11 determinism", False,
+            f"fresh `wiedlab run` exited {proc.returncode}: "
+            f"{proc.stderr.strip()[-200:]}")
+    artifacts = json.loads((out_b / "manifest.json").read_text())["artifacts"]
+    same = run["manifest"]["artifacts"] == artifacts
     return CriterionResult(
-        "11 determinism", bool(same),
-        f"{n} artifact hashes {'identical' if same else 'DIFFER'} "
-        "across two runs")
+        "11 determinism", same,
+        f"{len(artifacts)} artifact hashes "
+        f"{'identical' if same else 'DIFFER'} across this process (BLAS "
+        f"threads {own}) and a fresh one (BLAS threads {threads})")
 
 
 ALL_CRITERIA = [

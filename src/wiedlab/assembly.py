@@ -363,28 +363,6 @@ def exp_time_weights(t: np.ndarray, eps: float) -> np.ndarray:
     return np.exp(-t[:-1] / eps) * (-np.expm1(-np.diff(t) / eps))
 
 
-@dataclass
-class ForcingSpec:
-    """Bulk forcing F on space-time nodes and trace forcing f on (x, t).
-
-    p, q are the integrability exponents used by the diagnostics; the
-    conditions p > (d+3+a)/2 and q > d/(1-a) are only enforced when a
-    diagnostic that needs the embeddings asks for them.
-    """
-
-    F: np.ndarray | None = None
-    f: np.ndarray | None = None
-    p: float = 3.0
-    q: float = 4.0
-
-    def validate_exponents(self, grid: WeightedGrid):
-        d, a = grid.spec.d, grid.spec.a
-        if not self.p > (d + 3 + a) / 2.0:
-            raise ValueError(f"need p > (d+3+a)/2 = {(d+3+a)/2}, got {self.p}")
-        if not self.q > d / (1.0 - a):
-            raise ValueError(f"need q > d/(1-a) = {d/(1-a)}, got {self.q}")
-
-
 def _layers(grid: WeightedGrid, U: np.ndarray) -> np.ndarray:
     U = np.asarray(U, dtype=float)
     if U.shape == grid.spacetime_shape:
@@ -453,8 +431,8 @@ def functional_gradient(grid: WeightedGrid, model, eps: float,
                         ops: DiscreteOperators | None = None) -> np.ndarray:
     """Exact gradient of functional_value w.r.t. nodal values.
 
-    Row m (m = 1..nt) is 2 w_{m-1} times row m of the unforced EL
-    residual stencil_residual, the weight that residual divides out, so
+    Row m (m = 1..nt) is 2 w_{m-1} times row m of the EL residual
+    stencil_residual, the weight that residual divides out, so
     the gradient and the residual the solvers drive to zero are one
     formula.  Layer 0 is returned as zeros by convention (the initial
     layer is constrained, variations vanish there).  Shape
@@ -490,7 +468,7 @@ def stencil_residual(grid: WeightedGrid, model, eps: float,
                      Ulay: np.ndarray, KU: np.ndarray,
                      ops: DiscreteOperators, out: np.ndarray | None = None,
                      work: np.ndarray | None = None) -> np.ndarray:
-    """Unforced normalized EL residual on layers 1..nt, shape (nt, S).
+    """Normalized EL residual on layers 1..nt, shape (nt, S).
 
     Formed layer by layer from the stiffness products KU = (Ka U_m)_m of
     all nt + 1 layers instead of an assembled space-time matrix:
@@ -498,10 +476,10 @@ def stencil_residual(grid: WeightedGrid, model, eps: float,
         c M ((1+rho) U_m - U_{m-1} - rho U_{m+1}) + c_hat (K U_m + D_tr beta(u_m))
 
     with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2.
-    Equal to A x + E bs - rhs(U_0) of the assembled system without
-    forcing, up to summation order.  Each full-size pass writes into one
-    of two (nt, S) arrays, r (out when given) and the time stencil (work
-    when given), rather than a new temporary.
+    Equal to A x + E bs - rhs(U_0) of the assembled system, up to
+    summation order.  Each full-size pass writes into one of two (nt, S)
+    arrays, r (out when given) and the time stencil (work when given),
+    rather than a new temporary.
     """
     c, rho, main, c_hat = _row_coefficients(grid, eps)
     r = np.empty(Ulay[1:].shape) if out is None else out
@@ -522,14 +500,11 @@ class LinearSystem:
 
     residual is the stencil form (stencil_residual) of A x + E bs - rhs:
     the stiffness products of all layers, the time stencil and the trace
-    source, minus b_forcing; the initial-layer term is the stencil's use
-    of U_0 in the first row.  b_forcing is the (nt, n_spatial) forcing
-    part of rhs, or None on an unforced system, which stores no zeros.
-    rhs_rows gives the rows of rhs that can be nonzero, the initial-layer
-    term in row 0 plus the forcing; rhs assembles all of it as one
-    vector.  c_hat is the per-row coefficient shared by the stiffness,
-    the trace source and the forcing (interior (1+rho)/2, terminal
-    1/2).
+    source; the initial-layer term is the stencil's use of U_0 in the
+    first row.  The right-hand side b is zero outside row 0, which
+    initial_row gives; rhs assembles b as one vector.  c_hat is the
+    per-row coefficient shared by the stiffness and the trace source
+    (interior (1+rho)/2, terminal 1/2).
 
     The solvers never read a space-time matrix: they use the exact
     inverse of A + diag(c_hat) (x) sigma D_tr (space_time_inverse, cached
@@ -544,7 +519,6 @@ class LinearSystem:
     eps: float
     rho: float
     c_hat: np.ndarray
-    b_forcing: np.ndarray | None
     # sigma -> SpaceTimeInverse, filled by space_time_inverse
     inverses: dict = field(default_factory=dict, repr=False)
 
@@ -569,28 +543,16 @@ class LinearSystem:
                             - (c * rho) * sp.kron(shift.T, M)
                             + sp.kron(sp.diags(c_hat), self.ops.Ka.tocsr()))
 
-    def _initial_term(self, U0f: np.ndarray) -> np.ndarray:
-        return (self.eps / self.grid.dt**2) * self.ops.mass * U0f
-
-    def rhs_rows(self, U0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, b[rows]) of the right-hand side b (nt, n_spatial): row 0,
-        which holds the initial-layer term, and the rows the forcing
-        reaches; b is zero in every other row."""
-        init = self._initial_term(np.asarray(U0, dtype=float).reshape(-1))
-        if self.b_forcing is None:
-            rows, b = np.zeros(1, dtype=int), np.zeros((1, init.shape[0]))
-        else:
-            rows = np.union1d(0, np.flatnonzero(np.any(self.b_forcing,
-                                                       axis=1)))
-            b = self.b_forcing[rows]
-        b[0] += init
-        return rows, b
+    def initial_row(self, U0: np.ndarray) -> np.ndarray:
+        """Row 0 of the right-hand side b, its only nonzero row: the
+        initial-layer term (eps/dt^2) M U0, shape (n_spatial,)."""
+        return ((self.eps / self.grid.dt**2) * self.ops.mass
+                * np.asarray(U0, dtype=float).reshape(-1))
 
     def rhs(self, U0: np.ndarray) -> np.ndarray:
         """b as one flattened (nt * n_spatial) vector."""
-        rows, b_rows = self.rhs_rows(U0)
         b = np.zeros((self.grid.spec.nt, self.grid.n_spatial))
-        b[rows] = b_rows
+        b[0] = self.initial_row(U0)
         return b.ravel()
 
     def newton_matrix(self, model, Ulay: np.ndarray):
@@ -606,48 +568,26 @@ class LinearSystem:
                  KU: np.ndarray | None = None, out: np.ndarray | None = None,
                  work: np.ndarray | None = None) -> np.ndarray:
         """Normalized EL residual on layers 1..nt, shape (nt, n_spatial):
-        stencil_residual minus b_forcing, written into out when given,
-        with work as the stencil's scratch.  KU, when given, is the
-        stiffness product Ka.rows(U) of the layers of U."""
+        stencil_residual, written into out when given, with work as the
+        stencil's scratch.  KU, when given, is the stiffness product
+        Ka.rows(U) of the layers of U."""
         Ulay = _layers(self.grid, U)
         _check_initial(self.grid, Ulay, U0)
         if KU is None:
             KU = self.ops.Ka.rows(Ulay)
-        r = stencil_residual(self.grid, model, self.eps, Ulay, KU, self.ops,
-                             out=out, work=work)
-        if self.b_forcing is not None:
-            r -= self.b_forcing
-        return r
+        return stencil_residual(self.grid, model, self.eps, Ulay, KU,
+                                self.ops, out=out, work=work)
 
 
 def assemble_linear_system(grid: WeightedGrid, eps: float,
-                           forcing: ForcingSpec | None = None,
                            ops: DiscreteOperators | None = None) -> LinearSystem:
     """The weight-normalized space-time system for one eps: its row
-    coefficients and the forcing part of the right-hand side."""
+    coefficients on the grid's operators."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
-    nt, S = grid.spec.nt, grid.n_spatial
-    c, rho, main, c_hat = _row_coefficients(grid, eps)
-
-    b = None
-    if forcing is not None and (forcing.F is not None
-                                or forcing.f is not None):
-        b = np.zeros((nt, S))
-        if forcing.F is not None:
-            Flay = _layers(grid, forcing.F)
-            b += c_hat[:, None] * (ops.mass * Flay[1:])
-        if forcing.f is not None:
-            flay = np.asarray(forcing.f, dtype=float).reshape(nt + 1, -1)
-            if flay.shape[1] != ops.trace_index.shape[0]:
-                raise ValueError("trace forcing shape mismatch")
-            b[:, ops.trace_index] += (
-                c_hat[:, None] * ops.trace_mass * flay[1:]
-            )
-
-    return LinearSystem(grid=grid, ops=ops, eps=eps, rho=rho, c_hat=c_hat,
-                        b_forcing=b)
+    _, rho, _, c_hat = _row_coefficients(grid, eps)
+    return LinearSystem(grid=grid, ops=ops, eps=eps, rho=rho, c_hat=c_hat)
 
 
 def _time_thomas(b: np.ndarray, low, up):
@@ -744,11 +684,11 @@ class SpaceTimeInverse:
                                                                     -1))
         return self.basis.from_modes(self.solve_modes(w)).ravel()
 
-    def trace_solve(self, s: np.ndarray, r_hat: tuple | None = None,
+    def trace_solve(self, s: np.ndarray, r_hat: np.ndarray | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
         """Tm^{-1} (r_hat + V' E s), the modal coefficients of P (r + E s),
-        for a trace block s (nt, n_trace) and a right-hand side r given by
-        its nonzero rows, r_hat = (rows, (V' r)[rows]) (r zero when None);
+        for a trace block s (nt, n_trace) and a right-hand side r that is
+        zero outside row 0, given by r_hat = V' r[0] (r zero when None);
         shape (nt, n_spatial), written into out when given."""
         vy0 = self.basis.Vy[0]
         z = self.basis.to_trace_modes(s)
@@ -757,8 +697,7 @@ class SpaceTimeInverse:
                         else out.reshape(self.nt, vy0.shape[0], -1))
         w = w.reshape(self.nt, -1)
         if r_hat is not None:
-            rows, vals = r_hat
-            w[rows] += vals
+            w[0] += r_hat
         return self.solve_modes(w)
 
     def trace(self, w: np.ndarray) -> np.ndarray:

@@ -79,10 +79,10 @@ def _clamp(v: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, np.maximum(0.0, np.fmax(v, -1.0)))
 
 
-def beta_eval(model: CombustionModel | None, v) -> np.ndarray | float:
+def beta_eval(model: CombustionModel, v) -> np.ndarray | float:
     """beta(v); total on the reals, zero outside [0, 1]."""
     v = np.asarray(v, dtype=float)
-    if model is None or model.kind == "zero":
+    if model.kind == "zero":
         out = np.zeros_like(v)
         return out if out.ndim else float(out)
     vc = _clamp(v)
@@ -121,7 +121,7 @@ def _bernstein_tail(v: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
-def phi_eval(model: CombustionModel | None, v) -> np.ndarray | float:
+def phi_eval(model: CombustionModel, v) -> np.ndarray | float:
     """Phi(v) = 2 int_0^{clamp(v, 0, 1)} beta; closed form for built-ins.
 
     The polynomial bump's Phi is the regularized incomplete beta function
@@ -129,7 +129,7 @@ def phi_eval(model: CombustionModel | None, v) -> np.ndarray | float:
     (the shipped m = n = 1 gives 3 v^2 - 2 v^3), scipy's betainc
     otherwise."""
     v = np.asarray(v, dtype=float)
-    if model is None or model.kind == "zero":
+    if model.kind == "zero":
         out = np.zeros_like(v)
         return out if out.ndim else float(out)
     vc = np.clip(v, 0.0, 1.0)
@@ -165,10 +165,10 @@ def phi_eval(model: CombustionModel | None, v) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def beta_prime_eval(model: CombustionModel | None, v) -> np.ndarray | float:
+def beta_prime_eval(model: CombustionModel, v) -> np.ndarray | float:
     """d beta / dv, used by the Newton outer iteration."""
     v = np.asarray(v, dtype=float)
-    if model is None or model.kind == "zero":
+    if model.kind == "zero":
         out = np.zeros_like(v)
         return out if out.ndim else float(out)
     vc = _clamp(v)
@@ -189,8 +189,8 @@ def beta_prime_eval(model: CombustionModel | None, v) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def lipschitz_bound(model: CombustionModel | None) -> float:
-    if model is None or model.kind == "zero":
+def lipschitz_bound(model: CombustionModel) -> float:
+    if model.kind == "zero":
         return 0.0
     if model.kind == "polynomial-bump":
         vs = np.linspace(0.0, 1.0, 4097)
@@ -202,9 +202,9 @@ def lipschitz_bound(model: CombustionModel | None) -> float:
     return float(np.max(np.abs(np.diff(tb) / np.diff(tv))))
 
 
-def sup_bound(model: CombustionModel | None) -> float:
+def sup_bound(model: CombustionModel) -> float:
     """||beta||_inf, which enters the Hoelder constants of the estimates."""
-    if model is None or model.kind == "zero":
+    if model.kind == "zero":
         return 0.0
     vs = np.linspace(0.0, 1.0, 8193)
     return float(np.max(beta_eval(model, vs)))

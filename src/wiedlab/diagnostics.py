@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (ForcingSpec, build_operators, stencil_residual,
-                       _check_initial, _inertia_cells, _layers)
+from .assembly import (build_operators, stencil_residual, _check_initial,
+                       _inertia_cells, _layers)
 from .combustion import phi_eval
 from .grid import (Cylinder, GridError, WeightedGrid, _grad_energy_spatial,
                    restrict, weighted_norm)
@@ -223,6 +223,29 @@ def no_spikes_iteration(grid: WeightedGrid, fld: np.ndarray,
     return LevelSetReport(cylinder=cylinder, levels=Cj, radii=rj, energies=Ej,
                           converged=bool(Ej[-1] <= 1e-12),
                           sup_flag=bool(Ej[-1] > 1e-12))
+
+
+@dataclass
+class ForcingSpec:
+    """Bulk forcing F on space-time nodes and trace forcing f on (x, t),
+    the data norms of linf_l2_ratio.
+
+    p, q are the integrability exponents of those norms; the conditions
+    p > (d+3+a)/2 and q > d/(1-a) are only enforced when a diagnostic
+    that needs the embeddings asks for them.
+    """
+
+    F: np.ndarray | None = None
+    f: np.ndarray | None = None
+    p: float = 3.0
+    q: float = 4.0
+
+    def validate_exponents(self, grid: WeightedGrid):
+        d, a = grid.spec.d, grid.spec.a
+        if not self.p > (d + 3 + a) / 2.0:
+            raise ValueError(f"need p > (d+3+a)/2 = {(d+3+a)/2}, got {self.p}")
+        if not self.q > d / (1.0 - a):
+            raise ValueError(f"need q > d/(1-a) = {d/(1-a)}, got {self.q}")
 
 
 def linf_l2_ratio(grid: WeightedGrid, fld: np.ndarray, forcing: ForcingSpec,

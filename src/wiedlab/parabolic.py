@@ -42,9 +42,9 @@ _TINY = np.finfo(float).tiny    # the smallest normal float64
 
 
 class ParabolicError(RuntimeError):
-    def __init__(self, msg, trajectory=None):
+    def __init__(self, msg, completed: int = 0):
         super().__init__(msg)
-        self.trajectory = trajectory  # completed prefix, if any
+        self.completed = completed  # the steps done before the failure
 
 
 # the trace map of a step stops once |s_k - s_{k+1}| is at most STEP_TOL
@@ -120,7 +120,7 @@ def step_implicit(grid: WeightedGrid, model, Un: np.ndarray,
     # np.add.reduce is np.sum's reduction without its Python wrapper
     scale = math.sqrt(np.add.reduce(rhs0 * rhs0)) or 1.0
 
-    sigma = max(getattr(model, "lipschitz", 0.0), 0.0)
+    sigma = max(model.lipschitz, 0.0)
     bound = STEP_TOL * scale
     tm = ops.trace_mass
 
@@ -187,7 +187,8 @@ def march_parabolic(grid: WeightedGrid, model, U0: np.ndarray,
     "max_corrections" (at most STEP_MAXIT, so it shows the budget's
     margin) and "max_step", the first step that made the most (0 if no
     step made any).  A failed step raises ParabolicError, whose
-    message names the step.
+    message names the step and whose completed counts the steps before
+    it.
     """
     ops = ops or build_operators(grid)
     A = _step_matrix(grid, ops)
@@ -198,7 +199,8 @@ def march_parabolic(grid: WeightedGrid, model, U0: np.ndarray,
         try:
             u = step_implicit(grid, model, u, ops=ops, A=A, carry=carry)
         except ParabolicError as exc:
-            raise ParabolicError(f"step {n} failed: {exc}") from exc
+            raise ParabolicError(f"step {n} failed: {exc}",
+                                 completed=n - 1) from exc
         k = carry["corrections"]
         total += k
         if k > most:
@@ -211,20 +213,14 @@ def march_parabolic(grid: WeightedGrid, model, U0: np.ndarray,
 def solve_parabolic(grid: WeightedGrid, model, U0: np.ndarray,
                     ops: DiscreteOperators | None = None,
                     stats: dict | None = None) -> np.ndarray:
-    """The trajectory of march_parabolic (same stats), with U0 as its
-    first layer: shape (nt+1, n_spatial).  On a step failure the
-    completed prefix is attached to the raised ParabolicError.
+    """The trajectory of march_parabolic (same stats and errors), with U0
+    as its first layer: shape (nt+1, n_spatial).
     """
     traj = np.zeros((grid.spec.nt + 1, grid.n_spatial))
     traj[0] = np.asarray(U0, dtype=float).reshape(-1)
-    n = 0
-    try:
-        for n, u in enumerate(march_parabolic(grid, model, traj[0],
-                                              ops=ops, stats=stats), 1):
-            traj[n] = u
-    except ParabolicError as exc:
-        exc.trajectory = traj[: n + 1]
-        raise
+    for n, u in enumerate(march_parabolic(grid, model, traj[0], ops=ops,
+                                          stats=stats), 1):
+        traj[n] = u
     return traj
 
 

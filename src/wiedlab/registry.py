@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics as dg
-from .assembly import ForcingSpec
 from .combustion import beta_eval
 from .grid import Cylinder
 from .wied import Level
@@ -113,7 +112,7 @@ def _linf_l2(ctx, levels, opt):
         "linf_l2.csv", ("ratio", "sup_inner", "l2a_outer", "f_lqinf"),
         levels, lambda lv: dg.linf_l2_ratio(
             ctx.grid, _field(ctx, lv),
-            ForcingSpec(f=_trace_forcing(ctx, lv), p=p, q=q),
+            dg.ForcingSpec(f=_trace_forcing(ctx, lv), p=p, q=q),
             tuple(opt["center"]), float(opt["radius"])))
 
 
@@ -192,7 +191,7 @@ def _check_linf_l2(opt, grid, cfg):
         raise ValueError(f"the inner half cylinder (center={cyl.center}, "
                          f"r={cyl.radius / 2.0}) holds no grid node")
     p, q = cfg.forcing_exponents
-    ForcingSpec(p=p, q=q).validate_exponents(grid)
+    dg.ForcingSpec(p=p, q=q).validate_exponents(grid)
 
 
 def _check_holder(opt, grid, cfg):

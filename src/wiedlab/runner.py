@@ -253,9 +253,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         reference = solve_parabolic(grid, cfg.model, U0, ops=ops,
                                     stats=corrections)
     except ParabolicError as exc:
-        steps = 0 if exc.trajectory is None else len(exc.trajectory) - 1
         failure = {"phase": "parabolic", "message": str(exc),
-                   "completed": steps}
+                   "completed": exc.completed}
     else:
         dump_field(outdir / "fields" / "parabolic.f64", grid, reference,
                    {"role": "parabolic-reference"})

@@ -4,17 +4,14 @@ For fixed eps the weight-normalized Euler-Lagrange system is solved with
 guarded Newton and a Picard fallback wherever the model has a reaction,
 and with Picard alone on the zero model, where a Newton step is the
 Picard step at a higher cost; accepted steps never increase the
-functional, forcing term included.  The linear problem with
-forcings F, f is the zero model on a forced system
-(assemble_linear_system(grid, eps, forcing=...)), whose one Picard step
-is one exact apply of the inverse.  The iterate lives in the spatial
-eigenbasis of the exact inverse of the Picard matrix, so each Picard
-step is one Thomas sweep, and each Newton step adds a GMRES solve on the
-y = 0 trace only; no Krylov method runs on the full space.  The sweep
-re-solves along a geometric eps schedule, starting its first level from
-the implicit-Euler reference (the eps -> 0 limit) and each later level
-from the previous one, and measures the distance to that reference in
-the discrete C([0,T]: L^{2,a}) metric.
+functional.  The iterate lives in the spatial eigenbasis of the exact
+inverse of the Picard matrix, so each Picard step is one Thomas sweep,
+and each Newton step adds a GMRES solve on the y = 0 trace only; no
+Krylov method runs on the full space.  The sweep re-solves along a
+geometric eps schedule, starting its first level from the
+implicit-Euler reference (the eps -> 0 limit) and each later level from
+the previous one, and measures the distance to that reference in the
+discrete C([0,T]: L^{2,a}) metric.
 """
 
 from __future__ import annotations
@@ -166,14 +163,8 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     forming it again; it needs a field whose first layer is U0 already,
     as a level of the same U0 has.
 
-    system defaults to the unforced system of cfg.eps.  The linear
-    problem with forcings F, f is model None (the zero model) on
-    system = assemble_linear_system(grid, eps, forcing=...): sigma = 0,
-    so the first Picard step is the exact solve x = P b, and the level
-    ends after that one accepted step and the exit check.  The reported
-    functional values are functional_value, which has no forcing term,
-    so on a forced system they need not decrease; the line search still
-    decreases the forced quadratic it tracks.
+    system defaults to the system of cfg.eps; a sweep passes its own,
+    built on the operators its levels share.
 
     With X the unknown layers, the EL residual is r(X) = L(X) + E bs(X):
     L(X) = A X - b is affine, bs the c_hat-scaled trace source and E the
@@ -189,17 +180,16 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     eigenbasis V (V' M V = I) with Tm one tridiagonal time problem per
     spatial mode, and from the first step to the level's exit the
     unknown layers are kept as their modal coefficients V' M U.  V' b is
-    formed once per level, on the rows of b that can be nonzero (row 0
-    alone without forcing), and V' E s transforms only the trace block s,
-    so a Picard step is one Thomas sweep and no full transform; the
-    trace of the new iterate is read from its coefficients
-    (SpaceTimeInverse.trace).  Where the model has a reaction
-    (sigma > 0), an iteration tries a guarded Newton step and falls back
-    to a Picard step in the same iteration when the line search rejects
-    it.  With sigma = 0, beta' = 0 and the Newton step is the Picard
-    step at GMRES iterations + 2 sweeps, so only Picard runs.  Every step
-    starts at the full step lam = 1 and halves lam until the line search
-    accepts.  Far from the minimizer the trace Newton
+    formed once per level, on row 0, the only nonzero row of b, and V' E s
+    transforms only the trace block s, so a Picard step is one Thomas
+    sweep and no full transform; the trace of the new iterate is read
+    from its coefficients (SpaceTimeInverse.trace).  Where the model has
+    a reaction (sigma > 0), an iteration tries a guarded Newton step and
+    falls back to a Picard step in the same iteration when the line
+    search rejects it.  With sigma = 0, beta' = 0 and the Newton step is
+    the Picard step at GMRES iterations + 2 sweeps, so only Picard runs.
+    Every step starts at the full step lam = 1 and halves lam until the
+    line search accepts.  Far from the minimizer the trace Newton
     system can be indefinite, so Newton is tried only where the start
     or the last tries suggest it pays.  A level given a start (as
     the sweep starts every level, next to its minimizer) tries Newton
@@ -297,12 +287,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     work = np.empty((nt, S))
     KUbuf = slots = None
 
-    rows, b_rows = system.rhs_rows(U0f)
+    b0 = system.initial_row(U0f)
     tr = ops.trace_index
     tm = ops.trace_mass
     ctm = system.c_hat[:, None] * tm                  # (nt, n_trace)
     wgt = exp_time_weights(grid.t, cfg.eps)[:, None]  # w_{m-1} of row m
-    sigma = max(getattr(model, "lipschitz", 0.0) or 0.0, 0.0)
+    sigma = max(model.lipschitz, 0.0)
     stab = ctm * sigma
     inv = space_time_inverse(system, sigma)
     basis = inv.basis
@@ -347,7 +337,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     bs = ctm * beta_eval(model, U_tr)
     # |b - E bs| at the start, with b assembled in rbuf
     rbuf.fill(0.0)
-    rbuf[rows] = b_rows
+    rbuf[0] = b0
     rbuf[:, tr] -= bs
     tol_abs = cfg.outer_tol * max(_norm(rbuf), 1e-300)
     stats["el_tol_abs"] = tol_abs
@@ -355,10 +345,10 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     res, r_off, off, rtr, fval, pm, KU = full_state(
         U, None if start is None else start.KU)
     mu = 1.0
-    # the iterate's modal unknown layers and V' b on the rows of b that
-    # can be nonzero, set when the first step is needed; U (and its
-    # stiffness product KU) is the nodal iterate only while it is the one
-    # the last full_state checked, and None after a step
+    # the iterate's modal unknown layers and V' b[0], set when the first
+    # step is needed; U (and its stiffness product KU) is the nodal
+    # iterate only while it is the one the last full_state checked, and
+    # None after a step
     Uh = bh = None
     # the residual at the last failed Newton try, or at a cold start
     # (None while Newton is armed), the failed tries in a row and the
@@ -462,11 +452,11 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                 Level(cfg.eps, U, stats, KU))
         if Uh is None:
             # enter the eigenbasis: V' M U of the unknown layers and V' b
-            # on its rows that can be nonzero, once per level
+            # on row 0, once per level
             slots = [np.empty((nt, S)) for _ in range(3)]
             Uh = np.multiply(ops.mass, U[1:], out=slots[0])
             basis.to_modes(Uh, out=Uh)
-            bh = rows, basis.to_modes(b_rows)
+            bh = basis.to_modes(b0)
         if U is not None:
             # W V' r_off, once per full_state
             basis.to_modes(r_off, out=r_off)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
-                              axis_eigenbasis, build_operators,
-                              exp_time_weights,
+from wiedlab import ForcingSpec
+from wiedlab.assembly import (assemble_linear_system, axis_eigenbasis,
+                              build_operators, exp_time_weights,
                               functional_gradient, functional_value,
                               _time_thomas, space_time_inverse,
                               spectral_preconditioner, stencil_residual)
@@ -122,7 +122,7 @@ def test_exp_weights_telescope():
 def test_functional_zero_for_constants_without_reaction():
     g = small_grid()
     U = np.full(g.spacetime_shape, 0.8)
-    assert abs(functional_value(g, None, 0.2, U)) < 1e-14
+    assert abs(functional_value(g, ZERO_MODEL, 0.2, U)) < 1e-14
 
 
 def test_functional_constant_with_reaction_closed_form():
@@ -198,7 +198,7 @@ def test_gradient_zero_on_initial_layer():
     g = small_grid()
     rng = np.random.default_rng(2)
     U = rng.standard_normal(g.spacetime_shape)
-    G = functional_gradient(g, None, 0.2, U)
+    G = functional_gradient(g, ZERO_MODEL, 0.2, U)
     assert np.all(G[0] == 0.0)
 
 
@@ -210,7 +210,7 @@ def test_gradient_linear_in_time_reduction():
     eps, alpha = 0.3, 0.7
     U = np.broadcast_to((alpha * g.t)[:, None, None],
                         g.spacetime_shape).copy()
-    G = functional_gradient(g, None, eps, U)
+    G = functional_gradient(g, ZERO_MODEL, eps, U)
     w = exp_time_weights(g.t, eps)
     wpad = np.append(w, 0.0)
     ops = build_operators(g)
@@ -228,7 +228,7 @@ def test_adjoint_consistency_gradient_vs_system():
     system = assemble_linear_system(g, eps)
     w = exp_time_weights(g.t, eps)
     rng = np.random.default_rng(3)
-    for model in (None, BUMP):
+    for model in (ZERO_MODEL, BUMP):
         U = rng.random((g.spec.nt + 1, g.n_spatial))
         G = functional_gradient(g, model, eps, U)
         rG = G[1:] / (2.0 * w[:, None])
@@ -241,17 +241,15 @@ def test_constants_solve_homogeneous_system():
     from wiedlab.wied import WiedConfig, solve_wied
     g = small_grid()
     c = 1.3
-    U = solve_wied(g, None, WiedConfig(eps=0.2, outer_tol=1e-11),
+    U = solve_wied(g, ZERO_MODEL, WiedConfig(eps=0.2, outer_tol=1e-11),
                    np.full(g.n_spatial, c)).U
     assert np.max(np.abs(U - c)) < 1e-10
 
 
 def test_assembled_residual_at_dense_solution():
     g = small_grid(4, 4, 4, T=0.5)
-    rng = np.random.default_rng(4)
-    F = rng.standard_normal(g.spacetime_shape)
-    system = assemble_linear_system(g, 0.2, forcing=ForcingSpec(F=F))
-    U0 = rng.standard_normal(g.n_spatial)
+    system = assemble_linear_system(g, 0.2)
+    U0 = np.random.default_rng(4).standard_normal(g.n_spatial)
     b = system.rhs(U0)
     x = np.linalg.solve(system.A.toarray(), b)  # dense LU oracle
     resid = system.A @ x - b
@@ -389,9 +387,10 @@ def test_stencil_residual_matches_assembled_system():
             (d, model.kind, eps)
 
 
-def _sparse_formula_system(g, ops, eps, forcing):
+def _sparse_formula_system(g, ops, eps, U0):
     """The space-time matrix and rhs by the sparse-operator formula:
-    diags(c main (x) m) - c Msub - c rho Msup + diags(c_hat) Kkron."""
+    diags(c main (x) m) - c Msub - c rho Msup + diags(c_hat) Kkron, and
+    the initial-layer term c M U0 in row 0."""
     nt, S = g.spec.nt, g.n_spatial
     c = eps / g.dt**2
     rho = float(np.exp(-g.dt / eps))
@@ -407,11 +406,7 @@ def _sparse_formula_system(g, ops, eps, forcing):
          - c * Msub - (c * rho) * Msup
          + sp.diags(np.repeat(c_hat, S)) @ Kkron)
     b = np.zeros((nt, S))
-    if forcing.F is not None:
-        b += c_hat[:, None] * (ops.mass * forcing.F.reshape(nt + 1, S)[1:])
-    if forcing.f is not None:
-        b[:, ops.trace_index] += (c_hat[:, None] * ops.trace_mass
-                                  * forcing.f.reshape(nt + 1, -1)[1:])
+    b[0] = c * ops.mass * U0
     return finalize_csr(A), b
 
 
@@ -425,18 +420,13 @@ def test_pattern_assembly_matches_sparse_formula():
                                 nx=4, ny=5, nt=6))
         ops = build_operators(g)
         nt, S = g.spec.nt, g.n_spatial
-        F = rng.standard_normal(g.spacetime_shape)
-        f = rng.standard_normal((nt + 1,) + (g.spec.nx + 1,) * d)
         U0 = rng.standard_normal(S)
-        for eps, (bulk, trace) in itertools.product(
-                (0.3, 0.02, 1e-9), itertools.product((None, F), (None, f))):
-            forcing = ForcingSpec(F=bulk, f=trace)
-            system = assemble_linear_system(g, eps, forcing=forcing, ops=ops)
-            A_ref, b_ref = _sparse_formula_system(g, ops, eps, forcing)
+        for eps in (0.3, 0.02, 1e-9):
+            system = assemble_linear_system(g, eps, ops=ops)
+            A_ref, b_ref = _sparse_formula_system(g, ops, eps, U0)
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(system.A, name),
                                       getattr(A_ref, name)), (d, a, eps, name)
-            b_ref[0] += (eps / g.dt**2) * ops.mass * U0
             assert np.array_equal(system.rhs(U0), b_ref.ravel())
             if eps == 1e-9:
                 assert system.A.nnz == A_ref.nnz < (
@@ -455,24 +445,18 @@ def _matvec_residual(system, model, U):
 
 
 def test_residual_is_matvec_plus_source_minus_rhs():
-    # the stencil residual against the assembled system, with and without
-    # bulk and trace forcing
+    # the residual of the system against its assembled form
     rng = np.random.default_rng(16)
     for d, eps in itertools.product((1, 2), (0.3, 0.02)):
         g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
                                 nx=4, ny=5, nt=6))
-        nt, S = g.spec.nt, g.n_spatial
-        F = rng.standard_normal(g.spacetime_shape)
-        f = rng.standard_normal((nt + 1,) + (g.spec.nx + 1,) * d)
-        U = rng.random((nt + 1, S))
-        for bulk, trace in itertools.product((None, F), (None, f)):
-            system = assemble_linear_system(
-                g, eps, forcing=ForcingSpec(F=bulk, f=trace))
-            ref = _matvec_residual(system, BUMP, U)
-            r = system.residual(BUMP, U)
-            assert r.shape == ref.shape
-            assert np.max(np.abs(r - ref)) <= \
-                1e-12 * np.max(np.abs(ref)), (d, eps, bulk is F, trace is f)
+        U = rng.random((g.spec.nt + 1, g.n_spatial))
+        system = assemble_linear_system(g, eps)
+        ref = _matvec_residual(system, BUMP, U)
+        r = system.residual(BUMP, U)
+        assert r.shape == ref.shape
+        assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+            (d, eps)
 
 
 def test_sweep_never_builds_the_space_time_matrix(tmp_path, monkeypatch):
@@ -573,7 +557,7 @@ def test_eps_must_be_positive():
     g = small_grid()
     U = np.zeros(g.spacetime_shape)
     with pytest.raises(ValueError):
-        functional_value(g, None, 0.0, U)
+        functional_value(g, ZERO_MODEL, 0.0, U)
     with pytest.raises(ValueError):
         assemble_linear_system(g, -0.5)
 

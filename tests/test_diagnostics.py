@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wiedlab import diagnostics as dg
-from wiedlab.combustion import CombustionModel, validate_model
+from wiedlab.combustion import ZERO_MODEL, CombustionModel, validate_model
 from wiedlab.grid import Cylinder, GridError, GridSpec, build_grid, \
     weighted_measure
 from wiedlab.wied import WiedConfig, solve_wied
@@ -27,7 +27,7 @@ def test_energy_zero_for_constants():
     g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
                             nx=6, ny=5, nt=10))
     U = np.full(g.spacetime_shape, 0.4)
-    rep = dg.energy_decomposition(g, None, 0.1, U)
+    rep = dg.energy_decomposition(g, ZERO_MODEL, 0.1, U)
     assert np.all(rep.inertia == 0.0)
     assert np.max(np.abs(rep.dissipation)) < 1e-15
     assert np.max(np.abs(rep.energy)) < 1e-15
@@ -119,7 +119,8 @@ def test_uniform_bounds_zero_data_trivially_uniform():
     g = build_grid(GridSpec(d=1, a=0.5, L=1.0, Y=1.0, T=1.0,
                             nx=5, ny=4, nt=20))
     U = np.full(g.spacetime_shape, 0.9)
-    reps = [dg.energy_decomposition(g, None, e, U) for e in (0.05, 0.025)]
+    reps = [dg.energy_decomposition(g, ZERO_MODEL, e, U)
+            for e in (0.05, 0.025)]
     ub = dg.uniform_bounds_report(reps)
     assert ub["uniform"]
 
@@ -132,7 +133,7 @@ def test_uniform_bounds_flags_pathological_family():
     for eps in (0.1, 0.0125):
         U = np.broadcast_to(np.sin(g.t / eps)[:, None, None],
                             g.spacetime_shape) * 0.5
-        reps.append(dg.energy_decomposition(g, None, eps, np.array(U)))
+        reps.append(dg.energy_decomposition(g, ZERO_MODEL, eps, np.array(U)))
     ub = dg.uniform_bounds_report(reps)
     assert not ub["uniform"]
     assert ub["dt_energy_spread"] > 4.0

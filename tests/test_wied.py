@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from wiedlab import wied
-from wiedlab.assembly import (ForcingSpec, assemble_linear_system,
-                              functional_gradient, functional_value)
-from wiedlab.combustion import CombustionModel, validate_model
+from wiedlab.assembly import (assemble_linear_system, functional_gradient,
+                              functional_value, space_time_inverse)
+from wiedlab.combustion import ZERO_MODEL, CombustionModel, validate_model
 from wiedlab.grid import GridSpec, build_grid
 from wiedlab.wied import (EpsilonSchedule, Level, WiedConfig,
                           WiedConvergenceError, dist_C_L2a, solve_wied,
@@ -26,7 +26,7 @@ def bump_data(g, r2=0.36):
 
 def test_constant_data_is_exact_minimizer():
     g = grid_small(6, 5, 8)
-    res = solve_wied(g, None, WiedConfig(eps=0.05, outer_tol=1e-10),
+    res = solve_wied(g, ZERO_MODEL, WiedConfig(eps=0.05, outer_tol=1e-10),
                      np.full(g.n_spatial, 0.7))
     assert res.stats["iterations"] == 1
     assert np.max(np.abs(res.U - 0.7)) == 0.0
@@ -112,9 +112,7 @@ def test_one_exit_check_counts_iterations(monkeypatch):
     assert failed.el_residual > failed.el_tol
 
 
-@pytest.mark.parametrize("forced", [False, True],
-                         ids=["unforced", "forced"])
-def test_zero_model_level_takes_only_picard_steps(forced):
+def test_zero_model_level_takes_only_picard_steps():
     # without a reaction sigma = 0, so a Newton step would be the Picard
     # step at a higher cost: a level started from a field (where a
     # reaction level tries Newton first) runs no GMRES iteration
@@ -123,11 +121,8 @@ def test_zero_model_level_takes_only_picard_steps(forced):
     U0 = bump_data(g)
     start = U0 + 0.1 * rng.standard_normal((g.spec.nt + 1, g.n_spatial))
     start[0] = U0
-    forcing = ForcingSpec(F=rng.standard_normal(g.spacetime_shape)) \
-        if forced else None
-    system = assemble_linear_system(g, 0.1, forcing=forcing)
-    res = solve_wied(g, None, WiedConfig(eps=0.1, outer_tol=1e-10), U0,
-                     start=Level(None, start), system=system)
+    res = solve_wied(g, ZERO_MODEL, WiedConfig(eps=0.1, outer_tol=1e-10), U0,
+                     start=Level(None, start))
     st = res.stats
     assert st["inner_iterations"] and set(st["inner_iterations"]) == {0}
     assert st["newton_tols"] == [] and set(st["steps"]) == {"picard"}
@@ -148,16 +143,14 @@ def test_initial_layer_exact_and_functional_below_extension():
     assert all(b <= a * (1 + 1e-12) + 1e-300 for a, b in zip(fs, fs[1:]))
 
 
-def solve_linear(g, eps, forcing, U0, tol=1e-11):
-    # the linear problem: the zero model on the forced system
-    system = assemble_linear_system(g, eps, forcing=forcing)
-    return solve_wied(g, None, WiedConfig(eps=eps, outer_tol=tol), U0,
-                      system=system)
+def solve_linear(g, eps, U0, tol=1e-11):
+    # the linear problem: the zero model
+    return solve_wied(g, ZERO_MODEL, WiedConfig(eps=eps, outer_tol=tol), U0)
 
 
 def test_linear_zero_data():
     g = grid_small(8, 6, 20)
-    U = solve_linear(g, 0.1, None, np.zeros(g.n_spatial)).U
+    U = solve_linear(g, 0.1, np.zeros(g.n_spatial)).U
     assert np.max(np.abs(U)) < 1e-12
 
 
@@ -168,15 +161,11 @@ def test_linear_problem_is_one_exact_picard_step(d):
     # field is the dense solve of the assembled system
     spec = {1: dict(nx=6, ny=4, nt=8), 2: dict(nx=4, ny=3, nt=6)}[d]
     g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0, **spec))
-    rng = np.random.default_rng(5)
-    forcing = ForcingSpec(F=rng.standard_normal(g.spacetime_shape),
-                          f=rng.standard_normal((g.spec.nt + 1,
-                                                 (g.spec.nx + 1) ** d)))
-    U0 = rng.standard_normal(g.n_spatial)
-    res = solve_linear(g, 0.1, forcing, U0)
+    U0 = np.random.default_rng(5).standard_normal(g.n_spatial)
+    res = solve_linear(g, 0.1, U0)
     assert len(res.stats["damping"]) == 1
     assert res.stats["iterations"] == 2
-    system = assemble_linear_system(g, 0.1, forcing=forcing)
+    system = assemble_linear_system(g, 0.1)
     x = np.linalg.solve(system.A.toarray(), system.rhs(U0))
     assert np.array_equal(res.U[0], U0)
     assert np.max(np.abs(res.U[1:].ravel() - x)) <= 1e-10 * np.max(np.abs(x))
@@ -184,7 +173,10 @@ def test_linear_problem_is_one_exact_picard_step(d):
 
 def test_linear_manufactured_weighted_influx():
     # f = 1 on the trace: exact solution U = V(y) + alpha t with
-    # alpha = (1+a)/Y^{1+a}, V' = alpha y/(1+a) - y^{-a}
+    # alpha = (1+a)/Y^{1+a}, V' = alpha y/(1+a) - y^{-a}.  The trace
+    # forcing enters the right-hand side as c_hat D_tr f on the y = 0
+    # columns, and the discrete solution is one exact apply of the
+    # reaction-free inverse P to it, the one Picard step of the zero model
     a, Y, T = 0.5, 1.0, 1.0
     errs = []
     for nx, ny, nt in ((8, 8, 64), (16, 16, 128)):
@@ -193,9 +185,12 @@ def test_linear_manufactured_weighted_influx():
         ym = g.coords()[0]
         V = alpha * ym**2 / (2 * (1 + a)) - ym**(1 - a) / (1 - a)
         V0 = np.broadcast_to(V, g.spatial_shape).ravel()
-        f = np.ones((g.spec.nt + 1, g.spec.nx + 1))
         eps = 0.02
-        U = solve_linear(g, eps, ForcingSpec(f=f), V0).U
+        system = assemble_linear_system(g, eps)
+        b = system.rhs(V0).reshape(g.spec.nt, -1)
+        b[:, system.ops.trace_index] += (system.c_hat[:, None]
+                                         * system.ops.trace_mass)
+        U = np.vstack([V0, space_time_inverse(system)(b).reshape(b.shape)])
         exact = V0[None, :] + alpha * g.t[:, None]
         half = g.spec.nt // 2  # stay clear of the terminal layer
         errs.append(np.max(np.abs(U[:half] - exact[:half])))
@@ -424,7 +419,7 @@ def test_schedule_validation():
 
 def test_sweep_single_level_report():
     g = grid_small(8, 6, 40, T=2.0)
-    levels = sweep_epsilon(g, None, EpsilonSchedule(0.1, 0.5, 1),
+    levels = sweep_epsilon(g, ZERO_MODEL, EpsilonSchedule(0.1, 0.5, 1),
                            bump_data(g),
                            cfg=WiedConfig(eps=0.1, outer_tol=1e-9))
     assert [lv.eps for lv in levels] == [0.1]
@@ -436,7 +431,8 @@ def test_sweep_single_level_report():
 def test_sweep_eps0_horizon_guard():
     g = grid_small(8, 6, 20, T=1.0)
     with pytest.raises(ValueError, match="T/20"):
-        sweep_epsilon(g, None, EpsilonSchedule(0.2, 0.5, 2), bump_data(g))
+        sweep_epsilon(g, ZERO_MODEL, EpsilonSchedule(0.2, 0.5, 2),
+                      bump_data(g))
 
 
 def test_sweep_combustion_bounds_and_monotone_distance():
