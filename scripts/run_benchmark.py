@@ -5,7 +5,7 @@ kernel it ran on (from manifest.json), the parabolic
 reference's trace corrections (from manifest.json), the
 convergence table, then per eps level the outer iterations, the accepted
 Newton and Picard steps and the GMRES iterations of its Newton trace
-solves (from levels.json).
+solves (from levels.json) and its Thomas sweeps (from manifest.json).
 
 Usage: python scripts/run_benchmark.py [configs/combustion-1d.json] [outdir]
 """
@@ -39,11 +39,13 @@ def main(config="configs/combustion-1d.json", out="runs/combustion-1d"):
     conv = Path(out) / "reports" / "convergence.csv"
     print(conv.read_text().strip())
     levels = json.loads((Path(out) / "reports" / "levels.json").read_text())
-    print("eps,outer_iterations,newton_steps,picard_steps,gmres_iterations")
-    for lv in levels:
+    print("eps,outer_iterations,newton_steps,picard_steps,gmres_iterations,"
+          "sweeps")
+    for lv, sweeps in zip(levels, manifest["sweeps"]):
         print(f"{lv['eps']:g},{lv['iterations']},"
               f"{lv['steps'].count('newton')},{lv['steps'].count('picard')},"
-              f"{sum(lv['inner_iterations'])}")
+              f"{sum(lv['inner_iterations'])},{sweeps}")
+    print(f"Thomas sweeps: {sum(manifest['sweeps'])} in all")
 
 
 if __name__ == "__main__":

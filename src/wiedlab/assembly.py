@@ -243,11 +243,10 @@ class AxisEigenbasis:
     d: int
     # alpha -> (inv, h), filled by resolvent
     resolvents: dict = field(default_factory=dict, repr=False)
-    # block shape -> the one scratch array the stages of _apply share
-    scratch: dict = field(default_factory=dict, repr=False)
 
     def _apply(self, Ay: np.ndarray | None, Ax: np.ndarray,
-               r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+               r: np.ndarray, out: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
         # (Ay (x) Ax [(x) Ax]) applied to each row of r, shape (..., S),
         # into out when given; Ay None: the x factor alone, on y = 0
         # trace vectors.  Each stage is a stack of small products, one per
@@ -264,11 +263,10 @@ class AxisEigenbasis:
                 R = Ay @ R.reshape(1, ny1, -1)
             return R.reshape(r.shape)
         # a block: the stages alternate between out and one scratch array
-        # kept per shape, since a fresh full-size temporary costs the
-        # allocator more than its products, so that the last stage lands
-        # in out.  out may be r, which only the first stage reads: then
-        # the first stage goes to the scratch, and the result is copied
-        # into out if the last one does not land there
+        # shaped like r, the caller's when given, so that the last stage
+        # lands in out.  out may be r, which only the first stage reads:
+        # then the first stage goes to the scratch, and the result is
+        # copied into out if the last one does not land there
         if out is None:
             out = np.empty(r.shape)
         elif not (out.flags.c_contiguous and out.shape == r.shape):
@@ -283,9 +281,7 @@ class AxisEigenbasis:
         in_place = np.may_share_memory(out, r)
         if len(stages) == 1 and not in_place:
             return stages[0](R, out.reshape(R.shape)).reshape(r.shape)
-        buf = self.scratch.get(r.shape)
-        if buf is None:
-            buf = self.scratch[r.shape] = np.empty(r.shape)
+        buf = np.empty(r.shape) if scratch is None else scratch
         dst = (buf, out) if len(stages) % 2 == 0 or in_place else (out, buf)
         for k, stage in enumerate(stages):
             R = stage(R, dst[k % 2].reshape(R.shape)).reshape(R.shape)
@@ -293,17 +289,20 @@ class AxisEigenbasis:
             out[...] = buf
         return out
 
-    def to_modes(self, r: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
+    def to_modes(self, r: np.ndarray, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
         """V' r for nodal vectors stacked along the last axis, written
-        into out when given (which may be r itself)."""
-        return self._apply(self.Vy.T, self.Vx.T, r, out)
+        into out when given (which may be r itself).  A block of vectors
+        passes its stages through scratch, a C-contiguous array shaped
+        like r and apart from r and out, or through one allocated here."""
+        return self._apply(self.Vy.T, self.Vx.T, r, out, scratch)
 
-    def from_modes(self, w: np.ndarray, out: np.ndarray | None = None
-                   ) -> np.ndarray:
+    def from_modes(self, w: np.ndarray, out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
         """V w for modal vectors stacked along the last axis, written
-        into out when given (which may be w itself)."""
-        return self._apply(self.Vy, self.Vx, w, out)
+        into out when given (which may be w itself), with scratch as in
+        to_modes."""
+        return self._apply(self.Vy, self.Vx, w, out, scratch)
 
     def to_trace_modes(self, s: np.ndarray) -> np.ndarray:
         """Vx' s [(x) Vx'] for y = 0 trace vectors stacked along the last
@@ -594,20 +593,28 @@ def _time_thomas(b: np.ndarray, low, up):
     """Batched Thomas solve of the time-tridiagonal systems with diagonal
     b (nt, S), subdiagonal -low and superdiagonal -up (scalars or (S,)).
 
-    The factorization is done once; the returned solve overwrites and
-    returns its (nt, S) argument.  It works on row views with one (S,)
-    scratch row and allocates nothing per layer.
+    The factorization is done once, in place: b becomes the factor's
+    reciprocal pivots, and one more (nt, S) array holds the eliminated
+    superdiagonal.  The returned solve overwrites and returns its (nt, S)
+    argument.  Both work on row views with one (S,) scratch row and
+    allocate nothing per layer.
     """
     nt, S = b.shape
     cp = np.empty((nt, S))
-    emul = np.empty((nt, S))
-    emul[0] = 1.0 / b[0]
-    cp[0] = -up * emul[0]
-    for m in range(1, nt):
-        emul[m] = 1.0 / (b[m] + low * cp[m - 1])
-        cp[m] = -up * emul[m] if m < nt - 1 else 0.0
-    erows, cprows = list(emul), list(cp)
+    emul = b
     tmp = np.empty(S)
+    np.divide(1.0, emul[0], out=emul[0])
+    np.multiply(-up, emul[0], out=cp[0])
+    for m in range(1, nt):
+        # emul[m] = 1 / (b[m] + low cp[m-1])
+        np.multiply(low, cp[m - 1], out=tmp)
+        np.add(emul[m], tmp, out=tmp)
+        np.divide(1.0, tmp, out=emul[m])
+        if m < nt - 1:
+            np.multiply(-up, emul[m], out=cp[m])
+        else:
+            cp[m] = 0.0
+    erows, cprows = list(emul), list(cp)
 
     def solve(z: np.ndarray) -> np.ndarray:
         zr = list(z)
@@ -661,28 +668,38 @@ class SpaceTimeInverse:
         (c T + lam_k diag(c_hat)) z_k = (V' r)_k,   c = eps/dt^2,
 
     which solve_modes answers with a batched Thomas sweep: P = V Tm^{-1} V'
-    with Tm these time problems.  Calling the object applies P to a
-    flattened (nt * n_spatial) vector: two per-axis transforms and one
-    sweep.  A solver that keeps its unknowns as modal coefficients
-    x_hat = V' M x (x = V x_hat) needs neither transform: P r has the
-    coefficients Tm^{-1} V' r.  E injects (nt, n_trace) trace blocks into
-    the y = 0 columns, and only the y = 0 row of Vy meets the trace, so
-    trace_solve (the coefficients of P E s) transforms s on the trace
-    alone and trace (E' V x_hat) reads the trace of modal coefficients
-    without a full transform.  One Thomas sweep is therefore the only
-    full-size work of trace_solve and of capacitance (C s = E' P E s),
-    beyond a few elementwise passes.
+    with Tm these time problems.  sweep runs it and counts it in sweeps.
+    Calling the object applies P to a flattened (nt * n_spatial) vector:
+    two per-axis transforms and one sweep.  A solver that keeps its
+    unknowns as modal coefficients x_hat = V' M x (x = V x_hat) needs
+    neither transform: P r has the coefficients Tm^{-1} V' r.  E injects
+    (nt, n_trace) trace blocks into the y = 0 columns, and only the y = 0
+    row of Vy meets the trace, so trace_solve (the coefficients of
+    P (r + E s)) transforms s on the trace alone and trace (E' V x_hat)
+    reads the trace of modal coefficients without a full transform.  One
+    Thomas sweep is therefore the only full-size work of trace_solve and
+    of capacitance (C s = E' P E s), beyond a few elementwise passes, and
+    shifted_solve, GMRES on the trace with the capacitance matrix C,
+    costs one sweep per iteration and no other full-size work.
     """
 
     basis: AxisEigenbasis
     # in-place batched Thomas solve on (nt, S) modal arrays
     solve_modes: Callable[[np.ndarray], np.ndarray]
     nt: int
+    # Thomas sweeps run so far, by every caller of this inverse
+    sweeps: int = 0
+
+    def sweep(self, w: np.ndarray) -> np.ndarray:
+        """Tm^{-1} w for modal coefficients w (nt, n_spatial), in place:
+        one Thomas sweep, counted."""
+        self.sweeps += 1
+        return self.solve_modes(w)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         w = self.basis.to_modes(np.asarray(r, dtype=float).reshape(self.nt,
                                                                     -1))
-        return self.basis.from_modes(self.solve_modes(w)).ravel()
+        return self.basis.from_modes(self.sweep(w)).ravel()
 
     def trace_solve(self, s: np.ndarray, r_hat: np.ndarray | None = None,
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -698,7 +715,7 @@ class SpaceTimeInverse:
         w = w.reshape(self.nt, -1)
         if r_hat is not None:
             w[0] += r_hat
-        return self.solve_modes(w)
+        return self.sweep(w)
 
     def trace(self, w: np.ndarray) -> np.ndarray:
         """E' V w, the y = 0 trace block (nt, n_trace) of the field with
@@ -712,40 +729,33 @@ class SpaceTimeInverse:
         read only on the trace, runs in work (nt, n_spatial)."""
         return self.trace(self.trace_solve(s, out=work))
 
-    def shifted_solve(self, w0: np.ndarray, r0: np.ndarray,
-                      shift: np.ndarray, tol: float, maxit: int,
-                      out: np.ndarray | None = None,
-                      work: np.ndarray | None = None):
-        """The modal coefficients of x = (A_sigma + E diag(shift) E')^{-1}
-        rhs from those of w0 = P (rhs - E (shift y0)), (nt, n_spatial),
-        and r0 = trace(w0) - y0, for a trace block y0 (nt, n_trace) near
-        the trace of x; shift is a trace block like y0.
+    def shifted_solve(self, r0: np.ndarray, shift: np.ndarray, tol: float,
+                      maxit: int, work: np.ndarray):
+        """delta with (I + C diag(shift)) delta = r0, for trace blocks r0
+        and shift (nt, n_trace), by one GMRES cycle from 0 of at most
+        maxit iterations to relative residual tol, each iteration one
+        capacitance apply with its sweep in work (nt, n_spatial).
 
-        Woodbury on the trace: the trace y of x solves
-        (I + C diag(shift)) y = E' P rhs, whose residual at y0 is r0.  The
-        correction delta = y - y0 solves (I + C diag(shift)) delta = r0
-        by one GMRES cycle from 0 of at most maxit iterations (one C
-        apply each) to relative residual tol, and
-        x = w0 - P E (shift delta).  Then E' x - y0 - delta is the GMRES
-        residual g, and the linear residual of x is exactly E (shift g),
-        up to the roundoff of P, so its norm is at most
-        tol max|shift| |r0| once GMRES converges; solve_wied picks tol
-        from the outer residual that way.  Returns the coefficients of x,
-        one Thomas sweep after GMRES, written into out when given, and the
-        GMRES SolveResult (its x is delta, flattened).  The capacitance
-        sweeps run in work when given, or in one array allocated here.
+        Woodbury on the trace: let P (b + E s) be the Picard point at a
+        trace y, y_p its trace and r0 = y_p - y.  The Newton point
+        (A_sigma + E diag(shift) E')^{-1} rhs of the same right-hand side
+        is then the field of the source s - shift delta, whose trace is
+        y_p - C (shift delta) = y + delta + g, g the GMRES residual, and
+        whose linear residual is exactly E (shift g).  Returns the GMRES
+        SolveResult, whose x is delta (flattened) and whose image is
+        C (shift delta), summed from the C (shift v_i) of its applies in
+        its fixed update order, so no sweep forms it.
         """
-        shape = shift.shape
-        if work is None:
-            work = np.empty(w0.shape)
+        shape, d = r0.shape, np.ravel(shift)
 
         def apply(v):
-            return v + self.capacitance(shift * v.reshape(shape),
-                                        work).ravel()
+            cv = self.capacitance((d * v).reshape(shape), work).ravel()
+            return v + cv, cv
 
         sol = gmres_solve(apply, np.ravel(r0), tol=tol, maxit=maxit)
-        w = self.trace_solve(shift * sol.x.reshape(shape), out=out)
-        return np.subtract(w0, w, out=w), sol
+        if sol.image is None:       # no apply ran
+            sol.image = np.zeros(sol.x.shape)
+        return sol
 
 
 def space_time_inverse(system: LinearSystem,
@@ -759,9 +769,11 @@ def space_time_inverse(system: LinearSystem,
         nt = grid.spec.nt
         basis = axis_eigenbasis(grid, system.ops, sigma)
         c, rho, main, c_hat = _row_coefficients(grid, system.eps)
-        solve = _time_thomas(
-            (c * main)[:, None] + np.multiply.outer(c_hat, basis.lam),
-            c, c * rho)
+        # the diagonal c main + c_hat lam, built in the array the
+        # factorization keeps
+        diag = np.multiply.outer(c_hat, basis.lam)
+        diag += (c * main)[:, None]
+        solve = _time_thomas(diag, c, c * rho)
         inv = SpaceTimeInverse(basis=basis, solve_modes=solve, nt=nt)
         system.inverses[sigma] = inv
     return inv

@@ -66,6 +66,9 @@ class SolveResult:
     residuals: list = field(default_factory=list)
     converged: bool = False
     breakdown: str | None = None
+    # B x for a second linear map B that the operator also applies
+    # (gmres_solve), else None
+    image: np.ndarray | None = None
 
 
 def pcg_solve(A, b, precond="jacobi", tol=1e-10, maxit=1000,
@@ -203,7 +206,10 @@ def bicgstab_solve(A, b, precond="jacobi", tol=1e-10, maxit=2000,
 
 def gmres_solve(apply_a, b, tol=1e-10, maxit=2000) -> SolveResult:
     """One GMRES cycle from 0, of at most min(maxit, n) iterations, for
-    nonsingular systems given by the callable apply_a: v -> A v.
+    nonsingular systems given by the callable apply_a: v -> A v, or
+    v -> (A v, B v) for a second linear map B whose value at the solution
+    the caller needs: then the result's image is B x, formed from the
+    returned B v_i in the same order as x from the v_i, with no apply.
 
     Arnoldi runs with modified Gram-Schmidt and the least-squares problem
     is updated with Givens rotations, so the residual estimate is known
@@ -224,6 +230,7 @@ def gmres_solve(apply_a, b, tol=1e-10, maxit=2000) -> SolveResult:
     if res[0] <= tol:
         return SolveResult(x, 0, res, converged=True)
     V = [b / bnorm]
+    images = []
     H = np.zeros((m + 1, m))
     cs, sn = np.zeros(m), np.zeros(m)
     g = np.zeros(m + 1)
@@ -231,6 +238,9 @@ def gmres_solve(apply_a, b, tol=1e-10, maxit=2000) -> SolveResult:
     j = 0
     while j < m:
         w = apply_a(V[j])
+        if isinstance(w, tuple):
+            w, img = w
+            images.append(img)
         for i in range(j + 1):
             H[i, j] = _dot(w, V[i])
             w -= H[i, j] * V[i]
@@ -253,11 +263,14 @@ def gmres_solve(apply_a, b, tol=1e-10, maxit=2000) -> SolveResult:
         if lucky or abs(g[j]) / ref <= tol:
             break
     # back substitution, then x += V' y one basis vector at a time so
-    # the update is the same under any BLAS thread count
+    # the update is the same under any BLAS thread count, and B x alike
     y = np.zeros(j)
     for i in range(j - 1, -1, -1):
         y[i] = (g[i] - _dot(H[i, i + 1:j], y[i + 1:])) / H[i, i]
+    image = np.zeros(images[0].shape) if images else None
     for i in range(j):
         x += y[i] * V[i]
+        if images:
+            image += y[i] * images[i]
     res.append(abs(g[j]) / ref)
-    return SolveResult(x, j, res, converged=res[-1] <= tol)
+    return SolveResult(x, j, res, converged=res[-1] <= tol, image=image)

@@ -6,7 +6,8 @@ diagnostics, written as a deterministic artifact tree:
     fields/eps-*.f64 (+ .json sidecars), fields/parabolic.f64
     reports/*.csv, summary.json
     manifest.json  (config hash, versions, BLAS kernel, wall clock, artifact
-                    hashes, the parabolic reference's trace corrections)
+                    hashes, the parabolic reference's trace corrections,
+                    each level's Thomas sweeps)
 
 Field dumps are raw little-endian float64 in row-major (x, y, t) node
 order; everything numeric is reproduced bit-exactly by a re-run with the
@@ -339,6 +340,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         "tail_weight": float(np.exp(-cfg.grid.T / cfg.schedule.eps0)),
         "wallclock_s": time.time() - t_start,
         "artifacts": artifacts,
+        # solver counts, kept out of every hashed artifact
+        "sweeps": [lv.stats["sweeps"] for lv in levels],
     }
     if corrections:
         manifest["parabolic"] = corrections

@@ -4,10 +4,12 @@ For fixed eps the weight-normalized Euler-Lagrange system is solved with
 guarded Newton and a Picard fallback wherever the model has a reaction,
 and with Picard alone on the zero model, where a Newton step is the
 Picard step at a higher cost; accepted steps never increase the
-functional.  The iterate lives in the spatial eigenbasis of the exact
-inverse of the Picard matrix, so each Picard step is one Thomas sweep,
-and each Newton step adds a GMRES solve on the y = 0 trace only; no
-Krylov method runs on the full space.  The sweep re-solves along a
+functional.  The exact inverse of the Picard matrix is one Thomas sweep
+in a spatial eigenbasis, and from a level's first full step on its
+iterate is the field of a source on the y = 0 trace, carried as that
+source and its trace: each Picard point is one sweep, and each Newton
+try adds a GMRES solve on the trace only; no Krylov method runs on the
+full space.  The sweep re-solves along a
 geometric eps schedule, starting its first level from the
 implicit-Euler reference (the eps -> 0 limit) and each later level from
 the previous one, and measures the distance to that reference in the
@@ -151,11 +153,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     per-iteration stats (residuals, functional values, the GMRES
     iterations of each tried step, 0 for Picard, the relative GMRES
     tolerance of each Newton try, the kind and damping of each accepted
-    step, and the absolute residual threshold el_tol_abs actually
-    enforced) and KU, the stiffness product its exit check formed.
-    Check k follows step k - 1: a level that passes it reports k
-    iterations and k residuals; one that fails the check after step
-    OUTER_MAXIT raises with OUTER_MAXIT iterations and one more residual.
+    step, the absolute residual threshold el_tol_abs actually enforced,
+    and the Thomas sweeps the level ran) and KU, the stiffness product
+    its exit check formed.  Check k follows step k - 1: a level that
+    passes it reports k iterations and k residuals; one that fails the
+    check after step OUTER_MAXIT raises with OUTER_MAXIT iterations and
+    one more residual.
 
     The solve starts from start.U, its first layer replaced by U0, or
     from U0 held in time without a start.  A start's KU, if any, is the
@@ -174,45 +177,49 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     step can never increase the functional.  Its matrix
     A_sigma = A + E stab E' is inverted exactly (space_time_inverse), so
 
-        Picard:  x = P (b - E bs(U) + E stab U_tr),  P = A_sigma^{-1},
+        Picard:  x = P (b + E s_p),  s_p = stab U_tr - bs(U),  P = A_sigma^{-1},
 
     with no Krylov iterations.  P = V Tm^{-1} V' in the per-axis
     eigenbasis V (V' M V = I) with Tm one tridiagonal time problem per
-    spatial mode, and from the first step to the level's exit the
-    unknown layers are kept as their modal coefficients V' M U.  V' b is
-    formed once per level, on row 0, the only nonzero row of b, and V' E s
-    transforms only the trace block s, so a Picard step is one Thomas
-    sweep and no full transform; the trace of the new iterate is read
+    spatial mode; V' b is formed once per level, on row 0, the only
+    nonzero row of b, and V' E s transforms only the trace block s, so
+    P (b + E s) is one Thomas sweep in the modes and its trace is read
     from its coefficients (SpaceTimeInverse.trace).  Where the model has
     a reaction (sigma > 0), an iteration tries a guarded Newton step and
-    falls back to a Picard step in the same iteration when the line
-    search rejects it.  With sigma = 0, beta' = 0 and the Newton step is
-    the Picard step at GMRES iterations + 2 sweeps, so only Picard runs.
-    Every step starts at the full step lam = 1 and halves lam until the
-    line search accepts.  Far from the minimizer the trace Newton
-    system can be indefinite, so Newton is tried only where the start
-    or the last tries suggest it pays.  A level given a start (as
-    the sweep starts every level, next to its minimizer) tries Newton
-    from the first iteration on; a cold start, U0 held in time, takes
-    Picard steps until the tracked residual is at most NEWTON_REARM
-    (5%) of its start value.  A Newton try that is rejected, or accepted
-    only with lam < 1, puts the level back on Picard: after the
-    k-th such try in a row Newton is tried again once the tracked
-    residual is at most NEWTON_REARM of its value at that try, or after
-    2^k Picard steps, so it is never kept off for good.  The Newton
-    matrix is
-    A_sigma + E D E' with D = c_hat D_tr (beta'(U) - sigma), solved by
-    Woodbury on the trace (SpaceTimeInverse.shifted_solve) as a
-    correction of the Picard point x_p:
+    falls back to the Picard step in the same iteration when the line
+    search rejects it; with sigma = 0, beta' = 0 and the Newton step is
+    the Picard step at a higher cost, so only Picard runs.  Every step
+    starts at the full step lam = 1 and halves lam until the line search
+    accepts.  Far from the minimizer the trace Newton system can be
+    indefinite, so Newton is tried only where the start or the last
+    tries suggest it pays.  A level given a start (as the sweep starts
+    every level, next to its minimizer) tries Newton from the first
+    iteration on; a cold start, U0 held in time, takes Picard steps until
+    the tracked residual is at most NEWTON_REARM (5%) of its start value.
+    A Newton try that is rejected, or accepted only with lam < 1, puts
+    the level back on Picard: after the k-th such try in a row Newton is
+    tried again once the tracked residual is at most NEWTON_REARM of its
+    value at that try, or after 2^k Picard steps, so it is never kept off
+    for good.
 
-        Newton:  x = (A_sigma + E D E')^{-1} (b + E (c_hat D_tr beta'(U) U_tr - bs(U)))
-                   = x_p - P E (D delta),
-
-    where delta, the change of the trace from U_tr, solves
-    (I + C D) delta = r0 with r0 = E' x_p - U_tr.  The Picard point
-    starts every iteration, and it is the fallback step too; a Newton
-    step adds one sweep per GMRES iteration and one for the correction:
-    GMRES iterations + 2 sweeps in all, and again no full transform.
+    Every full step lands on a field x = P (b + E s) for a trace source
+    s, and a damped step between two such fields has the source
+    (1 - lam) s_U + lam s_x, so from its first full step on a level
+    carries its iterate as (s, U_tr) and no field: L(x) = E (s - stab x_tr)
+    lives on the trace, and the Picard point's trace is
+    U_tr + C (s_p - s), C = E' P E the capacitance matrix, one sweep.
+    Before the first full step the iterate is any field, kept as its
+    modal coefficients V' M U in U's unknown rows, and the Picard point
+    is formed in the modes (one sweep, into the stiffness-product
+    buffer).  Either way an iteration makes one sweep for the Picard
+    point, which starts it and is the fallback step too.  The Newton
+    matrix is A_sigma + E D E' with D = c_hat D_tr (beta'(U) - sigma);
+    by Woodbury on the trace (SpaceTimeInverse.shifted_solve) its point
+    has the source s_p - D delta and the trace x_p,tr - C D delta, where
+    delta, the change of the trace from U_tr, solves
+    (I + C D) delta = r0 with r0 = x_p,tr - U_tr.  GMRES returns C D delta
+    as the sum of the C D v_i its applies formed, so a Newton try costs
+    exactly its GMRES iterations in sweeps and no transform.
 
     The GMRES solve is inexact Newton with the Eisenstat-Walker choice 2
     forcing term eta_k = min(0.1, 0.9 (res_k / res_{k-1})^2) (0.1 at the
@@ -224,15 +231,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     line search judges the inexact step that leaves.
 
     Both steps leave a residual supported on the trace, known without a
-    matvec:
-
-        Picard:  L(x) = E (stab (U_tr - x_tr) - bs(U)),
-        Newton:  L(x) = E (stab (U_tr - x_tr) - bs(U) - D delta),
-
-    and L is affine, so a damped candidate (1 - lam) U + lam x has
-    residual (1 - lam) L(U) + lam L(x) + E bs(cand).  The residual is
-    therefore tracked as its trace block plus its off-trace part, which
-    is the last full residual's scaled by the product of the 1 - lam.
+    matvec, L(x) = E (s_x - stab x_tr), and L is affine, so a damped
+    candidate (1 - lam) U + lam x has residual
+    (1 - lam) L(U) + lam L(x) + E bs(cand).  The residual is therefore
+    tracked as its trace block plus its off-trace part, which is the last
+    full residual's scaled by the product of the 1 - lam, and 0 from the
+    first full step on (the rounding of P aside).
 
     The functional needs no stiffness product either.  Its gradient is
     2 W r with W = diag(w_{m-1}), the exponential weight the rows of r
@@ -246,21 +250,28 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     and a line-search candidate costs only trace work (beta and Phi on
     its trace).  The off-trace pairing <W r_off, d> is taken in the modes
     as <W V' r_off, V' M d>, with V' r_off formed once per full residual.
-    LinearSystem.residual and functional_value run at entry, on the
-    nodal input itself (so a level that has converged there returns its
-    input bit for bit), and whenever the tracked residual passes the
-    tolerance, on the field transformed back from the modes; only that
-    full residual ends the solve, and the field it checked is returned.
+    Before the first full step a Newton point x_p + P E q, q = -D delta,
+    is formed only if the line search damps it: W A_sigma is symmetric,
+    so its pairing is that of x_p plus <W (P r_off)_tr, q>, and
+    (P r_off)_tr costs one sweep per full residual, at the first Newton
+    try that needs it.  LinearSystem.residual and functional_value run
+    at entry, on the nodal input itself (so a level that has converged
+    there returns its input bit for bit), and whenever the tracked
+    residual passes the tolerance, on the field of the iterate: the
+    transform back from its modes, or, from the first full step on, one
+    sweep on b + E s and one transform.  Only that full residual ends the
+    solve, and the field it checked is returned.
 
-    A level allocates its full-size arrays once: the nodal field and its
-    stiffness product (both returned), three slots that the modal
-    iterate, the Picard point and the Newton point rotate through, the
-    full residual, and one scratch array for the residual's time
-    stencil, the functional's time differences, the line search's
-    off-trace pairing and the capacitance sweeps of GMRES.  A damped
-    candidate is formed in the iterate's slot, and an accepted full step
-    takes over the trial point's.  Beyond these, the inverse holds its
-    two Thomas factor arrays and the basis one transform scratch.
+    A level allocates its full-size arrays once: U, the nodal field (both
+    returned), which holds the modal coefficients of the iterate before
+    its first full step; the stiffness-product buffer KU (returned), which
+    also holds a trial point before the first full step; the full
+    residual, then V' r_off; and one scratch array for the residual's
+    time stencil, the functional's time differences, the line search's
+    off-trace pairing, the transforms and the sweeps of GMRES.  A damped
+    candidate before the first full step is formed in U, and a Newton
+    point only then, in KU.  Beyond these, the inverse holds its two
+    Thomas factor arrays: six full-size arrays in all.
     """
     system = system or assemble_linear_system(grid, cfg.eps)
     ops = system.ops
@@ -278,14 +289,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             raise ValueError("a start with a stiffness product needs "
                              "first layer U0")
         U[0] = U0f
-    # the level's full-size buffers: the nodal field (U, then every field
-    # nodal() forms), the full residual r (then W V' r_off), one scratch,
-    # and, allocated on first use, the level's own stiffness product and
-    # the three modal slots
-    Ubuf = U
+    # the level's full-size buffers besides U: the full residual r (then
+    # V' r_off), one scratch, and, allocated on first use, the level's
+    # own stiffness product
     rbuf = np.empty((nt, S))
     work = np.empty((nt, S))
-    KUbuf = slots = None
+    KUbuf = None
 
     b0 = system.initial_row(U0f)
     tr = ops.trace_index
@@ -296,16 +305,17 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     stab = ctm * sigma
     inv = space_time_inverse(system, sigma)
     basis = inv.basis
+    sweeps0 = inv.sweeps
 
     def potential(pm):
         # the trace-potential part of E from the layer sums Phi(u_m) . D_tr
         return float(np.sum(wgt[:, 0] * (0.5 * (pm[:-1] + pm[1:]))))
 
-    def full_state(U, KU=None):
-        # residual and functional of the nodal U in full: |r|, r off the
-        # trace (in rbuf) and its norm, the trace block of r, E(U), the
-        # layer sums of Phi and the stiffness product KU both share, with
-        # one Phi
+    def full_state(KU=None):
+        # residual and functional of the nodal field in U in full: |r|, r
+        # off the trace (in rbuf) and its norm, the trace block of r,
+        # E(U), the layer sums of Phi and the stiffness product KU both
+        # share, with one Phi
         nonlocal KUbuf
         if KU is None:
             if KUbuf is None:
@@ -320,17 +330,6 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                                 KU=KU, Pm=pm, work=work)
         return res, r, _norm(r), rtr, fval, pm, KU
 
-    def nodal(Uh):
-        # the nodal field of modal unknown layers Uh: one full transform
-        Ubuf[0] = U0f
-        basis.from_modes(Uh, out=Ubuf[1:])
-        return Ubuf
-
-    def free_slot(*taken):
-        # a slot that holds none of taken (views of slots)
-        return next(slot for slot in slots
-                    if not any(np.may_share_memory(slot, t) for t in taken))
-
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
              "newton_tols": [], "steps": [], "damping": [], "iterations": 0}
     U_tr = U[1:, tr]
@@ -343,36 +342,41 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     stats["el_tol_abs"] = tol_abs
     # the off-trace part of the current residual is mu r_off, its norm off
     res, r_off, off, rtr, fval, pm, KU = full_state(
-        U, None if start is None else start.KU)
+        None if start is None else start.KU)
     mu = 1.0
-    # the iterate's modal unknown layers and V' b[0], set when the first
-    # step is needed; U (and its stiffness product KU) is the nodal
-    # iterate only while it is the one the last full_state checked, and
-    # None after a step
-    Uh = bh = None
+    # checked: U holds the nodal iterate the last full_state checked (and
+    # KU its product); otherwise U[1:] holds its modal coefficients V' M U
+    # before its first full step, and nothing after it.  s is its trace
+    # source from the first full step on, and None before.  bh is V' b[0],
+    # formed at the first step; h_off is W (P r_off)_tr, formed at the
+    # first Newton try after a full_state that needs it
+    checked, s, bh, h_off = True, None, None, None
     # the residual at the last failed Newton try, or at a cold start
     # (None while Newton is armed), the failed tries in a row and the
     # Picard steps since the last
     failed_at = None if start is not None else res
     failures = waited = 0
 
-    def picard_point():
-        # the Picard trial point P (b - E bs + E stab U_tr) in the modes,
-        # its trace and the trace block of L(x)
-        x = inv.trace_solve(stab * U_tr - bs, bh, out=free_slot(Uh))
-        x_tr = inv.trace(x)
-        return x, x_tr, stab * (U_tr - x_tr) - bs
+    def field():
+        # the nodal iterate in U: its modes transformed back, or the
+        # field of its source, one sweep on b + E s and one transform
+        if not checked:
+            modes = U[1:] if s is None else inv.trace_solve(s, bh, out=rbuf)
+            basis.from_modes(modes, out=U[1:], scratch=work)
+        return U
 
-    def newton_point(xp, xp_tr, target):
-        """Newton trial point from the Picard point xp, its trace and the
-        trace block of L(x); its linear residual is held below target,
-        the relative GMRES tolerance kept within [inner_tol,
-        FORCING_MAX]."""
-        dbeta = ctm * beta_prime_eval(model, U_tr)
-        shift = dbeta - stab
-        # xp = P (rhs - E (shift U_tr)) for the Newton right-hand side
-        # rhs = b + E (dbeta U_tr - bs), so the trace system's residual
-        # at U_tr is r0 = xp_tr - U_tr
+    def level():
+        stats["sweeps"] = inv.sweeps - sweeps0
+        return Level(cfg.eps, field(), stats, KU if checked else None)
+
+    def newton_try(xp_tr, s_p, target):
+        """The Newton point from the Picard point, given by its trace
+        xp_tr and its source s_p: its source, its trace, the trace block
+        of L(x) and its source less s_p.  Its linear residual is held
+        below target, the relative GMRES tolerance kept within
+        [inner_tol, FORCING_MAX]."""
+        shift = ctm * beta_prime_eval(model, U_tr) - stab
+        # the trace system's residual at U_tr
         r0 = xp_tr - U_tr
         # the GMRES residual g enters L(x) as E (shift g), so a relative
         # tolerance tol keeps it below target
@@ -382,25 +386,19 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         stats["newton_tols"].append(tol)
         # an unconverged GMRES still gives a usable inexact step: its
         # error enters lin exactly, and the line search judges it
-        x, sol = inv.shifted_solve(xp, r0, shift, tol=tol,
-                                   maxit=INNER_MAXIT,
-                                   out=free_slot(Uh, xp), work=work)
+        sol = inv.shifted_solve(r0, shift, tol=tol, maxit=INNER_MAXIT,
+                                work=work)
         stats["inner_iterations"].append(sol.iterations)
-        x_tr = inv.trace(x)
-        lin = stab * (U_tr - x_tr) - bs - shift * sol.x.reshape(shift.shape)
-        return x, x_tr, lin
+        q = -shift * sol.x.reshape(r0.shape)
+        x_s = s_p + q
+        x_tr = xp_tr - sol.image.reshape(r0.shape)
+        return x_s, x_tr, x_s - stab * x_tr, q
 
-    def line_search(kind, x, x_tr, lin_x):
+    def line_search(kind, x_tr, lin_x, s_off):
+        # s_off: the off-trace pairing mu <W r_off, x - U>
         lin_U = rtr - bs
         d_tr = x_tr - U_tr
         s_U = float(np.sum(wgt * lin_U * d_tr))
-        # r_off holds W V' r_off here, so its pairing with the modal step
-        # is the nodal <W r_off, x - U>
-        s_off = 0.0
-        if mu:
-            pair = np.subtract(x, Uh, out=work)
-            pair *= r_off
-            s_off = mu * float(np.sum(pair))
         a1 = 2.0 * (s_U + s_off)
         a2 = float(np.sum(wgt * lin_x * d_tr)) - s_U - s_off
         pot = potential(pm)
@@ -421,46 +419,41 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             else:
                 res_ok = rcand <= 2.0 * res + tol_abs
             if fcand <= fval * (1.0 + 1e-12) + 1e-300 and res_ok:
-                cand = x
-                if lam != 1.0:
-                    # (1 - lam) Uh + lam x, in Uh's slot: after the step
-                    # neither Uh nor x is read again
-                    cand = np.multiply(1.0 - lam, Uh, out=Uh)
-                    cand += np.multiply(lam, x, out=x)
-                return (cand, c_tr, lam, fcand, pm_c, rcand, off_c, rtr_c,
-                        bs_c)
+                return lam, c_tr, fcand, pm_c, rcand, off_c, rtr_c, bs_c
             lam *= 0.5
         return None
 
     for k in range(1, OUTER_MAXIT + 2):
         stats["iterations"] = k
-        if U is None and (res <= tol_abs or k > OUTER_MAXIT):
-            U = nodal(Uh)
-            res, r_off, off, rtr, fval, pm, KU = full_state(U)
+        if not checked and (res <= tol_abs or k > OUTER_MAXIT):
+            field()
+            checked = True
+            res, r_off, off, rtr, fval, pm, KU = full_state()
             U_tr = U[1:, tr]
             bs = ctm * beta_eval(model, U_tr)
-            mu = 1.0
+            mu, h_off = 1.0, None
+            if s is not None:
+                # the residual of the field of a source is 0 off the
+                # trace, up to the rounding of P
+                mu = off = 0.0
         stats["residuals"].append(res)
         stats["functional"].append(fval)
         if res <= tol_abs:
-            return Level(cfg.eps, U, stats, KU)
+            return level()
         if k > OUTER_MAXIT:
             stats["iterations"] = OUTER_MAXIT
             raise WiedConvergenceError(
                 f"no convergence after {OUTER_MAXIT} outer iterations "
-                f"(residual {res:g}, tol {tol_abs:g})",
-                Level(cfg.eps, U, stats, KU))
-        if Uh is None:
-            # enter the eigenbasis: V' M U of the unknown layers and V' b
-            # on row 0, once per level
-            slots = [np.empty((nt, S)) for _ in range(3)]
-            Uh = np.multiply(ops.mass, U[1:], out=slots[0])
-            basis.to_modes(Uh, out=Uh)
+                f"(residual {res:g}, tol {tol_abs:g})", level())
+        if bh is None:
             bh = basis.to_modes(b0)
-        if U is not None:
-            # W V' r_off, once per full_state
-            basis.to_modes(r_off, out=r_off)
-            np.multiply(wgt, r_off, out=r_off)
+        if checked and s is None:
+            # enter the eigenbasis: V' M U of the unknown layers in place,
+            # and V' r_off
+            np.multiply(ops.mass, U[1:], out=U[1:])
+            basis.to_modes(U[1:], out=U[1:], scratch=work)
+            basis.to_modes(r_off, out=r_off, scratch=work)
+            checked = False
 
         kinds = ["picard"]
         if sigma > 0.0 and (
@@ -473,33 +466,64 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             ratio = res / stats["residuals"][-2]
             eta = min(FORCING_MAX, FORCING_GAMMA * ratio**FORCING_ALPHA)
         target = max(eta * res, 0.5 * tol_abs)
-        picard = picard_point()
+        s_p = stab * U_tr - bs
+        if s is None:
+            # the Picard point in the modes, in KU's unknown rows, its
+            # trace and its off-trace pairing <W V' r_off, x - U>
+            if KUbuf is None:
+                KUbuf = np.empty((nt + 1, S))
+            xh = inv.trace_solve(s_p, bh, out=KUbuf[1:])
+            xp_tr = inv.trace(xh)
+            pair = np.subtract(xh, U[1:], out=work)
+            pair *= r_off
+            pair_p = mu * float(np.sum(wgt[:, 0] * pair.sum(axis=1)))
+        else:
+            # the Picard trace U_tr + C (s_p - s), and no off-trace pairing
+            xp_tr = U_tr + inv.capacitance(s_p - s, work)
+            pair_p = 0.0
         step = None
         for kind in kinds:
             if kind == "newton":
-                step = line_search(kind, *newton_point(*picard[:2], target))
+                x_s, x_tr, lin, q = newton_try(xp_tr, s_p, target)
+                s_off = pair_p
+                if mu:
+                    # <W r_off, P E q> = <W (P r_off)_tr, q>
+                    if h_off is None:
+                        np.copyto(work, r_off)
+                        h_off = wgt * inv.trace(inv.sweep(work))
+                    s_off += mu * float(np.sum(h_off * q))
             else:
                 stats["inner_iterations"].append(0)
-                step = line_search(kind, *picard)
+                x_s, x_tr, lin, s_off = s_p, xp_tr, s_p - stab * xp_tr, pair_p
+            step = line_search(kind, x_tr, lin, s_off)
             if step is not None:
                 break
         if step is None:
             raise WiedConvergenceError(
-                "damped step could not decrease the functional",
-                Level(cfg.eps, nodal(Uh) if U is None else U, stats, KU))
+                "damped step could not decrease the functional", level())
         if kinds[0] == "newton":
             # a rejected or damped Newton try puts the level on Picard
-            if kind == "newton" and step[2] == 1.0:
+            if kind == "newton" and step[0] == 1.0:
                 failed_at, failures = None, 0
             else:
                 failed_at, failures, waited = res, failures + 1, 0
         else:
             waited += 1
-        Uh, U_tr, lam, fval, pm, res, off, rtr, bs = step
-        U = KU = None
+        lam, U_tr, fval, pm, res, off, rtr, bs = step
+        if lam == 1.0:
+            s = x_s
+        elif s is not None:
+            s = (1.0 - lam) * s + lam * x_s
+        else:
+            # (1 - lam) U + lam x in the modes, in U; a Newton point is
+            # formed only here, in KU's unknown rows
+            xh = KUbuf[1:]
+            if kind == "newton":
+                inv.trace_solve(x_s, bh, out=xh)
+            np.multiply(1.0 - lam, U[1:], out=U[1:])
+            U[1:] += np.multiply(lam, xh, out=xh)
+        checked = False
         mu *= 1.0 - lam
-        if mu == 0.0:
-            r_off = None
         stats["steps"].append(kind)
         stats["damping"].append(lam)
 

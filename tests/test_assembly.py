@@ -332,19 +332,28 @@ def test_trace_newton_step_matches_sparse_direct_solve(monkeypatch):
         x_ref = spsolve(system.newton_matrix(BUMP, U).tocsc(), rhs.ravel())
         inv = space_time_inverse(system, BUMP.lipschitz)
         shift = dbeta - ctm * BUMP.lipschitz
-        # the coefficients of P (rhs - E (shift y0)) in the per-axis
-        # eigenbasis, y0 the trace of the iterate, and the trace system's
-        # residual at y0
+        # the Picard point P (b + E s_p) in the per-axis eigenbasis, s_p
+        # the Picard source at the trace y0 of the iterate, and the trace
+        # system's residual at y0
         y0 = U[1:, tr]
-        rhs[:, tr] -= shift * y0
-        w0 = inv.solve_modes(inv.basis.to_modes(rhs))
-        r0 = inv.trace(w0) - y0
+        s_p = ctm * (BUMP.lipschitz * y0 - beta_eval(BUMP, y0))
+        bh = inv.basis.to_modes(system.initial_row(U0))
+        xp_tr = inv.trace(inv.trace_solve(s_p, bh))
+        r0 = xp_tr - y0
+        work = np.empty((nt, S))
         for tol in (1e-7, 1e-11):
-            w, sol = inv.shifted_solve(w0, r0, shift, tol=tol, maxit=500)
-            x = inv.basis.from_modes(w)
+            sol = inv.shifted_solve(r0, shift, tol=tol, maxit=500, work=work)
             assert sol.converged, (d, eps, tol)
+            # the Newton point is the field of the source s_p - shift delta
+            s_n = s_p - shift * sol.x.reshape(r0.shape)
+            x = inv.basis.from_modes(inv.trace_solve(s_n, bh))
             assert np.max(np.abs(x.ravel() - x_ref)) <= \
                 10.0 * tol * np.max(np.abs(x_ref)), (d, eps, tol)
+            # and its trace is xp_tr - C (shift delta), the image GMRES
+            # sums from its applies
+            x_tr = xp_tr - sol.image.reshape(r0.shape)
+            assert np.max(np.abs(x_tr - x[:, tr])) <= \
+                1e-12 * np.max(np.abs(x)), (d, eps, tol)
 
 
 def test_trace_capacitance_matches_dense_inverse():
@@ -513,15 +522,16 @@ def _allocating_time_thomas(b, low, up):
 @pytest.mark.parametrize("nt", [1, 2, 5, 240])
 @pytest.mark.parametrize("shaped", [False, True], ids=["scalar", "per-node"])
 def test_in_place_time_sweep_matches_allocating_loop(nt, shaped):
-    # the in-place sweep does the same arithmetic in the same order, so it
-    # agrees bit for bit; per-node low/up is the (S,) shape
-    # time_line_preconditioner passes
+    # the in-place factorization and sweep do the same arithmetic in the
+    # same order, so they agree bit for bit; per-node low/up is the (S,)
+    # shape time_line_preconditioner passes.  The factorization keeps its
+    # diagonal argument, so it gets a copy
     rng = np.random.default_rng(nt + 1000 * shaped)
     S = 37
     low = 0.2 + 0.5 * rng.random(S) if shaped else 0.6
     up = 0.1 + 0.5 * rng.random(S) if shaped else 0.35
     b = 1.5 + rng.random((nt, S))          # diagonally dominant
-    solve = _time_thomas(b, low, up)
+    solve = _time_thomas(b.copy(), low, up)
     ref = _allocating_time_thomas(b, low, up)
     for _ in range(2):                      # the scratch row is reused
         z = rng.standard_normal((nt, S))
@@ -531,6 +541,29 @@ def test_in_place_time_sweep_matches_allocating_loop(nt, shaped):
         lhs[1:] -= low * x[:-1]
         lhs[:-1] -= up * x[1:]
         assert np.max(np.abs(lhs - z)) <= 1e-13 * np.max(np.abs(z))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_inverse_build_peaks_at_its_two_factor_arrays(d):
+    # the Thomas factorization of the time problems keeps two (nt, S)
+    # arrays, its reciprocal pivots and its eliminated superdiagonal; the
+    # diagonal c main + c_hat lam is built in the first, so the build
+    # allocates no third full-size array (the basis and the per-row
+    # scratch stay below a quarter of one on this grid)
+    import tracemalloc
+    g = build_grid(GridSpec(d=d, a=0.3, L=1.0, Y=1.0, T=0.5,
+                            nx={1: 24, 2: 4}[d], ny=40, nt=200))
+    system = assemble_linear_system(g, 0.025)
+    full = 8 * g.spec.nt * g.n_spatial
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inv = space_time_inverse(system, BUMP.lipschitz)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + 0.25) * full
+    assert inv.sweeps == 0
 
 
 def test_shared_stiffness_product_changes_no_bit():

@@ -159,6 +159,38 @@ def test_manifest_records_parabolic_corrections(tmp_path):
         assert b"corrections" not in (out / name).read_bytes()
 
 
+def test_manifest_records_each_levels_sweeps(tmp_path, monkeypatch):
+    # the unhashed manifest reports each level's Thomas sweeps as
+    # solve_wied counts them; levels.json does not, and no hashed
+    # artifact changes when the counts do
+    from wiedlab import wied
+    cfgp = write_config(tmp_path / "cfg.json",
+                        model={"kind": "polynomial-bump"},
+                        initial={"kind": "plateau", "radius": 0.5,
+                                 "height": 1.0})
+    out = tmp_path / "a"
+    assert main(["run", str(cfgp), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    levels = json.loads((out / "reports" / "levels.json").read_text())
+    sweeps = manifest["sweeps"]
+    assert len(sweeps) == len(levels) >= 2
+    assert all(isinstance(n, int) and n > 0 for n in sweeps)
+    assert all("sweeps" not in lv for lv in levels)
+    solve = wied.solve_wied
+
+    def miscounted(*args, **kwargs):
+        level = solve(*args, **kwargs)
+        level.stats["sweeps"] += 1000
+        return level
+
+    monkeypatch.setattr(wied, "solve_wied", miscounted)
+    other = tmp_path / "b"
+    assert main(["run", str(cfgp), "--out", str(other)]) == 0
+    changed = json.loads((other / "manifest.json").read_text())
+    assert changed["sweeps"] == [n + 1000 for n in sweeps]
+    assert changed["artifacts"] == manifest["artifacts"]
+
+
 def test_manifest_records_numpy_and_blas(tmp_path, monkeypatch):
     # the unhashed manifest names the numpy and BLAS builds, or null where
     # numpy cannot say, and neither record enters a hashed artifact

@@ -6,6 +6,8 @@ must agree.  A burning plateau exercises the trace-reduced parabolic
 step, the space-time sweep, the energy reports and the cylinder sums
 (level sets, no-spikes, L^2 -> L^oo) in d = 1 and d = 2.  A fresh
 process under OPENBLAS_CORETYPE records that kernel in its manifest.
+Across OpenBLAS kernels the contract is weaker: the same hashes run to
+run under each kernel, and fields within roundoff of each other.
 """
 
 import json
@@ -14,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wiedlab
+from wiedlab.runner import load_field
 
 SRC = Path(wiedlab.__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -90,3 +94,43 @@ def test_manifest_records_the_blas_kernel(tmp_path):
     if manifest["blas_kernel"] is None:
         pytest.skip("no OpenBLAS kernel can be read in this process")
     assert manifest["blas_kernel"] == "Haswell"
+
+
+# the largest difference of a field value between two OpenBLAS kernels,
+# for fields in [0, 1]: the eigenbases and transform products round
+# differently.  Between SkylakeX and Haswell this config's fields differ
+# by at most 1.1e-16, and other small configs' by at most 1.1e-15
+KERNEL_ROUNDOFF = 1.1e-15
+
+
+def test_artifacts_per_blas_kernel(tmp_path):
+    # two fresh processes under the host's default kernel and two under
+    # OPENBLAS_CORETYPE=Haswell: equal hashes within each kernel, and
+    # every field within KERNEL_ROUNDOFF across the two
+    cfg = {"grid": GRIDS["d1"], "model": {"kind": "polynomial-bump"},
+           "initial": {"kind": "plateau", "radius": 0.6, "height": 1.0,
+                       "axis": "trace"},
+           "schedule": {"eps0": 0.05, "ratio": 0.5, "count": 2},
+           "wied": {"outer_tol": 1e-9},
+           "diagnostics": [{"name": "energy"}], "seed": 7}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    runs = {}
+    for kernel in ("default", "Haswell"):
+        env = {} if kernel == "default" else {"OPENBLAS_CORETYPE": kernel}
+        runs[kernel] = [run_manifest(cfg_path, tmp_path / f"{kernel}{i}",
+                                     **env) for i in range(2)]
+    default, haswell = (runs[k][0]["blas_kernel"] for k in runs)
+    if default is None or haswell != "Haswell":
+        pytest.skip("no OpenBLAS kernel can be read or set in this process")
+    if default == haswell:
+        pytest.skip("the host's default kernel is Haswell")
+    for manifests in runs.values():
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+    fields = [name for name in runs["default"][0]["artifacts"]
+              if name.endswith(".f64")]
+    assert "fields/parabolic.f64" in fields and len(fields) == 3
+    for name in fields:
+        _, a, _ = load_field(tmp_path / "default0" / name)
+        _, b, _ = load_field(tmp_path / "Haswell0" / name)
+        assert np.max(np.abs(a - b)) <= KERNEL_ROUNDOFF, name

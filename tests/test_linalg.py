@@ -135,6 +135,35 @@ def test_gmres_basis_grows_with_the_iterations_made():
     assert peak <= 8 * n * (res.iterations + 4)
 
 
+def test_gmres_image_of_a_second_map_needs_no_apply():
+    # an operator that also returns B v gets B x back, summed from the
+    # B v_i in the order x is summed from the v_i: the same x bit for bit
+    # as without it, and B x to roundoff, at no further apply
+    from wiedlab.assembly import assemble_linear_system
+    g = build_grid(GridSpec(d=1, a=0.2, L=1.0, Y=1.0, T=0.5,
+                            nx=4, ny=4, nt=8))
+    A = assemble_linear_system(g, 0.1).A
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((3 * A.shape[0], A.shape[0]))
+    b = rng.standard_normal(A.shape[0])
+    applies = []
+
+    def both(v):
+        applies.append(1)
+        return A @ v, B @ v
+
+    plain = gmres_solve(lambda v: A @ v, b, tol=1e-8, maxit=400)
+    res = gmres_solve(both, b, tol=1e-8, maxit=400)
+    assert plain.image is None
+    assert np.array_equal(res.x, plain.x)
+    assert res.residuals == plain.residuals
+    assert len(applies) == res.iterations > 0
+    assert np.max(np.abs(res.image - B @ res.x)) <= \
+        1e-12 * np.max(np.abs(B @ res.x))
+    # no iteration, no image to sum: the caller knows its shape
+    assert gmres_solve(both, np.zeros(4)).image is None
+
+
 def test_gmres_first_cycle_applies_once_per_iteration():
     # the solve reports its Givens estimate without a closing apply: it
     # applies the operator once per iteration

@@ -44,44 +44,57 @@ def test_maximum_principle_combustion():
 def test_tracked_residual_matches_full_residual_at_every_step(d, monkeypatch):
     # Picard steps are one exact apply and Newton steps a trace solve, so
     # the residual and the functional after each accepted step are tracked
-    # from trace data, not recomputed; from this cold start the level
-    # takes Picard steps, then Newton steps.  Stopping the solve after
-    # k steps (OUTER_MAXIT = k) makes it report the full
-    # LinearSystem.residual and functional_value at the same iterate.  The
-    # residuals must agree to 1e-10 relative, down to a floor of 1e-13 of
-    # the level's residual scale, where the full residual's own roundoff
-    # sits (observed: 1e-16 of the scale); the functionals to 1e-12
-    # relative (observed: 5e-15)
+    # from trace data, not recomputed.  From a cold start the level takes
+    # Picard steps, then Newton steps; from a start it tries Newton at
+    # once, and before its first full step it carries a field in the
+    # modes, after it a trace source.  The warm start (the level of 2 eps)
+    # takes its first step at lam = 1, and U0 held in time at twice its
+    # height is damped first.  Stopping the solve after k steps
+    # (OUTER_MAXIT = k) makes it report the full LinearSystem.residual and
+    # functional_value at the same iterate.  The residuals must agree to
+    # 1e-10 relative, down to a floor of 1e-13 of the level's residual
+    # scale, where the full residual's own roundoff sits (observed: 1e-16
+    # of the scale); the functionals to 1e-12 relative (observed: 5e-15)
     spec = {1: dict(nx=16, ny=8, nt=80), 2: dict(nx=6, ny=4, nt=24)}[d]
     g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0, **spec))
     U0 = g.eval_spatial(lambda *xy: np.clip(
         1 - sum(v**2 for v in xy) / 0.36, 0, None)**2).ravel()
+    doubled = Level(None, np.repeat(2.0 * U0[None, :], g.spec.nt + 1,
+                                    axis=0))
     # a loose inner_tol leaves Newton steps inexact, whose GMRES residual
     # the tracked residual must carry too
     for eps, inner_tol in ((0.1, 1e-11), (0.03, 1e-6)):
         cfg = WiedConfig(eps=eps, outer_tol=1e-10, inner_tol=inner_tol)
-        res = solve_wied(g, BUMP, cfg, U0)
-        tracked = res.stats["residuals"]
-        f_tracked = res.stats["functional"]
-        scale = res.stats["el_tol_abs"] / cfg.outer_tol
-        inner = res.stats["inner_iterations"]
-        assert 0 in inner and max(inner) > 0
-        steps = res.stats["iterations"] - 1
-        assert steps >= 4
-        for k in range(1, steps):
-            monkeypatch.setattr(wied, "OUTER_MAXIT", k)
-            with pytest.raises(WiedConvergenceError) as exc:
-                solve_wied(g, BUMP, cfg, U0)
-            full = exc.value.level.stats["residuals"][-1]
-            assert abs(tracked[k] - full) <= 1e-10 * full + 1e-13 * scale, \
-                (eps, k)
-            f_full = exc.value.level.stats["functional"][-1]
-            assert f_full == functional_value(g, BUMP, eps,
-                                              exc.value.level.U, U0)
-            assert abs(f_tracked[k] - f_full) <= 1e-12 * abs(f_full), (eps, k)
-        monkeypatch.undo()
-        # the reported residual is the full one, below the tolerance
-        assert tracked[-1] <= res.stats["el_tol_abs"]
+        warm = solve_wied(g, BUMP, replace(cfg, eps=2.0 * eps), U0)
+        for start in (None, warm, doubled):
+            res = solve_wied(g, BUMP, cfg, U0, start=start)
+            tracked = res.stats["residuals"]
+            f_tracked = res.stats["functional"]
+            scale = res.stats["el_tol_abs"] / cfg.outer_tol
+            inner = res.stats["inner_iterations"]
+            lam = res.stats["damping"]
+            if start is None:
+                assert 0 in inner and max(inner) > 0
+            else:
+                assert res.stats["steps"][0] == "newton"
+                assert (lam[0] == 1.0) == (start is warm)
+            steps = res.stats["iterations"] - 1
+            assert steps >= 4
+            for k in range(1, steps):
+                monkeypatch.setattr(wied, "OUTER_MAXIT", k)
+                with pytest.raises(WiedConvergenceError) as exc:
+                    solve_wied(g, BUMP, cfg, U0, start=start)
+                full = exc.value.level.stats["residuals"][-1]
+                assert abs(tracked[k] - full) <= \
+                    1e-10 * full + 1e-13 * scale, (eps, k)
+                f_full = exc.value.level.stats["functional"][-1]
+                assert f_full == functional_value(g, BUMP, eps,
+                                                  exc.value.level.U, U0)
+                assert abs(f_tracked[k] - f_full) <= 1e-12 * abs(f_full), \
+                    (eps, k)
+            monkeypatch.undo()
+            # the reported residual is the full one, below the tolerance
+            assert tracked[-1] <= res.stats["el_tol_abs"]
 
 
 def test_one_exit_check_counts_iterations(monkeypatch):
@@ -244,16 +257,19 @@ def test_newton_tolerance_follows_outer_residual():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_step_cost_in_the_eigenbasis(d, monkeypatch):
-    # a level keeps its unknown layers as modal coefficients: the shipped
-    # physics with outer "newton" on a small grid, with every per-axis
-    # transform, Thomas sweep, full_state (its functional_value) and
-    # Newton step (its beta_prime_eval) recorded in order.  Entering the
-    # basis costs two transforms, each full_state is
-    # preceded by one transform back (except at entry) and followed by
-    # one of r_off when a step follows; in between only sweeps run: one
-    # per iteration for the Picard point, which a Newton try corrects
-    # with GMRES iterations + 1 more, and which is also the fallback
-    # after a rejected try, at no further sweep
+    # the shipped physics on a small grid, cold and from U0 held in time,
+    # with every per-axis transform, Thomas sweep, full_state (its
+    # functional_value) and Newton try (its beta_prime_eval) recorded in
+    # order.  V' b[0] is one transform, once per level.  Until its first
+    # full step a level keeps its iterate in the modes: entering them
+    # after a full_state costs two transforms (U and r_off), an
+    # iteration's Picard point one sweep, a Newton try its GMRES
+    # iterations in sweeps plus one for (P r_off)_tr at its first try
+    # after a full_state, and one more to form its point if the line
+    # search damps it; a full_state there is one transform back.  From
+    # the first full step on, an iteration costs one sweep for the Picard
+    # point, a Newton try exactly its GMRES iterations and no transform,
+    # and a full_state one sweep and one transform back
     from wiedlab import wied
     from wiedlab.assembly import assemble_linear_system, space_time_inverse
     # without diagnostics, whose cylinders are d = 1 points
@@ -280,32 +296,58 @@ def test_step_cost_in_the_eigenbasis(d, monkeypatch):
                         record("full", wied.functional_value))
     monkeypatch.setattr(wied, "beta_prime_eval",
                         record("newton", wied.beta_prime_eval))
-    res = solve_wied(g, cfg.model, wcfg, cfg.initial.evaluate(g),
-                     system=system)
+    U0 = cfg.initial.evaluate(g)
+    held = np.repeat(U0[None, :], g.spec.nt + 1, axis=0)
+    for start in (None, Level(None, held)):
+        events.clear()
+        st = solve_wied(g, cfg.model, wcfg, U0, system=system,
+                        start=start).stats
+        _replay_step_costs(events, st, warm=start is not None)
 
-    inner = iter(res.stats["inner_iterations"])
-    assert events[:4] == ["full", "to", "to", "to"]
-    pos, kinds = 4, []
-    for kind in res.stats["steps"]:
-        assert events[pos] == "sweep"     # the Picard point
-        pos += 1
-        if events[pos] == "newton":
-            kinds.append("newton")
+
+def _replay_step_costs(events, st, warm):
+    # replays the cost model of test_step_cost_in_the_eigenbasis on the
+    # recorded events of one level with stats st
+    pos = 0
+
+    def take(expected):
+        nonlocal pos
+        assert events[pos:pos + len(expected)] == expected, pos
+        pos += len(expected)
+
+    inner = iter(st["inner_iterations"])
+    take(["full", "to"])
+    landed = False          # a full step has landed
+    checked = adjoint = True
+    tries = {False: 0, True: 0}
+    for kind, lam in zip(st["steps"], st["damping"]):
+        if checked and not landed:
+            take(["to", "to"])
+            adjoint = False
+        checked = False
+        take(["sweep"])                    # the Picard point
+        if events[pos:pos + 1] == ["newton"]:
             k = next(inner)
-            assert events[pos + 1:pos + k + 2] == ["sweep"] * (k + 1)
-            pos += k + 2
+            tries[landed] += 1
+            take(["newton"] + ["sweep"] * k)
+            if not landed and not adjoint:
+                take(["sweep"])            # (P r_off)_tr
+                adjoint = True
+            if not landed and kind == "newton" and lam < 1.0:
+                take(["sweep"])            # the damped Newton point
         if kind == "picard":
-            kinds.append("picard")
             assert next(inner) == 0
-        if events[pos:pos + 2] == ["from", "full"]:
-            pos += 2
-            if pos < len(events):
-                assert events[pos] == "to"
-                pos += 1
+        landed = landed or lam == 1.0
+        check = (["sweep"] if landed else []) + ["from", "full"]
+        if events[pos:pos + len(check)] == check:
+            take(check)
+            checked = True
     assert pos == len(events) and next(inner, None) is None
-    assert {"picard", "newton"} <= set(kinds)
+    assert st["sweeps"] == events.count("sweep")
+    assert tries[True] >= 2 and set(st["steps"]) == {"picard", "newton"}
+    assert (tries[False] >= 1) == warm
     assert events.count("full") >= 2    # entry and exit
-    assert res.stats["residuals"][-1] <= res.stats["el_tol_abs"]
+    assert st["residuals"][-1] <= st["el_tol_abs"]
 
 
 @pytest.mark.parametrize("start", ["cold", "held"])
