@@ -372,14 +372,14 @@ def _layers(grid: WeightedGrid, U: np.ndarray) -> np.ndarray:
 
 
 def _check_initial(grid, Ulay, U0):
+    # raise unless the initial layer of Ulay is U0; U0 None checks nothing
     if U0 is None:
-        return Ulay[0]
+        return
     U0f = np.asarray(U0, dtype=float).reshape(-1)
     if U0f.shape[0] != grid.n_spatial:
         raise ValueError("initial field shape mismatch")
     if not np.array_equal(Ulay[0], U0f):
         raise ValueError("U does not satisfy U(., t0) = U0 on the initial layer")
-    return U0f
 
 
 def functional_value(grid: WeightedGrid, model, eps: float,

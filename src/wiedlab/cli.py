@@ -18,8 +18,9 @@ does not list.  A diagnostic that measures nothing on the field (energy
 on a field without eps, uniform-bounds on one level) prints one line to
 stderr and writes nothing.
 
-Exit codes: 0 ok, 2 config/usage error, 3 solver failure (partial
-artifacts kept), 4 I/O error.
+Exit codes: 0 ok, 1 an acceptance criterion failed (`verify`), 2
+config/usage error, 3 solver failure (partial artifacts kept), 4 I/O
+error.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 The Krylov solvers are written out so that iterates are bitwise
 reproducible: all reductions go through numpy's fixed-order pairwise
-sums, never a threaded BLAS path.  No solver needs a stored matrix, and
-the run path calls only gmres_solve, one Arnoldi cycle on a callable.
+sums, never a threaded BLAS path.  gmres_solve takes a callable, and
+the run path calls only it, one Arnoldi cycle; pcg_solve and
+bicgstab_solve take any A with a matvec, and their default Jacobi
+preconditioner reads A.diagonal(), so it needs a matrix that has one.
 Scipy CSR matrices (row offsets / column indices / values) are only the
 assembled references the tests check against; finalize_csr gives them
 sorted indices and no explicit zeros, and imports scipy on first use.

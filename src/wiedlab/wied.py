@@ -5,12 +5,12 @@ guarded Newton and a Picard fallback wherever the model has a reaction,
 and with Picard alone on the zero model, where a Newton step is the
 Picard step at a higher cost; accepted steps never increase the
 functional.  The exact inverse of the Picard matrix is one Thomas sweep
-in a spatial eigenbasis, and from a level's first full step on its
-iterate is the field of a source on the y = 0 trace, carried as that
-source and its trace: each Picard point is one sweep, and each Newton
-try adds a GMRES solve on the trace only; no Krylov method runs on the
-full space.  The sweep re-solves along a
-geometric eps schedule, starting its first level from the
+in a spatial eigenbasis, and a level's iterate is the field of a source
+on the y = 0 trace plus a fading multiple of its start's deviation from
+that field, carried as the source, the multiple and its trace: each
+Picard point is one sweep, and each Newton try adds a GMRES solve on the
+trace only; no Krylov method runs on the full space.  The sweep re-solves
+along a geometric eps schedule, starting its first level from the
 implicit-Euler reference (the eps -> 0 limit) and each later level from
 the previous one, and measures the distance to that reference in the
 discrete C([0,T]: L^{2,a}) metric.
@@ -202,18 +202,18 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     value at that try, or after 2^k Picard steps, so it is never kept off
     for good.
 
-    Every full step lands on a field x = P (b + E s) for a trace source
-    s, and a damped step between two such fields has the source
-    (1 - lam) s_U + lam s_x, so from its first full step on a level
-    carries its iterate as (s, U_tr) and no field: L(x) = E (s - stab x_tr)
-    lives on the trace, and the Picard point's trace is
-    U_tr + C (s_p - s), C = E' P E the capacitance matrix, one sweep.
-    Before the first full step the iterate is any field, kept as its
-    modal coefficients V' M U in U's unknown rows, and the Picard point
-    is formed in the modes (one sweep, into the stiffness-product
-    buffer).  Either way an iteration makes one sweep for the Picard
-    point, which starts it and is the fallback step too.  The Newton
-    matrix is A_sigma + E D E' with D = c_hat D_tr (beta'(U) - sigma);
+    Every iterate is U = P (b + E s) + mu e for a trace source s, a
+    scalar mu in [0, 1] and a field e.  An anchor, at entry and after a
+    failed full check while mu > 0, sets s to the Picard source of U,
+    e = U - P (b + E s) and mu = 1: e is kept as its modal coefficients
+    V' M e in U's unknown rows, and the one sweep that forms it gives the
+    Picard point too.  A step to x = P (b + E x_s), damped by lam, lands
+    on (1 - lam) U + lam x, the iterate of the source
+    (1 - lam) s + lam x_s and of (1 - lam) mu, so no step touches a
+    full-size array; a full step sets mu = 0.  The Picard point's trace
+    is U_tr - mu e_tr + C (s_p - s), C = E' P E the capacitance matrix,
+    one sweep, which starts the iteration and is the fallback step too.  The
+    Newton matrix is A_sigma + E D E' with D = c_hat D_tr (beta'(U) - sigma);
     by Woodbury on the trace (SpaceTimeInverse.shifted_solve) its point
     has the source s_p - D delta and the trace x_p,tr - C D delta, where
     delta, the change of the trace from U_tr, solves
@@ -231,12 +231,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     line search judges the inexact step that leaves.
 
     Both steps leave a residual supported on the trace, known without a
-    matvec, L(x) = E (s_x - stab x_tr), and L is affine, so a damped
+    matvec, L(x) = E (x_s - stab x_tr), and L is affine, so a damped
     candidate (1 - lam) U + lam x has residual
     (1 - lam) L(U) + lam L(x) + E bs(cand).  The residual is therefore
-    tracked as its trace block plus its off-trace part, which is the last
-    full residual's scaled by the product of the 1 - lam, and 0 from the
-    first full step on (the rounding of P aside).
+    tracked as its trace block plus its off-trace part, mu r_off with
+    r_off that of the residual at the last anchor, so 0 once a full step
+    lands (the rounding of P aside).
 
     The functional needs no stiffness product either.  Its gradient is
     2 W r with W = diag(w_{m-1}), the exponential weight the rows of r
@@ -248,30 +248,29 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         a1 = 2 <W L(U), d>,   a2 = <W (L(x) - L(U)), d>,
 
     and a line-search candidate costs only trace work (beta and Phi on
-    its trace).  The off-trace pairing <W r_off, d> is taken in the modes
-    as <W V' r_off, V' M d>, with V' r_off formed once per full residual.
-    Before the first full step a Newton point x_p + P E q, q = -D delta,
-    is formed only if the line search damps it: W A_sigma is symmetric,
-    so its pairing is that of x_p plus <W (P r_off)_tr, q>, and
-    (P r_off)_tr costs one sweep per full residual, at the first Newton
-    try that needs it.  LinearSystem.residual and functional_value run
-    at entry, on the nodal input itself (so a level that has converged
-    there returns its input bit for bit), and whenever the tracked
-    residual passes the tolerance, on the field of the iterate: the
-    transform back from its modes, or, from the first full step on, one
-    sweep on b + E s and one transform.  Only that full residual ends the
-    solve, and the field it checked is returned.
+    its trace).  The off-trace pairing mu <W r_off, d> is trace work as
+    well: W A_sigma and W P are symmetric and A_sigma e is the anchor's
+    residual, with trace block rtr_a, so
 
-    A level allocates its full-size arrays once: U, the nodal field (both
-    returned), which holds the modal coefficients of the iterate before
-    its first full step; the stiffness-product buffer KU (returned), which
-    also holds a trial point before the first full step; the full
-    residual, then V' r_off; and one scratch array for the residual's
-    time stencil, the functional's time differences, the line search's
-    off-trace pairing, the transforms and the sweeps of GMRES.  A damped
-    candidate before the first full step is formed in U, and a Newton
-    point only then, in KU.  Beyond these, the inverse holds its two
-    Thomas factor arrays: six full-size arrays in all.
+        mu <W r_off, d> = mu (<W e_tr, x_s - s>
+                              - <W rtr_a, x_tr - U_tr + mu e_tr> - mu pe)
+
+    with pe = <W r_off, e>, taken once per anchor in the modes as
+    <W V' r_off, V' M e>.  LinearSystem.residual and functional_value
+    run at entry, on the nodal input itself (so a level that has
+    converged there returns its input bit for bit), and whenever the
+    tracked residual passes the tolerance, on the field of the iterate:
+    one sweep on b + E s, plus mu e while mu > 0, and one transform.
+    Only that full residual ends the solve, and the field it checked is
+    returned.
+
+    A level allocates its full-size arrays once: U, the nodal field
+    (returned), which holds V' M e from an anchor to the next check; the
+    stiffness-product buffer KU (returned); the full residual, then
+    V' r_off; and one scratch array for the residual's time stencil, the
+    functional's time differences, the anchor's Picard point and pe, the
+    transforms and the sweeps of GMRES.  Beyond these, the inverse holds
+    its two Thomas factor arrays: six full-size arrays in all.
     """
     system = system or assemble_linear_system(grid, cfg.eps)
     ops = system.ops
@@ -343,14 +342,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     # the off-trace part of the current residual is mu r_off, its norm off
     res, r_off, off, rtr, fval, pm, KU = full_state(
         None if start is None else start.KU)
-    mu = 1.0
-    # checked: U holds the nodal iterate the last full_state checked (and
-    # KU its product); otherwise U[1:] holds its modal coefficients V' M U
-    # before its first full step, and nothing after it.  s is its trace
-    # source from the first full step on, and None before.  bh is V' b[0],
-    # formed at the first step; h_off is W (P r_off)_tr, formed at the
-    # first Newton try after a full_state that needs it
-    checked, s, bh, h_off = True, None, None, None
+    # the iterate is P (b + E s) + mu e.  checked: U holds the nodal
+    # iterate the last full_state checked (and KU its product); otherwise
+    # U[1:] holds V' M e while mu > 0, and nothing once mu = 0.  The last
+    # anchor left e_tr, the trace of e, rtr_a, its trace residual, and
+    # pe = <W r_off, e>; bh is V' b[0], formed at the first step
+    checked, mu, bh = True, 1.0, None
     # the residual at the last failed Newton try, or at a cold start
     # (None while Newton is armed), the failed tries in a row and the
     # Picard steps since the last
@@ -358,10 +355,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     failures = waited = 0
 
     def field():
-        # the nodal iterate in U: its modes transformed back, or the
-        # field of its source, one sweep on b + E s and one transform
+        # the nodal iterate in U: one sweep on b + E s, plus mu e in the
+        # modes while mu > 0, and one transform
         if not checked:
-            modes = U[1:] if s is None else inv.trace_solve(s, bh, out=rbuf)
+            modes = inv.trace_solve(s, bh, out=rbuf)
+            if mu:
+                modes += np.multiply(mu, U[1:], out=work)
             basis.from_modes(modes, out=U[1:], scratch=work)
         return U
 
@@ -371,10 +370,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
     def newton_try(xp_tr, s_p, target):
         """The Newton point from the Picard point, given by its trace
-        xp_tr and its source s_p: its source, its trace, the trace block
-        of L(x) and its source less s_p.  Its linear residual is held
-        below target, the relative GMRES tolerance kept within
-        [inner_tol, FORCING_MAX]."""
+        xp_tr and its source s_p: its source, its trace and the trace
+        block of L(x).  Its linear residual is held below target, the
+        relative GMRES tolerance kept within [inner_tol, FORCING_MAX]."""
         shift = ctm * beta_prime_eval(model, U_tr) - stab
         # the trace system's residual at U_tr
         r0 = xp_tr - U_tr
@@ -389,13 +387,23 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         sol = inv.shifted_solve(r0, shift, tol=tol, maxit=INNER_MAXIT,
                                 work=work)
         stats["inner_iterations"].append(sol.iterations)
-        q = -shift * sol.x.reshape(r0.shape)
-        x_s = s_p + q
+        x_s = s_p - shift * sol.x.reshape(r0.shape)
         x_tr = xp_tr - sol.image.reshape(r0.shape)
-        return x_s, x_tr, x_s - stab * x_tr, q
+        return x_s, x_tr, x_s - stab * x_tr
 
-    def line_search(kind, x_tr, lin_x, s_off):
-        # s_off: the off-trace pairing mu <W r_off, x - U>
+    def pairing(x_s, x_tr):
+        # the off-trace pairing mu <W r_off, x - U> of x = P (b + E x_s),
+        # from its source and its trace: W A_sigma and W P are symmetric
+        # and A_sigma e is the anchor's residual, so <W r_off, P E q> =
+        # <W e_tr, q> - <W rtr_a, C q>
+        if not mu:
+            return 0.0
+        d_tr = x_tr - U_tr + mu * e_tr
+        return mu * (float(np.sum(wgt * e_tr * (x_s - s)))
+                     - float(np.sum(wgt * rtr_a * d_tr)) - mu * pe)
+
+    def line_search(kind, x_s, x_tr, lin_x):
+        s_off = pairing(x_s, x_tr)
         lin_U = rtr - bs
         d_tr = x_tr - U_tr
         s_U = float(np.sum(wgt * lin_U * d_tr))
@@ -431,11 +439,10 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             res, r_off, off, rtr, fval, pm, KU = full_state()
             U_tr = U[1:, tr]
             bs = ctm * beta_eval(model, U_tr)
-            mu, h_off = 1.0, None
-            if s is not None:
+            if not mu:
                 # the residual of the field of a source is 0 off the
                 # trace, up to the rounding of P
-                mu = off = 0.0
+                off = 0.0
         stats["residuals"].append(res)
         stats["functional"].append(fval)
         if res <= tol_abs:
@@ -447,13 +454,6 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                 f"(residual {res:g}, tol {tol_abs:g})", level())
         if bh is None:
             bh = basis.to_modes(b0)
-        if checked and s is None:
-            # enter the eigenbasis: V' M U of the unknown layers in place,
-            # and V' r_off
-            np.multiply(ops.mass, U[1:], out=U[1:])
-            basis.to_modes(U[1:], out=U[1:], scratch=work)
-            basis.to_modes(r_off, out=r_off, scratch=work)
-            checked = False
 
         kinds = ["picard"]
         if sigma > 0.0 and (
@@ -467,35 +467,32 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             eta = min(FORCING_MAX, FORCING_GAMMA * ratio**FORCING_ALPHA)
         target = max(eta * res, 0.5 * tol_abs)
         s_p = stab * U_tr - bs
-        if s is None:
-            # the Picard point in the modes, in KU's unknown rows, its
-            # trace and its off-trace pairing <W V' r_off, x - U>
-            if KUbuf is None:
-                KUbuf = np.empty((nt + 1, S))
-            xh = inv.trace_solve(s_p, bh, out=KUbuf[1:])
+        if checked and mu:
+            # anchor: s is the Picard source of U and e = U - P (b + E s),
+            # in the modes in U's unknown rows; the sweep gives the
+            # Picard point.  r_off enters the modes for pe
+            s, mu, checked = s_p, 1.0, False
+            np.multiply(ops.mass, U[1:], out=U[1:])
+            basis.to_modes(U[1:], out=U[1:], scratch=work)
+            basis.to_modes(r_off, out=r_off, scratch=work)
+            xh = inv.trace_solve(s, bh, out=work)
             xp_tr = inv.trace(xh)
-            pair = np.subtract(xh, U[1:], out=work)
-            pair *= r_off
-            pair_p = mu * float(np.sum(wgt[:, 0] * pair.sum(axis=1)))
+            U[1:] -= xh
+            e_tr, rtr_a = U_tr - xp_tr, rtr
+            pe = float(np.sum(
+                wgt[:, 0] * np.multiply(r_off, U[1:], out=work).sum(axis=1)))
         else:
-            # the Picard trace U_tr + C (s_p - s), and no off-trace pairing
-            xp_tr = U_tr + inv.capacitance(s_p - s, work)
-            pair_p = 0.0
+            # the Picard trace U_tr - mu e_tr + C (s_p - s)
+            xp_tr = U_tr - mu * e_tr if mu else U_tr
+            xp_tr = xp_tr + inv.capacitance(s_p - s, work)
         step = None
         for kind in kinds:
             if kind == "newton":
-                x_s, x_tr, lin, q = newton_try(xp_tr, s_p, target)
-                s_off = pair_p
-                if mu:
-                    # <W r_off, P E q> = <W (P r_off)_tr, q>
-                    if h_off is None:
-                        np.copyto(work, r_off)
-                        h_off = wgt * inv.trace(inv.sweep(work))
-                    s_off += mu * float(np.sum(h_off * q))
+                x_s, x_tr, lin = newton_try(xp_tr, s_p, target)
             else:
                 stats["inner_iterations"].append(0)
-                x_s, x_tr, lin, s_off = s_p, xp_tr, s_p - stab * xp_tr, pair_p
-            step = line_search(kind, x_tr, lin, s_off)
+                x_s, x_tr, lin = s_p, xp_tr, s_p - stab * xp_tr
+            step = line_search(kind, x_s, x_tr, lin)
             if step is not None:
                 break
         if step is None:
@@ -510,18 +507,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         else:
             waited += 1
         lam, U_tr, fval, pm, res, off, rtr, bs = step
-        if lam == 1.0:
-            s = x_s
-        elif s is not None:
-            s = (1.0 - lam) * s + lam * x_s
-        else:
-            # (1 - lam) U + lam x in the modes, in U; a Newton point is
-            # formed only here, in KU's unknown rows
-            xh = KUbuf[1:]
-            if kind == "newton":
-                inv.trace_solve(x_s, bh, out=xh)
-            np.multiply(1.0 - lam, U[1:], out=U[1:])
-            U[1:] += np.multiply(lam, xh, out=xh)
+        # (1 - lam) U + lam x = P (b + E ((1 - lam) s + lam x_s))
+        # + (1 - lam) mu e
+        s = x_s if lam == 1.0 else (1.0 - lam) * s + lam * x_s
         checked = False
         mu *= 1.0 - lam
         stats["steps"].append(kind)

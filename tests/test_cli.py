@@ -606,6 +606,23 @@ def test_verify_removes_its_work_directory(tmp_path, capsys, monkeypatch):
     assert not list(tmp.glob("wiedlab-acc-*"))
 
 
+def test_verify_exits_1_when_a_criterion_fails(tmp_path, capsys,
+                                               monkeypatch):
+    # one failing criterion among passing and skipped ones makes `verify`
+    # print its FAIL line and exit 1, the code documented for it
+    from wiedlab import acceptance
+    Result = acceptance.CriterionResult
+    monkeypatch.setattr(acceptance, "run_acceptance", lambda *a, **k: [
+        Result("passing", True, "ok"),
+        Result("failing", False, "bound missed"),
+        Result("slow", False, "skipped (--skip-slow)", skipped=True)])
+    cfgp = write_config(tmp_path / "cfg.json")
+    assert main(["verify", str(cfgp)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "failing  FAIL  bound missed"
+    assert out[2].startswith("slow     SKIP")
+
+
 def test_nonfinite_initial_data_rejected_at_load(tmp_path, capsys):
     np.save(tmp_path / "u0.npy", np.full((6, 7), np.nan))
     cfgp = write_config(tmp_path / "bad.json",

@@ -177,10 +177,9 @@ def _level_peak(d, warm):
 def test_warm_level_allocates_its_working_set_once():
     # a warm level peaks at K = 6 full-size (nt, S) arrays beyond its
     # inputs: its field and stiffness product, the residual, one scratch
-    # and the two Thomas factor arrays.  Its iterate is a trace source
-    # from its first full step on and its modal coefficients in its field
-    # before, so it keeps no modal slot, and the transforms take its
-    # scratch
+    # and the two Thomas factor arrays.  Its iterate is P (b + E s) + mu e,
+    # a trace source s and the modes of e in its field, so it keeps no
+    # modal slot and no trial point, and the transforms take its scratch
     assert _level_peak(2, warm=True) <= 6 + 1
 
 
@@ -289,6 +288,40 @@ def test_benchmark_tracing_hooks_install_and_restore():
     assert callable(assembly.spectral_preconditioner)
     assert isinstance(assembly.LinearSystem.A, functools.cached_property)
     assert isinstance(assembly.LinearSystem.n_unknowns, property)
+
+
+def test_benchmark_tracing_restores_every_patched_name():
+    # every attribute of wiedlab's modules and of their classes that the
+    # traced mode replaces wraps its original and is put back on exit, so
+    # a name the run path drops fails here and not only in a traced run
+    # of the benchmark, which lies outside these tests
+    import inspect
+    from wiedlab import (assembly, cli, config, diagnostics, grid,
+                         parabolic, runner, wied)
+    tracing = _load_perfbench("tracing")
+    owners = [assembly, cli, config, diagnostics, grid, parabolic, runner,
+              wied]
+    owners += [cls for mod in owners[:] for cls in vars(mod).values()
+               if inspect.isclass(cls) and cls.__module__ == mod.__name__]
+
+    def snapshot():
+        return {(owner, attr): value for owner in owners
+                for attr, value in vars(owner).items()}
+
+    before = snapshot()
+    with tracing.installed(tracing.Tracer()):
+        during = snapshot()
+    after = snapshot()
+    assert during.keys() == before.keys() == after.keys()
+    patched = [key for key in before if during[key] is not before[key]]
+    assert all(during[key].__wrapped__ is before[key] for key in patched)
+    assert {("wied", "bicgstab_solve"), ("parabolic", "pcg_solve"),
+            ("parabolic", "finalize_csr"),
+            ("assembly", "spectral_preconditioner"),
+            ("LinearSystem", "residual")} <= {
+                (owner.__name__.split(".")[-1], attr)
+                for owner, attr in patched}
+    assert all(after[key] is before[key] for key in before)
 
 
 def test_traced_parabolic_steps_equal_nt():

@@ -46,15 +46,17 @@ def test_tracked_residual_matches_full_residual_at_every_step(d, monkeypatch):
     # the residual and the functional after each accepted step are tracked
     # from trace data, not recomputed.  From a cold start the level takes
     # Picard steps, then Newton steps; from a start it tries Newton at
-    # once, and before its first full step it carries a field in the
-    # modes, after it a trace source.  The warm start (the level of 2 eps)
-    # takes its first step at lam = 1, and U0 held in time at twice its
-    # height is damped first.  Stopping the solve after k steps
+    # once.  Its iterate is P (b + E s) + mu e, and a step moves only the
+    # trace source s and mu.  The warm start (the level of 2 eps) takes
+    # its first step at lam = 1, which sets mu = 0, and U0 held in time at
+    # twice its height is damped first, so its line searches take the
+    # off-trace pairing while mu > 0.  Stopping the solve after k steps
     # (OUTER_MAXIT = k) makes it report the full LinearSystem.residual and
     # functional_value at the same iterate.  The residuals must agree to
     # 1e-10 relative, down to a floor of 1e-13 of the level's residual
-    # scale, where the full residual's own roundoff sits (observed: 1e-16
-    # of the scale); the functionals to 1e-12 relative (observed: 5e-15)
+    # scale, where the full residual's own roundoff sits (observed: at
+    # most 6e-15 of the scale apart); the functionals to 1e-12 relative
+    # (observed: 2.3e-14)
     spec = {1: dict(nx=16, ny=8, nt=80), 2: dict(nx=6, ny=4, nt=24)}[d]
     g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=1.0, **spec))
     U0 = g.eval_spatial(lambda *xy: np.clip(
@@ -260,16 +262,13 @@ def test_step_cost_in_the_eigenbasis(d, monkeypatch):
     # the shipped physics on a small grid, cold and from U0 held in time,
     # with every per-axis transform, Thomas sweep, full_state (its
     # functional_value) and Newton try (its beta_prime_eval) recorded in
-    # order.  V' b[0] is one transform, once per level.  Until its first
-    # full step a level keeps its iterate in the modes: entering them
-    # after a full_state costs two transforms (U and r_off), an
-    # iteration's Picard point one sweep, a Newton try its GMRES
-    # iterations in sweeps plus one for (P r_off)_tr at its first try
-    # after a full_state, and one more to form its point if the line
-    # search damps it; a full_state there is one transform back.  From
-    # the first full step on, an iteration costs one sweep for the Picard
-    # point, a Newton try exactly its GMRES iterations and no transform,
-    # and a full_state one sweep and one transform back
+    # order.  V' b[0] is one transform, once per level.  The iterate is
+    # P (b + E s) + mu e throughout: an anchor (after the entry check,
+    # and after a failed check while mu > 0) costs two transforms (V' M U
+    # and V' r_off) and one sweep, which is also the Picard point; any
+    # other Picard point costs one sweep, a Newton try exactly its GMRES
+    # iterations and no transform, a damped step nothing, and a full
+    # check one sweep, one transform back and one full_state
     from wiedlab import wied
     from wiedlab.assembly import assemble_linear_system, space_time_inverse
     # without diagnostics, whose cylinders are d = 1 points
@@ -316,36 +315,27 @@ def _replay_step_costs(events, st, warm):
         pos += len(expected)
 
     inner = iter(st["inner_iterations"])
-    take(["full", "to"])
-    landed = False          # a full step has landed
-    checked = adjoint = True
+    take(["full", "to"])                    # the entry check, V' b[0]
+    checked = mu = True                     # mu: the iterate has mu > 0
     tries = {False: 0, True: 0}
     for kind, lam in zip(st["steps"], st["damping"]):
-        if checked and not landed:
-            take(["to", "to"])
-            adjoint = False
+        # an anchor, whose sweep is the Picard point, or the Picard point
+        take(["to", "to", "sweep"] if checked and mu else ["sweep"])
         checked = False
-        take(["sweep"])                    # the Picard point
         if events[pos:pos + 1] == ["newton"]:
-            k = next(inner)
-            tries[landed] += 1
-            take(["newton"] + ["sweep"] * k)
-            if not landed and not adjoint:
-                take(["sweep"])            # (P r_off)_tr
-                adjoint = True
-            if not landed and kind == "newton" and lam < 1.0:
-                take(["sweep"])            # the damped Newton point
+            tries[mu] += 1
+            take(["newton"] + ["sweep"] * next(inner))
         if kind == "picard":
             assert next(inner) == 0
-        landed = landed or lam == 1.0
-        check = (["sweep"] if landed else []) + ["from", "full"]
+        mu = mu and lam < 1.0               # a damped step costs nothing
+        check = ["sweep", "from", "full"]
         if events[pos:pos + len(check)] == check:
             take(check)
             checked = True
     assert pos == len(events) and next(inner, None) is None
     assert st["sweeps"] == events.count("sweep")
-    assert tries[True] >= 2 and set(st["steps"]) == {"picard", "newton"}
-    assert (tries[False] >= 1) == warm
+    assert tries[False] >= 2 and set(st["steps"]) == {"picard", "newton"}
+    assert (tries[True] >= 1) == warm
     assert events.count("full") >= 2    # entry and exit
     assert st["residuals"][-1] <= st["el_tol_abs"]
 
