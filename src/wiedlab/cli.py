@@ -3,7 +3,8 @@
 Subcommands:
     run <config>                 full pipeline (sweep + reference + diagnostics)
     wied <config> --eps V        one level from the reference, dump the field
-    parabolic <config>           reference trajectory only
+    parabolic <config>           reference trajectory only, with an unhashed
+                                 manifest of its trace corrections
     diagnose <config> --field F --which a,b,...   diagnostics on a stored field
     verify <config>              acceptance suite, one pass/fail line each
 
@@ -131,18 +132,29 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "parabolic":
+        import numpy as np
+        from . import __version__
         from .parabolic import ParabolicError, solve_parabolic
+        from .runner import blas_kernel, write_json
         grid = build_grid(cfg.grid)
         U0 = cfg.initial.evaluate(grid)
+        stats = {}
         try:
-            traj = solve_parabolic(grid, cfg.model, U0)
+            traj = solve_parabolic(grid, cfg.model, U0, stats=stats)
         except ParabolicError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
             return 3
         out.mkdir(parents=True, exist_ok=True)
         dump_field(out / "parabolic.f64", grid, traj,
                    {"role": "parabolic-reference"})
-        print(f"parabolic reference written to {out}")
+        # unhashed, like a run's manifest; the dump is not hashed here
+        write_json(out / "manifest.json",
+                   {"package_version": __version__,
+                    "numpy_version": np.__version__,
+                    "blas_kernel": blas_kernel(), "parabolic": stats})
+        print(f"parabolic reference written to {out} "
+              f"({stats['corrections']} trace corrections, at most "
+              f"{stats['max_corrections']} in a step)")
         return 0
 
     if args.command == "diagnose":

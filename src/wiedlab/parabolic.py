@@ -10,12 +10,13 @@ on the trace through the capacitance matrix of that matrix, which is
 diagonal in the x factor of the assembly's per-axis eigenbasis, with
 direct products on that factor.  A trajectory marches in the eigenbasis:
 each step hands the next its field's modal coefficients (so only the
-first step transforms M u_n/dt), its exit check's stiffness product and
-beta (the next entry check), and its start's trace source, from which
-the next map starts at the linear extrapolation of the last two sources.
-So a step costs one back transform, one stiffness product and one beta
-at the result, plus trace work per Picard correction; every step keeps
-its full nodal residual checks at u_n and at the result.  Subnormal
+first step transforms M u_n/dt), the next entry check (its exit check's
+product A u + E D_tr beta(E' u) gives both residuals), and the trace
+sources at the starts of the last steps, from which the next map starts
+at their cubic extrapolation.  So a step costs one back transform, one
+stiffness product and one beta at the result, plus trace work per
+Picard correction; every step keeps its full nodal residual checks at
+u_n and at the result.  Subnormal
 modal coefficients are flushed to 0 where a step forms them.
 march_parabolic yields the layers one at a time; solve_parabolic stores
 them.  The step
@@ -58,6 +59,43 @@ def _step_matrix(grid, ops):
     return ops.Ka.shifted(ops.mass / grid.dt)
 
 
+def _norm(r):
+    # np.add.reduce is np.sum's reduction without its Python wrapper
+    return math.sqrt(np.add.reduce(r * r))
+
+
+def _lhs(A, model, tm, u):
+    # the step's left-hand side q = A u + E D_tr beta(E' u), and beta(E' u):
+    # the residual of u is q - M u_n/dt.  The y = 0 block comes first, so
+    # E' u = u[:n_trace]
+    beta_tr = beta_eval(model, u[:tm.size])
+    q = A @ u
+    q[:tm.size] += tm * beta_tr
+    return q, beta_tr
+
+
+def _enter(carry, mass, dt, u, q, beta_tr):
+    # the entry check of a step from u, kept in carry: its right-hand side
+    # M u/dt, its bound and its verdict, from q = _lhs(u) (overwritten)
+    rhs = mass * u / dt
+    bound = STEP_TOL * (_norm(rhs) or 1.0)
+    q -= rhs
+    carry.update(rhs=rhs, bound=bound, done=_norm(q) <= bound,
+                 beta_tr=beta_tr)
+
+
+def _extrapolate(hist):
+    # the polynomial through the entry sources s(u_n), s(u_{n-1}), ...
+    # (newest first) at the step's end: cubic from four, down to s(u_n)
+    if len(hist) == 4:
+        return 4.0 * (hist[0] + hist[2]) - 6.0 * hist[1] - hist[3]
+    if len(hist) == 3:
+        return 3.0 * (hist[0] - hist[1]) + hist[2]
+    if len(hist) == 2:
+        return 2.0 * hist[0] - hist[1]
+    return hist[0]
+
+
 def step_implicit(grid: WeightedGrid, model, Un: np.ndarray,
                   ops: DiscreteOperators | None = None,
                   A=None, carry: dict | None = None) -> np.ndarray:
@@ -94,61 +132,65 @@ def step_implicit(grid: WeightedGrid, model, Un: np.ndarray,
     carry, when given, is a dict that hands one step's state to the next
     step of the same trajectory (same grid, operators and model):
 
-      "Au", "beta_tr"  A @ Un and beta(E' Un), read by the entry check
-                       when there, and left for the returned field;
+      "rhs", "bound",  M Un/dt, STEP_TOL |M Un/dt| and the verdict of the
+      "done"           entry check at Un, read in place of the entry
+                       products; left for the returned field, formed
+                       from the exit check's q = A u + E D_tr beta(E' u),
+                       which gives both residuals, q - M Un/dt and
+                       q - M u/dt.  A finite carried bound leaves no
+                       entry of Un non-finite, so Un is not scanned;
+      "beta_tr"        beta(E' Un); left as beta(E' u);
       "modes"          c = V' M Un, which gives the modes of M Un/dt as
                        c/dt with no to_modes; left as the c of the
                        returned field;
-      "s"              the source at the previous step's start; with it
-                       the map starts from s_0 = 2 s(Un) - s(U_{n-1}), a
-                       linear extrapolation that costs no beta, otherwise
-                       from s_0 = s(Un); left as s(Un);
+      "s"              the entry sources of the last steps, newest first:
+                       with s(Un) in front the map starts from their
+                       polynomial extrapolation, 4 s(Un) - 6 s(U_{n-1})
+                       + 4 s(U_{n-2}) - s(U_{n-3}) (cubic), from the
+                       quadratic or linear one while there are fewer,
+                       and from s(Un) alone without a history; left with
+                       s(Un) in front, at most four, which costs no beta;
+      "resolvent"      (basis, inv, h): the eigenbasis and its resolvent
+                       at 1/dt, looked up once per trajectory;
       "corrections"    left as the number of trace corrections made.
 
     So a step of a trajectory costs one from_modes, one stiffness product
     and one beta at the result, and per trace correction two products
     with Vx (four in d = 2) and one beta on the trace.  Without a carry
-    it also makes the entry products and one to_modes.
+    it also scans Un and makes the entry products and one to_modes.
     """
     ops = ops or build_operators(grid)
     dt = grid.dt
     A = A if A is not None else _step_matrix(grid, ops)
     un = np.asarray(Un, dtype=float).reshape(-1)
-    if not np.isfinite(un).all():
-        raise ParabolicError("non-finite state entering step_implicit")
-    rhs0 = ops.mass * un / dt
-    # np.add.reduce is np.sum's reduction without its Python wrapper
-    scale = math.sqrt(np.add.reduce(rhs0 * rhs0)) or 1.0
-
-    sigma = max(model.lipschitz, 0.0)
-    bound = STEP_TOL * scale
-    tm = ops.trace_mass
-
-    def passes(u, Au=None, beta_tr=None):
-        # the residual check of u; its products are kept in carry
-        if Au is None:
-            Au, beta_tr = A @ u, beta_eval(model, u[ops.trace_index])
-        carry.update(Au=Au, beta_tr=beta_tr)
-        resid = Au - rhs0
-        resid[ops.trace_index] += tm * beta_tr
-        return math.sqrt(np.add.reduce(resid * resid)) <= bound
-
     carry = {} if carry is None else carry
-    done = passes(un, carry.get("Au"), carry.get("beta_tr"))
-    s = tm * (sigma * un[ops.trace_index] - carry["beta_tr"])
-    s_prev, carry["s"] = carry.get("s"), s
-    if done:
+    sigma = max(model.lipschitz, 0.0)
+    tm = ops.trace_mass
+    bound = carry.get("bound")
+    # a finite carried bound STEP_TOL |M Un/dt| leaves no entry of Un
+    # non-finite
+    if (bound is None or not math.isfinite(bound)) and not np.isfinite(
+            un).all():
+        raise ParabolicError("non-finite state entering step_implicit")
+    if bound is None:
+        assert np.array_equal(ops.trace_index, np.arange(tm.size))
+        _enter(carry, ops.mass, dt, un, *_lhs(A, model, tm, un))
+    rhs, bound = carry["rhs"], carry["bound"]
+    hist = carry["s"] = ((tm * (sigma * un[:tm.size] - carry["beta_tr"]),)
+                         + carry.get("s", ())[:3])
+    if carry["done"]:
         carry["corrections"] = 0
         return un.copy()
-    basis = axis_eigenbasis(grid, ops, sigma)
-    inv, h = basis.resolvent(1.0 / dt)
+    if "resolvent" not in carry:
+        basis = axis_eigenbasis(grid, ops, sigma)
+        carry["resolvent"] = (basis,) + basis.resolvent(1.0 / dt)
+    basis, inv, h = carry["resolvent"]
     vy0, Vx = basis.Vy[0], basis.Vx
     VxT, n, flat = Vx.T, Vx.shape[0], basis.d == 1
     c = carry.get("modes")
-    w = inv * (basis.to_modes(rhs0) if c is None else c / dt)
+    w = inv * (basis.to_modes(rhs) if c is None else c / dt)
     g = vy0 @ w.reshape(vy0.shape[0], -1)     # trace modes of E' B^{-1} M Un/dt
-    if s_prev is not None:
-        s = 2.0 * s - s_prev
+    s = _extrapolate(hist)
     for k in range(1, STEP_MAXIT + 1):
         # u_k = B^{-1} (M Un/dt + E s_{k-1}): its trace, and s_k from it
         z = VxT @ s if flat else (VxT @ s.reshape(n, n) @ Vx).ravel()
@@ -157,13 +199,17 @@ def step_implicit(grid: WeightedGrid, model, Un: np.ndarray,
         s_next = tm * (sigma * u_tr - beta_eval(model, u_tr))
         ds = s_next - s
         if math.sqrt(ds @ ds) <= bound or k == STEP_MAXIT:
-            c = w + inv * (vy0[:, None] * z).ravel()
+            c = np.multiply.outer(vy0, z).ravel()
+            c *= inv
+            c += w
             # flush subnormal modes: without a reaction high modes decay
             # by 1/(1 + dt lam) a step into the subnormal range, where
             # arithmetic is slow; this moves no value above _TINY
             c[np.abs(c) < _TINY] = 0.0
             u = basis.from_modes(c)
-            if passes(u):
+            q, beta_tr = _lhs(A, model, tm, u)
+            if _norm(q - rhs) <= bound:
+                _enter(carry, ops.mass, dt, u, q, beta_tr)
                 carry.update(modes=c, corrections=k)
                 return u
             if np.array_equal(s_next, s):

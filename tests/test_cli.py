@@ -134,9 +134,11 @@ def test_diagnose_on_stored_field(tmp_path):
         assert all(0.0 < lam <= 1.0 for lam in lv["damping"])
 
 
-def test_manifest_records_parabolic_corrections(tmp_path):
-    # the unhashed manifest reports the reference's trace corrections as
-    # solve_parabolic counts them, and no hashed artifact carries them
+def test_manifest_records_parabolic_corrections(tmp_path, capsys):
+    # the unhashed manifests of `run` and `parabolic` report the
+    # reference's trace corrections as solve_parabolic counts them, and no
+    # other file carries them; `parabolic` prints them too, and two of its
+    # runs write the same dump and sidecar
     from wiedlab.config import load_config
     from wiedlab.grid import build_grid
     from wiedlab.parabolic import solve_parabolic
@@ -157,6 +159,24 @@ def test_manifest_records_parabolic_corrections(tmp_path):
     assert 1 <= stats["max_step"] <= grid.spec.nt
     for name in manifest["artifacts"]:
         assert b"corrections" not in (out / name).read_bytes()
+
+    refs = [tmp_path / "ref-a", tmp_path / "ref-b"]
+    capsys.readouterr()
+    for ref in refs:
+        assert main(["parabolic", str(cfgp), "--out", str(ref)]) == 0
+        assert (f"({stats['corrections']} trace corrections, at most "
+                f"{stats['max_corrections']} in a step)"
+                in capsys.readouterr().out)
+        assert json.loads((ref / "manifest.json").read_text()) == {
+            "package_version": manifest["package_version"],
+            "numpy_version": np.__version__,
+            "blas_kernel": manifest["blas_kernel"], "parabolic": stats}
+    assert sorted(p.name for p in refs[0].iterdir()) == [
+        "manifest.json", "parabolic.f64", "parabolic.json"]
+    for name in ("parabolic.f64", "parabolic.json"):
+        data = (refs[0] / name).read_bytes()
+        assert data == (refs[1] / name).read_bytes()
+        assert b"corrections" not in data
 
 
 def test_manifest_records_each_levels_sweeps(tmp_path, monkeypatch):

@@ -216,9 +216,10 @@ def test_step_constants_built_once_per_time_step():
 
 
 def test_trajectory_hands_each_check_to_the_next_step(monkeypatch):
-    # solve_parabolic carries each step's exit-check stiffness product and
-    # beta to the next step's entry check (one product per step plus the
-    # first entry) and its modal coefficients to the next step's map (one
+    # solve_parabolic hands each step's exit check to the next step's
+    # entry check: the product q = A u + E D_tr beta(E' u) gives both
+    # residuals, so a trajectory makes one product per step plus the first
+    # entry.  Its modal coefficients go to the next step's map (one
     # to_modes, at the first step).  Against carry-less steps it lands
     # within the drift the tolerance allows, not on the same bits: the
     # carried modes and the extrapolated start stop the map elsewhere
@@ -276,8 +277,11 @@ def test_every_layer_passes_the_exit_check(case):
 def test_extrapolated_start_lowers_the_corrections():
     # on the shipped config: stepping with the carry reproduces
     # solve_parabolic bit for bit, with the trace corrections it reports;
-    # dropping the carried source before each step (so every map starts
-    # from s(u_n) instead of 2 s(u_n) - s(u_{n-1})) costs more of them
+    # cutting the carried history of entry sources before each step, so
+    # that every map starts from the linear extrapolation 2 s(u_n) -
+    # s(u_{n-1}) (two entries) or from s(u_n) itself (one entry) instead
+    # of the cubic 4 s(u_n) - 6 s(u_{n-1}) + 4 s(u_{n-2}) - s(u_{n-3}),
+    # costs more of them
     from wiedlab.assembly import build_operators
     cfg = _shipped()
     g = build_grid(cfg.grid)
@@ -285,23 +289,23 @@ def test_extrapolated_start_lowers_the_corrections():
     U0 = cfg.initial.evaluate(g)
     stats = {}
     traj = solve_parabolic(g, cfg.model, U0, ops=ops, stats=stats)
-    totals = []
-    for extrapolate in (True, False):
+    totals = {}
+    for entries in (4, 2, 1):
         carry, u, counts = {}, U0, []
         for n in range(g.spec.nt):
-            if not extrapolate:
-                carry.pop("s", None)
+            carry["s"] = carry.get("s", ())[:entries - 1]
             u = step_implicit(g, cfg.model, u, ops=ops, carry=carry)
             counts.append(carry["corrections"])
-            if extrapolate:
+            if entries == 4:
                 assert np.array_equal(u, traj[n + 1])
-        totals.append(sum(counts))
-        if extrapolate:
+        totals[entries] = sum(counts)
+        if entries == 4:
             most = max(counts)
             assert stats == {"corrections": sum(counts),
                              "max_corrections": most,
                              "max_step": counts.index(most) + 1}
-    assert totals[0] < totals[1]
+    assert totals[4] < totals[2] < totals[1]
+    assert totals[4] <= 2000
 
 
 def test_failing_linear_step_stops_after_one_recovery(monkeypatch):

@@ -340,6 +340,56 @@ def _replay_step_costs(events, st, warm):
     assert st["residuals"][-1] <= st["el_tol_abs"]
 
 
+def test_failed_check_while_mu_is_positive_anchors_again(monkeypatch):
+    # a full check that fails while mu > 0 (every step since the last
+    # anchor damped) anchors again: s becomes the Picard source of the
+    # checked field and e its deviation, with two transforms (V' M U and
+    # V' r_off).  U0 held in time at twice its height on a d = 2 grid
+    # takes a damped Newton step first, and the loose tolerance is met by
+    # that step, so the first check after entry follows it with mu > 0;
+    # LinearSystem.residual, wrapped, makes that check report twice the
+    # tolerance, once.  The level anchors again, goes on and converges,
+    # and the field it returns passes the unwrapped residual
+    from wiedlab.assembly import AxisEigenbasis, LinearSystem
+    g = build_grid(GridSpec(d=2, a=0.5, L=1.0, Y=1.0, T=1.0,
+                            nx=6, ny=4, nt=24))
+    U0 = g.eval_spatial(lambda *xy: np.clip(
+        1 - sum(v**2 for v in xy) / 0.36, 0, None)**2).ravel()
+    doubled = Level(None, np.repeat(2.0 * U0[None, :], g.spec.nt + 1,
+                                    axis=0))
+    system = assemble_linear_system(g, 0.1)
+    cfg = WiedConfig(eps=0.1, outer_tol=3.2)
+    calls = {"residual": 0, "to_modes": 0}
+    residual, to_modes = LinearSystem.residual, AxisEigenbasis.to_modes
+
+    def counted(self, *args, **kwargs):
+        calls["to_modes"] += 1
+        return to_modes(self, *args, **kwargs)
+
+    monkeypatch.setattr(AxisEigenbasis, "to_modes", counted)
+    plain = solve_wied(g, BUMP, cfg, U0, start=doubled, system=system)
+    assert plain.stats["steps"] == ["newton"]
+    assert plain.stats["damping"][0] < 1.0
+    assert calls["to_modes"] == 3           # V' b[0] and the entry anchor
+    tol = plain.stats["el_tol_abs"]
+
+    def fails_once(self, *args, **kwargs):
+        r = residual(self, *args, **kwargs)
+        calls["residual"] += 1
+        if calls["residual"] == 2:          # the first check after entry
+            r *= 2.0 * tol / np.linalg.norm(r)
+        return r
+
+    monkeypatch.setattr(LinearSystem, "residual", fails_once)
+    calls["to_modes"] = 0
+    level = solve_wied(g, BUMP, cfg, U0, start=doubled, system=system)
+    assert calls["to_modes"] == 5           # a second anchor
+    assert calls["residual"] >= 3
+    assert level.stats["residuals"][1] == pytest.approx(2.0 * tol)
+    assert level.el_residual <= level.stats["el_tol_abs"] == tol
+    assert np.linalg.norm(residual(system, BUMP, level.U, U0)) <= tol
+
+
 @pytest.mark.parametrize("start", ["cold", "held"])
 @pytest.mark.parametrize("grid, eps", [
     (dict(nx=16, ny=6, nt=80), 0.05),
