@@ -17,8 +17,9 @@ initial layer is eliminated into the right-hand side.  Dividing out the
 exponential weight is what keeps the system well-scaled for T >> eps.
 
 The residual is formed layer by layer from the stiffness products
-Ka U_m (stencil_residual), so no space-time matrix is assembled on the
-solver path, and Ka itself is a numpy stencil (KroneckerStencil) rather
+Ka U_m, a block of layers at a time (stencil_pass), so no space-time
+matrix is assembled on the solver path and no product of all layers is
+kept, and Ka itself is a numpy stencil (KroneckerStencil) rather
 than a stored sparse matrix: scipy is imported only for the CSR
 references the tests check against.  The Picard and Newton matrices
 differ from A only on the y = 0 trace diagonal, so the solvers apply the
@@ -48,17 +49,17 @@ class KroneckerStencil:
     with its upper neighbour along k (the node grid with axis k one
     shorter), and by symmetry also that of the neighbour with the node.
 
-    K @ x for one vector x (S,), and K.rows(X) for the rows of X (k, S),
+    K @ x for one vector x (S,), and K.blocks(X) for the rows of X (k, S),
     such as the time layers of a field, add each row's neighbour products
     in increasing column order, starting from +0.0, as a sorted CSR
     matvec does, so every product equals the CSR one bit for bit:
-    K.rows(X) is (K.tocsr() @ X.T).T, C-ordered.  A product with
-    coefficient 0 (no such neighbour; a CSR matrix stores no zero) is
-    +0.0, which adds nothing to a sum started at +0.0 whatever X holds.
-    A vector is one gather of each row's neighbours, with an appended 0
-    for those it lacks, one product and one sum over the neighbours in
-    order.  rows takes about CHUNK entries of X at a time, copied end to
-    end into a zero-padded block, so a neighbour's products are one
+    K.blocks(X) yields (K.tocsr() @ X.T).T a block of rows at a time.  A
+    product with coefficient 0 (no such neighbour; a CSR matrix stores no
+    zero) is +0.0, which adds nothing to a sum started at +0.0 whatever X
+    holds.  A vector is one gather of each row's neighbours, with an
+    appended 0 for those it lacks, one product and one sum over the
+    neighbours in order.  blocks takes about CHUNK entries of X at a time, copied end
+    to end into a zero-padded block, so a neighbour's products are one
     (n, S) product of the coefficients, broadcast over the n rows, with
     the block shifted by the neighbour's stride.
     """
@@ -105,7 +106,7 @@ class KroneckerStencil:
         x = np.asarray(x, dtype=float)
         if x.shape != (S,):
             raise ValueError(f"K @ x takes one vector of shape ({S},), got "
-                             f"{x.shape}; rows(X) takes the rows of X")
+                             f"{x.shape}; blocks(X) takes the rows of X")
         xp = np.empty(S + 1)
         xp[:S] = x
         xp[S] = 0.0
@@ -113,27 +114,30 @@ class KroneckerStencil:
         G *= self._coef
         return np.add.reduce(G, axis=0, initial=0.0)
 
-    def rows(self, X: np.ndarray, out: np.ndarray | None = None
-             ) -> np.ndarray:
-        """K applied to each row of X (k, S): (K @ X.T).T as a C-ordered
-        (k, S) array, written into out when given."""
+    def blocks(self, X: np.ndarray):
+        """K applied to the rows of X (k, S) a block of rows at a time:
+        yields (k0, Y, T), Y the (n, S) products of rows k0 .. k0 + n - 1,
+        (K.tocsr() @ X[k0:k0 + n].T).T bit for bit, and T an (n, S)
+        scratch array the caller may overwrite until it takes the next
+        block.  Y is one (kb, S) buffer, kb = CHUNK // S rows (at least
+        one), that the next block overwrites."""
         S = self.shape[0]
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != S:
-            raise ValueError(f"rows takes (k, {S}) rows, got {X.shape}")
+            raise ValueError(f"blocks takes (k, {S}) rows, got {X.shape}")
         k = X.shape[0]
-        Y = np.empty((k, S)) if out is None else out
         kb = max(1, min(k, self.CHUNK // S))
         # the rows of a block laid end to end between pad zeros on either
         # side, so each shifted view stays inside P
         pad = self._pad
         P = np.zeros(kb * S + 2 * pad)
+        Y = np.empty((kb, S))
         T = np.empty((kb, S))
         for k0 in range(0, k, kb):
             n = min(kb, k - k0)
             P[pad:pad + n * S].reshape(n, S)[...] = X[k0:k0 + n]
             P[pad + n * S:2 * pad + n * S] = 0.0
-            y, t = Y[k0:k0 + n], T[:n]
+            y, t = Y[:n], T[:n]
             y.fill(0.0)
             for (off, c), zero in zip(self._terms, self._zeros):
                 np.multiply(c, P[pad + off:pad + off + n * S].reshape(n, S),
@@ -141,7 +145,7 @@ class KroneckerStencil:
                 if zero is not None:
                     t[:, zero] = 0.0
                 np.add(y, t, out=y)
-        return Y
+            yield k0, y, t
 
     def tocsr(self):
         """The same matrix as a sorted scipy CSR matrix, as a reference."""
@@ -162,8 +166,8 @@ class KroneckerStencil:
 class DiscreteOperators:
     """Weighted mass/stiffness and the y=0 trace maps, all half-space.
 
-    Ka is a KroneckerStencil, applied as Ka @ x to a vector and as
-    Ka.rows(X) to the rows of X, such as the layers of a field; its
+    Ka is a KroneckerStencil, applied as Ka @ x to a vector and by
+    Ka.blocks(X) to the rows of X, such as the layers of a field; its
     tocsr() is the sparse matrix the tests check it against."""
 
     mass: np.ndarray          # spatial nodal |y|^a masses, flattened
@@ -385,17 +389,17 @@ def _check_initial(grid, Ulay, U0):
 def functional_value(grid: WeightedGrid, model, eps: float,
                      U: np.ndarray, U0: np.ndarray | None = None,
                      ops: DiscreteOperators | None = None,
-                     KU: np.ndarray | None = None,
+                     Sm: np.ndarray | None = None,
                      Pm: np.ndarray | None = None,
-                     work: np.ndarray | None = None) -> float:
+                     icell: np.ndarray | None = None) -> float:
     """Discrete weighted inertia-energy-dissipation value of U.
 
-    KU, when given, is the stiffness product Ka.rows(U) of the layers of
-    U, so a caller that also needs the residual forms it once; Pm, when
-    given, is the layer sums phi_eval(model, U[:, trace_index]) @
-    trace_mass of the trace potential, so a caller that also keeps them
-    evaluates Phi once.  work, an (nt, n_spatial) array when given,
-    holds the time differences instead of a new array."""
+    Sm, Pm and icell, when given, are the layer and cell sums the value
+    is made of, as a full check (FieldCheck) forms them, so a caller
+    that also needs the residual forms the stiffness products once: Sm
+    the layer sums <U_m, K U_m> of stencil_pass, Pm the layer sums
+    phi_eval(model, U[:, trace_index]) @ trace_mass of the trace
+    potential and icell the cell sums of _inertia_cells."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
@@ -403,10 +407,10 @@ def functional_value(grid: WeightedGrid, model, eps: float,
     _check_initial(grid, Ulay, U0)
     w = exp_time_weights(grid.t, eps)
 
-    icell = _inertia_cells(Ulay, grid.dt, ops.mass, work)
-    if KU is None:
-        KU = ops.Ka.rows(Ulay)
-    Sm = np.einsum("ns,ns->n", Ulay, KU)
+    if icell is None:
+        icell = _inertia_cells(Ulay, grid.dt, ops.mass)
+    if Sm is None:
+        Sm, _ = stencil_pass(grid, model, Ulay, ops)
     if Pm is None:
         Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
     return float(np.sum(w * (eps * icell
@@ -425,27 +429,37 @@ def _inertia_cells(Ulay: np.ndarray, dt: float, mass: np.ndarray,
     return dU @ mass
 
 
+@dataclass
+class FieldCheck:
+    """A full check of a field at one eps: its normalized EL residual
+    and the layer and cell sums of its functional (functional_value's
+    Sm, Pm and icell), which its energy report reuses."""
+
+    residual: np.ndarray = field(repr=False)   # (nt, S), layers 1..nt
+    Sm: np.ndarray = field(repr=False)         # (nt+1,) <U_m, K U_m>
+    Pm: np.ndarray = field(repr=False)         # (nt+1,) Phi(u_m) . D_tr
+    icell: np.ndarray = field(repr=False)      # (nt,) |D_t U|_M^2
+
+
 def functional_gradient(grid: WeightedGrid, model, eps: float,
                         U: np.ndarray, U0: np.ndarray | None = None,
                         ops: DiscreteOperators | None = None) -> np.ndarray:
     """Exact gradient of functional_value w.r.t. nodal values.
 
-    Row m (m = 1..nt) is 2 w_{m-1} times row m of the EL residual
-    stencil_residual, the weight that residual divides out, so
-    the gradient and the residual the solvers drive to zero are one
-    formula.  Layer 0 is returned as zeros by convention (the initial
-    layer is constrained, variations vanish there).  Shape
-    (nt+1, n_spatial).
+    Row m (m = 1..nt) is 2 w_{m-1} times row m of the EL residual of
+    stencil_pass, the weight that residual divides out, so the gradient
+    and the residual the solvers drive to zero are one formula.  Layer 0
+    is returned as zeros by convention (the initial layer is
+    constrained, variations vanish there).  Shape (nt+1, n_spatial).
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)
     _check_initial(grid, Ulay, U0)
-    KU = ops.Ka.rows(Ulay)
     G = np.zeros_like(Ulay)
-    G[1:] = 2.0 * exp_time_weights(grid.t, eps)[:, None] * stencil_residual(
-        grid, model, eps, Ulay, KU, ops)
+    stencil_pass(grid, model, Ulay, ops, eps, out=G[1:])
+    G[1:] *= 2.0 * exp_time_weights(grid.t, eps)[:, None]
     return G
 
 
@@ -463,41 +477,57 @@ def _row_coefficients(grid: WeightedGrid, eps: float):
     return c, rho, main, c_hat
 
 
-def stencil_residual(grid: WeightedGrid, model, eps: float,
-                     Ulay: np.ndarray, KU: np.ndarray,
-                     ops: DiscreteOperators, out: np.ndarray | None = None,
-                     work: np.ndarray | None = None) -> np.ndarray:
-    """Normalized EL residual on layers 1..nt, shape (nt, S).
-
-    Formed layer by layer from the stiffness products KU = (Ka U_m)_m of
-    all nt + 1 layers instead of an assembled space-time matrix:
+def stencil_pass(grid: WeightedGrid, model, Ulay: np.ndarray,
+                 ops: DiscreteOperators, eps: float | None = None,
+                 out: np.ndarray | None = None):
+    """One pass over the (nt+1, S) layers of Ulay that forms their
+    stiffness products Ka U_m a block of layers at a time (Ka.blocks,
+    about KroneckerStencil.CHUNK entries per block, in one reusable
+    buffer), so no (nt+1, S) product is kept.  From each block it takes
+    the layer sums Sm = <U_m, K U_m> and, at an eps, the rows of the
+    normalized EL residual on layers 1..nt,
 
         c M ((1+rho) U_m - U_{m-1} - rho U_{m+1}) + c_hat (K U_m + D_tr beta(u_m))
 
-    with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2.
-    Equal to A x + E bs - rhs(U_0) of the assembled system, up to
-    summation order.  Each full-size pass writes into one of two (nt, S)
-    arrays, r (out when given) and the time stencil (work when given),
-    rather than a new temporary.
+    with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2,
+    equal to A x + E bs - rhs(U_0) of the assembled system up to
+    summation order.  Returns (Sm, r): r (nt, S), written into out when
+    given, or None without eps.  Every row has the bits of the same
+    formula applied to all layers at once; the time stencil of a block
+    is formed in the scratch of the products, and the residual rows of
+    the block hold its rho U_{m+1} term until they are written.
     """
-    c, rho, main, c_hat = _row_coefficients(grid, eps)
-    r = np.empty(Ulay[1:].shape) if out is None else out
-    tstep = np.multiply(main[:, None], Ulay[1:], out=work)
-    tstep -= Ulay[:-1]
-    tstep[:-1] -= np.multiply(rho, Ulay[2:], out=r[:-1])
-    tstep *= c * ops.mass
-    np.multiply(c_hat[:, None], KU[1:], out=r)
-    r += tstep
-    r[:, ops.trace_index] += c_hat[:, None] * ops.trace_mass * beta_eval(
-        model, Ulay[1:, ops.trace_index])
-    return r
+    Sm = np.empty(Ulay.shape[0])
+    r = None
+    if eps is not None:
+        nt, tr = Ulay.shape[0] - 1, ops.trace_index
+        c, rho, main, c_hat = _row_coefficients(grid, eps)
+        cm = c * ops.mass
+        ctm = c_hat[:, None] * ops.trace_mass
+        r = np.empty((nt, Ulay.shape[1])) if out is None else out
+    for m0, KUb, scratch in ops.Ka.blocks(Ulay):
+        m1 = m0 + KUb.shape[0]
+        Sm[m0:m1] = np.einsum("ns,ns->n", Ulay[m0:m1], KUb)
+        a = max(m0, 1)          # the unknown layers a .. m1 - 1, rows a - 1 ..
+        if r is None or a == m1:
+            continue
+        rows, u = r[a - 1:m1 - 1], Ulay[a:m1]
+        t = np.multiply(main[a - 1:m1 - 1, None], u, out=scratch[:m1 - a])
+        t -= Ulay[a - 1:m1 - 1]
+        e = min(m1, nt)         # the layers a .. e - 1 have a layer above
+        t[:e - a] -= np.multiply(rho, Ulay[a + 1:e + 1], out=rows[:e - a])
+        t *= cm
+        np.multiply(c_hat[a - 1:m1 - 1, None], KUb[a - m0:], out=rows)
+        rows += t
+        rows[:, tr] += ctm[a - 1:m1 - 1] * beta_eval(model, u[:, tr])
+    return Sm, r
 
 
 @dataclass
 class LinearSystem:
     """Weight-normalized discrete system on layers 1..nt.
 
-    residual is the stencil form (stencil_residual) of A x + E bs - rhs:
+    residual is the stencil form (stencil_pass) of A x + E bs - rhs:
     the stiffness products of all layers, the time stencil and the trace
     source; the initial-layer term is the stencil's use of U_0 in the
     first row.  The right-hand side b is zero outside row 0, which
@@ -564,18 +594,15 @@ class LinearSystem:
         return finalize_csr(self.A + sp.diags(d.ravel()))
 
     def residual(self, model, U: np.ndarray, U0: np.ndarray | None = None,
-                 KU: np.ndarray | None = None, out: np.ndarray | None = None,
-                 work: np.ndarray | None = None) -> np.ndarray:
-        """Normalized EL residual on layers 1..nt, shape (nt, n_spatial):
-        stencil_residual, written into out when given, with work as the
-        stencil's scratch.  KU, when given, is the stiffness product
-        Ka.rows(U) of the layers of U."""
+                 out: np.ndarray | None = None):
+        """The stencil_pass of U at this eps: (Sm, r), r the normalized EL
+        residual on layers 1..nt, shape (nt, n_spatial), written into out
+        when given, and Sm the layer sums <U_m, K U_m> the same pass
+        forms, which functional_value takes."""
         Ulay = _layers(self.grid, U)
         _check_initial(self.grid, Ulay, U0)
-        if KU is None:
-            KU = self.ops.Ka.rows(Ulay)
-        return stencil_residual(self.grid, model, self.eps, Ulay, KU,
-                                self.ops, out=out, work=work)
+        return stencil_pass(self.grid, model, Ulay, self.ops, self.eps,
+                            out=out)
 
 
 def assemble_linear_system(grid: WeightedGrid, eps: float,

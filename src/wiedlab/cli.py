@@ -199,14 +199,16 @@ def _diagnose(args, cfg, out) -> int:
     listed = {d.name: d.options for d in cfg.diagnostics}
     out.mkdir(parents=True, exist_ok=True)
     summary = []
+    stream = registry.Stream(
+        registry.Context(grid, cfg.model, cfg.forcing_exponents,
+                         build_operators(grid)),
+        [(name, listed[name] if name in listed else
+          {**defaults(f"diagnostics ({name})", sp.T), **probe})
+         for name in which])
+    level = Level(side.get("eps"), arr)
     try:
-        skipped = write_diagnostics(
-            [(name, listed[name] if name in listed else
-              {**defaults(f"diagnostics ({name})", sp.T), **probe})
-             for name in which],
-            registry.Context(grid, cfg.model, cfg.forcing_exponents,
-                             build_operators(grid)),
-            [Level(side.get("eps"), arr)], out, summary)
+        stream.add(level)
+        skipped = write_diagnostics(stream, [level], out, summary)
     except DiagnosticError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

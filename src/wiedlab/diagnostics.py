@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (build_operators, stencil_residual, _check_initial,
-                       _inertia_cells, _layers)
+from .assembly import (FieldCheck, build_operators, stencil_pass,
+                       _check_initial, _inertia_cells, _layers)
 from .combustion import phi_eval
 from .grid import (Cylinder, GridError, WeightedGrid, _grad_energy_spatial,
                    restrict, weighted_norm)
@@ -60,7 +60,7 @@ class EnergyReport:
 
 def energy_decomposition(grid: WeightedGrid, model, eps: float,
                          U: np.ndarray, U0: np.ndarray | None = None,
-                         ops=None, KU: np.ndarray | None = None
+                         ops=None, check: FieldCheck | None = None
                          ) -> EnergyReport:
     """Per-cell I, R and tail energy E of the rescaled field V(X,t)=U(X,eps t).
 
@@ -69,14 +69,13 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     derivative identity E' = -2I is evaluated as the optimality defect of
     the discrete functional along inner (time-reparametrization)
     variations, which is the quantity that vanishes at exact discrete
-    minimizers.  Its EL residual is the stencil form (stencil_residual)
-    on the stiffness products the Dirichlet energy already needs, so no
-    space-time system is assembled.  KU, when given, must be those
-    products, Ka.rows of the (nt+1, S) layers, as a solved level's exit
-    check leaves them (wied.Level.KU); otherwise they are formed.  The
-    time differences, the residual's time stencil and the centred
-    differences share one (nt, S) array, and the residual takes one
-    more.
+    minimizers.  Its EL residual and the Dirichlet layer sums come from
+    one stencil_pass, so no space-time system is assembled.  check, when
+    given, must be the full check of U at eps (assembly.FieldCheck), as
+    a solved level's exit check leaves it (wied.Level.check): its
+    residual and sums serve the report, which then forms no stiffness
+    product and no residual.  The pairing of the residual with the
+    centred differences runs a block of layers at a time.
     """
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)
@@ -86,12 +85,12 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     dtau = dt / eps
     tau = grid.t[:-1] / eps
 
-    work = np.empty((nt, Ulay.shape[1]))
-    icell = _inertia_cells(Ulay, dt, ops.mass, work)
-    if KU is None:
-        KU = ops.Ka.rows(Ulay)
-    Sm = np.einsum("ns,ns->n", Ulay, KU)
-    Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
+    if check is None:
+        icell = _inertia_cells(Ulay, dt, ops.mass)
+        Sm, r = stencil_pass(grid, model, Ulay, ops, eps)
+        Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
+    else:
+        icell, Sm, Pm, r = check.icell, check.Sm, check.Pm, check.residual
 
     inertia = 2.0 * eps**2 * icell
     dissipation = 2.0 * eps * (0.5 * (Sm[:-1] + Sm[1:])
@@ -105,13 +104,19 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
         acc = (1.0 - q) * total[n] + q * acc
         energy[n] = acc
 
-    r = stencil_residual(grid, model, eps, Ulay, KU, ops, work=work)
-    # eps (U_{m+1} - U_{m-1}) / (2 dt), the same operations in place
-    dtauV = np.subtract(Ulay[2:], Ulay[:-2], out=work[:-1])
-    np.multiply(eps, dtauV, out=dtauV)
-    dtauV /= 2.0 * dt
-    pair = np.abs(np.einsum("ms,ms->m", r[:-1], dtauV))
-    identity_l1 = float(4.0 * eps * np.expm1(dtau) * np.sum(pair))
+    # |<r_m, eps (U_{m+1} - U_{m-1}) / (2 dt)>| for m = 1 .. nt - 1, the
+    # centred differences formed a block of rows at a time
+    pair = np.empty(nt - 1)
+    kb = max(1, min(nt - 1, ops.Ka.CHUNK // Ulay.shape[1]))
+    buf = np.empty((kb, Ulay.shape[1]))
+    for m0 in range(0, nt - 1, kb):
+        m1 = min(m0 + kb, nt - 1)
+        dtauV = np.subtract(Ulay[m0 + 2:m1 + 2], Ulay[m0:m1],
+                            out=buf[:m1 - m0])
+        np.multiply(eps, dtauV, out=dtauV)
+        dtauV /= 2.0 * dt
+        pair[m0:m1] = np.einsum("ms,ms->m", r[m0:m1], dtauV)
+    identity_l1 = float(4.0 * eps * np.expm1(dtau) * np.sum(np.abs(pair)))
 
     defect = float(max(0.0, np.max(np.diff(energy), initial=0.0)))
 

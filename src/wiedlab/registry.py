@@ -1,9 +1,11 @@
 """The diagnostics registry: each name's load-time check of what depends
-on the grid, and its compute step; its options are rows of config.SCHEMA.
-Compute steps return report rows and summary entries and touch no file;
-`run` and `diagnose` write them.  They look measuring functions up on
-the `diagnostics` module at call time, so a function replaced there (by
-a profiler, say) is the one called."""
+on the grid, its compute step and what that step reads of the levels;
+its options are rows of config.SCHEMA.  Compute steps return report rows
+and summary entries and touch no file; `run` and `diagnose` evaluate
+them through a Stream, which takes the levels as they finish, and write
+them.  They look measuring functions up on the `diagnostics` module at
+call time, so a function replaced there (by a profiler, say) is the one
+called."""
 
 from __future__ import annotations
 
@@ -33,12 +35,15 @@ class Context:
     _energy: dict = field(default_factory=dict)
 
     def energy(self, lv: Level):
+        """The level's energy report, from its exit check when it has
+        one, computed once."""
         if lv.eps is None:
             raise NotApplicable("the field has no eps, so it is no WIED "
                                 "minimizer the energy identity applies to")
         if lv not in self._energy:
             self._energy[lv] = dg.energy_decomposition(
-                self.grid, self.model, lv.eps, lv.U, ops=self.ops, KU=lv.KU)
+                self.grid, self.model, lv.eps, lv.U, ops=self.ops,
+                check=lv.check)
         return self._energy[lv]
 
 
@@ -229,17 +234,21 @@ def _check_layer(opt, grid, cfg):
 class Diagnostic:
     compute: Callable
     check: Callable = lambda opt, grid, cfg: None
+    # what compute reads of the levels: "each" level alone, one report
+    # row or file per level; each two consecutive "pairs"; the "last"
+    # level; or the "energy" reports of all levels
+    reads: str = "each"
 
 
 DIAGNOSTICS = {
     "energy": Diagnostic(_energy),
-    "uniform-bounds": Diagnostic(_uniform_bounds),
+    "uniform-bounds": Diagnostic(_uniform_bounds, reads="energy"),
     "linf-l2": Diagnostic(_linf_l2, _check_linf_l2),
-    "no-spikes": Diagnostic(_no_spikes, _check_cylinder),
+    "no-spikes": Diagnostic(_no_spikes, _check_cylinder, reads="last"),
     "level-sets": Diagnostic(_level_sets, _check_cylinder),
-    "holder": Diagnostic(_holder, _check_holder),
+    "holder": Diagnostic(_holder, _check_holder, reads="last"),
     "embedding": Diagnostic(_embedding, _check_layer),
-    "cauchy": Diagnostic(_cauchy),
+    "cauchy": Diagnostic(_cauchy, reads="pairs"),
     "isoperimetric": Diagnostic(_isoperimetric, _check_layer),
 }
 
@@ -249,3 +258,94 @@ def compute(name: str, ctx: Context, levels: list, opt: dict):
     every option; raises NotApplicable, or ValueError/ArithmeticError if
     the fields fail it."""
     return DIAGNOSTICS[name].compute(ctx, levels, opt)
+
+
+@dataclass
+class Outcome:
+    """What a Stream computed: per request in order, up to the first
+    that failed, its (name, reports, summary entries), or its (name,
+    reason) in skipped when it measured nothing; failure is the (index,
+    name, exception) of the first request that failed, or None."""
+    results: list
+    skipped: list
+    failure: tuple | None
+
+
+class Stream:
+    """The (name, options) requests evaluated on levels as they arrive,
+    in schedule order, so that a level can be released once it is
+    added: each request computes what it reads of a level (its
+    Diagnostic.reads) when the level arrives, and what reads the last
+    level or every energy report when the stream finishes.  Reports and
+    entries are merged in level order, so the outcome is that of
+    compute over all levels, request by request, up to the first request
+    that fails."""
+
+    def __init__(self, ctx: Context, requests: list):
+        self.ctx, self.requests = ctx, list(requests)
+        self._pieces = [[] for _ in self.requests]
+        self._skipped = {}      # index -> reason
+        self._failed = {}       # index -> exception
+        self._prev = None
+
+    def _try(self, j, step):
+        # step() for request j, unless the request is settled or comes
+        # after a failed one, which ends the outcome anyway; None if it
+        # did not run or raised
+        if j in self._skipped or any(i <= j for i in self._failed):
+            return None
+        try:
+            return step()
+        except NotApplicable as exc:
+            self._skipped[j] = str(exc)
+        except (ValueError, ArithmeticError) as exc:
+            self._failed[j] = exc
+        return None
+
+    def _compute(self, j, levels):
+        name, opt = self.requests[j]
+        piece = self._try(j, lambda: compute(name, self.ctx, levels, opt))
+        if piece is not None:
+            self._pieces[j].append(piece)
+
+    def add(self, lv: Level):
+        """Compute what each request reads of lv alone, or of lv and the
+        level before it; the energy report of lv is formed here when a
+        request reads every energy report."""
+        for j, (name, _) in enumerate(self.requests):
+            reads = DIAGNOSTICS[name].reads
+            if reads == "each":
+                self._compute(j, [lv])
+            elif reads == "pairs":
+                # the first level alone gives the report's header
+                self._compute(j, [lv] if self._prev is None
+                              else [self._prev, lv])
+            elif reads == "energy" and lv.eps is not None:
+                # the report alone, which ctx keeps; without eps, compute
+                # says at finish why it measures nothing
+                self._try(j, lambda: self.ctx.energy(lv))
+        self._prev = lv
+
+    def finish(self, levels: list) -> Outcome:
+        """The outcome on levels, every level added, in order; the last
+        one keeps its field."""
+        for j, (name, _) in enumerate(self.requests):
+            reads = DIAGNOSTICS[name].reads
+            if reads in ("last", "energy"):
+                self._compute(j, levels[-1:] if reads == "last" else levels)
+        results, skipped, failure = [], [], None
+        for j, (name, _) in enumerate(self.requests):
+            if j in self._failed:
+                failure = (j, name, self._failed[j])
+                break
+            if j in self._skipped:
+                skipped.append((name, self._skipped[j]))
+                continue
+            files, entries = {}, []
+            for reports, ents in self._pieces[j]:
+                for fname, header, rows in reports:
+                    files.setdefault(fname, (fname, header, []))[2].extend(
+                        rows)
+                entries.extend(ents)
+            results.append((name, list(files.values()), entries))
+        return Outcome(results, skipped, failure)

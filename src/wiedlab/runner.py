@@ -105,8 +105,11 @@ def _block(planes: np.ndarray) -> np.ndarray:
     return np.empty((k,) + planes.shape[1:], dtype="<f8")
 
 
-def dump_field(path: Path, grid, arr: np.ndarray, meta: dict):
-    """Raw float64 dump in row-major (x, y, t) order plus JSON sidecar.
+def dump_field(path: Path, grid, arr: np.ndarray, meta: dict, *,
+               digest: bool = False) -> str | None:
+    """Raw float64 dump in row-major (x, y, t) order plus JSON sidecar;
+    with digest, returns the sha256 of the dump's bytes, hashed as they
+    are written (a run's manifest takes it), otherwise None.
 
     The sidecar holds the grid spec, the dump's order and dtype, the
     space-time exponent s = (1 - a)/2 of the grid's weight and meta.
@@ -117,15 +120,19 @@ def dump_field(path: Path, grid, arr: np.ndarray, meta: dict):
     planes = _planes(grid, arr)
     buf = _block(planes)
     k = buf.shape[0]
+    h = hashlib.sha256() if digest else None
     with open(path, "wb") as f:
         for i in range(0, planes.shape[0], k):
             blk = buf[: min(k, planes.shape[0] - i)]
             np.copyto(blk, planes[i:i + blk.shape[0]])
             f.write(memoryview(blk))
+            if h is not None:
+                h.update(memoryview(blk))
     side = {"gridspec": grid.spec.to_dict(), "order": _FIELD_ORDER,
             "dtype": "<f8", "s_exponent": (1.0 - grid.spec.a) / 2.0}
     side.update(meta)
     write_json(path.with_suffix(".json"), side)
+    return h.hexdigest() if h is not None else None
 
 
 def load_field(path: Path):
@@ -210,33 +217,38 @@ def blas_kernel() -> str | None:
     return get().decode()
 
 
-def write_diagnostics(requests, ctx, levels, outdir: Path,
+def write_diagnostics(stream: registry.Stream, levels, outdir: Path,
                       summary: list) -> list:
-    """Compute each (name, options) request, write its reports into outdir
-    and append its summary entries to summary; return the (name, reason)
-    of each one that measured nothing.  A diagnostic the fields do not
-    support stops the loop with DiagnosticError."""
-    skipped = []
-    for done, (name, opt) in enumerate(requests):
-        try:
-            reports, entries = registry.compute(name, ctx, levels, opt)
-        except registry.NotApplicable as exc:
-            skipped.append((name, str(exc)))
-            continue
-        except (ValueError, ArithmeticError) as exc:
-            raise DiagnosticError(f"diagnostic {name!r}: {exc}",
-                                  completed=done) from exc
+    """Finish the stream on levels (every one added to it), write each
+    request's reports into outdir and append its summary entries to
+    summary, in request order; return the (name, reason) of each one
+    that measured nothing.  A diagnostic the fields do not support ends
+    the requests with DiagnosticError, after those before it are
+    written."""
+    outcome = stream.finish(levels)
+    for name, reports, entries in outcome.results:
         for fname, header, rows in reports:
             write_csv(outdir / fname, header, rows)
         summary.extend(entries)
-    return skipped
+    if outcome.failure is not None:
+        done, name, exc = outcome.failure
+        raise DiagnosticError(f"diagnostic {name!r}: {exc}",
+                              completed=done) from exc
+    return outcome.skipped
 
 
 def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     """Run the full pipeline; returns the manifest dict.
 
+    Each eps level is handled as the sweep hands it over: its field is
+    dumped, the diagnostics measure what they read of it (a
+    registry.Stream), and the level before it is released, so the run
+    holds the reference, the previous field and one level's working set.
+    Reports and summary entries are written once the sweep is done.
     Raises RunnerSolverError on solver failure (partial artifacts are
-    kept on disk); ConfigError surfaces before anything is written.
+    kept on disk: a failed sweep leaves its completed levels dumped and
+    no diagnostic written); ConfigError surfaces before anything is
+    written.
     """
     t_start = time.time()
     outdir = Path(out or cfg.output)
@@ -247,9 +259,29 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     (outdir / "fields").mkdir(parents=True, exist_ok=True)
     (outdir / "reports").mkdir(parents=True, exist_ok=True)
 
+    ctx = registry.Context(grid, cfg.model, cfg.forcing_exponents, ops)
+    stream = registry.Stream(
+        ctx, [(req.name, req.options) for req in cfg.diagnostics])
     # failure: where the run stopped (phase), why, and how many steps,
-    # levels or diagnostics of that phase were completed
+    # levels or diagnostics of that phase were completed; hashes: of the
+    # dumps, as they were written; extremes: (min, max) per dump
     failure, levels, reference, corrections = None, [], None, {}
+    hashes, extremes = {}, {}
+
+    def dump(name, U, meta):
+        path = outdir / "fields" / f"{name}.f64"
+        hashes[str(path.relative_to(outdir))] = dump_field(
+            path, grid, U, meta, digest=True)
+        extremes[name] = (U.min(), U.max())
+
+    def on_level(lv):
+        dump(f"eps-{lv.eps:g}", lv.U, {"eps": lv.eps, "role": "wied-level"})
+        stream.add(lv)
+        lv.check = None
+        if levels:
+            levels[-1].release()
+        levels.append(lv)
+
     try:
         reference = solve_parabolic(grid, cfg.model, U0, ops=ops,
                                     stats=corrections)
@@ -257,20 +289,14 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         failure = {"phase": "parabolic", "message": str(exc),
                    "completed": exc.completed}
     else:
-        dump_field(outdir / "fields" / "parabolic.f64", grid, reference,
-                   {"role": "parabolic-reference"})
+        dump("parabolic", reference, {"role": "parabolic-reference"})
         try:
-            levels = sweep_epsilon(grid, cfg.model, cfg.schedule, U0,
-                                   cfg=cfg.wied, reference=reference,
-                                   ops=ops)
+            sweep_epsilon(grid, cfg.model, cfg.schedule, U0, cfg=cfg.wied,
+                          reference=reference, ops=ops, on_level=on_level)
         except SweepError as exc:
-            levels = exc.completed
             failure = {"phase": "sweep", "message": str(exc),
-                       "completed": len(levels)}
+                       "completed": len(exc.completed)}
 
-    for lv in levels:
-        dump_field(outdir / "fields" / f"eps-{lv.eps:g}.f64", grid, lv.U,
-                   {"eps": lv.eps, "role": "wied-level"})
     write_csv(outdir / "reports" / "convergence.csv",
               ["eps", "iters", "el_residual", "dist_to_ref"],
               [{"eps": lv.eps, "iters": lv.iterations,
@@ -287,11 +313,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
 
     summary = []
     if failure is None:
-        ctx = registry.Context(grid, cfg.model, cfg.forcing_exponents, ops)
         try:
-            write_diagnostics(
-                [(req.name, req.options) for req in cfg.diagnostics], ctx,
-                levels, outdir / "reports", summary)
+            write_diagnostics(stream, levels, outdir / "reports", summary)
         except DiagnosticError as exc:
             failure = {"phase": "diagnostics", "message": str(exc),
                        "completed": exc.completed}
@@ -308,11 +331,11 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
                         and dists[-1] <= dists[0] / 3.0)
         summary.append(registry.entry("eps-limit-monotone", ratio,
                                       1.0 / 3.0, bool(monotone)))
-    fields = [(f"eps-{lv.eps:g}", lv.U) for lv in levels]
+    names = [f"eps-{lv.eps:g}" for lv in levels]
     if reference is not None:
-        fields.append(("parabolic", reference))
-    for name, U in fields:
-        lo, hi = U.min(), U.max()
+        names.append("parabolic")
+    for name in names:
+        lo, hi = extremes[name]
         summary.append(registry.entry(
             f"max-principle-{name}", float(max(hi - 1.0, -lo, 0.0)), 1e-8,
             bool(-1e-8 <= lo and hi <= 1.0 + 1e-8)))
@@ -326,7 +349,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     artifacts = {}
     for p in sorted(outdir.rglob("*")):
         if p.is_file() and p.name != "manifest.json":
-            artifacts[str(p.relative_to(outdir))] = _sha256(p)
+            rel = str(p.relative_to(outdir))
+            artifacts[rel] = hashes.get(rel) or _sha256(p)
     manifest = {
         "config_hash": hashlib.sha256(
             json.dumps(_config_fingerprint(cfg), sort_keys=True).encode()

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import (DiscreteOperators, LinearSystem,
+from .assembly import (DiscreteOperators, FieldCheck, LinearSystem,
                        assemble_linear_system, build_operators,
                        exp_time_weights, functional_value,
-                       space_time_inverse)
+                       space_time_inverse, _inertia_cells)
 from .combustion import beta_eval, beta_prime_eval, phi_eval
 from .grid import WeightedGrid
 # bicgstab_solve is unused here; it stays importable because
@@ -38,16 +38,22 @@ from .parabolic import solve_parabolic
 class Level:
     """One eps level from its solve to its reports: the field, the stats
     of solve_wied (empty for a field not solved here, such as a stored
-    dump), the stiffness product KU = Ka.rows(U) of its (nt+1, S) layers
-    where known, so a level started from it and its energy report
-    form none, and, in a sweep, its distance to the reference.  Levels
+    dump), the passing exit check of solve_wied (its residual and layer
+    sums, which the level's energy report reuses; None for a stored
+    dump) and, in a sweep, its distance to the reference.  Levels
     compare by identity, so a level can key what is computed for it."""
 
     eps: float | None          # None for a field that is no WIED level
-    U: np.ndarray              # space-time field, any shape of the grid's size
+    U: np.ndarray | None       # space-time field, any shape of the grid's
+                               # size; None once released
     stats: dict = field(default_factory=dict)
-    KU: np.ndarray | None = field(default=None, repr=False)
+    check: FieldCheck | None = field(default=None, repr=False)
     dist_to_ref: float | None = None
+
+    def release(self):
+        """Drop the field and the exit check, keeping eps, the stats and
+        the distance: what a run keeps of a level it has reported."""
+        self.U = self.check = None
 
     @property
     def iterations(self) -> int:
@@ -154,17 +160,15 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     iterations of each tried step, 0 for Picard, the relative GMRES
     tolerance of each Newton try, the kind and damping of each accepted
     step, the absolute residual threshold el_tol_abs actually enforced,
-    and the Thomas sweeps the level ran) and KU, the stiffness product
-    its exit check formed.  Check k follows step k - 1: a level that
-    passes it reports k iterations and k residuals; one that fails the
-    check after step OUTER_MAXIT raises with OUTER_MAXIT iterations and
-    one more residual.
+    and the Thomas sweeps the level ran) and its passing exit check
+    (FieldCheck: the residual of the field and the layer sums of its
+    functional), which the level's energy report reuses.  Check k
+    follows step k - 1: a level that passes it reports k iterations and
+    k residuals; one that fails the check after step OUTER_MAXIT raises
+    with OUTER_MAXIT iterations and one more residual.
 
     The solve starts from start.U, its first layer replaced by U0, or
-    from U0 held in time without a start.  A start's KU, if any, is the
-    product of its own field, and the entry check uses it instead of
-    forming it again; it needs a field whose first layer is U0 already,
-    as a level of the same U0 has.
+    from U0 held in time without a start.
 
     system defaults to the system of cfg.eps; a sweep passes its own,
     built on the operators its levels share.
@@ -256,21 +260,23 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                               - <W rtr_a, x_tr - U_tr + mu e_tr> - mu pe)
 
     with pe = <W r_off, e>, taken once per anchor in the modes as
-    <W V' r_off, V' M e>.  LinearSystem.residual and functional_value
-    run at entry, on the nodal input itself (so a level that has
-    converged there returns its input bit for bit), and whenever the
-    tracked residual passes the tolerance, on the field of the iterate:
-    one sweep on b + E s, plus mu e while mu > 0, and one transform.
+    <W V' r_off, V' M e>.  A full check runs at entry, on the nodal
+    input itself (so a level that has converged there returns its input
+    bit for bit), and whenever the tracked residual passes the
+    tolerance, on the field of the iterate: one sweep on b + E s, plus
+    mu e while mu > 0, and one transform.  It is LinearSystem.residual
+    and functional_value sharing one stencil_pass, which forms the
+    stiffness products a block of layers at a time and keeps none.
     Only that full residual ends the solve, and the field it checked is
     returned.
 
     A level allocates its full-size arrays once: U, the nodal field
     (returned), which holds V' M e from an anchor to the next check; the
-    stiffness-product buffer KU (returned); the full residual, then
-    V' r_off; and one scratch array for the residual's time stencil, the
-    functional's time differences, the anchor's Picard point and pe, the
-    transforms and the sweeps of GMRES.  Beyond these, the inverse holds
-    its two Thomas factor arrays: six full-size arrays in all.
+    full residual, then V' r_off (returned as the exit check's
+    residual); and one scratch array for the functional's time
+    differences, the anchor's Picard point and pe, the transforms and
+    the sweeps of GMRES.  Beyond these, the inverse holds its two Thomas
+    factor arrays: five full-size arrays in all.
     """
     system = system or assemble_linear_system(grid, cfg.eps)
     ops = system.ops
@@ -284,16 +290,11 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         U[:] = U0f[None, :]
     else:
         U[:] = np.asarray(start.U, dtype=float).reshape(nt + 1, S)
-        if start.KU is not None and not np.array_equal(U[0], U0f):
-            raise ValueError("a start with a stiffness product needs "
-                             "first layer U0")
         U[0] = U0f
     # the level's full-size buffers besides U: the full residual r (then
-    # V' r_off), one scratch, and, allocated on first use, the level's
-    # own stiffness product
+    # V' r_off) and one scratch
     rbuf = np.empty((nt, S))
     work = np.empty((nt, S))
-    KUbuf = None
 
     b0 = system.initial_row(U0f)
     tr = ops.trace_index
@@ -310,24 +311,21 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         # the trace-potential part of E from the layer sums Phi(u_m) . D_tr
         return float(np.sum(wgt[:, 0] * (0.5 * (pm[:-1] + pm[1:]))))
 
-    def full_state(KU=None):
+    def full_state():
         # residual and functional of the nodal field in U in full: |r|, r
         # off the trace (in rbuf) and its norm, the trace block of r,
-        # E(U), the layer sums of Phi and the stiffness product KU both
-        # share, with one Phi
-        nonlocal KUbuf
-        if KU is None:
-            if KUbuf is None:
-                KUbuf = np.empty((nt + 1, S))
-            KU = ops.Ka.rows(U, out=KUbuf)
-        r = system.residual(model, U, U0f, KU=KU, out=rbuf, work=work)
+        # E(U), the layer sums of Phi, and the check, whose layer sums of
+        # K both share, from one stencil pass, with one Phi
+        Sm, r = system.residual(model, U, U0f, out=rbuf)
+        check = FieldCheck(residual=r, Sm=Sm,
+                           Pm=phi_eval(model, U[:, tr]) @ tm,
+                           icell=_inertia_cells(U, grid.dt, ops.mass, work))
         res = _norm(r)
         rtr = r[:, tr].copy()
         r[:, tr] = 0.0
-        pm = phi_eval(model, U[:, tr]) @ tm
         fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops,
-                                KU=KU, Pm=pm, work=work)
-        return res, r, _norm(r), rtr, fval, pm, KU
+                                Sm=check.Sm, Pm=check.Pm, icell=check.icell)
+        return res, r, _norm(r), rtr, fval, check.Pm, check
 
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
              "newton_tols": [], "steps": [], "damping": [], "iterations": 0}
@@ -340,10 +338,9 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     tol_abs = cfg.outer_tol * max(_norm(rbuf), 1e-300)
     stats["el_tol_abs"] = tol_abs
     # the off-trace part of the current residual is mu r_off, its norm off
-    res, r_off, off, rtr, fval, pm, KU = full_state(
-        None if start is None else start.KU)
+    res, r_off, off, rtr, fval, pm, check = full_state()
     # the iterate is P (b + E s) + mu e.  checked: U holds the nodal
-    # iterate the last full_state checked (and KU its product); otherwise
+    # iterate the last full_state checked (and check its sums); otherwise
     # U[1:] holds V' M e while mu > 0, and nothing once mu = 0.  The last
     # anchor left e_tr, the trace of e, rtr_a, its trace residual, and
     # pe = <W r_off, e>; bh is V' b[0], formed at the first step
@@ -364,9 +361,12 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
             basis.from_modes(modes, out=U[1:], scratch=work)
         return U
 
-    def level():
+    def level(passed=False):
+        # a passing check hands its residual, the trace block restored
         stats["sweeps"] = inv.sweeps - sweeps0
-        return Level(cfg.eps, field(), stats, KU if checked else None)
+        if passed:
+            r_off[:, tr] = rtr
+        return Level(cfg.eps, field(), stats, check if passed else None)
 
     def newton_try(xp_tr, s_p, target):
         """The Newton point from the Picard point, given by its trace
@@ -436,7 +436,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         if not checked and (res <= tol_abs or k > OUTER_MAXIT):
             field()
             checked = True
-            res, r_off, off, rtr, fval, pm, KU = full_state()
+            res, r_off, off, rtr, fval, pm, check = full_state()
             U_tr = U[1:, tr]
             bs = ctm * beta_eval(model, U_tr)
             if not mu:
@@ -446,7 +446,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         stats["residuals"].append(res)
         stats["functional"].append(fval)
         if res <= tol_abs:
-            return level()
+            return level(passed=True)
         if k > OUTER_MAXIT:
             stats["iterations"] = OUTER_MAXIT
             raise WiedConvergenceError(
@@ -527,14 +527,18 @@ def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   U0: np.ndarray, cfg: WiedConfig | None = None,
                   reference: np.ndarray | None = None,
-                  ops: DiscreteOperators | None = None) -> list[Level]:
+                  ops: DiscreteOperators | None = None,
+                  on_level=None) -> list[Level]:
     """Solve each eps level and compare to the reference; returns the
     levels in schedule order, each with its dist_to_ref.
 
     The first level starts from the reference, the eps -> 0 limit of the
-    levels, and each later level from the one before, whose exit check
-    also hands its stiffness product on.  Raises SweepError carrying the
-    completed levels if some level fails.
+    levels, and each later level from the one before.  on_level, when
+    given, is called with each level as it finishes, its dist_to_ref
+    set, before the next level starts; it may release the levels before
+    it (Level.release), which the sweep no longer reads.  A level's
+    system and inverse are dropped before the call.  Raises SweepError
+    carrying the completed levels if some level fails.
     """
     check_horizon(schedule.eps0, grid.spec.T)
     cfg = cfg or WiedConfig(eps=schedule.eps0)
@@ -544,14 +548,16 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
     levels: list[Level] = []
     start = Level(None, reference)
     for eps in schedule.values():
-        system = assemble_linear_system(grid, eps, ops=ops)
         try:
             level = solve_wied(grid, model, replace(cfg, eps=eps), U0,
-                               start=start, system=system)
+                               start=start, system=assemble_linear_system(
+                                   grid, eps, ops=ops))
         except WiedConvergenceError as exc:
             raise SweepError(f"level eps = {eps} failed: {exc}",
                              completed=levels) from exc
         level.dist_to_ref = dist_C_L2a(grid, level.U, reference)
         levels.append(level)
+        if on_level is not None:
+            on_level(level)
         start = level
     return levels

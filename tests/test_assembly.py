@@ -9,7 +9,8 @@ from wiedlab.assembly import (assemble_linear_system, axis_eigenbasis,
                               build_operators, exp_time_weights,
                               functional_gradient, functional_value,
                               _time_thomas, space_time_inverse,
-                              spectral_preconditioner, stencil_residual)
+                              spectral_preconditioner, stencil_pass,
+                              _inertia_cells, _row_coefficients)
 from wiedlab.combustion import (ZERO_MODEL, CombustionModel, beta_eval,
                                 beta_prime_eval, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
@@ -59,6 +60,19 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _block_rows(K, X):
+    # the products of the rows of X collected from K.blocks, which must
+    # cover the rows in order, each block with a scratch of its shape
+    Y = np.empty(np.shape(X))
+    k = 0
+    for k0, y, t in K.blocks(X):
+        assert k0 == k and t.shape == y.shape
+        Y[k0:k0 + len(y)] = y
+        k += len(y)
+    assert k == len(Y)
+    return Y
+
+
 @pytest.mark.parametrize("chunk", ["default", "small"])
 @pytest.mark.parametrize("d,nx,ny", [(1, 7, 5), (2, 5, 3)])
 @pytest.mark.parametrize("a", [-0.5, 0.5])
@@ -67,8 +81,8 @@ def test_stencil_products_equal_csr_bitwise(monkeypatch, a, d, nx, ny,
     # every product of the stencil stiffness, of a vector or of the rows
     # of a field, has the bits of the CSR matrix of the Kronecker formula,
     # signed zeros and non-finite entries included; so does the shifted
-    # parabolic step matrix.  The row product is C-ordered, whatever the
-    # layout of its input, and fills out when given
+    # parabolic step matrix.  The row products are the same whatever the
+    # layout of the input
     from wiedlab.assembly import KroneckerStencil, _axis_stiffness
     g = build_grid(GridSpec(d=d, a=a, L=1.0, Y=1.0, T=1.0,
                             nx=nx, ny=ny, nt=4))
@@ -91,17 +105,14 @@ def test_stencil_products_equal_csr_bitwise(monkeypatch, a, d, nx, ny,
             assert np.array_equal(_bits(ops.Ka @ U), _bits(K @ U))
             continue
         ref = _bits((K @ U.T).T)
-        KU = ops.Ka.rows(U)
-        assert KU.flags.c_contiguous
-        assert np.array_equal(_bits(KU), ref)
-        assert np.array_equal(_bits(ops.Ka.rows(np.asfortranarray(U))), ref)
-        out = np.full_like(U, np.nan)
-        assert ops.Ka.rows(U, out=out) is out
-        assert np.array_equal(_bits(out), ref)
+        assert np.array_equal(_bits(_block_rows(ops.Ka, U)), ref)
+        assert np.array_equal(
+            _bits(_block_rows(ops.Ka, np.asfortranarray(U))), ref)
     V = rng.standard_normal((5, S))
     V[1, 3], V[2, -1], V[4, 0] = np.inf, -np.inf, np.nan
     with np.errstate(invalid="ignore"):
-        assert np.array_equal(_bits(ops.Ka.rows(V)), _bits((K @ V.T).T))
+        assert np.array_equal(_bits(_block_rows(ops.Ka, V)),
+                              _bits((K @ V.T).T))
         for v in V:
             assert np.array_equal(_bits(ops.Ka @ v), _bits(K @ v))
     with pytest.raises(ValueError, match="rows"):
@@ -388,7 +399,7 @@ def test_stencil_residual_matches_assembled_system():
                                 nx=4, ny=5, nt=6))
         ops = build_operators(g)
         U = rng.random((g.spec.nt + 1, g.n_spatial))
-        r = stencil_residual(g, model, eps, U, ops.Ka.rows(U), ops)
+        r = stencil_pass(g, model, U, ops, eps)[1]
         ref = _matvec_residual(assemble_linear_system(g, eps, ops=ops),
                                model, U)
         assert r.shape == ref.shape
@@ -462,7 +473,7 @@ def test_residual_is_matvec_plus_source_minus_rhs():
         U = rng.random((g.spec.nt + 1, g.n_spatial))
         system = assemble_linear_system(g, eps)
         ref = _matvec_residual(system, BUMP, U)
-        r = system.residual(BUMP, U)
+        r = system.residual(BUMP, U)[1]
         assert r.shape == ref.shape
         assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref)), \
             (d, eps)
@@ -567,23 +578,67 @@ def test_inverse_build_peaks_at_its_two_factor_arrays(d):
 
 
 def test_shared_stiffness_product_changes_no_bit():
-    # the WIED exit check forms Ka U and the layer sums of Phi once for the
-    # residual and the functional; both must equal the values that form
-    # them themselves
+    # the WIED full check forms the stiffness products once, in the
+    # residual's stencil pass, which hands the layer sums <U_m, K U_m> to
+    # the functional, with the sums of Phi and the inertia cells; the
+    # residual and the functional must equal the values that form them
+    # themselves
     g = small_grid(6, 5, 8)
     ops = build_operators(g)
     system = assemble_linear_system(g, 0.1, ops=ops)
     rng = np.random.default_rng(5)
     U = rng.random((g.spec.nt + 1, g.n_spatial))
-    KU = ops.Ka.rows(U)
-    assert np.array_equal(system.residual(BUMP, U, U[0], KU=KU),
-                          system.residual(BUMP, U, U[0]))
-    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, KU=KU)
+    Sm, r = system.residual(BUMP, U, U[0])
+    assert np.array_equal(r, stencil_pass(g, BUMP, U, ops, 0.1)[1])
+    assert np.array_equal(Sm, stencil_pass(g, BUMP, U, ops)[0])
+    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, Sm=Sm)
             == functional_value(g, BUMP, 0.1, U, U[0], ops=ops))
-    # so does the functional given the layer sums of Phi it would form
     Pm = phi_eval(BUMP, U[:, ops.trace_index]) @ ops.trace_mass
-    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, KU=KU, Pm=Pm)
+    icell = _inertia_cells(U, g.dt, ops.mass)
+    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, Sm=Sm, Pm=Pm,
+                             icell=icell)
             == functional_value(g, BUMP, 0.1, U, U[0], ops=ops))
+
+
+def _stencil_residual_whole(g, model, eps, Ulay, ops):
+    # the residual and the layer sums from the CSR products of all layers
+    # at once: the reference stencil_pass must match bit for bit
+    KU = np.ascontiguousarray((ops.Ka.tocsr() @ Ulay.T).T)
+    c, rho, main, c_hat = _row_coefficients(g, eps)
+    r = np.empty(Ulay[1:].shape)
+    tstep = main[:, None] * Ulay[1:]
+    tstep -= Ulay[:-1]
+    tstep[:-1] -= rho * Ulay[2:]
+    tstep *= c * ops.mass
+    np.multiply(c_hat[:, None], KU[1:], out=r)
+    r += tstep
+    r[:, ops.trace_index] += c_hat[:, None] * ops.trace_mass * beta_eval(
+        model, Ulay[1:, ops.trace_index])
+    return np.einsum("ns,ns->n", Ulay, KU), r
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stencil_pass_blocks_keep_the_bits(d, monkeypatch):
+    # the pass forms the products a block of layers at a time; at any
+    # block size (one layer, blocks that do not divide the layers, one
+    # block) its residual and layer sums are those of the whole product
+    from wiedlab.assembly import KroneckerStencil
+    g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
+                            nx=4, ny=5, nt=11))
+    ops = build_operators(g)
+    rng = np.random.default_rng(20 + d)
+    U = rng.random((g.spec.nt + 1, g.n_spatial)) * 1.2 - 0.1
+    Sm_ref, r_ref = _stencil_residual_whole(g, BUMP, 0.05, U, ops)
+    S = g.n_spatial
+    for kb in (1, 2, 3, 5, 12, 40):
+        monkeypatch.setattr(KroneckerStencil, "CHUNK", kb * S)
+        out = np.full((g.spec.nt, S), np.nan)
+        Sm, r = stencil_pass(g, BUMP, U, ops, 0.05, out=out)
+        assert r is out
+        assert np.array_equal(_bits(r), _bits(r_ref)), kb
+        assert np.array_equal(_bits(Sm), _bits(Sm_ref)), kb
+        Sm0, none = stencil_pass(g, BUMP, U, ops)
+        assert none is None and np.array_equal(_bits(Sm0), _bits(Sm_ref))
 
 
 def test_eps_must_be_positive():

@@ -40,24 +40,31 @@ def test_energy_identity_at_converged_solution(solved):
     assert rep.e_monotone_defect <= 1e-10 * rep.energy[0]
 
 
-def test_energy_reuses_the_level_stiffness_product(solved, monkeypatch):
+def test_energy_reuses_the_level_exit_check(solved, monkeypatch,
+                                            tmp_path):
     # the Level solve_wied returns goes to the registry as it is, and its
-    # exit-check product KU serves its energy report: the registry's
-    # energy forms no stiffness product, and the report has the bits of
-    # one that forms its own
+    # passing exit check (residual and layer sums) serves its energy
+    # report: the registry's energy forms no stiffness product and no
+    # residual, and the report has the bits of one computed from the
+    # stored field alone
     from wiedlab import registry
     from wiedlab.assembly import KroneckerStencil, build_operators
+    from wiedlab.runner import dump_field, load_field
     g, res = solved
     ops = build_operators(g)
-    ref = dg.energy_decomposition(g, BUMP, 0.1, res.U, ops=ops)
+    dump_field(tmp_path / "f.f64", g, res.U, {"eps": 0.1})
+    ref = dg.energy_decomposition(g, BUMP, 0.1,
+                                  load_field(tmp_path / "f.f64")[1], ops=ops)
     products = []
-    rows = KroneckerStencil.rows
+    blocks = KroneckerStencil.blocks
 
     def counted(self, X, out=None):
         products.append(1)
-        return rows(self, X, out)
+        return blocks(self, X, out)
 
-    monkeypatch.setattr(KroneckerStencil, "rows", counted)
+    monkeypatch.setattr(KroneckerStencil, "blocks", counted)
+    monkeypatch.setattr(dg, "stencil_pass", None)
+    assert res.check is not None
     ctx = registry.Context(g, BUMP, (4.0, 4.0), ops)
     rep = ctx.energy(res)
     assert products == []

@@ -103,14 +103,15 @@ def test_field_round_trip_over_several_blocks(tmp_path, monkeypatch, d):
     arr = np.random.default_rng(2).standard_normal(g.spacetime_shape)
     arr.reshape(-1)[:5 * 7:7] = [np.nan, np.inf, -0.0, 5e-324, -np.inf]
     path = tmp_path / "f.f64"
-    dump_field(path, g, arr, {})
+    digest = dump_field(path, g, arr, {}, digest=True)
     axes = tuple(range(2, 2 + d)) + (1, 0)
     assert path.read_bytes() == np.ascontiguousarray(
         np.transpose(arr, axes)).astype("<f8").tobytes()
     _, back, _ = load_field(path)
     assert back.view(np.int64).tobytes() == arr.view(np.int64).tobytes()
     assert runner._sha256(path) == hashlib.sha256(
-        path.read_bytes()).hexdigest()
+        path.read_bytes()).hexdigest() == digest
+    assert dump_field(path, g, arr, {}) is None
 
 
 def test_field_io_allocates_one_block_beyond_the_field(tmp_path,
@@ -175,12 +176,13 @@ def _level_peak(d, warm):
 
 
 def test_warm_level_allocates_its_working_set_once():
-    # a warm level peaks at K = 6 full-size (nt, S) arrays beyond its
-    # inputs: its field and stiffness product, the residual, one scratch
-    # and the two Thomas factor arrays.  Its iterate is P (b + E s) + mu e,
-    # a trace source s and the modes of e in its field, so it keeps no
-    # modal slot and no trial point, and the transforms take its scratch
-    assert _level_peak(2, warm=True) <= 6 + 1
+    # a warm level peaks at K = 5 full-size (nt, S) arrays beyond its
+    # inputs: its field, the residual, one scratch and the two Thomas
+    # factor arrays.  Its iterate is P (b + E s) + mu e, a trace source s
+    # and the modes of e in its field, so it keeps no modal slot and no
+    # trial point, and the transforms take its scratch; its full checks
+    # form the stiffness products a block of layers at a time
+    assert _level_peak(2, warm=True) <= 5 + 1
 
 
 @pytest.mark.parametrize("d, warm", [(2, False), (1, True), (1, False)])
@@ -188,7 +190,212 @@ def test_level_allocates_its_working_set_once(d, warm):
     # the same bound from a cold start, where the level takes Picard
     # steps before Newton, and in d = 1, where a transform has one stage
     # fewer
-    assert _level_peak(d, warm) <= 6 + 1
+    assert _level_peak(d, warm) <= 5 + 1
+
+
+def _run_config(grid, count, diagnostics, **extra):
+    from wiedlab.config import config_from_dict
+    return config_from_dict({
+        "grid": grid, "model": {"kind": "polynomial-bump"},
+        "initial": {"kind": "plateau", "radius": 0.6, "height": 0.9},
+        "schedule": {"eps0": 0.05, "ratio": 0.5, "count": count},
+        "wied": {"outer_tol": 1e-8}, "diagnostics": diagnostics, **extra})
+
+
+def test_run_holds_one_level_working_set(tmp_path):
+    # each level is dumped, measured and released as the sweep hands it
+    # over, and no level keeps a stiffness product: a three-level run
+    # peaks at the reference, the previous field and one level's working
+    # set (its field, residual, scratch and two Thomas factor arrays),
+    # plus the slack of _level_peak, in full-size (nt, S) arrays
+    from wiedlab.runner import run_experiment
+    center = [0.0, 0.0, 0.25]
+    cfg = _run_config(
+        {"d": 1, "a": 0.3, "L": 1.0, "Y": 1.0, "T": 0.5, "nx": 24, "ny": 40,
+         "nt": 400}, 3,
+        [{"name": "energy"}, {"name": "uniform-bounds"}, {"name": "cauchy"},
+         {"name": "level-sets", "center": center, "radius": 0.25}],
+        schedule={"eps0": 0.025, "ratio": 0.5, "count": 3})
+    g = build_grid(cfg.grid)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        manifest = run_experiment(cfg, out=str(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(manifest["sweeps"]) == 3
+    assert peak / (8 * g.spec.nt * g.n_spatial) <= 2 + 5 + 1
+
+
+# a burning run with every registered diagnostic, in d = 1 over three
+# levels and in d = 2 over two, on grids fine enough in x for a Hoelder fit
+STREAM_CASES = {
+    "d1-3-levels": ({"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 2.0,
+                     "nx": 32, "ny": 4, "nt": 16}, 3),
+    "d2-2-levels": ({"d": 2, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 2.0,
+                     "nx": 32, "ny": 3, "nt": 8}, 2),
+}
+
+
+def _every_diagnostic(d):
+    center = [0.0] * (d + 1) + [1.0]
+    cyl = {"center": center, "radius": 1.0}
+    return [{"name": "energy"}, {"name": "uniform-bounds"},
+            {"name": "linf-l2", **cyl}, {"name": "no-spikes", **cyl},
+            {"name": "level-sets", **cyl},
+            {"name": "holder", "centers": [center]},
+            {"name": "embedding", "layer_time": 1.0},
+            {"name": "isoperimetric", "layer_time": 1.0},
+            {"name": "cauchy"}]
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_run_streams_what_compute_gives_on_all_levels(tmp_path, case):
+    # a run measures each level as it finishes and keeps only what the
+    # later steps read; its reports and summary entries are those of
+    # registry.compute over the full list of levels, request by request
+    from wiedlab import registry
+    from wiedlab.assembly import build_operators
+    from wiedlab.runner import run_experiment, write_csv
+    from wiedlab.wied import sweep_epsilon
+    grid, count = STREAM_CASES[case]
+    cfg = _run_config(grid, count, _every_diagnostic(grid["d"]),
+                      forcing_exponents={"p": 4.0, "q": 6.0})
+    run = tmp_path / "run"
+    run_experiment(cfg, out=str(run))
+    g = build_grid(cfg.grid)
+    ops = build_operators(g)
+    levels = sweep_epsilon(g, cfg.model, cfg.schedule, cfg.initial.evaluate(g),
+                           cfg=cfg.wied, ops=ops)
+    assert len(levels) == count
+    ctx = registry.Context(g, cfg.model, cfg.forcing_exponents, ops)
+    want = tmp_path / "want"
+    want.mkdir()
+    entries, files = [], ["convergence.csv", "levels.json"]
+    for req in cfg.diagnostics:
+        reports, ents = registry.compute(req.name, ctx, levels, req.options)
+        for fname, header, rows in reports:
+            write_csv(want / fname, header, rows)
+            assert ((run / "reports" / fname).read_bytes()
+                    == (want / fname).read_bytes()), fname
+            files.append(fname)
+        entries += ents
+    assert sorted(files) == sorted(p.name for p in (run / "reports").iterdir())
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary[:len(entries)] == json.loads(json.dumps(entries))
+    assert [e["name"] for e in summary[len(entries):]] == (
+        ["eps-limit-monotone"]
+        + [f"max-principle-eps-{lv.eps:g}" for lv in levels]
+        + ["max-principle-parabolic"])
+
+
+def test_stream_stops_at_the_first_request_compute_would_fail(monkeypatch):
+    # a request that reads the last level fails only at finish, after a
+    # later request failed on the first level: the outcome is that of
+    # computing the requests in order over all levels, so it ends at the
+    # earlier one, with the results and skips before it
+    from wiedlab import registry
+    from wiedlab.wied import Level
+    calls = []
+
+    def rows(ctx, levels, opt):
+        calls.append("each")
+        return [("each.csv", ["eps"], [{"eps": lv.eps} for lv in levels])], \
+            [registry.entry(f"each-{lv.eps:g}", lv.eps, None, None)
+             for lv in levels]
+
+    def fails(ctx, levels, opt):
+        calls.append(opt["name"])
+        raise ValueError(f"{opt['name']} fails")
+
+    def skips(ctx, levels, opt):
+        raise registry.NotApplicable("measures nothing")
+
+    monkeypatch.setattr(registry, "DIAGNOSTICS", {
+        "each": registry.Diagnostic(rows),
+        "skip": registry.Diagnostic(skips),
+        "last": registry.Diagnostic(fails, reads="last"),
+        "later": registry.Diagnostic(fails)})
+    stream = registry.Stream(None, [("each", {}), ("skip", {}),
+                                    ("last", {"name": "last"}),
+                                    ("later", {"name": "later"})])
+    levels = [Level(0.1, None), Level(0.05, None)]
+    for lv in levels:
+        stream.add(lv)
+    outcome = stream.finish(levels)
+    assert calls == ["each", "later", "each", "last"]
+    assert outcome.results == [("each", [("each.csv", ["eps"], [
+        {"eps": 0.1}, {"eps": 0.05}])], [
+        registry.entry("each-0.1", 0.1, None, None),
+        registry.entry("each-0.05", 0.05, None, None)])]
+    assert outcome.skipped == [("skip", "measures nothing")]
+    index, name, exc = outcome.failure
+    assert (index, name, str(exc)) == (2, "last", "last fails")
+
+
+def test_failed_sweep_leaves_completed_levels_and_no_report(tmp_path,
+                                                            monkeypatch):
+    # a level that fails after the first: the first is dumped and in
+    # levels.json, the diagnostics it was measured by write nothing, and
+    # the manifest says the sweep stopped after one level
+    from wiedlab import wied
+    from wiedlab.runner import RunnerSolverError, run_experiment
+    solve = wied.solve_wied
+    calls = []
+
+    def second_fails(grid, model, cfg, *args, **kwargs):
+        calls.append(cfg.eps)
+        if len(calls) == 2:
+            raise wied.WiedConvergenceError("no convergence (test)",
+                                            wied.Level(cfg.eps, None))
+        return solve(grid, model, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(wied, "solve_wied", second_fails)
+    cfg = _run_config(*STREAM_CASES["d1-3-levels"], _every_diagnostic(1),
+                      forcing_exponents={"p": 4.0, "q": 6.0})
+    out = tmp_path / "run"
+    with pytest.raises(RunnerSolverError, match="sweep failed: level eps"):
+        run_experiment(cfg, out=str(out))
+    assert calls == [0.05, 0.025]
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                     if p.is_file())
+    assert written == ["fields/eps-0.05.f64", "fields/eps-0.05.json",
+                       "fields/parabolic.f64", "fields/parabolic.json",
+                       "manifest.json", "reports/convergence.csv",
+                       "reports/levels.json", "summary.json"]
+    levels = json.loads((out / "reports" / "levels.json").read_text())
+    assert [lv["eps"] for lv in levels] == [0.05]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"]["phase"] == "sweep"
+    assert manifest["failure"]["completed"] == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert [e["name"] for e in summary] == ["max-principle-eps-0.05",
+                                            "max-principle-parabolic"]
+
+
+def test_manifest_hashes_each_field_as_it_is_dumped(tmp_path, monkeypatch):
+    # the run hashes a field's bytes as dump_field writes them and reads
+    # no field back; every hash is that of the file on disk
+    from wiedlab import runner
+    read_back = []
+    sha256 = runner._sha256
+
+    def recorded(path):
+        read_back.append(path.name)
+        return sha256(path)
+
+    monkeypatch.setattr(runner, "_sha256", recorded)
+    cfg = _run_config(*STREAM_CASES["d1-3-levels"], [{"name": "energy"}])
+    out = tmp_path / "run"
+    manifest = runner.run_experiment(cfg, out=str(out))
+    fields = sorted(p for p in (out / "fields").glob("*.f64"))
+    assert len(fields) == 4
+    assert not any(name.endswith(".f64") for name in read_back)
+    for path in out.rglob("*"):
+        if path.is_file() and path.name != "manifest.json":
+            assert (manifest["artifacts"][str(path.relative_to(out))]
+                    == sha256(path)), path
 
 
 @pytest.mark.parametrize("damage, message", [

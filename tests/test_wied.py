@@ -374,11 +374,11 @@ def test_failed_check_while_mu_is_positive_anchors_again(monkeypatch):
     tol = plain.stats["el_tol_abs"]
 
     def fails_once(self, *args, **kwargs):
-        r = residual(self, *args, **kwargs)
+        Sm, r = residual(self, *args, **kwargs)
         calls["residual"] += 1
         if calls["residual"] == 2:          # the first check after entry
             r *= 2.0 * tol / np.linalg.norm(r)
-        return r
+        return Sm, r
 
     monkeypatch.setattr(LinearSystem, "residual", fails_once)
     calls["to_modes"] = 0
@@ -387,7 +387,7 @@ def test_failed_check_while_mu_is_positive_anchors_again(monkeypatch):
     assert calls["residual"] >= 3
     assert level.stats["residuals"][1] == pytest.approx(2.0 * tol)
     assert level.el_residual <= level.stats["el_tol_abs"] == tol
-    assert np.linalg.norm(residual(system, BUMP, level.U, U0)) <= tol
+    assert np.linalg.norm(residual(system, BUMP, level.U, U0)[1]) <= tol
 
 
 @pytest.mark.parametrize("start", ["cold", "held"])
@@ -447,30 +447,38 @@ def test_failed_newton_try_rearms_picard(grid, eps, start):
     assert st["residuals"][-1] <= st["el_tol_abs"]
 
 
-def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
-    # a level's entry check reuses the stiffness product of the previous
-    # level's exit check (the KU of the Level it starts from): one
-    # product fewer per level transition, and the same bits as a level
-    # solved from the same field without it
-    from wiedlab.assembly import KroneckerStencil, build_operators
+def test_sweep_runs_one_stencil_pass_per_full_check(monkeypatch):
+    # no level keeps a stiffness product: each full check, the entry
+    # check included, forms its products in one blocked stencil pass,
+    # which its residual and its functional share, and every product is
+    # formed in such a pass, a block of layers at a time.  A swept level is therefore the level solved
+    # alone from the same field, bit for bit and pass for pass
+    from wiedlab import assembly
+    from wiedlab.assembly import KroneckerStencil, LinearSystem
     from wiedlab.parabolic import solve_parabolic
     g = grid_small(8, 6, 40, T=2.0)
-    ops = build_operators(g)
     U0 = bump_data(g)
     cfg = WiedConfig(eps=0.1, outer_tol=1e-9)
     ref = solve_parabolic(g, BUMP, U0)
-    calls = [0]
-    rows = KroneckerStencil.rows
+    calls = {"pass": 0, "check": 0, "blocks": 0}
 
-    def counted(self, X, out=None):
-        calls[0] += 1
-        return rows(self, X, out)
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(KroneckerStencil, "rows", counted)
+    monkeypatch.setattr(assembly, "stencil_pass",
+                        counted("pass", assembly.stencil_pass))
+    monkeypatch.setattr(LinearSystem, "residual",
+                        counted("check", LinearSystem.residual))
+    monkeypatch.setattr(KroneckerStencil, "blocks",
+                        counted("blocks", KroneckerStencil.blocks))
     levels = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), U0,
                            cfg=cfg, reference=ref)
-    swept = calls[0]
-    calls[0] = 0
+    swept = dict(calls)
+    assert swept["blocks"] == swept["pass"] == swept["check"] >= len(levels)
+    calls.update({k: 0 for k in calls})
     start = ref
     for lv in levels:
         alone = solve_wied(g, BUMP, replace(cfg, eps=lv.eps), U0,
@@ -478,11 +486,8 @@ def test_sweep_hands_each_exit_product_to_the_next_level(monkeypatch):
         assert np.array_equal(alone.U, lv.U)
         assert alone.stats["residuals"] == lv.stats["residuals"]
         start = lv.U
-    assert swept == calls[0] - 2
-    assert np.array_equal(alone.KU, ops.Ka.rows(alone.U))
-    # a carried product belongs to a field of another initial layer
-    with pytest.raises(ValueError, match="first layer U0"):
-        solve_wied(g, BUMP, cfg, 0.5 * U0, start=alone)
+    assert calls == swept
+    assert not hasattr(alone, "KU")
 
 
 def test_schedule_validation():
