@@ -16,15 +16,21 @@ the terminal row carries the natural condition D_t U(T) = 0, and the
 initial layer is eliminated into the right-hand side.  Dividing out the
 exponential weight is what keeps the system well-scaled for T >> eps.
 
-The residual is formed layer by layer from the stiffness products
-Ka U_m, a block of layers at a time (stencil_pass), so no space-time
-matrix is assembled on the solver path and no product of all layers is
-kept, and Ka itself is a numpy stencil (KroneckerStencil) rather
-than a stored sparse matrix: scipy is imported only for the CSR
-references the tests check against.  The Picard and Newton matrices
-differ from A only on the y = 0 trace diagonal, so the solvers apply the
-exact inverse of the Picard matrix (SpaceTimeInverse) and treat the
-Newton difference on the trace instead of assembling either.
+A field's check is formed in one place, LinearSystem.check: one pass
+over the layers (LinearSystem.residual) forms the stiffness products
+Ka U_m a block of layers at a time and takes from them the residual
+rows and the layer sums <U_m, K U_m>; the check adds the trace-potential
+layer sums and the inertia cells.  The functional, the gradient and the
+energy report read that check, so no space-time matrix is assembled on
+the solver path and no product of all layers is kept.  Every sum of the
+check over the nodes is an einsum, never a BLAS call, so its bits do
+not depend on the BLAS thread count.  Ka itself is a numpy stencil
+(KroneckerStencil) rather than a stored sparse matrix: scipy is
+imported only for the CSR references the tests check against.  The
+Picard and Newton matrices differ from A only on the y = 0 trace
+diagonal, so the solvers apply the exact inverse of the Picard matrix
+(SpaceTimeInverse) and treat the Newton difference on the trace instead
+of assembling either.
 """
 
 from __future__ import annotations
@@ -389,56 +395,38 @@ def _check_initial(grid, Ulay, U0):
 def functional_value(grid: WeightedGrid, model, eps: float,
                      U: np.ndarray, U0: np.ndarray | None = None,
                      ops: DiscreteOperators | None = None,
-                     Sm: np.ndarray | None = None,
-                     Pm: np.ndarray | None = None,
-                     icell: np.ndarray | None = None) -> float:
-    """Discrete weighted inertia-energy-dissipation value of U.
+                     check: FieldCheck | None = None) -> float:
+    """Discrete weighted inertia-energy-dissipation value of U, the sum
+    of its weighted cell terms (FieldCheck.cells).
 
-    Sm, Pm and icell, when given, are the layer and cell sums the value
-    is made of, as a full check (FieldCheck) forms them, so a caller
-    that also needs the residual forms the stiffness products once: Sm
-    the layer sums <U_m, K U_m> of stencil_pass, Pm the layer sums
-    phi_eval(model, U[:, trace_index]) @ trace_mass of the trace
-    potential and icell the cell sums of _inertia_cells."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    ops = ops or build_operators(grid)
-    Ulay = _layers(grid, U)
-    _check_initial(grid, Ulay, U0)
+    check, when given, must be the full check of U at eps
+    (LinearSystem.check), as a caller that also needs the residual forms
+    it: the value then reads its sums and forms nothing of U.  Without
+    it the value forms the check on the system of eps."""
+    if check is None:
+        check = assemble_linear_system(grid, eps, ops).check(model, U, U0)
+    icell, s_cell, p_cell = check.cells()
     w = exp_time_weights(grid.t, eps)
-
-    if icell is None:
-        icell = _inertia_cells(Ulay, grid.dt, ops.mass)
-    if Sm is None:
-        Sm, _ = stencil_pass(grid, model, Ulay, ops)
-    if Pm is None:
-        Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
-    return float(np.sum(w * (eps * icell
-                             + 0.5 * (Sm[:-1] + Sm[1:])
-                             + 0.5 * (Pm[:-1] + Pm[1:]))))
-
-
-def _inertia_cells(Ulay: np.ndarray, dt: float, mass: np.ndarray,
-                   work: np.ndarray | None = None) -> np.ndarray:
-    """|D_t U|_M^2 per time cell, the differences formed in work (or a
-    new array): (np.diff(Ulay, axis=0) / dt)**2 @ mass, the same
-    operations in place."""
-    dU = np.subtract(Ulay[1:], Ulay[:-1], out=work)
-    dU /= dt
-    dU *= dU
-    return dU @ mass
+    return float(np.sum(w * (eps * icell + s_cell + p_cell)))
 
 
 @dataclass
 class FieldCheck:
-    """A full check of a field at one eps: its normalized EL residual
-    and the layer and cell sums of its functional (functional_value's
-    Sm, Pm and icell), which its energy report reuses."""
+    """The full check of a field at one eps (LinearSystem.check): its
+    normalized EL residual and the layer and cell sums of its
+    functional, which the functional and the energy report read."""
 
     residual: np.ndarray = field(repr=False)   # (nt, S), layers 1..nt
     Sm: np.ndarray = field(repr=False)         # (nt+1,) <U_m, K U_m>
     Pm: np.ndarray = field(repr=False)         # (nt+1,) Phi(u_m) . D_tr
     icell: np.ndarray = field(repr=False)      # (nt,) |D_t U|_M^2
+
+    def cells(self):
+        """The three per-cell terms of the functional, per time cell n:
+        the inertia |D_t U|_M^2 and the means (S_n + S_{n+1})/2 and
+        (P_n + P_{n+1})/2 of the Dirichlet and trace-potential sums."""
+        return (self.icell, 0.5 * (self.Sm[:-1] + self.Sm[1:]),
+                0.5 * (self.Pm[:-1] + self.Pm[1:]))
 
 
 def functional_gradient(grid: WeightedGrid, model, eps: float,
@@ -447,18 +435,14 @@ def functional_gradient(grid: WeightedGrid, model, eps: float,
     """Exact gradient of functional_value w.r.t. nodal values.
 
     Row m (m = 1..nt) is 2 w_{m-1} times row m of the EL residual of
-    stencil_pass, the weight that residual divides out, so the gradient
-    and the residual the solvers drive to zero are one formula.  Layer 0
-    is returned as zeros by convention (the initial layer is
+    LinearSystem.residual, the weight that residual divides out, so the
+    gradient and the residual the solvers drive to zero are one formula.
+    Layer 0 is returned as zeros by convention (the initial layer is
     constrained, variations vanish there).  Shape (nt+1, n_spatial).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    ops = ops or build_operators(grid)
-    Ulay = _layers(grid, U)
-    _check_initial(grid, Ulay, U0)
-    G = np.zeros_like(Ulay)
-    stencil_pass(grid, model, Ulay, ops, eps, out=G[1:])
+    system = assemble_linear_system(grid, eps, ops)
+    G = np.zeros((grid.spec.nt + 1, grid.n_spatial))
+    system.residual(model, U, U0, out=G[1:])
     G[1:] *= 2.0 * exp_time_weights(grid.t, eps)[:, None]
     return G
 
@@ -477,63 +461,18 @@ def _row_coefficients(grid: WeightedGrid, eps: float):
     return c, rho, main, c_hat
 
 
-def stencil_pass(grid: WeightedGrid, model, Ulay: np.ndarray,
-                 ops: DiscreteOperators, eps: float | None = None,
-                 out: np.ndarray | None = None):
-    """One pass over the (nt+1, S) layers of Ulay that forms their
-    stiffness products Ka U_m a block of layers at a time (Ka.blocks,
-    about KroneckerStencil.CHUNK entries per block, in one reusable
-    buffer), so no (nt+1, S) product is kept.  From each block it takes
-    the layer sums Sm = <U_m, K U_m> and, at an eps, the rows of the
-    normalized EL residual on layers 1..nt,
-
-        c M ((1+rho) U_m - U_{m-1} - rho U_{m+1}) + c_hat (K U_m + D_tr beta(u_m))
-
-    with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2,
-    equal to A x + E bs - rhs(U_0) of the assembled system up to
-    summation order.  Returns (Sm, r): r (nt, S), written into out when
-    given, or None without eps.  Every row has the bits of the same
-    formula applied to all layers at once; the time stencil of a block
-    is formed in the scratch of the products, and the residual rows of
-    the block hold its rho U_{m+1} term until they are written.
-    """
-    Sm = np.empty(Ulay.shape[0])
-    r = None
-    if eps is not None:
-        nt, tr = Ulay.shape[0] - 1, ops.trace_index
-        c, rho, main, c_hat = _row_coefficients(grid, eps)
-        cm = c * ops.mass
-        ctm = c_hat[:, None] * ops.trace_mass
-        r = np.empty((nt, Ulay.shape[1])) if out is None else out
-    for m0, KUb, scratch in ops.Ka.blocks(Ulay):
-        m1 = m0 + KUb.shape[0]
-        Sm[m0:m1] = np.einsum("ns,ns->n", Ulay[m0:m1], KUb)
-        a = max(m0, 1)          # the unknown layers a .. m1 - 1, rows a - 1 ..
-        if r is None or a == m1:
-            continue
-        rows, u = r[a - 1:m1 - 1], Ulay[a:m1]
-        t = np.multiply(main[a - 1:m1 - 1, None], u, out=scratch[:m1 - a])
-        t -= Ulay[a - 1:m1 - 1]
-        e = min(m1, nt)         # the layers a .. e - 1 have a layer above
-        t[:e - a] -= np.multiply(rho, Ulay[a + 1:e + 1], out=rows[:e - a])
-        t *= cm
-        np.multiply(c_hat[a - 1:m1 - 1, None], KUb[a - m0:], out=rows)
-        rows += t
-        rows[:, tr] += ctm[a - 1:m1 - 1] * beta_eval(model, u[:, tr])
-    return Sm, r
-
-
 @dataclass
 class LinearSystem:
     """Weight-normalized discrete system on layers 1..nt.
 
-    residual is the stencil form (stencil_pass) of A x + E bs - rhs:
-    the stiffness products of all layers, the time stencil and the trace
-    source; the initial-layer term is the stencil's use of U_0 in the
-    first row.  The right-hand side b is zero outside row 0, which
-    initial_row gives; rhs assembles b as one vector.  c_hat is the
-    per-row coefficient shared by the stiffness and the trace source
-    (interior (1+rho)/2, terminal 1/2).
+    residual is the stencil form of A x + E bs - rhs: the stiffness
+    products of all layers, the time stencil and the trace source; the
+    initial-layer term is the stencil's use of U_0 in the first row.
+    check is the full check of a field (FieldCheck): that residual and
+    the sums of the functional, from the same pass.  The right-hand side
+    b is zero outside row 0, which initial_row gives; rhs assembles b as
+    one vector.  c_hat is the per-row coefficient shared by the
+    stiffness and the trace source (interior (1+rho)/2, terminal 1/2).
 
     The solvers never read a space-time matrix: they use the exact
     inverse of A + diag(c_hat) (x) sigma D_tr (space_time_inverse, cached
@@ -595,14 +534,71 @@ class LinearSystem:
 
     def residual(self, model, U: np.ndarray, U0: np.ndarray | None = None,
                  out: np.ndarray | None = None):
-        """The stencil_pass of U at this eps: (Sm, r), r the normalized EL
-        residual on layers 1..nt, shape (nt, n_spatial), written into out
-        when given, and Sm the layer sums <U_m, K U_m> the same pass
-        forms, which functional_value takes."""
+        """One pass over the (nt+1, S) layers of U that forms their
+        stiffness products Ka U_m a block of layers at a time (Ka.blocks,
+        about KroneckerStencil.CHUNK entries per block, in one reusable
+        buffer), so no (nt+1, S) product is kept.  From each block it
+        takes the layer sums Sm = <U_m, K U_m> and the rows of the
+        normalized EL residual on layers 1..nt,
+
+            c M ((1+rho) U_m - U_{m-1} - rho U_{m+1}) + c_hat (K U_m + D_tr beta(u_m))
+
+        with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2,
+        equal to A x + E bs - rhs(U_0) of the assembled system up to
+        summation order.  Returns (Sm, r): r (nt, S), written into out
+        when given.  Every row has the bits of the same formula applied
+        to all layers at once; the time stencil of a block is formed in
+        the scratch of the products, and the residual rows of the block
+        hold its rho U_{m+1} term until they are written.
+        """
         Ulay = _layers(self.grid, U)
         _check_initial(self.grid, Ulay, U0)
-        return stencil_pass(self.grid, model, Ulay, self.ops, self.eps,
-                            out=out)
+        ops = self.ops
+        nt, tr = Ulay.shape[0] - 1, ops.trace_index
+        c, rho, main, c_hat = _row_coefficients(self.grid, self.eps)
+        cm = c * ops.mass
+        ctm = c_hat[:, None] * ops.trace_mass
+        Sm = np.empty(nt + 1)
+        r = np.empty((nt, Ulay.shape[1])) if out is None else out
+        for m0, KUb, scratch in ops.Ka.blocks(Ulay):
+            m1 = m0 + KUb.shape[0]
+            Sm[m0:m1] = np.einsum("ns,ns->n", Ulay[m0:m1], KUb)
+            a = max(m0, 1)      # the unknown layers a .. m1 - 1, rows a - 1 ..
+            if a == m1:
+                continue
+            rows, u = r[a - 1:m1 - 1], Ulay[a:m1]
+            t = np.multiply(main[a - 1:m1 - 1, None], u, out=scratch[:m1 - a])
+            t -= Ulay[a - 1:m1 - 1]
+            e = min(m1, nt)     # the layers a .. e - 1 have a layer above
+            t[:e - a] -= np.multiply(rho, Ulay[a + 1:e + 1], out=rows[:e - a])
+            t *= cm
+            np.multiply(c_hat[a - 1:m1 - 1, None], KUb[a - m0:], out=rows)
+            rows += t
+            rows[:, tr] += ctm[a - 1:m1 - 1] * beta_eval(model, u[:, tr])
+        return Sm, r
+
+    def check(self, model, U: np.ndarray, U0: np.ndarray | None = None,
+              out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> FieldCheck:
+        """The full check of U at this eps, the one place a field's
+        residual and functional sums are formed: the residual and Sm of
+        one residual pass (r written into out when given), Pm the layer
+        sums Phi(u_m) . D_tr of the trace potential and icell the
+        inertia cells |D_t U|_M^2, whose time differences are formed in
+        work (nt, S) when given.  Every sum over the nodes is an einsum,
+        which calls no BLAS and adds in one fixed order, so the check has
+        the same bits at any BLAS thread count."""
+        Ulay = _layers(self.grid, U)
+        Sm, r = self.residual(model, Ulay, U0, out=out)
+        ops = self.ops
+        dU = np.subtract(Ulay[1:], Ulay[:-1], out=work)
+        dU /= self.grid.dt
+        dU *= dU
+        return FieldCheck(
+            residual=r, Sm=Sm,
+            Pm=np.einsum("ns,s->n", phi_eval(model, Ulay[:, ops.trace_index]),
+                         ops.trace_mass),
+            icell=np.einsum("ns,s->n", dU, ops.mass))
 
 
 def assemble_linear_system(grid: WeightedGrid, eps: float,

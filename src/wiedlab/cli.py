@@ -132,10 +132,8 @@ def _dispatch(args, cfg) -> int:
         return 0
 
     if args.command == "parabolic":
-        import numpy as np
-        from . import __version__
         from .parabolic import ParabolicError, solve_parabolic
-        from .runner import blas_kernel, write_json
+        from .runner import provenance, write_json
         grid = build_grid(cfg.grid)
         U0 = cfg.initial.evaluate(grid)
         stats = {}
@@ -149,9 +147,7 @@ def _dispatch(args, cfg) -> int:
                    {"role": "parabolic-reference"})
         # unhashed, like a run's manifest; the dump is not hashed here
         write_json(out / "manifest.json",
-                   {"package_version": __version__,
-                    "numpy_version": np.__version__,
-                    "blas_kernel": blas_kernel(), "parabolic": stats})
+                   {**provenance(), "parabolic": stats})
         print(f"parabolic reference written to {out} "
               f"({stats['corrections']} trace corrections, at most "
               f"{stats['max_corrections']} in a step)")

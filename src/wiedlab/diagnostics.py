@@ -22,14 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (FieldCheck, build_operators, stencil_pass,
-                       _check_initial, _inertia_cells, _layers)
-from .combustion import phi_eval
+from .assembly import (FieldCheck, assemble_linear_system, build_operators,
+                       _check_initial, _layers)
 from .grid import (Cylinder, GridError, WeightedGrid, _grad_energy_spatial,
                    restrict, weighted_norm)
-# assemble_linear_system and build_grid are unused here; they stay
-# importable because perfbench/tracing.py patches them by name
-from .assembly import assemble_linear_system  # noqa: F401
+# phi_eval and build_grid are unused here; they stay importable because
+# perfbench/tracing.py patches them by name
+from .combustion import phi_eval  # noqa: F401
 from .grid import build_grid  # noqa: F401
 
 
@@ -69,32 +68,29 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     derivative identity E' = -2I is evaluated as the optimality defect of
     the discrete functional along inner (time-reparametrization)
     variations, which is the quantity that vanishes at exact discrete
-    minimizers.  Its EL residual and the Dirichlet layer sums come from
-    one stencil_pass, so no space-time system is assembled.  check, when
-    given, must be the full check of U at eps (assembly.FieldCheck), as
-    a solved level's exit check leaves it (wied.Level.check): its
-    residual and sums serve the report, which then forms no stiffness
-    product and no residual.  The pairing of the residual with the
-    centred differences runs a block of layers at a time.
+    minimizers.  The report reads the full check of U at eps
+    (LinearSystem.check): its residual and its three per-cell terms
+    (FieldCheck.cells), so no space-time matrix is assembled.  check,
+    when given, must be that check, as a solved level's exit check leaves
+    it (wied.Level.check); otherwise the report forms it on the system
+    of eps.  The pairing of the residual with the centred differences
+    runs a block of layers at a time.
     """
     ops = ops or build_operators(grid)
     Ulay = _layers(grid, U)
-    _check_initial(grid, Ulay, U0)
+    if check is None:
+        check = assemble_linear_system(grid, eps, ops).check(model, Ulay, U0)
+    else:
+        _check_initial(grid, Ulay, U0)
     nt = grid.spec.nt
     dt = grid.dt
     dtau = dt / eps
     tau = grid.t[:-1] / eps
 
-    if check is None:
-        icell = _inertia_cells(Ulay, dt, ops.mass)
-        Sm, r = stencil_pass(grid, model, Ulay, ops, eps)
-        Pm = phi_eval(model, Ulay[:, ops.trace_index]) @ ops.trace_mass
-    else:
-        icell, Sm, Pm, r = check.icell, check.Sm, check.Pm, check.residual
-
+    icell, grad_cell, phi_cell = check.cells()
+    r = check.residual
     inertia = 2.0 * eps**2 * icell
-    dissipation = 2.0 * eps * (0.5 * (Sm[:-1] + Sm[1:])
-                               + 0.5 * (Pm[:-1] + Pm[1:]))
+    dissipation = 2.0 * eps * (grad_cell + phi_cell)
 
     q = float(np.exp(-dtau))
     total = inertia + dissipation
@@ -121,8 +117,6 @@ def energy_decomposition(grid: WeightedGrid, model, eps: float,
     defect = float(max(0.0, np.max(np.diff(energy), initial=0.0)))
 
     dt_energy_total = float(2.0 * dt * np.sum(icell))
-    grad_cell = 0.5 * (Sm[:-1] + Sm[1:])
-    phi_cell = 0.5 * (Pm[:-1] + Pm[1:])
     windowed = []
     for R in (grid.spec.T / 4.0, grid.spec.T / 2.0, grid.spec.T):
         ncells = max(1, int(round(R / dt)))

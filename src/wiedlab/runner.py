@@ -30,9 +30,10 @@ import numpy as np
 
 from . import __version__, registry
 from .assembly import build_operators
+from .combustion import sup_bound
 # beta_eval is unused here; it stays importable because
 # perfbench/tracing.py patches it by name
-from .combustion import beta_eval, sup_bound  # noqa: F401
+from .combustion import beta_eval  # noqa: F401
 from .config import ExperimentConfig, walk
 from .grid import GridSpec, build_grid
 from .parabolic import ParabolicError, solve_parabolic
@@ -217,6 +218,20 @@ def blas_kernel() -> str | None:
     return get().decode()
 
 
+def provenance() -> dict:
+    """What a manifest records of the build that wrote it: the package
+    and numpy versions, the BLAS numpy was built with (name and version)
+    and the kernel OpenBLAS runs on, each BLAS entry None where it cannot
+    be read."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):   # numpy < 1.26 takes no mode
+        blas = None
+    return {"package_version": __version__, "numpy_version": np.__version__,
+            "blas": blas, "blas_kernel": blas_kernel()}
+
+
 def write_diagnostics(stream: registry.Stream, levels, outdir: Path,
                       summary: list) -> list:
     """Finish the stream on levels (every one added to it), write each
@@ -341,11 +356,6 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
             bool(-1e-8 <= lo and hi <= 1.0 + 1e-8)))
     write_json(outdir / "summary.json", summary)
 
-    try:    # the BLAS numpy was built with, null where numpy cannot say
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = {"name": blas.get("name"), "version": blas.get("version")}
-    except (TypeError, KeyError):   # numpy < 1.26 takes no mode
-        blas = None
     artifacts = {}
     for p in sorted(outdir.rglob("*")):
         if p.is_file() and p.name != "manifest.json":
@@ -355,10 +365,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         "config_hash": hashlib.sha256(
             json.dumps(_config_fingerprint(cfg), sort_keys=True).encode()
         ).hexdigest(),
-        "package_version": __version__,
-        "numpy_version": np.__version__,
-        "blas": blas,
-        "blas_kernel": blas_kernel(),
+        **provenance(),
         "s_exponent": (1.0 - cfg.grid.a) / 2.0,
         "beta_sup": sup_bound(cfg.model),
         "tail_weight": float(np.exp(-cfg.grid.T / cfg.schedule.eps0)),

@@ -25,7 +25,7 @@ import numpy as np
 from .assembly import (DiscreteOperators, FieldCheck, LinearSystem,
                        assemble_linear_system, build_operators,
                        exp_time_weights, functional_value,
-                       space_time_inverse, _inertia_cells)
+                       space_time_inverse)
 from .combustion import beta_eval, beta_prime_eval, phi_eval
 from .grid import WeightedGrid
 # bicgstab_solve is unused here; it stays importable because
@@ -264,10 +264,10 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     input itself (so a level that has converged there returns its input
     bit for bit), and whenever the tracked residual passes the
     tolerance, on the field of the iterate: one sweep on b + E s, plus
-    mu e while mu > 0, and one transform.  It is LinearSystem.residual
-    and functional_value sharing one stencil_pass, which forms the
-    stiffness products a block of layers at a time and keeps none.
-    Only that full residual ends the solve, and the field it checked is
+    mu e while mu > 0, and one transform.  It is LinearSystem.check, one
+    residual pass that forms the stiffness products a block of layers at
+    a time and keeps none, and functional_value reads the check.  Only
+    that full residual ends the solve, and the field it checked is
     returned.
 
     A level allocates its full-size arrays once: U, the nodal field
@@ -312,19 +312,15 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         return float(np.sum(wgt[:, 0] * (0.5 * (pm[:-1] + pm[1:]))))
 
     def full_state():
-        # residual and functional of the nodal field in U in full: |r|, r
-        # off the trace (in rbuf) and its norm, the trace block of r,
-        # E(U), the layer sums of Phi, and the check, whose layer sums of
-        # K both share, from one stencil pass, with one Phi
-        Sm, r = system.residual(model, U, U0f, out=rbuf)
-        check = FieldCheck(residual=r, Sm=Sm,
-                           Pm=phi_eval(model, U[:, tr]) @ tm,
-                           icell=_inertia_cells(U, grid.dt, ops.mass, work))
+        # the full check of the nodal field in U, its residual in rbuf:
+        # |r|, r off the trace and its norm, the trace block of r, E(U)
+        # read from the check, the layer sums of Phi, and the check
+        check = system.check(model, U, U0f, out=rbuf, work=work)
+        r = check.residual
         res = _norm(r)
         rtr = r[:, tr].copy()
         r[:, tr] = 0.0
-        fval = functional_value(grid, model, cfg.eps, U, U0f, ops=ops,
-                                Sm=check.Sm, Pm=check.Pm, icell=check.icell)
+        fval = functional_value(grid, model, cfg.eps, U, check=check)
         return res, r, _norm(r), rtr, fval, check.Pm, check
 
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
@@ -414,7 +410,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         lam = 1.0
         for _ in range(12):
             c_tr = (1.0 - lam) * U_tr + lam * x_tr
-            pm_c[1:] = phi_eval(model, c_tr) @ tm
+            pm_c[1:] = np.einsum("ns,s->n", phi_eval(model, c_tr), tm)
             fcand = fval + lam * a1 + lam * lam * a2 + (potential(pm_c) - pot)
             bs_c = ctm * beta_eval(model, c_tr)
             rtr_c = (1.0 - lam) * lin_U + lam * lin_x + bs_c
@@ -517,10 +513,11 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
 
 def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:
-    """max over time layers of the spatial L^{2,a} distance (both-sides weight)."""
+    """max over time layers of the spatial L^{2,a} distance (both-sides
+    weight), summed over the nodes by an einsum in a fixed order."""
     Ul = np.asarray(U, dtype=float).reshape(grid.spec.nt + 1, -1)
     Vl = np.asarray(V, dtype=float).reshape(grid.spec.nt + 1, -1)
-    d2 = 2.0 * ((Ul - Vl) ** 2 @ grid.node_mass)
+    d2 = 2.0 * np.einsum("ns,s->n", (Ul - Vl) ** 2, grid.node_mass)
     return float(np.sqrt(np.max(d2)))
 
 

@@ -9,8 +9,7 @@ from wiedlab.assembly import (assemble_linear_system, axis_eigenbasis,
                               build_operators, exp_time_weights,
                               functional_gradient, functional_value,
                               _time_thomas, space_time_inverse,
-                              spectral_preconditioner, stencil_pass,
-                              _inertia_cells, _row_coefficients)
+                              spectral_preconditioner, _row_coefficients)
 from wiedlab.combustion import (ZERO_MODEL, CombustionModel, beta_eval,
                                 beta_prime_eval, phi_eval, validate_model)
 from wiedlab.grid import GridSpec, build_grid
@@ -399,9 +398,9 @@ def test_stencil_residual_matches_assembled_system():
                                 nx=4, ny=5, nt=6))
         ops = build_operators(g)
         U = rng.random((g.spec.nt + 1, g.n_spatial))
-        r = stencil_pass(g, model, U, ops, eps)[1]
-        ref = _matvec_residual(assemble_linear_system(g, eps, ops=ops),
-                               model, U)
+        system = assemble_linear_system(g, eps, ops=ops)
+        r = system.residual(model, U)[1]
+        ref = _matvec_residual(system, model, U)
         assert r.shape == ref.shape
         assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref)), \
             (d, model.kind, eps)
@@ -578,31 +577,41 @@ def test_inverse_build_peaks_at_its_two_factor_arrays(d):
 
 
 def test_shared_stiffness_product_changes_no_bit():
-    # the WIED full check forms the stiffness products once, in the
-    # residual's stencil pass, which hands the layer sums <U_m, K U_m> to
-    # the functional, with the sums of Phi and the inertia cells; the
-    # residual and the functional must equal the values that form them
-    # themselves
+    # the full check (LinearSystem.check) forms the stiffness products
+    # once, in the residual's pass, which hands the layer sums
+    # <U_m, K U_m> to the functional with the sums of Phi and the inertia
+    # cells; each part must equal the one formed on its own, and the
+    # functional read from the check the one that forms its check itself
     g = small_grid(6, 5, 8)
     ops = build_operators(g)
     system = assemble_linear_system(g, 0.1, ops=ops)
     rng = np.random.default_rng(5)
     U = rng.random((g.spec.nt + 1, g.n_spatial))
-    Sm, r = system.residual(BUMP, U, U[0])
-    assert np.array_equal(r, stencil_pass(g, BUMP, U, ops, 0.1)[1])
-    assert np.array_equal(Sm, stencil_pass(g, BUMP, U, ops)[0])
-    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, Sm=Sm)
-            == functional_value(g, BUMP, 0.1, U, U[0], ops=ops))
-    Pm = phi_eval(BUMP, U[:, ops.trace_index]) @ ops.trace_mass
-    icell = _inertia_cells(U, g.dt, ops.mass)
-    assert (functional_value(g, BUMP, 0.1, U, U[0], ops=ops, Sm=Sm, Pm=Pm,
-                             icell=icell)
-            == functional_value(g, BUMP, 0.1, U, U[0], ops=ops))
+    work = np.full((g.spec.nt, g.n_spatial), np.nan)
+    check = system.check(BUMP, U, U[0], work=work)
+    Sm, r = system.residual(BUMP, U)
+    assert np.array_equal(_bits(check.residual), _bits(r))
+    assert np.array_equal(_bits(check.Sm), _bits(Sm))
+    Pm = np.einsum("ns,s->n", phi_eval(BUMP, U[:, ops.trace_index]),
+                   ops.trace_mass)
+    assert np.array_equal(_bits(check.Pm), _bits(Pm))
+    icell = np.einsum("ns,s->n", (np.diff(U, axis=0) / g.dt)**2, ops.mass)
+    assert np.array_equal(_bits(check.icell), _bits(icell))
+    icell_c, s_cell, p_cell = check.cells()
+    assert icell_c is check.icell
+    assert np.array_equal(s_cell, 0.5 * (Sm[:-1] + Sm[1:]))
+    assert np.array_equal(p_cell, 0.5 * (Pm[:-1] + Pm[1:]))
+    value = functional_value(g, BUMP, 0.1, U, U[0], ops=ops)
+    assert functional_value(g, BUMP, 0.1, U, check=check) == value
+    w = exp_time_weights(g.t, 0.1)
+    assert value == float(np.sum(w * (0.1 * icell + s_cell + p_cell)))
+    with pytest.raises(ValueError, match="initial layer"):
+        system.check(BUMP, U, U[0] + 1.0)
 
 
 def _stencil_residual_whole(g, model, eps, Ulay, ops):
     # the residual and the layer sums from the CSR products of all layers
-    # at once: the reference stencil_pass must match bit for bit
+    # at once: the blocked LinearSystem.residual must match bit for bit
     KU = np.ascontiguousarray((ops.Ka.tocsr() @ Ulay.T).T)
     c, rho, main, c_hat = _row_coefficients(g, eps)
     r = np.empty(Ulay[1:].shape)
@@ -626,6 +635,7 @@ def test_stencil_pass_blocks_keep_the_bits(d, monkeypatch):
     g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
                             nx=4, ny=5, nt=11))
     ops = build_operators(g)
+    system = assemble_linear_system(g, 0.05, ops=ops)
     rng = np.random.default_rng(20 + d)
     U = rng.random((g.spec.nt + 1, g.n_spatial)) * 1.2 - 0.1
     Sm_ref, r_ref = _stencil_residual_whole(g, BUMP, 0.05, U, ops)
@@ -633,12 +643,10 @@ def test_stencil_pass_blocks_keep_the_bits(d, monkeypatch):
     for kb in (1, 2, 3, 5, 12, 40):
         monkeypatch.setattr(KroneckerStencil, "CHUNK", kb * S)
         out = np.full((g.spec.nt, S), np.nan)
-        Sm, r = stencil_pass(g, BUMP, U, ops, 0.05, out=out)
+        Sm, r = system.residual(BUMP, U, out=out)
         assert r is out
         assert np.array_equal(_bits(r), _bits(r_ref)), kb
         assert np.array_equal(_bits(Sm), _bits(Sm_ref)), kb
-        Sm0, none = stencil_pass(g, BUMP, U, ops)
-        assert none is None and np.array_equal(_bits(Sm0), _bits(Sm_ref))
 
 
 def test_eps_must_be_positive():

@@ -169,7 +169,7 @@ def test_manifest_records_parabolic_corrections(tmp_path, capsys):
                 in capsys.readouterr().out)
         assert json.loads((ref / "manifest.json").read_text()) == {
             "package_version": manifest["package_version"],
-            "numpy_version": np.__version__,
+            "numpy_version": np.__version__, "blas": manifest["blas"],
             "blas_kernel": manifest["blas_kernel"], "parabolic": stats}
     assert sorted(p.name for p in refs[0].iterdir()) == [
         "manifest.json", "parabolic.f64", "parabolic.json"]

@@ -4,7 +4,11 @@
 to one and to two threads; the artifact hashes of the two manifests
 must agree.  A burning plateau exercises the trace-reduced parabolic
 step, the space-time sweep, the energy reports and the cylinder sums
-(level sets, no-spikes, L^2 -> L^oo) in d = 1 and d = 2.  A fresh
+(level sets, no-spikes, L^2 -> L^oo) in d = 1 and d = 2, and on the
+shipped spatial grid at a layer count where a BLAS gemv over the layers
+would split unevenly between threads: the sums over the nodes of a
+field's check, of the line search's trace potential and of the
+distance to the reference are einsums, which call no BLAS.  A fresh
 process under OPENBLAS_CORETYPE records that kernel in its manifest.
 Across OpenBLAS kernels the contract is weaker: the same hashes run to
 run under each kernel, and fields within roundoff of each other.
@@ -30,6 +34,11 @@ GRIDS = {
            "nx": 8, "ny": 4, "nt": 24},
     "d2": {"d": 2, "a": -0.5, "L": 1.0, "Y": 1.0, "T": 1.0,
            "nx": 6, "ny": 3, "nt": 12},
+    # the shipped spatial grid at nt = 482: a row count at which OpenBLAS
+    # splits a gemv over the layers unevenly between two threads, so a
+    # sum over the nodes done by BLAS would move the energy reports' bits
+    "shipped-nt482": {"d": 1, "a": 0.5, "L": 4.0, "Y": 2.5, "T": 4.0,
+                      "nx": 80, "ny": 18, "nt": 482},
 }
 
 

@@ -531,6 +531,43 @@ def test_benchmark_tracing_restores_every_patched_name():
     assert all(after[key] is before[key] for key in before)
 
 
+# the package's `# noqa: F401` imports: names no module of the package
+# reads, kept only because perfbench/tracing.py patches them; deleting the
+# legacy solver layer and the tracer removes them
+TRACER_REIMPORTS = {("wied", "bicgstab_solve"),
+                    ("parabolic", "beta_prime_eval"),
+                    ("parabolic", "finalize_csr"), ("parabolic", "pcg_solve"),
+                    ("runner", "beta_eval"), ("diagnostics", "phi_eval"),
+                    ("diagnostics", "build_grid")}
+
+
+def test_every_unused_import_is_one_the_tracer_patches():
+    # each name a package module imports under `# noqa: F401` must be an
+    # attribute the benchmark's traced mode replaces, and the list is
+    # TRACER_REIMPORTS, so no dead re-import can hide behind a noqa
+    import ast
+    import importlib
+    tracing = _load_perfbench("tracing")
+    reimports = set()
+    for path in sorted((ROOT / "src" / "wiedlab").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in lines[i - 1]
+                    for i in range(node.lineno, node.end_lineno + 1)):
+                reimports |= {(path.stem, alias.asname or alias.name)
+                              for alias in node.names}
+    assert reimports == TRACER_REIMPORTS
+    modules = {stem: importlib.import_module(f"wiedlab.{stem}")
+               for stem, _ in reimports}
+    before = {key: getattr(modules[key[0]], key[1]) for key in reimports}
+    with tracing.installed(tracing.Tracer()):
+        unpatched = sorted(key for key in reimports
+                           if getattr(modules[key[0]], key[1])
+                           is before[key])
+    assert unpatched == []
+
+
 def test_traced_parabolic_steps_equal_nt():
     # perfbench's parabolic.steps counts the spans of step_implicit, so
     # solve_parabolic must call it once per time step

@@ -449,11 +449,11 @@ def test_failed_newton_try_rearms_picard(grid, eps, start):
 
 def test_sweep_runs_one_stencil_pass_per_full_check(monkeypatch):
     # no level keeps a stiffness product: each full check, the entry
-    # check included, forms its products in one blocked stencil pass,
-    # which its residual and its functional share, and every product is
-    # formed in such a pass, a block of layers at a time.  A swept level is therefore the level solved
-    # alone from the same field, bit for bit and pass for pass
-    from wiedlab import assembly
+    # check included, is one LinearSystem.check, whose residual pass
+    # forms the products a block of layers at a time for its residual
+    # and its functional, and every product is formed in such a pass.  A
+    # swept level is therefore the level solved alone from the same
+    # field, bit for bit and pass for pass
     from wiedlab.assembly import KroneckerStencil, LinearSystem
     from wiedlab.parabolic import solve_parabolic
     g = grid_small(8, 6, 40, T=2.0)
@@ -468,10 +468,10 @@ def test_sweep_runs_one_stencil_pass_per_full_check(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(assembly, "stencil_pass",
-                        counted("pass", assembly.stencil_pass))
     monkeypatch.setattr(LinearSystem, "residual",
-                        counted("check", LinearSystem.residual))
+                        counted("pass", LinearSystem.residual))
+    monkeypatch.setattr(LinearSystem, "check",
+                        counted("check", LinearSystem.check))
     monkeypatch.setattr(KroneckerStencil, "blocks",
                         counted("blocks", KroneckerStencil.blocks))
     levels = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), U0,
