@@ -64,10 +64,13 @@ class KroneckerStencil:
     zero) is +0.0, which adds nothing to a sum started at +0.0 whatever X
     holds.  A vector is one gather of each row's neighbours, with an
     appended 0 for those it lacks, one product and one sum over the
-    neighbours in order.  blocks takes about CHUNK entries of X at a time, copied end
-    to end into a zero-padded block, so a neighbour's products are one
-    (n, S) product of the coefficients, broadcast over the n rows, with
-    the block shifted by the neighbour's stride.
+    neighbours in order; its tables (_vector_tables, a coefficient and a
+    neighbour index per term and row) are built on the first K @ x, so a
+    stencil only ever applied through blocks, as a field's check is,
+    never holds them.  blocks takes about CHUNK entries of X at a time,
+    copied end to end into a zero-padded block, so a neighbour's products
+    are one (n, S) product of the coefficients, broadcast over the n
+    rows, with the block shifted by the neighbour's stride.
     """
 
     CHUNK = 1 << 15
@@ -94,13 +97,18 @@ class KroneckerStencil:
         self._zeros = [z if z.size else None for z in
                        (np.flatnonzero(c == 0.0) for _, c in self._terms)]
         self._pad = max(abs(off) for off, _ in self._terms)
+
+    @functools.cached_property
+    def _vector_tables(self):
         # per term and row: the coefficient, and the neighbour (S, an
         # appended 0, where the coefficient is 0) a vector product reads
-        self._coef = np.array([c for _, c in self._terms])
-        self._gather = np.where(
-            self._coef != 0.0,
+        S = self.shape[0]
+        coef = np.array([c for _, c in self._terms])
+        gather = np.where(
+            coef != 0.0,
             np.arange(S) + np.array([off for off, _ in self._terms])[:, None],
             S)
+        return coef, gather
 
     def shifted(self, d: np.ndarray) -> KroneckerStencil:
         """K + diag(d), d a flat nodal vector."""
@@ -113,11 +121,12 @@ class KroneckerStencil:
         if x.shape != (S,):
             raise ValueError(f"K @ x takes one vector of shape ({S},), got "
                              f"{x.shape}; blocks(X) takes the rows of X")
+        coef, gather = self._vector_tables
         xp = np.empty(S + 1)
         xp[:S] = x
         xp[S] = 0.0
-        G = xp[self._gather]
-        G *= self._coef
+        G = xp[gather]
+        G *= coef
         return np.add.reduce(G, axis=0, initial=0.0)
 
     def blocks(self, X: np.ndarray):
@@ -613,44 +622,43 @@ def assemble_linear_system(grid: WeightedGrid, eps: float,
 
 
 def _time_thomas(b: np.ndarray, low, up):
-    """Batched Thomas solve of the time-tridiagonal systems with diagonal
-    b (nt, S), subdiagonal -low and superdiagonal -up (scalars or (S,)).
+    """Batched Thomas solve of the time-tridiagonal systems T with diagonal
+    b (nt, S), subdiagonal -low and superdiagonal -up (scalars or (S,),
+    low > 0 and up >= 0, which may be 0).
 
-    The factorization is done once, in place: b becomes the factor's
-    reciprocal pivots, and one more (nt, S) array holds the eliminated
-    superdiagonal.  The returned solve overwrites and returns its (nt, S)
-    argument.  Both work on row views with one (S,) scratch row and
-    allocate nothing per layer.
+    The factorization keeps one array, made in place of b: g[m] =
+    low / p[m], p[m] = b[m] - up g[m-1] the pivots.  The returned solve
+    overwrites its (nt, S) argument z with T^{-1} (low z) and returns it,
+    so a right-hand side r enters as r / low: the forward pass is
+    z[m] = (z[m] + z[m-1]) g[m] and the backward pass z[m] += (up/low)
+    g[m] z[m+1].  Nothing divides by up, which underflows to 0 when
+    dt/eps is large.  Both work on row views with one (S,) scratch row
+    and allocate nothing per layer.
     """
     nt, S = b.shape
-    cp = np.empty((nt, S))
-    emul = b
+    g = b
+    ratio = up / low
     tmp = np.empty(S)
-    np.divide(1.0, emul[0], out=emul[0])
-    np.multiply(-up, emul[0], out=cp[0])
+    np.divide(low, g[0], out=g[0])
     for m in range(1, nt):
-        # emul[m] = 1 / (b[m] + low cp[m-1])
-        np.multiply(low, cp[m - 1], out=tmp)
-        np.add(emul[m], tmp, out=tmp)
-        np.divide(1.0, tmp, out=emul[m])
-        if m < nt - 1:
-            np.multiply(-up, emul[m], out=cp[m])
-        else:
-            cp[m] = 0.0
-    erows, cprows = list(emul), list(cp)
+        # g[m] = low / (b[m] - up g[m-1])
+        np.multiply(up, g[m - 1], out=tmp)
+        np.subtract(g[m], tmp, out=tmp)
+        np.divide(low, tmp, out=g[m])
+    grows = list(g)
 
     def solve(z: np.ndarray) -> np.ndarray:
         zr = list(z)
-        np.multiply(zr[0], erows[0], out=zr[0])
+        np.multiply(zr[0], grows[0], out=zr[0])
         for m in range(1, nt):
-            # z[m] = (z[m] + low z[m-1]) emul[m]
-            np.multiply(low, zr[m - 1], out=tmp)
-            np.add(zr[m], tmp, out=zr[m])
-            np.multiply(zr[m], erows[m], out=zr[m])
+            # z[m] = (z[m] + z[m-1]) g[m]
+            np.add(zr[m], zr[m - 1], out=zr[m])
+            np.multiply(zr[m], grows[m], out=zr[m])
         for m in range(nt - 2, -1, -1):
-            # z[m] -= cp[m] z[m+1]
-            np.multiply(cprows[m], zr[m + 1], out=tmp)
-            np.subtract(zr[m], tmp, out=zr[m])
+            # z[m] += (up/low) g[m] z[m+1]
+            np.multiply(grows[m], zr[m + 1], out=tmp)
+            np.multiply(ratio, tmp, out=tmp)
+            np.add(zr[m], tmp, out=zr[m])
         return z
 
     return solve
@@ -671,11 +679,11 @@ def time_line_preconditioner(system: LinearSystem, A=None):
     c = system.eps / system.grid.dt**2
     b = Ause.diagonal().reshape(nt, S).copy()
     b[b == 0.0] = 1.0
-    solve = _time_thomas(b, c * system.ops.mass,
-                         c * system.rho * system.ops.mass)
+    low = c * system.ops.mass
+    solve = _time_thomas(b, low, c * system.rho * system.ops.mass)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        return solve(np.array(r, dtype=float).reshape(nt, S)).ravel()
+        return solve(np.reshape(r, (nt, S)) / low).ravel()
 
     return apply
 
@@ -691,13 +699,17 @@ class SpaceTimeInverse:
         (c T + lam_k diag(c_hat)) z_k = (V' r)_k,   c = eps/dt^2,
 
     which solve_modes answers with a batched Thomas sweep: P = V Tm^{-1} V'
-    with Tm these time problems.  sweep runs it and counts it in sweeps.
-    Calling the object applies P to a flattened (nt * n_spatial) vector:
-    two per-axis transforms and one sweep.  A solver that keeps its
-    unknowns as modal coefficients x_hat = V' M x (x = V x_hat) needs
-    neither transform: P r has the coefficients Tm^{-1} V' r.  E injects
-    (nt, n_trace) trace blocks into the y = 0 columns, and only the y = 0
-    row of Vy meets the trace, so trace_solve (the coefficients of
+    with Tm these time problems.  The sweep keeps one factor array and
+    takes its right-hand side divided by c (_time_thomas): sweep(w) is
+    Tm^{-1} (w / scale), scale = 1/c, so a caller multiplies its
+    right-hand side by scale, which trace_solve folds into its fill.
+    sweep runs it and counts it in sweeps.  Calling the object applies P
+    to a flattened (nt * n_spatial) vector: two per-axis transforms and
+    one sweep.  A solver that keeps its unknowns as modal coefficients
+    x_hat = V' M x (x = V x_hat) needs neither transform: P r has the
+    coefficients Tm^{-1} V' r.  E injects (nt, n_trace) trace blocks
+    into the y = 0 columns, and only the y = 0 row of Vy meets the
+    trace, so trace_solve (the coefficients of
     P (r + E s)) transforms s on the trace alone and trace (E' V x_hat)
     reads the trace of modal coefficients without a full transform.  One
     Thomas sweep is therefore the only full-size work of trace_solve and
@@ -707,21 +719,24 @@ class SpaceTimeInverse:
     """
 
     basis: AxisEigenbasis
-    # in-place batched Thomas solve on (nt, S) modal arrays
+    # in-place batched Thomas solve on (nt, S) modal arrays, of the
+    # right-hand side times scale
     solve_modes: Callable[[np.ndarray], np.ndarray]
     nt: int
+    scale: float      # 1/c, c = eps/dt^2
     # Thomas sweeps run so far, by every caller of this inverse
     sweeps: int = 0
 
     def sweep(self, w: np.ndarray) -> np.ndarray:
-        """Tm^{-1} w for modal coefficients w (nt, n_spatial), in place:
-        one Thomas sweep, counted."""
+        """Tm^{-1} (w / scale) for modal coefficients w (nt, n_spatial),
+        in place: one Thomas sweep, counted."""
         self.sweeps += 1
         return self.solve_modes(w)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         w = self.basis.to_modes(np.asarray(r, dtype=float).reshape(self.nt,
                                                                     -1))
+        w *= self.scale
         return self.basis.from_modes(self.sweep(w)).ravel()
 
     def trace_solve(self, s: np.ndarray, r_hat: np.ndarray | None = None,
@@ -729,15 +744,17 @@ class SpaceTimeInverse:
         """Tm^{-1} (r_hat + V' E s), the modal coefficients of P (r + E s),
         for a trace block s (nt, n_trace) and a right-hand side r that is
         zero outside row 0, given by r_hat = V' r[0] (r zero when None);
-        shape (nt, n_spatial), written into out when given."""
-        vy0 = self.basis.Vy[0]
+        shape (nt, n_spatial), written into out when given.  The scale
+        of the sweep's input rides on vy0 and r_hat, so it costs no
+        full-size pass."""
+        vy0 = self.scale * self.basis.Vy[0]
         z = self.basis.to_trace_modes(s)
         w = np.multiply(vy0[None, :, None], z[:, None, :],
                         out=None if out is None
                         else out.reshape(self.nt, vy0.shape[0], -1))
         w = w.reshape(self.nt, -1)
         if r_hat is not None:
-            w[0] += r_hat
+            w[0] += self.scale * r_hat
         return self.sweep(w)
 
     def trace(self, w: np.ndarray) -> np.ndarray:
@@ -797,7 +814,8 @@ def space_time_inverse(system: LinearSystem,
         diag = np.multiply.outer(c_hat, basis.lam)
         diag += (c * main)[:, None]
         solve = _time_thomas(diag, c, c * rho)
-        inv = SpaceTimeInverse(basis=basis, solve_modes=solve, nt=nt)
+        inv = SpaceTimeInverse(basis=basis, solve_modes=solve, nt=nt,
+                               scale=1.0 / c)
         system.inverses[sigma] = inv
     return inv
 

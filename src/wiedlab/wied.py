@@ -275,8 +275,8 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     full residual, then V' r_off (returned as the exit check's
     residual); and one scratch array for the functional's time
     differences, the anchor's Picard point and pe, the transforms and
-    the sweeps of GMRES.  Beyond these, the inverse holds its two Thomas
-    factor arrays: five full-size arrays in all.
+    the sweeps of GMRES.  Beyond these, the inverse holds its one Thomas
+    factor array: four full-size arrays in all.
     """
     system = system or assemble_linear_system(grid, cfg.eps)
     ops = system.ops

@@ -122,6 +122,26 @@ def test_stencil_products_equal_csr_bitwise(monkeypatch, a, d, nx, ny,
         assert np.array_equal(_bits(ops.Ka.shifted(shift) @ u), _bits(B @ u))
 
 
+def test_stencil_builds_its_vector_tables_on_the_first_vector_product():
+    # a field's check and a whole level apply the stiffness through
+    # blocks alone, so the tables of a single-vector product
+    # (_vector_tables) are never built on their path; the first K @ x
+    # builds them, and a shifted stencil starts without them
+    from wiedlab.wied import WiedConfig, solve_wied
+    g = small_grid(6, 5, 8)
+    ops = build_operators(g)
+    system = assemble_linear_system(g, 0.1, ops=ops)
+    U0 = g.eval_spatial(lambda x, y: np.clip(1 - x**2 / 0.36, 0, None)**2
+                        + 0.0 * y).ravel()
+    U = np.tile(U0, (g.spec.nt + 1, 1))
+    system.check(BUMP, U, U0)
+    solve_wied(g, BUMP, WiedConfig(eps=0.1), U0, system=system)
+    assert "_vector_tables" not in ops.Ka.__dict__
+    ops.Ka @ U0
+    assert "_vector_tables" in ops.Ka.__dict__
+    assert "_vector_tables" not in ops.Ka.shifted(ops.mass).__dict__
+
+
 def test_exp_weights_telescope():
     g = small_grid()
     for eps in (0.5, 0.05):
@@ -506,60 +526,104 @@ def test_sweep_never_builds_the_space_time_matrix(tmp_path, monkeypatch):
 
 
 def _allocating_time_thomas(b, low, up):
-    # the batched Thomas solve written with augmented assignments, which
-    # allocate a temporary per layer
+    # the batched Thomas solve with one factor array g = low / pivot,
+    # written with augmented assignments, which allocate a temporary per
+    # layer; solve(z) is T^{-1} (low z)
     nt, S = b.shape
-    cp = np.empty((nt, S))
-    emul = np.empty((nt, S))
-    emul[0] = 1.0 / b[0]
-    cp[0] = -up * emul[0]
+    g = np.empty((nt, S))
+    g[0] = low / b[0]
     for m in range(1, nt):
-        emul[m] = 1.0 / (b[m] + low * cp[m - 1])
-        cp[m] = -up * emul[m] if m < nt - 1 else 0.0
+        g[m] = low / (b[m] - up * g[m - 1])
+    ratio = up / low
 
     def solve(z):
-        z[0] *= emul[0]
+        z[0] *= g[0]
         for m in range(1, nt):
-            z[m] += low * z[m - 1]
-            z[m] *= emul[m]
+            z[m] += z[m - 1]
+            z[m] *= g[m]
         for m in range(nt - 2, -1, -1):
-            z[m] -= cp[m] * z[m + 1]
+            z[m] += ratio * (g[m] * z[m + 1])
         return z
 
     return solve
 
 
+SWEEP_KINDS = ("scalar", "per-node", "rho-0")
+
+
 @pytest.mark.parametrize("nt", [1, 2, 5, 240])
-@pytest.mark.parametrize("shaped", [False, True], ids=["scalar", "per-node"])
-def test_in_place_time_sweep_matches_allocating_loop(nt, shaped):
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_in_place_time_sweep_matches_allocating_loop(nt, kind):
     # the in-place factorization and sweep do the same arithmetic in the
     # same order, so they agree bit for bit; per-node low/up is the (S,)
-    # shape time_line_preconditioner passes.  The factorization keeps its
-    # diagonal argument, so it gets a copy
-    rng = np.random.default_rng(nt + 1000 * shaped)
+    # shape time_line_preconditioner passes, and up = 0 is a level whose
+    # rho = exp(-dt/eps) underflows.  The sweep takes its right-hand side
+    # divided by low.  The factorization keeps its diagonal argument, so
+    # it gets a copy
+    rng = np.random.default_rng(nt + 1000 * SWEEP_KINDS.index(kind))
     S = 37
-    low = 0.2 + 0.5 * rng.random(S) if shaped else 0.6
-    up = 0.1 + 0.5 * rng.random(S) if shaped else 0.35
+    low = 0.2 + 0.5 * rng.random(S) if kind == "per-node" else 0.6
+    up = {"scalar": 0.35, "per-node": 0.1 + 0.5 * rng.random(S),
+          "rho-0": 0.0}[kind]
     b = 1.5 + rng.random((nt, S))          # diagonally dominant
     solve = _time_thomas(b.copy(), low, up)
     ref = _allocating_time_thomas(b, low, up)
     for _ in range(2):                      # the scratch row is reused
         z = rng.standard_normal((nt, S))
-        x = solve(z.copy())
-        assert np.array_equal(x, ref(z.copy()))
+        x = solve(z / low)
+        assert np.array_equal(x, ref(z / low))
         lhs = b * x
         lhs[1:] -= low * x[:-1]
         lhs[:-1] -= up * x[1:]
         assert np.max(np.abs(lhs - z)) <= 1e-13 * np.max(np.abs(z))
 
 
+def _backward_tol(A, x, r):
+    # roundoff of a solve of A x = r: the residual against |A| |x| + |r|
+    return 1e-13 * (abs(A).sum(axis=1).max() * np.max(np.abs(x))
+                    + np.max(np.abs(r)))
+
+
 @pytest.mark.parametrize("d", [1, 2])
-def test_inverse_build_peaks_at_its_two_factor_arrays(d):
-    # the Thomas factorization of the time problems keeps two (nt, S)
-    # arrays, its reciprocal pivots and its eliminated superdiagonal; the
-    # diagonal c main + c_hat lam is built in the first, so the build
-    # allocates no third full-size array (the basis and the per-row
-    # scratch stay below a quarter of one on this grid)
+def test_inverse_solves_a_level_whose_rho_underflows(d):
+    # at eps << dt, rho = exp(-dt/eps) and the superdiagonal c rho are 0;
+    # the inverse divides by neither, and its solves (a full apply and
+    # the trace solve of the WIED iterate) invert the CSR system.  At
+    # sigma = 0 the system is nearly singular (c = eps/dt^2 is small), so
+    # the residual is held against |A| |x|
+    g = build_grid(GridSpec(d=d, a=0.3, L=1.0, Y=1.0, T=0.5,
+                            nx=4, ny=5, nt=6))
+    eps = 1e-5
+    assert g.dt / eps > 800.0
+    system = assemble_linear_system(g, eps)
+    assert system.rho == 0.0
+    nt, S = g.spec.nt, g.n_spatial
+    tr = system.ops.trace_index
+    rng = np.random.default_rng(11 + d)
+    for sigma in (0.0, BUMP.lipschitz):
+        stab = np.zeros((nt, S))
+        stab[:, tr] = system.c_hat[:, None] * system.ops.trace_mass * sigma
+        A = system.A + sp.diags(stab.ravel())
+        inv = space_time_inverse(system, sigma)
+        r = rng.standard_normal(nt * S)
+        x = inv(r)
+        assert np.max(np.abs(A @ x - r)) <= _backward_tol(A, x, r), sigma
+        U0 = rng.random(S)
+        s = rng.standard_normal((nt, tr.shape[0]))
+        rhs = system.rhs(U0).reshape(nt, S)
+        rhs[:, tr] += s
+        x = inv.basis.from_modes(inv.trace_solve(
+            s, inv.basis.to_modes(system.initial_row(U0))))
+        assert np.max(np.abs(A @ x.ravel() - rhs.ravel())) <= \
+            _backward_tol(A, x, rhs), sigma
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_inverse_build_peaks_at_its_one_factor_array(d):
+    # the Thomas factorization of the time problems keeps one (nt, S)
+    # array, g = c / pivot; the diagonal c main + c_hat lam is built in
+    # it, so the build allocates no second full-size array (the basis and
+    # the per-row scratch stay below a quarter of one on this grid)
     import tracemalloc
     g = build_grid(GridSpec(d=d, a=0.3, L=1.0, Y=1.0, T=0.5,
                             nx={1: 24, 2: 4}[d], ny=40, nt=200))
@@ -572,7 +636,7 @@ def test_inverse_build_peaks_at_its_two_factor_arrays(d):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= (2 + 0.25) * full
+    assert peak <= (1 + 0.25) * full
     assert inv.sweeps == 0
 
 

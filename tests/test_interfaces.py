@@ -176,13 +176,13 @@ def _level_peak(d, warm):
 
 
 def test_warm_level_allocates_its_working_set_once():
-    # a warm level peaks at K = 5 full-size (nt, S) arrays beyond its
-    # inputs: its field, the residual, one scratch and the two Thomas
-    # factor arrays.  Its iterate is P (b + E s) + mu e, a trace source s
+    # a warm level peaks at K = 4 full-size (nt, S) arrays beyond its
+    # inputs: its field, the residual, one scratch and the one Thomas
+    # factor array.  Its iterate is P (b + E s) + mu e, a trace source s
     # and the modes of e in its field, so it keeps no modal slot and no
     # trial point, and the transforms take its scratch; its full checks
     # form the stiffness products a block of layers at a time
-    assert _level_peak(2, warm=True) <= 5 + 1
+    assert _level_peak(2, warm=True) <= 4 + 1
 
 
 @pytest.mark.parametrize("d, warm", [(2, False), (1, True), (1, False)])
@@ -190,7 +190,7 @@ def test_level_allocates_its_working_set_once(d, warm):
     # the same bound from a cold start, where the level takes Picard
     # steps before Newton, and in d = 1, where a transform has one stage
     # fewer
-    assert _level_peak(d, warm) <= 5 + 1
+    assert _level_peak(d, warm) <= 4 + 1
 
 
 def _run_config(grid, count, diagnostics, **extra):
@@ -206,7 +206,7 @@ def test_run_holds_one_level_working_set(tmp_path):
     # each level is dumped, measured and released as the sweep hands it
     # over, and no level keeps a stiffness product: a three-level run
     # peaks at the reference, the previous field and one level's working
-    # set (its field, residual, scratch and two Thomas factor arrays),
+    # set (its field, residual, scratch and one Thomas factor array),
     # plus the slack of _level_peak, in full-size (nt, S) arrays
     from wiedlab.runner import run_experiment
     center = [0.0, 0.0, 0.25]
@@ -225,7 +225,7 @@ def test_run_holds_one_level_working_set(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(manifest["sweeps"]) == 3
-    assert peak / (8 * g.spec.nt * g.n_spatial) <= 2 + 5 + 1
+    assert peak / (8 * g.spec.nt * g.n_spatial) <= 2 + 4 + 1
 
 
 # a burning run with every registered diagnostic, in d = 1 over three
