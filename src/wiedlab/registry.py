@@ -42,7 +42,7 @@ class Context:
                                 "minimizer the energy identity applies to")
         if lv not in self._energy:
             self._energy[lv] = dg.energy_decomposition(
-                self.grid, self.model, lv.eps, lv.U, ops=self.ops,
+                self.grid, self.model, lv.eps, lv.read(), ops=self.ops,
                 check=lv.check)
         return self._energy[lv]
 
@@ -54,7 +54,8 @@ def entry(name, value, threshold, passed, calibration=None) -> dict:
 
 
 def _field(ctx, lv: Level) -> np.ndarray:
-    return lv.U.reshape(ctx.grid.spacetime_shape)
+    """The level's field, read back from its dump if it was released."""
+    return lv.read().reshape(ctx.grid.spacetime_shape)
 
 
 def _layer(ctx, lv: Level, opt) -> np.ndarray:
@@ -106,7 +107,7 @@ def _uniform_bounds(ctx, levels, opt):
 def _trace_forcing(ctx, lv: Level) -> np.ndarray:
     """f = -beta(u) on the trace, the source the field carries."""
     sp = ctx.grid.spec
-    tr = lv.U.reshape(sp.nt + 1, -1)[:, ctx.ops.trace_index]
+    tr = _field(ctx, lv).reshape(sp.nt + 1, -1)[:, ctx.ops.trace_index]
     return -np.asarray(beta_eval(ctx.model, tr.reshape(
         (sp.nt + 1,) + (sp.nx + 1,) * sp.d)))
 
@@ -172,7 +173,8 @@ def _isoperimetric(ctx, levels, opt):
 
 
 def _cauchy(ctx, levels, opt):
-    inc = dg.sweep_cauchy_increments(ctx.grid, [lv.U for lv in levels])
+    inc = dg.sweep_cauchy_increments(ctx.grid,
+                                     [_field(ctx, lv) for lv in levels])
     return [("cauchy.csv", ["pair", "increment"],
              [{"pair": f"{levels[i].eps:g}->{levels[i + 1].eps:g}",
                "increment": v} for i, v in enumerate(inc)])], []
@@ -276,10 +278,13 @@ class Stream:
     in schedule order, so that a level can be released once it is
     added: each request computes what it reads of a level (its
     Diagnostic.reads) when the level arrives, and what reads the last
-    level or every energy report when the stream finishes.  Reports and
-    entries are merged in level order, so the outcome is that of
-    compute over all levels, request by request, up to the first request
-    that fails."""
+    level or every energy report when the stream finishes.  A request
+    that reads pairs reads the level before back (Level.read) once it
+    has been released, so a run reads that field back once per level,
+    and only for such a request; the last level must keep its field
+    until finish, or be readable.  Reports and entries are merged in
+    level order, so the outcome is that of compute over all levels,
+    request by request, up to the first request that fails."""
 
     def __init__(self, ctx: Context, requests: list):
         self.ctx, self.requests = ctx, list(requests)

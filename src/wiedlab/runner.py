@@ -13,15 +13,19 @@ Field dumps are raw little-endian float64 in row-major (x, y, t) node
 order; everything numeric is reproduced bit-exactly by a re-run with the
 same config.  Dumps, loads and artifact hashes stream through one block
 of at most FIELD_BLOCK_BYTES, so no field is copied whole on its way to
-or from disk.
+or from disk.  A run gives a dumped field's memory up and reads the
+field back (read_field) when a distance needs it, so it holds one field
+at a time.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import time
 from pathlib import Path
@@ -37,7 +41,7 @@ from .combustion import beta_eval  # noqa: F401
 from .config import ExperimentConfig, walk
 from .grid import GridSpec, build_grid
 from .parabolic import ParabolicError, solve_parabolic
-from .wied import SweepError, sweep_epsilon
+from .wied import Level, SweepError, sweep_epsilon
 
 
 class RunnerSolverError(RuntimeError):
@@ -64,10 +68,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# the types whose values float.__repr__ formats as _fmt does
+_FLOATS = {float, np.float64}
+
+
 def write_csv(path: Path, header: list, rows: list):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[h]) for h in header))
+    """The rows as CSV under header, each value as _fmt formats it.  A
+    column of floats is formatted by one map of float.__repr__, so no
+    Python call runs per value."""
+    cols = []
+    for h in header:
+        col = list(map(operator.itemgetter(h), rows))
+        cols.append(map(float.__repr__ if set(map(type, col)) <= _FLOATS
+                        else _fmt, col))
+    lines = [",".join(header), *map(",".join, zip(*cols))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -141,13 +155,23 @@ def load_field(path: Path):
     layout, sidecar dict).
 
     The sidecar is checked before the dump is read: a dtype other than
-    "<f8", another order, a gridspec that builds no grid, or a file size
-    that the grid does not give raise OSError.  The result is allocated
-    once; the dump is read into one block buffer (FIELD_BLOCK_BYTES) at
-    a time and scattered into the result's transposed view.
+    "<f8", another order, or a gridspec that builds no grid raise
+    OSError; the dump itself is read by read_field.
     """
     path = Path(path)
     side, grid = _read_sidecar(path)
+    return grid, read_field(path, grid), side
+
+
+def read_field(path: Path, grid) -> np.ndarray:
+    """The field of a dump on grid, in internal (t, y, x) layout, bit for
+    bit, without its sidecar: a run reads its own dumps back this way.
+    OSError unless the file holds the grid's size.
+
+    The result is allocated once; the dump is read into one block buffer
+    (FIELD_BLOCK_BYTES) at a time and scattered into the result's
+    transposed view.
+    """
     sp = grid.spec
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -166,7 +190,7 @@ def load_field(path: Path):
                 raise OSError(f"field dump {path} ended before byte "
                               f"{expected}")
             np.copyto(planes[i:i + blk.shape[0]], blk)
-    return grid, arr, side
+    return arr
 
 
 def _read_sidecar(path: Path):
@@ -257,9 +281,15 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
 
     Each eps level is handled as the sweep hands it over: its field is
     dumped, the diagnostics measure what they read of it (a
-    registry.Stream), and the level before it is released, so the run
-    holds the reference, the previous field and one level's working set.
-    Reports and summary entries are written once the sweep is done.
+    registry.Stream), and it is given the dump's reader (read_field).
+    A field on disk gives its memory up: level 1 solves in the parabolic
+    trajectory, and each later level in the field of the one before
+    (solve_wied), so the run holds one field and one level's working
+    set.  The reference is read back once per level for dist_to_ref, and
+    the level before once per level for a cauchy pair, when one is
+    requested; the last level keeps its field for the diagnostics that
+    read it at the end.  Reports and summary entries are written once
+    the sweep is done.
     Raises RunnerSolverError on solver failure (partial artifacts are
     kept on disk: a failed sweep leaves its completed levels dumped and
     no diagnostic written); ConfigError surfaces before anything is
@@ -284,27 +314,33 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     hashes, extremes = {}, {}
 
     def dump(name, U, meta):
+        # the dump's reader, which reads U back bit for bit
         path = outdir / "fields" / f"{name}.f64"
         hashes[str(path.relative_to(outdir))] = dump_field(
             path, grid, U, meta, digest=True)
         extremes[name] = (U.min(), U.max())
+        return functools.partial(read_field, path, grid)
 
     def on_level(lv):
-        dump(f"eps-{lv.eps:g}", lv.U, {"eps": lv.eps, "role": "wied-level"})
+        # the next level solves in lv's array, which lv gives up
+        lv.load = dump(f"eps-{lv.eps:g}", lv.U,
+                       {"eps": lv.eps, "role": "wied-level"})
         stream.add(lv)
         lv.check = None
-        if levels:
-            levels[-1].release()
         levels.append(lv)
 
     try:
-        reference = solve_parabolic(grid, cfg.model, U0, ops=ops,
-                                    stats=corrections)
+        trajectory = solve_parabolic(grid, cfg.model, U0, ops=ops,
+                                     stats=corrections)
     except ParabolicError as exc:
         failure = {"phase": "parabolic", "message": str(exc),
                    "completed": exc.completed}
     else:
-        dump("parabolic", reference, {"role": "parabolic-reference"})
+        # level 1 solves in the trajectory, so the run keeps no other
+        # name for it
+        reference = Level(None, trajectory, load=dump(
+            "parabolic", trajectory, {"role": "parabolic-reference"}))
+        del trajectory
         try:
             sweep_epsilon(grid, cfg.model, cfg.schedule, U0, cfg=cfg.wied,
                           reference=reference, ops=ops, on_level=on_level)

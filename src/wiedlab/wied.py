@@ -18,6 +18,7 @@ discrete C([0,T]: L^{2,a}) metric.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +42,13 @@ class Level:
     dump), the passing exit check of solve_wied (its residual and layer
     sums, which the level's energy report reuses; None for a stored
     dump) and, in a sweep, its distance to the reference.  Levels
-    compare by identity, so a level can key what is computed for it."""
+    compare by identity, so a level can key what is computed for it.
+
+    A level whose field is on disk carries load, a call that reads the
+    field back bit for bit in the same (t, y, x...) layout; such a level
+    may give its field up (release, or a next level that solves in it),
+    and read() still returns the field.  Without load a level keeps its
+    field until it is released."""
 
     eps: float | None          # None for a field that is no WIED level
     U: np.ndarray | None       # space-time field, any shape of the grid's
@@ -49,10 +56,21 @@ class Level:
     stats: dict = field(default_factory=dict)
     check: FieldCheck | None = field(default=None, repr=False)
     dist_to_ref: float | None = None
+    load: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+
+    def read(self) -> np.ndarray:
+        """The field: the one held, or else the one read back by load."""
+        if self.U is not None:
+            return self.U
+        if self.load is None:
+            raise ValueError(f"level eps = {self.eps} was released and "
+                             "has no dump to read back")
+        return self.load()
 
     def release(self):
-        """Drop the field and the exit check, keeping eps, the stats and
-        the distance: what a run keeps of a level it has reported."""
+        """Drop the field and the exit check, keeping eps, the stats, the
+        distance and load: what a run keeps of a level it has
+        reported."""
         self.U = self.check = None
 
     @property
@@ -167,8 +185,11 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     k residuals; one that fails the check after step OUTER_MAXIT raises
     with OUTER_MAXIT iterations and one more residual.
 
-    The solve starts from start.U, its first layer replaced by U0, or
-    from U0 held in time without a start.
+    The solve starts from the field of start, its first layer replaced
+    by U0, or from U0 held in time without a start.  A start that can be
+    read back (Level.load) gives its array up: the level solves in it
+    and the start is released, with no copy.  Any other start is copied
+    and keeps its field.
 
     system defaults to the system of cfg.eps; a sweep passes its own,
     built on the operators its levels share.
@@ -271,7 +292,8 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     returned.
 
     A level allocates its full-size arrays once: U, the nodal field
-    (returned), which holds V' M e from an anchor to the next check; the
+    (returned; the start's own array when the start can be read back),
+    which holds V' M e from an anchor to the next check; the
     full residual, then V' r_off (returned as the exit check's
     residual); and one scratch array for the functional's time
     differences, the anchor's Picard point and pe, the transforms and
@@ -285,11 +307,15 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
     if not np.all(np.isfinite(U0f)):
         raise ValueError("initial data must be finite")
 
-    U = np.empty((nt + 1, S))
     if start is None:
+        U = np.empty((nt + 1, S))
         U[:] = U0f[None, :]
     else:
-        U[:] = np.asarray(start.U, dtype=float).reshape(nt + 1, S)
+        U = np.asarray(start.read(), dtype=float).reshape(nt + 1, S)
+        if start.load is None:
+            U = U.copy()        # the start keeps its field
+        else:
+            start.release()     # on disk: the level solves in its array
         U[0] = U0f
     # the level's full-size buffers besides U: the full residual r (then
     # V' r_off) and one scratch
@@ -517,13 +543,14 @@ def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:
     weight), summed over the nodes by an einsum in a fixed order."""
     Ul = np.asarray(U, dtype=float).reshape(grid.spec.nt + 1, -1)
     Vl = np.asarray(V, dtype=float).reshape(grid.spec.nt + 1, -1)
-    d2 = 2.0 * np.einsum("ns,s->n", (Ul - Vl) ** 2, grid.node_mass)
+    sq = np.subtract(Ul, Vl)
+    d2 = 2.0 * np.einsum("ns,s->n", np.square(sq, out=sq), grid.node_mass)
     return float(np.sqrt(np.max(d2)))
 
 
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
                   U0: np.ndarray, cfg: WiedConfig | None = None,
-                  reference: np.ndarray | None = None,
+                  reference: np.ndarray | Level | None = None,
                   ops: DiscreteOperators | None = None,
                   on_level=None) -> list[Level]:
     """Solve each eps level and compare to the reference; returns the
@@ -533,17 +560,27 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
     levels, and each later level from the one before.  on_level, when
     given, is called with each level as it finishes, its dist_to_ref
     set, before the next level starts; it may release the levels before
-    it (Level.release), which the sweep no longer reads.  A level's
-    system and inverse are dropped before the call.  Raises SweepError
-    carrying the completed levels if some level fails.
+    it (Level.release), which the sweep no longer reads, and it may give
+    the level a load (its dump's reader).  A level's system and inverse
+    are dropped before the call.  Raises SweepError carrying the
+    completed levels if some level fails.
+
+    The reference is a field, or a Level of it (eps None).  A start that
+    can be read back is taken over by the next level (solve_wied), so a
+    run whose on_level dumps each level, and whose reference Level reads
+    its dump back, holds one field at a time: the reference is read back
+    once per level for its distance.  Without loads every level keeps
+    its field and the reference is never read back.
     """
     check_horizon(schedule.eps0, grid.spec.T)
     cfg = cfg or WiedConfig(eps=schedule.eps0)
     ops = ops or build_operators(grid)
     if reference is None:
         reference = solve_parabolic(grid, model, U0, ops=ops)
+    if not isinstance(reference, Level):
+        reference = Level(None, reference)
     levels: list[Level] = []
-    start = Level(None, reference)
+    start = reference
     for eps in schedule.values():
         try:
             level = solve_wied(grid, model, replace(cfg, eps=eps), U0,
@@ -552,7 +589,7 @@ def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,
         except WiedConvergenceError as exc:
             raise SweepError(f"level eps = {eps} failed: {exc}",
                              completed=levels) from exc
-        level.dist_to_ref = dist_C_L2a(grid, level.U, reference)
+        level.dist_to_ref = dist_C_L2a(grid, level.U, reference.read())
         levels.append(level)
         if on_level is not None:
             on_level(level)

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -202,20 +203,12 @@ def _run_config(grid, count, diagnostics, **extra):
         "wied": {"outer_tol": 1e-8}, "diagnostics": diagnostics, **extra})
 
 
-def test_run_holds_one_level_working_set(tmp_path):
-    # each level is dumped, measured and released as the sweep hands it
-    # over, and no level keeps a stiffness product: a three-level run
-    # peaks at the reference, the previous field and one level's working
-    # set (its field, residual, scratch and one Thomas factor array),
-    # plus the slack of _level_peak, in full-size (nt, S) arrays
+def _run_peak(tmp_path, grid, count, diagnostics):
+    # the traced peak of a run on the test bump, in full-size (nt, S)
+    # arrays, its schedule eps 0.025, 0.0125, ...
     from wiedlab.runner import run_experiment
-    center = [0.0, 0.0, 0.25]
-    cfg = _run_config(
-        {"d": 1, "a": 0.3, "L": 1.0, "Y": 1.0, "T": 0.5, "nx": 24, "ny": 40,
-         "nt": 400}, 3,
-        [{"name": "energy"}, {"name": "uniform-bounds"}, {"name": "cauchy"},
-         {"name": "level-sets", "center": center, "radius": 0.25}],
-        schedule={"eps0": 0.025, "ratio": 0.5, "count": 3})
+    cfg = _run_config(grid, count, diagnostics,
+                      schedule={"eps0": 0.025, "ratio": 0.5, "count": count})
     g = build_grid(cfg.grid)
     tracemalloc.start()
     try:
@@ -224,8 +217,40 @@ def test_run_holds_one_level_working_set(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(manifest["sweeps"]) == 3
-    assert peak / (8 * g.spec.nt * g.n_spatial) <= 2 + 4 + 1
+    assert len(manifest["sweeps"]) == count
+    return peak / (8 * g.spec.nt * g.n_spatial)
+
+
+def test_run_holds_one_level_working_set(tmp_path):
+    # each level is dumped and measured as the sweep hands it over, and
+    # a field on disk gives its memory up: level 1 solves in the
+    # reference's trajectory and each later level in the field of the
+    # one before, which are read back only for a distance.  A
+    # three-level run therefore peaks at one level's working set (its
+    # field, residual, scratch and one Thomas factor array), plus the
+    # slack of _level_peak, in full-size (nt, S) arrays: it reads 4.79
+    center = [0.0, 0.0, 0.25]
+    peak = _run_peak(
+        tmp_path, {"d": 1, "a": 0.3, "L": 1.0, "Y": 1.0, "T": 0.5, "nx": 24,
+                   "ny": 40, "nt": 400}, 3,
+        [{"name": "energy"}, {"name": "uniform-bounds"}, {"name": "cauchy"},
+         {"name": "level-sets", "center": center, "radius": 0.25}])
+    assert peak <= 4 + 1
+
+
+def test_run_holds_one_level_working_set_d2(tmp_path):
+    # the same in d = 2 over two levels, with cauchy reading the first
+    # level back beside the second.  The run peaks in the second level's
+    # solve at 5.01 arrays, on the grid of _level_peak (4.87 there).  The
+    # slack above 4 is the level's own beyond its four arrays: its GMRES
+    # basis and images, 21 trace vectors of 25/1025 of a field each,
+    # with the trace-sized step temporaries (about 0.87), and the field's
+    # extra layer and the shared operators (about 0.14)
+    peak = _run_peak(
+        tmp_path, {"d": 2, "a": 0.3, "L": 1.0, "Y": 1.0, "T": 0.5, "nx": 4,
+                   "ny": 40, "nt": 200}, 2,
+        [{"name": "energy"}, {"name": "uniform-bounds"}, {"name": "cauchy"}])
+    assert peak <= 4 + 1.25
 
 
 # a burning run with every registered diagnostic, in d = 1 over three
@@ -372,6 +397,91 @@ def test_failed_sweep_leaves_completed_levels_and_no_report(tmp_path,
     summary = json.loads((out / "summary.json").read_text())
     assert [e["name"] for e in summary] == ["max-principle-eps-0.05",
                                             "max-principle-parabolic"]
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_run_distances_equal_those_of_fields_held_in_memory(tmp_path, case):
+    # a run reads the reference back for each dist_to_ref and the level
+    # before for each cauchy pair; read back bit for bit, they give the
+    # values a sweep and sweep_cauchy_increments form from the fields
+    # they hold
+    from wiedlab import diagnostics as dg
+    from wiedlab.assembly import build_operators
+    from wiedlab.runner import run_experiment
+    from wiedlab.wied import sweep_epsilon
+    grid, count = STREAM_CASES[case]
+    cfg = _run_config(grid, count, [{"name": "cauchy"}])
+    run = tmp_path / "run"
+    run_experiment(cfg, out=str(run))
+    g = build_grid(cfg.grid)
+    levels = sweep_epsilon(g, cfg.model, cfg.schedule, cfg.initial.evaluate(g),
+                           cfg=cfg.wied, ops=build_operators(g))
+    written = json.loads((run / "reports" / "levels.json").read_text())
+    assert [lv["dist_to_ref"] for lv in written] == [
+        lv.dist_to_ref for lv in levels]
+    rows = (run / "reports" / "cauchy.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == \
+        dg.sweep_cauchy_increments(g, [lv.U for lv in levels])
+    assert len(rows) == count - 1
+
+
+def test_sweep_failing_after_taking_its_start_leaves_a_consistent_tree(
+        tmp_path, monkeypatch):
+    # the second level solves in the first level's array, then fails
+    # (OUTER_MAXIT = 0 fails it after its entry check): the first level
+    # is on disk bit for bit, its reports come from its stats, and the
+    # manifest records the failure and hashes what was written
+    from wiedlab import wied
+    from wiedlab.runner import RunnerSolverError, run_experiment, write_csv
+    from wiedlab.wied import sweep_epsilon
+    solve = wied.solve_wied
+    starts = []
+
+    def second_fails(grid, model, cfg, U0, start=None, system=None):
+        starts.append(start)
+        if len(starts) == 2:
+            monkeypatch.setattr(wied, "OUTER_MAXIT", 0)
+        return solve(grid, model, cfg, U0, start=start, system=system)
+
+    monkeypatch.setattr(wied, "solve_wied", second_fails)
+    cfg = _run_config(*STREAM_CASES["d1-3-levels"],
+                      [{"name": "energy"}, {"name": "cauchy"}])
+    out = tmp_path / "run"
+    with pytest.raises(RunnerSolverError,
+                       match="sweep failed: level eps = 0.025 failed"):
+        run_experiment(cfg, out=str(out))
+    monkeypatch.undo()
+    first = starts[1]
+    assert first.eps == 0.05 and first.U is None     # given to level 2
+    g = build_grid(cfg.grid)
+    want, = sweep_epsilon(g, cfg.model, replace(cfg.schedule, count=1),
+                          cfg.initial.evaluate(g), cfg=cfg.wied)
+    _, U, side = load_field(out / "fields" / "eps-0.05.f64")
+    assert side["eps"] == 0.05
+    assert U.tobytes() == want.U.tobytes()
+    assert first.read().tobytes() == want.U.tobytes()
+    write_csv(tmp_path / "want.csv",
+              ["eps", "iters", "el_residual", "dist_to_ref"],
+              [{"eps": 0.05, "iters": want.iterations,
+                "el_residual": want.el_residual,
+                "dist_to_ref": want.dist_to_ref}])
+    assert ((out / "reports" / "convergence.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+    entry, = json.loads((out / "reports" / "levels.json").read_text())
+    assert entry["dist_to_ref"] == want.dist_to_ref
+    assert entry["residuals"] == want.stats["residuals"]
+    assert entry["steps"] == want.stats["steps"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    failure = manifest["failure"]
+    assert (failure["phase"], failure["completed"]) == ("sweep", 1)
+    assert failure["message"].startswith(
+        "level eps = 0.025 failed: no convergence after 0 outer iterations")
+    assert manifest["sweeps"] == [want.stats["sweeps"]]
+    assert sorted(manifest["artifacts"]) == sorted(
+        str(p.relative_to(out)) for p in out.rglob("*")
+        if p.is_file() and p.name != "manifest.json")
+    for rel, digest in manifest["artifacts"].items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
 
 
 def test_manifest_hashes_each_field_as_it_is_dumped(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from wiedlab.assembly import (assemble_linear_system, functional_gradient,
                               functional_value, space_time_inverse)
 from wiedlab.combustion import ZERO_MODEL, CombustionModel, validate_model
 from wiedlab.grid import GridSpec, build_grid
+from wiedlab.parabolic import solve_parabolic
 from wiedlab.wied import (EpsilonSchedule, Level, WiedConfig,
                           WiedConvergenceError, dist_C_L2a, solve_wied,
                           sweep_epsilon)
@@ -455,7 +456,6 @@ def test_sweep_runs_one_stencil_pass_per_full_check(monkeypatch):
     # swept level is therefore the level solved alone from the same
     # field, bit for bit and pass for pass
     from wiedlab.assembly import KroneckerStencil, LinearSystem
-    from wiedlab.parabolic import solve_parabolic
     g = grid_small(8, 6, 40, T=2.0)
     U0 = bump_data(g)
     cfg = WiedConfig(eps=0.1, outer_tol=1e-9)
@@ -488,6 +488,50 @@ def test_sweep_runs_one_stencil_pass_per_full_check(monkeypatch):
         start = lv.U
     assert calls == swept
     assert not hasattr(alone, "KU")
+
+
+def test_sweep_without_dumps_keeps_every_field():
+    # no level can be read back, so no start is given up: every level
+    # keeps its own field, the reference passed in is left as it was,
+    # and each distance is that of the fields held
+    g = grid_small(8, 6, 40, T=2.0)
+    U0 = bump_data(g)
+    ref = solve_parabolic(g, BUMP, U0)
+    kept = ref.copy()
+    levels = sweep_epsilon(g, BUMP, EpsilonSchedule(0.1, 0.5, 3), U0,
+                           cfg=WiedConfig(eps=0.1, outer_tol=1e-9),
+                           reference=ref)
+    assert [lv.eps for lv in levels] == [0.1, 0.05, 0.025]
+    for i, lv in enumerate(levels):
+        assert lv.load is None and lv.U.shape == (g.spec.nt + 1, g.n_spatial)
+        assert not np.shares_memory(lv.U, ref)
+        assert not any(np.shares_memory(lv.U, other.U)
+                       for other in levels[:i])
+        assert lv.dist_to_ref == dist_C_L2a(g, lv.U, ref)
+    assert np.array_equal(ref.view(np.int64), kept.view(np.int64))
+    levels[0].release()
+    with pytest.raises(ValueError, match="no dump to read back"):
+        levels[0].read()
+
+
+def test_start_on_disk_gives_its_array_to_the_level():
+    # a start with a load is solved in place and released, and the level
+    # is bit for bit the one solved from a copy of the same start; a
+    # released start is read back first
+    g = grid_small(8, 6, 40, T=2.0)
+    U0 = bump_data(g)
+    ref = solve_parabolic(g, BUMP, U0)
+    cfg = WiedConfig(eps=0.05, outer_tol=1e-9)
+    copied = solve_wied(g, BUMP, cfg, U0, start=Level(None, ref))
+    arr = ref.copy()
+    start = Level(None, arr, load=ref.copy)
+    level = solve_wied(g, BUMP, cfg, U0, start=start)
+    assert start.U is None and np.shares_memory(level.U, arr)
+    assert np.array_equal(level.U.view(np.int64), copied.U.view(np.int64))
+    start = Level(None, None, load=ref.copy)
+    level = solve_wied(g, BUMP, cfg, U0, start=start)
+    assert start.U is None
+    assert np.array_equal(level.U.view(np.int64), copied.U.view(np.int64))
 
 
 def test_schedule_validation():
