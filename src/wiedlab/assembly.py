@@ -19,8 +19,8 @@ exponential weight is what keeps the system well-scaled for T >> eps.
 A field's check is formed in one place, LinearSystem.check: one pass
 over the layers (LinearSystem.residual) forms the stiffness products
 Ka U_m a block of layers at a time and takes from them the residual
-rows and the layer sums <U_m, K U_m>; the check adds the trace-potential
-layer sums and the inertia cells.  The functional, the gradient and the
+rows, the layer sums <U_m, K U_m> and the inertia cells; the check adds
+the trace-potential layer sums.  The functional, the gradient and the
 energy report read that check, so no space-time matrix is assembled on
 the solver path and no product of all layers is kept.  Every sum of the
 check over the nodes is an einsum, never a BLAS call, so its bits do
@@ -264,64 +264,47 @@ class AxisEigenbasis:
     resolvents: dict = field(default_factory=dict, repr=False)
 
     def _apply(self, Ay: np.ndarray | None, Ax: np.ndarray,
-               r: np.ndarray, out: np.ndarray | None = None,
-               scratch: np.ndarray | None = None) -> np.ndarray:
+               r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # (Ay (x) Ax [(x) Ax]) applied to each row of r, shape (..., S),
-        # into out when given; Ay None: the x factor alone, on y = 0
-        # trace vectors.  Each stage is a stack of small products, one per
-        # grid line
+        # into out when given (C-contiguous, shaped like r, and r itself
+        # allowed); Ay None: the x factor alone, on y = 0 trace vectors.
+        # Each stage is a stack of small products, one per grid line, run
+        # on a block of about KroneckerStencil.CHUNK entries of rows at a
+        # time: a row's products do not depend on the block, and no
+        # temporary is larger than a block
         ny1, nx1 = (1 if Ay is None else Ay.shape[0]), Ax.shape[0]
         r = np.asarray(r, dtype=float)
         R = r.reshape((-1, ny1) + (nx1,) * self.d)
-        if r.ndim == 1 and out is None:
-            # one vector, as the parabolic steps transform: nothing to keep
-            R = R @ Ax.T
+
+        def stages(B):
+            B = B @ Ax.T
             if self.d == 2:
-                R = Ax @ R
-            if Ay is not None:
-                R = Ay @ R.reshape(1, ny1, -1)
-            return R.reshape(r.shape)
-        # a block: the stages alternate between out and one scratch array
-        # shaped like r, the caller's when given, so that the last stage
-        # lands in out.  out may be r, which only the first stage reads:
-        # then the first stage goes to the scratch, and the result is
-        # copied into out if the last one does not land there
+                B = Ax @ B
+            return B if Ay is None else Ay @ B.reshape(B.shape[0], ny1, -1)
+
+        kb = max(1, KroneckerStencil.CHUNK // R[0].size)
+        if out is None and R.shape[0] <= kb:
+            return stages(R).reshape(r.shape)   # one block: no copy
         if out is None:
             out = np.empty(r.shape)
         elif not (out.flags.c_contiguous and out.shape == r.shape):
             raise ValueError("out must be C-contiguous and shaped like r")
-        n = R.shape[0]
-        stages = [lambda R, o: np.matmul(R, Ax.T, out=o)]
-        if self.d == 2:
-            stages.append(lambda R, o: np.matmul(Ax, R, out=o))
-        if Ay is not None:
-            stages.append(lambda R, o: np.matmul(
-                Ay, R.reshape(n, ny1, -1), out=o.reshape(n, ny1, -1)))
-        in_place = np.may_share_memory(out, r)
-        if len(stages) == 1 and not in_place:
-            return stages[0](R, out.reshape(R.shape)).reshape(r.shape)
-        buf = np.empty(r.shape) if scratch is None else scratch
-        dst = (buf, out) if len(stages) % 2 == 0 or in_place else (out, buf)
-        for k, stage in enumerate(stages):
-            R = stage(R, dst[k % 2].reshape(R.shape)).reshape(R.shape)
-        if dst[(len(stages) - 1) % 2] is buf:
-            out[...] = buf
+        O = out.reshape(R.shape)
+        for k0 in range(0, R.shape[0], kb):
+            O[k0:k0 + kb] = stages(R[k0:k0 + kb]).reshape(-1, *R.shape[1:])
         return out
 
-    def to_modes(self, r: np.ndarray, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
+    def to_modes(self, r: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """V' r for nodal vectors stacked along the last axis, written
-        into out when given (which may be r itself).  A block of vectors
-        passes its stages through scratch, a C-contiguous array shaped
-        like r and apart from r and out, or through one allocated here."""
-        return self._apply(self.Vy.T, self.Vx.T, r, out, scratch)
+        into out when given (which may be r itself)."""
+        return self._apply(self.Vy.T, self.Vx.T, r, out)
 
-    def from_modes(self, w: np.ndarray, out: np.ndarray | None = None,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
+    def from_modes(self, w: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
         """V w for modal vectors stacked along the last axis, written
-        into out when given (which may be w itself), with scratch as in
-        to_modes."""
-        return self._apply(self.Vy, self.Vx, w, out, scratch)
+        into out when given (which may be w itself)."""
+        return self._apply(self.Vy, self.Vx, w, out)
 
     def to_trace_modes(self, s: np.ndarray) -> np.ndarray:
         """Vx' s [(x) Vx'] for y = 0 trace vectors stacked along the last
@@ -542,7 +525,8 @@ class LinearSystem:
         return finalize_csr(self.A + sp.diags(d.ravel()))
 
     def residual(self, model, U: np.ndarray, U0: np.ndarray | None = None,
-                 out: np.ndarray | None = None):
+                 out: np.ndarray | None = None,
+                 icell: np.ndarray | None = None):
         """One pass over the (nt+1, S) layers of U that forms their
         stiffness products Ka U_m a block of layers at a time (Ka.blocks,
         about KroneckerStencil.CHUNK entries per block, in one reusable
@@ -555,10 +539,12 @@ class LinearSystem:
         with the terminal row c M (U_nt - U_{nt-1}) + (K U_nt + D_tr beta(u_nt))/2,
         equal to A x + E bs - rhs(U_0) of the assembled system up to
         summation order.  Returns (Sm, r): r (nt, S), written into out
-        when given.  Every row has the bits of the same formula applied
-        to all layers at once; the time stencil of a block is formed in
-        the scratch of the products, and the residual rows of the block
-        hold its rho U_{m+1} term until they are written.
+        when given.  icell (nt,), when given, takes the inertia cells
+        |D_t U|_M^2 of the same pass.  Every row has the bits of the same
+        formula applied to all layers at once; the time stencil and the
+        time differences of a block are formed in the scratch of the
+        products, and the residual rows of the block hold its
+        rho U_{m+1} term until they are written.
         """
         Ulay = _layers(self.grid, U)
         _check_initial(self.grid, Ulay, U0)
@@ -584,30 +570,32 @@ class LinearSystem:
             np.multiply(c_hat[a - 1:m1 - 1, None], KUb[a - m0:], out=rows)
             rows += t
             rows[:, tr] += ctm[a - 1:m1 - 1] * beta_eval(model, u[:, tr])
+            if icell is not None:
+                np.subtract(u, Ulay[a - 1:m1 - 1], out=t)
+                t /= self.grid.dt
+                t *= t
+                icell[a - 1:m1 - 1] = np.einsum("ns,s->n", t, ops.mass)
         return Sm, r
 
     def check(self, model, U: np.ndarray, U0: np.ndarray | None = None,
-              out: np.ndarray | None = None,
-              work: np.ndarray | None = None) -> FieldCheck:
+              out: np.ndarray | None = None) -> FieldCheck:
         """The full check of U at this eps, the one place a field's
-        residual and functional sums are formed: the residual and Sm of
-        one residual pass (r written into out when given), Pm the layer
-        sums Phi(u_m) . D_tr of the trace potential and icell the
-        inertia cells |D_t U|_M^2, whose time differences are formed in
-        work (nt, S) when given.  Every sum over the nodes is an einsum,
-        which calls no BLAS and adds in one fixed order, so the check has
-        the same bits at any BLAS thread count."""
+        residual and functional sums are formed: the residual, Sm and
+        the inertia cells icell of one residual pass (r written into out
+        when given, the only full-size array the check writes) and Pm,
+        the layer sums Phi(u_m) . D_tr of the trace potential.  Every sum
+        over the nodes is an einsum, which calls no BLAS and adds in one
+        fixed order, so the check has the same bits at any BLAS thread
+        count."""
         Ulay = _layers(self.grid, U)
-        Sm, r = self.residual(model, Ulay, U0, out=out)
+        icell = np.empty(Ulay.shape[0] - 1)
+        Sm, r = self.residual(model, Ulay, U0, out=out, icell=icell)
         ops = self.ops
-        dU = np.subtract(Ulay[1:], Ulay[:-1], out=work)
-        dU /= self.grid.dt
-        dU *= dU
         return FieldCheck(
             residual=r, Sm=Sm,
             Pm=np.einsum("ns,s->n", phi_eval(model, Ulay[:, ops.trace_index]),
                          ops.trace_mass),
-            icell=np.einsum("ns,s->n", dU, ops.mass))
+            icell=icell)
 
 
 def assemble_linear_system(grid: WeightedGrid, eps: float,

@@ -168,6 +168,17 @@ def _norm(v) -> float:
     return float(np.sqrt(np.einsum("i,i->", x, x)))
 
 
+def _anchor_pe(system: LinearSystem, lam, wgt, eh, rtr, e_tr) -> float:
+    # an anchor's pe = <W Tm eh, eh> - <W rtr, e_tr>, eh = V' M e; Tm's
+    # rows: c_hat (2 c + lam) on the diagonal, -c below, -c rho above
+    c = system.eps / system.grid.dt**2
+    nb = np.einsum("ns,ns->n", eh[1:], eh[:-1])
+    q = system.c_hat * np.einsum("ns,s,ns->n", eh, lam + 2.0 * c, eh)
+    q[1:] -= c * nb
+    q[:-1] -= (c * system.rho) * nb
+    return float(np.sum(wgt[:, 0] * q)) - float(np.sum(wgt * rtr * e_tr))
+
+
 def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
                start: Level | None = None,
                system: LinearSystem | None = None) -> Level:
@@ -280,25 +291,21 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         mu <W r_off, d> = mu (<W e_tr, x_s - s>
                               - <W rtr_a, x_tr - U_tr + mu e_tr> - mu pe)
 
-    with pe = <W r_off, e>, taken once per anchor in the modes as
-    <W V' r_off, V' M e>.  A full check runs at entry, on the nodal
-    input itself (so a level that has converged there returns its input
-    bit for bit), and whenever the tracked residual passes the
-    tolerance, on the field of the iterate: one sweep on b + E s, plus
-    mu e while mu > 0, and one transform.  It is LinearSystem.check, one
-    residual pass that forms the stiffness products a block of layers at
-    a time and keeps none, and functional_value reads the check.  Only
-    that full residual ends the solve, and the field it checked is
-    returned.
+    with pe = <W r_off, e> = <W A_sigma e, e> - <W rtr_a, e_tr>, read
+    once per anchor in the modes, where V' A_sigma e = Tm V' M e
+    (_anchor_pe).  A full check runs at entry, on the nodal input itself
+    (so a level that has converged there returns its input bit for
+    bit), and whenever the tracked residual passes the tolerance, on the
+    field of the iterate: one sweep on b + E s, plus mu e while mu > 0,
+    and one transform.  It is LinearSystem.check, one pass a block of
+    layers at a time, and functional_value reads it.  Only that full
+    residual ends the solve, and the field it checked is returned.
 
-    A level allocates its full-size arrays once: U, the nodal field
+    A level allocates two full-size arrays, once: U, the nodal field
     (returned; the start's own array when the start can be read back),
-    which holds V' M e from an anchor to the next check; the
-    full residual, then V' r_off (returned as the exit check's
-    residual); and one scratch array for the functional's time
-    differences, the anchor's Picard point and pe, the transforms and
-    the sweeps of GMRES.  Beyond these, the inverse holds its one Thomas
-    factor array: four full-size arrays in all.
+    which holds V' M e from an anchor to the next check, and one scratch
+    for each check's residual (the exit check's is returned) and the
+    sweeps.  With the inverse's one Thomas factor array it holds three.
     """
     system = system or assemble_linear_system(grid, cfg.eps)
     ops = system.ops
@@ -308,8 +315,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         raise ValueError("initial data must be finite")
 
     if start is None:
-        U = np.empty((nt + 1, S))
-        U[:] = U0f[None, :]
+        U = np.repeat(U0f[None, :], nt + 1, axis=0)
     else:
         U = np.asarray(start.read(), dtype=float).reshape(nt + 1, S)
         if start.load is None:
@@ -317,9 +323,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         else:
             start.release()     # on disk: the level solves in its array
         U[0] = U0f
-    # the level's full-size buffers besides U: the full residual r (then
-    # V' r_off) and one scratch
-    rbuf = np.empty((nt, S))
+    # the one full-size scratch: a check's residual, then the sweeps
     work = np.empty((nt, S))
 
     b0 = system.initial_row(U0f)
@@ -338,29 +342,27 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         return float(np.sum(wgt[:, 0] * (0.5 * (pm[:-1] + pm[1:]))))
 
     def full_state():
-        # the full check of the nodal field in U, its residual in rbuf:
-        # |r|, r off the trace and its norm, the trace block of r, E(U)
-        # read from the check, the layer sums of Phi, and the check
-        check = system.check(model, U, U0f, out=rbuf, work=work)
-        r = check.residual
-        res = _norm(r)
-        rtr = r[:, tr].copy()
-        r[:, tr] = 0.0
+        # the full check of U, its residual in work: |r|, |r| off the
+        # trace, r's trace block, E(U), the layer sums of Phi, the check
+        check = system.check(model, U, U0f, out=work)
+        res = _norm(work)
+        rtr = work[:, tr].copy()
+        work[:, tr] = 0.0
         fval = functional_value(grid, model, cfg.eps, U, check=check)
-        return res, r, _norm(r), rtr, fval, check.Pm, check
+        return res, _norm(work), rtr, fval, check.Pm, check
 
     stats = {"residuals": [], "functional": [], "inner_iterations": [],
              "newton_tols": [], "steps": [], "damping": [], "iterations": 0}
     U_tr = U[1:, tr]
     bs = ctm * beta_eval(model, U_tr)
-    # |b - E bs| at the start, with b assembled in rbuf
-    rbuf.fill(0.0)
-    rbuf[0] = b0
-    rbuf[:, tr] -= bs
-    tol_abs = cfg.outer_tol * max(_norm(rbuf), 1e-300)
+    # |b - E bs| at the start, with b assembled in work
+    work.fill(0.0)
+    work[0] = b0
+    work[:, tr] -= bs
+    tol_abs = cfg.outer_tol * max(_norm(work), 1e-300)
     stats["el_tol_abs"] = tol_abs
     # the off-trace part of the current residual is mu r_off, its norm off
-    res, r_off, off, rtr, fval, pm, check = full_state()
+    res, off, rtr, fval, pm, check = full_state()
     # the iterate is P (b + E s) + mu e.  checked: U holds the nodal
     # iterate the last full_state checked (and check its sums); otherwise
     # U[1:] holds V' M e while mu > 0, and nothing once mu = 0.  The last
@@ -375,19 +377,19 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
     def field():
         # the nodal iterate in U: one sweep on b + E s, plus mu e in the
-        # modes while mu > 0, and one transform
+        # modes while mu > 0 (U's rows scaled in place), and one transform
         if not checked:
-            modes = inv.trace_solve(s, bh, out=rbuf)
+            modes = inv.trace_solve(s, bh, out=work)
             if mu:
-                modes += np.multiply(mu, U[1:], out=work)
-            basis.from_modes(modes, out=U[1:], scratch=work)
+                modes += np.multiply(mu, U[1:], out=U[1:])
+            basis.from_modes(modes, out=U[1:])
         return U
 
     def level(passed=False):
         # a passing check hands its residual, the trace block restored
         stats["sweeps"] = inv.sweeps - sweeps0
         if passed:
-            r_off[:, tr] = rtr
+            work[:, tr] = rtr
         return Level(cfg.eps, field(), stats, check if passed else None)
 
     def newton_try(xp_tr, s_p, target):
@@ -458,7 +460,7 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         if not checked and (res <= tol_abs or k > OUTER_MAXIT):
             field()
             checked = True
-            res, r_off, off, rtr, fval, pm, check = full_state()
+            res, off, rtr, fval, pm, check = full_state()
             U_tr = U[1:, tr]
             bs = ctm * beta_eval(model, U_tr)
             if not mu:
@@ -491,18 +493,15 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
         s_p = stab * U_tr - bs
         if checked and mu:
             # anchor: s is the Picard source of U and e = U - P (b + E s),
-            # in the modes in U's unknown rows; the sweep gives the
-            # Picard point.  r_off enters the modes for pe
+            # in the modes in U's rows; the sweep gives the Picard point
             s, mu, checked = s_p, 1.0, False
             np.multiply(ops.mass, U[1:], out=U[1:])
-            basis.to_modes(U[1:], out=U[1:], scratch=work)
-            basis.to_modes(r_off, out=r_off, scratch=work)
+            basis.to_modes(U[1:], out=U[1:])
             xh = inv.trace_solve(s, bh, out=work)
             xp_tr = inv.trace(xh)
             U[1:] -= xh
             e_tr, rtr_a = U_tr - xp_tr, rtr
-            pe = float(np.sum(
-                wgt[:, 0] * np.multiply(r_off, U[1:], out=work).sum(axis=1)))
+            pe = _anchor_pe(system, basis.lam, wgt, U[1:], rtr_a, e_tr)
         else:
             # the Picard trace U_tr - mu e_tr + C (s_p - s)
             xp_tr = U_tr - mu * e_tr if mu else U_tr

@@ -651,9 +651,10 @@ def test_shared_stiffness_product_changes_no_bit():
     system = assemble_linear_system(g, 0.1, ops=ops)
     rng = np.random.default_rng(5)
     U = rng.random((g.spec.nt + 1, g.n_spatial))
-    work = np.full((g.spec.nt, g.n_spatial), np.nan)
-    check = system.check(BUMP, U, U[0], work=work)
+    out = np.full((g.spec.nt, g.n_spatial), np.nan)
+    check = system.check(BUMP, U, U[0], out=out)
     Sm, r = system.residual(BUMP, U)
+    assert check.residual is out
     assert np.array_equal(_bits(check.residual), _bits(r))
     assert np.array_equal(_bits(check.Sm), _bits(Sm))
     Pm = np.einsum("ns,s->n", phi_eval(BUMP, U[:, ops.trace_index]),
@@ -694,7 +695,8 @@ def _stencil_residual_whole(g, model, eps, Ulay, ops):
 def test_stencil_pass_blocks_keep_the_bits(d, monkeypatch):
     # the pass forms the products a block of layers at a time; at any
     # block size (one layer, blocks that do not divide the layers, one
-    # block) its residual and layer sums are those of the whole product
+    # block) its residual and layer sums are those of the whole product,
+    # and its inertia cells those of all time differences at once
     from wiedlab.assembly import KroneckerStencil
     g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
                             nx=4, ny=5, nt=11))
@@ -703,14 +705,45 @@ def test_stencil_pass_blocks_keep_the_bits(d, monkeypatch):
     rng = np.random.default_rng(20 + d)
     U = rng.random((g.spec.nt + 1, g.n_spatial)) * 1.2 - 0.1
     Sm_ref, r_ref = _stencil_residual_whole(g, BUMP, 0.05, U, ops)
+    icell_ref = np.einsum("ns,s->n", (np.diff(U, axis=0) / g.dt)**2,
+                          ops.mass)
     S = g.n_spatial
     for kb in (1, 2, 3, 5, 12, 40):
         monkeypatch.setattr(KroneckerStencil, "CHUNK", kb * S)
         out = np.full((g.spec.nt, S), np.nan)
-        Sm, r = system.residual(BUMP, U, out=out)
+        icell = np.full(g.spec.nt, np.nan)
+        Sm, r = system.residual(BUMP, U, out=out, icell=icell)
         assert r is out
         assert np.array_equal(_bits(r), _bits(r_ref)), kb
         assert np.array_equal(_bits(Sm), _bits(Sm_ref)), kb
+        assert np.array_equal(_bits(icell), _bits(icell_ref)), kb
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_transform_blocks_keep_the_bits(d, monkeypatch):
+    # the per-axis transforms run a block of rows at a time; at any block
+    # size, and written in place, every row is that row transformed on
+    # its own, bit for bit, and V' then V (with the mass between) is the
+    # identity up to rounding
+    from wiedlab.assembly import KroneckerStencil
+    g = build_grid(GridSpec(d=d, a=0.5, L=1.0, Y=1.0, T=0.5,
+                            nx=5, ny=4, nt=11))
+    ops = build_operators(g)
+    basis = axis_eigenbasis(g, ops, 0.7)
+    S = g.n_spatial
+    X = np.random.default_rng(30 + d).standard_normal((g.spec.nt, S))
+    for fn in (basis.to_modes, basis.from_modes):
+        rows = np.array([fn(x) for x in X])
+        for kb in (1, 3, 11, 40):
+            monkeypatch.setattr(KroneckerStencil, "CHUNK", kb * S)
+            assert np.array_equal(_bits(fn(X)), _bits(rows)), kb
+            Y = X.copy()
+            assert fn(Y, out=Y) is Y
+            assert np.array_equal(_bits(Y), _bits(rows)), kb
+    back = basis.from_modes(basis.to_modes(ops.mass * X))
+    assert np.allclose(back, X, rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        basis.to_modes(X, out=np.empty((S, g.spec.nt)).T)
 
 
 def test_eps_must_be_positive():

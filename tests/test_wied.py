@@ -265,11 +265,12 @@ def test_step_cost_in_the_eigenbasis(d, monkeypatch):
     # functional_value) and Newton try (its beta_prime_eval) recorded in
     # order.  V' b[0] is one transform, once per level.  The iterate is
     # P (b + E s) + mu e throughout: an anchor (after the entry check,
-    # and after a failed check while mu > 0) costs two transforms (V' M U
-    # and V' r_off) and one sweep, which is also the Picard point; any
-    # other Picard point costs one sweep, a Newton try exactly its GMRES
-    # iterations and no transform, a damped step nothing, and a full
-    # check one sweep, one transform back and one full_state
+    # and after a failed check while mu > 0) costs one transform (V' M U)
+    # and one sweep, which is also the Picard point, and reads pe in the
+    # modes with no transform of the residual; any other Picard point
+    # costs one sweep, a Newton try exactly its GMRES iterations and no
+    # transform, a damped step nothing, and a full check one sweep, one
+    # transform back and one full_state
     from wiedlab import wied
     from wiedlab.assembly import assemble_linear_system, space_time_inverse
     # without diagnostics, whose cylinders are d = 1 points
@@ -321,7 +322,7 @@ def _replay_step_costs(events, st, warm):
     tries = {False: 0, True: 0}
     for kind, lam in zip(st["steps"], st["damping"]):
         # an anchor, whose sweep is the Picard point, or the Picard point
-        take(["to", "to", "sweep"] if checked and mu else ["sweep"])
+        take(["to", "sweep"] if checked and mu else ["sweep"])
         checked = False
         if events[pos:pos + 1] == ["newton"]:
             tries[mu] += 1
@@ -344,10 +345,10 @@ def _replay_step_costs(events, st, warm):
 def test_failed_check_while_mu_is_positive_anchors_again(monkeypatch):
     # a full check that fails while mu > 0 (every step since the last
     # anchor damped) anchors again: s becomes the Picard source of the
-    # checked field and e its deviation, with two transforms (V' M U and
-    # V' r_off).  U0 held in time at twice its height on a d = 2 grid
-    # takes a damped Newton step first, and the loose tolerance is met by
-    # that step, so the first check after entry follows it with mu > 0;
+    # checked field and e its deviation, with one transform (V' M U).
+    # U0 held in time at twice its height on a d = 2 grid takes a damped
+    # Newton step first, and the loose tolerance is met by that step, so
+    # the first check after entry follows it with mu > 0;
     # LinearSystem.residual, wrapped, makes that check report twice the
     # tolerance, once.  The level anchors again, goes on and converges,
     # and the field it returns passes the unwrapped residual
@@ -371,7 +372,7 @@ def test_failed_check_while_mu_is_positive_anchors_again(monkeypatch):
     plain = solve_wied(g, BUMP, cfg, U0, start=doubled, system=system)
     assert plain.stats["steps"] == ["newton"]
     assert plain.stats["damping"][0] < 1.0
-    assert calls["to_modes"] == 3           # V' b[0] and the entry anchor
+    assert calls["to_modes"] == 2           # V' b[0] and the entry anchor
     tol = plain.stats["el_tol_abs"]
 
     def fails_once(self, *args, **kwargs):
@@ -384,11 +385,65 @@ def test_failed_check_while_mu_is_positive_anchors_again(monkeypatch):
     monkeypatch.setattr(LinearSystem, "residual", fails_once)
     calls["to_modes"] = 0
     level = solve_wied(g, BUMP, cfg, U0, start=doubled, system=system)
-    assert calls["to_modes"] == 5           # a second anchor
+    assert calls["to_modes"] == 3           # a second anchor
     assert calls["residual"] >= 3
     assert level.stats["residuals"][1] == pytest.approx(2.0 * tol)
     assert level.el_residual <= level.stats["el_tol_abs"] == tol
     assert np.linalg.norm(residual(system, BUMP, level.U, U0)[1]) <= tol
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_anchor_pairing_read_in_the_modes(d, start, monkeypatch):
+    # an anchor reads pe = <W r_off, e> in the modes, as <W Tm eh, eh> -
+    # <W rtr_a, e_tr> with eh = V' M e, since A_sigma e is the residual of
+    # the checked field.  Each anchor's pe must match <W V' r_off, V' M e>,
+    # formed here from the field of the check before it: r_off its
+    # residual off the trace, and e = U - P (b + E s) with s its Picard
+    # source.  The shipped physics on small grids, cold (U0 held in time)
+    # and warm (from the parabolic reference, as a sweep starts)
+    from wiedlab.assembly import LinearSystem, exp_time_weights
+    from wiedlab.combustion import beta_eval
+    cfg = _shipped_config(d=d, **{1: dict(nx=16, ny=6, nt=80),
+                                  2: dict(nx=6, ny=4, nt=24)}[d])
+    g = build_grid(cfg.grid)
+    wcfg = replace(cfg.wied, eps=cfg.schedule.eps0)
+    model = cfg.model
+    system = assemble_linear_system(g, wcfg.eps)
+    ops = system.ops
+    inv = space_time_inverse(system, model.lipschitz)
+    fields, anchors = [], []
+    check, anchor_pe = LinearSystem.check, wied._anchor_pe
+
+    def recorded_check(self, model, U, *args, **kwargs):
+        fields.append(np.array(U, dtype=float))
+        return check(self, model, U, *args, **kwargs)
+
+    def recorded_pe(*args):
+        pe = anchor_pe(*args)
+        anchors.append((fields[-1], pe))
+        return pe
+
+    monkeypatch.setattr(LinearSystem, "check", recorded_check)
+    monkeypatch.setattr(wied, "_anchor_pe", recorded_pe)
+    U0 = cfg.initial.evaluate(g)
+    solve_wied(g, model, wcfg, U0, system=system, start=Level(
+        None, solve_parabolic(g, model, U0, ops=ops))
+        if start == "warm" else None)
+    assert anchors
+    tr, basis = ops.trace_index, inv.basis
+    wgt = exp_time_weights(g.t, wcfg.eps)
+    ctm = system.c_hat[:, None] * ops.trace_mass
+    bh = basis.to_modes(system.initial_row(U0))
+    for U, pe in anchors:
+        r_off = system.residual(model, U, U0)[1]
+        r_off[:, tr] = 0.0
+        u_tr = U[1:, tr]
+        s = ctm * (model.lipschitz * u_tr - beta_eval(model, u_tr))
+        eh = basis.to_modes(ops.mass * U[1:]) - inv.trace_solve(s, bh)
+        ref = float(np.sum(wgt * np.einsum("ns,ns->n",
+                                           basis.to_modes(r_off), eh)))
+        assert pe == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("start", ["cold", "held"])
