@@ -5,7 +5,8 @@ kernel it ran on (from manifest.json), the parabolic
 reference's trace corrections (from manifest.json), the
 convergence table, then per eps level the outer iterations, the accepted
 Newton and Picard steps and the GMRES iterations of its Newton trace
-solves (from levels.json) and its Thomas sweeps (from manifest.json).
+solves (from levels.json) and its Thomas sweeps (from manifest.json),
+and the fields the run read back from its dumps (from manifest.json).
 
 Usage: python scripts/run_benchmark.py [configs/combustion-1d.json] [outdir]
 """
@@ -46,6 +47,7 @@ def main(config="configs/combustion-1d.json", out="runs/combustion-1d"):
               f"{lv['steps'].count('newton')},{lv['steps'].count('picard')},"
               f"{sum(lv['inner_iterations'])},{sweeps}")
     print(f"Thomas sweeps: {sum(manifest['sweeps'])} in all")
+    print(f"field reads: {manifest['field_reads']}")
 
 
 if __name__ == "__main__":

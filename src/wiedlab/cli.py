@@ -9,15 +9,17 @@ Subcommands:
     verify <config>              acceptance suite, one pass/fail line each
 
 `run` and `diagnose` compute the diagnostics through one registry
-(wiedlab.registry).  `--which` takes exactly the names a config may
-list and rejects any other with exit 2 before anything is computed or
-written.  `diagnose` writes the reports `run` writes, with the same
-columns (`eps` reads None for a field without eps, such as the parabolic
-reference), plus diagnose_summary.json.  It uses the config's options
-for a listed diagnostic and a grid-centred cylinder for one the config
-does not list.  A diagnostic that measures nothing on the field (energy
-on a field without eps, uniform-bounds on one level) prints one line to
-stderr and writes nothing.
+(wiedlab.registry) and one writer (runner.write_diagnostics), which
+computes each requested name on all levels in turn: a run's levels once
+its sweep is done, or the one stored field.  `--which` takes exactly the
+names a config may list and rejects any other with exit 2 before
+anything is computed or written.  `diagnose` writes the reports `run`
+writes, with the same columns (`eps` reads None for a field without
+eps, such as the parabolic reference), plus diagnose_summary.json.  It
+uses the config's options for a listed diagnostic and a grid-centred
+cylinder for one the config does not list.  A diagnostic that measures
+nothing on the field (energy on a field without eps, uniform-bounds on
+one level) prints one line to stderr and writes nothing.
 
 Exit codes: 0 ok, 1 an acceptance criterion failed (`verify`), 2
 config/usage error, 3 solver failure (partial artifacts kept), 4 I/O
@@ -195,16 +197,15 @@ def _diagnose(args, cfg, out) -> int:
     listed = {d.name: d.options for d in cfg.diagnostics}
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    stream = registry.Stream(
-        registry.Context(grid, cfg.model, cfg.forcing_exponents,
-                         build_operators(grid)),
-        [(name, listed[name] if name in listed else
-          {**defaults(f"diagnostics ({name})", sp.T), **probe})
-         for name in which])
-    level = Level(side.get("eps"), arr)
+    ctx = registry.Context(grid, cfg.model, cfg.forcing_exponents,
+                           build_operators(grid))
+    requests = [(name, listed[name] if name in listed else
+                 {**defaults(f"diagnostics ({name})", sp.T), **probe})
+                for name in which]
     try:
-        stream.add(level)
-        skipped = write_diagnostics(stream, [level], out, summary)
+        skipped = write_diagnostics(ctx, requests,
+                                    [Level(side.get("eps"), arr)], out,
+                                    summary)
     except DiagnosticError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

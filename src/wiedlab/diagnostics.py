@@ -436,13 +436,19 @@ def embedding_ratio_check(grid: WeightedGrid, slice_field: np.ndarray,
 # ---------------------------------------------------------------------------
 # Cauchy increments along the eps schedule
 
-def sweep_cauchy_increments(grid: WeightedGrid, fields: list) -> list:
+def sweep_cauchy_increments(grid: WeightedGrid, fields) -> list:
     """Distances between consecutive schedule levels in C([0,T]:L^{2,a}).
 
     The measured Cauchy property of the approximating family is what
     stands in for the compactness hypothesis of the oscillation-decay
-    argument.
+    argument.  fields is any iterable of the levels' fields; it is walked
+    once, the field before carried, so an iterator that reads each field
+    on demand keeps two of them at a time.
     """
     from .wied import dist_C_L2a
-    return [dist_C_L2a(grid, fields[i], fields[i + 1])
-            for i in range(len(fields) - 1)]
+    inc, prev = [], None
+    for U in fields:
+        if prev is not None:
+            inc.append(dist_C_L2a(grid, prev, U))
+        prev = U
+    return inc

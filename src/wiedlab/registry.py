@@ -1,10 +1,11 @@
 """The diagnostics registry: each name's load-time check of what depends
-on the grid, its compute step and what that step reads of the levels;
-its options are rows of config.SCHEMA.  Compute steps return report rows
-and summary entries and touch no file; `run` and `diagnose` evaluate
-them through a Stream, which takes the levels as they finish, and write
-them.  They look measuring functions up on the `diagnostics` module at
-call time, so a function replaced there (by a profiler, say) is the one
+on the grid and its compute step; its options are rows of config.SCHEMA.
+Compute steps return report rows and summary entries and touch no file;
+`run` and `diagnose` call compute on all levels, request by request
+(runner.write_diagnostics), and write them.  A level that has given its
+field up is read back (Level.read) by each step that reads the field.
+They look measuring functions up on the `diagnostics` module at call
+time, so a function replaced there (by a profiler, say) is the one
 called."""
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class Context:
 
     def energy(self, lv: Level):
         """The level's energy report, from its exit check when it has
-        one, computed once."""
+        one, computed once (a report that raised is not kept, so the next
+        call forms it again)."""
         if lv.eps is None:
             raise NotApplicable("the field has no eps, so it is no WIED "
                                 "minimizer the energy identity applies to")
@@ -104,22 +106,25 @@ def _uniform_bounds(ctx, levels, opt):
                     factor, ub["uniform"])])
 
 
-def _trace_forcing(ctx, lv: Level) -> np.ndarray:
-    """f = -beta(u) on the trace, the source the field carries."""
+def _trace_forcing(ctx, U: np.ndarray) -> np.ndarray:
+    """f = -beta(u) on the trace, the source the field U carries."""
     sp = ctx.grid.spec
-    tr = _field(ctx, lv).reshape(sp.nt + 1, -1)[:, ctx.ops.trace_index]
+    tr = U.reshape(sp.nt + 1, -1)[:, ctx.ops.trace_index]
     return -np.asarray(beta_eval(ctx.model, tr.reshape(
         (sp.nt + 1,) + (sp.nx + 1,) * sp.d)))
 
 
 def _linf_l2(ctx, levels, opt):
     p, q = ctx.forcing_exponents
+
+    def measure(lv):
+        U = _field(ctx, lv)
+        return dg.linf_l2_ratio(
+            ctx.grid, U, dg.ForcingSpec(f=_trace_forcing(ctx, U), p=p, q=q),
+            tuple(opt["center"]), float(opt["radius"]))
     return _per_level(
         "linf_l2.csv", ("ratio", "sup_inner", "l2a_outer", "f_lqinf"),
-        levels, lambda lv: dg.linf_l2_ratio(
-            ctx.grid, _field(ctx, lv),
-            dg.ForcingSpec(f=_trace_forcing(ctx, lv), p=p, q=q),
-            tuple(opt["center"]), float(opt["radius"])))
+        levels, measure)
 
 
 def _no_spikes(ctx, levels, opt):
@@ -173,8 +178,9 @@ def _isoperimetric(ctx, levels, opt):
 
 
 def _cauchy(ctx, levels, opt):
+    # the fields one at a time, so each level is read once
     inc = dg.sweep_cauchy_increments(ctx.grid,
-                                     [_field(ctx, lv) for lv in levels])
+                                     (_field(ctx, lv) for lv in levels))
     return [("cauchy.csv", ["pair", "increment"],
              [{"pair": f"{levels[i].eps:g}->{levels[i + 1].eps:g}",
                "increment": v} for i, v in enumerate(inc)])], []
@@ -236,21 +242,20 @@ def _check_layer(opt, grid, cfg):
 class Diagnostic:
     compute: Callable
     check: Callable = lambda opt, grid, cfg: None
-    # what compute reads of the levels: "each" level alone, one report
-    # row or file per level; each two consecutive "pairs"; the "last"
-    # level; or the "energy" reports of all levels
-    reads: str = "each"
+    # compute reads the levels' energy reports (Context.energy), which a
+    # run forms at each level's exit, from its exit check
+    energy: bool = False
 
 
 DIAGNOSTICS = {
-    "energy": Diagnostic(_energy),
-    "uniform-bounds": Diagnostic(_uniform_bounds, reads="energy"),
+    "energy": Diagnostic(_energy, energy=True),
+    "uniform-bounds": Diagnostic(_uniform_bounds, energy=True),
     "linf-l2": Diagnostic(_linf_l2, _check_linf_l2),
-    "no-spikes": Diagnostic(_no_spikes, _check_cylinder, reads="last"),
+    "no-spikes": Diagnostic(_no_spikes, _check_cylinder),
     "level-sets": Diagnostic(_level_sets, _check_cylinder),
-    "holder": Diagnostic(_holder, _check_holder, reads="last"),
+    "holder": Diagnostic(_holder, _check_holder),
     "embedding": Diagnostic(_embedding, _check_layer),
-    "cauchy": Diagnostic(_cauchy, reads="pairs"),
+    "cauchy": Diagnostic(_cauchy),
     "isoperimetric": Diagnostic(_isoperimetric, _check_layer),
 }
 
@@ -260,97 +265,3 @@ def compute(name: str, ctx: Context, levels: list, opt: dict):
     every option; raises NotApplicable, or ValueError/ArithmeticError if
     the fields fail it."""
     return DIAGNOSTICS[name].compute(ctx, levels, opt)
-
-
-@dataclass
-class Outcome:
-    """What a Stream computed: per request in order, up to the first
-    that failed, its (name, reports, summary entries), or its (name,
-    reason) in skipped when it measured nothing; failure is the (index,
-    name, exception) of the first request that failed, or None."""
-    results: list
-    skipped: list
-    failure: tuple | None
-
-
-class Stream:
-    """The (name, options) requests evaluated on levels as they arrive,
-    in schedule order, so that a level can be released once it is
-    added: each request computes what it reads of a level (its
-    Diagnostic.reads) when the level arrives, and what reads the last
-    level or every energy report when the stream finishes.  A request
-    that reads pairs reads the level before back (Level.read) once it
-    has been released, so a run reads that field back once per level,
-    and only for such a request; the last level must keep its field
-    until finish, or be readable.  Reports and entries are merged in
-    level order, so the outcome is that of compute over all levels,
-    request by request, up to the first request that fails."""
-
-    def __init__(self, ctx: Context, requests: list):
-        self.ctx, self.requests = ctx, list(requests)
-        self._pieces = [[] for _ in self.requests]
-        self._skipped = {}      # index -> reason
-        self._failed = {}       # index -> exception
-        self._prev = None
-
-    def _try(self, j, step):
-        # step() for request j, unless the request is settled or comes
-        # after a failed one, which ends the outcome anyway; None if it
-        # did not run or raised
-        if j in self._skipped or any(i <= j for i in self._failed):
-            return None
-        try:
-            return step()
-        except NotApplicable as exc:
-            self._skipped[j] = str(exc)
-        except (ValueError, ArithmeticError) as exc:
-            self._failed[j] = exc
-        return None
-
-    def _compute(self, j, levels):
-        name, opt = self.requests[j]
-        piece = self._try(j, lambda: compute(name, self.ctx, levels, opt))
-        if piece is not None:
-            self._pieces[j].append(piece)
-
-    def add(self, lv: Level):
-        """Compute what each request reads of lv alone, or of lv and the
-        level before it; the energy report of lv is formed here when a
-        request reads every energy report."""
-        for j, (name, _) in enumerate(self.requests):
-            reads = DIAGNOSTICS[name].reads
-            if reads == "each":
-                self._compute(j, [lv])
-            elif reads == "pairs":
-                # the first level alone gives the report's header
-                self._compute(j, [lv] if self._prev is None
-                              else [self._prev, lv])
-            elif reads == "energy" and lv.eps is not None:
-                # the report alone, which ctx keeps; without eps, compute
-                # says at finish why it measures nothing
-                self._try(j, lambda: self.ctx.energy(lv))
-        self._prev = lv
-
-    def finish(self, levels: list) -> Outcome:
-        """The outcome on levels, every level added, in order; the last
-        one keeps its field."""
-        for j, (name, _) in enumerate(self.requests):
-            reads = DIAGNOSTICS[name].reads
-            if reads in ("last", "energy"):
-                self._compute(j, levels[-1:] if reads == "last" else levels)
-        results, skipped, failure = [], [], None
-        for j, (name, _) in enumerate(self.requests):
-            if j in self._failed:
-                failure = (j, name, self._failed[j])
-                break
-            if j in self._skipped:
-                skipped.append((name, self._skipped[j]))
-                continue
-            files, entries = {}, []
-            for reports, ents in self._pieces[j]:
-                for fname, header, rows in reports:
-                    files.setdefault(fname, (fname, header, []))[2].extend(
-                        rows)
-                entries.extend(ents)
-            results.append((name, list(files.values()), entries))
-        return Outcome(results, skipped, failure)

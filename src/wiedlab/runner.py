@@ -7,21 +7,20 @@ diagnostics, written as a deterministic artifact tree:
     reports/*.csv, summary.json
     manifest.json  (config hash, versions, BLAS kernel, wall clock, artifact
                     hashes, the parabolic reference's trace corrections,
-                    each level's Thomas sweeps)
+                    each level's Thomas sweeps, the run's field reads)
 
 Field dumps are raw little-endian float64 in row-major (x, y, t) node
 order; everything numeric is reproduced bit-exactly by a re-run with the
 same config.  Dumps, loads and artifact hashes stream through one block
 of at most FIELD_BLOCK_BYTES, so no field is copied whole on its way to
 or from disk.  A run gives a dumped field's memory up and reads the
-field back (read_field) when a distance needs it, so it holds one field
-at a time.
+field back (read_field) when a distance or a diagnostic needs it, so it
+holds one field at a time while it sweeps.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import json
 import math
@@ -256,40 +255,44 @@ def provenance() -> dict:
             "blas": blas, "blas_kernel": blas_kernel()}
 
 
-def write_diagnostics(stream: registry.Stream, levels, outdir: Path,
-                      summary: list) -> list:
-    """Finish the stream on levels (every one added to it), write each
-    request's reports into outdir and append its summary entries to
-    summary, in request order; return the (name, reason) of each one
+def write_diagnostics(ctx: registry.Context, requests: list, levels,
+                      outdir: Path, summary: list) -> list:
+    """Compute each (name, options) request on levels (registry.compute),
+    in request order, write its reports into outdir and append its
+    summary entries to summary; return the (name, reason) of each one
     that measured nothing.  A diagnostic the fields do not support ends
     the requests with DiagnosticError, after those before it are
     written."""
-    outcome = stream.finish(levels)
-    for name, reports, entries in outcome.results:
+    skipped = []
+    for j, (name, opt) in enumerate(requests):
+        try:
+            reports, entries = registry.compute(name, ctx, levels, opt)
+        except registry.NotApplicable as exc:
+            skipped.append((name, str(exc)))
+            continue
+        except (ValueError, ArithmeticError) as exc:
+            raise DiagnosticError(f"diagnostic {name!r}: {exc}",
+                                  completed=j) from exc
         for fname, header, rows in reports:
             write_csv(outdir / fname, header, rows)
         summary.extend(entries)
-    if outcome.failure is not None:
-        done, name, exc = outcome.failure
-        raise DiagnosticError(f"diagnostic {name!r}: {exc}",
-                              completed=done) from exc
-    return outcome.skipped
+    return skipped
 
 
 def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     """Run the full pipeline; returns the manifest dict.
 
     Each eps level is handled as the sweep hands it over: its field is
-    dumped, the diagnostics measure what they read of it (a
-    registry.Stream), and it is given the dump's reader (read_field).
-    A field on disk gives its memory up: level 1 solves in the parabolic
-    trajectory, and each later level in the field of the one before
-    (solve_wied), so the run holds one field and one level's working
-    set.  The reference is read back once per level for dist_to_ref, and
-    the level before once per level for a cauchy pair, when one is
-    requested; the last level keeps its field for the diagnostics that
-    read it at the end.  Reports and summary entries are written once
-    the sweep is done.
+    dumped, it is given the dump's reader (read_field), and its energy
+    report is formed from its exit check when a requested diagnostic
+    reads energy reports; then the check is dropped.  A field on disk
+    gives its memory up: level 1 solves in the parabolic trajectory, and
+    each later level in the field of the one before (solve_wied), so the
+    sweep holds one field and one level's working set, and reads the
+    reference back once per level for dist_to_ref.  Once the sweep is
+    done the diagnostics are computed on all levels, request by request
+    (write_diagnostics): the last level keeps its field, and each step
+    that reads the field of an earlier level reads it back.
     Raises RunnerSolverError on solver failure (partial artifacts are
     kept on disk: a failed sweep leaves its completed levels dumped and
     no diagnostic written); ConfigError surfaces before anything is
@@ -305,13 +308,15 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     (outdir / "reports").mkdir(parents=True, exist_ok=True)
 
     ctx = registry.Context(grid, cfg.model, cfg.forcing_exponents, ops)
-    stream = registry.Stream(
-        ctx, [(req.name, req.options) for req in cfg.diagnostics])
+    requests = [(req.name, req.options) for req in cfg.diagnostics]
+    wants_energy = any(registry.DIAGNOSTICS[name].energy
+                       for name, _ in requests)
     # failure: where the run stopped (phase), why, and how many steps,
     # levels or diagnostics of that phase were completed; hashes: of the
-    # dumps, as they were written; extremes: (min, max) per dump
+    # dumps, as they were written; extremes: (min, max) per dump; reads:
+    # the fields read back from the dumps
     failure, levels, reference, corrections = None, [], None, {}
-    hashes, extremes = {}, {}
+    hashes, extremes, reads = {}, {}, 0
 
     def dump(name, U, meta):
         # the dump's reader, which reads U back bit for bit
@@ -319,13 +324,22 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         hashes[str(path.relative_to(outdir))] = dump_field(
             path, grid, U, meta, digest=True)
         extremes[name] = (U.min(), U.max())
-        return functools.partial(read_field, path, grid)
+
+        def load():
+            nonlocal reads
+            reads += 1
+            return read_field(path, grid)
+        return load
 
     def on_level(lv):
         # the next level solves in lv's array, which lv gives up
         lv.load = dump(f"eps-{lv.eps:g}", lv.U,
                        {"eps": lv.eps, "role": "wied-level"})
-        stream.add(lv)
+        if wants_energy:
+            try:
+                ctx.energy(lv)
+            except (ValueError, ArithmeticError):
+                pass    # not kept: the diagnostics form it again and fail
         lv.check = None
         levels.append(lv)
 
@@ -365,7 +379,8 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
     summary = []
     if failure is None:
         try:
-            write_diagnostics(stream, levels, outdir / "reports", summary)
+            write_diagnostics(ctx, requests, levels, outdir / "reports",
+                              summary)
         except DiagnosticError as exc:
             failure = {"phase": "diagnostics", "message": str(exc),
                        "completed": exc.completed}
@@ -409,6 +424,7 @@ def run_experiment(cfg: ExperimentConfig, out: str | None = None) -> dict:
         "artifacts": artifacts,
         # solver counts, kept out of every hashed artifact
         "sweeps": [lv.stats["sweeps"] for lv in levels],
+        "field_reads": reads,
     }
     if corrections:
         manifest["parabolic"] = corrections

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import (DiscreteOperators, FieldCheck, LinearSystem,
-                       assemble_linear_system, build_operators,
+from .assembly import (DiscreteOperators, FieldCheck, KroneckerStencil,
+                       LinearSystem, assemble_linear_system, build_operators,
                        exp_time_weights, functional_value,
                        space_time_inverse)
 from .combustion import beta_eval, beta_prime_eval, phi_eval
@@ -539,12 +539,21 @@ def solve_wied(grid: WeightedGrid, model, cfg: WiedConfig, U0: np.ndarray,
 
 def dist_C_L2a(grid: WeightedGrid, U: np.ndarray, V: np.ndarray) -> float:
     """max over time layers of the spatial L^{2,a} distance (both-sides
-    weight), summed over the nodes by an einsum in a fixed order."""
+    weight), summed over the nodes by an einsum in a fixed order.  The
+    difference is formed a block of about KroneckerStencil.CHUNK entries
+    of layers at a time, in one buffer.  A layer's sum does not depend
+    on the block while it has at most 8192 nodes, the size of the buffer
+    in which numpy's einsum reduces; a larger layer's does."""
     Ul = np.asarray(U, dtype=float).reshape(grid.spec.nt + 1, -1)
     Vl = np.asarray(V, dtype=float).reshape(grid.spec.nt + 1, -1)
-    sq = np.subtract(Ul, Vl)
-    d2 = 2.0 * np.einsum("ns,s->n", np.square(sq, out=sq), grid.node_mass)
-    return float(np.sqrt(np.max(d2)))
+    kb = max(1, KroneckerStencil.CHUNK // Ul.shape[1])
+    buf = np.empty((min(kb, Ul.shape[0]), Ul.shape[1]))
+    d2 = np.empty(Ul.shape[0])
+    for i in range(0, Ul.shape[0], kb):
+        sq = buf[:min(kb, Ul.shape[0] - i)]
+        np.square(np.subtract(Ul[i:i + kb], Vl[i:i + kb], out=sq), out=sq)
+        np.einsum("ns,s->n", sq, grid.node_mass, out=d2[i:i + kb])
+    return float(np.sqrt(np.max(2.0 * d2)))
 
 
 def sweep_epsilon(grid: WeightedGrid, model, schedule: EpsilonSchedule,

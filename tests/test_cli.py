@@ -181,8 +181,9 @@ def test_manifest_records_parabolic_corrections(tmp_path, capsys):
 
 def test_manifest_records_each_levels_sweeps(tmp_path, monkeypatch):
     # the unhashed manifest reports each level's Thomas sweeps as
-    # solve_wied counts them; levels.json does not, and no hashed
-    # artifact changes when the counts do
+    # solve_wied counts them, and the fields the run read back (at least
+    # the reference once per level); levels.json does not, no hashed
+    # artifact names either count, and none changes when the counts do
     from wiedlab import wied
     cfgp = write_config(tmp_path / "cfg.json",
                         model={"kind": "polynomial-bump"},
@@ -196,6 +197,11 @@ def test_manifest_records_each_levels_sweeps(tmp_path, monkeypatch):
     assert len(sweeps) == len(levels) >= 2
     assert all(isinstance(n, int) and n > 0 for n in sweeps)
     assert all("sweeps" not in lv for lv in levels)
+    assert isinstance(manifest["field_reads"], int)
+    assert manifest["field_reads"] >= len(levels)
+    for rel in manifest["artifacts"]:
+        data = (out / rel).read_bytes()
+        assert b"sweeps" not in data and b"field_reads" not in data, rel
     solve = wied.solve_wied
 
     def miscounted(*args, **kwargs):

@@ -239,29 +239,33 @@ def _run_peak(tmp_path, grid, count, diagnostics):
 
 
 def test_run_holds_one_level_working_set(tmp_path):
-    # each level is dumped and measured as the sweep hands it over, and
-    # a field on disk gives its memory up: level 1 solves in the
-    # reference's trajectory and each later level in the field of the
-    # one before, which are read back only for a distance.  A
-    # three-level run therefore holds three full-size (nt, S) arrays at a
-    # time: a level's field, its scratch and its one Thomas factor array
-    # while it solves; once it has solved, its field, its exit residual
-    # (the scratch, kept for the energy report) and a field read back for
-    # a distance (the reference, or the level before for cauchy).  It
-    # peaks at 4.18 in cauchy: the slack is dist_C_L2a's full-size
-    # difference beside those three and the small arrays of the run
+    # each level is dumped as the sweep hands it over, its energy report
+    # formed from its exit check, and a field on disk gives its memory
+    # up: level 1 solves in the reference's trajectory and each later
+    # level in the field of the one before.  A three-level run therefore
+    # holds three full-size (nt, S) arrays at a time: a level's field,
+    # its scratch and its one Thomas factor array while it solves; once
+    # it has solved, its field, its exit residual (the scratch, read by
+    # the energy report) and the reference read back for dist_to_ref,
+    # whose difference dist_C_L2a forms a block of layers at a time.
+    # The diagnostics run after the sweep on the last level's field and
+    # at most two fields read back (cauchy).  It peaks at 3.72 inside a
+    # level's solve, at a capacitance apply of the GMRES: the slack is
+    # the level's trace-sized vectors and the small arrays of the run
     center = [0.0, 0.0, 0.25]
     peak = _run_peak(
         tmp_path, {"d": 1, "a": 0.3, "L": 1.0, "Y": 1.0, "T": 0.5, "nx": 24,
                    "ny": 40, "nt": 400}, 3,
         [{"name": "energy"}, {"name": "uniform-bounds"}, {"name": "cauchy"},
          {"name": "level-sets", "center": center, "radius": 0.25}])
-    assert peak <= 3 + 1.25
+    assert peak <= 3 + 0.8
 
 
 def test_run_holds_one_level_working_set_d2(tmp_path):
     # the same in d = 2 over two levels, on the grid of _level_peak
-    # (3.87 there): the run peaks at 4.20 arrays, in cauchy as well
+    # (3.87 there): the run peaks at 4.12 arrays, reading the reference
+    # back for dist_to_ref beside the level's field and exit residual,
+    # since on this grid the read's 2 MB block buffer holds a whole field
     peak = _run_peak(
         tmp_path, {"d": 2, "a": 0.3, "L": 1.0, "Y": 1.0, "T": 0.5, "nx": 4,
                    "ny": 40, "nt": 200}, 2,
@@ -271,7 +275,7 @@ def test_run_holds_one_level_working_set_d2(tmp_path):
 
 # a burning run with every registered diagnostic, in d = 1 over three
 # levels and in d = 2 over two, on grids fine enough in x for a Hoelder fit
-STREAM_CASES = {
+RUN_CASES = {
     "d1-3-levels": ({"d": 1, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 2.0,
                      "nx": 32, "ny": 4, "nt": 16}, 3),
     "d2-2-levels": ({"d": 2, "a": 0.5, "L": 1.0, "Y": 1.0, "T": 2.0,
@@ -291,16 +295,16 @@ def _every_diagnostic(d):
             {"name": "cauchy"}]
 
 
-@pytest.mark.parametrize("case", list(STREAM_CASES))
-def test_run_streams_what_compute_gives_on_all_levels(tmp_path, case):
-    # a run measures each level as it finishes and keeps only what the
-    # later steps read; its reports and summary entries are those of
-    # registry.compute over the full list of levels, request by request
+@pytest.mark.parametrize("case", list(RUN_CASES))
+def test_run_writes_what_compute_gives_on_all_levels(tmp_path, case):
+    # a run releases each level's field and exit check as the sweep goes
+    # on; its reports and summary entries are those of registry.compute
+    # over the full list of levels held in memory, request by request
     from wiedlab import registry
     from wiedlab.assembly import build_operators
     from wiedlab.runner import run_experiment, write_csv
     from wiedlab.wied import sweep_epsilon
-    grid, count = STREAM_CASES[case]
+    grid, count = RUN_CASES[case]
     cfg = _run_config(grid, count, _every_diagnostic(grid["d"]),
                       forcing_exponents={"p": 4.0, "q": 6.0})
     run = tmp_path / "run"
@@ -331,12 +335,13 @@ def test_run_streams_what_compute_gives_on_all_levels(tmp_path, case):
         + ["max-principle-parabolic"])
 
 
-def test_stream_stops_at_the_first_request_compute_would_fail(monkeypatch):
-    # a request that reads the last level fails only at finish, after a
-    # later request failed on the first level: the outcome is that of
-    # computing the requests in order over all levels, so it ends at the
-    # earlier one, with the results and skips before it
+def test_diagnostics_stop_at_the_first_request_that_fails(tmp_path,
+                                                          monkeypatch):
+    # the requests are computed in order on all levels: those before the
+    # first that fails are written or skipped, the failure counts them,
+    # and no later request is computed
     from wiedlab import registry
+    from wiedlab.runner import DiagnosticError, write_diagnostics
     from wiedlab.wied import Level
     calls = []
 
@@ -351,28 +356,94 @@ def test_stream_stops_at_the_first_request_compute_would_fail(monkeypatch):
         raise ValueError(f"{opt['name']} fails")
 
     def skips(ctx, levels, opt):
+        calls.append("skip")
         raise registry.NotApplicable("measures nothing")
 
     monkeypatch.setattr(registry, "DIAGNOSTICS", {
         "each": registry.Diagnostic(rows),
         "skip": registry.Diagnostic(skips),
-        "last": registry.Diagnostic(fails, reads="last"),
+        "last": registry.Diagnostic(fails),
         "later": registry.Diagnostic(fails)})
-    stream = registry.Stream(None, [("each", {}), ("skip", {}),
-                                    ("last", {"name": "last"}),
-                                    ("later", {"name": "later"})])
+    requests = [("each", {}), ("skip", {}), ("last", {"name": "last"}),
+                ("later", {"name": "later"})]
     levels = [Level(0.1, None), Level(0.05, None)]
-    for lv in levels:
-        stream.add(lv)
-    outcome = stream.finish(levels)
-    assert calls == ["each", "later", "each", "last"]
-    assert outcome.results == [("each", [("each.csv", ["eps"], [
-        {"eps": 0.1}, {"eps": 0.05}])], [
-        registry.entry("each-0.1", 0.1, None, None),
-        registry.entry("each-0.05", 0.05, None, None)])]
-    assert outcome.skipped == [("skip", "measures nothing")]
-    index, name, exc = outcome.failure
-    assert (index, name, str(exc)) == (2, "last", "last fails")
+    summary = []
+    assert write_diagnostics(None, requests[:2], levels, tmp_path,
+                             summary) == [("skip", "measures nothing")]
+    (tmp_path / "each.csv").unlink()
+    calls.clear()
+    summary.clear()
+    with pytest.raises(DiagnosticError,
+                       match="^diagnostic 'last': last fails$") as exc:
+        write_diagnostics(None, requests, levels, tmp_path, summary)
+    assert exc.value.completed == 2
+    assert calls == ["each", "skip", "last"]
+    assert [p.name for p in tmp_path.iterdir()] == ["each.csv"]
+    assert (tmp_path / "each.csv").read_text() == "eps\n0.1\n0.05\n"
+    assert summary == [registry.entry("each-0.1", 0.1, None, None),
+                       registry.entry("each-0.05", 0.05, None, None)]
+
+
+def test_run_reads_each_released_field_once_per_request(tmp_path,
+                                                        monkeypatch):
+    # the run's read-back traffic on three levels with one request of
+    # each kind: the reference once per level for dist_to_ref; each
+    # earlier level once for each per-level request (linf-l2 reads its
+    # field once for the field and its trace forcing) and once for
+    # cauchy; nothing for energy and uniform-bounds, which read the
+    # reports formed from the exit checks, nor for no-spikes and holder,
+    # which read the last level, held.  The manifest records the count
+    from wiedlab import runner
+    reads = []
+    read_field = runner.read_field
+
+    def counted(path, grid):
+        reads.append(path.name)
+        return read_field(path, grid)
+
+    monkeypatch.setattr(runner, "read_field", counted)
+    grid, count = RUN_CASES["d1-3-levels"]
+    cfg = _run_config(grid, count, _every_diagnostic(1),
+                      forcing_exponents={"p": 4.0, "q": 6.0})
+    manifest = runner.run_experiment(cfg, out=str(tmp_path / "run"))
+    per_level = ("linf-l2", "level-sets", "embedding", "isoperimetric")
+    assert sorted(reads) == sorted(
+        ["parabolic.f64"] * count
+        + ["eps-0.05.f64", "eps-0.025.f64"] * (len(per_level) + 1))
+    assert manifest["field_reads"] == len(reads) == 13
+
+
+def test_energy_report_failing_at_a_level_exit_fails_in_request_order(
+        tmp_path, monkeypatch):
+    # a report that fails at a level's exit does not stop the sweep and is
+    # not kept: after the sweep the first request that reads it forms it
+    # again, from the field read back, and the run fails there, after the
+    # requests before it are written
+    from wiedlab import diagnostics as dg
+    from wiedlab.runner import RunnerSolverError, run_experiment
+    checks = []
+
+    def fails(grid, model, eps, U, ops=None, check=None):
+        checks.append(check is not None)
+        raise ArithmeticError("energy fails (test)")
+
+    monkeypatch.setattr(dg, "energy_decomposition", fails)
+    grid, count = RUN_CASES["d1-3-levels"]
+    level_sets, = [d for d in _every_diagnostic(1)
+                   if d["name"] == "level-sets"]
+    cfg = _run_config(grid, count, [level_sets, {"name": "uniform-bounds"},
+                                    {"name": "energy"}])
+    out = tmp_path / "run"
+    with pytest.raises(RunnerSolverError, match="diagnostics failed: "
+                       "diagnostic 'uniform-bounds': energy fails"):
+        run_experiment(cfg, out=str(out))
+    assert checks == [True] * count + [False]
+    levels = json.loads((out / "reports" / "levels.json").read_text())
+    assert len(levels) == count
+    assert sorted(p.name for p in (out / "reports").iterdir()) == [
+        "convergence.csv", "level_sets.csv", "levels.json"]
+    failure = json.loads((out / "manifest.json").read_text())["failure"]
+    assert (failure["phase"], failure["completed"]) == ("diagnostics", 1)
 
 
 def test_failed_sweep_leaves_completed_levels_and_no_report(tmp_path,
@@ -393,7 +464,7 @@ def test_failed_sweep_leaves_completed_levels_and_no_report(tmp_path,
         return solve(grid, model, cfg, *args, **kwargs)
 
     monkeypatch.setattr(wied, "solve_wied", second_fails)
-    cfg = _run_config(*STREAM_CASES["d1-3-levels"], _every_diagnostic(1),
+    cfg = _run_config(*RUN_CASES["d1-3-levels"], _every_diagnostic(1),
                       forcing_exponents={"p": 4.0, "q": 6.0})
     out = tmp_path / "run"
     with pytest.raises(RunnerSolverError, match="sweep failed: level eps"):
@@ -415,17 +486,17 @@ def test_failed_sweep_leaves_completed_levels_and_no_report(tmp_path,
                                             "max-principle-parabolic"]
 
 
-@pytest.mark.parametrize("case", list(STREAM_CASES))
+@pytest.mark.parametrize("case", list(RUN_CASES))
 def test_run_distances_equal_those_of_fields_held_in_memory(tmp_path, case):
-    # a run reads the reference back for each dist_to_ref and the level
-    # before for each cauchy pair; read back bit for bit, they give the
-    # values a sweep and sweep_cauchy_increments form from the fields
-    # they hold
+    # a run reads the reference back for each dist_to_ref and the
+    # earlier levels for the cauchy pairs; read back bit for bit, they
+    # give the values a sweep and sweep_cauchy_increments form from the
+    # fields they hold
     from wiedlab import diagnostics as dg
     from wiedlab.assembly import build_operators
     from wiedlab.runner import run_experiment
     from wiedlab.wied import sweep_epsilon
-    grid, count = STREAM_CASES[case]
+    grid, count = RUN_CASES[case]
     cfg = _run_config(grid, count, [{"name": "cauchy"}])
     run = tmp_path / "run"
     run_experiment(cfg, out=str(run))
@@ -460,7 +531,7 @@ def test_sweep_failing_after_taking_its_start_leaves_a_consistent_tree(
         return solve(grid, model, cfg, U0, start=start, system=system)
 
     monkeypatch.setattr(wied, "solve_wied", second_fails)
-    cfg = _run_config(*STREAM_CASES["d1-3-levels"],
+    cfg = _run_config(*RUN_CASES["d1-3-levels"],
                       [{"name": "energy"}, {"name": "cauchy"}])
     out = tmp_path / "run"
     with pytest.raises(RunnerSolverError,
@@ -512,7 +583,7 @@ def test_manifest_hashes_each_field_as_it_is_dumped(tmp_path, monkeypatch):
         return sha256(path)
 
     monkeypatch.setattr(runner, "_sha256", recorded)
-    cfg = _run_config(*STREAM_CASES["d1-3-levels"], [{"name": "energy"}])
+    cfg = _run_config(*RUN_CASES["d1-3-levels"], [{"name": "energy"}])
     out = tmp_path / "run"
     manifest = runner.run_experiment(cfg, out=str(out))
     fields = sorted(p for p in (out / "fields").glob("*.f64"))
